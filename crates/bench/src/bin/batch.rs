@@ -1,5 +1,5 @@
 //! Adaptive wire-level batching: burst of small posted messages with and
-//! without multi-envelope coalescing, under both wire codecs.
+//! without multi-envelope coalescing.
 //!
 //! Each round, node 0 posts 64 messages of 64 B toward node 1 over TCP
 //! (Fast Ethernet — the stack with the steepest fixed per-frame cost),
@@ -9,12 +9,6 @@
 //! one frame, so the fixed per-frame cost (`TCP_FRAME_COST`) is paid an
 //! eighth as often. The headline claim asserted below: the batched burst
 //! moves >= 2x the payload throughput of the unbatched one.
-//!
-//! The batched run is measured twice: once forced to the classic
-//! fixed-width codec (`with_classic_wire`) and once auto-negotiated to
-//! the compact varint codec. Identical application traffic, so the whole
-//! difference in frame bytes is header overhead — asserted to shrink by
-//! >= 25% under the compact codec for the 64x64 B burst.
 //!
 //! Writes `BENCH_batch.json`, including the frames saved per the shared
 //! cost table in `madsim_net::stacks` — the same constants the TCP stack
@@ -36,8 +30,6 @@ const PACKET_LEN: usize = 64;
 #[derive(serde::Serialize)]
 struct BatchRun {
     batching: bool,
-    /// Wire codec of the run: "classic" (forced) or "compact" (auto).
-    wire: &'static str,
     rounds: usize,
     packets_per_round: usize,
     packet_bytes: usize,
@@ -67,8 +59,6 @@ struct BatchRun {
 struct Output {
     runs: Vec<BatchRun>,
     speedup: f64,
-    /// Fractional reduction in header bytes, classic -> compact.
-    header_reduction: f64,
 }
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
@@ -79,16 +69,13 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
 
 /// Run the burst workload; per node:
 /// `[elapsed_us, batches, batched_packets, frame_bytes, payload_bytes]`.
-fn burst(batching: bool, classic: bool) -> Vec<[f64; 5]> {
+fn burst(batching: bool) -> Vec<[f64; 5]> {
     let mut b = WorldBuilder::new(2);
     b.network("net0", NetKind::Ethernet, &[0, 1]);
     let world = b.build();
     let mut spec = ChannelSpec::new("ch", "net0", Protocol::Tcp);
     if batching {
         spec = spec.with_batching(16, 4096, 20.0);
-    }
-    if classic {
-        spec = spec.with_classic_wire();
     }
     let config = Config::default().with_channel_spec(spec);
     world.run(move |env| {
@@ -147,8 +134,8 @@ fn mibps(bytes: usize, us: f64) -> f64 {
     (bytes as f64 / (1 << 20) as f64) / (us / 1e6)
 }
 
-fn measure(batching: bool, classic: bool) -> BatchRun {
-    let per_node = burst(batching, classic);
+fn measure(batching: bool) -> BatchRun {
+    let per_node = burst(batching);
     let elapsed_us = per_node[0][0];
     let batches = per_node.iter().map(|n| n[1] as u64).sum::<u64>();
     let batched_packets = per_node.iter().map(|n| n[2] as u64).sum::<u64>();
@@ -167,7 +154,6 @@ fn measure(batching: bool, classic: bool) -> BatchRun {
     let app_payload_bytes = if batching { payload as u64 } else { 0 };
     BatchRun {
         batching,
-        wire: if classic { "classic" } else { "compact" },
         rounds: ROUNDS,
         packets_per_round: PACKETS,
         packet_bytes: PACKET_LEN,
@@ -189,16 +175,15 @@ fn main() {
     let out_path = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_batch.json".into());
 
     println!(
-        "{:>8} {:>8} {:>12} {:>10} {:>8} {:>12} {:>12}",
-        "batching", "wire", "elapsed us", "MiB/s", "batches", "frames saved", "header bytes"
+        "{:>8} {:>12} {:>10} {:>8} {:>12} {:>12}",
+        "batching", "elapsed us", "MiB/s", "batches", "frames saved", "header bytes"
     );
-    let off = measure(false, false);
-    let on_classic = measure(true, true);
-    let on = measure(true, false);
-    for r in [&off, &on_classic, &on] {
+    let off = measure(false);
+    let on = measure(true);
+    for r in [&off, &on] {
         println!(
-            "{:>8} {:>8} {:>12.1} {:>10.3} {:>8} {:>12} {:>12}",
-            r.batching, r.wire, r.elapsed_us, r.mibps, r.batches, r.frames_saved, r.header_bytes
+            "{:>8} {:>12.1} {:>10.3} {:>8} {:>12} {:>12}",
+            r.batching, r.elapsed_us, r.mibps, r.batches, r.frames_saved, r.header_bytes
         );
     }
 
@@ -213,31 +198,9 @@ fn main() {
     );
     println!("64x64B TCP burst batching speedup: {speedup:.2}x");
 
-    // The codec claim: identical burst, identical frames — the compact
-    // varint codec must strip >= 25% of the header bytes.
-    assert_eq!(
-        on.batched_packets, on_classic.batched_packets,
-        "codec must not change what gets batched"
-    );
-    let header_reduction = 1.0 - on.header_bytes as f64 / on_classic.header_bytes.max(1) as f64;
-    assert!(
-        header_reduction >= 0.25,
-        "compact codec header reduction {:.1}% below 25% ({} -> {} bytes)",
-        header_reduction * 100.0,
-        on_classic.header_bytes,
-        on.header_bytes
-    );
-    println!(
-        "64x64B burst header bytes: {} classic -> {} compact ({:.1}% saved)",
-        on_classic.header_bytes,
-        on.header_bytes,
-        header_reduction * 100.0
-    );
-
     let json = serde_json::to_string_pretty(&Output {
-        runs: vec![off, on_classic, on],
+        runs: vec![off, on],
         speedup,
-        header_reduction,
     })
     .expect("serialize results");
     std::fs::write(&out_path, json).expect("write results");

@@ -21,7 +21,7 @@
 use crate::generic_tm::{hop_recv, hop_send, recv_fragment_header};
 use crate::route::Route;
 use crate::vchannel::{route_of_chain, VirtualChannelSpec};
-use crate::wire::{FragHeader, WireVersion};
+use crate::wire::FragHeader;
 use madeleine::bmm::SendPolicy;
 use madeleine::config::Config;
 use madeleine::error::MadResult;
@@ -149,15 +149,8 @@ impl Gateway {
             for i in route.gateway_positions(me) {
                 // Two directions: left-to-right (hop i → hop i+1) and back.
                 for (hop_in, hop_out) in [(i, i + 1), (i + 1, i)] {
-                    let in_chan = mad.channel(&chain[hop_in]);
-                    let out_chan = mad.channel(&chain[hop_out]);
-                    let in_pmm = Arc::clone(in_chan.pmm());
-                    let out_pmm = Arc::clone(out_chan.pmm());
-                    // Fragment headers are re-encoded per hop: each side of
-                    // the gateway speaks its own hop channel's negotiated
-                    // wire version (they may differ across the bridge).
-                    let in_wire = in_chan.wire();
-                    let out_wire = out_chan.wire();
+                    let in_pmm = Arc::clone(mad.channel(&chain[hop_in]).pmm());
+                    let out_pmm = Arc::clone(mad.channel(&chain[hop_out]).pmm());
                     let stats = Stats::new();
                     stats_out.push((
                         format!("{}:{}->{}", spec.name, chain[hop_in], chain[hop_out]),
@@ -169,8 +162,6 @@ impl Gateway {
                         me,
                         in_pmm,
                         out_pmm,
-                        in_wire,
-                        out_wire,
                         config,
                         gwcfg,
                         Arc::clone(&stats),
@@ -210,8 +201,6 @@ fn spawn_direction(
     me: madsim_net::NodeId,
     in_pmm: Arc<dyn Pmm>,
     out_pmm: Arc<dyn Pmm>,
-    in_wire: WireVersion,
-    out_wire: WireVersion,
     config: &Config,
     gwcfg: GatewayConfig,
     stats: Arc<Stats>,
@@ -259,7 +248,7 @@ fn spawn_direction(
                 };
                 time::advance_to(slot_free_at);
 
-                let hdr = match recv_fragment_header(&in_pmm, in_wire, neighbor, host, &stats) {
+                let hdr = match recv_fragment_header(&in_pmm, neighbor, host, &stats) {
                     Ok(h) => h,
                     Err(_) => {
                         // The incoming hop died mid-fragment: drop it and
@@ -286,9 +275,6 @@ fn spawn_direction(
                     }
                 };
                 time::advance(VDuration::from_micros_f64(GW_RECV_OVERHEAD_US));
-                if std::env::var("GW_DEBUG").is_ok() {
-                    eprintln!("gw-recv frag len {} done at {:?}", hdr.len, time::now());
-                }
                 if !filled.push(Filled {
                     hdr,
                     payload,
@@ -317,7 +303,7 @@ fn spawn_direction(
                     hop_send(
                         &out_pmm,
                         next,
-                        &hdr.encode(out_wire),
+                        &hdr.to_wire(),
                         RecvMode::Express,
                         host,
                         &stats,
@@ -354,9 +340,6 @@ fn spawn_direction(
                     stats.record_frag_discarded();
                 }
                 time::advance(VDuration::from_micros_f64(GW_SEND_OVERHEAD_US));
-                if std::env::var("GW_DEBUG").is_ok() {
-                    eprintln!("gw-send frag len {} done at {:?}", hdr.len, time::now());
-                }
                 if free_tx.send(time::now()).is_err() {
                     return;
                 }

@@ -33,7 +33,7 @@
 //! discarded). With a single healthy route none of this machinery runs.
 
 use crate::route::Route;
-use crate::wire::{FragHeader, WireVersion, FRAG_HEADER_LEN};
+use crate::wire::{FragHeader, FRAG_HEADER_LEN};
 use madeleine::bmm::{RecvBmm, SendBmm, SendPolicy};
 use madeleine::config::HostModel;
 use madeleine::error::{MadError, MadResult};
@@ -81,19 +81,16 @@ pub(crate) fn hop_recv(
     bmm.unpack_express_now(dst)
 }
 
-/// Send a complete fragment (header + payload) down a hop, encoding the
-/// header in the hop's negotiated wire version.
+/// Send a complete fragment (header + payload) down a hop.
 pub(crate) fn send_fragment(
     pmm: &Arc<dyn Pmm>,
-    wire: WireVersion,
     next: NodeId,
     header: &FragHeader,
     payload: &[u8],
     host: HostModel,
     stats: &Arc<Stats>,
 ) -> MadResult<()> {
-    let hdr = header.encode(wire);
-    hop_send(pmm, next, &hdr, RecvMode::Express, host, stats)?;
+    hop_send(pmm, next, &header.to_wire(), RecvMode::Express, host, stats)?;
     if !payload.is_empty() {
         hop_send(pmm, next, payload, RecvMode::Cheaper, host, stats)?;
     }
@@ -101,19 +98,17 @@ pub(crate) fn send_fragment(
 }
 
 /// Receive the header of the next fragment from `from`. The header length
-/// is fixed per hop wire version, so the exact-length read stays symmetric
-/// with the sender without any prediction.
+/// is fixed, so the exact-length read stays symmetric with the sender
+/// without any prediction.
 pub(crate) fn recv_fragment_header(
     pmm: &Arc<dyn Pmm>,
-    wire: WireVersion,
     from: NodeId,
     host: HostModel,
     stats: &Arc<Stats>,
 ) -> MadResult<FragHeader> {
     let mut hdr = [0u8; FRAG_HEADER_LEN];
-    let n = FragHeader::wire_len(wire);
-    hop_recv(pmm, from, &mut hdr[..n], RecvMode::Express, host, stats)?;
-    FragHeader::try_decode(wire, &hdr[..n])
+    hop_recv(pmm, from, &mut hdr, RecvMode::Express, host, stats)?;
+    FragHeader::from_wire(&hdr)
 }
 
 /// One route of a virtual channel, with its hop protocol modules and
@@ -123,10 +118,6 @@ pub(crate) struct RouteState {
     /// `hop_pmms[i]` is hop *i*'s protocol module, present for the hops
     /// this node belongs to.
     hop_pmms: Vec<Option<Arc<dyn Pmm>>>,
-    /// `hop_wires[i]` is hop *i*'s negotiated wire version (read off the
-    /// hop channel — identical on every member of the hop), present for
-    /// the hops this node belongs to.
-    hop_wires: Vec<Option<WireVersion>>,
     /// Set once a send on this route fails; the route is never retried.
     down: AtomicBool,
     /// Header of a fragment whose payload transfer was initiated early
@@ -136,15 +127,10 @@ pub(crate) struct RouteState {
 }
 
 impl RouteState {
-    pub(crate) fn new(
-        route: Arc<Route>,
-        hop_pmms: Vec<Option<Arc<dyn Pmm>>>,
-        hop_wires: Vec<Option<WireVersion>>,
-    ) -> Self {
+    pub(crate) fn new(route: Arc<Route>, hop_pmms: Vec<Option<Arc<dyn Pmm>>>) -> Self {
         RouteState {
             route,
             hop_pmms,
-            hop_wires,
             down: AtomicBool::new(false),
             prefetched: Mutex::new(None),
         }
@@ -178,10 +164,6 @@ impl RouteState {
         self.hop_pmms[hop]
             .as_ref()
             .expect("node holds the channels of its own hops")
-    }
-
-    fn hop_wire(&self, hop: usize) -> WireVersion {
-        self.hop_wires[hop].expect("node holds the channels of its own hops")
     }
 }
 
@@ -268,8 +250,7 @@ impl GenericTm {
             Some(x) => x,
             None => {
                 let neighbor = pmm.wait_incoming();
-                let h =
-                    recv_fragment_header(pmm, rs.hop_wire(hop), neighbor, self.host, &self.stats)?;
+                let h = recv_fragment_header(pmm, neighbor, self.host, &self.stats)?;
                 (neighbor, h)
             }
         };
@@ -315,7 +296,7 @@ impl GenericTm {
         let hop = rs.my_hop(self.me);
         let pmm = rs.hop_pmm(hop);
         if let Some(neighbor) = pmm.poll_incoming() {
-            let h = recv_fragment_header(pmm, rs.hop_wire(hop), neighbor, self.host, &self.stats)?;
+            let h = recv_fragment_header(pmm, neighbor, self.host, &self.stats)?;
             if h.len > 0 {
                 let id = pmm.select(h.len, SendMode::Cheaper, RecvMode::Cheaper);
                 pmm.tm(id).prefetch(neighbor);
@@ -362,19 +343,8 @@ impl GenericTm {
                 len: chunk.len(),
                 offset,
             };
-            send_fragment(
-                pmm,
-                rs.hop_wire(hop),
-                next,
-                &header,
-                chunk,
-                self.host,
-                &self.stats,
-            )?;
+            send_fragment(pmm, next, &header, chunk, self.host, &self.stats)?;
             offset += chunk.len();
-            if std::env::var("GW_DEBUG").is_ok() {
-                eprintln!("origin frag {} sent at {:?}", chunk.len(), time::now());
-            }
         }
         Ok(())
     }
@@ -406,8 +376,7 @@ impl GenericTm {
                 } else {
                     pmm.wait_incoming()
                 };
-                match recv_fragment_header(pmm, rs.hop_wire(hop), neighbor, self.host, &self.stats)
-                {
+                match recv_fragment_header(pmm, neighbor, self.host, &self.stats) {
                     Ok(h) => {
                         if h.len > 0 {
                             let id = pmm.select(h.len, SendMode::Cheaper, RecvMode::Cheaper);

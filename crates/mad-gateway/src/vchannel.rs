@@ -18,7 +18,6 @@ use madeleine::config::Config;
 use madeleine::pmm::Pmm;
 use madeleine::stats::Stats;
 use madeleine::trace::Tracer;
-use madeleine::wire::{WireMode, WireVersion};
 use madeleine::Madeleine;
 use madsim_net::world::NodeEnv;
 use std::sync::Arc;
@@ -46,7 +45,10 @@ pub struct VirtualChannelSpec {
 
 impl VirtualChannelSpec {
     pub fn new(name: &str, hops: &[&str], mtu: usize) -> Self {
-        assert!(mtu > 0, "MTU must be positive");
+        assert!(
+            mtu > 0 && mtu < 1 << 24,
+            "MTU must be positive and fit the fragment header's 24-bit length"
+        );
         VirtualChannelSpec {
             name: name.to_string(),
             hops: hops.iter().map(|h| h.to_string()).collect(),
@@ -136,14 +138,7 @@ impl VirtualChannel {
                 .iter()
                 .map(|h| mad.try_channel(h).map(|c| Arc::clone(c.pmm())))
                 .collect();
-            // Each hop's fragment headers use that hop channel's negotiated
-            // wire version — a symmetric function of shared configuration,
-            // so every member of the hop (including its gateway) agrees.
-            let hop_wires: Vec<Option<WireVersion>> = chain
-                .iter()
-                .map(|h| mad.try_channel(h).map(|c| c.wire()))
-                .collect();
-            routes.push(RouteState::new(r, hop_pmms, hop_wires));
+            routes.push(RouteState::new(r, hop_pmms));
         }
         let stats = Stats::new();
         let host = config.host.0;
@@ -157,16 +152,7 @@ impl VirtualChannel {
             Arc::clone(&tracer),
         ));
         let pmm: Arc<dyn Pmm> = Arc::new(GenericPmm::new(generic));
-        // The virtual channel's own message headers follow the same rule
-        // as any channel: compact on a fault-free world, classic whenever
-        // a fault plan is armed (a world-global fact, so both end nodes
-        // agree without wire traffic).
-        let wire_mode = if env.faults().is_some() {
-            WireMode::Classic
-        } else {
-            WireMode::Auto
-        };
-        let chan = Channel::with_pmm_wired(
+        let chan = Channel::with_pmm(
             spec.name.clone(),
             pmm,
             me,
@@ -174,7 +160,6 @@ impl VirtualChannel {
             host,
             stats,
             tracer,
-            wire_mode,
         );
         Some(VirtualChannel { chan, route })
     }

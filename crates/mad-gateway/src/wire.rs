@@ -6,16 +6,11 @@
 //! header carrying what the gateway needs: where the fragment is going,
 //! where it came from, and how long it is.
 //!
-//! The header's byte layout itself lives in [`madeleine::wire`] with every
-//! other on-wire header of the library, versioned by the per-hop
-//! [`WireVersion`]: the classic 16-byte fixed layout, or a 10-byte compact
-//! layout on fault-free hops. Gateways are stateless and cannot predict
-//! header fields the way channel receivers do, so the compact form shrinks
-//! the fixed fields (u24 length, no magic word, no pad) instead of using
-//! varints. The hop version is read off the hop channel
-//! ([`madeleine::Channel::wire`]) by everyone on that hop — a pure,
-//! symmetric function of shared configuration, so both ends of a hop always
-//! agree without negotiation traffic.
+//! The header's byte layout lives in [`madeleine::wire`] with every other
+//! on-wire header of the library: a fixed 10 bytes,
+//! `[0xCD][src u8][dst u8][len u24][offset u32]`. Gateways are stateless
+//! and cannot predict header fields the way channel receivers do, so the
+//! layout is fixed-length and self-describing, and identical on every hop.
 //!
 //! The header also carries the fragment's **byte offset within its block**.
 //! On a reliable fabric the field is redundant (fragments arrive in order,
@@ -24,4 +19,4 @@
 //! from the stale tail of an aborted attempt, and discard the latter
 //! safely.
 
-pub use madeleine::wire::{FragHeader, WireVersion, FRAG_HEADER_LEN, FRAG_HEADER_LEN_COMPACT};
+pub use madeleine::wire::{FragHeader, FRAG_HEADER_LEN};

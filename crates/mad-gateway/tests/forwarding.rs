@@ -357,6 +357,14 @@ fn gateway_config_variants_forward_correctly() {
     );
 }
 
+/// A fragment length travels in 24 bits: an MTU that could not be encoded
+/// is refused when the spec is built, not mid-transfer.
+#[test]
+#[should_panic(expected = "24-bit length")]
+fn oversized_mtu_is_refused_at_spec_construction() {
+    VirtualChannelSpec::new("vc", &["sci", "myr"], 1 << 24);
+}
+
 #[test]
 #[should_panic(expected = "is not a member")]
 fn sending_to_off_route_node_panics() {

@@ -4,22 +4,20 @@
 //! block and pick the cheapest transfer moment (`send_LATER`,
 //! `send_CHEAPER`, Table 1). This module exercises that license at the
 //! wire level: consecutive small packets bound for the same peer and rail
-//! coalesce into one **multi-envelope frame** — a compact header (magic +
-//! packet count) followed by a per-packet `{seq, len, flags}` envelope
-//! table and the concatenated payloads — so a burst of tiny messages pays
-//! the per-frame fixed cost (kernel traversal, descriptor post, ARQ ack
-//! round) once instead of per packet. The receive side splits the frame
-//! back into individual deliveries with unchanged per-packet semantics,
-//! ordering, and sequence numbers.
+//! coalesce into one **multi-envelope frame** — a compact header followed
+//! by a per-packet `{len, flags}` envelope table and the concatenated
+//! payloads — so a burst of tiny messages pays the per-frame fixed cost
+//! (kernel traversal, descriptor post, ARQ ack round) once instead of
+//! per packet. The receive side splits the frame back into individual
+//! deliveries with unchanged per-packet semantics, ordering, and sequence
+//! numbers.
 //!
 //! ## Wire format
 //!
-//! The frame layouts live in [`crate::wire`] (the one module that defines
-//! every on-wire byte): a classic fixed-field format — magic + count, a
-//! `{seq u32, len u32, flags u32}` envelope table, then the concatenated
-//! payloads — and a compact varint format selected on fault-free channels,
-//! where a prologue byte and an explicit body length replace the fixed
-//! header and the envelope table packs `(len << 2 | flags)` varints.
+//! The frame layout lives in [`crate::wire`] (the one module that defines
+//! every on-wire byte): a prologue byte and an explicit body length, the
+//! first envelope `seq` and the packet count, an envelope table of
+//! `(len << 2 | flags)` varints, then the concatenated payloads.
 //!
 //! Envelope `seq` is a per-connection *batch packet* counter assigned at
 //! flush time; the receiver demands exact continuity, which turns any
@@ -68,7 +66,7 @@ use crate::pool::PooledBuf;
 use crate::rail::Rail;
 use crate::stats::Stats;
 use crate::trace::{TraceEvent, Tracer};
-use crate::wire::{self, WireVersion, BATCH_ENV_LEN, BATCH_HDR_LEN};
+use crate::wire::{self, BATCH_CLASS_ENV_LEN, BATCH_CLASS_HDR_LEN};
 use bytes::Bytes;
 use madsim_net::time::{self, VDuration, VTime};
 use madsim_net::NodeId;
@@ -132,8 +130,8 @@ impl Default for BatchPolicy {
 /// frame? Pure and symmetric: the receiver evaluates it with the
 /// destination length and the mirrored send mode and must reach the same
 /// answer. `frame_cap` is the batch TM's `buffer_cap` (identical on both
-/// ends of a protocol). The budget check uses the *classic* header and
-/// envelope sizes on both wire versions — they bound the compact ones,
+/// ends of a protocol). The budget check uses the canonical
+/// classification lengths — they bound the encoded header and envelope,
 /// and the test must not depend on varint widths only the sender knows.
 pub(crate) fn batchable(
     policy: &BatchPolicy,
@@ -144,7 +142,7 @@ pub(crate) fn batchable(
     policy.enabled()
         && smode != SendMode::Later
         && len <= policy.max_bytes
-        && BATCH_HDR_LEN + BATCH_ENV_LEN + len <= frame_cap
+        && BATCH_CLASS_HDR_LEN + BATCH_CLASS_ENV_LEN + len <= frame_cap
 }
 
 /// A packet staged in a send batch.
@@ -294,8 +292,6 @@ pub(crate) struct BatchCtx<'a> {
     pub host: &'a crate::config::HostModel,
     pub me: NodeId,
     pub policy: &'a BatchPolicy,
-    /// The channel's negotiated wire format (see [`crate::wire`]).
-    pub wire: WireVersion,
 }
 
 impl BatchCtx<'_> {
@@ -312,6 +308,20 @@ impl BatchCtx<'_> {
     /// The largest frame the batch TM can carry.
     pub(crate) fn frame_cap(&self) -> usize {
         self.rail.pmm().tm(self.frame_tm()).caps().buffer_cap
+    }
+
+    /// The longest frame [`append`] can build: it flushes at `max_packets`
+    /// packets or once `max_bytes` payload bytes are staged, and no
+    /// batchable packet exceeds `max_bytes` or the TM's budget.
+    fn max_frame_len(&self) -> usize {
+        let p = self.policy;
+        let table = p.max_packets.saturating_mul(BATCH_CLASS_ENV_LEN);
+        let payload = p.max_bytes.saturating_mul(2);
+        self.frame_cap().min(
+            BATCH_CLASS_HDR_LEN
+                .saturating_add(table)
+                .saturating_add(payload),
+        )
     }
 }
 
@@ -348,7 +358,8 @@ pub(crate) fn append(
     }
     // Would this packet overflow the TM's frame budget? Close the open
     // frame first (a Full flush: the frame is as full as it can get).
-    let projected = BATCH_HDR_LEN + (b.pending.len() + 1) * BATCH_ENV_LEN + b.bytes + len;
+    let projected =
+        BATCH_CLASS_HDR_LEN + (b.pending.len() + 1) * BATCH_CLASS_ENV_LEN + b.bytes + len;
     if !b.pending.is_empty() && projected > ctx.frame_cap() {
         flush_locked(ctx, &mut b, FlushReason::Full)?;
     }
@@ -387,18 +398,16 @@ fn flush_locked(ctx: &BatchCtx<'_>, b: &mut SendBatch, reason: FlushReason) -> M
     let count = b.pending.len();
     // Deferred headers claim their message sequence numbers *first*, in
     // batch order — so cancelled ops left no gap and flushed ops get
-    // exactly the stream position their frame occupies. On the compact
-    // wire the encoded header length depends on that sequence number, so
-    // the claims must precede the envelope table.
+    // exactly the stream position their frame occupies. The encoded
+    // header length depends on that sequence number, so the claims must
+    // precede the envelope table.
     let headers: Vec<Option<wire::HeaderBytes>> = b
         .pending
         .iter()
         .map(|p| match &p.data {
-            PendingData::DeferredHeader => Some(wire::encode_msg_header(
-                ctx.wire,
-                ctx.me,
-                ctx.conn.next_send_seq(),
-            )),
+            PendingData::DeferredHeader => {
+                Some(wire::encode_msg_header(ctx.me, ctx.conn.next_send_seq()))
+            }
             _ => None,
         })
         .collect();
@@ -413,7 +422,7 @@ fn flush_locked(ctx: &BatchCtx<'_>, b: &mut SendBatch, reason: FlushReason) -> M
         .collect();
     let payload_bytes: usize = packets.iter().map(|&(len, _)| len).sum();
     // Envelope table first (lengths are known up front), payloads after.
-    let mut frame = wire::encode_batch_frame(ctx.wire, b.env_seq, &packets);
+    let mut frame = wire::encode_batch_frame(b.env_seq, &packets);
     b.env_seq = b.env_seq.wrapping_add(count as u32);
     for (p, hdr) in b.pending.iter().zip(&headers) {
         match &p.data {
@@ -494,11 +503,10 @@ fn receive_frame(ctx: &BatchCtx<'_>, src: NodeId, rb: &mut RecvBatch) -> MadResu
             .expect("receive_static_buffer wraps arrival bytes");
         tm.release_static_buffer(buf);
         bytes
-    } else if ctx.wire == WireVersion::Compact {
-        // Stream stacks, compact frame: the prologue byte, then the body
-        // length one varint byte at a time (its width is unknown until a
-        // byte clears the continuation bit), then the whole body in one
-        // exact read.
+    } else {
+        // Stream stacks: the prologue byte, then the body length one
+        // varint byte at a time (its width is unknown until a byte clears
+        // the continuation bit), then the whole body in one exact read.
         let mut pro = [0u8; 1];
         tm.receive_buffer(src, &mut pro)?;
         let mut varint = Vec::with_capacity(wire::MAX_VARINT);
@@ -511,31 +519,22 @@ fn receive_frame(ctx: &BatchCtx<'_>, src: NodeId, rb: &mut RecvBatch) -> MadResu
             }
         }
         let mut pos = 0;
-        let body = wire::read_varint(&varint, &mut pos)? as usize;
+        let body = wire::read_varint(&varint, &mut pos)?;
+        // A larger claim than any conforming sender's frame is corruption,
+        // and must not size an allocation.
+        let body = usize::try_from(body)
+            .ok()
+            .filter(|&b| b <= ctx.max_frame_len())
+            .ok_or_else(|| {
+                MadError::corrupt(format!(
+                    "batch frame from node {src} claims a {body}-byte body"
+                ))
+            })?;
         let mut whole = Vec::with_capacity(1 + varint.len() + body);
         whole.push(pro[0]);
         whole.extend_from_slice(&varint);
         let at = whole.len();
         whole.resize(at + body, 0);
-        tm.receive_buffer(src, &mut whole[at..])?;
-        Bytes::from(whole)
-    } else {
-        // Stream stacks, classic frame: header, envelope table, then all
-        // payloads in three exact reads.
-        let mut hdr = [0u8; BATCH_HDR_LEN];
-        tm.receive_buffer(src, &mut hdr)?;
-        let count = wire::parse_batch_count_classic(&hdr, src)?;
-        let mut rest = vec![0u8; count * BATCH_ENV_LEN];
-        tm.receive_buffer(src, &mut rest)?;
-        let payload_total: usize = rest
-            .chunks_exact(BATCH_ENV_LEN)
-            .map(|env| u32::from_le_bytes(env[4..8].try_into().expect("4 bytes")) as usize)
-            .sum();
-        let mut whole = Vec::with_capacity(BATCH_HDR_LEN + rest.len() + payload_total);
-        whole.extend_from_slice(&hdr);
-        whole.append(&mut rest);
-        let at = whole.len();
-        whole.resize(at + payload_total, 0);
         tm.receive_buffer(src, &mut whole[at..])?;
         Bytes::from(whole)
     };
@@ -545,7 +544,7 @@ fn receive_frame(ctx: &BatchCtx<'_>, src: NodeId, rb: &mut RecvBatch) -> MadResu
 /// Split a whole batch frame into per-packet queue entries, validating
 /// the envelope sequence continuity.
 fn split_frame(ctx: &BatchCtx<'_>, src: NodeId, rb: &mut RecvBatch, frame: Bytes) -> MadResult<()> {
-    let (envelopes, payload_at) = wire::parse_batch_frame(ctx.wire, &frame, src)?;
+    let (envelopes, payload_at) = wire::parse_batch_frame(&frame, src)?;
     let mut off = payload_at;
     for (i, env) in envelopes.iter().enumerate() {
         if env.seq != rb.env_seq {
@@ -556,14 +555,13 @@ fn split_frame(ctx: &BatchCtx<'_>, src: NodeId, rb: &mut RecvBatch, frame: Bytes
             )));
         }
         rb.env_seq = rb.env_seq.wrapping_add(1);
-        if off + env.len > frame.len() {
+        let Some(end) = off.checked_add(env.len).filter(|&end| end <= frame.len()) else {
             return Err(MadError::corrupt(format!(
                 "batch envelope {i} from node {src} overruns its frame"
             )));
-        }
-        rb.queue
-            .push_back((frame.slice(off..off + env.len), env.flags));
-        off += env.len;
+        };
+        rb.queue.push_back((frame.slice(off..end), env.flags));
+        off = end;
     }
     if off != frame.len() {
         return Err(MadError::corrupt(format!(
@@ -605,7 +603,7 @@ mod tests {
         );
         assert!(!batchable(&p, 4097, SendMode::Cheaper, usize::MAX));
         // A packet must fit an empty frame of the TM's budget.
-        let tight = BATCH_HDR_LEN + BATCH_ENV_LEN + 64;
+        let tight = BATCH_CLASS_HDR_LEN + BATCH_CLASS_ENV_LEN + 64;
         assert!(batchable(&p, 64, SendMode::Cheaper, tight));
         assert!(!batchable(&p, 65, SendMode::Cheaper, tight));
         assert!(

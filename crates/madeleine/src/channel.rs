@@ -33,15 +33,16 @@
 //!
 //! ### The internal message header
 //!
-//! Every message opens with a 16-byte library header (magic, source node,
-//! per-connection sequence number) packed through the ordinary machinery
-//! with `(send_CHEAPER, receive_EXPRESS)` and flushed eagerly, so it always
-//! rides the protocol's small-message path and announces the message to the
-//! peer immediately. The header is how `begin_unpacking` learns the sender
-//! of the next incoming message — and doubles as a wire-level integrity
-//! check (sequence gaps and interleaving corruption panic loudly). It
-//! travels on the home rail, which is how the receiver learns which rail
-//! carries the rest of the message's un-striped blocks.
+//! Every message opens with a short library header (prologue byte, source
+//! node, per-connection sequence number; see [`crate::wire`]) packed
+//! through the ordinary machinery with `(send_CHEAPER, receive_EXPRESS)`
+//! and flushed eagerly, so it always rides the protocol's small-message
+//! path and announces the message to the peer immediately. The header is
+//! how `begin_unpacking` learns the sender of the next incoming message —
+//! and doubles as a wire-level integrity check (sequence gaps and
+//! interleaving corruption panic loudly). It travels on the home rail,
+//! which is how the receiver learns which rail carries the rest of the
+//! message's un-striped blocks.
 
 use crate::batch::{self, BatchCtx, BatchItem, FlushReason};
 use crate::bmm::{RecvBmm, SendBmm};
@@ -57,7 +58,7 @@ use crate::rail::{self, Rail, RailScheduler, StripeCtx};
 use crate::stats::{Stats, StatsSnapshot};
 use crate::tm::{PendingKind, TmId, TmPending, TmSend, TmStep};
 use crate::trace::{TraceEvent, Tracer};
-use crate::wire::{self, WireMode, WireVersion};
+use crate::wire;
 use bytes::Bytes;
 use madsim_net::time::{self, VDuration, VTime};
 use madsim_net::NodeId;
@@ -65,12 +66,11 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Size of the *classic* internal message header — and, on any wire
-/// version, the canonical length both ends feed the symmetric TM-selection
-/// and batch-eligibility tests for a header block (the actual compact
-/// encoding is shorter, but its length depends on the sequence number,
-/// which the classification must not).
-pub use crate::wire::MSG_HEADER_LEN as HEADER_LEN;
+/// Canonical classification length of the internal message header: what
+/// both ends feed the symmetric TM-selection and batch-eligibility tests
+/// for a header block (the encoded header is shorter, but its length
+/// depends on the sequence number, which the classification must not).
+pub use crate::wire::MSG_CLASS_LEN as HEADER_LEN;
 
 /// A closed world for communication (paper §2.1): a set of point-to-point
 /// connections over one network interface and `1..N` adapters (rails).
@@ -113,11 +113,6 @@ pub struct Channel {
     /// How engine-driving waits behave when no op can move (see
     /// [`crate::polling`]).
     poll: PollPolicy,
-    /// The negotiated wire format of every header this channel emits or
-    /// expects (see [`crate::wire`]): resolved once at construction from
-    /// the spec's [`WireMode`] and the world's fault-armed flag — a pure,
-    /// symmetric decision every member reaches identically.
-    wire: WireVersion,
     /// The nonblocking-op state machines of this channel (see
     /// [`crate::progress`]).
     engine: ProgressEngine,
@@ -131,47 +126,9 @@ fn stripe_ack_tag(ack_base: u64, sender: NodeId, block: u64) -> u64 {
 }
 
 impl Channel {
-    /// [`with_pmm`](Self::with_pmm) sharing an existing buffer pool (the session
-    /// creates one pool per channel and wires the same pool into the
-    /// protocol drivers, so static-buffer traffic and generic-layer
-    /// captures recycle the same slabs).
-    #[allow(clippy::too_many_arguments)]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn with_shared_pool(
-        name: String,
-        pmm: Arc<dyn Pmm>,
-        me: NodeId,
-        peers: Vec<NodeId>,
-        host: HostModel,
-        stats: Arc<Stats>,
-        pool: BufPool,
-        tracer: Arc<Tracer>,
-        wire_mode: WireMode,
-    ) -> Arc<Self> {
-        let rails = vec![Rail::new(0, pmm, pool.clone(), None)];
-        let sched = RailScheduler::new(
-            crate::config::DEFAULT_STRIPE_THRESHOLD,
-            crate::config::DEFAULT_STRIPE_CHUNK,
-        );
-        Self::multirail(
-            name,
-            rails,
-            sched,
-            me,
-            peers,
-            host,
-            stats,
-            pool,
-            tracer,
-            0,
-            PollPolicy::default(),
-            wire_mode,
-        )
-    }
-
     /// The general constructor: a channel over `rails.len()` rails. The
     /// session builds one driver stack per adapter and passes them here;
-    /// every other constructor is the single-rail special case.
+    /// [`with_pmm`](Self::with_pmm) is the single-rail special case.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn multirail(
         name: String,
@@ -185,7 +142,6 @@ impl Channel {
         tracer: Arc<Tracer>,
         ack_base: u64,
         poll: PollPolicy,
-        wire_mode: WireMode,
     ) -> Arc<Self> {
         assert!(!rails.is_empty(), "a channel needs at least one rail");
         assert!(rails.len() <= 64, "the live-rail mask is one u64");
@@ -195,10 +151,6 @@ impl Channel {
         for r in &rails {
             r.attach_live_mask(Arc::clone(&live_mask));
         }
-        // The fault-armed flag is world-global (a FaultPlan covers the
-        // whole world), so every member resolves the same version without
-        // any wire negotiation.
-        let wire = WireVersion::resolve(wire_mode, rails.iter().any(Rail::faulty));
         Arc::new(Channel {
             name,
             rails: Arc::new(rails),
@@ -215,16 +167,17 @@ impl Channel {
             ack_base,
             live_mask,
             poll,
-            wire,
             engine,
         })
     }
 
-    /// Extension constructor: build a channel over a custom protocol
+    /// Extension constructor: a single-rail channel over a custom protocol
     /// module. This is how the inter-cluster extension (`mad-gateway`)
     /// plugs its Generic Transmission Module under the unchanged generic
     /// layer (paper §6.1: the forwarding mechanism is inserted *between*
-    /// BMMs and TMs).
+    /// BMMs and TMs). The tracer is the caller's, so the protocol module
+    /// underneath can record its events (e.g. failovers) into the same
+    /// stream the channel's pack/unpack events land in.
     pub fn with_pmm(
         name: String,
         pmm: Arc<dyn Pmm>,
@@ -232,46 +185,18 @@ impl Channel {
         peers: Vec<NodeId>,
         host: HostModel,
         stats: Arc<Stats>,
-    ) -> Arc<Self> {
-        Self::with_pmm_traced(name, pmm, me, peers, host, stats, Arc::new(Tracer::new()))
-    }
-
-    /// [`with_pmm_traced`](Self::with_pmm_traced) with an explicit wire
-    /// policy. A custom-PMM channel has no adapter of its own to read the
-    /// fault-armed flag from, so the *caller* (who does know its world —
-    /// e.g. the virtual-channel layer) passes the policy: `Classic` on
-    /// fault-armed worlds, `Auto` otherwise.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_pmm_wired(
-        name: String,
-        pmm: Arc<dyn Pmm>,
-        me: NodeId,
-        peers: Vec<NodeId>,
-        host: HostModel,
-        stats: Arc<Stats>,
         tracer: Arc<Tracer>,
-        wire_mode: WireMode,
     ) -> Arc<Self> {
         let pool = BufPool::new(Arc::clone(&stats));
-        Self::with_shared_pool(name, pmm, me, peers, host, stats, pool, tracer, wire_mode)
-    }
-
-    /// [`with_pmm`](Self::with_pmm) sharing an externally created tracer,
-    /// so the protocol module underneath (e.g. the gateway's Generic TM)
-    /// can record failover events into the same stream the channel's
-    /// pack/unpack events land in.
-    pub fn with_pmm_traced(
-        name: String,
-        pmm: Arc<dyn Pmm>,
-        me: NodeId,
-        peers: Vec<NodeId>,
-        host: HostModel,
-        stats: Arc<Stats>,
-        tracer: Arc<Tracer>,
-    ) -> Arc<Self> {
-        // No adapter to interrogate: stay on the classic layouts unless
-        // the caller opts in through `with_pmm_wired`.
-        Self::with_pmm_wired(name, pmm, me, peers, host, stats, tracer, WireMode::Classic)
+        let rails = vec![Rail::new(0, pmm, pool.clone(), None)];
+        let sched = RailScheduler::new(
+            crate::config::DEFAULT_STRIPE_THRESHOLD,
+            crate::config::DEFAULT_STRIPE_CHUNK,
+        );
+        let poll = PollPolicy::default();
+        Self::multirail(
+            name, rails, sched, me, peers, host, stats, pool, tracer, 0, poll,
+        )
     }
 
     pub fn name(&self) -> &str {
@@ -320,12 +245,6 @@ impl Channel {
         self.host
     }
 
-    /// The wire format this channel negotiated (identical on every
-    /// member; see [`crate::wire`]).
-    pub fn wire(&self) -> WireVersion {
-        self.wire
-    }
-
     /// Start recording Switch/commit/checkout events on this channel.
     pub fn enable_trace(&self) {
         self.tracer.enable();
@@ -346,7 +265,6 @@ impl Channel {
             stats: &self.stats,
             tracer: &self.tracer,
             ack_tag: stripe_ack_tag(self.ack_base, sender, block),
-            wire: self.wire,
         }
     }
 
@@ -361,7 +279,6 @@ impl Channel {
             host: &self.host,
             me: self.me,
             policy: &self.sched.batch,
-            wire: self.wire,
         }
     }
 
@@ -549,7 +466,7 @@ impl Channel {
             // The header is built directly in pooled memory: no stack
             // staging array, no per-message allocation — a warm 64-byte
             // slab per send.
-            let hdr = wire::encode_msg_header(self.wire, self.me, seq);
+            let hdr = wire::encode_msg_header(self.me, seq);
             let mut header = self.pool.checkout(hdr.len());
             {
                 // Every encoded byte goes on the wire and recycled slabs
@@ -734,13 +651,13 @@ impl Channel {
 
     /// Read and validate the internal message header of `msg`.
     ///
-    /// On the compact wire the header is variable-length and the TMs
-    /// deliver exact-length reads, so the receiver *predicts*: it encodes
-    /// the header the sender must have produced (same source — the
-    /// announcing connection; same sequence number — the connection's
-    /// expected counter) and receives exactly those bytes. Matching bytes
-    /// prove source and sequence in one comparison; a mismatch is decoded
-    /// field-by-field for a precise diagnostic.
+    /// The header is variable-length and the TMs deliver exact-length
+    /// reads, so the receiver *predicts*: it encodes the header the sender
+    /// must have produced (same source — the announcing connection; same
+    /// sequence number — the connection's expected counter) and receives
+    /// exactly those bytes. Matching bytes prove source and sequence in one
+    /// comparison; a mismatch is decoded field-by-field for a precise
+    /// diagnostic.
     fn check_header(&self, msg: &mut IncomingMessage<'_, '_>) -> MadResult<()> {
         let src = msg.src;
         let Some(conn) = self.conns.get(src) else {
@@ -749,8 +666,8 @@ impl Channel {
                 self.name
             )));
         };
-        let expect = wire::encode_msg_header(self.wire, src, conn.expected_recv_seq());
-        let mut header = [0u8; HEADER_LEN];
+        let expect = wire::encode_msg_header(src, conn.expected_recv_seq());
+        let mut header = [0u8; wire::HeaderBytes::CAP];
         let got = &mut header[..expect.len()];
         msg.unpack_internal(got)?;
         // If the wait went through an interrupt path, the wakeup latency
@@ -764,10 +681,9 @@ impl Channel {
         Ok(())
     }
 
-    /// Name the field a mismatched header differs in, mirroring the
-    /// classic per-field validation.
+    /// Name the field a mismatched header differs in.
     fn diagnose_header(&self, src: NodeId, got: &[u8]) -> MadError {
-        let Ok(h) = wire::decode_msg_header(self.wire, got) else {
+        let Ok(h) = wire::decode_msg_header(got) else {
             return MadError::corrupt(format!(
                 "corrupt message header on channel {:?} (asymmetric pack/unpack?)",
                 self.name
@@ -880,7 +796,6 @@ impl Channel {
             me: self.me,
             host: self.host,
             ack_base: self.ack_base,
-            wire: self.wire,
             frames,
             pending: None,
             started: false,
@@ -971,8 +886,8 @@ impl Channel {
 
 /// One shippable unit of a posted message.
 enum FrameStep {
-    /// The 16-byte library header; claims the connection's next sequence
-    /// number at ship time.
+    /// The library header; claims the connection's next sequence number
+    /// at ship time.
     Header,
     /// The library header riding inside a batch frame; its sequence
     /// number is claimed only when the batch flushes, so a cancelled op
@@ -1018,7 +933,6 @@ struct MessageSendOp {
     me: NodeId,
     host: HostModel,
     ack_base: u64,
-    wire: WireVersion,
     frames: VecDeque<FrameStep>,
     pending: Option<PendingFrame>,
     started: bool,
@@ -1052,7 +966,6 @@ impl MessageSendOp {
             host: &self.host,
             me: self.me,
             policy: &self.sched.batch,
-            wire: self.wire,
         }
     }
 
@@ -1133,7 +1046,7 @@ impl OpStep for MessageSendOp {
                     let conn = self.conns.get(self.dst).expect("membership checked");
                     let seq = conn.next_send_seq();
                     (
-                        Bytes::copy_from_slice(&wire::encode_msg_header(self.wire, self.me, seq)),
+                        Bytes::copy_from_slice(&wire::encode_msg_header(self.me, seq)),
                         SendMode::Cheaper,
                         RecvMode::Express,
                     )
@@ -1177,7 +1090,6 @@ impl OpStep for MessageSendOp {
                             self.me,
                             conn.next_tx_stripe_block(),
                         ),
-                        wire: self.wire,
                     };
                     if let Err(e) = rail::stripe_send(&ctx, self.dst, &data) {
                         return StepOutcome::Failed(e);
@@ -1435,7 +1347,7 @@ impl<'c, 'a> OutgoingMessage<'c, 'a> {
     /// Pack a library-internal block (always `(CHEAPER, EXPRESS)`).
     ///
     /// Classification (batch eligibility, TM selection) runs on the
-    /// canonical `HEADER_LEN`, not the encoded length: the compact
+    /// canonical `HEADER_LEN`, not the encoded length: the encoded
     /// header's length depends on the sequence number, which the
     /// receiver's mirrored classification cannot know yet.
     fn pack_internal(&mut self, data: PooledBuf) -> MadResult<()> {

@@ -1,7 +1,6 @@
 //! Session configuration.
 
 use crate::polling::PollPolicy;
-use crate::wire::WireMode;
 use madsim_net::stacks::bip::BipTiming;
 use madsim_net::stacks::sbp::SbpTiming;
 use madsim_net::stacks::sisci::SisciTiming;
@@ -75,11 +74,6 @@ pub struct ChannelSpec {
     /// Flush deadline in virtual µs: a progress tick this long after the
     /// first packet entered the batch closes it even if under-full.
     pub batch_flush_us: f64,
-    /// Wire-format policy (see [`crate::wire`]): `Auto` (the default)
-    /// negotiates the compact varint encodings on fault-free worlds and
-    /// falls back to the classic fixed-field layouts whenever a fault plan
-    /// is armed; `Classic` forces the classic layouts unconditionally.
-    pub wire: WireMode,
 }
 
 impl ChannelSpec {
@@ -94,16 +88,7 @@ impl ChannelSpec {
             batch_packets: 1,
             batch_bytes: DEFAULT_BATCH_BYTES,
             batch_flush_us: DEFAULT_BATCH_FLUSH_US,
-            wire: WireMode::Auto,
         }
-    }
-
-    /// Force the classic fixed-field wire layouts even on fault-free
-    /// worlds (A/B baselines against the compact codec, byte-compatible
-    /// interop with pre-codec captures).
-    pub fn with_classic_wire(mut self) -> Self {
-        self.wire = WireMode::Classic;
-        self
     }
 
     /// Span the channel over `rails` adapters of its network.

@@ -118,8 +118,8 @@ impl Connection {
     }
 
     /// Peek the next expected incoming sequence number without consuming
-    /// it. Compact-wire receivers use this to *predict* the exact header
-    /// bytes the peer must have sent (variable-length headers cannot be
+    /// it. Receivers use this to *predict* the exact header bytes the
+    /// peer must have sent (variable-length headers cannot be
     /// length-prefixed on exact-read transmission modules); the number is
     /// only consumed via [`accept_recv_seq`](Self::accept_recv_seq) once
     /// the bytes match.

@@ -98,4 +98,4 @@ pub use progress::{Completion, CompletionQueue, Completions, OpId, OpState, Prog
 pub use rail::Rail;
 pub use session::Madeleine;
 pub use stats::{Stats, StatsSnapshot};
-pub use wire::{WireMode, WireVersion};
+pub use wire::WireVersion;

@@ -14,10 +14,11 @@
 //! * **Large CHEAPER blocks** (`send_CHEAPER`, `receive_CHEAPER`, length
 //!   ≥ the stripe threshold) are **striped**: split into MTU-ish chunks
 //!   that round-robin over every alive rail, each chunk preceded by a
-//!   16-byte stripe header (magic, rail id, chunk offset, chunk length)
-//!   so reassembly is positional — no inter-rail ordering is needed, and
-//!   per-connection order is preserved because the whole striped block
-//!   is committed before pack/unpack continues.
+//!   10-byte stripe header (prologue, rail id, chunk offset, chunk
+//!   length; see [`crate::wire`]) so reassembly is positional — no
+//!   inter-rail ordering is needed, and per-connection order is preserved
+//!   because the whole striped block is committed before pack/unpack
+//!   continues.
 //!
 //! Each rail's chunks are sent by a dedicated thread with its own
 //! virtual clock (the same trick the world uses for node threads), so
@@ -43,18 +44,12 @@ use crate::pmm::Pmm;
 use crate::pool::BufPool;
 use crate::stats::Stats;
 use crate::trace::{TraceEvent, Tracer};
-use crate::wire::{self, WireVersion};
+use crate::wire::{self, STRIPE_CLASS_LEN, STRIPE_HEADER_LEN};
 use madsim_net::time::{self, ClockHandle, VDuration, VTime};
 use madsim_net::{Adapter, Frame, NodeId};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-
-/// Size of the *classic* per-chunk stripe header — and the canonical
-/// length both ends feed the symmetric TM selection for stripe headers of
-/// either wire version (the compact encoding is shorter and varies with
-/// the chunk's offset). The layout itself lives in [`crate::wire`].
-pub use crate::wire::STRIPE_HDR_LEN;
 
 /// Frame kind of stripe-layer chunk acknowledgments. Stacks use small
 /// kind values; this lives far above them so the shared mailbox never
@@ -153,7 +148,7 @@ impl Rail {
 
     /// Is the rail's world fault-armed? World-global (a `FaultPlan`
     /// covers every adapter identically), so any rail answers for the
-    /// whole channel — the wire-version negotiation relies on that.
+    /// whole channel, identically at both ends.
     pub(crate) fn faulty(&self) -> bool {
         self.adapter.as_ref().is_some_and(|a| a.faulty())
     }
@@ -259,10 +254,6 @@ pub(crate) struct StripeCtx<'c> {
     /// from their per-connection stripe-block counters, so no extra wire
     /// traffic is needed to agree on it.
     pub ack_tag: u64,
-    /// The owning channel's negotiated wire format. Compact implies a
-    /// fault-free world, i.e. the mirror (deterministic-layout) receive
-    /// path — the dynamic path needs the self-described classic header.
-    pub wire: WireVersion,
 }
 
 /// One stripe chunk as an `(offset, len)` span of the source block.
@@ -360,11 +351,12 @@ fn send_span(
 ) -> (Vec<ChunkSpan>, Vec<ChunkSpan>) {
     let mut sent = Vec::with_capacity(span.len());
     for (i, &(off, len)) in span.iter().enumerate() {
-        let Ok(hdr_len) = send_chunk(ctx, rail, dst, off, len, data) else {
+        if send_chunk(ctx, rail, dst, off, len, data).is_err() {
             return (sent, span[i..].to_vec());
-        };
+        }
         ctx.stats.record_borrowed(len);
-        ctx.stats.record_rail_traffic(rail.id(), hdr_len + len);
+        ctx.stats
+            .record_rail_traffic(rail.id(), STRIPE_HEADER_LEN + len);
         sent.push((off, len));
     }
     (sent, Vec::new())
@@ -372,9 +364,7 @@ fn send_span(
 
 /// Send one chunk: stripe header on the protocol's small path, then the
 /// payload by reference through the TM the Switch picks for its size.
-/// Returns the header's wire length (it varies on the compact wire). The
-/// header's TM is selected on the canonical [`STRIPE_HDR_LEN`] for both
-/// versions — the receiver classifies before knowing the chunk span.
+/// The header's TM is selected on the canonical [`STRIPE_CLASS_LEN`].
 fn send_chunk(
     ctx: &StripeCtx<'_>,
     rail: &Rail,
@@ -382,17 +372,17 @@ fn send_chunk(
     off: usize,
     len: usize,
     data: &[u8],
-) -> MadResult<usize> {
-    let hdr = wire::encode_stripe_header(ctx.wire, rail.id(), off, len);
+) -> MadResult<()> {
+    let hdr = wire::encode_stripe_header(rail.id(), off, len);
     let hdr_tm = rail
         .pmm
-        .select(STRIPE_HDR_LEN, SendMode::Cheaper, RecvMode::Express);
+        .select(STRIPE_CLASS_LEN, SendMode::Cheaper, RecvMode::Express);
     rail.pmm.tm(hdr_tm).send_buffer(dst, &hdr)?;
     let tm = rail.pmm.select(len, SendMode::Cheaper, RecvMode::Cheaper);
     rail.pmm.tm(tm).send_buffer(dst, &data[off..off + len])?;
     ctx.stats.record_buffer_sent();
     ctx.stats.record_tm_traffic(tm, len);
-    Ok(hdr.len())
+    Ok(())
 }
 
 /// Collect this round's chunk acks (fault-armed fabrics only). Returns
@@ -467,8 +457,8 @@ fn stripe_recv_mirror(ctx: &StripeCtx<'_>, src: NodeId, dst: &mut [u8]) -> MadRe
             let Some(&(exp_off, exp_len)) = queues[r].front() else {
                 continue;
             };
-            recv_stripe_header_expected(ctx, &ctx.rails[r], src, exp_off, exp_len)?;
             let rail = &ctx.rails[r];
+            recv_stripe_header(rail, src, Some((exp_off, exp_len)))?;
             let tm = rail
                 .pmm
                 .select(exp_len, SendMode::Cheaper, RecvMode::Cheaper);
@@ -483,50 +473,7 @@ fn stripe_recv_mirror(ctx: &StripeCtx<'_>, src: NodeId, dst: &mut [u8]) -> MadRe
         rail.pmm
             .tm(tm)
             .receive_buffer(src, &mut dst[off..off + len])?;
-        let hdr_len = wire::encode_stripe_header(ctx.wire, r, off, len).len();
-        ctx.stats.record_rail_traffic(r, hdr_len + len);
-    }
-    Ok(())
-}
-
-/// Receive one stripe header whose fields the mirror layout fully
-/// predicts. The receiver encodes the expected header, reads exactly that
-/// many bytes, and compares — which is what makes the variable-length
-/// compact header receivable at all over exact-read transmission modules
-/// (and on the classic wire is equivalent to the field checks).
-fn recv_stripe_header_expected(
-    ctx: &StripeCtx<'_>,
-    rail: &Rail,
-    src: NodeId,
-    exp_off: usize,
-    exp_len: usize,
-) -> MadResult<()> {
-    match ctx.wire {
-        WireVersion::Classic => {
-            let (off, len) = recv_stripe_header_classic(rail, src)?;
-            if (off, len) != (exp_off, exp_len) {
-                return Err(MadError::corrupt(format!(
-                    "stripe chunk ({off}, {len}) from node {src} does not match \
-                     the deterministic layout (expected ({exp_off}, {exp_len}))"
-                )));
-            }
-        }
-        WireVersion::Compact => {
-            let expect = wire::encode_stripe_header(ctx.wire, rail.id(), exp_off, exp_len);
-            let tm = rail
-                .pmm
-                .select(STRIPE_HDR_LEN, SendMode::Cheaper, RecvMode::Express);
-            let mut hdr = [0u8; STRIPE_HDR_LEN];
-            let got = &mut hdr[..expect.len()];
-            rail.pmm.tm(tm).receive_buffer(src, got)?;
-            if *got != *expect {
-                return Err(MadError::corrupt(format!(
-                    "stripe chunk from node {src} does not match the deterministic \
-                     layout (expected ({exp_off}, {exp_len}) on rail {})",
-                    rail.id()
-                )));
-            }
-        }
+        ctx.stats.record_rail_traffic(r, STRIPE_HEADER_LEN + len);
     }
     Ok(())
 }
@@ -560,9 +507,9 @@ fn stripe_recv_dynamic(ctx: &StripeCtx<'_>, src: NodeId, dst: &mut [u8]) -> MadR
             if rail.pmm.poll_incoming() != Some(src) {
                 continue;
             }
-            match recv_stripe_header_classic(rail, src) {
+            match recv_stripe_header(rail, src, None) {
                 Ok((off, len)) => {
-                    if off + len > total {
+                    if off.checked_add(len).is_none_or(|end| end > total) {
                         return Err(MadError::corrupt(format!(
                             "stripe chunk ({off}, {len}) from node {src} overflows \
                              a {total}-byte block"
@@ -596,9 +543,7 @@ fn stripe_recv_dynamic(ctx: &StripeCtx<'_>, src: NodeId, dst: &mut [u8]) -> MadR
                     if got.insert(off) {
                         received += len;
                     }
-                    // Dynamic reassembly runs only on fault-armed (hence
-                    // classic-wire) channels: fixed header length.
-                    ctx.stats.record_rail_traffic(r, STRIPE_HDR_LEN + len);
+                    ctx.stats.record_rail_traffic(r, STRIPE_HEADER_LEN + len);
                     send_ack(ctx, src, off);
                     progressed = true;
                 }
@@ -617,22 +562,42 @@ fn stripe_recv_dynamic(ctx: &StripeCtx<'_>, src: NodeId, dst: &mut [u8]) -> MadR
     Ok(())
 }
 
-/// Receive and validate one *classic* (self-described) stripe header on
-/// `rail` — the dynamic reassembly path, which cannot predict the span.
-fn recv_stripe_header_classic(rail: &Rail, src: NodeId) -> MadResult<(usize, usize)> {
+/// Receive one stripe header on `rail` and return the chunk span it
+/// names. Both reassembly paths read headers here: the mirror path passes
+/// the span its deterministic layout `expect`s, the dynamic path (which
+/// cannot know the sender's layout) passes `None`.
+fn recv_stripe_header(rail: &Rail, src: NodeId, expect: Option<ChunkSpan>) -> MadResult<ChunkSpan> {
     let tm = rail
         .pmm
-        .select(STRIPE_HDR_LEN, SendMode::Cheaper, RecvMode::Express);
-    let mut hdr = [0u8; STRIPE_HDR_LEN];
+        .select(STRIPE_CLASS_LEN, SendMode::Cheaper, RecvMode::Express);
+    let mut hdr = [0u8; STRIPE_HEADER_LEN];
     rail.pmm.tm(tm).receive_buffer(src, &mut hdr)?;
-    let (hdr_rail, off, len) = wire::decode_stripe_header_classic(&hdr, src)?;
-    if hdr_rail != rail.id() {
+    check_stripe_header(&hdr, rail.id(), src, expect)
+}
+
+/// Validate received stripe-header bytes: a well-formed header, naming
+/// the rail it arrived on and (when the layout is known) the expected span.
+fn check_stripe_header(
+    hdr: &[u8],
+    rail: usize,
+    src: NodeId,
+    expect: Option<ChunkSpan>,
+) -> MadResult<ChunkSpan> {
+    let h = wire::decode_stripe_header(hdr)?;
+    if h.rail != rail {
         return Err(MadError::corrupt(format!(
-            "stripe header for rail {hdr_rail} arrived on rail {}",
-            rail.id()
+            "stripe header for rail {} from node {src} arrived on rail {rail}",
+            h.rail
         )));
     }
-    Ok((off, len))
+    let span = (h.off, h.len);
+    if expect.is_some_and(|e| e != span) {
+        return Err(MadError::corrupt(format!(
+            "stripe chunk {span:?} from node {src} does not match the \
+             deterministic layout (expected {expect:?})"
+        )));
+    }
+    Ok(span)
 }
 
 /// Acknowledge the chunk at `off` toward `dst`, routed over the lowest
@@ -699,6 +664,22 @@ mod tests {
         assert_eq!(chunks, vec![(0, 100), (100, 100), (200, 50)]);
         assert_eq!(sched.chunks(100), vec![(0, 100)]);
         assert!(sched.chunks(0).is_empty());
+    }
+
+    #[test]
+    fn stripe_header_must_name_its_rail_and_the_mirror_span() {
+        let hdr = wire::encode_stripe_header(1, 4096, 1024);
+        assert_eq!(check_stripe_header(&hdr, 1, 0, None).unwrap(), (4096, 1024));
+        let span = Some((4096, 1024));
+        assert_eq!(check_stripe_header(&hdr, 1, 0, span).unwrap(), (4096, 1024));
+        for bad in [
+            check_stripe_header(&hdr, 0, 0, None),
+            check_stripe_header(&hdr, 1, 0, Some((4096, 512))),
+            check_stripe_header(&hdr, 1, 0, Some((0, 1024))),
+            check_stripe_header(&hdr[..9], 1, 0, None),
+        ] {
+            assert!(matches!(bad, Err(MadError::CorruptStream(_))), "{bad:?}");
+        }
     }
 
     #[test]

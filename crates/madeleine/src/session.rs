@@ -122,7 +122,6 @@ impl Madeleine {
                 tracer,
                 idx as u64,
                 config.poll.0,
-                spec.wire,
             );
             channels.insert(spec.name.clone(), channel);
         }

@@ -129,8 +129,7 @@ pub struct Stats {
     batch_flush_deadline: AtomicU64,
     /// Total on-wire bytes of flushed batch frames (headers + envelope
     /// tables + payloads). With `batch_payload_bytes` this exposes the
-    /// framing overhead per wire version, the quantity the compact codec
-    /// exists to shrink.
+    /// framing overhead of the batch layer.
     batch_frame_bytes: AtomicU64,
     /// Payload bytes carried inside those frames.
     batch_payload_bytes: AtomicU64,

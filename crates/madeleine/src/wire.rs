@@ -1,180 +1,93 @@
-//! The **wire codec**: one module defines every on-wire header layout.
+//! The **wire codec**: the one module that defines every on-wire header.
 //!
-//! Madeleine II's headers grew up in three places — the channel's internal
-//! message header, the stripe engine's per-chunk header, the batch layer's
-//! multi-envelope frame — plus the gateway's fragment header one crate
-//! over, each hand-writing `to_le_bytes` fields. This module consolidates
-//! all of them behind a versioned [`WireVersion`] codec, and adds a
-//! **compact** encoding built on LEB128-style varints (7 value bits per
-//! byte, high bit = continuation) for the fault-free fast path, where
-//! fixed 16-byte headers were the dominant per-message cost at small
-//! sizes.
+//! Madeleine messages are not self-described (paper §6.1): the receiver's
+//! unpack sequence supplies the structure, and only what a receiver cannot
+//! know travels as a header. There is exactly one layout per header — no
+//! versions, no negotiation — and each opens with a prologue byte
+//! (`0xC0 | kind << 2 | 1`) that names it, so traffic of the wrong kind
+//! fails loudly as [`MadError::CorruptStream`] instead of misparsing.
 //!
-//! ## Version negotiation
+//! ```text
+//! kind  prologue  header               layout
+//! 0     0xC1      message (3..16 B)    [0xC1][src varint][seq varint]
+//! 1     0xC5      stripe chunk (10 B)  [0xC5][rail u8][off u32][len u32]
+//! 2     0xC9      batch frame          [0xC9][body_len varint]      // body = the rest
+//!                                      [first_seq varint][count varint]
+//!                                      [(len << 2 | flags) varint] x count
+//!                                      [payloads, concatenated]
+//! 3     0xCD      gateway fragment     [0xCD][src u8][dst u8][len u24][offset u32]
+//!                 (10 B)
+//! ```
 //!
-//! The version is a **pure, symmetric function** evaluated independently
-//! at both ends — exactly like `Pmm::select` and the stripe/batch
-//! eligibility tests, because Madeleine messages are not self-described:
-//!
-//! * a channel built over a **fault-armed** world (a `FaultPlan` is
-//!   installed — a world-global fact every adapter reports identically)
-//!   speaks **Classic**, keeping the ARQ/failover/re-striping machinery on
-//!   the byte-exact format it was proven on (and per-seed wire streams
-//!   byte-identical);
-//! * a channel whose spec forces [`WireMode::Classic`] speaks Classic;
-//! * everything else speaks **Compact**.
-//!
-//! Mixed encodings can therefore never meet on one wire by accident; if a
-//! misconfiguration ever produced one anyway, the compact prologue byte
-//! (`0xC1`/`0xC5`/`0xC9`/`0xCD`) is disjoint from every classic first
-//! byte (`0x32` "MAD2", `0x53` "SLRM", `0x4D` "MADB", `0x47` "MG" — all
-//! little-endian), so the stream fails loudly as a corrupt header, not as
-//! silent misparsing.
+//! Fixed-width fields are little-endian; varints are LEB128-style (7 value
+//! bits per byte, high bit = continuation).
 //!
 //! ## Variable length vs. one-send-one-receive
 //!
 //! The TM contract is one receive per send with the **exact length** on
 //! static-buffer stacks, so a receiver cannot "read a varint" off the
-//! fabric. Compact headers instead rely on **receiver prediction**: the
-//! receiver already knows every header field (the source from the
-//! announcement, the sequence number from its connection counter, the
-//! stripe span from the deterministic mirror layout), so it encodes the
-//! header it *expects*, receives exactly that many bytes, and compares.
-//! A mismatch is the same loud `CorruptStream` a bad magic or a sequence
-//! gap produces today. Batch frames, whose content the receiver cannot
-//! predict, carry an explicit body length right after the prologue;
-//! gateway fragment headers, which stateless gateways cannot predict
-//! either, use a shorter *fixed* compact layout instead of varints.
+//! fabric. The message header relies on **receiver prediction** instead:
+//! the receiver already knows both fields (the source from the
+//! announcement, the sequence number from its connection counter), so it
+//! encodes the header it *expects*, receives exactly that many bytes, and
+//! compares. Headers whose content a receiver cannot predict are
+//! self-describing: stripe chunks (rails quarantine and chunks re-stripe
+//! mid-block under faults) and gateway fragments (gateways are stateless)
+//! use fixed-length layouts, and batch frames carry an explicit body
+//! length right after the prologue.
 //!
-//! ## Wire layouts
+//! ## Canonical classification lengths
 //!
-//! ```text
-//! message header      Classic (16 B):
-//!   [magic  u32 = "MAD2"][src u32][seq u32][reserved u32 = 0]
-//!                       Compact (3..11 B):
-//!   [0xC1][src varint][seq varint]
-//!
-//! stripe chunk header Classic (16 B):
-//!   [magic  u32 = "SLRM"][rail u32][off u32][len u32]
-//!                       Compact (4..16 B):
-//!   [0xC5][rail varint][off varint][len varint]
-//!
-//! batch frame         Classic:
-//!   [magic  u32 = "MADB"][count u32]
-//!   [{seq u32, len u32, flags u32}] x count     // envelope table
-//!   [payloads, concatenated]
-//!                       Compact:
-//!   [0xC9][body_len varint]                     // body = everything after
-//!   [first_seq varint][count varint]
-//!   [(len << 2 | flags) varint] x count         // flags fit 2 bits
-//!   [payloads, concatenated]
-//!
-//! fragment header     Classic (16 B):
-//!   [magic u16 = "MG"][src u8][dst u8][len u32][offset u32][pad u32]
-//!                       Compact (10 B, fixed):
-//!   [0xCD][src u8][dst u8][len u24][offset u32]
-//! ```
+//! Both ends classify a header block (`Pmm::select`, `batch::batchable`)
+//! *before* its encoded length is known, so they feed those symmetric
+//! tests the fixed `*_CLASS_*` lengths below, never the bytes on the wire.
+//! The values bound every encoding and are pinned: changing one changes TM
+//! choices, batch flush points and therefore every virtual-time figure.
 
 use crate::error::{MadError, MadResult};
 use madsim_net::NodeId;
 
-// ---------------------------------------------------------------------
-// Classic constants (the pre-codec layouts, byte-identical).
-// ---------------------------------------------------------------------
+/// Canonical classification length of a message header (see module docs).
+pub const MSG_CLASS_LEN: usize = 16;
+/// Canonical classification length of a stripe chunk header.
+pub(crate) const STRIPE_CLASS_LEN: usize = 16;
+/// Canonical classification length of a batch frame's fixed part.
+pub(crate) const BATCH_CLASS_HDR_LEN: usize = 8;
+/// Canonical classification length of one batch envelope.
+pub(crate) const BATCH_CLASS_ENV_LEN: usize = 12;
 
-/// Classic message-header magic ("MAD2" on the LE wire).
-pub(crate) const MSG_MAGIC: u32 = 0x4D41_4432;
-/// Classic message-header length; also the canonical length used in the
-/// *symmetric* TM-selection and batch-eligibility tests for headers of
-/// either version (the actual compact bytes are shorter, but both ends
-/// must classify the header block identically before knowing the seq).
-pub const MSG_HEADER_LEN: usize = 16;
-
-/// Classic stripe-header magic ("SLRM"; "MRLS" on the LE wire).
-pub(crate) const STRIPE_MAGIC: u32 = 0x4D52_4C53;
-/// Classic stripe-header length.
-pub const STRIPE_HDR_LEN: usize = 16;
-
-/// Batch-frame magic ("MADB" on the LE wire).
-pub(crate) const BATCH_MAGIC: u32 = 0x4244_414D;
-/// Classic batch frame header: magic + packet count.
-pub(crate) const BATCH_HDR_LEN: usize = 8;
-/// Classic envelope-table entry: `{seq u32, len u32, flags u32}`.
-pub(crate) const BATCH_ENV_LEN: usize = 12;
+/// On-wire length of a stripe chunk header.
+pub(crate) const STRIPE_HEADER_LEN: usize = 10;
+/// On-wire length of a gateway fragment header.
+pub const FRAG_HEADER_LEN: usize = 10;
 /// Upper bound a receiver accepts for the packet count of one frame —
 /// far above any configurable threshold, so a corrupt count field fails
 /// loudly instead of provoking a huge allocation.
 pub(crate) const MAX_FRAME_PACKETS: usize = 65_536;
 
-/// Fragment-header magic ("MG" on the LE wire).
-pub(crate) const FRAG_MAGIC: u16 = 0x4D47;
-/// Classic fragment-header length.
-pub const FRAG_HEADER_LEN: usize = 16;
-/// Compact fragment-header length (fixed: gateways are stateless and
-/// cannot predict, so the compact win here is a tighter fixed layout).
-pub const FRAG_HEADER_LEN_COMPACT: usize = 10;
+pub(crate) const PROLOGUE_MSG: u8 = 0xC1;
+pub(crate) const PROLOGUE_STRIPE: u8 = 0xC5;
+pub(crate) const PROLOGUE_BATCH: u8 = 0xC9;
+pub(crate) const PROLOGUE_FRAG: u8 = 0xCD;
 
-// ---------------------------------------------------------------------
-// Versioning.
-// ---------------------------------------------------------------------
-
-/// Per-channel wire-format policy (the spec-level knob).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum WireMode {
-    /// Negotiate: Compact on a fault-free world, Classic otherwise.
-    #[default]
-    Auto,
-    /// Always the classic fixed-field layouts (A/B baselines, paranoia).
-    Classic,
-}
-
-/// The negotiated wire format of one channel.
+// One-variant residue: the frozen `benchmark/` probes name it in the two
+// `FragHeader` shims below; it goes when the next benchmark PR drops the
+// parameter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WireVersion {
-    /// Fixed-field layouts, byte-identical to the pre-codec library.
-    Classic,
-    /// Varint/compact layouts (fault-free fabrics only).
     Compact,
 }
 
-impl WireVersion {
-    /// Resolve the spec's mode against the world's (global, symmetric)
-    /// fault-armed flag. There is deliberately no way to force Compact
-    /// onto a fault-armed world: dynamic re-striping needs the
-    /// self-described classic stripe header.
-    pub fn resolve(mode: WireMode, fault_armed: bool) -> WireVersion {
-        if fault_armed || mode == WireMode::Classic {
-            WireVersion::Classic
-        } else {
-            WireVersion::Compact
-        }
-    }
+fn corrupt<T>(what: impl Into<String>) -> MadResult<T> {
+    Err(MadError::corrupt(what))
 }
 
-/// Compact-prologue kinds, `0xC0 | (kind << 2) | 1`.
-#[derive(Clone, Copy)]
-enum Kind {
-    Msg = 0,
-    Stripe = 1,
-    Batch = 2,
-    Frag = 3,
+fn to_usize(v: u64) -> MadResult<usize> {
+    usize::try_from(v).or_else(|_| corrupt("wire length overflows usize"))
 }
-
-const fn prologue(kind: Kind) -> u8 {
-    0xC0 | ((kind as u8) << 2) | 1
-}
-
-/// Compact message-header prologue byte.
-pub(crate) const PROLOGUE_MSG: u8 = prologue(Kind::Msg); // 0xC1
-/// Compact stripe-header prologue byte.
-pub(crate) const PROLOGUE_STRIPE: u8 = prologue(Kind::Stripe); // 0xC5
-/// Compact batch-frame prologue byte.
-pub(crate) const PROLOGUE_BATCH: u8 = prologue(Kind::Batch); // 0xC9
-/// Compact fragment-header prologue byte.
-pub(crate) const PROLOGUE_FRAG: u8 = prologue(Kind::Frag); // 0xCD
 
 // ---------------------------------------------------------------------
-// Varints (LEB128-style: 7 value bits per byte, high bit = continuation).
+// Varints.
 // ---------------------------------------------------------------------
 
 /// Longest varint encoding of a `u64`.
@@ -188,17 +101,20 @@ pub fn varint_len(v: u64) -> usize {
     (64 - v.leading_zeros() as usize).div_ceil(7).max(1)
 }
 
-/// Append the varint encoding of `v` to `out`.
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+fn write_varint(mut v: u64, mut push: impl FnMut(u8)) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
         if v == 0 {
-            out.push(byte);
-            return;
+            return push(byte);
         }
-        out.push(byte | VARINT_CONT);
+        push(byte | VARINT_CONT);
     }
+}
+
+/// Append the varint encoding of `v` to `out`.
+pub fn put_varint(out: &mut Vec<u8>, v: u64) {
+    write_varint(v, |b| out.push(b));
 }
 
 /// Decode one varint at `*pos`, advancing the cursor. Overlong or
@@ -206,13 +122,13 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 pub fn read_varint(buf: &[u8], pos: &mut usize) -> MadResult<u64> {
     let mut v: u64 = 0;
     for i in 0..MAX_VARINT {
-        let Some(&byte) = buf.get(*pos + i) else {
-            return Err(MadError::corrupt("truncated varint".to_string()));
+        let Some(&byte) = pos.checked_add(i).and_then(|at| buf.get(at)) else {
+            return corrupt("truncated varint");
         };
         let group = (byte & 0x7F) as u64;
         // The 10th byte may only carry the single top bit of a u64.
         if i == MAX_VARINT - 1 && group > 1 {
-            return Err(MadError::corrupt("varint overflows u64".to_string()));
+            return corrupt("varint overflows u64");
         }
         v |= group << (7 * i);
         if byte & VARINT_CONT == 0 {
@@ -220,41 +136,47 @@ pub fn read_varint(buf: &[u8], pos: &mut usize) -> MadResult<u64> {
             return Ok(v);
         }
     }
-    Err(MadError::corrupt("varint longer than 10 bytes".to_string()))
+    corrupt("varint longer than 10 bytes")
 }
 
-// ---------------------------------------------------------------------
-// Fixed-width primitives: the one place classic fields are laid down.
-// ---------------------------------------------------------------------
-
-pub(crate) fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
+fn read_u32_varint(buf: &[u8], pos: &mut usize, what: &str) -> MadResult<u32> {
+    u32::try_from(read_varint(buf, pos)?).or_else(|_| corrupt(format!("{what} overflows u32")))
 }
 
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn get_u16(buf: &[u8], off: usize) -> u16 {
-    u16::from_le_bytes(buf[off..off + 2].try_into().expect("2 bytes"))
-}
-
-pub(crate) fn get_u32(buf: &[u8], off: usize) -> u32 {
+/// Read the little-endian `u32` at `off`; the caller has checked the length.
+fn get_u32(buf: &[u8], off: usize) -> u32 {
     u32::from_le_bytes(buf[off..off + 4].try_into().expect("4 bytes"))
 }
 
 /// A header encoded on the stack: every wire header fits 24 bytes.
 #[derive(Clone, Copy)]
 pub struct HeaderBytes {
-    buf: [u8; 24],
+    buf: [u8; Self::CAP],
     len: usize,
 }
 
 impl HeaderBytes {
-    fn from_vec(v: &[u8]) -> Self {
-        let mut buf = [0u8; 24];
-        buf[..v.len()].copy_from_slice(v);
-        HeaderBytes { buf, len: v.len() }
+    /// Capacity: a receive buffer this long holds any header.
+    pub(crate) const CAP: usize = 24;
+
+    fn new(prologue: u8) -> Self {
+        let mut buf = [0; Self::CAP];
+        buf[0] = prologue;
+        HeaderBytes { buf, len: 1 }
+    }
+
+    fn push(&mut self, b: u8) {
+        self.buf[self.len] = b;
+        self.len += 1;
+    }
+
+    fn put_varint(&mut self, v: u64) {
+        write_varint(v, |b| self.push(b));
+    }
+
+    fn extend(&mut self, bytes: &[u8]) {
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
     }
 }
 
@@ -273,22 +195,11 @@ impl std::ops::Deref for HeaderBytes {
 /// the blocking path, the posted-op path, the batch layer's deferred
 /// headers — and by every *receiver*, which encodes the header it expects
 /// and compares (see the module docs on prediction).
-pub(crate) fn encode_msg_header(v: WireVersion, src: NodeId, seq: u32) -> HeaderBytes {
-    let mut out = Vec::with_capacity(MSG_HEADER_LEN);
-    match v {
-        WireVersion::Classic => {
-            put_u32(&mut out, MSG_MAGIC);
-            put_u32(&mut out, src as u32);
-            put_u32(&mut out, seq);
-            put_u32(&mut out, 0);
-        }
-        WireVersion::Compact => {
-            out.push(PROLOGUE_MSG);
-            put_varint(&mut out, src as u64);
-            put_varint(&mut out, seq as u64);
-        }
-    }
-    HeaderBytes::from_vec(&out)
+pub(crate) fn encode_msg_header(src: NodeId, seq: u32) -> HeaderBytes {
+    let mut h = HeaderBytes::new(PROLOGUE_MSG);
+    h.put_varint(src as u64);
+    h.put_varint(seq as u64);
+    h
 }
 
 /// A decoded message header.
@@ -297,82 +208,54 @@ pub(crate) struct MsgHeader {
     pub seq: u32,
 }
 
-/// Decode a message header (diagnostics on the prediction-mismatch path,
-/// and the classic receive path).
-pub(crate) fn decode_msg_header(v: WireVersion, bytes: &[u8]) -> MadResult<MsgHeader> {
-    match v {
-        WireVersion::Classic => {
-            if bytes.len() < MSG_HEADER_LEN || get_u32(bytes, 0) != MSG_MAGIC {
-                return Err(MadError::corrupt("corrupt message header".to_string()));
-            }
-            Ok(MsgHeader {
-                src: get_u32(bytes, 4) as NodeId,
-                seq: get_u32(bytes, 8),
-            })
-        }
-        WireVersion::Compact => {
-            if bytes.first() != Some(&PROLOGUE_MSG) {
-                return Err(MadError::corrupt("corrupt message header".to_string()));
-            }
-            let mut pos = 1;
-            let src = read_varint(bytes, &mut pos)? as NodeId;
-            let seq = read_varint(bytes, &mut pos)?;
-            let seq = u32::try_from(seq)
-                .map_err(|_| MadError::corrupt("message seq overflows u32".to_string()))?;
-            Ok(MsgHeader { src, seq })
-        }
+/// Decode a message header (diagnostics on the prediction-mismatch path).
+pub(crate) fn decode_msg_header(bytes: &[u8]) -> MadResult<MsgHeader> {
+    if bytes.first() != Some(&PROLOGUE_MSG) {
+        return corrupt("corrupt message header");
     }
+    let mut pos = 1;
+    let src = to_usize(read_varint(bytes, &mut pos)?)?;
+    let seq = read_u32_varint(bytes, &mut pos, "message seq")?;
+    Ok(MsgHeader { src, seq })
 }
 
 // ---------------------------------------------------------------------
 // Stripe chunk header.
 // ---------------------------------------------------------------------
 
-/// Encode the per-chunk stripe header. The compact form is emitted only
-/// on fault-free channels, whose receivers mirror the deterministic chunk
-/// layout and predict every field.
-pub(crate) fn encode_stripe_header(
-    v: WireVersion,
-    rail: usize,
-    off: usize,
-    len: usize,
-) -> HeaderBytes {
-    let mut out = Vec::with_capacity(STRIPE_HDR_LEN);
-    match v {
-        WireVersion::Classic => {
-            put_u32(&mut out, STRIPE_MAGIC);
-            put_u32(&mut out, rail as u32);
-            put_u32(&mut out, off as u32);
-            put_u32(&mut out, len as u32);
-        }
-        WireVersion::Compact => {
-            out.push(PROLOGUE_STRIPE);
-            put_varint(&mut out, rail as u64);
-            put_varint(&mut out, off as u64);
-            put_varint(&mut out, len as u64);
-        }
-    }
-    HeaderBytes::from_vec(&out)
+/// A decoded stripe chunk header: the chunk's rail and its span of the
+/// striped block.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct StripeHeader {
+    pub rail: usize,
+    pub off: usize,
+    pub len: usize,
 }
 
-/// Decode a classic stripe header into `(rail, off, len)`. Only the
-/// classic form is ever decoded field-by-field: the dynamic (fault-armed)
-/// reassembly path needs self-description, and fault-armed channels speak
-/// Classic by construction.
-pub(crate) fn decode_stripe_header_classic(
-    bytes: &[u8; STRIPE_HDR_LEN],
-    src: NodeId,
-) -> MadResult<(usize, usize, usize)> {
-    if get_u32(bytes, 0) != STRIPE_MAGIC {
-        return Err(MadError::corrupt(format!(
-            "bad stripe header magic from node {src} (asymmetric pack/unpack?)"
-        )));
+/// Encode the per-chunk stripe header.
+///
+/// # Panics
+/// Panics if the rail id exceeds a byte or the span exceeds 32 bits
+/// (channels hold at most 64 rails; striped blocks are limited to 4 GiB).
+pub(crate) fn encode_stripe_header(rail: usize, off: usize, len: usize) -> HeaderBytes {
+    let mut h = HeaderBytes::new(PROLOGUE_STRIPE);
+    h.push(u8::try_from(rail).expect("rail ids < 256"));
+    let le = |v: usize| u32::try_from(v).expect("blocks < 4 GiB").to_le_bytes();
+    h.extend(&le(off));
+    h.extend(&le(len));
+    h
+}
+
+/// Decode a stripe chunk header.
+pub(crate) fn decode_stripe_header(bytes: &[u8]) -> MadResult<StripeHeader> {
+    if bytes.len() != STRIPE_HEADER_LEN || bytes[0] != PROLOGUE_STRIPE {
+        return corrupt("corrupt stripe header (asymmetric pack/unpack?)");
     }
-    Ok((
-        get_u32(bytes, 4) as usize,
-        get_u32(bytes, 8) as usize,
-        get_u32(bytes, 12) as usize,
-    ))
+    Ok(StripeHeader {
+        rail: bytes[1] as usize,
+        off: get_u32(bytes, 2) as usize,
+        len: get_u32(bytes, 6) as usize,
+    })
 }
 
 /// Encode a stripe-ack control payload (the acknowledged chunk offset).
@@ -399,140 +282,62 @@ pub(crate) struct BatchEnvelope {
 /// Build a batch frame's header + envelope table for `packets` (one
 /// `(len, flags)` pair per packet, envelope seqs `first_seq..`), with
 /// capacity reserved for the payload bytes the caller appends after.
-/// Compact flags must fit the 2 bits below the length.
-pub(crate) fn encode_batch_frame(
-    v: WireVersion,
-    first_seq: u32,
-    packets: &[(usize, u32)],
-) -> Vec<u8> {
+/// Flags must fit the 2 bits below the length.
+pub(crate) fn encode_batch_frame(first_seq: u32, packets: &[(usize, u32)]) -> Vec<u8> {
     let payload: usize = packets.iter().map(|&(len, _)| len).sum();
-    match v {
-        WireVersion::Classic => {
-            let mut out =
-                Vec::with_capacity(BATCH_HDR_LEN + packets.len() * BATCH_ENV_LEN + payload);
-            put_u32(&mut out, BATCH_MAGIC);
-            put_u32(&mut out, packets.len() as u32);
-            for (i, &(len, flags)) in packets.iter().enumerate() {
-                put_u32(&mut out, first_seq.wrapping_add(i as u32));
-                put_u32(&mut out, len as u32);
-                put_u32(&mut out, flags);
-            }
-            out
-        }
-        WireVersion::Compact => {
-            let mut envs = Vec::with_capacity(packets.len() * 2);
-            for &(len, flags) in packets {
-                debug_assert!(flags < 4, "compact envelope flags fit 2 bits");
-                put_varint(&mut envs, ((len as u64) << 2) | flags as u64);
-            }
-            let body = varint_len(first_seq as u64)
-                + varint_len(packets.len() as u64)
-                + envs.len()
-                + payload;
-            let mut out = Vec::with_capacity(1 + varint_len(body as u64) + body);
-            out.push(PROLOGUE_BATCH);
-            put_varint(&mut out, body as u64);
-            put_varint(&mut out, first_seq as u64);
-            put_varint(&mut out, packets.len() as u64);
-            out.extend_from_slice(&envs);
-            out
-        }
+    let mut envs = Vec::with_capacity(packets.len() * 2);
+    for &(len, flags) in packets {
+        debug_assert!(flags < 4, "envelope flags fit 2 bits");
+        put_varint(&mut envs, ((len as u64) << 2) | flags as u64);
     }
+    let body =
+        varint_len(first_seq as u64) + varint_len(packets.len() as u64) + envs.len() + payload;
+    let mut out = Vec::with_capacity(1 + varint_len(body as u64) + body);
+    out.push(PROLOGUE_BATCH);
+    put_varint(&mut out, body as u64);
+    put_varint(&mut out, first_seq as u64);
+    put_varint(&mut out, packets.len() as u64);
+    out.extend_from_slice(&envs);
+    out
 }
 
 /// Parse a whole batch frame's header + envelope table; returns the
 /// envelopes and the offset where the concatenated payloads begin.
 /// Payload-slicing and envelope-seq continuity stay with the caller.
 pub(crate) fn parse_batch_frame(
-    v: WireVersion,
     frame: &[u8],
     src: NodeId,
 ) -> MadResult<(Vec<BatchEnvelope>, usize)> {
-    match v {
-        WireVersion::Classic => {
-            if frame.len() < BATCH_HDR_LEN {
-                return Err(MadError::corrupt(format!(
-                    "truncated batch frame ({} bytes) from node {src}",
-                    frame.len()
-                )));
-            }
-            let count = parse_batch_count_classic(&frame[..BATCH_HDR_LEN], src)?;
-            let table_end = BATCH_HDR_LEN + count * BATCH_ENV_LEN;
-            if frame.len() < table_end {
-                return Err(MadError::corrupt(format!(
-                    "batch frame from node {src} too short for its {count}-entry \
-                     envelope table"
-                )));
-            }
-            let envs = (0..count)
-                .map(|i| {
-                    let at = BATCH_HDR_LEN + i * BATCH_ENV_LEN;
-                    BatchEnvelope {
-                        seq: get_u32(frame, at),
-                        len: get_u32(frame, at + 4) as usize,
-                        flags: get_u32(frame, at + 8),
-                    }
-                })
-                .collect();
-            Ok((envs, table_end))
-        }
-        WireVersion::Compact => {
-            if frame.first() != Some(&PROLOGUE_BATCH) {
-                return Err(MadError::corrupt(format!(
-                    "bad batch frame prologue from node {src} \
-                     (batching enabled on one end only?)"
-                )));
-            }
-            let mut pos = 1;
-            let body = read_varint(frame, &mut pos)? as usize;
-            if frame.len() != pos + body {
-                return Err(MadError::corrupt(format!(
-                    "batch frame from node {src} is {} bytes where its body \
-                     length says {}",
-                    frame.len(),
-                    pos + body
-                )));
-            }
-            let first_seq = read_varint(frame, &mut pos)?;
-            let first_seq = u32::try_from(first_seq)
-                .map_err(|_| MadError::corrupt("batch envelope seq overflows u32".to_string()))?;
-            let count = read_varint(frame, &mut pos)? as usize;
-            if count == 0 || count > MAX_FRAME_PACKETS {
-                return Err(MadError::corrupt(format!(
-                    "batch frame from node {src} claims {count} packets"
-                )));
-            }
-            let mut envs = Vec::with_capacity(count);
-            for i in 0..count {
-                let packed = read_varint(frame, &mut pos)?;
-                envs.push(BatchEnvelope {
-                    seq: first_seq.wrapping_add(i as u32),
-                    len: (packed >> 2) as usize,
-                    flags: (packed & 0b11) as u32,
-                });
-            }
-            Ok((envs, pos))
-        }
+    if frame.first() != Some(&PROLOGUE_BATCH) {
+        return corrupt(format!(
+            "bad batch frame prologue from node {src} (batching enabled on one end only?)"
+        ));
     }
-}
-
-/// Validate a classic batch frame's fixed header and return its packet
-/// count (the stream receive path reads the header alone first).
-pub(crate) fn parse_batch_count_classic(hdr: &[u8], src: NodeId) -> MadResult<usize> {
-    if get_u32(hdr, 0) != BATCH_MAGIC {
-        return Err(MadError::corrupt(format!(
-            "bad batch frame magic {:#010x} from node {src} \
-             (batching enabled on one end only?)",
-            get_u32(hdr, 0)
-        )));
+    let mut pos = 1;
+    let body = to_usize(read_varint(frame, &mut pos)?)?;
+    if pos.checked_add(body) != Some(frame.len()) {
+        return corrupt(format!(
+            "batch frame from node {src} is {} bytes where its body length says {body}",
+            frame.len() - pos
+        ));
     }
-    let count = get_u32(hdr, 4) as usize;
+    let first_seq = read_u32_varint(frame, &mut pos, "batch envelope seq")?;
+    let count = to_usize(read_varint(frame, &mut pos)?)?;
     if count == 0 || count > MAX_FRAME_PACKETS {
-        return Err(MadError::corrupt(format!(
+        return corrupt(format!(
             "batch frame from node {src} claims {count} packets"
-        )));
+        ));
     }
-    Ok(count)
+    let mut envs = Vec::with_capacity(count);
+    for i in 0..count {
+        let packed = read_varint(frame, &mut pos)?;
+        envs.push(BatchEnvelope {
+            seq: first_seq.wrapping_add(i as u32),
+            len: to_usize(packed >> 2)?,
+            flags: (packed & 0b11) as u32,
+        });
+    }
+    Ok((envs, pos))
 }
 
 // ---------------------------------------------------------------------
@@ -557,104 +362,57 @@ pub struct FragHeader {
 }
 
 impl FragHeader {
-    /// On-wire length of a fragment header under `v`. Fixed per version:
-    /// gateways cannot predict, so the compact form shrinks the fixed
-    /// fields (u24 length, no magic word, no pad) rather than varinting.
-    pub fn wire_len(v: WireVersion) -> usize {
-        match v {
-            WireVersion::Classic => FRAG_HEADER_LEN,
-            WireVersion::Compact => FRAG_HEADER_LEN_COMPACT,
-        }
-    }
-
-    /// Encode under `v`.
+    /// Encode the [`FRAG_HEADER_LEN`]-byte wire form.
     ///
     /// # Panics
     /// Panics if a node id exceeds a byte, the length exceeds 24 bits
     /// (fragments are MTU-bounded), or the offset exceeds 32 bits.
-    pub fn encode(&self, v: WireVersion) -> HeaderBytes {
-        let src = u8::try_from(self.src).expect("node ids < 256");
-        let dst = u8::try_from(self.dst).expect("node ids < 256");
+    pub fn to_wire(&self) -> HeaderBytes {
+        assert!(self.len < 1 << 24, "fragments are MTU-bounded");
+        let mut h = HeaderBytes::new(PROLOGUE_FRAG);
+        h.push(u8::try_from(self.src).expect("node ids < 256"));
+        h.push(u8::try_from(self.dst).expect("node ids < 256"));
+        h.extend(&(self.len as u32).to_le_bytes()[..3]);
         let offset = u32::try_from(self.offset).expect("block offsets < 4 GiB");
-        let mut out = Vec::with_capacity(FRAG_HEADER_LEN);
-        match v {
-            WireVersion::Classic => {
-                put_u16(&mut out, FRAG_MAGIC);
-                out.push(src);
-                out.push(dst);
-                put_u32(&mut out, self.len as u32);
-                put_u32(&mut out, offset);
-                put_u32(&mut out, 0);
-            }
-            WireVersion::Compact => {
-                assert!(self.len < 1 << 24, "fragments are MTU-bounded");
-                out.push(PROLOGUE_FRAG);
-                out.push(src);
-                out.push(dst);
-                out.extend_from_slice(&(self.len as u32).to_le_bytes()[..3]);
-                put_u32(&mut out, offset);
-            }
-        }
-        HeaderBytes::from_vec(&out)
+        h.extend(&offset.to_le_bytes());
+        h
     }
 
-    /// Decode `wire_len(v)` bytes, reporting a corrupt magic/prologue as
-    /// [`MadError::CorruptStream`] — a gateway fed non-fragment traffic
-    /// (e.g. a hop channel also used directly by the application), or a
-    /// version mismatch between the hop's endpoints.
-    pub fn try_decode(v: WireVersion, b: &[u8]) -> MadResult<Self> {
-        match v {
-            WireVersion::Classic => {
-                let magic = get_u16(b, 0);
-                if magic != FRAG_MAGIC {
-                    return Err(MadError::corrupt(format!(
-                        "corrupt fragment header (magic {magic:#06x}): hop channel \
-                         carrying non-virtual-channel traffic?"
-                    )));
-                }
-                Ok(FragHeader {
-                    src: b[2] as NodeId,
-                    dst: b[3] as NodeId,
-                    len: get_u32(b, 4) as usize,
-                    offset: get_u32(b, 8) as usize,
-                })
-            }
-            WireVersion::Compact => {
-                if b.first() != Some(&PROLOGUE_FRAG) {
-                    return Err(MadError::corrupt(format!(
-                        "corrupt fragment header (prologue {:#04x}): hop channel \
-                         carrying non-virtual-channel traffic?",
-                        b.first().copied().unwrap_or(0)
-                    )));
-                }
-                let mut len4 = [0u8; 4];
-                len4[..3].copy_from_slice(&b[3..6]);
-                Ok(FragHeader {
-                    src: b[1] as NodeId,
-                    dst: b[2] as NodeId,
-                    len: u32::from_le_bytes(len4) as usize,
-                    offset: get_u32(b, 6) as usize,
-                })
-            }
+    /// Decode [`FRAG_HEADER_LEN`] bytes, reporting anything else —
+    /// including a gateway fed non-fragment traffic (e.g. a hop channel
+    /// also used directly by the application) — as
+    /// [`MadError::CorruptStream`].
+    pub fn from_wire(b: &[u8]) -> MadResult<Self> {
+        if b.len() != FRAG_HEADER_LEN || b[0] != PROLOGUE_FRAG {
+            return corrupt(format!(
+                "corrupt fragment header ({} bytes, prologue {:#04x}): hop channel \
+                 carrying non-virtual-channel traffic?",
+                b.len(),
+                b.first().copied().unwrap_or(0)
+            ));
         }
+        Ok(FragHeader {
+            src: b[1] as NodeId,
+            dst: b[2] as NodeId,
+            len: u32::from_le_bytes([b[3], b[4], b[5], 0]) as usize,
+            offset: get_u32(b, 6) as usize,
+        })
     }
 
-    /// [`try_decode`](Self::try_decode) for contexts that cannot recover.
-    ///
-    /// # Panics
-    /// Panics on a corrupt magic/prologue.
-    pub fn decode(v: WireVersion, b: &[u8]) -> Self {
-        match Self::try_decode(v, b) {
-            Ok(h) => h,
-            Err(e) => panic!("{e}"),
-        }
+    /// [`to_wire`](Self::to_wire), for the frozen `benchmark/` probes.
+    pub fn encode(&self, _: WireVersion) -> HeaderBytes {
+        self.to_wire()
+    }
+
+    /// [`from_wire`](Self::from_wire), for the frozen `benchmark/` probes.
+    pub fn try_decode(_: WireVersion, b: &[u8]) -> MadResult<Self> {
+        Self::from_wire(b)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn roundtrip(v: u64) {
         let mut buf = Vec::new();
@@ -700,168 +458,140 @@ mod tests {
     }
 
     #[test]
-    fn prologues_disjoint_from_classic_first_bytes() {
-        let classic_first = [
-            MSG_MAGIC.to_le_bytes()[0],
-            STRIPE_MAGIC.to_le_bytes()[0],
-            BATCH_MAGIC.to_le_bytes()[0],
-            FRAG_MAGIC.to_le_bytes()[0],
-        ];
-        for p in [PROLOGUE_MSG, PROLOGUE_STRIPE, PROLOGUE_BATCH, PROLOGUE_FRAG] {
-            assert!(!classic_first.contains(&p), "{p:#04x} collides");
-        }
+    fn prologues_are_distinct_and_headers_reject_each_other() {
         let all = [PROLOGUE_MSG, PROLOGUE_STRIPE, PROLOGUE_BATCH, PROLOGUE_FRAG];
         for (i, a) in all.iter().enumerate() {
-            assert!(!all[i + 1..].contains(a), "duplicate prologue {a:#04x}");
+            assert_eq!(*a, 0xC0 | ((i as u8) << 2) | 1);
         }
-    }
-
-    #[test]
-    fn msg_header_roundtrips_and_cross_version_fails() {
-        for v in [WireVersion::Classic, WireVersion::Compact] {
-            let h = encode_msg_header(v, 7, 12345);
-            let d = decode_msg_header(v, &h).unwrap();
-            assert_eq!((d.src, d.seq), (7, 12345));
-        }
-        let compact = encode_msg_header(WireVersion::Compact, 7, 12345);
-        assert!(decode_msg_header(WireVersion::Classic, &compact).is_err());
-        let classic = encode_msg_header(WireVersion::Classic, 7, 12345);
-        assert!(decode_msg_header(WireVersion::Compact, &classic).is_err());
-    }
-
-    #[test]
-    fn stripe_header_classic_matches_legacy_layout() {
-        let h = encode_stripe_header(WireVersion::Classic, 2, 4096, 1024);
-        assert_eq!(h.len(), STRIPE_HDR_LEN);
-        let arr: [u8; STRIPE_HDR_LEN] = h[..].try_into().unwrap();
-        assert_eq!(
-            decode_stripe_header_classic(&arr, 0).unwrap(),
-            (2, 4096, 1024)
-        );
-    }
-
-    #[test]
-    fn batch_frame_roundtrips_both_versions() {
-        let packets = [(64usize, 0u32), (16, 1), (0, 2), (300, 3)];
-        for v in [WireVersion::Classic, WireVersion::Compact] {
-            let mut frame = encode_batch_frame(v, 41, &packets);
-            for &(len, _) in &packets {
-                frame.extend(std::iter::repeat_n(0xAB, len));
+        let stripe = encode_stripe_header(2, 4096, 1024);
+        assert_eq!(stripe.len(), STRIPE_HEADER_LEN);
+        assert!(FragHeader::from_wire(&stripe).is_err());
+        assert!(decode_msg_header(&stripe).is_err());
+        match FragHeader::from_wire(&[0u8; FRAG_HEADER_LEN]) {
+            Err(MadError::CorruptStream(what)) => {
+                assert!(what.contains("corrupt fragment header"), "got {what:?}")
             }
-            let (envs, payload_at) = parse_batch_frame(v, &frame, 0).unwrap();
-            assert_eq!(envs.len(), packets.len());
-            for (i, (env, &(len, flags))) in envs.iter().zip(&packets).enumerate() {
-                assert_eq!(env.seq, 41 + i as u32);
-                assert_eq!(env.len, len);
-                assert_eq!(env.flags, flags);
-            }
-            let total: usize = packets.iter().map(|p| p.0).sum();
-            assert_eq!(frame.len() - payload_at, total);
+            other => panic!("expected CorruptStream, got {other:?}"),
         }
     }
 
-    #[test]
-    fn compact_batch_frame_is_smaller() {
-        let packets: Vec<(usize, u32)> = (0..16).map(|_| (64usize, 0u32)).collect();
-        let classic = encode_batch_frame(WireVersion::Classic, 0, &packets);
-        let compact = encode_batch_frame(WireVersion::Compact, 0, &packets);
-        assert!(
-            compact.len() * 4 <= classic.len(),
-            "compact batch overhead {} vs classic {}",
-            compact.len(),
-            classic.len()
-        );
-    }
+    /// splitmix64: the seeded, std-only source of the hostile-bytes test.
+    struct Rng(u64);
 
-    #[test]
-    fn frag_header_roundtrips_both_versions() {
-        let h = FragHeader {
-            src: 3,
-            dst: 9,
-            len: 131072,
-            offset: 8192,
-        };
-        for v in [WireVersion::Classic, WireVersion::Compact] {
-            let e = h.encode(v);
-            assert_eq!(e.len(), FragHeader::wire_len(v));
-            assert_eq!(FragHeader::decode(v, &e), h);
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
         }
-        let zero = FragHeader {
-            src: 0,
-            dst: 1,
-            len: 0,
-            offset: 0,
-        };
-        for v in [WireVersion::Classic, WireVersion::Compact] {
-            assert_eq!(FragHeader::decode(v, &zero.encode(v)), zero);
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// A value with a uniformly drawn bit width, so every varint
+        /// length is exercised.
+        fn wide(&mut self) -> u64 {
+            self.next() >> self.below(64)
         }
     }
 
+    /// Run every decoder over `bytes`; the only requirement is no panic.
+    fn decode_all(bytes: &[u8]) {
+        let mut pos = 0;
+        let _ = read_varint(bytes, &mut pos);
+        let mut pos = usize::MAX;
+        let _ = read_varint(bytes, &mut pos);
+        let _ = decode_msg_header(bytes);
+        let _ = decode_stripe_header(bytes);
+        let _ = FragHeader::from_wire(bytes);
+        let _ = parse_batch_frame(bytes, 0);
+        let _ = decode_stripe_ack(bytes);
+    }
+
     #[test]
-    fn frag_bad_magic_is_a_corrupt_stream_error() {
-        let b = [0u8; FRAG_HEADER_LEN];
-        for v in [WireVersion::Classic, WireVersion::Compact] {
-            match FragHeader::try_decode(v, &b) {
-                Err(MadError::CorruptStream(what)) => {
-                    assert!(what.contains("corrupt fragment header"), "got {what:?}")
+    fn decoders_are_total_and_valid_encodings_roundtrip() {
+        for seed in [1u64, 2, 3] {
+            let mut rng = Rng(seed);
+            for _ in 0..2_000 {
+                // Valid encodings round-trip, field for field.
+                let (a, b) = (rng.wide(), rng.wide());
+                roundtrip(a);
+                let mut two = Vec::new();
+                put_varint(&mut two, a);
+                put_varint(&mut two, b);
+                let mut pos = 0;
+                assert_eq!(read_varint(&two, &mut pos).unwrap(), a);
+                assert_eq!(read_varint(&two, &mut pos).unwrap(), b);
+                assert_eq!(pos, two.len());
+
+                let (src, seq) = (rng.wide() as usize, rng.next() as u32);
+                let msg = encode_msg_header(src, seq);
+                let d = decode_msg_header(&msg).unwrap();
+                assert_eq!((d.src, d.seq), (src, seq));
+
+                let want = StripeHeader {
+                    rail: rng.below(64) as usize,
+                    off: rng.next() as u32 as usize,
+                    len: rng.next() as u32 as usize,
+                };
+                let stripe = encode_stripe_header(want.rail, want.off, want.len);
+                assert_eq!(decode_stripe_header(&stripe).unwrap(), want);
+
+                let frag = FragHeader {
+                    src: rng.below(256) as usize,
+                    dst: rng.below(256) as usize,
+                    len: rng.below(1 << 24) as usize,
+                    offset: rng.next() as u32 as usize,
+                };
+                let frag_bytes = frag.to_wire();
+                assert_eq!(frag_bytes.len(), FRAG_HEADER_LEN);
+                assert_eq!(FragHeader::from_wire(&frag_bytes).unwrap(), frag);
+
+                let packets: Vec<(usize, u32)> = (0..1 + rng.below(8))
+                    .map(|_| (rng.below(600) as usize, rng.below(4) as u32))
+                    .collect();
+                let total: usize = packets.iter().map(|p| p.0).sum();
+                let first_seq = rng.next() as u32;
+                let mut frame = encode_batch_frame(first_seq, &packets);
+                frame.resize(frame.len() + total, 0x5A);
+                let (envs, at) = parse_batch_frame(&frame, 0).unwrap();
+                assert_eq!((envs.len(), frame.len() - at), (packets.len(), total));
+                for (i, (env, &(len, flags))) in envs.iter().zip(&packets).enumerate() {
+                    let seq = first_seq.wrapping_add(i as u32);
+                    assert_eq!((env.seq, env.len, env.flags), (seq, len, flags));
                 }
-                other => panic!("expected CorruptStream, got {other:?}"),
+
+                let ack = encode_stripe_ack(want.off);
+                assert_eq!(decode_stripe_ack(&ack), Some(want.off as u64));
+
+                // Truncations and single-bit flips of each valid encoding,
+                // then plain noise: typed errors or values, never a panic.
+                for valid in [
+                    &two[..],
+                    &msg[..],
+                    &stripe[..],
+                    &frag_bytes[..],
+                    &frame[..],
+                    &ack[..],
+                ] {
+                    decode_all(&valid[..rng.below(valid.len() as u64 + 1) as usize]);
+                    let mut flipped = valid.to_vec();
+                    let bit = rng.below(flipped.len() as u64 * 8) as usize;
+                    flipped[bit / 8] ^= 1 << (bit % 8);
+                    decode_all(&flipped);
+                }
+                let noise: Vec<u8> = (0..rng.below(40)).map(|_| rng.next() as u8).collect();
+                decode_all(&noise);
             }
         }
-    }
-
-    #[test]
-    fn version_resolution_is_classic_under_faults() {
-        use WireMode as M;
-        use WireVersion as V;
-        assert_eq!(V::resolve(M::Auto, false), V::Compact);
-        assert_eq!(V::resolve(M::Auto, true), V::Classic);
-        assert_eq!(V::resolve(M::Classic, false), V::Classic);
-        assert_eq!(V::resolve(M::Classic, true), V::Classic);
-    }
-
-    proptest! {
-        #[test]
-        fn varint_roundtrips_any_u64(v in any::<u64>()) {
-            roundtrip(v);
-        }
-
-        #[test]
-        fn varint_concatenation_parses_in_order(a in any::<u64>(), b in any::<u64>()) {
-            let mut buf = Vec::new();
-            put_varint(&mut buf, a);
-            put_varint(&mut buf, b);
-            let mut pos = 0;
-            prop_assert_eq!(read_varint(&buf, &mut pos).unwrap(), a);
-            prop_assert_eq!(read_varint(&buf, &mut pos).unwrap(), b);
-            prop_assert_eq!(pos, buf.len());
-        }
-
-        #[test]
-        fn msg_header_roundtrips_any(src in 0usize..4096, seq in any::<u32>()) {
-            for v in [WireVersion::Classic, WireVersion::Compact] {
-                let h = encode_msg_header(v, src, seq);
-                let d = decode_msg_header(v, &h).unwrap();
-                prop_assert_eq!((d.src, d.seq), (src, seq));
-            }
-        }
-
-        #[test]
-        fn stripe_header_compact_roundtrips(
-            rail in 0usize..64,
-            off in 0usize..(u32::MAX as usize),
-            len in 0usize..(u32::MAX as usize),
-        ) {
-            // The compact stripe header is validated by byte-compare on the
-            // receive side; here we pin that equal fields give equal bytes
-            // and different fields give different bytes.
-            let a = encode_stripe_header(WireVersion::Compact, rail, off, len);
-            let b = encode_stripe_header(WireVersion::Compact, rail, off, len);
-            prop_assert_eq!(&a[..], &b[..]);
-            if off != len {
-                let c = encode_stripe_header(WireVersion::Compact, rail, len, off);
-                prop_assert!(a[..] != c[..], "swapped fields must encode differently");
-            }
-        }
+        // The two panics this test found at the parent commit: a short
+        // fragment header, and a batch body length that overflows `usize`.
+        assert!(FragHeader::from_wire(&[PROLOGUE_FRAG, 1, 2]).is_err());
+        let mut huge = vec![PROLOGUE_BATCH];
+        put_varint(&mut huge, u64::MAX);
+        assert!(parse_batch_frame(&huge, 0).is_err());
     }
 }

@@ -606,12 +606,9 @@ fn per_tm_traffic_breakdown() {
             let (bulk_bufs, bulk_bytes) = ch.stats().tm_traffic(1);
             // Short TM carried the channel header (its own eager flush)
             // plus the 100 B block (flushed at the TM switch). The header
-            // is 16 B classic, 3 B compact (prologue + src + seq varints
-            // for the first message of node 0).
-            let hdr = match ch.wire() {
-                madeleine::WireVersion::Classic => 16,
-                madeleine::WireVersion::Compact => 3,
-            };
+            // is 3 B: prologue + src + seq varints for the first message
+            // of node 0.
+            let hdr = 3;
             assert_eq!(short_bufs, 2);
             assert_eq!(short_bytes, 100 + hdr);
             assert_eq!(bulk_bufs, 1);

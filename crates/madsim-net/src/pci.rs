@@ -109,13 +109,6 @@ impl PciBus {
         } else {
             base
         };
-        if std::env::var("PCI_DEBUG").is_ok() && base.as_nanos() > 50_000 {
-            eprintln!(
-                "pci {kind:?} start {start:?} base {base:?} contended {contended} nf {:?} dma {:?}",
-                self.timeline.next_free(),
-                *self.dma_active_until.lock()
-            );
-        }
         self.timeline.reserve(start, dur).end
     }
 

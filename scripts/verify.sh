@@ -4,6 +4,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Offline lane first: needs no registry (benchmark/ is a workspace of its
+# own over std-only stand-ins, and the library crates declare no
+# dev-dependencies), so a break against the frozen benchmark/ API is caught
+# before anything below tries to resolve the root workspace.
+cargo test --offline --manifest-path benchmark/Cargo.toml \
+    -p madsim-net -p madeleine -p mad-gateway -p mad-mpi -p mad-nexus
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+python3 benchmark/run.py --self-test
+
 cargo build --release
 cargo test -q
 cargo clippy --all-targets -- -D warnings
@@ -25,7 +34,7 @@ done
 # Wire-codec lint: every header that crosses a wire is encoded by
 # crates/madeleine/src/wire.rs — a raw `to_le_bytes(` creeping back into
 # the header-emitting files means someone is hand-rolling a layout the
-# codec (and its version negotiation) no longer controls.
+# codec no longer controls.
 for f in crates/madeleine/src/channel.rs \
          crates/madeleine/src/rail.rs \
          crates/madeleine/src/batch.rs \
