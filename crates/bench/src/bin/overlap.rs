@@ -4,18 +4,21 @@
 //! elapsed time).
 //!
 //! Sweeps 4 kB -> 1 MB over BIP (Myrinet) and TCP (Ethernet), on 1 and 2
-//! rails, and writes `BENCH_overlap.json`. The headline claim asserted
-//! below: for 1 MB exchanges over single-rail BIP, posting the send and
-//! computing through the rendezvous delivers at least 1.5x the effective
-//! throughput of send-then-compute — the progress engine anchors the
-//! transfer at posting time, so the simulated NIC moves the bytes while
-//! the host computes.
+//! rails, and writes `BENCH_overlap.json`. The headline claims asserted
+//! below: for 1 MB exchanges over BIP — single-rail, and striped over two
+//! rails — posting the send and computing through the rendezvous delivers
+//! at least 1.5x the effective throughput of send-then-compute. The
+//! progress engine anchors each transfer at posting time, so the
+//! simulated NIC moves the bytes while the host computes; a striped block
+//! is one parked engine op whose rails run on their own clocks from the
+//! post instant.
 //!
-//! Expected shape of the other rows: TCP's eager path and the striped
-//! 2-rail bulk path execute their wire time inside the tick that ships
-//! them (no peer event to park on), so their speedup sits near 1.0x —
-//! overlap is a property of the rendezvous, which is the paper's point
-//! about receiver-driven long transfers.
+//! Expected shape of the other rows: TCP's eager path executes its wire
+//! time inside the tick that ships it (no peer event to park on), so its
+//! single-rail speedup sits at 1.0x — overlap is a property of the
+//! rendezvous, which is the paper's point about receiver-driven long
+//! transfers. (The striped 2-rail TCP row does show a speedup: the rails'
+//! clocks, not the caller's, carry the sends.)
 //!
 //! Usage: `overlap [--out PATH]`
 
@@ -181,23 +184,26 @@ fn main() {
         }
     }
 
-    // The acceptance claim: 1 MB compute-overlapped exchanges over
-    // single-rail BIP reach >= 1.5x the blocking effective throughput.
-    let headline = points
-        .iter()
-        .find(|p| p.protocol == "bip" && p.rails == 1 && p.bytes == 1 << 20)
-        .expect("headline point measured");
-    assert!(
-        headline.overlapped_mibps >= 1.5 * headline.blocking_mibps,
-        "overlap speedup {:.2}x below 1.5x ({:.1} -> {:.1} MiB/s effective)",
-        headline.speedup,
-        headline.blocking_mibps,
-        headline.overlapped_mibps
-    );
-    println!(
-        "1 MB single-rail BIP overlap speedup: {:.2}x",
-        headline.speedup
-    );
+    // The acceptance claim: 1 MB compute-overlapped exchanges over BIP
+    // reach >= 1.5x the blocking effective throughput, on one rail and
+    // striped over two.
+    for rails in [1, 2] {
+        let headline = points
+            .iter()
+            .find(|p| p.protocol == "bip" && p.rails == rails && p.bytes == 1 << 20)
+            .expect("headline point measured");
+        assert!(
+            headline.overlapped_mibps >= 1.5 * headline.blocking_mibps,
+            "{rails}-rail overlap speedup {:.2}x below 1.5x ({:.1} -> {:.1} MiB/s effective)",
+            headline.speedup,
+            headline.blocking_mibps,
+            headline.overlapped_mibps
+        );
+        println!(
+            "1 MB {rails}-rail BIP overlap speedup: {:.2}x",
+            headline.speedup
+        );
+    }
 
     let json = serde_json::to_string_pretty(&Output { points }).expect("serialize results");
     std::fs::write(&out_path, json).expect("write results");

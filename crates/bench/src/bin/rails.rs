@@ -9,13 +9,12 @@
 //! (checked below); on the paper stack they must NOT, because the shared
 //! 32-bit/33 MHz PCI bus was the bottleneck in 1999.
 //!
-//! Each point is the best of [`REPS`] runs: the rail sender threads book
-//! overlapping slots on the shared host-bus timeline, and which thread's
-//! reservation lands first depends on OS scheduling — occasionally the
-//! unlucky order stalls one rail's rendezvous chain behind the other's
-//! bus crossings. Best-of-N keeps the contention the model *prescribes*
-//! (the paper-bus rows still refuse to scale) while shedding the
-//! scheduling noise, exactly as a real-hardware bandwidth sweep would.
+//! Each point is the best of [`REPS`] runs. A striped send is one state
+//! machine on the calling thread (`madeleine::rail::StripeSend`), so the
+//! order in which the sender books the shared host-bus timeline is fixed
+//! by the engine, not by the OS scheduler; what still races is the
+//! receiver's credit returns, booked from its own thread (~10 us on a
+//! 1 MB row). Best-of-N sheds that, as a real-hardware sweep would.
 //!
 //! Usage: `rails [--out PATH] [--bytes N]`
 
@@ -82,10 +81,13 @@ fn main() {
     let fast_bus = sweep(Some(myrinet_class_timing()));
     print_sweep("Myrinet-class retimed bus", &fast_bus);
 
-    // Single-rail channels must never stripe — the classic path is pinned.
+    // Single-rail channels must never stripe — the classic path is pinned
+    // — and every multirail 1 MB block must (the counter is the sender's).
     for p in paper_bus.iter().chain(&fast_bus) {
         if p.rails == 1 {
             assert_eq!(p.stripes, 0, "a single-rail channel striped");
+        } else if bytes >= 1 << 20 {
+            assert!(p.stripes >= 1, "{} rails never striped", p.rails);
         }
     }
     // The tentpole claim: two rails on a bus that can feed them deliver

@@ -669,8 +669,8 @@ pub struct RailPoint {
     /// Receiver's virtual clock when the block landed, µs.
     pub virtual_us: f64,
     pub bandwidth_mibps: f64,
-    /// Striped blocks (0 on single-rail channels: the stripe engine must
-    /// stay entirely off the classic path).
+    /// Blocks the sender striped (0 on single-rail channels: the stripe
+    /// engine must stay entirely off the classic path).
     pub stripes: u64,
     /// Receiver-side payload bytes per rail, indexed by rail id.
     pub rail_bytes: Vec<u64>,
@@ -707,7 +707,7 @@ pub fn multirail_oneway(
             let mut msg = ch.begin_packing(1);
             msg.pack(&data, SendMode::Cheaper, RecvMode::Cheaper);
             msg.end_packing();
-            (0.0, 0, Vec::new())
+            (0.0, ch.stats().stripes(), Vec::new())
         } else {
             let mut got = vec![0u8; n];
             let mut msg = ch.begin_unpacking();
@@ -716,10 +716,13 @@ pub fn multirail_oneway(
             assert!(got.iter().all(|&x| x == 0x3C), "striped block corrupted");
             let s = ch.stats();
             let per_rail: Vec<u64> = (0..rails).map(|r| s.rail_traffic(r).1).collect();
-            (time::now().as_micros_f64(), s.stripes(), per_rail)
+            (time::now().as_micros_f64(), 0, per_rail)
         }
     });
-    let (virtual_us, stripes, rail_bytes) = out[1].clone();
+    // The stripe counter is sender-side; time and per-rail bytes are read
+    // where the block landed.
+    let stripes = out[0].1;
+    let (virtual_us, _, rail_bytes) = out[1].clone();
     let (max, min) = rail_bytes
         .iter()
         .fold((0u64, u64::MAX), |(mx, mn), &v| (mx.max(v), mn.min(v)));

@@ -54,7 +54,7 @@ use crate::pmm::Pmm;
 use crate::polling::PollPolicy;
 use crate::pool::{BufPool, PooledBuf};
 use crate::progress::{Completions, OpId, OpState, OpStep, ProgressEngine, StepOutcome};
-use crate::rail::{self, Rail, RailScheduler, StripeCtx};
+use crate::rail::{self, Rail, RailScheduler, StripeCtx, StripeSend};
 use crate::stats::{Stats, StatsSnapshot};
 use crate::tm::{PendingKind, TmId, TmPending, TmSend, TmStep};
 use crate::trace::{TraceEvent, Tracer};
@@ -618,8 +618,8 @@ impl Channel {
     /// mistaken for one. When the first pending rail found is *not* the
     /// announce rail, the frame is either a failover announcement (the
     /// sender quarantined our announce rail) or such a racing chunk —
-    /// and since a chunk's header is sent strictly before the chunk
-    /// (the chunk-sender threads are spawned after it), observing the
+    /// and since a message's header is sent strictly before its stripe
+    /// chunks (the striped block is the op's next frame), observing the
     /// chunk guarantees the header is visible by now. One rescan from
     /// the announce rail therefore settles it: the first hit in wrap
     /// order is a genuine announcement.
@@ -798,9 +798,9 @@ impl Channel {
             ack_base: self.ack_base,
             frames,
             pending: None,
+            stripe: None,
             started: false,
             done_at: VTime::ZERO,
-            stripe_announced: false,
             first_ticket: None,
             last_ticket: None,
         };
@@ -935,12 +935,11 @@ struct MessageSendOp {
     ack_base: u64,
     frames: VecDeque<FrameStep>,
     pending: Option<PendingFrame>,
+    /// The striped block in flight and its ack tag, parked between ticks
+    /// (never together with `pending`: frames ship strictly in order).
+    stripe: Option<(StripeSend, u64)>,
     started: bool,
     done_at: VTime,
-    /// A striped frame spends one tick announced as `StripePartial`
-    /// before the (virtual-time-atomic) stripe executes, so observers see
-    /// the state.
-    stripe_announced: bool,
     /// Batch tickets of this op's first and last batched packets: the op
     /// parks in [`OpState::Batched`] until a flush covers the last one,
     /// counts as started once a flush covers the first, and cancels by
@@ -985,6 +984,17 @@ impl MessageSendOp {
         }
         batch::flush(&self.batch_ctx(), FlushReason::Explicit)
     }
+
+    fn stripe_ctx(&self, ack_tag: u64) -> StripeCtx<'_> {
+        StripeCtx {
+            rails: &self.rails,
+            sched: &self.sched,
+            me: self.me,
+            stats: &self.stats,
+            tracer: &self.tracer,
+            ack_tag,
+        }
+    }
 }
 
 impl OpStep for MessageSendOp {
@@ -992,8 +1002,9 @@ impl OpStep for MessageSendOp {
         // A dead home rail fails the op: before anything shipped we could
         // re-home, but after the header is out the receiver expects the
         // rest of the message on the announcing rail. Re-home only in the
-        // nothing-shipped case; otherwise surface the fault.
-        if !self.rails[self.rail].is_alive() {
+        // nothing-shipped case; otherwise surface the fault. (A striped
+        // block in flight re-stripes over the survivors by itself.)
+        if self.stripe.is_none() && !self.rails[self.rail].is_alive() {
             if self.started {
                 if let Some(mut p) = self.pending.take() {
                     p.cont.cancel();
@@ -1024,6 +1035,17 @@ impl OpStep for MessageSendOp {
                     self.stats.record_tm_traffic(p.tm, p.len);
                     self.stats.record_buffer_sent();
                     self.done_at = self.done_at.max(at);
+                }
+                Err(e) => return StepOutcome::Failed(e),
+            }
+        }
+        // So does the striped block in flight.
+        if let Some((mut stripe, ack_tag)) = self.stripe.take() {
+            match stripe.try_advance(&self.stripe_ctx(ack_tag)) {
+                Ok(Some(at)) => self.done_at = self.done_at.max(at),
+                Ok(None) => {
+                    self.stripe = Some((stripe, ack_tag));
+                    return StepOutcome::Pending(OpState::StripePartial);
                 }
                 Err(e) => return StepOutcome::Failed(e),
             }
@@ -1071,31 +1093,14 @@ impl OpStep for MessageSendOp {
                 }
                 FrameStep::Tm { data, smode, rmode } => (data, smode, rmode),
                 FrameStep::Stripe { data } => {
-                    if !self.stripe_announced {
-                        self.stripe_announced = true;
-                        self.frames.push_front(FrameStep::Stripe { data });
-                        return StepOutcome::Pending(OpState::StripePartial);
-                    }
-                    self.stripe_announced = false;
                     self.started = true;
                     let conn = self.conns.get(self.dst).expect("membership checked");
-                    let ctx = StripeCtx {
-                        rails: &self.rails,
-                        sched: &self.sched,
-                        me: self.me,
-                        stats: &self.stats,
-                        tracer: &self.tracer,
-                        ack_tag: stripe_ack_tag(
-                            self.ack_base,
-                            self.me,
-                            conn.next_tx_stripe_block(),
-                        ),
-                    };
-                    if let Err(e) = rail::stripe_send(&ctx, self.dst, &data) {
-                        return StepOutcome::Failed(e);
-                    }
-                    self.done_at = self.done_at.max(time::now());
-                    continue;
+                    let ack_tag =
+                        stripe_ack_tag(self.ack_base, self.me, conn.next_tx_stripe_block());
+                    let stripe = StripeSend::new(&self.stripe_ctx(ack_tag), self.dst, data);
+                    self.stripe = Some((stripe, ack_tag));
+                    // This tick already ships every rail's first header.
+                    return self.try_advance();
                 }
             };
             let pmm = self.rails[self.rail].pmm();
@@ -1251,7 +1256,17 @@ impl<'c, 'a> OutgoingMessage<'c, 'a> {
             // the connection's batch either.
             chan.flush_conn_batch(self.dst, self.rail, FlushReason::Explicit)?;
             let ctx = chan.stripe_ctx(chan.me, conn.next_tx_stripe_block());
-            return rail::stripe_send(&ctx, self.dst, data);
+            // The engine op a posted message parks, spun to completion (a
+            // blocking send waits on its peer at no modelled cost). The copy
+            // stages the simulated DMA (real BIP reads user memory): not counted.
+            let mut stripe = StripeSend::new(&ctx, self.dst, Bytes::copy_from_slice(data));
+            loop {
+                if let Some(done) = stripe.try_advance(&ctx)? {
+                    time::advance_to(done);
+                    return Ok(());
+                }
+                std::thread::yield_now();
+            }
         }
         if chan.batchable(data.len(), smode, self.rail) {
             return self.pack_batched(data, smode, rmode == RecvMode::Express);

@@ -41,6 +41,9 @@ const CREDIT_BATCH: u64 = 4;
 /// fault-armed fabric. BIP has no retransmission: when this expires the
 /// channel is reported down rather than silently hanging.
 const FAULT_WAIT: Duration = Duration::from_millis(2_000);
+/// The fault-armed payload wait is taken in slices this long, so a link
+/// known to be cut costs one slice instead of the whole [`FAULT_WAIT`].
+const FAULT_SLICE: Duration = Duration::from_millis(2);
 
 const SUB_DATA: u64 = 0;
 const SUB_CREDIT: u64 = 1;
@@ -462,9 +465,17 @@ impl TransmissionModule for BipLongTm {
             if !posted {
                 self.bip.post_cts(src, self.long_tag);
             }
-            self.bip
-                .recv_long_posted_timeout(src, self.long_tag, dst, FAULT_WAIT)
-                .map_err(|e| self.rendezvous_err(e, src))?
+            // Each expired slice re-checks the link, so a cut rail fails fast.
+            let deadline = Instant::now() + FAULT_WAIT;
+            loop {
+                match self
+                    .bip
+                    .recv_long_posted_timeout(src, self.long_tag, dst, FAULT_SLICE)
+                {
+                    Err(madsim_net::LinkError::Timeout) if Instant::now() < deadline => {}
+                    r => break r.map_err(|e| self.rendezvous_err(e, src))?,
+                }
+            }
         } else if posted {
             self.bip.recv_long_posted(src, self.long_tag, dst)
         } else {
@@ -479,15 +490,21 @@ impl TransmissionModule for BipLongTm {
         *self.cts_ahead.lock().entry(src).or_insert(0) += 1;
     }
 
+    fn rendezvous(&self) -> bool {
+        true
+    }
+
     fn post_send(&self, dst: NodeId, data: Bytes) -> MadResult<TmSend> {
+        // Link check first: a CTS that made it across before the link was
+        // cut must not release a payload into the dead link.
+        if self.bip.adapter().faulty() && !self.bip.adapter().reachable_to(dst) {
+            return Err(MadError::PeerUnreachable { peer: dst });
+        }
         if let Some(cts) = self.bip.try_take_cts(dst, self.long_tag) {
             let start = madsim_net::time::now().max(cts);
             let local_done = self.bip.send_long_from(dst, self.long_tag, data, start);
             let host_post = VDuration::from_micros_f64(self.bip.timing().host_post_us);
             return Ok(TmSend::Done(local_done + host_post));
-        }
-        if self.bip.adapter().faulty() && !self.bip.adapter().reachable_to(dst) {
-            return Err(MadError::PeerUnreachable { peer: dst });
         }
         Ok(TmSend::Pending(Box::new(RendezvousSend {
             bip: self.bip.clone(),
@@ -524,6 +541,11 @@ impl TmPending for RendezvousSend {
     }
 
     fn try_advance(&mut self) -> MadResult<TmStep> {
+        let faulty = self.bip.adapter().faulty();
+        // Link check first, as in `post_send`.
+        if faulty && !self.bip.adapter().reachable_to(self.dst) {
+            return Err(MadError::PeerUnreachable { peer: self.dst });
+        }
         if let Some(cts) = self.bip.try_take_cts(self.dst, self.long_tag) {
             let data = self.data.take().expect("rendezvous block already shipped");
             let start = self.posted_at.max(cts);
@@ -533,10 +555,7 @@ impl TmPending for RendezvousSend {
             let host_post = VDuration::from_micros_f64(self.bip.timing().host_post_us);
             return Ok(TmStep::Done(local_done + host_post));
         }
-        if self.bip.adapter().faulty() {
-            if !self.bip.adapter().reachable_to(self.dst) {
-                return Err(MadError::PeerUnreachable { peer: self.dst });
-            }
+        if faulty {
             let deadline = *self
                 .deadline
                 .get_or_insert_with(|| Instant::now() + FAULT_WAIT);

@@ -33,7 +33,12 @@
 //!   `max(posted_at, cts_arrival)` — in virtual time the NIC DMA'd the
 //!   payload *while the host computed*, which is exactly the overlap a
 //!   real progress thread buys.
-//! * **StripePartial** — a multirail striped block is in flight.
+//! * **StripePartial** — a multirail striped block is in flight: the op
+//!   holds one `rail::StripeSend` (per rail a chunk queue, at most one
+//!   parked TM continuation and a virtual clock). The tick that starts it
+//!   ships every rail's first stripe header and posts the first payload;
+//!   later ticks release payloads in chunk order as they harvest the CTSs
+//!   (each anchored at `max(posted_at, cts_arrival)` on its rail's clock).
 //! * **Batched** — every packet of the op entered the connection's send
 //!   batch, but the closing multi-envelope frame has not flushed yet; the
 //!   op retires when a flush covers its last packet. Until the first
@@ -122,7 +127,7 @@ pub enum OpState {
     CreditWait,
     /// A long-TM frame is waiting for the receiver's CTS.
     RendezvousWait,
-    /// A multirail striped block is partially transferred.
+    /// A multirail striped block is in flight across the rails.
     StripePartial,
     /// The op's packets sit in the connection's send batch, waiting for
     /// the batch to flush (threshold, deadline, or explicit `flush()`).

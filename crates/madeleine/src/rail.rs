@@ -20,10 +20,16 @@
 //!   because the whole striped block is committed before pack/unpack
 //!   continues.
 //!
-//! Each rail's chunks are sent by a dedicated thread with its own
-//! virtual clock (the same trick the world uses for node threads), so
-//! the rails' synchronous long-message protocols overlap in virtual
-//! time; the caller's clock is advanced to the latest rail's finish.
+//! The send side is one resumable state machine, [`StripeSend`], polled
+//! on the calling thread — the data path spawns no threads. Each rail
+//! has a queue of chunks, at most one frame parked on a peer event (a
+//! stripe header's credit wait, a payload's rendezvous; the payload is a
+//! zero-copy slice of the posted block) and its own virtual clock,
+//! installed around that rail's TM calls, so the rails' long-message
+//! protocols overlap in virtual time. Frames leave in the order the
+//! receiver consumes them (`StripeSend::held`). Blocking `pack` spins the
+//! machine to completion; a posted op parks it between progress ticks
+//! (`OpState::StripePartial`), so the CTSs arrive while the caller computes.
 //!
 //! ### Failover
 //!
@@ -31,11 +37,12 @@
 //! raw control frame (the stripe layer's own kind, distinct from every
 //! stack's), routed over its lowest alive rail — all rails of a network
 //! share the node's inbound mailbox, so the sender collects acks from
-//! any rail. A chunk whose ack does not arrive within the bounded wait
-//! gets its rail **quarantined** ([`TraceEvent::RailDown`]) and is
-//! re-striped over the survivors; when no rail survives the send fails
-//! with [`MadError::ChannelDown`]. On a fault-free fabric none of this
-//! machinery arms: no acks, no timeouts, zero extra frames.
+//! any rail. A rail whose TM reports a transport error is **quarantined**
+//! ([`TraceEvent::RailDown`]), and so is one whose chunk stays
+//! unacknowledged past the bounded wait; each round deals what is left
+//! over the survivors, and when no rail survives the send
+//! fails with [`MadError::ChannelDown`]. On a fault-free fabric none of
+//! this machinery arms: no acks, no timeouts, zero extra frames.
 
 use crate::batch::BatchPolicy;
 use crate::error::{MadError, MadResult};
@@ -43,10 +50,13 @@ use crate::flags::{RecvMode, SendMode};
 use crate::pmm::Pmm;
 use crate::pool::BufPool;
 use crate::stats::Stats;
+use crate::tm::{TmPending, TmSend, TmStep};
 use crate::trace::{TraceEvent, Tracer};
 use crate::wire::{self, STRIPE_CLASS_LEN, STRIPE_HEADER_LEN};
+use bytes::Bytes;
 use madsim_net::time::{self, ClockHandle, VDuration, VTime};
 use madsim_net::{Adapter, Frame, NodeId};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -258,172 +268,266 @@ pub(crate) struct StripeCtx<'c> {
 
 /// One stripe chunk as an `(offset, len)` span of the source block.
 type ChunkSpan = (usize, usize);
-/// One rail sender thread's outcome: rail id, final virtual clock,
-/// chunks that made it, chunks abandoned after a transport error.
-type RailOutcome = (usize, VTime, Vec<ChunkSpan>, Vec<ChunkSpan>);
 
-/// Stripe `data` to `dst` across the context's alive rails.
-pub(crate) fn stripe_send(ctx: &StripeCtx<'_>, dst: NodeId, data: &[u8]) -> MadResult<()> {
-    assert!(
-        data.len() <= u32::MAX as usize,
-        "striped blocks are limited to 4 GiB"
-    );
-    let faulty = ctx.rails.iter().any(Rail::faulty);
-    let mut todo = ctx.sched.chunks(data.len());
-    ctx.stats.record_stripe();
-    ctx.tracer.record(TraceEvent::Stripe {
-        len: data.len(),
-        chunks: todo.len(),
-        rails: ctx.rails.iter().filter(|r| r.is_alive()).count(),
-    });
-    let mut round = 0;
-    while !todo.is_empty() {
-        round += 1;
-        if round > ctx.rails.len() + 1 {
-            return Err(MadError::ChannelDown);
-        }
-        let alive: Vec<&Rail> = ctx.rails.iter().filter(|r| r.is_alive()).collect();
-        if alive.is_empty() {
-            return Err(MadError::ChannelDown);
-        }
-        // Round-robin the remaining chunks over the alive rails.
-        let mut spans: Vec<Vec<(usize, usize)>> = vec![Vec::new(); alive.len()];
-        for (i, c) in todo.iter().enumerate() {
-            spans[i % alive.len()].push(*c);
-        }
-        let start = time::now();
-        // One sender thread per rail, each with its own virtual clock
-        // seeded at `start`, so the rails' synchronous long-message
-        // protocols overlap in virtual time. Contention for the shared
-        // host PCI bus is modeled by the bus's reservation timeline.
-        let outcomes: Vec<RailOutcome> = std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for (rail, span) in alive.iter().zip(&spans) {
-                if span.is_empty() {
-                    continue;
-                }
-                let rail: &Rail = rail;
-                handles.push(s.spawn(move || {
-                    let clock = ClockHandle::new();
-                    clock.advance_to(start);
-                    let prev = time::install_clock(clock.clone());
-                    let (sent, failed) = send_span(ctx, rail, dst, span, data);
-                    time::restore_clock(prev);
-                    (rail.id(), clock.now(), sent, failed)
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("rail sender thread panicked"))
-                .collect()
+/// One rail's share of a striped block in flight.
+#[derive(Default)]
+struct Lane {
+    /// Rail-local virtual clock, installed around this rail's TM calls.
+    clock: ClockHandle,
+    /// Chunks assigned to this rail and not retired yet.
+    queue: VecDeque<ChunkSpan>,
+    /// Has the front chunk's stripe header shipped (its payload is next)?
+    header_out: bool,
+    /// The front chunk's next frame, parked on a credit return or a CTS.
+    parked: Option<Box<dyn TmPending>>,
+}
+
+/// A striped block on its way to `dst`: one resumable state machine over
+/// every rail (see the module docs), polled with `try_advance`.
+pub(crate) struct StripeSend {
+    dst: NodeId,
+    data: Bytes,
+    /// Fault-armed fabric: chunks are acknowledged, rails can fail.
+    faulty: bool,
+    /// Indexed by rail id.
+    lanes: Vec<Lane>,
+    /// Chunks waiting for the next round: the whole block at first, then
+    /// whatever a failed rail left unsent or unacknowledged.
+    todo: Vec<ChunkSpan>,
+    /// Fault-armed fabrics: shipped chunks awaiting their ack, by rail.
+    unacked: Vec<(usize, ChunkSpan)>,
+    /// Real-time bound on this round's ack wait, armed once the lanes drain.
+    ack_deadline: Option<Instant>,
+    rounds: usize,
+    /// Frames shipped so far (the sweep loop's progress mark).
+    shipped: usize,
+    /// Latest virtual instant any rail (or ack) reached.
+    makespan: VTime,
+}
+
+impl StripeSend {
+    /// Plan the striped send of `data`; nothing ships until the first
+    /// `try_advance`. The rails' clocks start at the caller's instant.
+    pub(crate) fn new(ctx: &StripeCtx<'_>, dst: NodeId, data: Bytes) -> Self {
+        assert!(
+            data.len() <= u32::MAX as usize,
+            "striped blocks are limited to 4 GiB"
+        );
+        let todo = ctx.sched.chunks(data.len());
+        ctx.stats.record_stripe();
+        ctx.tracer.record(TraceEvent::Stripe {
+            len: data.len(),
+            chunks: todo.len(),
+            rails: ctx.rails.iter().filter(|r| r.is_alive()).count(),
         });
-        let mut failed_chunks = Vec::new();
-        let mut sent_chunks: Vec<(usize, (usize, usize))> = Vec::new();
-        let mut makespan = start;
-        for (rail_id, end, sent, failed) in outcomes {
-            makespan = makespan.max(end);
-            sent_chunks.extend(sent.into_iter().map(|c| (rail_id, c)));
-            if !failed.is_empty() {
-                ctx.rails[rail_id].quarantine(ctx.stats, ctx.tracer);
-                failed_chunks.extend(failed);
-            }
+        StripeSend {
+            dst,
+            data,
+            faulty: ctx.rails.iter().any(Rail::faulty),
+            lanes: ctx.rails.iter().map(|_| Lane::default()).collect(),
+            todo,
+            unacked: Vec::new(),
+            ack_deadline: None,
+            rounds: 0,
+            shipped: 0,
+            makespan: time::now(),
         }
-        time::advance_to(makespan);
-        todo = failed_chunks;
-        if faulty && !sent_chunks.is_empty() {
-            for (rail_id, chunk) in wait_acks(ctx, dst, &sent_chunks) {
-                ctx.rails[rail_id].quarantine(ctx.stats, ctx.tracer);
-                todo.push(chunk);
+    }
+
+    /// Advance every rail as far as it goes. `Ok(Some(t))` once the last
+    /// chunk retired (on a fault-armed fabric: was acknowledged), the
+    /// latest rail at virtual instant `t`; `Ok(None)` while frames are
+    /// parked on credit returns, CTSs or acks; `Err` when no rail survived.
+    pub(crate) fn try_advance(&mut self, ctx: &StripeCtx<'_>) -> MadResult<Option<VTime>> {
+        loop {
+            // Sweep until nothing ships: one rail's progress releases the
+            // frames another holds back.
+            let parked = loop {
+                let shipped = self.shipped;
+                let mut parked = false;
+                for r in 0..self.lanes.len() {
+                    parked |= self.advance_lane(ctx, r);
+                }
+                if self.shipped == shipped {
+                    break parked;
+                }
+            };
+            self.collect_acks(ctx);
+            if parked {
+                return Ok(None);
+            }
+            if !self.unacked.is_empty() {
+                let deadline = *self
+                    .ack_deadline
+                    .get_or_insert_with(|| Instant::now() + ACK_WAIT);
+                if Instant::now() < deadline {
+                    return Ok(None);
+                }
+                // An ack that never came condemns the rail that carried
+                // the chunk; the chunk is re-striped over the survivors.
+                for (r, chunk) in self.unacked.drain(..) {
+                    ctx.rails[r].quarantine(ctx.stats, ctx.tracer);
+                    self.todo.push(chunk);
+                }
+            }
+            if self.todo.is_empty() {
+                return Ok(Some(self.makespan));
+            }
+            self.deal_round(ctx)?;
+        }
+    }
+
+    /// Start a round: deal the waiting chunks round-robin over the alive
+    /// rails, whose clocks resume at the latest instant reached so far.
+    fn deal_round(&mut self, ctx: &StripeCtx<'_>) -> MadResult<()> {
+        self.rounds += 1;
+        let alive: Vec<usize> = ctx
+            .rails
+            .iter()
+            .filter(|r| r.is_alive())
+            .map(Rail::id)
+            .collect();
+        if alive.is_empty() || self.rounds > ctx.rails.len() + 1 {
+            return Err(MadError::ChannelDown);
+        }
+        self.ack_deadline = None;
+        for (i, chunk) in self.todo.drain(..).enumerate() {
+            self.lanes[alive[i % alive.len()]].queue.push_back(chunk);
+        }
+        for &r in &alive {
+            self.lanes[r].clock.advance_to(self.makespan);
+        }
+        Ok(())
+    }
+
+    /// Run rail `r`'s lane under its own clock; a transport error
+    /// quarantines the rail and hands its chunks back for the next round.
+    /// Returns whether the lane still waits (on the peer or another rail).
+    fn advance_lane(&mut self, ctx: &StripeCtx<'_>, r: usize) -> bool {
+        let prev = time::install_clock(self.lanes[r].clock.clone());
+        let ran = self.run_lane(ctx, r);
+        time::restore_clock(prev);
+        let lane = &mut self.lanes[r];
+        self.makespan = self.makespan.max(lane.clock.now());
+        match ran {
+            Ok(parked) => parked,
+            Err(_) => {
+                ctx.rails[r].quarantine(ctx.stats, ctx.tracer);
+                (lane.parked, lane.header_out) = (None, false);
+                self.todo.extend(lane.queue.drain(..));
+                false
             }
         }
     }
-    Ok(())
-}
 
-/// Send one rail's span of chunks, in order. Returns the chunks that
-/// made it and the ones abandoned after the first transport error.
-fn send_span(
-    ctx: &StripeCtx<'_>,
-    rail: &Rail,
-    dst: NodeId,
-    span: &[ChunkSpan],
-    data: &[u8],
-) -> (Vec<ChunkSpan>, Vec<ChunkSpan>) {
-    let mut sent = Vec::with_capacity(span.len());
-    for (i, &(off, len)) in span.iter().enumerate() {
-        if send_chunk(ctx, rail, dst, off, len, data).is_err() {
-            return (sent, span[i..].to_vec());
+    /// Push rail `r`'s chunks as far as they go: stripe header on the
+    /// small path (TM selected on the canonical [`STRIPE_CLASS_LEN`]), then
+    /// the payload, a zero-copy slice of the block, through the TM the
+    /// Switch picks for its size. `Ok(true)`: a frame is parked or held.
+    fn run_lane(&mut self, ctx: &StripeCtx<'_>, r: usize) -> MadResult<bool> {
+        let rail = &ctx.rails[r];
+        loop {
+            let header_out = self.lanes[r].header_out;
+            let Some(&(off, len)) = self.lanes[r].queue.front() else {
+                return Ok(false);
+            };
+            if !self.faulty && self.held(ctx, r, (off, len), header_out) {
+                return Ok(true);
+            }
+            let lane = &mut self.lanes[r];
+            let tm = if header_out {
+                rail.pmm.select(len, SendMode::Cheaper, RecvMode::Cheaper)
+            } else {
+                rail.pmm
+                    .select(STRIPE_CLASS_LEN, SendMode::Cheaper, RecvMode::Express)
+            };
+            let step = match lane.parked.take() {
+                Some(mut cont) => match cont.try_advance()? {
+                    TmStep::Done(at) => TmSend::Done(at),
+                    TmStep::Pending => TmSend::Pending(cont),
+                },
+                None => {
+                    let frame = if header_out {
+                        self.data.slice(off..off + len)
+                    } else {
+                        Bytes::copy_from_slice(&wire::encode_stripe_header(r, off, len))
+                    };
+                    rail.pmm.tm(tm).post_send(self.dst, frame)?
+                }
+            };
+            match step {
+                TmSend::Done(at) => {
+                    time::advance_to(at);
+                    self.shipped += 1;
+                }
+                TmSend::Pending(cont) => {
+                    lane.parked = Some(cont);
+                    return Ok(true);
+                }
+            }
+            if header_out {
+                ctx.stats.record_buffer_sent();
+                ctx.stats.record_tm_traffic(tm, len);
+                ctx.stats.record_borrowed(len);
+                ctx.stats.record_rail_traffic(r, STRIPE_HEADER_LEN + len);
+                if self.faulty {
+                    self.unacked.push((r, (off, len)));
+                }
+                lane.queue.pop_front();
+            }
+            lane.header_out = !header_out;
         }
-        ctx.stats.record_borrowed(len);
-        ctx.stats
-            .record_rail_traffic(rail.id(), STRIPE_HEADER_LEN + len);
-        sent.push((off, len));
     }
-    (sent, Vec::new())
-}
 
-/// Send one chunk: stripe header on the protocol's small path, then the
-/// payload by reference through the TM the Switch picks for its size.
-/// The header's TM is selected on the canonical [`STRIPE_CLASS_LEN`].
-fn send_chunk(
-    ctx: &StripeCtx<'_>,
-    rail: &Rail,
-    dst: NodeId,
-    off: usize,
-    len: usize,
-    data: &[u8],
-) -> MadResult<()> {
-    let hdr = wire::encode_stripe_header(rail.id(), off, len);
-    let hdr_tm = rail
-        .pmm
-        .select(STRIPE_CLASS_LEN, SendMode::Cheaper, RecvMode::Express);
-    rail.pmm.tm(hdr_tm).send_buffer(dst, &hdr)?;
-    let tm = rail.pmm.select(len, SendMode::Cheaper, RecvMode::Cheaper);
-    rail.pmm.tm(tm).send_buffer(dst, &data[off..off + len])?;
-    ctx.stats.record_buffer_sent();
-    ctx.stats.record_tm_traffic(tm, len);
-    Ok(())
-}
-
-/// Collect this round's chunk acks (fault-armed fabrics only). Returns
-/// the chunks whose ack never came, with the rail that carried them.
-fn wait_acks(
-    ctx: &StripeCtx<'_>,
-    dst: NodeId,
-    sent: &[(usize, (usize, usize))],
-) -> Vec<(usize, (usize, usize))> {
-    // All rails of a network share the node's inbound mailbox, so any
-    // adapter sees acks regardless of which rail carried them.
-    let Some(adapter) = ctx.rails.iter().find_map(|r| r.adapter.as_ref()) else {
-        return Vec::new();
-    };
-    let mut pending: std::collections::HashMap<u64, (usize, (usize, usize))> = sent
-        .iter()
-        .map(|&(rail_id, c)| (c.0 as u64, (rail_id, c)))
-        .collect();
-    let deadline = Instant::now() + ACK_WAIT;
-    while !pending.is_empty() {
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            break;
+    /// Must rail `r` hold back the next frame of its chunk? On a fault-free
+    /// fabric frames leave in the order the mirroring receiver consumes
+    /// them — every rail's first header, then payloads in chunk order, a
+    /// rail's next header right behind its payload — so a send that blocks
+    /// until the receiver drains it (a stream ring smaller than a chunk)
+    /// never waits on a frame this thread has yet to ship, and the bus
+    /// bookings do not depend on which poll sees a CTS first. Where the
+    /// bulk TM parks on a rendezvous (its post cannot block), a rail's next
+    /// header also waits while the chunk next in line sits on a
+    /// lower-numbered rail, so that rail's DMA is booked ahead of a header
+    /// stamped inside its bus window (the bus timeline never splits one
+    /// transfer around another). A fault-armed receiver takes chunks in
+    /// any order: nothing is held.
+    fn held(&self, ctx: &StripeCtx<'_>, r: usize, (off, len): ChunkSpan, out: bool) -> bool {
+        let first_round = self.lanes.len() * ctx.sched.stripe_chunk;
+        let heads = self.lanes.iter().enumerate();
+        let mut heads = heads.filter_map(|(i, l)| Some((l.queue.front()?.0, i, l.header_out)));
+        if out {
+            return heads.any(|(o, _, out)| o < off || (o < first_round && !out));
         }
-        let Some(frame) =
-            adapter
-                .inbox()
-                .recv_from_timeout(dst, KIND_STRIPE_ACK, |f| f.tag == ctx.ack_tag, left)
-        else {
-            break;
+        let pmm = &ctx.rails[r].pmm;
+        let bulk = pmm.tm(pmm.select(len, SendMode::Cheaper, RecvMode::Cheaper));
+        off >= first_round && bulk.rendezvous() && heads.min().is_some_and(|(_, i, _)| i < r)
+    }
+
+    /// Harvest the chunk acks that have arrived. All rails of a network
+    /// share the node's inbound mailbox, so any adapter sees every ack.
+    fn collect_acks(&mut self, ctx: &StripeCtx<'_>) {
+        let Some(adapter) = ctx.rails.iter().find_map(|r| r.adapter.as_ref()) else {
+            return;
         };
-        time::advance_to(frame.arrival);
-        if let Some(off) = wire::decode_stripe_ack(&frame.payload) {
-            pending.remove(&off);
+        while !self.unacked.is_empty() {
+            let ack = |f: &Frame| f.tag == ctx.ack_tag;
+            let Some(frame) = adapter
+                .inbox()
+                .try_recv_from(self.dst, KIND_STRIPE_ACK, ack)
+            else {
+                return;
+            };
+            self.makespan = self.makespan.max(frame.arrival);
+            if let Some(off) = wire::decode_stripe_ack(&frame.payload) {
+                self.unacked.retain(|&(_, (o, _))| o as u64 != off);
+            }
         }
     }
-    pending.into_values().collect()
 }
 
 /// Reassemble a striped block from `src` into `dst`, mirroring
-/// [`stripe_send`].
+/// [`StripeSend`].
 pub(crate) fn stripe_recv(ctx: &StripeCtx<'_>, src: NodeId, dst: &mut [u8]) -> MadResult<()> {
     if ctx.rails.iter().any(Rail::faulty) {
         stripe_recv_dynamic(ctx, src, dst)

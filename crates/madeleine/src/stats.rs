@@ -204,7 +204,7 @@ impl Stats {
     }
 
     /// Account `bytes` (headers + payload) carried by rail `rail`
-    /// (lock-free — concurrent rail sender threads never serialize here).
+    /// (lock-free — concurrent senders never serialize here).
     pub fn record_rail_traffic(&self, rail: usize, bytes: usize) {
         self.per_rail.record(rail, bytes);
     }

@@ -287,6 +287,13 @@ pub trait TransmissionModule: Send + Sync {
     /// [`receive_buffer`](Self::receive_buffer) must follow eventually.
     fn prefetch(&self, _src: NodeId) {}
 
+    /// Does a posted block park on the receiver's clear-to-send alone
+    /// (BIP's long path)? It then ships whole once the CTS is polled,
+    /// whatever else the receiver waits for (see `rail::StripeSend::held`).
+    fn rendezvous(&self) -> bool {
+        false
+    }
+
     /// Nonblocking transmit of one owned block: either the block ships
     /// inside the call, or the TM hands back a resumable continuation for
     /// the progress engine to poll ([`TmSend::Pending`]).

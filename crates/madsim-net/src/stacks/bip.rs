@@ -373,8 +373,8 @@ impl Bip {
     }
 
     /// [`recv_long_posted`](Self::recv_long_posted) with a *real-time*
-    /// deadline, distinguishing a crashed/partitioned sender from one that
-    /// is merely slow.
+    /// deadline, distinguishing a crashed/partitioned sender (or one whose
+    /// link to us on this rail has been cut) from one that is merely slow.
     pub fn recv_long_posted_timeout(
         &self,
         src: NodeId,
@@ -387,7 +387,7 @@ impl Bip {
             .inbox()
             .recv_from_timeout(src, KIND_LONG, |f| f.tag == tag, timeout);
         let Some(f) = f else {
-            if !self.adapter.reachable_to(src) {
+            if !self.adapter.reachable_to(src) || !self.adapter.reachable_from(src) {
                 return Err(LinkError::PeerDead);
             }
             return Err(LinkError::Timeout);

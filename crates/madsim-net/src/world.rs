@@ -451,6 +451,16 @@ impl Adapter {
             .is_none_or(|f| f.reachable_on(self.net.0, self.rail, self.node, dst))
     }
 
+    /// Can `src` still reach us over *this rail*? The inbound mirror of
+    /// [`reachable_to`](Self::reachable_to): rail cuts activate per
+    /// direction, so a receiver waiting on a frame must ask about the
+    /// sender's direction, not its own.
+    pub fn reachable_from(&self, src: NodeId) -> bool {
+        self.faults
+            .as_ref()
+            .is_none_or(|f| f.reachable_on(self.net.0, self.rail, src, self.node))
+    }
+
     /// The fault-domain key of this adapter: its network index with the
     /// rail folded into the upper bits (see [`crate::fault::rail_key`]).
     fn fault_key(&self) -> usize {
@@ -650,6 +660,30 @@ mod tests {
             rails[2].send_raw(1 - env.id(), f);
             let got = rails[0].inbox().recv_match(|f| f.kind == 9);
             assert_eq!(got.src, 1 - env.id());
+        });
+    }
+
+    #[test]
+    fn rail_cut_is_seen_by_the_receiving_end_too() {
+        let mut b = WorldBuilder::new(2);
+        let net = b.network_with_rails("myr0", NetKind::Myrinet, &[0, 1], 2);
+        let plan = crate::FaultPlan::new(0).partition_rail_after(net.0, 1, 0, 1, 1);
+        let w = b.fault_plan(plan).build();
+        w.run(|env| {
+            let rails = env.adapters_on(net);
+            if env.id() == 0 {
+                // Frame 0 crosses; the cut is live for everything after.
+                rails[1].send_raw(1, Frame::control(0, 9, 9, VTime::ZERO));
+                assert!(!rails[1].reachable_to(1));
+            }
+            env.barrier();
+            if env.id() == 1 {
+                // Node 1 has sent nothing, so its own direction is open;
+                // what it waits for from node 0 can no longer arrive.
+                assert!(rails[1].reachable_to(0));
+                assert!(!rails[1].reachable_from(0));
+                assert!(rails[0].reachable_from(0), "rail 0 untouched");
+            }
         });
     }
 

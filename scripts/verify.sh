@@ -45,6 +45,19 @@ for f in crates/madeleine/src/channel.rs \
     fi
 done
 
+# Data-path lint: a send is a state machine polled on the calling thread
+# (striping included — `rail::StripeSend`), never a helper thread per
+# message. Test-only spawns live in progress.rs, pool.rs and polling.rs.
+for f in crates/madeleine/src/rail.rs \
+         crates/madeleine/src/channel.rs \
+         crates/madeleine/src/batch.rs \
+         crates/madeleine/src/connection.rs; do
+    if grep -Eq 'thread::(scope|spawn|Builder)' "$f"; then
+        echo "verify: FAIL — thread spawn in $f (the data path spawns no threads)" >&2
+        exit 1
+    fi
+done
+
 # Chaos stage: the robustness layer under seeded fault injection, run
 # explicitly so a regression here is named even when the suite is filtered.
 cargo test -q -p mad-integration --test chaos
@@ -54,14 +67,16 @@ cargo test -q -p mad-integration --test chaos
 cargo test -q -p mad-integration --test chaos -- --exact zero_fault_runs_count_nothing
 
 # Multirail stage: sweep 1->4 rails; the binary itself asserts that
-# single-rail channels never stripe and that two rails on the retimed bus
-# reach >= 1.7x the single-rail 1 MB bandwidth.
+# single-rail channels never stripe, that every multirail 1 MB block does,
+# and that two rails on the retimed bus reach >= 1.7x the single-rail
+# 1 MB bandwidth.
 cargo run --release -p bench --bin rails -- --out BENCH_rails.json
 test -s BENCH_rails.json
 
 # Overlap stage: the nonblocking op path must buy real compute/transfer
 # overlap — the binary asserts >= 1.5x effective throughput for
-# compute-overlapped 1 MB exchanges over single-rail BIP.
+# compute-overlapped 1 MB exchanges over BIP, single-rail and striped
+# over two rails.
 cargo run --release -p bench --bin overlap -- --out BENCH_overlap.json
 test -s BENCH_overlap.json
 
