@@ -2,8 +2,9 @@
 //! and the lock-free buffer pool against their single-lock baselines.
 //!
 //! Unlike the other bench bins, this one measures the *concurrency
-//! primitives themselves* in real time — no simulated fabric, no virtual
-//! clock. The workload is the 4-peer small-message storm the sharding
+//! primitives themselves* in real time — no virtual clock, and (but for
+//! the last round) no simulated fabric. The workload is the 4-peer
+//! small-message storm the sharding
 //! work targets: four producers (one per peer) firing small items at
 //! four keyed consumers, every item demultiplexed by its peer key. The
 //! baseline is the pre-refactor design, reconstructed inline: one
@@ -16,12 +17,20 @@
 //! they are single-consumer shapes whose win shows mostly under
 //! contention the storm already demonstrates.
 //!
+//! The last round prices the progress engine's bookkeeping for a posted
+//! small message end to end — `post_message` x 64, `flush`, `wait_op` x 64
+//! over a batched TCP channel — in ns/op (reported) and in engine steps
+//! per op, which is a deterministic count and is asserted: a batchable op
+//! is stepped once and retired by the flush, so more than 2 steps per op
+//! means the engine is re-stepping parked ops again.
+//!
 //! Writes `BENCH_hotpath.json`. Usage: `hotpath [--out PATH]`
 
+use bytes::Bytes;
 use madeleine::pool::BufPool;
 use madeleine::stats::Stats;
-use madeleine::CompletionQueue;
-use madsim_net::{Mailbox, Shardable};
+use madeleine::{ChannelSpec, CompletionQueue, Config, Madeleine, Protocol, RecvMode, SendMode};
+use madsim_net::{Mailbox, NetKind, Shardable, WorldBuilder};
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
@@ -203,11 +212,63 @@ fn pool_storm() -> u64 {
     })
 }
 
+/// Messages per burst and bursts per run of the posted-message round.
+const BURST: usize = 64;
+const BURSTS: usize = 256;
+
+/// Posted-message round: node 0 posts bursts of 64 x 64 B over a batched
+/// TCP channel, flushes and waits every op out; node 1 unpacks them.
+/// Returns the sender's wall-clock ns and its engine's step count.
+fn post_wait_batched() -> (u64, u64) {
+    let mut steps = 0;
+    let elapsed = best_of(|| {
+        let mut b = WorldBuilder::new(2);
+        b.network("eth0", NetKind::Ethernet, &[0, 1]);
+        let spec = ChannelSpec::new("ch", "eth0", Protocol::Tcp).with_batching(16, 4096, 20.0);
+        let config = Config::default().with_channel_spec(spec);
+        let out = b.build().run(move |env| {
+            let mad = Madeleine::init(&env, &config);
+            let ch = mad.channel("ch");
+            let block = Bytes::from(vec![0x5Au8; 64]);
+            env.barrier();
+            let t0 = Instant::now();
+            if env.id() == 0 {
+                let mut ids = Vec::with_capacity(BURST);
+                for _ in 0..BURSTS {
+                    for _ in 0..BURST {
+                        let blocks = vec![(block.clone(), SendMode::Cheaper, RecvMode::Cheaper)];
+                        ids.push(ch.post_message(1, blocks));
+                    }
+                    ch.flush().expect("flush ships the burst");
+                    for id in ids.drain(..) {
+                        ch.wait_op(id).expect("posted message completes");
+                    }
+                }
+            } else {
+                let mut got = [0u8; 64];
+                for _ in 0..BURSTS * BURST {
+                    let mut msg = ch.begin_unpacking();
+                    msg.unpack(&mut got, SendMode::Cheaper, RecvMode::Cheaper);
+                    msg.end_unpacking();
+                    assert_eq!(got, [0x5Au8; 64]);
+                }
+            }
+            (t0.elapsed().as_nanos() as u64, ch.engine().steps())
+        });
+        steps = out[0].1;
+        out[0].0
+    });
+    (elapsed, steps)
+}
+
 #[derive(serde::Serialize)]
 struct Output {
     rounds: Vec<Round>,
     /// Sharded-mailbox ops/second over the single-lock baseline.
     mailbox_speedup: f64,
+    /// Progress-engine steps per posted 64 B message of the
+    /// `post_wait_batched_64b` round (a count, identical run to run).
+    post_wait_steps_per_op: f64,
 }
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
@@ -221,11 +282,14 @@ fn main() {
     let out_path = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_hotpath.json".into());
 
     let storm_ops = PEERS * PER_PEER;
+    let posted_ops = (BURSTS * BURST) as u64;
+    let (posted_ns, posted_steps) = post_wait_batched();
     let rounds = vec![
         round("mailbox_locked_baseline", storm_ops, storm_locked()),
         round("mailbox_sharded", storm_ops, storm_sharded()),
         round("completion_queue_mpsc", storm_ops, cq_storm()),
         round("bufpool_lockfree", storm_ops, pool_storm()),
+        round("post_wait_batched_64b", posted_ops, posted_ns),
     ];
     println!(
         "{:>26} {:>12} {:>10} {:>14}",
@@ -248,9 +312,18 @@ fn main() {
         rounds[1].ops_per_sec,
     );
 
+    let post_wait_steps_per_op = posted_steps as f64 / posted_ops as f64;
+    println!("posted 64 B message: {post_wait_steps_per_op:.2} engine steps/op");
+    assert!(
+        post_wait_steps_per_op <= 2.0,
+        "{post_wait_steps_per_op:.2} engine steps per batchable posted message \
+         ({posted_steps} steps / {posted_ops} ops): parked ops are being re-stepped"
+    );
+
     let json = serde_json::to_string_pretty(&Output {
         rounds,
         mailbox_speedup,
+        post_wait_steps_per_op,
     })
     .expect("serialize results");
     std::fs::write(&out_path, json).expect("write results");

@@ -145,9 +145,10 @@ pub(crate) fn batchable(
         && BATCH_CLASS_HDR_LEN + BATCH_CLASS_ENV_LEN + len <= frame_cap
 }
 
-/// A packet staged in a send batch.
-enum PendingData {
-    /// A blocking-path packet, copied into pooled memory at append time.
+/// A packet handed to [`append`] and staged in a send batch.
+pub(crate) enum BatchItem {
+    /// A blocking-path packet, copied into pooled memory before the
+    /// append (`len` filled).
     Pooled(PooledBuf, usize),
     /// A posted-op block, held zero-copy until the frame is assembled.
     Owned(Bytes),
@@ -155,21 +156,25 @@ enum PendingData {
     /// at flush time — cancelling the op before any flush leaves no gap
     /// in the peer's sequence space.
     DeferredHeader,
+    /// A deferred header once the flush has claimed its sequence number
+    /// and encoded it (never handed to `append`).
+    Header(wire::HeaderBytes),
 }
 
-impl PendingData {
+impl BatchItem {
     fn len(&self) -> usize {
         match self {
-            PendingData::Pooled(_, len) => *len,
-            PendingData::Owned(b) => b.len(),
-            PendingData::DeferredHeader => crate::channel::HEADER_LEN,
+            BatchItem::Pooled(_, len) => *len,
+            BatchItem::Owned(b) => b.len(),
+            BatchItem::DeferredHeader => crate::channel::HEADER_LEN,
+            BatchItem::Header(h) => h.len(),
         }
     }
 }
 
 struct PendingPacket {
     ticket: u64,
-    data: PendingData,
+    data: BatchItem,
     flags: u32,
 }
 
@@ -181,11 +186,9 @@ pub(crate) struct SendBatch {
     /// Deadline armed by the first append of an open batch.
     deadline: Option<VTime>,
     /// Next append ticket (tickets are per-connection, strictly
-    /// increasing; posted ops retire when a flush covers their last one).
+    /// increasing; posted ops retire when a flush covers their last one —
+    /// the watermark is [`Connection::batch_flushed`]).
     next_ticket: u64,
-    /// Every ticket at or below this has left on the wire (or was
-    /// cancelled before a flush covered it).
-    flushed_through: u64,
     /// Virtual instant of the most recent flush.
     last_flush_at: VTime,
     /// Next envelope sequence number to assign at flush.
@@ -203,26 +206,20 @@ impl SendBatch {
             bytes: 0,
             deadline: None,
             next_ticket: 1,
-            flushed_through: 0,
             last_flush_at: VTime::ZERO,
             env_seq: 0,
             err: None,
         }
     }
 
-    /// Has `ticket` been covered by a flush?
-    pub(crate) fn ticket_flushed(&self, ticket: u64) -> bool {
-        self.flushed_through >= ticket
-    }
-
-    /// Virtual instant of the most recent flush.
-    pub(crate) fn last_flush_at(&self) -> VTime {
-        self.last_flush_at
-    }
-
-    /// The poison, if a flush has failed.
-    pub(crate) fn poison(&self) -> Option<MadError> {
-        self.err.clone()
+    /// What the flushes so far did to the tickets they covered: shipped
+    /// them (by the virtual instant of the most recent one) — or, once a
+    /// flush has failed, lost them.
+    pub(crate) fn flush_outcome(&self) -> MadResult<VTime> {
+        match &self.err {
+            Some(e) => Err(e.clone()),
+            None => Ok(self.last_flush_at),
+        }
     }
 
     /// Is the batch open (packets staged, frame not shipped)?
@@ -295,21 +292,6 @@ pub(crate) struct BatchCtx<'a> {
 }
 
 impl BatchCtx<'_> {
-    /// The TM that carries this connection's batch frames — the small
-    /// EXPRESS path, selected symmetrically on both ends.
-    fn frame_tm(&self) -> crate::tm::TmId {
-        self.rail.pmm().select(
-            crate::channel::HEADER_LEN,
-            SendMode::Cheaper,
-            crate::flags::RecvMode::Express,
-        )
-    }
-
-    /// The largest frame the batch TM can carry.
-    pub(crate) fn frame_cap(&self) -> usize {
-        self.rail.pmm().tm(self.frame_tm()).caps().buffer_cap
-    }
-
     /// The longest frame [`append`] can build: it flushes at `max_packets`
     /// packets or once `max_bytes` payload bytes are staged, and no
     /// batchable packet exceeds `max_bytes` or the TM's budget.
@@ -317,7 +299,7 @@ impl BatchCtx<'_> {
         let p = self.policy;
         let table = p.max_packets.saturating_mul(BATCH_CLASS_ENV_LEN);
         let payload = p.max_bytes.saturating_mul(2);
-        self.frame_cap().min(
+        self.rail.batch_frame_cap().min(
             BATCH_CLASS_HDR_LEN
                 .saturating_add(table)
                 .saturating_add(payload),
@@ -325,43 +307,29 @@ impl BatchCtx<'_> {
     }
 }
 
-/// A packet handed to [`append`].
-pub(crate) enum BatchItem {
-    /// Blocking-path bytes, already staged in pooled memory (`len` filled).
-    Pooled(PooledBuf, usize),
-    /// A posted-op block, zero-copy.
-    Owned(Bytes),
-    /// A posted-op internal header (sequence number claimed at flush).
-    DeferredHeader,
-}
-
-/// Append one packet to the connection's send batch, flushing first if it
-/// would not fit and afterwards if a threshold tripped or the packet is
-/// user-EXPRESS. Returns the packet's ticket (posted ops park on it).
+/// Append one packet to the connection's send batch `b` (the caller holds
+/// its lock, so a message's header and blocks go in under one hold),
+/// flushing first if the packet would not fit and afterwards if a
+/// threshold tripped or the packet is user-EXPRESS. Returns the packet's
+/// ticket (posted ops park on their last one).
 pub(crate) fn append(
     ctx: &BatchCtx<'_>,
-    item: BatchItem,
+    b: &mut SendBatch,
+    data: BatchItem,
     express: bool,
     internal: bool,
 ) -> MadResult<u64> {
-    let (data, flags) = match item {
-        BatchItem::Pooled(buf, len) => (PendingData::Pooled(buf, len), 0),
-        BatchItem::Owned(b) => (PendingData::Owned(b), 0),
-        BatchItem::DeferredHeader => (PendingData::DeferredHeader, 0),
-    };
-    let flags =
-        flags | if express { FLAG_EXPRESS } else { 0 } | if internal { FLAG_INTERNAL } else { 0 };
+    let flags = if express { FLAG_EXPRESS } else { 0 } | if internal { FLAG_INTERNAL } else { 0 };
     let len = data.len();
-    let mut b = ctx.conn.send_batch().lock();
-    if let Some(e) = b.poison() {
-        return Err(e);
+    if let Some(e) = &b.err {
+        return Err(e.clone());
     }
     // Would this packet overflow the TM's frame budget? Close the open
     // frame first (a Full flush: the frame is as full as it can get).
     let projected =
         BATCH_CLASS_HDR_LEN + (b.pending.len() + 1) * BATCH_CLASS_ENV_LEN + b.bytes + len;
-    if !b.pending.is_empty() && projected > ctx.frame_cap() {
-        flush_locked(ctx, &mut b, FlushReason::Full)?;
+    if !b.pending.is_empty() && projected > ctx.rail.batch_frame_cap() {
+        flush_locked(ctx, b, FlushReason::Full)?;
     }
     if b.pending.is_empty() {
         b.deadline = Some(time::now() + VDuration::from_micros_f64(ctx.policy.flush_us));
@@ -375,9 +343,9 @@ pub(crate) fn append(
         flags,
     });
     if express {
-        flush_locked(ctx, &mut b, FlushReason::Express)?;
+        flush_locked(ctx, b, FlushReason::Express)?;
     } else if b.pending.len() >= ctx.policy.max_packets || b.bytes >= ctx.policy.max_bytes {
-        flush_locked(ctx, &mut b, FlushReason::Full)?;
+        flush_locked(ctx, b, FlushReason::Full)?;
     }
     Ok(ticket)
 }
@@ -389,8 +357,8 @@ pub(crate) fn flush(ctx: &BatchCtx<'_>, reason: FlushReason) -> MadResult<()> {
 }
 
 fn flush_locked(ctx: &BatchCtx<'_>, b: &mut SendBatch, reason: FlushReason) -> MadResult<()> {
-    if let Some(e) = b.poison() {
-        return Err(e);
+    if let Some(e) = &b.err {
+        return Err(e.clone());
     }
     if b.pending.is_empty() {
         return Ok(());
@@ -401,56 +369,45 @@ fn flush_locked(ctx: &BatchCtx<'_>, b: &mut SendBatch, reason: FlushReason) -> M
     // exactly the stream position their frame occupies. The encoded
     // header length depends on that sequence number, so the claims must
     // precede the envelope table.
-    let headers: Vec<Option<wire::HeaderBytes>> = b
-        .pending
-        .iter()
-        .map(|p| match &p.data {
-            PendingData::DeferredHeader => {
-                Some(wire::encode_msg_header(ctx.me, ctx.conn.next_send_seq()))
-            }
-            _ => None,
-        })
-        .collect();
-    let packets: Vec<(usize, u32)> = b
-        .pending
-        .iter()
-        .zip(&headers)
-        .map(|(p, hdr)| {
-            let len = hdr.as_ref().map_or_else(|| p.data.len(), |h| h.len());
-            (len, p.flags)
-        })
-        .collect();
-    let payload_bytes: usize = packets.iter().map(|&(len, _)| len).sum();
+    for p in b.pending.iter_mut() {
+        if matches!(p.data, BatchItem::DeferredHeader) {
+            let hdr = wire::encode_msg_header(ctx.me, ctx.conn.next_send_seq());
+            p.data = BatchItem::Header(hdr);
+        }
+    }
+    let payload_bytes: usize = b.pending.iter().map(|p| p.data.len()).sum();
     // Envelope table first (lengths are known up front), payloads after.
-    let mut frame = wire::encode_batch_frame(b.env_seq, &packets);
+    let packets = b.pending.iter().map(|p| (p.data.len(), p.flags));
+    let mut frame = wire::encode_batch_frame(b.env_seq, packets);
     b.env_seq = b.env_seq.wrapping_add(count as u32);
-    for (p, hdr) in b.pending.iter().zip(&headers) {
+    for p in &b.pending {
         match &p.data {
-            PendingData::Pooled(buf, len) => frame.extend_from_slice(&buf.raw()[..*len]),
-            PendingData::Owned(bytes) => frame.extend_from_slice(bytes),
-            PendingData::DeferredHeader => {
-                frame.extend_from_slice(hdr.as_ref().expect("built above"));
-            }
+            BatchItem::Pooled(buf, len) => frame.extend_from_slice(&buf.raw()[..*len]),
+            BatchItem::Owned(bytes) => frame.extend_from_slice(bytes),
+            BatchItem::Header(hdr) => frame.extend_from_slice(hdr),
+            BatchItem::DeferredHeader => unreachable!("encoded above"),
         }
     }
     // The staging gather is a real generic-layer copy; charge it.
     time::advance(ctx.host.memcpy(frame.len()));
     ctx.stats.record_copy(payload_bytes);
     let dst = ctx.conn.peer();
-    let tm = ctx.frame_tm();
+    let tm = ctx.rail.batch_tm();
     let sent = ctx.rail.pmm().tm(tm).send_buffer(dst, &frame);
-    // Win or lose, the staged packets are consumed — but the flushed
-    // watermark advances only on success, so an op parked on a ticket
-    // whose bytes died observes the poison, not a completion.
+    // Win or lose, the staged packets are consumed and their tickets
+    // resolved — but a lost frame poisons the batch first, so an op
+    // parked on a ticket whose bytes died retires with the poison, not a
+    // completion.
     b.pending.clear();
     b.bytes = 0;
     b.deadline = None;
     if let Err(e) = sent {
         b.err = Some(e.clone());
+        ctx.conn.set_batch_flushed(u64::MAX);
         return Err(e);
     }
-    b.flushed_through = b.next_ticket - 1;
     b.last_flush_at = time::now();
+    ctx.conn.set_batch_flushed(b.next_ticket - 1);
     ctx.stats.record_batch(reason, count);
     ctx.stats.record_buffer_sent();
     ctx.stats.record_tm_traffic(tm, frame.len());
@@ -491,8 +448,7 @@ pub(crate) fn recv_into(ctx: &BatchCtx<'_>, src: NodeId, dst: &mut [u8]) -> MadR
 
 /// Receive one batch frame from `src` and split it into the queue.
 fn receive_frame(ctx: &BatchCtx<'_>, src: NodeId, rb: &mut RecvBatch) -> MadResult<()> {
-    let tm_id = ctx.frame_tm();
-    let tm = ctx.rail.pmm().tm(tm_id);
+    let tm = ctx.rail.pmm().tm(ctx.rail.batch_tm());
     let frame: Bytes = if tm.caps().static_buffers {
         // Static-buffer stacks deliver the frame whole; keep the arrival
         // bytes alive past the buffer release so the per-packet payloads
@@ -617,12 +573,12 @@ mod tests {
         let mut b = SendBatch::new();
         b.pending.push_back(PendingPacket {
             ticket: 1,
-            data: PendingData::Owned(Bytes::from_static(b"abcd")),
+            data: BatchItem::Owned(Bytes::from_static(b"abcd")),
             flags: 0,
         });
         b.pending.push_back(PendingPacket {
             ticket: 2,
-            data: PendingData::DeferredHeader,
+            data: BatchItem::DeferredHeader,
             flags: FLAG_INTERNAL,
         });
         b.bytes = 4 + crate::channel::HEADER_LEN;

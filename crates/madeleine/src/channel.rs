@@ -47,7 +47,7 @@
 use crate::batch::{self, BatchCtx, BatchItem, FlushReason};
 use crate::bmm::{RecvBmm, SendBmm};
 use crate::config::HostModel;
-use crate::connection::Connections;
+use crate::connection::{Connection, Connections};
 use crate::error::{MadError, MadResult};
 use crate::flags::{RecvMode, SendMode};
 use crate::pmm::Pmm;
@@ -62,7 +62,6 @@ use crate::wire;
 use bytes::Bytes;
 use madsim_net::time::{self, VDuration, VTime};
 use madsim_net::NodeId;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -77,17 +76,9 @@ pub use crate::wire::MSG_CLASS_LEN as HEADER_LEN;
 /// In-order delivery is guaranteed per connection within a channel.
 pub struct Channel {
     name: String,
-    /// The rails, indexed by rail id. Single-rail channels behave exactly
-    /// like the pre-multirail library. Shared (`Arc`) with in-flight
-    /// nonblocking ops, which outlive any one call frame.
-    rails: Arc<Vec<Rail>>,
-    sched: Arc<RailScheduler>,
-    /// Per-peer ordering state (frozen table, atomics inside).
-    conns: Arc<Connections>,
-    me: NodeId,
+    /// What posted ops need of the channel, shared with them.
+    core: Arc<ChannelCore>,
     peers: Vec<NodeId>,
-    stats: Arc<Stats>,
-    host: HostModel,
     /// Channel-lifetime buffer pool: headers, SAFER captures, and (via the
     /// session's driver wiring) protocol static buffers all draw from here,
     /// so steady-state traffic reuses warm slabs across messages. On a
@@ -99,13 +90,6 @@ pub struct Channel {
     open_tx: AtomicUsize,
     /// Incoming messages begun but not yet finalized.
     open_rx: AtomicUsize,
-    /// Optional message-path tracer (see [`crate::trace`]), shared with
-    /// the protocol drivers so TMs can record fault-recovery events
-    /// (retransmissions, credit timeouts) into the channel's stream.
-    tracer: Arc<Tracer>,
-    /// Base of this channel's stripe-ack demultiplexing tags (the channel
-    /// index within the session config; see [`crate::rail`]).
-    ack_base: u64,
     /// Cached liveness of the rails, bit `i` set while rail `i` is in
     /// service. Maintained by [`Rail::quarantine`]; the hot wait paths
     /// test one word per scan instead of re-walking every rail's flag.
@@ -118,11 +102,89 @@ pub struct Channel {
     engine: ProgressEngine,
 }
 
-/// Ack-demultiplexing tag of one striped block: unique per (channel,
-/// connection direction, block); both endpoints derive it from their
-/// per-connection stripe-block counters (see [`crate::rail`]).
-fn stripe_ack_tag(ack_base: u64, sender: NodeId, block: u64) -> u64 {
-    (ack_base << 40) | ((sender as u64 & 0xFFF) << 28) | (block & 0x0FFF_FFFF)
+/// The part of a channel its in-flight nonblocking ops work with. They
+/// outlive any one call frame, so it sits behind one `Arc`: posting a
+/// message bumps one reference count.
+struct ChannelCore {
+    /// The rails, indexed by rail id. Single-rail channels behave exactly
+    /// like the pre-multirail library.
+    rails: Vec<Rail>,
+    sched: RailScheduler,
+    /// Per-peer ordering state (frozen table, atomics inside).
+    conns: Arc<Connections>,
+    me: NodeId,
+    stats: Arc<Stats>,
+    host: HostModel,
+    /// Optional message-path tracer (see [`crate::trace`]), shared with
+    /// the protocol drivers so TMs can record fault-recovery events
+    /// (retransmissions, credit timeouts) into the channel's stream.
+    tracer: Arc<Tracer>,
+    /// Base of this channel's stripe-ack demultiplexing tags (the channel
+    /// index within the session config; see [`crate::rail`]).
+    ack_base: u64,
+}
+
+impl ChannelCore {
+    fn conn(&self, peer: NodeId) -> &Connection {
+        self.conns.get(peer).expect("membership checked")
+    }
+
+    /// Home rail of connection `conn` (0 on single-rail channels).
+    fn home_rail(&self, conn: &Connection) -> usize {
+        if self.rails.len() > 1 {
+            self.sched.home_rail(conn.index(), &self.rails)
+        } else {
+            0
+        }
+    }
+
+    /// The stripe engine's borrowed view of the channel for one striped
+    /// block from `sender` (see [`crate::rail`] for the ack-tag scheme:
+    /// unique per (channel, connection direction, block), derived on both
+    /// endpoints from their per-connection stripe-block counters).
+    fn stripe_ctx(&self, sender: NodeId, block: u64) -> StripeCtx<'_> {
+        let tag = (self.ack_base << 40) | ((sender as u64 & 0xFFF) << 28) | (block & 0x0FFF_FFFF);
+        StripeCtx {
+            rails: &self.rails,
+            sched: &self.sched,
+            me: self.me,
+            stats: &self.stats,
+            tracer: &self.tracer,
+            ack_tag: tag,
+        }
+    }
+
+    /// The batch layer's borrowed view of the channel for one
+    /// append/flush/receive on the connection toward/from `peer`.
+    fn batch_ctx(&self, peer: NodeId, rail: usize) -> BatchCtx<'_> {
+        BatchCtx {
+            conn: self.conn(peer),
+            rail: &self.rails[rail],
+            stats: &self.stats,
+            tracer: &self.tracer,
+            host: &self.host,
+            me: self.me,
+            policy: &self.sched.batch,
+        }
+    }
+
+    /// Does a block of `len`/`smode` ride inside a batch frame on `rail`?
+    /// Pure and symmetric — the receiver evaluates it with the mirrored
+    /// arguments and must agree (the stripe check runs before this one on
+    /// both sides).
+    fn batchable(&self, len: usize, smode: SendMode, rail: usize) -> bool {
+        let cap = self.rails[rail].batch_frame_cap();
+        batch::batchable(&self.sched.batch, len, smode, cap)
+    }
+
+    /// Flush the open send batch toward `peer`, if any (no-op with
+    /// batching disabled).
+    fn flush_batch(&self, peer: NodeId, rail: usize, reason: FlushReason) -> MadResult<()> {
+        if !self.sched.batch.enabled() {
+            return Ok(());
+        }
+        batch::flush(&self.batch_ctx(peer, rail), reason)
+    }
 }
 
 impl Channel {
@@ -153,18 +215,20 @@ impl Channel {
         }
         Arc::new(Channel {
             name,
-            rails: Arc::new(rails),
-            sched: Arc::new(sched),
-            conns,
-            me,
+            core: Arc::new(ChannelCore {
+                rails,
+                sched,
+                conns,
+                me,
+                stats,
+                host,
+                tracer,
+                ack_base,
+            }),
             peers,
-            stats,
-            host,
             pool,
             open_tx: AtomicUsize::new(0),
             open_rx: AtomicUsize::new(0),
-            tracer,
-            ack_base,
             live_mask,
             poll,
             engine,
@@ -205,7 +269,7 @@ impl Channel {
 
     /// This node's id in the session.
     pub fn me(&self) -> NodeId {
-        self.me
+        self.core.me
     }
 
     /// All members of the channel (including this node).
@@ -215,7 +279,7 @@ impl Channel {
 
     /// Copy/traffic counters of this channel.
     pub fn stats(&self) -> &Arc<Stats> {
-        &self.stats
+        &self.core.stats
     }
 
     /// The channel-lifetime buffer pool (rail 0's on multirail channels).
@@ -227,94 +291,32 @@ impl Channel {
     /// channel (exposed for extensions such as the inter-cluster gateway,
     /// which are single-rail by contract).
     pub fn pmm(&self) -> &Arc<dyn Pmm> {
-        self.rails[0].pmm()
+        self.core.rails[0].pmm()
     }
 
     /// The channel's rails, indexed by rail id.
     pub fn rails(&self) -> &[Rail] {
-        &self.rails
+        &self.core.rails
     }
 
     /// The per-peer connection table.
     pub fn connections(&self) -> &Connections {
-        &self.conns
+        &self.core.conns
     }
 
     /// The host-side cost model of this channel's session.
     pub fn host(&self) -> HostModel {
-        self.host
+        self.core.host
     }
 
     /// Start recording Switch/commit/checkout events on this channel.
     pub fn enable_trace(&self) {
-        self.tracer.enable();
+        self.core.tracer.enable();
     }
 
     /// The channel's tracer (query recorded events, clear, disable).
     pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// The stripe engine's borrowed view of this channel for one striped
-    /// block from `sender` (see [`crate::rail`] for the ack-tag scheme).
-    fn stripe_ctx(&self, sender: NodeId, block: u64) -> StripeCtx<'_> {
-        StripeCtx {
-            rails: &self.rails,
-            sched: &self.sched,
-            me: self.me,
-            stats: &self.stats,
-            tracer: &self.tracer,
-            ack_tag: stripe_ack_tag(self.ack_base, sender, block),
-        }
-    }
-
-    /// The batch layer's borrowed view of this channel for one
-    /// append/flush/receive on the connection toward/from `peer`.
-    fn batch_ctx(&self, peer: NodeId, rail: usize) -> BatchCtx<'_> {
-        BatchCtx {
-            conn: self.conns.get(peer).expect("membership checked"),
-            rail: &self.rails[rail],
-            stats: &self.stats,
-            tracer: &self.tracer,
-            host: &self.host,
-            me: self.me,
-            policy: &self.sched.batch,
-        }
-    }
-
-    /// Does a block of `len`/`smode` ride inside a batch frame on `rail`?
-    /// Pure and symmetric — the receiver evaluates it with the mirrored
-    /// arguments and must agree (the stripe check runs before this one on
-    /// both sides).
-    fn batchable(&self, len: usize, smode: SendMode, rail: usize) -> bool {
-        self.sched.batch.enabled()
-            && batch::batchable(&self.sched.batch, len, smode, self.batch_ctx_cap(rail))
-    }
-
-    /// The batch TM's frame budget on `rail`.
-    fn batch_ctx_cap(&self, rail: usize) -> usize {
-        let pmm = self.rails[rail].pmm();
-        let tm = pmm.select(HEADER_LEN, SendMode::Cheaper, RecvMode::Express);
-        pmm.tm(tm).caps().buffer_cap
-    }
-
-    /// Home rail of the connection toward `peer` (0 on single-rail
-    /// channels).
-    fn home_rail_of(&self, conn_index: usize) -> usize {
-        if self.rails.len() > 1 {
-            self.sched.home_rail(conn_index, &self.rails)
-        } else {
-            0
-        }
-    }
-
-    /// Flush the open send batch toward `peer`, if any (no-op with
-    /// batching disabled).
-    fn flush_conn_batch(&self, peer: NodeId, rail: usize, reason: FlushReason) -> MadResult<()> {
-        if !self.sched.batch.enabled() {
-            return Ok(());
-        }
-        batch::flush(&self.batch_ctx(peer, rail), reason)
+        &self.core.tracer
     }
 
     /// Close every connection's open send batch and put its frame on the
@@ -324,19 +326,17 @@ impl Channel {
     /// burst when the peer needs the data *now*. A no-op (and always `Ok`)
     /// when batching is disabled.
     pub fn flush(&self) -> MadResult<()> {
-        if !self.sched.batch.enabled() {
+        if !self.core.sched.batch.enabled() {
             return Ok(());
         }
         let mut result = Ok(());
         for &p in &self.peers {
-            if p == self.me {
+            if p == self.core.me {
                 continue;
             }
-            let conn = self.conns.get(p).expect("member list");
-            let rail = self.home_rail_of(conn.index());
             // Flush every peer even if one fails: its error is recorded
             // (first failure wins) and its batch is poisoned.
-            let r = batch::flush(&self.batch_ctx(p, rail), FlushReason::Explicit);
+            let r = self.flush_peer(self.core.conn(p));
             if result.is_ok() {
                 result = r;
             }
@@ -344,24 +344,35 @@ impl Channel {
         result
     }
 
+    /// [`flush`](Self::flush) for one connection, retiring the posted ops
+    /// its frame covered (a frame that fails to ship fails them).
+    fn flush_peer(&self, conn: &Connection) -> MadResult<()> {
+        let rail = self.core.home_rail(conn);
+        let r = self
+            .core
+            .flush_batch(conn.peer(), rail, FlushReason::Explicit);
+        self.engine.flushed(conn);
+        r
+    }
+
     /// Flush every send batch that a progress tick finds past its
-    /// deadline. Flush errors poison the affected batch, which the parked
-    /// ops surface when they next advance.
+    /// deadline; the tick that follows retires the ops they covered.
+    /// Flush errors poison the affected batch and fail those ops.
     fn flush_due_batches(&self) {
-        if !self.sched.batch.enabled() {
+        if !self.core.sched.batch.enabled() {
             return;
         }
         let now = time::now();
         for &p in &self.peers {
-            if p == self.me {
+            if p == self.core.me {
                 continue;
             }
-            let conn = self.conns.get(p).expect("member list");
+            let conn = self.core.conn(p);
             if !conn.send_batch().lock().deadline_due(now) {
                 continue;
             }
-            let rail = self.home_rail_of(conn.index());
-            let _ = batch::flush(&self.batch_ctx(p, rail), FlushReason::Deadline);
+            let rail = self.core.home_rail(conn);
+            let _ = self.core.flush_batch(p, rail, FlushReason::Deadline);
         }
     }
 
@@ -371,14 +382,14 @@ impl Channel {
     /// may be entirely in memory with nothing left on the fabric. Peers
     /// are scanned in member order for determinism.
     fn queued_batch_source(&self) -> Option<(NodeId, usize)> {
-        if !self.sched.batch.enabled() {
+        if !self.core.sched.batch.enabled() {
             return None;
         }
         for &p in &self.peers {
-            if p == self.me {
+            if p == self.core.me {
                 continue;
             }
-            let rb = self.conns.get(p).expect("member list").recv_batch().lock();
+            let rb = self.core.conn(p).recv_batch().lock();
             if rb.has_queued() {
                 return Some((p, rb.rail()));
             }
@@ -413,7 +424,7 @@ impl Channel {
             self.name
         );
         assert_ne!(
-            dst, self.me,
+            dst, self.core.me,
             "cannot send to self on channel {:?}",
             self.name
         );
@@ -424,10 +435,10 @@ impl Channel {
              was never end_packing'ed (its queued blocks are lost)",
             self.name
         );
-        time::advance(VDuration::from_micros_f64(self.host.begin_op_us));
-        let conn = self.conns.get(dst).expect("membership asserted above");
-        let multirail = self.rails.len() > 1;
-        let rail = self.home_rail_of(conn.index());
+        time::advance(VDuration::from_micros_f64(self.core.host.begin_op_us));
+        let conn = self.core.conn(dst);
+        let multirail = self.core.rails.len() > 1;
+        let rail = self.core.home_rail(conn);
         // Ordering fence: nonblocking ops already posted toward this peer
         // must hit the wire before a blocking message claims the next
         // sequence number, or the peer would see the stream out of order.
@@ -435,20 +446,22 @@ impl Channel {
         // the fence flushes the connection's open batch up front and
         // between ticks (a flush error poisons the batch and fails the
         // parked ops, which terminates the drain).
-        if let Err(e) = self.flush_conn_batch(dst, rail, FlushReason::Explicit) {
+        if let Err(e) = self.core.flush_batch(dst, rail, FlushReason::Explicit) {
             self.open_tx.fetch_sub(1, Ordering::AcqRel);
             return Err(e);
         }
         self.engine.drain_conn(conn, || {
-            let _ = self.flush_conn_batch(dst, rail, FlushReason::Explicit);
+            let _ = self.core.flush_batch(dst, rail, FlushReason::Explicit);
         });
         let seq = conn.next_send_seq();
-        self.tracer.record(TraceEvent::BeginPacking { dst });
+        self.core.tracer.record(TraceEvent::BeginPacking { dst });
         if multirail {
-            self.tracer.record(TraceEvent::RailSelect { dst, rail });
+            self.core
+                .tracer
+                .record(TraceEvent::RailSelect { dst, rail });
         }
-        let stats_at_begin = if self.tracer.is_enabled() {
-            Some(self.stats.snapshot())
+        let stats_at_begin = if self.core.tracer.is_enabled() {
+            Some(self.core.stats.snapshot())
         } else {
             None
         };
@@ -466,7 +479,7 @@ impl Channel {
             // The header is built directly in pooled memory: no stack
             // staging array, no per-message allocation — a warm 64-byte
             // slab per send.
-            let hdr = wire::encode_msg_header(self.me, seq);
+            let hdr = wire::encode_msg_header(self.core.me, seq);
             let mut header = self.pool.checkout(hdr.len());
             {
                 // Every encoded byte goes on the wire and recycled slabs
@@ -483,15 +496,18 @@ impl Channel {
             // Multirail failover: a header that could not be sent marks
             // its rail down; the message restarts on the survivors. Wire
             // corruption is not a rail failure, so it is not retried.
-            if multirail && !matches!(e, MadError::CorruptStream(_)) && attempts < self.rails.len()
+            if multirail
+                && !matches!(e, MadError::CorruptStream(_))
+                && attempts < self.core.rails.len()
             {
-                self.rails[msg.rail].quarantine(&self.stats, &self.tracer);
+                self.core.rails[msg.rail].quarantine(&self.core.stats, &self.core.tracer);
                 msg.cur_tm = None;
                 msg.bmm = None;
-                let next = self.sched.home_rail(conn.index(), &self.rails);
-                if self.rails[next].is_alive() {
+                let next = self.core.sched.home_rail(conn.index(), &self.core.rails);
+                if self.core.rails[next].is_alive() {
                     msg.rail = next;
-                    self.tracer
+                    self.core
+                        .tracer
                         .record(TraceEvent::RailSelect { dst, rail: next });
                     continue;
                 }
@@ -511,7 +527,8 @@ impl Channel {
             return true;
         }
         let live = self.live_mask.load(Ordering::Acquire);
-        self.rails
+        self.core
+            .rails
             .iter()
             .any(|r| live & (1 << r.id()) != 0 && r.pmm().poll_incoming().is_some())
     }
@@ -555,12 +572,12 @@ impl Channel {
              was never end_unpacking'ed (its deferred blocks were never filled)",
             self.name
         );
-        time::advance(VDuration::from_micros_f64(self.host.begin_op_us));
+        time::advance(VDuration::from_micros_f64(self.core.host.begin_op_us));
         // Our own open send batches flush before we block on the fabric:
         // a batched request still sitting in its batch while we wait for
         // the response is a self-inflicted deadlock. Errors poison the
         // affected batch and surface on the send side.
-        if self.sched.batch.enabled() {
+        if self.core.sched.batch.enabled() {
             let _ = self.flush();
         }
         // The announcing header rides the sender's home rail, which makes
@@ -570,12 +587,12 @@ impl Channel {
         // several messages announced them all at once.
         let (src, rail) = if let Some(queued) = self.queued_batch_source() {
             queued
-        } else if self.rails.len() == 1 {
-            (self.rails[0].pmm().wait_incoming(), 0)
+        } else if self.core.rails.len() == 1 {
+            (self.core.rails[0].pmm().wait_incoming(), 0)
         } else {
             self.wait_incoming_multirail()
         };
-        self.tracer.record(TraceEvent::BeginUnpacking { src });
+        self.core.tracer.record(TraceEvent::BeginUnpacking { src });
         let mut msg = IncomingMessage {
             chan: self,
             src,
@@ -601,9 +618,9 @@ impl Channel {
         let my_index = self
             .peers
             .iter()
-            .position(|&p| p == self.me)
+            .position(|&p| p == self.core.me)
             .expect("channel member list includes self");
-        self.sched.home_rail(my_index, &self.rails)
+        self.core.sched.home_rail(my_index, &self.core.rails)
     }
 
     /// Wait for an announced message (multirail only — a single rail uses
@@ -626,14 +643,14 @@ impl Channel {
     fn wait_incoming_multirail(&self) -> (NodeId, usize) {
         loop {
             let start = self.my_announce_rail();
-            let n = self.rails.len();
+            let n = self.core.rails.len();
             let live = self.live_mask.load(Ordering::Acquire);
             let scan = || {
                 (0..n).map(|k| (start + k) % n).find_map(|r| {
                     if live & (1 << r) == 0 {
                         return None;
                     }
-                    self.rails[r].pmm().poll_incoming().map(|src| (src, r))
+                    self.core.rails[r].pmm().poll_incoming().map(|src| (src, r))
                 })
             };
             match scan() {
@@ -660,7 +677,7 @@ impl Channel {
     /// diagnostic.
     fn check_header(&self, msg: &mut IncomingMessage<'_, '_>) -> MadResult<()> {
         let src = msg.src;
-        let Some(conn) = self.conns.get(src) else {
+        let Some(conn) = self.core.conns.get(src) else {
             return Err(MadError::corrupt(format!(
                 "message from node {src}, which is not a member of channel {:?}",
                 self.name
@@ -734,7 +751,7 @@ impl Channel {
             self.name
         );
         assert_ne!(
-            dst, self.me,
+            dst, self.core.me,
             "cannot send to self on channel {:?}",
             self.name
         );
@@ -745,58 +762,31 @@ impl Channel {
              is open (finish end_packing first)",
             self.name
         );
-        time::advance(VDuration::from_micros_f64(self.host.begin_op_us));
-        let conn = self.conns.get(dst).expect("membership asserted above");
-        let multirail = self.rails.len() > 1;
-        let rail = if multirail {
-            self.sched.home_rail(conn.index(), &self.rails)
-        } else {
-            0
-        };
-        self.tracer.record(TraceEvent::PostMessage { dst });
-        if multirail {
-            self.tracer.record(TraceEvent::RailSelect { dst, rail });
+        let core = &self.core;
+        let clock = time::clock();
+        clock.advance(VDuration::from_micros_f64(core.host.begin_op_us));
+        let conn = core.conn(dst);
+        let rail = core.home_rail(conn);
+        core.tracer.record(TraceEvent::PostMessage { dst });
+        if core.rails.len() > 1 {
+            core.tracer.record(TraceEvent::RailSelect { dst, rail });
         }
-        // The header frame claims its sequence number when it *ships*
-        // (first op step), not here — cancelling a never-started op must
-        // not leave a gap in the connection's sequence space.
-        let mut frames = VecDeque::with_capacity(blocks.len() + 1);
-        if self.batchable(HEADER_LEN, SendMode::Cheaper, rail) {
-            frames.push_back(FrameStep::BatchHeader);
-        } else {
-            frames.push_back(FrameStep::Header);
+        // Host-side descriptor cost per block, charged at posting like the
+        // blocking path charges per pack. Nothing else happens here: the
+        // header claims its sequence number when it *ships* (first op
+        // step) — cancelling a never-started op must not leave a gap in
+        // the connection's sequence space — and each block is routed
+        // (stripe, batch or TM) when its turn comes.
+        for _ in &blocks {
+            clock.advance(VDuration::from_micros_f64(core.host.pack_op_us));
         }
-        for (data, smode, rmode) in blocks {
-            // Host-side descriptor cost, charged at posting like the
-            // blocking path charges per pack.
-            time::advance(VDuration::from_micros_f64(self.host.pack_op_us));
-            if self
-                .sched
-                .should_stripe(data.len(), smode, rmode, self.rails.len())
-            {
-                frames.push_back(FrameStep::Stripe { data });
-            } else if self.batchable(data.len(), smode, rail) {
-                frames.push_back(FrameStep::Batch {
-                    data,
-                    express: rmode == RecvMode::Express,
-                });
-            } else {
-                frames.push_back(FrameStep::Tm { data, smode, rmode });
-            }
-        }
-        time::advance(VDuration::from_micros_f64(self.host.end_op_us));
+        clock.advance(VDuration::from_micros_f64(core.host.end_op_us));
         let op = MessageSendOp {
             dst,
             rail,
-            rails: Arc::clone(&self.rails),
-            sched: Arc::clone(&self.sched),
-            conns: Arc::clone(&self.conns),
-            stats: Arc::clone(&self.stats),
-            tracer: Arc::clone(&self.tracer),
-            me: self.me,
-            host: self.host,
-            ack_base: self.ack_base,
-            frames,
+            core: Arc::clone(core),
+            header_sent: false,
+            blocks: blocks.into_iter(),
             pending: None,
             stripe: None,
             started: false,
@@ -806,25 +796,29 @@ impl Channel {
         };
         let id = self.engine.post(conn, Box::new(op));
         // Opportunistic first tick: a message whose frames need no peer
-        // event is fully on the wire when post_message returns.
+        // event is fully on the wire (or in the batch) when post_message
+        // returns.
         self.engine.advance_conn(conn);
         id
     }
 
     /// One progress-engine tick: advance the head op of every peer's
-    /// in-flight list as far as it can go, after flushing any send batch
+    /// in-flight queue as far as it can go, after flushing any send batch
     /// that sat open past its deadline. Returns how many ops retired.
     pub fn progress(&self) -> usize {
         self.flush_due_batches();
         self.engine.progress()
     }
 
-    /// Nonblocking completion test: ticks the engine once and consumes the
-    /// op's result if it retired. On success the caller's clock is
-    /// synchronized with the op's local completion instant.
+    /// Nonblocking completion test: consumes the op's result if it has
+    /// retired, ticking the engine once if it has not. On success the
+    /// caller's clock is synchronized with the op's local completion
+    /// instant.
     pub fn test_op(&self, id: OpId) -> Option<MadResult<VTime>> {
-        self.progress();
-        let r = self.engine.take_result(id)?;
+        let r = self.engine.take_result(id).or_else(|| {
+            self.progress();
+            self.engine.take_result(id)
+        })?;
         if let Ok(at) = r {
             time::advance_to(at);
         }
@@ -833,25 +827,30 @@ impl Channel {
 
     /// Block until op `id` retires, driving the engine through the
     /// channel's [`PollPolicy`] (an interrupt-path wait charges its wakeup
-    /// latency here, after synchronizing with the completion instant).
+    /// latency here, after synchronizing with the completion instant). An
+    /// op that already retired costs neither a flush nor a tick.
     ///
-    /// A blocking wait is an explicit "I need it done": every open send
-    /// batch is force-flushed while driving, so an op parked in
-    /// [`OpState::Batched`] cannot stall the wait on a deadline that
-    /// virtual time may never reach (flush errors surface through the
-    /// failed op itself).
+    /// A blocking wait is an explicit "I need it done": the open send
+    /// batch toward the op's peer is force-flushed while driving, so an op
+    /// parked in [`OpState::Batched`] cannot stall the wait on a deadline
+    /// that virtual time may never reach (flush errors surface through
+    /// the failed op itself). Batches toward other peers — which the op
+    /// cannot depend on — keep coalescing.
     pub fn wait_op(&self, id: OpId) -> MadResult<VTime> {
         let r = self.poll.drive(|| {
-            if self.sched.batch.enabled() {
-                let _ = self.flush();
-            }
-            self.engine.progress();
-            self.engine.take_result(id)
+            self.engine.take_result(id).or_else(|| {
+                if let Some(conn) = self.core.conns.get(id.peer()) {
+                    let _ = self.flush_peer(conn);
+                }
+                self.engine.progress();
+                self.engine.take_result(id)
+            })
         });
+        let clock = time::clock();
         if let Ok(at) = r {
-            time::advance_to(at);
+            clock.advance_to(at);
         }
-        time::advance(crate::polling::take_pending_wakeup_charge());
+        clock.advance(crate::polling::take_pending_wakeup_charge());
         r
     }
 
@@ -880,30 +879,8 @@ impl Channel {
     /// injection hook for tests).
     #[doc(hidden)]
     pub fn quarantine_rail(&self, idx: usize) {
-        self.rails[idx].quarantine(&self.stats, &self.tracer);
+        self.core.rails[idx].quarantine(&self.core.stats, &self.core.tracer);
     }
-}
-
-/// One shippable unit of a posted message.
-enum FrameStep {
-    /// The library header; claims the connection's next sequence number
-    /// at ship time.
-    Header,
-    /// The library header riding inside a batch frame; its sequence
-    /// number is claimed only when the batch flushes, so a cancelled op
-    /// leaves no gap in the connection's sequence space.
-    BatchHeader,
-    /// A block routed through the home rail's PMM-selected TM.
-    Tm {
-        data: Bytes,
-        smode: SendMode,
-        rmode: RecvMode,
-    },
-    /// A small block riding inside a batch frame (zero-copy until the
-    /// frame is assembled).
-    Batch { data: Bytes, express: bool },
-    /// A multirail striped bulk block.
-    Stripe { data: Bytes },
 }
 
 /// A TM continuation parked between ticks, with the accounting recorded
@@ -915,35 +892,38 @@ struct PendingFrame {
     len: usize,
 }
 
+/// One block of a posted message, as the caller handed it over.
+type Block = (Bytes, SendMode, RecvMode);
+
 /// The send-side message state machine behind [`Channel::post_message`]:
 /// ships the header and every block frame in order, parking in
 /// `CreditWait` / `RendezvousWait` / `StripePartial` whenever a frame
 /// needs a peer event, and failing fast (`ChannelDown`) when its rails
-/// die under it.
+/// die under it. One allocation: the op itself.
 struct MessageSendOp {
     dst: NodeId,
     /// Home rail; fixed once the header frame ships (the receiver pins
     /// the message's un-striped blocks to the announcing rail).
     rail: usize,
-    rails: Arc<Vec<Rail>>,
-    sched: Arc<RailScheduler>,
-    conns: Arc<Connections>,
-    stats: Arc<Stats>,
-    tracer: Arc<Tracer>,
-    me: NodeId,
-    host: HostModel,
-    ack_base: u64,
-    frames: VecDeque<FrameStep>,
+    core: Arc<ChannelCore>,
+    /// Whether the library header went out (or into the batch); it claims
+    /// the connection's next sequence number as it ships, or — riding in
+    /// a batch frame — when the batch flushes.
+    header_sent: bool,
+    /// The blocks still to emit: the caller's `Vec`, consumed in place.
+    blocks: std::vec::IntoIter<Block>,
     pending: Option<PendingFrame>,
-    /// The striped block in flight and its ack tag, parked between ticks
-    /// (never together with `pending`: frames ship strictly in order).
+    /// The striped block in flight and its per-connection block number,
+    /// parked between ticks (never together with `pending`: frames ship
+    /// strictly in order).
     stripe: Option<(StripeSend, u64)>,
     started: bool,
     done_at: VTime,
-    /// Batch tickets of this op's first and last batched packets: the op
-    /// parks in [`OpState::Batched`] until a flush covers the last one,
-    /// counts as started once a flush covers the first, and cancels by
-    /// removing the whole range from the pending batch.
+    /// Batch tickets of this op's first and last batched packets: once
+    /// every frame is emitted the op parks in [`OpState::Batched`] until
+    /// a flush covers the last one, counts as started once a flush covers
+    /// the first, and cancels by removing the whole range from the
+    /// pending batch.
     first_ticket: Option<u64>,
     last_ticket: Option<u64>,
 }
@@ -956,44 +936,45 @@ impl MessageSendOp {
         }
     }
 
-    fn batch_ctx(&self) -> BatchCtx<'_> {
-        BatchCtx {
-            conn: self.conns.get(self.dst).expect("membership checked"),
-            rail: &self.rails[self.rail],
-            stats: &self.stats,
-            tracer: &self.tracer,
-            host: &self.host,
-            me: self.me,
-            policy: &self.sched.batch,
-        }
+    /// Does the block ride inside a batch frame (the stripe check runs
+    /// first, as on the blocking path and on the receiver)?
+    fn batches(core: &ChannelCore, rail: usize, (data, smode, rmode): &Block) -> bool {
+        !core
+            .sched
+            .should_stripe(data.len(), *smode, *rmode, core.rails.len())
+            && core.batchable(data.len(), *smode, rail)
     }
 
-    fn note_ticket(&mut self, t: u64) {
-        if self.first_ticket.is_none() {
-            self.first_ticket = Some(t);
-        }
-        self.last_ticket = Some(t);
-    }
-
-    /// Flush the connection's batch before a frame that must not overtake
-    /// the batched packets already staged (a no-op when batching is off
-    /// or nothing is pending).
-    fn flush_batch_barrier(&self) -> MadResult<()> {
-        if !self.sched.batch.enabled() {
+    /// Move the run of batchable frames at the head of what is left of
+    /// the message — its header first, if still unsent — into the
+    /// connection's send batch, zero-copy, under one hold of the batch
+    /// lock.
+    fn append_batchable(&mut self) -> MadResult<()> {
+        let (core, rail) = (&*self.core, self.rail);
+        let header = !self.header_sent && core.batchable(HEADER_LEN, SendMode::Cheaper, rail);
+        let next_batches = |blocks: &std::vec::IntoIter<Block>| match blocks.as_slice().first() {
+            Some(b) => Self::batches(core, rail, b),
+            None => false,
+        };
+        if !header && !(self.header_sent && next_batches(&self.blocks)) {
             return Ok(());
         }
-        batch::flush(&self.batch_ctx(), FlushReason::Explicit)
-    }
-
-    fn stripe_ctx(&self, ack_tag: u64) -> StripeCtx<'_> {
-        StripeCtx {
-            rails: &self.rails,
-            sched: &self.sched,
-            me: self.me,
-            stats: &self.stats,
-            tracer: &self.tracer,
-            ack_tag,
+        let ctx = core.batch_ctx(self.dst, rail);
+        let mut batch = ctx.conn.send_batch().lock();
+        if header {
+            self.header_sent = true;
+            let t = batch::append(&ctx, &mut batch, BatchItem::DeferredHeader, false, true)?;
+            self.first_ticket.get_or_insert(t);
+            self.last_ticket = Some(t);
         }
+        while next_batches(&self.blocks) {
+            let (data, _, rmode) = self.blocks.next().expect("peeked");
+            let express = rmode == RecvMode::Express;
+            let t = batch::append(&ctx, &mut batch, BatchItem::Owned(data), express, false)?;
+            self.first_ticket.get_or_insert(t);
+            self.last_ticket = Some(t);
+        }
+        Ok(())
     }
 }
 
@@ -1004,20 +985,19 @@ impl OpStep for MessageSendOp {
         // rest of the message on the announcing rail. Re-home only in the
         // nothing-shipped case; otherwise surface the fault. (A striped
         // block in flight re-stripes over the survivors by itself.)
-        if self.stripe.is_none() && !self.rails[self.rail].is_alive() {
+        if self.stripe.is_none() && !self.core.rails[self.rail].is_alive() {
             if self.started {
                 if let Some(mut p) = self.pending.take() {
                     p.cont.cancel();
                 }
                 return StepOutcome::Failed(MadError::ChannelDown);
             }
-            let conn = self.conns.get(self.dst).expect("membership checked");
-            let next = self.sched.home_rail(conn.index(), &self.rails);
-            if !self.rails[next].is_alive() {
+            let next = self.core.home_rail(self.core.conn(self.dst));
+            if !self.core.rails[next].is_alive() {
                 return StepOutcome::Failed(MadError::ChannelDown);
             }
             self.rail = next;
-            self.tracer.record(TraceEvent::RailSelect {
+            self.core.tracer.record(TraceEvent::RailSelect {
                 dst: self.dst,
                 rail: next,
             });
@@ -1032,85 +1012,79 @@ impl OpStep for MessageSendOp {
                     return StepOutcome::Pending(state);
                 }
                 Ok(TmStep::Done(at)) => {
-                    self.stats.record_tm_traffic(p.tm, p.len);
-                    self.stats.record_buffer_sent();
+                    self.core.stats.record_tm_traffic(p.tm, p.len);
+                    self.core.stats.record_buffer_sent();
                     self.done_at = self.done_at.max(at);
                 }
                 Err(e) => return StepOutcome::Failed(e),
             }
         }
         // So does the striped block in flight.
-        if let Some((mut stripe, ack_tag)) = self.stripe.take() {
-            match stripe.try_advance(&self.stripe_ctx(ack_tag)) {
+        if let Some((mut stripe, block)) = self.stripe.take() {
+            match stripe.try_advance(&self.core.stripe_ctx(self.core.me, block)) {
                 Ok(Some(at)) => self.done_at = self.done_at.max(at),
                 Ok(None) => {
-                    self.stripe = Some((stripe, ack_tag));
+                    self.stripe = Some((stripe, block));
                     return StepOutcome::Pending(OpState::StripePartial);
                 }
                 Err(e) => return StepOutcome::Failed(e),
             }
         }
-        while let Some(frame) = self.frames.pop_front() {
-            // Frames that bypass the batch layer (big blocks, striped
-            // blocks, a non-batchable header) must not overtake packets
-            // already staged in the connection's batch: close its frame
-            // first.
-            if !matches!(frame, FrameStep::BatchHeader | FrameStep::Batch { .. }) {
-                if let Err(e) = self.flush_batch_barrier() {
-                    return StepOutcome::Failed(e);
-                }
+        loop {
+            if let Err(e) = self.append_batchable() {
+                return StepOutcome::Failed(e);
             }
-            let (data, smode, rmode) = match frame {
-                FrameStep::Header => {
+            let block = if self.header_sent {
+                match self.blocks.next() {
+                    Some(block) => Some(block),
+                    None => break,
+                }
+            } else {
+                None
+            };
+            // The next frame bypasses the batch layer (a big block, a
+            // striped block, a non-batchable header) and must not
+            // overtake packets already staged in the connection's batch:
+            // close its frame first.
+            let barrier = self
+                .core
+                .flush_batch(self.dst, self.rail, FlushReason::Explicit);
+            if let Err(e) = barrier {
+                return StepOutcome::Failed(e);
+            }
+            let conn = self.core.conn(self.dst);
+            let (data, smode, rmode) = match block {
+                Some(block) => block,
+                None => {
                     // The point of no return: the sequence number is
                     // claimed, so from here the op must run to a terminal
                     // state (cancel is refused once `started`).
-                    let conn = self.conns.get(self.dst).expect("membership checked");
-                    let seq = conn.next_send_seq();
-                    (
-                        Bytes::copy_from_slice(&wire::encode_msg_header(self.me, seq)),
-                        SendMode::Cheaper,
-                        RecvMode::Express,
-                    )
-                }
-                FrameStep::BatchHeader => {
-                    let r =
-                        batch::append(&self.batch_ctx(), BatchItem::DeferredHeader, false, true);
-                    match r {
-                        Ok(t) => self.note_ticket(t),
-                        Err(e) => return StepOutcome::Failed(e),
-                    }
-                    continue;
-                }
-                FrameStep::Batch { data, express } => {
-                    let r =
-                        batch::append(&self.batch_ctx(), BatchItem::Owned(data), express, false);
-                    match r {
-                        Ok(t) => self.note_ticket(t),
-                        Err(e) => return StepOutcome::Failed(e),
-                    }
-                    continue;
-                }
-                FrameStep::Tm { data, smode, rmode } => (data, smode, rmode),
-                FrameStep::Stripe { data } => {
-                    self.started = true;
-                    let conn = self.conns.get(self.dst).expect("membership checked");
-                    let ack_tag =
-                        stripe_ack_tag(self.ack_base, self.me, conn.next_tx_stripe_block());
-                    let stripe = StripeSend::new(&self.stripe_ctx(ack_tag), self.dst, data);
-                    self.stripe = Some((stripe, ack_tag));
-                    // This tick already ships every rail's first header.
-                    return self.try_advance();
+                    self.header_sent = true;
+                    let hdr = wire::encode_msg_header(self.core.me, conn.next_send_seq());
+                    let data = Bytes::copy_from_slice(&hdr);
+                    (data, SendMode::Cheaper, RecvMode::Express)
                 }
             };
-            let pmm = self.rails[self.rail].pmm();
+            self.started = true;
+            let n_rails = self.core.rails.len();
+            if self
+                .core
+                .sched
+                .should_stripe(data.len(), smode, rmode, n_rails)
+            {
+                let block = conn.next_tx_stripe_block();
+                let ctx = self.core.stripe_ctx(self.core.me, block);
+                self.stripe = Some((StripeSend::new(&ctx, self.dst, data), block));
+                // This tick already ships every rail's first header.
+                return self.try_advance();
+            }
+            let pmm = self.core.rails[self.rail].pmm();
             let tm = pmm.select(data.len(), smode, rmode);
             let len = data.len();
-            self.started = true;
             match pmm.tm(tm).post_send(self.dst, data) {
                 Ok(TmSend::Done(at)) => {
-                    self.stats.record_tm_traffic(tm, len);
-                    self.stats.record_buffer_sent();
+                    self.core.stats.record_tm_traffic(tm, len);
+                    self.core.stats.record_buffer_sent();
                     self.done_at = self.done_at.max(at);
                 }
                 Ok(TmSend::Pending(cont)) => {
@@ -1127,36 +1101,28 @@ impl OpStep for MessageSendOp {
             }
         }
         // Every frame is emitted, but batched packets only count as sent
-        // once a flush covers them; until then the op parks in `Batched`
-        // (and a later op may append behind it — see the progress
-        // engine's walk rule).
+        // once a flush covers them: the engine parks the op behind its
+        // last ticket and the flush that covers it retires it (a later op
+        // may append behind it meanwhile).
         if let Some(last) = self.last_ticket {
-            let conn = self.conns.get(self.dst).expect("membership checked");
-            let b = conn.send_batch().lock();
-            if !b.ticket_flushed(last) {
-                if let Some(e) = b.poison() {
-                    return StepOutcome::Failed(e);
-                }
-                return StepOutcome::Pending(OpState::Batched);
-            }
-            self.done_at = self.done_at.max(b.last_flush_at());
+            return StepOutcome::Batched(last);
         }
-        self.stats.record_message();
+        self.core.stats.record_message();
         StepOutcome::Done(self.done_at.max(time::now()))
+    }
+
+    fn on_flushed(&mut self, at: VTime) -> VTime {
+        self.core.stats.record_message();
+        self.done_at.max(at)
     }
 
     fn started(&self) -> bool {
         // A batched op has irrevocably reached the wire once any flush
         // covered its first packet.
         self.started
-            || self.first_ticket.is_some_and(|t| {
-                self.conns
-                    .get(self.dst)
-                    .expect("membership checked")
-                    .send_batch()
-                    .lock()
-                    .ticket_flushed(t)
-            })
+            || self
+                .first_ticket
+                .is_some_and(|t| self.core.conn(self.dst).batch_flushed() >= t)
     }
 
     fn on_cancel(&mut self) {
@@ -1164,17 +1130,12 @@ impl OpStep for MessageSendOp {
         if let Some(mut p) = self.pending.take() {
             p.cont.cancel();
         }
-        self.frames.clear();
         // Pull the op's never-flushed packets back out of the batch; the
         // deferred header claimed no sequence number yet, so the peer
         // sees no gap.
         if let (Some(first), Some(last)) = (self.first_ticket, self.last_ticket) {
-            self.conns
-                .get(self.dst)
-                .expect("membership checked")
-                .send_batch()
-                .lock()
-                .cancel_tickets(first, last);
+            let conn = self.core.conn(self.dst);
+            conn.send_batch().lock().cancel_tickets(first, last);
         }
     }
 }
@@ -1235,11 +1196,12 @@ impl<'c, 'a> OutgoingMessage<'c, 'a> {
             !self.done,
             "pack after end_packing (or after a failed pack)"
         );
-        time::advance(VDuration::from_micros_f64(self.chan.host.pack_op_us));
+        time::advance(VDuration::from_micros_f64(self.chan.core.host.pack_op_us));
         let chan = self.chan;
         if chan
+            .core
             .sched
-            .should_stripe(data.len(), smode, rmode, chan.rails.len())
+            .should_stripe(data.len(), smode, rmode, chan.core.rails.len())
         {
             // Commit the home rail's BMM first so the striped block takes
             // its place in the per-connection order (the receiver mirrors
@@ -1248,14 +1210,14 @@ impl<'c, 'a> OutgoingMessage<'c, 'a> {
                 old.flush()?;
             }
             self.cur_tm = None;
-            let conn = chan
-                .conns
-                .get(self.dst)
-                .expect("membership checked at begin");
+            let conn = chan.core.conn(self.dst);
             // The striped block must not overtake small packets staged in
             // the connection's batch either.
-            chan.flush_conn_batch(self.dst, self.rail, FlushReason::Explicit)?;
-            let ctx = chan.stripe_ctx(chan.me, conn.next_tx_stripe_block());
+            chan.core
+                .flush_batch(self.dst, self.rail, FlushReason::Explicit)?;
+            let ctx = chan
+                .core
+                .stripe_ctx(chan.core.me, conn.next_tx_stripe_block());
             // The engine op a posted message parks, spun to completion (a
             // blocking send waits on its peer at no modelled cost). The copy
             // stages the simulated DMA (real BIP reads user memory): not counted.
@@ -1268,16 +1230,17 @@ impl<'c, 'a> OutgoingMessage<'c, 'a> {
                 std::thread::yield_now();
             }
         }
-        if chan.batchable(data.len(), smode, self.rail) {
+        if chan.core.batchable(data.len(), smode, self.rail) {
             return self.pack_batched(data, smode, rmode == RecvMode::Express);
         }
         // A non-batchable block is an ordering barrier for the batch, the
         // same way a TM switch is for the open BMM.
-        chan.flush_conn_batch(self.dst, self.rail, FlushReason::Explicit)?;
-        let pmm = chan.rails[self.rail].pmm();
+        chan.core
+            .flush_batch(self.dst, self.rail, FlushReason::Explicit)?;
+        let pmm = chan.core.rails[self.rail].pmm();
         let tm = pmm.select(data.len(), smode, rmode);
         self.switch_to(tm)?;
-        chan.tracer.record(TraceEvent::Pack {
+        chan.core.tracer.record(TraceEvent::Pack {
             len: data.len(),
             smode,
             rmode,
@@ -1308,11 +1271,18 @@ impl<'c, 'a> OutgoingMessage<'c, 'a> {
         }
         self.cur_tm = None;
         debug_assert!(smode != SendMode::Later, "LATER blocks never batch");
-        let buf = chan.rails[self.rail].pool().checkout_from(data);
-        time::advance(chan.host.memcpy(data.len()));
-        chan.stats.record_copy(data.len());
-        let ctx = chan.batch_ctx(self.dst, self.rail);
-        batch::append(&ctx, BatchItem::Pooled(buf, data.len()), express, false)?;
+        let buf = chan.core.rails[self.rail].pool().checkout_from(data);
+        time::advance(chan.core.host.memcpy(data.len()));
+        chan.core.stats.record_copy(data.len());
+        let ctx = chan.core.batch_ctx(self.dst, self.rail);
+        let item = BatchItem::Pooled(buf, data.len());
+        batch::append(
+            &ctx,
+            &mut ctx.conn.send_batch().lock(),
+            item,
+            express,
+            false,
+        )?;
         Ok(())
     }
 
@@ -1341,15 +1311,20 @@ impl<'c, 'a> OutgoingMessage<'c, 'a> {
             !self.done,
             "pack after end_packing (or after a failed pack)"
         );
-        time::advance(VDuration::from_micros_f64(self.chan.host.pack_op_us));
-        if self.chan.batchable(data.len(), SendMode::Safer, self.rail) {
+        time::advance(VDuration::from_micros_f64(self.chan.core.host.pack_op_us));
+        if self
+            .chan
+            .core
+            .batchable(data.len(), SendMode::Safer, self.rail)
+        {
             // SAFER wants the data captured during the call — exactly what
             // the batch append does.
             return self.pack_batched(data, SendMode::Safer, rmode == RecvMode::Express);
         }
         self.chan
-            .flush_conn_batch(self.dst, self.rail, FlushReason::Explicit)?;
-        let pmm = self.chan.rails[self.rail].pmm();
+            .core
+            .flush_batch(self.dst, self.rail, FlushReason::Explicit)?;
+        let pmm = self.chan.core.rails[self.rail].pmm();
         self.switch_to(pmm.select(data.len(), SendMode::Safer, rmode))?;
         let bmm = self.bmm.as_mut().expect("switched");
         bmm.pack_safer_now(data)?;
@@ -1367,18 +1342,22 @@ impl<'c, 'a> OutgoingMessage<'c, 'a> {
     /// receiver's mirrored classification cannot know yet.
     fn pack_internal(&mut self, data: PooledBuf) -> MadResult<()> {
         let chan = self.chan;
-        if chan.batchable(HEADER_LEN, SendMode::Cheaper, self.rail) {
+        if chan
+            .core
+            .batchable(HEADER_LEN, SendMode::Cheaper, self.rail)
+        {
             // The message header opens the message, so no BMM can be open
             // yet; it joins the batch *without* an express flush — the
             // header alone announces nothing the peer can act on, and
             // holding it is what lets whole small messages coalesce.
             debug_assert!(self.bmm.is_none(), "header packed mid-message");
             let len = data.len();
-            let ctx = chan.batch_ctx(self.dst, self.rail);
-            batch::append(&ctx, BatchItem::Pooled(data, len), false, true)?;
+            let ctx = chan.core.batch_ctx(self.dst, self.rail);
+            let item = BatchItem::Pooled(data, len);
+            batch::append(&ctx, &mut ctx.conn.send_batch().lock(), item, false, true)?;
             return Ok(());
         }
-        let pmm = chan.rails[self.rail].pmm();
+        let pmm = chan.core.rails[self.rail].pmm();
         self.switch_to(pmm.select(HEADER_LEN, SendMode::Cheaper, RecvMode::Express))?;
         let bmm = self.bmm.as_mut().expect("switched");
         bmm.pack_pooled(data)?;
@@ -1393,20 +1372,20 @@ impl<'c, 'a> OutgoingMessage<'c, 'a> {
         // transfer methods (paper §4.1).
         if let Some(mut old) = self.bmm.take() {
             old.flush()?;
-            self.chan.tracer.record(TraceEvent::CommitOnSwitch {
+            self.chan.core.tracer.record(TraceEvent::CommitOnSwitch {
                 from: self.cur_tm.expect("old BMM implies a current TM"),
                 to: tm,
             });
         }
-        let rail = &self.chan.rails[self.rail];
+        let rail = &self.chan.core.rails[self.rail];
         self.cur_tm = Some(tm);
         self.bmm = Some(SendBmm::with_pool(
             rail.pmm().policy(tm),
             rail.pmm().tm(tm),
             tm,
             self.dst,
-            self.chan.host,
-            Arc::clone(&self.chan.stats),
+            self.chan.core.host,
+            Arc::clone(&self.chan.core.stats),
             rail.pool().clone(),
         ));
         Ok(())
@@ -1424,8 +1403,8 @@ impl<'c, 'a> OutgoingMessage<'c, 'a> {
             // envelope sequence number was assigned yet, so the peer's
             // continuity check is unaffected. (Posted ops cannot have
             // packets pending here — `begin_packing` drained them.)
-            if self.chan.sched.batch.enabled() {
-                if let Some(conn) = self.chan.conns.get(self.dst) {
+            if self.chan.core.sched.batch.enabled() {
+                if let Some(conn) = self.chan.core.conns.get(self.dst) {
                     conn.send_batch().lock().cancel_tickets(0, u64::MAX);
                 }
             }
@@ -1462,21 +1441,22 @@ impl<'c, 'a> OutgoingMessage<'c, 'a> {
         if result.is_ok() {
             result = self
                 .chan
-                .flush_conn_batch(self.dst, self.rail, FlushReason::Explicit);
+                .core
+                .flush_batch(self.dst, self.rail, FlushReason::Explicit);
         }
-        time::advance(VDuration::from_micros_f64(self.chan.host.end_op_us));
-        self.chan.tracer.record(TraceEvent::EndPacking);
+        time::advance(VDuration::from_micros_f64(self.chan.core.host.end_op_us));
+        self.chan.core.tracer.record(TraceEvent::EndPacking);
         if result.is_ok() {
             if let Some(at_begin) = self.stats_at_begin.take() {
-                let d = self.chan.stats.snapshot().since(&at_begin);
-                self.chan.tracer.record(TraceEvent::MessageStats {
+                let d = self.chan.core.stats.snapshot().since(&at_begin);
+                self.chan.core.tracer.record(TraceEvent::MessageStats {
                     copied_bytes: d.copied_bytes,
                     borrowed_bytes: d.borrowed_bytes,
                     pool_hits: d.pool_hits,
                     pool_misses: d.pool_misses,
                 });
             }
-            self.chan.stats.record_message();
+            self.chan.core.stats.record_message();
         }
         self.chan.open_tx.fetch_sub(1, Ordering::AcqRel);
         self.done = true;
@@ -1548,11 +1528,12 @@ impl<'c, 'a> IncomingMessage<'c, 'a> {
             !self.done,
             "unpack after end_unpacking (or after a failed unpack)"
         );
-        time::advance(VDuration::from_micros_f64(self.chan.host.pack_op_us));
+        time::advance(VDuration::from_micros_f64(self.chan.core.host.pack_op_us));
         let chan = self.chan;
         if chan
+            .core
             .sched
-            .should_stripe(dst.len(), smode, rmode, chan.rails.len())
+            .should_stripe(dst.len(), smode, rmode, chan.core.rails.len())
         {
             // Mirror of the sender's pre-stripe commit: check out the
             // home rail's BMM, then reassemble the striped block.
@@ -1560,35 +1541,26 @@ impl<'c, 'a> IncomingMessage<'c, 'a> {
                 old.checkout()?;
             }
             self.cur_tm = None;
-            let conn = chan
-                .conns
-                .get(self.src)
-                .expect("membership checked at begin");
-            let ctx = chan.stripe_ctx(self.src, conn.next_rx_stripe_block());
+            let conn = chan.core.conn(self.src);
+            let ctx = chan.core.stripe_ctx(self.src, conn.next_rx_stripe_block());
             return rail::stripe_recv(&ctx, self.src, dst);
         }
-        if chan.batchable(dst.len(), smode, self.rail) {
+        if chan.core.batchable(dst.len(), smode, self.rail) {
             return self.unpack_batched(dst);
         }
         // Mirror of the sender's pre-barrier flush: by the time a
         // non-batchable block is unpacked, every batched packet before it
         // was already popped by the mirrored unpacks.
         debug_assert!(
-            !chan.sched.batch.enabled()
-                || !chan
-                    .conns
-                    .get(self.src)
-                    .expect("membership checked at begin")
-                    .recv_batch()
-                    .lock()
-                    .has_queued(),
+            !chan.core.sched.batch.enabled()
+                || !chan.core.conn(self.src).recv_batch().lock().has_queued(),
             "batched packets left queued at a non-batchable unpack \
              (asymmetric pack/unpack?)"
         );
-        let pmm = chan.rails[self.rail].pmm();
+        let pmm = chan.core.rails[self.rail].pmm();
         let tm = pmm.select(dst.len(), smode, rmode);
         self.switch_to(tm)?;
-        chan.tracer.record(TraceEvent::Unpack {
+        chan.core.tracer.record(TraceEvent::Unpack {
             len: dst.len(),
             smode,
             rmode,
@@ -1607,7 +1579,7 @@ impl<'c, 'a> IncomingMessage<'c, 'a> {
             old.checkout()?;
         }
         self.cur_tm = None;
-        let ctx = self.chan.batch_ctx(self.src, self.rail);
+        let ctx = self.chan.core.batch_ctx(self.src, self.rail);
         batch::recv_into(&ctx, self.src, dst)
     }
 
@@ -1637,14 +1609,14 @@ impl<'c, 'a> IncomingMessage<'c, 'a> {
             !self.done,
             "unpack after end_unpacking (or after a failed unpack)"
         );
-        time::advance(VDuration::from_micros_f64(self.chan.host.pack_op_us));
-        if self.chan.batchable(dst.len(), smode, self.rail) {
+        time::advance(VDuration::from_micros_f64(self.chan.core.host.pack_op_us));
+        if self.chan.core.batchable(dst.len(), smode, self.rail) {
             return self.unpack_batched(dst);
         }
-        let pmm = self.chan.rails[self.rail].pmm();
+        let pmm = self.chan.core.rails[self.rail].pmm();
         let tm = pmm.select(dst.len(), smode, RecvMode::Express);
         self.switch_to(tm)?;
-        self.chan.tracer.record(TraceEvent::Unpack {
+        self.chan.core.tracer.record(TraceEvent::Unpack {
             len: dst.len(),
             smode,
             rmode: RecvMode::Express,
@@ -1658,12 +1630,15 @@ impl<'c, 'a> IncomingMessage<'c, 'a> {
     /// predicted encoded length, which may be shorter).
     fn unpack_internal(&mut self, dst: &mut [u8]) -> MadResult<()> {
         let chan = self.chan;
-        if chan.batchable(HEADER_LEN, SendMode::Cheaper, self.rail) {
+        if chan
+            .core
+            .batchable(HEADER_LEN, SendMode::Cheaper, self.rail)
+        {
             debug_assert!(self.bmm.is_none(), "header unpacked mid-message");
-            let ctx = chan.batch_ctx(self.src, self.rail);
+            let ctx = chan.core.batch_ctx(self.src, self.rail);
             return batch::recv_into(&ctx, self.src, dst);
         }
-        let pmm = chan.rails[self.rail].pmm();
+        let pmm = chan.core.rails[self.rail].pmm();
         self.switch_to(pmm.select(HEADER_LEN, SendMode::Cheaper, RecvMode::Express))?;
         self.bmm.as_mut().expect("switched").unpack_express_now(dst)
     }
@@ -1675,19 +1650,19 @@ impl<'c, 'a> IncomingMessage<'c, 'a> {
         // Checkout the previous BMM (mirror of the sender's commit).
         if let Some(mut old) = self.bmm.take() {
             old.checkout()?;
-            self.chan.tracer.record(TraceEvent::CheckoutOnSwitch {
+            self.chan.core.tracer.record(TraceEvent::CheckoutOnSwitch {
                 from: self.cur_tm.expect("old BMM implies a current TM"),
                 to: tm,
             });
         }
-        let rail = &self.chan.rails[self.rail];
+        let rail = &self.chan.core.rails[self.rail];
         self.cur_tm = Some(tm);
         self.bmm = Some(RecvBmm::new(
             rail.pmm().policy(tm),
             rail.pmm().tm(tm),
             self.src,
-            self.chan.host,
-            Arc::clone(&self.chan.stats),
+            self.chan.core.host,
+            Arc::clone(&self.chan.core.stats),
         ));
         Ok(())
     }
@@ -1725,8 +1700,8 @@ impl<'c, 'a> IncomingMessage<'c, 'a> {
         if let Some(mut bmm) = self.bmm.take() {
             result = bmm.checkout();
         }
-        time::advance(VDuration::from_micros_f64(self.chan.host.end_op_us));
-        self.chan.tracer.record(TraceEvent::EndUnpacking);
+        time::advance(VDuration::from_micros_f64(self.chan.core.host.end_op_us));
+        self.chan.core.tracer.record(TraceEvent::EndUnpacking);
         self.chan.open_rx.fetch_sub(1, Ordering::AcqRel);
         self.done = true;
         result

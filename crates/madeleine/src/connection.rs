@@ -7,7 +7,7 @@
 //! *different* peers — serialized on those locks. [`Connection`] replaces
 //! them with plain atomics pinned in an immutable per-channel table
 //! ([`Connections`]), so two threads sending to distinct peers never touch
-//! the same cache line, and the lookup is a wait-free read of a frozen map.
+//! the same cache line, and the lookup is a wait-free read of a frozen table.
 //!
 //! The connection also carries the multirail stripe-block counters: both
 //! endpoints count striped blocks per direction, which gives the stripe
@@ -15,10 +15,9 @@
 //! [`crate::rail`]).
 
 use crate::batch::{RecvBatch, SendBatch};
-use crate::progress::{OpId, OpSlab};
+use crate::progress::OpSlab;
 use madsim_net::NodeId;
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Ordering state for one peer of a channel.
@@ -37,16 +36,16 @@ pub struct Connection {
     tx_stripe_blocks: AtomicU64,
     /// Striped blocks received from the peer (multirail only).
     rx_stripe_blocks: AtomicU64,
-    /// Nonblocking ops posted toward the peer, oldest first. The progress
-    /// engine advances only the head, so the wire stream stays in posting
-    /// order and at most one rendezvous per peer is outstanding (a CTS can
-    /// never pair with the wrong long send). Empty in blocking-only
-    /// programs — the fast path pays one uncontended lock per fence check.
-    in_flight: Mutex<VecDeque<OpId>>,
-    /// Op state for every nonblocking op addressed to this peer: a slab
-    /// with generational indices (see [`crate::progress`]). Sharding the
-    /// old global op table here means posters/waiters on distinct peers
-    /// never touch the same lock.
+    /// Every nonblocking op addressed to this peer: a slab with
+    /// generational indices holding each op's state, plus the in-flight
+    /// order itself — the queue of ops still emitting frames (only its
+    /// head is ever stepped, so the wire stream stays in posting order and
+    /// at most one rendezvous per peer is outstanding) and the ops parked
+    /// in `Batched` behind their last batch ticket (see
+    /// [`crate::progress`]). One lock covers all three, so a post is one
+    /// lock round trip and posters/waiters on distinct peers share none.
+    /// Empty in blocking-only programs — the fast path pays one
+    /// uncontended lock per fence check.
     ops: Mutex<OpSlab>,
     /// Serializes progress ticks *on this connection only* — the
     /// replacement for the engine's old global tick lock. Ticks on other
@@ -55,6 +54,13 @@ pub struct Connection {
     /// Outgoing small packets coalescing toward the peer (batching
     /// enabled only; stays empty and lock-cheap otherwise).
     send_batch: Mutex<SendBatch>,
+    /// Every batch ticket at or below this has been resolved by a flush:
+    /// its packet left on the wire — or died with the frame whose failed
+    /// flush poisoned the batch, which publishes `u64::MAX` (nothing later
+    /// ships either). Written under the batch lock, read without it: the
+    /// engine's retire pass, a parked op's `started()` and `wait_op` never
+    /// queue behind an append.
+    batch_flushed: AtomicU64,
     /// Packets split out of arrived batch frames, awaiting their
     /// `unpack` calls.
     recv_batch: Mutex<RecvBatch>,
@@ -69,10 +75,10 @@ impl Connection {
             recv_seq: AtomicU32::new(0),
             tx_stripe_blocks: AtomicU64::new(0),
             rx_stripe_blocks: AtomicU64::new(0),
-            in_flight: Mutex::new(VecDeque::new()),
             ops: Mutex::new(OpSlab::new()),
             tick: Mutex::new(()),
             send_batch: Mutex::new(SendBatch::new()),
+            batch_flushed: AtomicU64::new(0),
             recv_batch: Mutex::new(RecvBatch::new()),
         }
     }
@@ -137,31 +143,18 @@ impl Connection {
         self.rx_stripe_blocks.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Append an op to the tail of the in-flight list.
-    pub(crate) fn push_in_flight(&self, id: OpId) {
-        self.in_flight.lock().push_back(id);
+    /// The flush watermark of the send batch (see the field docs).
+    pub(crate) fn batch_flushed(&self) -> u64 {
+        self.batch_flushed.load(Ordering::Acquire)
     }
 
-    /// The op at position `pos` of the in-flight list (0 = FIFO head).
-    /// The progress engine walks past head ops parked in
-    /// [`OpState::Batched`](crate::progress::OpState::Batched), so it
-    /// addresses ops by position, not just the front.
-    pub(crate) fn in_flight_at(&self, pos: usize) -> Option<OpId> {
-        self.in_flight.lock().get(pos).copied()
+    /// Publish a flush's watermark; the caller holds the batch lock.
+    pub(crate) fn set_batch_flushed(&self, through: u64) {
+        self.batch_flushed.store(through, Ordering::Release);
     }
 
-    /// Remove a retired or cancelled op wherever it sits in the list.
-    pub(crate) fn remove_in_flight(&self, id: OpId) {
-        self.in_flight.lock().retain(|&x| x != id);
-    }
-
-    /// Whether no nonblocking op is outstanding toward the peer.
-    pub(crate) fn in_flight_is_empty(&self) -> bool {
-        self.in_flight.lock().is_empty()
-    }
-
-    /// This connection's op slab (state of every nonblocking op toward
-    /// the peer).
+    /// This connection's op slab (state and in-flight order of every
+    /// nonblocking op toward the peer).
     pub(crate) fn ops(&self) -> &Mutex<OpSlab> {
         &self.ops
     }
@@ -176,39 +169,42 @@ impl Connection {
 /// remote member, built once at channel construction. Lookups after that
 /// are read-only — no lock anywhere on the sequence-number path.
 pub struct Connections {
-    map: HashMap<NodeId, Connection>,
+    /// Sorted by peer id: a lookup is a short binary search, not a hash.
+    conns: Vec<Connection>,
 }
 
 impl Connections {
     /// Build the table for a channel whose member list is `peers` (in
     /// world-declaration order, including `me`, which gets no entry).
     pub fn new(me: NodeId, peers: &[NodeId]) -> Self {
-        let map = peers
+        let mut conns: Vec<Connection> = peers
             .iter()
             .enumerate()
             .filter(|&(_, &p)| p != me)
-            .map(|(i, &p)| (p, Connection::new(p, i)))
+            .map(|(i, &p)| Connection::new(p, i))
             .collect();
-        Connections { map }
+        conns.sort_by_key(Connection::peer);
+        Connections { conns }
     }
 
     /// The connection toward `peer`, if it is a member.
     pub fn get(&self, peer: NodeId) -> Option<&Connection> {
-        self.map.get(&peer)
+        let at = self.conns.binary_search_by_key(&peer, Connection::peer);
+        at.ok().map(|i| &self.conns[i])
     }
 
     /// Number of remote members.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.conns.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.conns.is_empty()
     }
 
-    /// Iterate over every peer's connection (order unspecified).
+    /// Iterate over every peer's connection, in peer order.
     pub fn iter(&self) -> impl Iterator<Item = &Connection> {
-        self.map.values()
+        self.conns.iter()
     }
 }
 

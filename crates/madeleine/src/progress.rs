@@ -40,9 +40,13 @@
 //!   later ticks release payloads in chunk order as they harvest the CTSs
 //!   (each anchored at `max(posted_at, cts_arrival)` on its rail's clock).
 //! * **Batched** — every packet of the op entered the connection's send
-//!   batch, but the closing multi-envelope frame has not flushed yet; the
-//!   op retires when a flush covers its last packet. Until the first
-//!   flush nothing has reached the wire, so the op is still cancellable.
+//!   batch, but the closing multi-envelope frame has not flushed yet. The
+//!   op is done stepping: it leaves the in-flight queue for the parked
+//!   list, keyed by the batch ticket of its last packet, and **the flush
+//!   that covers that ticket retires it** — together with every other op
+//!   the frame covered, in ticket order, in one pass (a frame that fails
+//!   to ship fails them all instead). Until a flush covers its first
+//!   packet nothing has reached the wire, so the op is still cancellable.
 //! * **Complete / Failed** — terminal; the op's slot holds its result
 //!   until consumed, and a [`Completion`] is queued.
 //!
@@ -56,17 +60,25 @@
 //! so `state`/`take_result`/`cancel` go straight to the owning
 //! connection's slab with no global map, and a recycled slot can never be
 //! confused with a stale handle (the generation bumps on every free).
-//! The tick lock is per connection too ([`Connection::tick`]): ticks on
-//! independent peers never contend.
+//! The slab also holds the peer's in-flight order — the queue of ops still
+//! emitting frames and the list of ops parked in `Batched` — so a post, a
+//! step and a retire each take one lock. The tick lock is per connection
+//! too ([`Connection::tick`]): ticks on independent peers never contend.
 //!
 //! ## Tick semantics
 //!
 //! One [`ProgressEngine::progress`] call makes a bounded pass: for every
-//! peer connection it advances the **head** op of that peer's in-flight
-//! list as far as it can go (per-peer FIFO keeps the wire stream in
-//! `begin_packing` order and guarantees at most one outstanding rendezvous
-//! per peer, so CTS frames can never pair with the wrong long send).
-//! Ticks never block: an op that cannot move is left in its wait state.
+//! peer connection it first retires the parked ops a flush has covered
+//! since the last look (one comparison against the connection's flush
+//! watermark when there are none), then advances the **head** op of that
+//! peer's in-flight queue as far as it can go (per-peer FIFO keeps the
+//! wire stream in `begin_packing` order and guarantees at most one
+//! outstanding rendezvous per peer, so CTS frames can never pair with the
+//! wrong long send). Ticks never block: an op that cannot move is left in
+//! its wait state. An op is stepped only while it has frames to emit or a
+//! peer event to harvest — never to ask whether a flush happened — so a
+//! batchable message costs one step however many are parked ahead of it
+//! ([`ProgressEngine::steps`] counts them).
 //!
 //! ## Completion-queue ordering
 //!
@@ -74,9 +86,12 @@
 //! were posted: a short message to peer B overtakes an earlier rendezvous
 //! to peer A that is still waiting for its CTS. Within one peer, order is
 //! FIFO. [`ProgressEngine::take_result`] consumes a result by handle and
-//! voids the matching queue entry (the entry's generation no longer
-//! matches a live retired slot), so drainers of the [`Completions`] view
-//! and callers of `take_result` never see the same op twice.
+//! removes the matching queue entry, so the queue holds exactly the
+//! results nobody consumed — its memory is bounded by them, not by the ops
+//! ever posted — and drainers of the [`Completions`] view and callers of
+//! `take_result` never see the same op twice (a drainer that races a
+//! `take_result` to the entry drops it: its generation no longer matches
+//! a live retired slot).
 //!
 //! This module is one of the lock-free hot-path modules linted by
 //! `scripts/verify.sh`: no `parking_lot` locks may appear here — producers
@@ -142,6 +157,9 @@ pub enum OpState {
 pub enum StepOutcome {
     /// The op cannot finish yet; it is parked in the given state.
     Pending(OpState),
+    /// Every packet of the op sits in the connection's send batch; the
+    /// flush that covers this batch ticket (the op's last) retires it.
+    Batched(u64),
     /// The op finished; local work completes at the given virtual instant.
     Done(VTime),
     /// The op failed terminally.
@@ -157,6 +175,12 @@ pub(crate) trait OpStep: Send {
     fn started(&self) -> bool;
     /// Release resources of a never-started op.
     fn on_cancel(&mut self);
+    /// The flush covering a [`Batched`](StepOutcome::Batched) op's last
+    /// packet shipped at `at`: account the message, return its completion
+    /// instant. Runs under the slab lock — no locking, no blocking.
+    fn on_flushed(&mut self, at: VTime) -> VTime {
+        at
+    }
 }
 
 /// A finished op, as seen by drainers of the completion queue.
@@ -192,12 +216,19 @@ struct OpSlot {
 
 /// A connection's op table: a slab with generational indices (slotmap
 /// style). Slots are recycled through a free list; every free bumps the
-/// slot's generation so stale [`OpId`]s can never alias a new op.
+/// slot's generation so stale [`OpId`]s can never alias a new op. The slab
+/// also keeps the connection's in-flight order, so posting, stepping and
+/// retiring each take its lock once.
 pub(crate) struct OpSlab {
     slots: Vec<OpSlot>,
     free: Vec<u16>,
     /// Ops in Active or Stepping (i.e. not yet terminal).
     live: usize,
+    /// Ops still emitting frames, oldest first; only the head is stepped.
+    queue: VecDeque<OpId>,
+    /// Ops parked in `Batched`, each with the batch ticket of its last
+    /// packet. Ticket order is posting order, so a flush retires a prefix.
+    batched: VecDeque<(OpId, u64)>,
 }
 
 impl OpSlab {
@@ -206,16 +237,19 @@ impl OpSlab {
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
+            queue: VecDeque::new(),
+            batched: VecDeque::new(),
         }
     }
 
-    fn insert(&mut self, step: Box<dyn OpStep>) -> (u16, u32) {
+    /// Register a new op toward `peer` at the tail of the in-flight queue.
+    fn insert(&mut self, peer: NodeId, step: Box<dyn OpStep>) -> OpId {
         self.live += 1;
         let entry = OpEntry::Active {
             state: OpState::Posted,
             step,
         };
-        if let Some(slot) = self.free.pop() {
+        let (slot, generation) = if let Some(slot) = self.free.pop() {
             let s = &mut self.slots[slot as usize];
             debug_assert!(matches!(s.entry, OpEntry::Vacant));
             s.entry = entry;
@@ -227,7 +261,10 @@ impl OpSlab {
                 entry,
             });
             (slot, 1)
-        }
+        };
+        let id = OpId::encode(peer, slot, generation);
+        self.queue.push_back(id);
+        id
     }
 
     fn slot_mut(&mut self, slot: u16, generation: u32) -> Option<&mut OpSlot> {
@@ -250,41 +287,90 @@ impl OpSlab {
         }
     }
 
-    /// Take the step of an Active op out for advancing, leaving a
+    /// Take the step of the queue's head op out for advancing, leaving a
     /// `Stepping` marker so concurrent observers still see its state.
-    fn begin_step(&mut self, slot: u16, generation: u32) -> Option<Box<dyn OpStep>> {
-        let s = self.slot_mut(slot, generation)?;
+    fn begin_step(&mut self) -> Option<(OpId, Box<dyn OpStep>)> {
+        let id = *self.queue.front()?;
+        let s = self.slot_mut(id.slot(), id.generation())?;
         let state = match &s.entry {
             OpEntry::Active { state, .. } => *state,
             _ => return None,
         };
         match std::mem::replace(&mut s.entry, OpEntry::Stepping { state }) {
-            OpEntry::Active { step, .. } => Some(step),
+            OpEntry::Active { step, .. } => Some((id, step)),
             _ => unreachable!("matched Active above"),
         }
     }
 
     /// Park a stepped op back in the slab with its new wait state.
-    fn park(&mut self, slot: u16, generation: u32, state: OpState, step: Box<dyn OpStep>) {
+    fn park(&mut self, id: OpId, state: OpState, step: Box<dyn OpStep>) {
         let s = self
-            .slot_mut(slot, generation)
+            .slot_mut(id.slot(), id.generation())
             .expect("parked op vanished mid-step");
         debug_assert!(matches!(s.entry, OpEntry::Stepping { .. }));
         s.entry = OpEntry::Active { state, step };
     }
 
-    /// Transition a stepped op to terminal; the result waits in the slot.
-    fn retire(&mut self, slot: u16, generation: u32, result: MadResult<VTime>) {
+    /// Park the stepped head op behind the batch ticket of its last
+    /// packet: it leaves the queue (the next op may append behind it —
+    /// that is what makes cross-message coalescing work) and is not
+    /// stepped again; the flush that covers `ticket` retires it.
+    fn park_batched(&mut self, id: OpId, ticket: u64, step: Box<dyn OpStep>) {
+        self.park(id, OpState::Batched, step);
+        let head = self.queue.pop_front();
+        debug_assert_eq!(head, Some(id), "only the head is stepped");
+        debug_assert!(self.batched.back().is_none_or(|&(_, t)| t < ticket));
+        self.batched.push_back((id, ticket));
+    }
+
+    /// Transition the stepped head op to terminal; the result waits in
+    /// the slot.
+    fn retire(&mut self, id: OpId, result: MadResult<VTime>) {
+        let head = self.queue.pop_front();
+        debug_assert_eq!(head, Some(id), "only the head is stepped");
         let s = self
-            .slot_mut(slot, generation)
+            .slot_mut(id.slot(), id.generation())
             .expect("retired op vanished mid-step");
         debug_assert!(matches!(s.entry, OpEntry::Stepping { .. }));
         s.entry = OpEntry::Retired { result };
         self.live -= 1;
     }
 
+    /// Has a flush through ticket `through` covered the oldest parked op?
+    fn has_flushed(&self, through: u64) -> bool {
+        self.batched.front().is_some_and(|&(_, t)| t <= through)
+    }
+
+    /// Retire the oldest parked op if a flush through ticket `through`
+    /// covered it. `outcome` is the flush's: its instant, or the error
+    /// that poisoned the batch (the op's bytes died with the frame).
+    fn retire_flushed(
+        &mut self,
+        through: u64,
+        outcome: &MadResult<VTime>,
+    ) -> Option<(OpId, MadResult<VTime>)> {
+        if !self.has_flushed(through) {
+            return None;
+        }
+        let (id, _) = self.batched.pop_front()?;
+        let s = self
+            .slot_mut(id.slot(), id.generation())
+            .expect("parked op vanished");
+        let OpEntry::Active { mut step, .. } = std::mem::replace(&mut s.entry, OpEntry::Vacant)
+        else {
+            unreachable!("parked ops are Active");
+        };
+        let result = outcome.clone().map(|at| step.on_flushed(at));
+        s.entry = OpEntry::Retired {
+            result: result.clone(),
+        };
+        self.live -= 1;
+        Some((id, result))
+    }
+
     /// Consume a terminal op's result, freeing its slot. The generation
-    /// bumps here, which also voids the op's completion-queue entry.
+    /// bumps here, which voids the op's completion-queue entry for a
+    /// drainer that pops it before `take_result` removes it.
     fn take_retired(&mut self, slot: u16, generation: u32) -> Option<MadResult<VTime>> {
         let s = self.slot_mut(slot, generation)?;
         if !matches!(s.entry, OpEntry::Retired { .. }) {
@@ -307,10 +393,11 @@ impl OpSlab {
     }
 
     /// Remove a never-started Active op, freeing its slot with a
-    /// generation bump (no dangling slot, no reusable handle). Returns the
-    /// step for the caller to run `on_cancel` outside the slab lock.
-    fn cancel(&mut self, slot: u16, generation: u32) -> Option<Box<dyn OpStep>> {
-        let s = self.slot_mut(slot, generation)?;
+    /// generation bump (no dangling slot, no reusable handle) and
+    /// unlinking it from the in-flight order. Returns the step for the
+    /// caller to run `on_cancel` outside the slab lock.
+    fn cancel(&mut self, id: OpId) -> Option<Box<dyn OpStep>> {
+        let s = self.slot_mut(id.slot(), id.generation())?;
         match &s.entry {
             OpEntry::Active { step, .. } if !step.started() => {}
             _ => return None,
@@ -319,8 +406,16 @@ impl OpSlab {
             unreachable!("matched Active above");
         };
         s.generation = s.generation.wrapping_add(1);
-        self.free.push(slot);
+        self.free.push(id.slot());
         self.live -= 1;
+        // The head pops; a mid-list cancel pays the scan.
+        if self.queue.front() == Some(&id) {
+            self.queue.pop_front();
+        } else if let Some(pos) = self.queue.iter().position(|&x| x == id) {
+            self.queue.remove(pos);
+        } else if let Some(pos) = self.batched.iter().position(|&(x, _)| x == id) {
+            self.batched.remove(pos);
+        }
         Some(step)
     }
 
@@ -345,7 +440,8 @@ impl Default for OpSlab {
 /// Ring capacity of a [`CompletionQueue`]; overflow spills to the
 /// consumer-side staging deque, so this bounds the lock-free fast path,
 /// not the queue.
-const CQ_RING_CAP: usize = 256;
+#[doc(hidden)]
+pub const CQ_RING_CAP: usize = 256;
 /// Spin iterations a blocked popper burns before sleeping on the condvar.
 const CQ_SPIN_LIMIT: u32 = 32;
 
@@ -482,10 +578,15 @@ impl<T> CompletionQueue<T> {
         self.open().drain(..).collect()
     }
 
-    /// Keep only items matching the predicate (consumer-side; the ring is
-    /// folded into staging first so every queued item is considered).
-    fn retain(&self, mut pred: impl FnMut(&T) -> bool) {
-        self.open().retain(|it| pred(it));
+    /// Remove the oldest item matching the predicate (consumer-side; the
+    /// ring is folded into staging first so every queued item is
+    /// considered). The head is tried first: consuming in queue order is
+    /// O(1).
+    fn remove_first(&self, mut pred: impl FnMut(&T) -> bool) {
+        let mut staged = self.open();
+        if let Some(pos) = staged.iter().position(|it| pred(it)) {
+            staged.remove(pos);
+        }
     }
 
     /// Spin iterations poppers burned before blocking (the `cq_spins`
@@ -496,10 +597,12 @@ impl<T> CompletionQueue<T> {
 }
 
 /// The engine's view of its completion queue: a [`CompletionQueue`] of
-/// [`Completion`]s that filters out entries whose result was already
-/// consumed by [`ProgressEngine::take_result`] (their generation no longer
-/// matches a live retired slot), preserving the never-see-an-op-twice
-/// contract without a delete-from-the-middle queue operation.
+/// [`Completion`]s holding exactly the results nobody consumed yet:
+/// [`ProgressEngine::take_result`] removes the entry of the op it
+/// consumes, so the queue's memory is bounded by the unconsumed results,
+/// not by the ops ever posted. A drainer racing a `take_result` skips the
+/// entry it popped if the result is already gone (its generation no longer
+/// matches a live retired slot) — the never-see-an-op-twice contract.
 pub struct Completions {
     q: CompletionQueue<Completion>,
     conns: Arc<Connections>,
@@ -521,11 +624,6 @@ impl Completions {
                 .is_retired_live(c.id.slot(), c.id.generation()),
             None => true,
         }
-    }
-
-    /// Drop queued entries whose op result was already consumed.
-    fn purge(&self) {
-        self.q.retain(|c| !self.is_void(c));
     }
 
     /// Dequeue without blocking, skipping consumed entries.
@@ -553,9 +651,15 @@ impl Completions {
         self.q.close();
     }
 
-    pub fn len(&self) -> usize {
-        self.purge();
+    /// Entries held, ring and staging both, whatever their state — what
+    /// the queue's memory bound is stated on.
+    #[doc(hidden)]
+    pub fn raw_len(&self) -> usize {
         self.q.len()
+    }
+
+    pub fn len(&self) -> usize {
+        self.raw_len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -564,8 +668,9 @@ impl Completions {
 
     /// Take every live queued completion.
     pub fn drain(&self) -> Vec<Completion> {
-        self.purge();
-        self.q.drain()
+        let mut all = self.q.drain();
+        all.retain(|c| !self.is_void(c));
+        all
     }
 
     /// Spin iterations drainers burned before blocking (`cq_spins`).
@@ -580,6 +685,7 @@ impl Completions {
 pub struct ProgressEngine {
     conns: Arc<Connections>,
     completions: Completions,
+    steps: AtomicU64,
 }
 
 impl ProgressEngine {
@@ -587,79 +693,98 @@ impl ProgressEngine {
         ProgressEngine {
             completions: Completions::new(Arc::clone(&conns)),
             conns,
+            steps: AtomicU64::new(0),
         }
     }
 
-    /// Register a new op at the tail of `conn`'s in-flight list.
+    /// Register a new op at the tail of `conn`'s in-flight queue.
     pub(crate) fn post(&self, conn: &Connection, step: Box<dyn OpStep>) -> OpId {
         let peer = conn.peer();
         assert!(
             peer <= u16::MAX as usize,
             "OpId packs the peer id into 16 bits"
         );
-        let (slot, generation) = conn.ops().lock().insert(step);
-        let id = OpId::encode(peer, slot, generation);
-        conn.push_in_flight(id);
-        id
+        conn.ops().lock().insert(peer, step)
     }
 
-    /// Advance one peer's in-flight list as far as it can go, retiring
+    /// Advance one peer's in-flight queue as far as it can go, retiring
     /// every op that completes. Returns how many retired.
     ///
-    /// The walk normally stops at the first op that parks in a wait state
+    /// The walk stops at the first op that parks waiting on the peer
     /// (per-peer FIFO: a frame of op *k+1* must not ship before op *k* is
-    /// done emitting). A [`Batched`](OpState::Batched) park is the one
-    /// exception: such an op has *fully* staged its packets in the
-    /// connection's send batch and only awaits the closing flush, so later
-    /// ops may safely append behind it — that is what makes cross-message
-    /// coalescing work at all.
+    /// done emitting). An op that parks in [`Batched`](OpState::Batched)
+    /// has *fully* staged its packets in the connection's send batch: it
+    /// leaves the queue for the parked list, the next op steps behind it,
+    /// and it is never stepped again.
     pub(crate) fn advance_conn(&self, conn: &Connection) -> usize {
         // Per-connection serialization: concurrent callers (an app thread
         // inside `wait` and another inside `post`) never advance the same
         // op twice, while ticks on *other* peers proceed untouched.
         let _serial = conn.tick().lock();
         let mut retired = 0;
-        let mut pos = 0;
-        while let Some(id) = conn.in_flight_at(pos) {
-            let Some(mut step) = conn.ops().lock().begin_step(id.slot(), id.generation()) else {
-                // Cancelled between the list peek and here.
-                break;
+        let mut ops = conn.ops().lock();
+        loop {
+            retired += self.retire_flushed(conn, &mut ops);
+            let Some((id, mut step)) = ops.begin_step() else {
+                return retired;
             };
             // The step runs without the slab lock held: TM pendings may
             // advance the virtual clock and touch driver state.
-            match step.try_advance() {
+            drop(ops);
+            self.steps.fetch_add(1, Ordering::Relaxed);
+            let outcome = step.try_advance();
+            ops = conn.ops().lock();
+            let result = match outcome {
+                StepOutcome::Batched(ticket) => {
+                    ops.park_batched(id, ticket, step);
+                    continue;
+                }
                 StepOutcome::Pending(state) => {
-                    conn.ops()
-                        .lock()
-                        .park(id.slot(), id.generation(), state, step);
-                    if state == OpState::Batched {
-                        pos += 1;
-                        continue;
-                    }
-                    break;
+                    ops.park(id, state, step);
+                    return retired + self.retire_flushed(conn, &mut ops);
                 }
-                StepOutcome::Done(at) => {
-                    conn.remove_in_flight(id);
-                    self.retire(conn, id, Ok(at));
-                    retired += 1;
-                }
-                StepOutcome::Failed(e) => {
-                    conn.remove_in_flight(id);
-                    self.retire(conn, id, Err(e));
-                    retired += 1;
-                }
-            }
+                StepOutcome::Done(at) => Ok(at),
+                StepOutcome::Failed(e) => Err(e),
+            };
+            // A barrier flush inside the step covered the ops parked
+            // ahead of this one: they complete first.
+            retired += self.retire_flushed(conn, &mut ops);
+            ops.retire(id, result.clone());
+            self.complete(id, result);
+            retired += 1;
+        }
+    }
+
+    /// Retire, in one pass and in ticket order, every op parked in
+    /// [`Batched`](OpState::Batched) whose last packet a flush has
+    /// covered (or taken down with it). Returns how many retired.
+    fn retire_flushed(&self, conn: &Connection, ops: &mut OpSlab) -> usize {
+        let through = conn.batch_flushed();
+        if !ops.has_flushed(through) {
+            return 0;
+        }
+        let outcome = conn.send_batch().lock().flush_outcome();
+        let mut retired = 0;
+        while let Some((id, result)) = ops.retire_flushed(through, &outcome) {
+            self.complete(id, result);
+            retired += 1;
         }
         retired
     }
 
-    fn retire(&self, conn: &Connection, id: OpId, result: MadResult<VTime>) {
-        conn.ops()
-            .lock()
-            .retire(id.slot(), id.generation(), result.clone());
+    /// [`retire_flushed`](Self::retire_flushed) for a flush that ran
+    /// outside a tick (`Channel::flush`).
+    pub(crate) fn flushed(&self, conn: &Connection) -> usize {
+        self.retire_flushed(conn, &mut conn.ops().lock())
+    }
+
+    /// Queue a retired op's completion. Called under the connection's
+    /// slab lock, so a peer's completions queue in the order it retired
+    /// them.
+    fn complete(&self, id: OpId, result: MadResult<VTime>) {
         self.completions.q.push(Completion {
             id,
-            peer: conn.peer(),
+            peer: id.peer(),
             result,
         });
     }
@@ -670,18 +795,18 @@ impl ProgressEngine {
         self.conns.iter().map(|c| self.advance_conn(c)).sum()
     }
 
-    /// Drive one peer's in-flight list to empty. Blocks (spinning through
-    /// ticks) until every op addressed to `conn`'s peer has retired —
-    /// the ordering fence `begin_packing` uses so a blocking send never
-    /// overtakes posted ops to the same peer. On a fault-armed fabric the
-    /// ops' own bounded waits guarantee termination. `kick` runs between
-    /// ticks while ops remain: the channel uses it to flush the
-    /// connection's send batch, without which ops parked in
+    /// Drive one peer's in-flight ops to terminal. Blocks (spinning
+    /// through ticks) until every op addressed to `conn`'s peer has
+    /// retired — the ordering fence `begin_packing` uses so a blocking
+    /// send never overtakes posted ops to the same peer. On a fault-armed
+    /// fabric the ops' own bounded waits guarantee termination. `kick`
+    /// runs between ticks while ops remain: the channel uses it to flush
+    /// the connection's send batch, without which ops parked in
     /// [`Batched`](OpState::Batched) would never retire.
     pub(crate) fn drain_conn(&self, conn: &Connection, mut kick: impl FnMut()) {
         loop {
             self.advance_conn(conn);
-            if conn.in_flight_is_empty() {
+            if conn.ops().lock().live() == 0 {
                 return;
             }
             kick();
@@ -696,13 +821,15 @@ impl ProgressEngine {
         conn.ops().lock().state_of(id.slot(), id.generation())
     }
 
-    /// Consume the result of a retired op. The op's completion-queue entry
-    /// is voided too (its generation stops matching), so queue drainers
-    /// never see it again. `None` while the op is still in flight (or
-    /// after it was cancelled).
+    /// Consume the result of a retired op, and with it the op's
+    /// completion-queue entry, so queue drainers never see it again and
+    /// the queue holds nothing for consumed ops. `None` while the op is
+    /// still in flight (or after it was cancelled).
     pub fn take_result(&self, id: OpId) -> Option<MadResult<VTime>> {
         let conn = self.conns.get(id.peer())?;
-        conn.ops().lock().take_retired(id.slot(), id.generation())
+        let result = conn.ops().lock().take_retired(id.slot(), id.generation())?;
+        self.completions.q.remove_first(|c| c.id == id);
+        Some(result)
     }
 
     /// Cancel a posted op that has not shipped anything yet. Returns
@@ -713,17 +840,22 @@ impl ProgressEngine {
             return false;
         };
         let _serial = conn.tick().lock();
-        let Some(mut step) = conn.ops().lock().cancel(id.slot(), id.generation()) else {
+        let Some(mut step) = conn.ops().lock().cancel(id) else {
             return false;
         };
         step.on_cancel();
-        conn.remove_in_flight(id);
         true
     }
 
     /// Number of ops currently in flight.
     pub fn in_flight(&self) -> usize {
         self.conns.iter().map(|c| c.ops().lock().live()).sum()
+    }
+
+    /// `OpStep::try_advance` calls made so far: what the engine's
+    /// bookkeeping costs per op, as a count.
+    pub fn steps(&self) -> u64 {
+        self.steps.load(Ordering::Relaxed)
     }
 
     /// The queue finished ops land on.
@@ -851,6 +983,19 @@ mod tests {
         }
     }
 
+    /// An op whose packets all sit in the send batch, the last one under
+    /// `ticket`.
+    struct BatchedStep(u64);
+    impl OpStep for BatchedStep {
+        fn try_advance(&mut self) -> StepOutcome {
+            StepOutcome::Batched(self.0)
+        }
+        fn started(&self) -> bool {
+            false
+        }
+        fn on_cancel(&mut self) {}
+    }
+
     fn engine_with_peer() -> (Arc<Connections>, ProgressEngine) {
         let conns = Arc::new(Connections::new(0, &[0, 1]));
         let eng = ProgressEngine::new(Arc::clone(&conns));
@@ -868,7 +1013,7 @@ mod tests {
         // handle answers nothing, and the next post reuses the slot under
         // a fresh generation.
         assert_eq!(eng.in_flight(), 0);
-        assert!(conn.in_flight_is_empty());
+        assert_eq!(conn.ops().lock().live(), 0);
         assert_eq!(eng.state(a), None);
         assert!(eng.take_result(a).is_none());
         assert!(!eng.cancel(a), "double cancel must be a no-op");
@@ -879,6 +1024,47 @@ mod tests {
         assert_eq!(b.slot(), a.slot());
         assert_eq!(eng.state(a), None, "stale handle must not alias the new op");
         assert!(eng.cancel(b));
+    }
+
+    #[test]
+    fn cancel_unlinks_head_and_mid_list_ops_in_order() {
+        let (conns, eng) = engine_with_peer();
+        let conn = conns.get(1).unwrap();
+        let [a, b, c] = [(); 3].map(|()| eng.post(conn, Box::new(NeverStep)));
+        assert_eq!(eng.advance_conn(conn), 0, "the head parks, the rest queue");
+        assert!(eng.cancel(b), "mid-list cancel");
+        assert_eq!(conn.ops().lock().queue, [a, c]);
+        assert!(eng.cancel(a), "head cancel");
+        assert_eq!(conn.ops().lock().queue, [c]);
+        assert_eq!(eng.in_flight(), 1);
+    }
+
+    #[test]
+    fn flush_retires_the_covered_prefix_in_one_pass_without_stepping() {
+        let (conns, eng) = engine_with_peer();
+        let conn = conns.get(1).unwrap();
+        let ids = [1, 2, 3, 4].map(|t| eng.post(conn, Box::new(BatchedStep(t))));
+        assert_eq!(eng.advance_conn(conn), 0);
+        assert_eq!(eng.steps(), 4, "one step parks each op");
+        assert!(ids
+            .iter()
+            .all(|&id| eng.state(id) == Some(OpState::Batched)));
+        // A flush covers tickets 1..=2: those two retire, in order.
+        conn.set_batch_flushed(2);
+        assert_eq!(eng.flushed(conn), 2);
+        let done: Vec<OpId> = eng.completions().drain().iter().map(|c| c.id).collect();
+        assert_eq!(done, ids[..2]);
+        assert_eq!(eng.state(ids[2]), Some(OpState::Batched));
+        // A parked op still cancels, wherever it sits in the list.
+        assert!(eng.cancel(ids[3]));
+        conn.set_batch_flushed(3);
+        assert_eq!(
+            eng.advance_conn(conn),
+            1,
+            "a tick retires what a flush covered"
+        );
+        assert_eq!(eng.steps(), 4, "parked ops are never stepped again");
+        assert_eq!(eng.in_flight(), 0);
     }
 
     #[test]

@@ -50,7 +50,7 @@ use crate::flags::{RecvMode, SendMode};
 use crate::pmm::Pmm;
 use crate::pool::BufPool;
 use crate::stats::Stats;
-use crate::tm::{TmPending, TmSend, TmStep};
+use crate::tm::{TmId, TmPending, TmSend, TmStep};
 use crate::trace::{TraceEvent, Tracer};
 use crate::wire::{self, STRIPE_CLASS_LEN, STRIPE_HEADER_LEN};
 use bytes::Bytes;
@@ -85,6 +85,11 @@ pub struct Rail {
     /// a simulated fabric. Extension channels (e.g. the gateway's
     /// virtual channels) have none — they are single-rail by contract.
     adapter: Option<Adapter>,
+    /// The TM that carries batch frames on this rail — the small EXPRESS
+    /// path, selected symmetrically on both ends — and the largest frame
+    /// it carries, looked up once here instead of per packet.
+    batch_tm: TmId,
+    batch_frame_cap: usize,
     /// Cleared when the rail is quarantined after a link failure.
     alive: AtomicBool,
     /// The owning channel's cached live-rail bitmask (bit `id`), cleared
@@ -100,11 +105,19 @@ impl Rail {
         pool: BufPool,
         adapter: Option<Adapter>,
     ) -> Self {
+        let batch_tm = pmm.select(wire::MSG_CLASS_LEN, SendMode::Cheaper, RecvMode::Express);
+        // (A PMM without TMs — a test double — batches nothing.)
+        let batch_frame_cap = pmm
+            .tms()
+            .get(batch_tm as usize)
+            .map_or(0, |tm| tm.caps().buffer_cap);
         Rail {
             id,
             pmm,
             pool,
             adapter,
+            batch_tm,
+            batch_frame_cap,
             alive: AtomicBool::new(true),
             live_mask: OnceLock::new(),
         }
@@ -129,6 +142,16 @@ impl Rail {
     /// The rail's buffer pool.
     pub fn pool(&self) -> &BufPool {
         &self.pool
+    }
+
+    /// The TM carrying this rail's batch frames.
+    pub(crate) fn batch_tm(&self) -> TmId {
+        self.batch_tm
+    }
+
+    /// The batch TM's frame budget.
+    pub(crate) fn batch_frame_cap(&self) -> usize {
+        self.batch_frame_cap
     }
 
     /// Is this rail still in service? Always `true` on a fault-free

@@ -283,21 +283,25 @@ pub(crate) struct BatchEnvelope {
 /// `(len, flags)` pair per packet, envelope seqs `first_seq..`), with
 /// capacity reserved for the payload bytes the caller appends after.
 /// Flags must fit the 2 bits below the length.
-pub(crate) fn encode_batch_frame(first_seq: u32, packets: &[(usize, u32)]) -> Vec<u8> {
-    let payload: usize = packets.iter().map(|&(len, _)| len).sum();
-    let mut envs = Vec::with_capacity(packets.len() * 2);
-    for &(len, flags) in packets {
+pub(crate) fn encode_batch_frame(
+    first_seq: u32,
+    packets: impl ExactSizeIterator<Item = (usize, u32)> + Clone,
+) -> Vec<u8> {
+    let envelope = |(len, flags): (usize, u32)| {
         debug_assert!(flags < 4, "envelope flags fit 2 bits");
-        put_varint(&mut envs, ((len as u64) << 2) | flags as u64);
-    }
-    let body =
-        varint_len(first_seq as u64) + varint_len(packets.len() as u64) + envs.len() + payload;
+        ((len as u64) << 2) | flags as u64
+    };
+    let count = packets.len() as u64;
+    let table_and_payload = packets.clone().map(|p| varint_len(envelope(p)) + p.0);
+    let body = varint_len(first_seq as u64) + varint_len(count) + table_and_payload.sum::<usize>();
     let mut out = Vec::with_capacity(1 + varint_len(body as u64) + body);
     out.push(PROLOGUE_BATCH);
     put_varint(&mut out, body as u64);
     put_varint(&mut out, first_seq as u64);
-    put_varint(&mut out, packets.len() as u64);
-    out.extend_from_slice(&envs);
+    put_varint(&mut out, count);
+    for p in packets {
+        put_varint(&mut out, envelope(p));
+    }
     out
 }
 
@@ -555,7 +559,7 @@ mod tests {
                     .collect();
                 let total: usize = packets.iter().map(|p| p.0).sum();
                 let first_seq = rng.next() as u32;
-                let mut frame = encode_batch_frame(first_seq, &packets);
+                let mut frame = encode_batch_frame(first_seq, packets.iter().copied());
                 frame.resize(frame.len() + total, 0x5A);
                 let (envs, at) = parse_batch_frame(&frame, 0).unwrap();
                 assert_eq!((envs.len(), frame.len() - at), (packets.len(), total));
