@@ -194,8 +194,9 @@ pub(crate) struct SendBatch {
     /// Next envelope sequence number to assign at flush.
     env_seq: u32,
     /// A failed flush poisons the batch: the staged packets are gone, so
-    /// every later append/flush (and every op parked on a covered
-    /// ticket) reports this error instead of silently re-ordering.
+    /// every later append/flush (and every op parked on a ticket no
+    /// earlier frame shipped) reports this error instead of silently
+    /// re-ordering.
     err: Option<MadError>,
 }
 
@@ -212,14 +213,12 @@ impl SendBatch {
         }
     }
 
-    /// What the flushes so far did to the tickets they covered: shipped
-    /// them (by the virtual instant of the most recent one) — or, once a
-    /// flush has failed, lost them.
-    pub(crate) fn flush_outcome(&self) -> MadResult<VTime> {
-        match &self.err {
-            Some(e) => Err(e.clone()),
-            None => Ok(self.last_flush_at),
-        }
+    /// What the flushes so far did: the virtual instant of the most
+    /// recent one that shipped (what the tickets at or below
+    /// [`Connection::batch_flushed`] retire with) and, once one has failed,
+    /// the poison (what every ticket above it retires with).
+    pub(crate) fn flush_outcome(&self) -> (VTime, Option<MadError>) {
+        (self.last_flush_at, self.err.clone())
     }
 
     /// Is the batch open (packets staged, frame not shipped)?
@@ -395,15 +394,16 @@ fn flush_locked(ctx: &BatchCtx<'_>, b: &mut SendBatch, reason: FlushReason) -> M
     let tm = ctx.rail.batch_tm();
     let sent = ctx.rail.pmm().tm(tm).send_buffer(dst, &frame);
     // Win or lose, the staged packets are consumed and their tickets
-    // resolved — but a lost frame poisons the batch first, so an op
-    // parked on a ticket whose bytes died retires with the poison, not a
-    // completion.
+    // resolved — but a lost frame poisons the batch and leaves the
+    // watermark where the last shipped frame put it, so an op parked on a
+    // ticket whose bytes died retires with the poison, and one an earlier
+    // frame delivered still completes.
     b.pending.clear();
     b.bytes = 0;
     b.deadline = None;
     if let Err(e) = sent {
         b.err = Some(e.clone());
-        ctx.conn.set_batch_flushed(u64::MAX);
+        ctx.conn.poison_batch();
         return Err(e);
     }
     b.last_flush_at = time::now();

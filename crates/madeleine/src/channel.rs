@@ -834,16 +834,20 @@ impl Channel {
     /// batch toward the op's peer is force-flushed while driving, so an op
     /// parked in [`OpState::Batched`] cannot stall the wait on a deadline
     /// that virtual time may never reach (flush errors surface through
-    /// the failed op itself). Batches toward other peers — which the op
-    /// cannot depend on — keep coalescing.
+    /// the failed op itself). Batches toward other peers keep coalescing:
+    /// they ship when a probe's tick finds them past their deadline, as
+    /// under any [`progress`](Self::progress) call.
     pub fn wait_op(&self, id: OpId) -> MadResult<VTime> {
+        let done = || self.engine.take_result(id);
         let r = self.poll.drive(|| {
-            self.engine.take_result(id).or_else(|| {
-                if let Some(conn) = self.core.conns.get(id.peer()) {
-                    let _ = self.flush_peer(conn);
-                }
-                self.engine.progress();
-                self.engine.take_result(id)
+            let flushed = done().or_else(|| {
+                let conn = self.core.conns.get(id.peer())?;
+                let _ = self.flush_peer(conn);
+                done()
+            });
+            flushed.or_else(|| {
+                self.progress();
+                done()
             })
         });
         let clock = time::clock();

@@ -18,7 +18,7 @@ use crate::batch::{RecvBatch, SendBatch};
 use crate::progress::OpSlab;
 use madsim_net::NodeId;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
 /// Ordering state for one peer of a channel.
 pub struct Connection {
@@ -54,13 +54,16 @@ pub struct Connection {
     /// Outgoing small packets coalescing toward the peer (batching
     /// enabled only; stays empty and lock-cheap otherwise).
     send_batch: Mutex<SendBatch>,
-    /// Every batch ticket at or below this has been resolved by a flush:
-    /// its packet left on the wire — or died with the frame whose failed
-    /// flush poisoned the batch, which publishes `u64::MAX` (nothing later
-    /// ships either). Written under the batch lock, read without it: the
-    /// engine's retire pass, a parked op's `started()` and `wait_op` never
-    /// queue behind an append.
+    /// Every batch ticket at or below this left on the wire: the watermark
+    /// of the last flush that shipped (a failed flush leaves it alone).
+    /// Written under the batch lock, read without it: the engine's retire
+    /// pass, a parked op's `started()` and `wait_op` never queue behind an
+    /// append.
     batch_flushed: AtomicU64,
+    /// A flush failed and poisoned the batch: every ticket above the
+    /// watermark died with that frame or will never ship. Written and read
+    /// like the watermark.
+    batch_poisoned: AtomicBool,
     /// Packets split out of arrived batch frames, awaiting their
     /// `unpack` calls.
     recv_batch: Mutex<RecvBatch>,
@@ -79,6 +82,7 @@ impl Connection {
             tick: Mutex::new(()),
             send_batch: Mutex::new(SendBatch::new()),
             batch_flushed: AtomicU64::new(0),
+            batch_poisoned: AtomicBool::new(false),
             recv_batch: Mutex::new(RecvBatch::new()),
         }
     }
@@ -151,6 +155,16 @@ impl Connection {
     /// Publish a flush's watermark; the caller holds the batch lock.
     pub(crate) fn set_batch_flushed(&self, through: u64) {
         self.batch_flushed.store(through, Ordering::Release);
+    }
+
+    /// Has a failed flush poisoned the send batch (see the field docs)?
+    pub(crate) fn batch_poisoned(&self) -> bool {
+        self.batch_poisoned.load(Ordering::Acquire)
+    }
+
+    /// Publish the poison; the caller holds the batch lock.
+    pub(crate) fn poison_batch(&self) {
+        self.batch_poisoned.store(true, Ordering::Release);
     }
 
     /// This connection's op slab (state and in-flight order of every

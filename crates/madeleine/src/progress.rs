@@ -45,8 +45,9 @@
 //!   list, keyed by the batch ticket of its last packet, and **the flush
 //!   that covers that ticket retires it** — together with every other op
 //!   the frame covered, in ticket order, in one pass (a frame that fails
-//!   to ship fails them all instead). Until a flush covers its first
-//!   packet nothing has reached the wire, so the op is still cancellable.
+//!   to ship fails the ops it covered instead; one an earlier frame
+//!   shipped still completes). Until a flush covers its first packet
+//!   nothing has reached the wire, so the op is still cancellable.
 //! * **Complete / Failed** — terminal; the op's slot holds its result
 //!   until consumed, and a [`Completion`] is queued.
 //!
@@ -336,23 +337,31 @@ impl OpSlab {
         self.live -= 1;
     }
 
-    /// Has a flush through ticket `through` covered the oldest parked op?
-    fn has_flushed(&self, through: u64) -> bool {
-        self.batched.front().is_some_and(|&(_, t)| t <= through)
+    /// Has a flush resolved the oldest parked op: shipped it (its ticket
+    /// is at or below the watermark `through`) or, if one `poisoned` the
+    /// batch, lost it?
+    fn has_flushed(&self, through: u64, poisoned: bool) -> bool {
+        let shipped_or_lost = |&(_, t): &(OpId, u64)| poisoned || t <= through;
+        self.batched.front().is_some_and(shipped_or_lost)
     }
 
-    /// Retire the oldest parked op if a flush through ticket `through`
-    /// covered it. `outcome` is the flush's: its instant, or the error
-    /// that poisoned the batch (the op's bytes died with the frame).
+    /// Retire the oldest parked op if a flush resolved it: a ticket at or
+    /// below the watermark `through` shipped (the latest frame left at
+    /// `at`); above it, the op's bytes died with the failed frame that
+    /// left the `poison`, or stay parked if there is none.
     fn retire_flushed(
         &mut self,
         through: u64,
-        outcome: &MadResult<VTime>,
+        at: VTime,
+        poison: Option<&MadError>,
     ) -> Option<(OpId, MadResult<VTime>)> {
-        if !self.has_flushed(through) {
-            return None;
-        }
-        let (id, _) = self.batched.pop_front()?;
+        let &(id, ticket) = self.batched.front()?;
+        let outcome = if ticket <= through {
+            Ok(at)
+        } else {
+            Err(poison?.clone())
+        };
+        self.batched.pop_front();
         let s = self
             .slot_mut(id.slot(), id.generation())
             .expect("parked op vanished");
@@ -360,7 +369,7 @@ impl OpSlab {
         else {
             unreachable!("parked ops are Active");
         };
-        let result = outcome.clone().map(|at| step.on_flushed(at));
+        let result = outcome.map(|at| step.on_flushed(at));
         s.entry = OpEntry::Retired {
             result: result.clone(),
         };
@@ -651,15 +660,11 @@ impl Completions {
         self.q.close();
     }
 
-    /// Entries held, ring and staging both, whatever their state — what
-    /// the queue's memory bound is stated on.
-    #[doc(hidden)]
-    pub fn raw_len(&self) -> usize {
-        self.q.len()
-    }
-
+    /// Entries held, ring and staging both — the raw length the queue's
+    /// memory bound is stated on. It counts an entry whose result a racing
+    /// `take_result` has consumed but not yet removed.
     pub fn len(&self) -> usize {
-        self.raw_len()
+        self.q.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -759,13 +764,17 @@ impl ProgressEngine {
     /// [`Batched`](OpState::Batched) whose last packet a flush has
     /// covered (or taken down with it). Returns how many retired.
     fn retire_flushed(&self, conn: &Connection, ops: &mut OpSlab) -> usize {
-        let through = conn.batch_flushed();
-        if !ops.has_flushed(through) {
+        if !ops.has_flushed(conn.batch_flushed(), conn.batch_poisoned()) {
             return 0;
         }
-        let outcome = conn.send_batch().lock().flush_outcome();
+        // Under the batch lock the watermark, the instant and the poison
+        // are one flush's: all three are written under it.
+        let (through, (at, poison)) = {
+            let batch = conn.send_batch().lock();
+            (conn.batch_flushed(), batch.flush_outcome())
+        };
         let mut retired = 0;
-        while let Some((id, result)) = ops.retire_flushed(through, &outcome) {
+        while let Some((id, result)) = ops.retire_flushed(through, at, poison.as_ref()) {
             self.complete(id, result);
             retired += 1;
         }

@@ -94,7 +94,7 @@ fn completion_queue_memory_is_bounded_by_unconsumed_results() {
                 ids.extend((0..BURST).map(|k| post(ch, 1, burst * BURST + k, 8)));
                 for id in ids.drain(..) {
                     ch.wait_op(id).expect("op completes");
-                    let queued = ch.completions().raw_len();
+                    let queued = ch.completions().len();
                     let bound = CQ_RING_CAP + ch.engine().in_flight();
                     assert!(queued <= bound, "{queued} entries queued in burst {burst}");
                 }
@@ -110,7 +110,7 @@ fn completion_queue_memory_is_bounded_by_unconsumed_results() {
                 }
             }
             assert!(ch.completions().try_pop().is_none(), "an op seen twice");
-            assert_eq!(ch.completions().raw_len(), 0);
+            assert_eq!(ch.completions().len(), 0);
         } else {
             for seq in 0..2 * OPS {
                 assert_eq!(recv(ch, 8).1, payload(seq % OPS, 8));
@@ -205,6 +205,39 @@ fn failed_flush_fails_every_op_it_covered() {
             assert_eq!(ch.engine().state(late), Some(OpState::Failed));
             assert!(ch.wait_op(late).is_err());
             assert_eq!(ch.engine().in_flight(), 0);
+        }
+        env.barrier();
+    });
+}
+
+/// A failed flush fails the ops *it* covered, not the ones an earlier
+/// frame already delivered: a message that flushes twice inside one step
+/// ships the op parked ahead of it with its first frame, loses its second
+/// frame to a link cut — and the delivered op still completes.
+#[test]
+fn failed_flush_spares_ops_an_earlier_frame_shipped() {
+    // The link dies once it has carried one frame toward the peer.
+    let plan = FaultPlan::new(1).partition_rail_after(0, 0, 0, 1, 1);
+    let (world, config) = batched_tcp(2, Some(plan));
+    world.run(move |env| {
+        let mad = Madeleine::init(&env, &config);
+        let ch = mad.channel("ch");
+        if env.id() == 0 {
+            let a = post(ch, 1, 0, LEN);
+            assert_eq!(ch.engine().state(a), Some(OpState::Batched));
+            // 40 blocks + a header behind A's two packets: the 16th packet
+            // trips a Full flush (A rides in it), the 32nd the next one.
+            let block = |k| (Bytes::from(payload(k, LEN)), CHEAPER.0, CHEAPER.1);
+            let big = ch.post_message(1, (1..=40).map(block).collect());
+            assert_eq!(ch.stats().batches(), 1, "only the first frame shipped");
+            assert_eq!(ch.engine().state(big), Some(OpState::Failed));
+            ch.wait_op(big).expect_err("its second frame was lost");
+            ch.wait_op(a).expect("A was delivered by the first frame");
+            let late = post(ch, 1, 41, LEN);
+            assert!(ch.wait_op(late).is_err(), "the batch stays poisoned");
+            assert_eq!(ch.engine().in_flight(), 0);
+        } else {
+            assert_eq!(recv(ch, LEN).1, payload(0, LEN), "A arrives intact");
         }
         env.barrier();
     });
