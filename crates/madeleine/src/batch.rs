@@ -56,9 +56,10 @@
 //! the wire byte stream is identical to the pre-batching library.
 //!
 //! A dropped or corrupted batch frame is retransmitted *as a unit* by the
-//! transport's existing ARQ — the frame is one `send_buffer` call, well
-//! under the ARQ segment size.
+//! transport's existing ARQ — the frame is one buffer to its TM, well under
+//! the ARQ segment size.
 
+use crate::bmm;
 use crate::connection::Connection;
 use crate::error::{MadError, MadResult};
 use crate::flags::SendMode;
@@ -66,11 +67,10 @@ use crate::pool::PooledBuf;
 use crate::rail::Rail;
 use crate::stats::Stats;
 use crate::trace::{TraceEvent, Tracer};
-use crate::wire::{self, BATCH_CLASS_ENV_LEN, BATCH_CLASS_HDR_LEN};
+use crate::wire::{self, BatchCursor, BATCH_CLASS_ENV_LEN, BATCH_CLASS_HDR_LEN};
 use bytes::Bytes;
 use madsim_net::time::{self, VDuration, VTime};
 use madsim_net::NodeId;
-use std::collections::VecDeque;
 
 /// Envelope flag: the packet was packed `receive_EXPRESS` by the user.
 const FLAG_EXPRESS: u32 = 1 << 0;
@@ -145,12 +145,14 @@ pub(crate) fn batchable(
         && BATCH_CLASS_HDR_LEN + BATCH_CLASS_ENV_LEN + len <= frame_cap
 }
 
-/// A packet handed to [`append`] and staged in a send batch.
+/// A packet handed to [`append`] and held in a send batch until its frame
+/// ships. The frame is gathered from these where they lie: nothing here is
+/// copied again before the transmission module reads it.
 pub(crate) enum BatchItem {
-    /// A blocking-path packet, copied into pooled memory before the
+    /// A blocking-path packet, captured into pooled memory before the
     /// append (`len` filled).
     Pooled(PooledBuf, usize),
-    /// A posted-op block, held zero-copy until the frame is assembled.
+    /// A posted-op block, owned by the batch.
     Owned(Bytes),
     /// A posted-op internal header whose sequence number is claimed only
     /// at flush time — cancelling the op before any flush leaves no gap
@@ -170,6 +172,15 @@ impl BatchItem {
             BatchItem::Header(h) => h.len(),
         }
     }
+
+    fn bytes(&self) -> &[u8] {
+        match self {
+            BatchItem::Pooled(buf, len) => &buf.raw()[..*len],
+            BatchItem::Owned(bytes) => bytes,
+            BatchItem::Header(hdr) => hdr,
+            BatchItem::DeferredHeader => unreachable!("encoded when the flush begins"),
+        }
+    }
 }
 
 struct PendingPacket {
@@ -180,7 +191,7 @@ struct PendingPacket {
 
 /// The send side of one connection's batch layer.
 pub(crate) struct SendBatch {
-    pending: VecDeque<PendingPacket>,
+    pending: Vec<PendingPacket>,
     /// Payload bytes currently staged (envelopes excluded).
     bytes: usize,
     /// Deadline armed by the first append of an open batch.
@@ -198,18 +209,22 @@ pub(crate) struct SendBatch {
     /// earlier frame shipped) reports this error instead of silently
     /// re-ordering.
     err: Option<MadError>,
+    /// Header + envelope table of the frame being flushed, kept between
+    /// flushes for its capacity.
+    table: Vec<u8>,
 }
 
 impl SendBatch {
     pub(crate) fn new() -> Self {
         SendBatch {
-            pending: VecDeque::new(),
+            pending: Vec::new(),
             bytes: 0,
             deadline: None,
             next_ticket: 1,
             last_flush_at: VTime::ZERO,
             env_seq: 0,
             err: None,
+            table: Vec::new(),
         }
     }
 
@@ -221,60 +236,51 @@ impl SendBatch {
         (self.last_flush_at, self.err.clone())
     }
 
-    /// Is the batch open (packets staged, frame not shipped)?
-    #[cfg(test)]
-    pub(crate) fn is_open(&self) -> bool {
-        !self.pending.is_empty()
-    }
-
     /// Is the batch open and past its flush deadline at `now`?
     pub(crate) fn deadline_due(&self, now: VTime) -> bool {
         self.deadline.is_some_and(|d| now >= d)
     }
 
-    /// Remove the never-flushed packets of a cancelled op (tickets in
-    /// `first..=last`). The caller guarantees no flush covered them.
-    pub(crate) fn cancel_tickets(&mut self, first: u64, last: u64) {
-        self.pending.retain(|p| {
-            let cancelled = p.ticket >= first && p.ticket <= last;
-            if cancelled {
-                self.bytes -= p.data.len();
-            }
-            !cancelled
-        });
-        if self.pending.is_empty() {
-            self.deadline = None;
-        }
+    /// The batch just emptied: disarm its deadline and say so where
+    /// nobody needs the lock to read it.
+    fn closed(&mut self, conn: &Connection) {
+        self.bytes = 0;
+        self.deadline = None;
+        conn.set_batch_open(false);
     }
 }
 
-/// The receive side: packets split out of arrived batch frames, awaiting
-/// their `unpack` calls.
+/// Remove the never-flushed packets with tickets in `first..=last` (a
+/// cancelled op's, an aborted message's) from `conn`'s send batch. `false`
+/// — and nothing removed — if a flush already covered `first`: the packets
+/// are on the wire.
+pub(crate) fn cancel_tickets(conn: &Connection, first: u64, last: u64) -> bool {
+    let mut b = conn.send_batch().lock();
+    if conn.batch_flushed() >= first {
+        return false;
+    }
+    b.pending.retain(|p| p.ticket < first || p.ticket > last);
+    b.bytes = b.pending.iter().map(|p| p.data.len()).sum();
+    if b.pending.is_empty() {
+        b.closed(conn);
+    }
+    true
+}
+
+/// The receive side: a cursor over the arrived frame whose packets the
+/// mirrored `unpack` calls are consuming.
 pub(crate) struct RecvBatch {
-    queue: VecDeque<(Bytes, u32)>,
+    cursor: BatchCursor,
     /// Next expected envelope sequence number.
     env_seq: u32,
-    /// Rail the queued packets arrived on (valid while non-empty).
-    rail: usize,
 }
 
 impl RecvBatch {
     pub(crate) fn new() -> Self {
         RecvBatch {
-            queue: VecDeque::new(),
+            cursor: BatchCursor::empty(),
             env_seq: 0,
-            rail: 0,
         }
-    }
-
-    /// Are split-out packets awaiting delivery?
-    pub(crate) fn has_queued(&self) -> bool {
-        !self.queue.is_empty()
-    }
-
-    /// Rail the queued packets arrived on.
-    pub(crate) fn rail(&self) -> usize {
-        self.rail
     }
 }
 
@@ -291,9 +297,9 @@ pub(crate) struct BatchCtx<'a> {
 }
 
 impl BatchCtx<'_> {
-    /// The longest frame [`append`] can build: it flushes at `max_packets`
-    /// packets or once `max_bytes` payload bytes are staged, and no
-    /// batchable packet exceeds `max_bytes` or the TM's budget.
+    /// The longest frame body [`append`] can build: it flushes at
+    /// `max_packets` packets or once `max_bytes` payload bytes are staged,
+    /// and no batchable packet exceeds `max_bytes` or the TM's budget.
     fn max_frame_len(&self) -> usize {
         let p = self.policy;
         let table = p.max_packets.saturating_mul(BATCH_CLASS_ENV_LEN);
@@ -332,11 +338,12 @@ pub(crate) fn append(
     }
     if b.pending.is_empty() {
         b.deadline = Some(time::now() + VDuration::from_micros_f64(ctx.policy.flush_us));
+        ctx.conn.set_batch_open(true);
     }
     let ticket = b.next_ticket;
     b.next_ticket += 1;
     b.bytes += len;
-    b.pending.push_back(PendingPacket {
+    b.pending.push(PendingPacket {
         ticket,
         data,
         flags,
@@ -351,6 +358,9 @@ pub(crate) fn append(
 
 /// Close the connection's open batch (if any) and ship its frame.
 pub(crate) fn flush(ctx: &BatchCtx<'_>, reason: FlushReason) -> MadResult<()> {
+    if ctx.conn.batch_idle() {
+        return Ok(());
+    }
     let mut b = ctx.conn.send_batch().lock();
     flush_locked(ctx, &mut b, reason)
 }
@@ -374,33 +384,27 @@ fn flush_locked(ctx: &BatchCtx<'_>, b: &mut SendBatch, reason: FlushReason) -> M
             p.data = BatchItem::Header(hdr);
         }
     }
-    let payload_bytes: usize = b.pending.iter().map(|p| p.data.len()).sum();
-    // Envelope table first (lengths are known up front), payloads after.
+    // The frame exists exactly once, where it travels from: the table
+    // below and every packet's own bytes, handed over as one group.
     let packets = b.pending.iter().map(|p| (p.data.len(), p.flags));
-    let mut frame = wire::encode_batch_frame(b.env_seq, packets);
+    let payload_bytes = wire::encode_batch_frame(&mut b.table, b.env_seq, packets);
+    let frame_len = b.table.len() + payload_bytes;
     b.env_seq = b.env_seq.wrapping_add(count as u32);
-    for p in &b.pending {
-        match &p.data {
-            BatchItem::Pooled(buf, len) => frame.extend_from_slice(&buf.raw()[..*len]),
-            BatchItem::Owned(bytes) => frame.extend_from_slice(bytes),
-            BatchItem::Header(hdr) => frame.extend_from_slice(hdr),
-            BatchItem::DeferredHeader => unreachable!("encoded above"),
-        }
-    }
-    // The staging gather is a real generic-layer copy; charge it.
-    time::advance(ctx.host.memcpy(frame.len()));
-    ctx.stats.record_copy(payload_bytes);
+    let mut parts = Vec::with_capacity(1 + count);
+    parts.push(&b.table[..]);
+    parts.extend(b.pending.iter().map(|p| p.data.bytes()));
     let dst = ctx.conn.peer();
     let tm = ctx.rail.batch_tm();
-    let sent = ctx.rail.pmm().tm(tm).send_buffer(dst, &frame);
+    let via = &*ctx.rail.pmm().tms()[tm as usize];
+    let sent = bmm::send_group(via, tm, dst, &parts, ctx.host, ctx.stats);
+    drop(parts);
     // Win or lose, the staged packets are consumed and their tickets
     // resolved — but a lost frame poisons the batch and leaves the
     // watermark where the last shipped frame put it, so an op parked on a
     // ticket whose bytes died retires with the poison, and one an earlier
     // frame delivered still completes.
     b.pending.clear();
-    b.bytes = 0;
-    b.deadline = None;
+    b.closed(ctx.conn);
     if let Err(e) = sent {
         b.err = Some(e.clone());
         ctx.conn.poison_batch();
@@ -409,10 +413,8 @@ fn flush_locked(ctx: &BatchCtx<'_>, b: &mut SendBatch, reason: FlushReason) -> M
     b.last_flush_at = time::now();
     ctx.conn.set_batch_flushed(b.next_ticket - 1);
     ctx.stats.record_batch(reason, count);
-    ctx.stats.record_buffer_sent();
-    ctx.stats.record_tm_traffic(tm, frame.len());
-    ctx.stats.record_rail_traffic(ctx.rail.id(), frame.len());
-    ctx.stats.record_batch_bytes(frame.len(), payload_bytes);
+    ctx.stats.record_rail_traffic(ctx.rail.id(), frame_len);
+    ctx.stats.record_batch_bytes(frame_len, payload_bytes);
     ctx.tracer.record(TraceEvent::BatchFlush {
         dst,
         packets: count,
@@ -422,16 +424,24 @@ fn flush_locked(ctx: &BatchCtx<'_>, b: &mut SendBatch, reason: FlushReason) -> M
     Ok(())
 }
 
-/// Deliver the next batched packet from `src` into `dst`: split a new
-/// frame off the wire if the queue is empty, then pop the head packet
-/// (whose length must equal `dst.len()` — the pack/unpack mirror
-/// guarantees it on a correct program).
-pub(crate) fn recv_into(ctx: &BatchCtx<'_>, src: NodeId, dst: &mut [u8]) -> MadResult<()> {
-    let mut rb = ctx.conn.recv_batch().lock();
-    if rb.queue.is_empty() {
-        receive_frame(ctx, src, &mut rb)?;
+/// Deliver the next batched packet from `src` into `dst`: take a new frame
+/// off the wire if the cursor `rb` is spent, then copy out the packet it
+/// points at (whose length must equal `dst.len()` — the pack/unpack mirror
+/// guarantees it on a correct program). That copy is the only one between
+/// the arrival buffer and the user's memory.
+pub(crate) fn recv_into(
+    ctx: &BatchCtx<'_>,
+    rb: &mut RecvBatch,
+    src: NodeId,
+    dst: &mut [u8],
+) -> MadResult<()> {
+    if rb.cursor.left() == 0 {
+        receive_frame(ctx, src, rb)?;
     }
-    let (payload, _flags) = rb.queue.pop_front().expect("frame split just above");
+    if rb.cursor.left() == 1 {
+        ctx.conn.set_recv_queued(None);
+    }
+    let (payload, _flags) = rb.cursor.next_packet().expect("frames hold a packet");
     if payload.len() != dst.len() {
         return Err(MadError::corrupt(format!(
             "batched packet from node {src} is {} bytes where the unpack \
@@ -440,19 +450,18 @@ pub(crate) fn recv_into(ctx: &BatchCtx<'_>, src: NodeId, dst: &mut [u8]) -> MadR
             dst.len()
         )));
     }
-    dst.copy_from_slice(&payload);
+    dst.copy_from_slice(payload);
     time::advance(ctx.host.memcpy(dst.len()));
     ctx.stats.record_copy(dst.len());
     Ok(())
 }
 
-/// Receive one batch frame from `src` and split it into the queue.
+/// Receive one batch frame from `src`, whole and in the buffer it arrived
+/// in, and point the cursor at its first packet.
 fn receive_frame(ctx: &BatchCtx<'_>, src: NodeId, rb: &mut RecvBatch) -> MadResult<()> {
-    let tm = ctx.rail.pmm().tm(ctx.rail.batch_tm());
+    let tm = &*ctx.rail.pmm().tms()[ctx.rail.batch_tm() as usize];
     let frame: Bytes = if tm.caps().static_buffers {
-        // Static-buffer stacks deliver the frame whole; keep the arrival
-        // bytes alive past the buffer release so the per-packet payloads
-        // stay zero-copy.
+        // The arrival bytes outlive the buffer's release.
         let buf = tm.receive_static_buffer(src)?;
         let bytes = buf
             .shared_bytes()
@@ -460,72 +469,20 @@ fn receive_frame(ctx: &BatchCtx<'_>, src: NodeId, rb: &mut RecvBatch) -> MadResu
         tm.release_static_buffer(buf);
         bytes
     } else {
-        // Stream stacks: the prologue byte, then the body length one
-        // varint byte at a time (its width is unknown until a byte clears
-        // the continuation bit), then the whole body in one exact read.
-        let mut pro = [0u8; 1];
-        tm.receive_buffer(src, &mut pro)?;
-        let mut varint = Vec::with_capacity(wire::MAX_VARINT);
-        loop {
-            let mut byte = [0u8; 1];
-            tm.receive_buffer(src, &mut byte)?;
-            varint.push(byte[0]);
-            if byte[0] & wire::VARINT_CONT == 0 || varint.len() == wire::MAX_VARINT {
-                break;
-            }
-        }
-        let mut pos = 0;
-        let body = wire::read_varint(&varint, &mut pos)?;
-        // A larger claim than any conforming sender's frame is corruption,
-        // and must not size an allocation.
-        let body = usize::try_from(body)
-            .ok()
-            .filter(|&b| b <= ctx.max_frame_len())
-            .ok_or_else(|| {
-                MadError::corrupt(format!(
-                    "batch frame from node {src} claims a {body}-byte body"
-                ))
-            })?;
-        let mut whole = Vec::with_capacity(1 + varint.len() + body);
-        whole.push(pro[0]);
-        whole.extend_from_slice(&varint);
-        let at = whole.len();
-        whole.resize(at + body, 0);
-        tm.receive_buffer(src, &mut whole[at..])?;
-        Bytes::from(whole)
+        let max_body = ctx.max_frame_len();
+        tm.receive_delimited(src, &mut |head| wire::batch_frame_len(head, src, max_body))?
     };
-    split_frame(ctx, src, rb, frame)
-}
-
-/// Split a whole batch frame into per-packet queue entries, validating
-/// the envelope sequence continuity.
-fn split_frame(ctx: &BatchCtx<'_>, src: NodeId, rb: &mut RecvBatch, frame: Bytes) -> MadResult<()> {
-    let (envelopes, payload_at) = wire::parse_batch_frame(&frame, src)?;
-    let mut off = payload_at;
-    for (i, env) in envelopes.iter().enumerate() {
-        if env.seq != rb.env_seq {
-            return Err(MadError::corrupt(format!(
-                "batch envelope seq {} from node {src} where {} was \
-                 expected (lost or replayed batch frame)",
-                env.seq, rb.env_seq
-            )));
-        }
-        rb.env_seq = rb.env_seq.wrapping_add(1);
-        let Some(end) = off.checked_add(env.len).filter(|&end| end <= frame.len()) else {
-            return Err(MadError::corrupt(format!(
-                "batch envelope {i} from node {src} overruns its frame"
-            )));
-        };
-        rb.queue.push_back((frame.slice(off..end), env.flags));
-        off = end;
-    }
-    if off != frame.len() {
+    let (cursor, first_seq) = BatchCursor::open(frame, src)?;
+    if first_seq != rb.env_seq {
         return Err(MadError::corrupt(format!(
-            "batch frame from node {src} carries {} trailing bytes",
-            frame.len() - off
+            "batch envelope seq {first_seq} from node {src} where {} was \
+             expected (lost or replayed batch frame)",
+            rb.env_seq
         )));
     }
-    rb.rail = ctx.rail.id();
+    rb.env_seq = rb.env_seq.wrapping_add(cursor.left() as u32);
+    rb.cursor = cursor;
+    ctx.conn.set_recv_queued(Some(ctx.rail.id()));
     Ok(())
 }
 
@@ -570,22 +527,38 @@ mod tests {
 
     #[test]
     fn cancel_tickets_removes_pending_and_disarms_deadline() {
-        let mut b = SendBatch::new();
-        b.pending.push_back(PendingPacket {
-            ticket: 1,
-            data: BatchItem::Owned(Bytes::from_static(b"abcd")),
-            flags: 0,
-        });
-        b.pending.push_back(PendingPacket {
-            ticket: 2,
-            data: BatchItem::DeferredHeader,
-            flags: FLAG_INTERNAL,
-        });
-        b.bytes = 4 + crate::channel::HEADER_LEN;
-        b.deadline = Some(VTime::from_nanos(1));
-        b.cancel_tickets(1, 2);
-        assert!(!b.is_open());
+        let conns = crate::connection::Connections::new(0, &[0, 1]);
+        let conn = conns.get(1).unwrap();
+        {
+            let mut b = conn.send_batch().lock();
+            for (ticket, data, flags) in [
+                (1, BatchItem::Owned(Bytes::from_static(b"abcd")), 0),
+                (2, BatchItem::DeferredHeader, FLAG_INTERNAL),
+                (3, BatchItem::Owned(Bytes::from_static(b"xy")), 0),
+            ] {
+                b.pending.push(PendingPacket {
+                    ticket,
+                    data,
+                    flags,
+                });
+            }
+            b.bytes = 6 + crate::channel::HEADER_LEN;
+            b.deadline = Some(VTime::from_nanos(1));
+            conn.set_batch_open(true);
+        }
+        assert!(cancel_tickets(conn, 1, 2));
+        assert_eq!(conn.send_batch().lock().bytes, 2);
+        assert!(conn.batch_open(), "ticket 3 is still staged");
+        assert!(cancel_tickets(conn, 3, 3));
+        let b = conn.send_batch().lock();
+        assert!(b.pending.is_empty() && !conn.batch_open());
         assert_eq!(b.bytes, 0);
         assert!(!b.deadline_due(VTime::from_nanos(100)), "deadline disarmed");
+        drop(b);
+        conn.set_batch_flushed(5);
+        assert!(
+            !cancel_tickets(conn, 4, 5),
+            "a flush covered them: on the wire"
+        );
     }
 }

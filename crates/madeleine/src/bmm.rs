@@ -277,18 +277,13 @@ impl<'a> SendBmm<'a> {
                     // Scatter/gather flush: the TM reads each block from
                     // where it lies — no coalescing memcpy on this layer.
                     let slices: Vec<&[u8]> = pending.iter().map(|b| b.as_slice()).collect();
-                    let total: usize = slices.iter().map(|s| s.len()).sum();
                     for b in &pending {
                         if b.is_borrowed() {
                             self.stats.record_borrowed(b.as_slice().len());
                         }
                     }
-                    self.tm.send_gather(self.dst, &slices)?;
-                    if self.tm.caps().gather {
-                        self.stats.record_gather();
-                    }
-                    self.stats.record_buffer_sent();
-                    self.stats.record_tm_traffic(self.tm_id, total);
+                    let (tm, host) = (&*self.tm, &self.host);
+                    send_group(tm, self.tm_id, self.dst, &slices, host, &self.stats)?;
                 }
                 SendPolicy::StaticCopy => {
                     for b in &pending {
@@ -314,6 +309,45 @@ impl<'a> SendBmm<'a> {
         time::advance(self.host.memcpy(len));
         self.stats.record_copy(len);
     }
+}
+
+/// Hand `parts` to `tm` as **one** buffer, assembled once, in the place it
+/// travels from: a gather list the TM reads where the parts lie, or — on a
+/// protocol that only ships its own buffers — written straight into one of
+/// those (the generic layer's copy: charged and counted here). The commit
+/// of an aggregated message and the flush of a batch frame both end here.
+///
+/// # Panics
+/// Panics if the parts outgrow a static-buffer TM's buffer; callers size
+/// their groups by `caps().buffer_cap`.
+pub(crate) fn send_group(
+    tm: &dyn TransmissionModule,
+    tm_id: TmId,
+    dst: NodeId,
+    parts: &[&[u8]],
+    host: &HostModel,
+    stats: &Stats,
+) -> MadResult<()> {
+    let caps = tm.caps();
+    let total: usize = parts.iter().map(|p| p.len()).sum();
+    if caps.static_buffers {
+        let mut buf = tm.obtain_static_buffer();
+        for p in parts {
+            buf.spare_mut()[..p.len()].copy_from_slice(p);
+            buf.advance(p.len());
+        }
+        time::advance(host.memcpy(total));
+        stats.record_copy(total);
+        tm.send_static_buffer(dst, buf)?;
+    } else {
+        tm.send_gather(dst, parts)?;
+        if caps.gather {
+            stats.record_gather();
+        }
+    }
+    stats.record_buffer_sent();
+    stats.record_tm_traffic(tm_id, total);
+    Ok(())
 }
 
 /// Receive-side BMM instance for one in-flight message on one TM.

@@ -44,7 +44,7 @@
 //! which is how the receiver learns which rail carries the rest of the
 //! message's un-striped blocks.
 
-use crate::batch::{self, BatchCtx, BatchItem, FlushReason};
+use crate::batch::{self, BatchCtx, BatchItem, FlushReason, RecvBatch};
 use crate::bmm::{RecvBmm, SendBmm};
 use crate::config::HostModel;
 use crate::connection::{Connection, Connections};
@@ -62,6 +62,7 @@ use crate::wire;
 use bytes::Bytes;
 use madsim_net::time::{self, VDuration, VTime};
 use madsim_net::NodeId;
+use parking_lot::MutexGuard;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -208,7 +209,7 @@ impl Channel {
         assert!(!rails.is_empty(), "a channel needs at least one rail");
         assert!(rails.len() <= 64, "the live-rail mask is one u64");
         let conns = Arc::new(Connections::new(me, &peers));
-        let engine = ProgressEngine::new(Arc::clone(&conns));
+        let engine = ProgressEngine::new(Arc::clone(&conns), Arc::clone(&stats));
         let live_mask = Arc::new(AtomicU64::new(u64::MAX >> (64 - rails.len())));
         for r in &rails {
             r.attach_live_mask(Arc::clone(&live_mask));
@@ -330,16 +331,11 @@ impl Channel {
             return Ok(());
         }
         let mut result = Ok(());
-        for &p in &self.peers {
-            if p == self.core.me {
-                continue;
-            }
-            // Flush every peer even if one fails: its error is recorded
-            // (first failure wins) and its batch is poisoned.
-            let r = self.flush_peer(self.core.conn(p));
-            if result.is_ok() {
-                result = r;
-            }
+        // Flush every peer even if one fails: its error is recorded
+        // (first failure wins) and its batch is poisoned. An idle peer
+        // costs two loads: no batch lock, no op-slab lock.
+        for conn in self.core.conns.iter().filter(|c| !c.batch_idle()) {
+            result = result.and(self.flush_peer(conn));
         }
         result
     }
@@ -363,38 +359,25 @@ impl Channel {
             return;
         }
         let now = time::now();
-        for &p in &self.peers {
-            if p == self.core.me {
-                continue;
+        for conn in self.core.conns.iter() {
+            if conn.batch_open() && conn.send_batch().lock().deadline_due(now) {
+                let rail = self.core.home_rail(conn);
+                let _ = self
+                    .core
+                    .flush_batch(conn.peer(), rail, FlushReason::Deadline);
             }
-            let conn = self.core.conn(p);
-            if !conn.send_batch().lock().deadline_due(now) {
-                continue;
-            }
-            let rail = self.core.home_rail(conn);
-            let _ = self.core.flush_batch(p, rail, FlushReason::Deadline);
         }
     }
 
-    /// The peer (and arrival rail) of already split-out batched packets
-    /// awaiting delivery, if any — checked before blocking on the wire:
-    /// one arrived frame can span several messages, so the next message
-    /// may be entirely in memory with nothing left on the fabric. Peers
-    /// are scanned in member order for determinism.
+    /// The peer (and arrival rail) of batched packets that arrived in a
+    /// frame an earlier message did not use up, if any — checked before
+    /// blocking on the wire: one arrived frame can span several messages,
+    /// so the next message may be entirely in memory with nothing left on
+    /// the fabric. Peers are scanned in peer order for determinism, one
+    /// load each.
     fn queued_batch_source(&self) -> Option<(NodeId, usize)> {
-        if !self.core.sched.batch.enabled() {
-            return None;
-        }
-        for &p in &self.peers {
-            if p == self.core.me {
-                continue;
-            }
-            let rb = self.core.conn(p).recv_batch().lock();
-            if rb.has_queued() {
-                return Some((p, rb.rail()));
-            }
-        }
-        None
+        let mut conns = self.core.conns.iter();
+        conns.find_map(|c| Some((c.peer(), c.recv_queued()?)))
     }
 
     /// Initiate a new outgoing message to `dst` (paper: `mad_begin_packing`).
@@ -521,8 +504,8 @@ impl Channel {
     /// guarantees the next [`begin_unpacking`](Self::begin_unpacking) will
     /// not block waiting for an announcement.)
     pub fn has_incoming(&self) -> bool {
-        // Split-out batched packets count: one arrived frame can span
-        // several messages, so the next message may already be in memory.
+        // Batched packets of an arrived frame count: it can span several
+        // messages, so the next message may already be in memory.
         if self.queued_batch_source().is_some() {
             return true;
         }
@@ -577,13 +560,11 @@ impl Channel {
         // a batched request still sitting in its batch while we wait for
         // the response is a self-inflicted deadlock. Errors poison the
         // affected batch and surface on the send side.
-        if self.core.sched.batch.enabled() {
-            let _ = self.flush();
-        }
+        let _ = self.flush();
         // The announcing header rides the sender's home rail, which makes
         // the rail that announced the message the rail that carries its
-        // un-striped blocks — no negotiation needed. Already split-out
-        // batched packets win over the fabric: a frame that spanned
+        // un-striped blocks — no negotiation needed. Batched packets
+        // already in memory win over the fabric: a frame that spanned
         // several messages announced them all at once.
         let (src, rail) = if let Some(queued) = self.queued_batch_source() {
             queued
@@ -599,6 +580,7 @@ impl Channel {
             rail,
             cur_tm: None,
             bmm: None,
+            batch: None,
             done: false,
         };
         match self.check_header(&mut msg) {
@@ -794,12 +776,10 @@ impl Channel {
             first_ticket: None,
             last_ticket: None,
         };
-        let id = self.engine.post(conn, Box::new(op));
-        // Opportunistic first tick: a message whose frames need no peer
-        // event is fully on the wire (or in the batch) when post_message
-        // returns.
-        self.engine.advance_conn(conn);
-        id
+        // The post is the op's first tick: a message whose frames need no
+        // peer event is fully on the wire (or in the batch) when
+        // post_message returns.
+        self.engine.post(conn, op)
     }
 
     /// One progress-engine tick: advance the head op of every peer's
@@ -903,7 +883,7 @@ type Block = (Bytes, SendMode, RecvMode);
 /// ships the header and every block frame in order, parking in
 /// `CreditWait` / `RendezvousWait` / `StripePartial` whenever a frame
 /// needs a peer event, and failing fast (`ChannelDown`) when its rails
-/// die under it. One allocation: the op itself.
+/// die under it. Allocated (boxed by the engine) only if it has to park.
 struct MessageSendOp {
     dst: NodeId,
     /// Home rail; fixed once the header frame ships (the receiver pins
@@ -924,10 +904,8 @@ struct MessageSendOp {
     started: bool,
     done_at: VTime,
     /// Batch tickets of this op's first and last batched packets: once
-    /// every frame is emitted the op parks in [`OpState::Batched`] until
-    /// a flush covers the last one, counts as started once a flush covers
-    /// the first, and cancels by removing the whole range from the
-    /// pending batch.
+    /// every frame is emitted they are what is left of the op (see
+    /// [`StepOutcome::Batched`]).
     first_ticket: Option<u64>,
     last_ticket: Option<u64>,
 }
@@ -1105,42 +1083,25 @@ impl OpStep for MessageSendOp {
             }
         }
         // Every frame is emitted, but batched packets only count as sent
-        // once a flush covers them: the engine parks the op behind its
-        // last ticket and the flush that covers it retires it (a later op
-        // may append behind it meanwhile).
-        if let Some(last) = self.last_ticket {
-            return StepOutcome::Batched(last);
+        // once a flush covers them: the engine parks what is left of the
+        // op behind its last ticket and the flush that covers it retires
+        // it (a later op may append behind it meanwhile).
+        match (self.first_ticket, self.last_ticket) {
+            (Some(first), Some(last)) => StepOutcome::Batched {
+                first: if self.started { 0 } else { first },
+                last,
+                done_at: self.done_at,
+            },
+            _ => StepOutcome::Done(self.done_at.max(time::now())),
         }
-        self.core.stats.record_message();
-        StepOutcome::Done(self.done_at.max(time::now()))
-    }
-
-    fn on_flushed(&mut self, at: VTime) -> VTime {
-        self.core.stats.record_message();
-        self.done_at.max(at)
     }
 
     fn started(&self) -> bool {
-        // A batched op has irrevocably reached the wire once any flush
-        // covered its first packet.
+        // An op still in the queue parks only behind a frame that shipped
+        // outside the batch, after a barrier flush of whatever it staged:
+        // while this is false nothing of it is anywhere.
+        debug_assert!(self.started || (self.pending.is_none() && self.first_ticket.is_none()));
         self.started
-            || self
-                .first_ticket
-                .is_some_and(|t| self.core.conn(self.dst).batch_flushed() >= t)
-    }
-
-    fn on_cancel(&mut self) {
-        debug_assert!(!self.started, "cancel of a started op");
-        if let Some(mut p) = self.pending.take() {
-            p.cont.cancel();
-        }
-        // Pull the op's never-flushed packets back out of the batch; the
-        // deferred header claimed no sequence number yet, so the peer
-        // sees no gap.
-        if let (Some(first), Some(last)) = (self.first_ticket, self.last_ticket) {
-            let conn = self.core.conn(self.dst);
-            conn.send_batch().lock().cancel_tickets(first, last);
-        }
     }
 }
 
@@ -1269,7 +1230,7 @@ impl<'c, 'a> OutgoingMessage<'c, 'a> {
         let chan = self.chan;
         // Commit the open BMM first so the batched packet takes its place
         // in the per-connection order (the receiver mirrors this with a
-        // checkout before reading from its split-frame queue).
+        // checkout before reading from under its frame cursor).
         if let Some(mut old) = self.bmm.take() {
             old.flush()?;
         }
@@ -1407,10 +1368,8 @@ impl<'c, 'a> OutgoingMessage<'c, 'a> {
             // envelope sequence number was assigned yet, so the peer's
             // continuity check is unaffected. (Posted ops cannot have
             // packets pending here — `begin_packing` drained them.)
-            if self.chan.core.sched.batch.enabled() {
-                if let Some(conn) = self.chan.core.conns.get(self.dst) {
-                    conn.send_batch().lock().cancel_tickets(0, u64::MAX);
-                }
+            if let Some(conn) = self.chan.core.conns.get(self.dst) {
+                batch::cancel_tickets(conn, conn.batch_flushed() + 1, u64::MAX);
             }
             self.chan.open_tx.fetch_sub(1, Ordering::AcqRel);
         }
@@ -1425,9 +1384,9 @@ impl<'c, 'a> OutgoingMessage<'c, 'a> {
     /// Panics on transport failure (see
     /// [`try_end_packing`](Self::try_end_packing)).
     pub fn end_packing(self) {
-        let name = self.chan.name.clone();
+        let chan = self.chan;
         if let Err(e) = self.try_end_packing() {
-            panic!("end_packing on channel {name:?} failed: {e}");
+            panic!("end_packing on channel {:?} failed: {e}", chan.name);
         }
     }
 
@@ -1477,6 +1436,10 @@ pub struct IncomingMessage<'c, 'a> {
     rail: usize,
     cur_tm: Option<TmId>,
     bmm: Option<RecvBmm<'a>>,
+    /// The connection's batch-frame cursor, locked by the message's first
+    /// batched packet (its header, when headers batch) and held to its
+    /// end: one incoming message is open per channel, so nobody waits.
+    batch: Option<MutexGuard<'c, RecvBatch>>,
     done: bool,
 }
 
@@ -1556,8 +1519,7 @@ impl<'c, 'a> IncomingMessage<'c, 'a> {
         // non-batchable block is unpacked, every batched packet before it
         // was already popped by the mirrored unpacks.
         debug_assert!(
-            !chan.core.sched.batch.enabled()
-                || !chan.core.conn(self.src).recv_batch().lock().has_queued(),
+            chan.core.conn(self.src).recv_queued().is_none(),
             "batched packets left queued at a non-batchable unpack \
              (asymmetric pack/unpack?)"
         );
@@ -1575,16 +1537,19 @@ impl<'c, 'a> IncomingMessage<'c, 'a> {
 
     /// Deliver one batched packet (mirror of the sender's batch append):
     /// check out the open BMM first — the commit/checkout discipline
-    /// spans the batch layer too — then pop the packet from the
-    /// connection's split-frame queue, pulling the next frame off the
-    /// wire if the queue is empty.
+    /// spans the batch layer too — then copy the packet out from under
+    /// the connection's frame cursor, which pulls the next frame off the
+    /// wire when it is spent.
     fn unpack_batched(&mut self, dst: &mut [u8]) -> MadResult<()> {
         if let Some(mut old) = self.bmm.take() {
             old.checkout()?;
         }
         self.cur_tm = None;
         let ctx = self.chan.core.batch_ctx(self.src, self.rail);
-        batch::recv_into(&ctx, self.src, dst)
+        let cursor = self
+            .batch
+            .get_or_insert_with(|| ctx.conn.recv_batch().lock());
+        batch::recv_into(&ctx, cursor, self.src, dst)
     }
 
     /// Extract one `receive_EXPRESS` block through a short-lived borrow:
@@ -1639,8 +1604,7 @@ impl<'c, 'a> IncomingMessage<'c, 'a> {
             .batchable(HEADER_LEN, SendMode::Cheaper, self.rail)
         {
             debug_assert!(self.bmm.is_none(), "header unpacked mid-message");
-            let ctx = chan.core.batch_ctx(self.src, self.rail);
-            return batch::recv_into(&ctx, self.src, dst);
+            return self.unpack_batched(dst);
         }
         let pmm = chan.core.rails[self.rail].pmm();
         self.switch_to(pmm.select(HEADER_LEN, SendMode::Cheaper, RecvMode::Express))?;
@@ -1678,6 +1642,7 @@ impl<'c, 'a> IncomingMessage<'c, 'a> {
             self.done = true;
             self.bmm = None;
             self.cur_tm = None;
+            self.batch = None;
             self.chan.open_rx.fetch_sub(1, Ordering::AcqRel);
         }
     }
@@ -1690,9 +1655,9 @@ impl<'c, 'a> IncomingMessage<'c, 'a> {
     /// Panics on transport failure (see
     /// [`try_end_unpacking`](Self::try_end_unpacking)).
     pub fn end_unpacking(self) {
-        let name = self.chan.name.clone();
+        let chan = self.chan;
         if let Err(e) = self.try_end_unpacking() {
-            panic!("end_unpacking on channel {name:?} failed: {e}");
+            panic!("end_unpacking on channel {:?} failed: {e}", chan.name);
         }
     }
 
@@ -1706,6 +1671,7 @@ impl<'c, 'a> IncomingMessage<'c, 'a> {
         }
         time::advance(VDuration::from_micros_f64(self.chan.core.host.end_op_us));
         self.chan.core.tracer.record(TraceEvent::EndUnpacking);
+        self.batch = None;
         self.chan.open_rx.fetch_sub(1, Ordering::AcqRel);
         self.done = true;
         result

@@ -15,10 +15,10 @@
 //! [`crate::rail`]).
 
 use crate::batch::{RecvBatch, SendBatch};
-use crate::progress::OpSlab;
+use crate::progress::{OpQueue, OpSlab};
 use madsim_net::NodeId;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 /// Ordering state for one peer of a channel.
 pub struct Connection {
@@ -36,37 +36,41 @@ pub struct Connection {
     tx_stripe_blocks: AtomicU64,
     /// Striped blocks received from the peer (multirail only).
     rx_stripe_blocks: AtomicU64,
-    /// Every nonblocking op addressed to this peer: a slab with
-    /// generational indices holding each op's state, plus the in-flight
-    /// order itself — the queue of ops still emitting frames (only its
-    /// head is ever stepped, so the wire stream stays in posting order and
-    /// at most one rendezvous per peer is outstanding) and the ops parked
-    /// in `Batched` behind their last batch ticket (see
-    /// [`crate::progress`]). One lock covers all three, so a post is one
-    /// lock round trip and posters/waiters on distinct peers share none.
-    /// Empty in blocking-only programs — the fast path pays one
-    /// uncontended lock per fence check.
+    /// The state of every nonblocking op addressed to this peer: a slab
+    /// with generational indices, plus the ops parked in `Batched` behind
+    /// their last batch ticket (see [`crate::progress`]). Plain data under
+    /// one short lock; posters/waiters on distinct peers share none.
     ops: Mutex<OpSlab>,
-    /// Serializes progress ticks *on this connection only* — the
-    /// replacement for the engine's old global tick lock. Ticks on other
-    /// peers run concurrently.
-    tick: Mutex<()>,
+    /// The ops still emitting frames toward this peer, oldest first, each
+    /// with its state machine. Only the head is ever stepped, so the wire
+    /// stream stays in posting order and at most one rendezvous per peer
+    /// is outstanding. Its lock *is* the tick: whoever holds it is the one
+    /// thread posting, stepping or cancelling on this connection — ticks
+    /// on other peers run concurrently. Empty in blocking-only programs.
+    tick: Mutex<OpQueue>,
     /// Outgoing small packets coalescing toward the peer (batching
     /// enabled only; stays empty and lock-cheap otherwise).
     send_batch: Mutex<SendBatch>,
+    /// Are packets staged in the send batch? With the two fields below,
+    /// what the batch publishes: written under the batch lock, read
+    /// without it — a flush-everything, a deadline sweep, the engine's
+    /// retire pass, a parked op's `started()` and `wait_op` never queue
+    /// behind an append, and cost one load when there is nothing to do.
+    batch_open: AtomicBool,
     /// Every batch ticket at or below this left on the wire: the watermark
     /// of the last flush that shipped (a failed flush leaves it alone).
-    /// Written under the batch lock, read without it: the engine's retire
-    /// pass, a parked op's `started()` and `wait_op` never queue behind an
-    /// append.
     batch_flushed: AtomicU64,
     /// A flush failed and poisoned the batch: every ticket above the
-    /// watermark died with that frame or will never ship. Written and read
-    /// like the watermark.
+    /// watermark died with that frame or will never ship.
     batch_poisoned: AtomicBool,
-    /// Packets split out of arrived batch frames, awaiting their
-    /// `unpack` calls.
+    /// The cursor over the arrived batch frame the mirrored `unpack`
+    /// calls are consuming; an incoming message holds this lock for as
+    /// long as it reads batched packets.
     recv_batch: Mutex<RecvBatch>,
+    /// `rail + 1` while that cursor still has packets to hand over (they
+    /// arrived on `rail`), 0 otherwise. Written under the cursor's lock,
+    /// read without it: "is the next message already in memory?".
+    recv_queued: AtomicUsize,
 }
 
 impl Connection {
@@ -79,11 +83,13 @@ impl Connection {
             tx_stripe_blocks: AtomicU64::new(0),
             rx_stripe_blocks: AtomicU64::new(0),
             ops: Mutex::new(OpSlab::new()),
-            tick: Mutex::new(()),
+            tick: Mutex::new(OpQueue::new()),
             send_batch: Mutex::new(SendBatch::new()),
+            batch_open: AtomicBool::new(false),
             batch_flushed: AtomicU64::new(0),
             batch_poisoned: AtomicBool::new(false),
             recv_batch: Mutex::new(RecvBatch::new()),
+            recv_queued: AtomicUsize::new(0),
         }
     }
 
@@ -92,9 +98,21 @@ impl Connection {
         &self.send_batch
     }
 
-    /// The connection's incoming split-frame queue.
+    /// The cursor over the connection's arrived batch frame.
     pub(crate) fn recv_batch(&self) -> &Mutex<RecvBatch> {
         &self.recv_batch
+    }
+
+    /// The rail the packets still waiting under that cursor arrived on,
+    /// if any are (see the field docs).
+    pub(crate) fn recv_queued(&self) -> Option<usize> {
+        self.recv_queued.load(Ordering::Acquire).checked_sub(1)
+    }
+
+    /// Publish what the cursor holds; the caller holds its lock.
+    pub(crate) fn set_recv_queued(&self, rail: Option<usize>) {
+        let v = rail.map_or(0, |r| r + 1);
+        self.recv_queued.store(v, Ordering::Release);
     }
 
     /// The peer this connection points at.
@@ -147,6 +165,21 @@ impl Connection {
         self.rx_stripe_blocks.fetch_add(1, Ordering::Relaxed)
     }
 
+    /// Are packets staged in the send batch (see the field docs)?
+    pub(crate) fn batch_open(&self) -> bool {
+        self.batch_open.load(Ordering::Acquire)
+    }
+
+    /// Nothing staged and no poison to report: a flush has nothing to do.
+    pub(crate) fn batch_idle(&self) -> bool {
+        !self.batch_open() && !self.batch_poisoned()
+    }
+
+    /// Publish whether the batch holds packets; the caller holds its lock.
+    pub(crate) fn set_batch_open(&self, open: bool) {
+        self.batch_open.store(open, Ordering::Release);
+    }
+
     /// The flush watermark of the send batch (see the field docs).
     pub(crate) fn batch_flushed(&self) -> u64 {
         self.batch_flushed.load(Ordering::Acquire)
@@ -167,14 +200,15 @@ impl Connection {
         self.batch_poisoned.store(true, Ordering::Release);
     }
 
-    /// This connection's op slab (state and in-flight order of every
-    /// nonblocking op toward the peer).
+    /// This connection's op slab (the state of every nonblocking op
+    /// toward the peer).
     pub(crate) fn ops(&self) -> &Mutex<OpSlab> {
         &self.ops
     }
 
-    /// This connection's tick lock (per-peer progress serialization).
-    pub(crate) fn tick(&self) -> &Mutex<()> {
+    /// This connection's in-flight queue; holding its lock is holding the
+    /// tick (per-peer progress serialization).
+    pub(crate) fn tick(&self) -> &Mutex<OpQueue> {
         &self.tick
     }
 }

@@ -4,7 +4,9 @@
 //! aggregation — grouped blocks leave in a single `writev`, so a message of
 //! many small blocks costs one kernel traversal instead of one per block.
 //! Receiving always copies once (socket buffer → user memory), charged as a
-//! host memcpy.
+//! host memcpy — by this TM on a `receive_buffer`, by the caller on a
+//! `receive_delimited`, which hands the unit over still in its socket
+//! buffer.
 
 use crate::bmm::SendPolicy;
 use crate::config::HostModel;
@@ -15,12 +17,12 @@ use crate::polling::PollPolicy;
 use crate::stats::Stats;
 use crate::tm::{TmCaps, TmId, TransmissionModule};
 use crate::trace::{TraceEvent, Tracer};
+use bytes::Bytes;
 use madsim_net::stacks::tcp::{TcpConn, TcpStack};
 use madsim_net::time;
 use madsim_net::world::Adapter;
 use madsim_net::{LinkError, NodeId};
-use parking_lot::Mutex;
-use std::collections::HashMap;
+use parking_lot::{Mutex, MutexGuard};
 use std::sync::Arc;
 
 /// Build the TCP PMM for one channel. Establishes a connection to every
@@ -39,14 +41,15 @@ pub fn build(
         None => TcpStack::new(adapter),
     };
     let me = stack.node();
-    let mut conns = HashMap::new();
-    for &peer in adapter.peers() {
-        if peer != me {
-            conns.insert(peer, stack.connect(peer, channel_id));
-        }
-    }
+    let mut peers: Vec<NodeId> = adapter.peers().iter().copied().collect();
+    peers.retain(|&peer| peer != me);
+    peers.sort_unstable();
+    let conns = peers
+        .into_iter()
+        .map(|peer| (peer, Mutex::new(stack.connect(peer, channel_id))))
+        .collect();
     let tm: Arc<dyn TransmissionModule> = Arc::new(TcpTm {
-        conns: Mutex::new(conns),
+        conns,
         host,
         stats,
         tracer,
@@ -99,19 +102,20 @@ impl Pmm for TcpPmm {
 }
 
 struct TcpTm {
-    conns: Mutex<HashMap<NodeId, TcpConn>>,
+    /// One connection per peer, sorted by peer id, each behind its own
+    /// lock: threads talking to different peers share nothing, and a
+    /// lookup is a short binary search.
+    conns: Vec<(NodeId, Mutex<TcpConn>)>,
     host: HostModel,
     stats: Arc<Stats>,
     tracer: Arc<Tracer>,
 }
 
 impl TcpTm {
-    fn with_conn<T>(&self, peer: NodeId, f: impl FnOnce(&mut TcpConn) -> T) -> T {
-        let mut conns = self.conns.lock();
-        let conn = conns
-            .get_mut(&peer)
-            .unwrap_or_else(|| panic!("no TCP connection to node {peer}"));
-        f(conn)
+    fn conn(&self, peer: NodeId) -> MutexGuard<'_, TcpConn> {
+        let at = self.conns.binary_search_by_key(&peer, |&(p, _)| p);
+        let at = at.unwrap_or_else(|_| panic!("no TCP connection to node {peer}"));
+        self.conns[at].1.lock()
     }
 
     /// Account a completed reliable send: `n` retransmissions happened
@@ -149,7 +153,8 @@ impl TransmissionModule for TcpTm {
 
     fn send_buffer(&self, dst: NodeId, data: &[u8]) -> MadResult<()> {
         let n = self
-            .with_conn(dst, |c| c.try_send(data))
+            .conn(dst)
+            .try_send(data)
             .map_err(|e| self.link_err(e, dst))?;
         self.note_retransmits(dst, n);
         Ok(())
@@ -160,7 +165,8 @@ impl TransmissionModule for TcpTm {
             return Ok(());
         }
         let n = self
-            .with_conn(dst, |c| c.try_send_vectored(bufs))
+            .conn(dst)
+            .try_send_vectored(bufs)
             .map_err(|e| self.link_err(e, dst))?;
         self.note_retransmits(dst, n);
         Ok(())
@@ -173,7 +179,8 @@ impl TransmissionModule for TcpTm {
     }
 
     fn receive_buffer(&self, src: NodeId, dst: &mut [u8]) -> MadResult<()> {
-        self.with_conn(src, |c| c.try_recv_exact(dst))
+        self.conn(src)
+            .try_recv_exact(dst)
             .map_err(|e| self.link_err(e, src))?;
         // Socket buffer → user memory copy: a cost of the protocol itself,
         // not of the generic layer (no emission flag could avoid it).
@@ -184,18 +191,34 @@ impl TransmissionModule for TcpTm {
 
     fn receive_sub_buffer_group(&self, src: NodeId, dsts: &mut [&mut [u8]]) -> MadResult<()> {
         let mut total = 0;
-        self.with_conn(src, |c| -> Result<(), LinkError> {
-            for d in dsts.iter_mut() {
-                c.try_recv_exact(d)?;
-                total += d.len();
-            }
-            Ok(())
-        })
-        .map_err(|e| self.link_err(e, src))?;
+        let mut conn = self.conn(src);
+        for d in dsts.iter_mut() {
+            conn.try_recv_exact(d).map_err(|e| self.link_err(e, src))?;
+            total += d.len();
+        }
+        drop(conn);
         if total > 0 {
             time::advance(self.host.memcpy(total));
             self.stats.record_tm_copy(total);
         }
         Ok(())
+    }
+
+    fn receive_delimited(
+        &self,
+        src: NodeId,
+        unit_len: &mut dyn FnMut(&[u8]) -> MadResult<Option<usize>>,
+    ) -> MadResult<Bytes> {
+        let mut conn = self.conn(src);
+        let mut want = 1;
+        let len = loop {
+            let head = conn.try_peek(want).map_err(|e| self.link_err(e, src))?;
+            match unit_len(head)? {
+                Some(len) => break len,
+                None => want = head.len() + 1,
+            }
+        };
+        // Still in its socket buffer: the copy out is the caller's.
+        conn.try_recv_bytes(len).map_err(|e| self.link_err(e, src))
     }
 }

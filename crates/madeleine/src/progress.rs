@@ -41,11 +41,11 @@
 //!   (each anchored at `max(posted_at, cts_arrival)` on its rail's clock).
 //! * **Batched** — every packet of the op entered the connection's send
 //!   batch, but the closing multi-envelope frame has not flushed yet. The
-//!   op is done stepping: it leaves the in-flight queue for the parked
-//!   list, keyed by the batch ticket of its last packet, and **the flush
-//!   that covers that ticket retires it** — together with every other op
-//!   the frame covered, in ticket order, in one pass (a frame that fails
-//!   to ship fails the ops it covered instead; one an earlier frame
+//!   op is done stepping: its state machine is dropped, what is left of it
+//!   is two batch tickets and an instant in its slab slot, and **the flush
+//!   that covers its last ticket retires it** — together with every other
+//!   op the frame covered, in ticket order, in one pass (a frame that
+//!   fails to ship fails the ops it covered instead; one an earlier frame
 //!   shipped still completes). Until a flush covers its first packet
 //!   nothing has reached the wire, so the op is still cancellable.
 //! * **Complete / Failed** — terminal; the op's slot holds its result
@@ -61,22 +61,34 @@
 //! so `state`/`take_result`/`cancel` go straight to the owning
 //! connection's slab with no global map, and a recycled slot can never be
 //! confused with a stale handle (the generation bumps on every free).
-//! The slab also holds the peer's in-flight order — the queue of ops still
-//! emitting frames and the list of ops parked in `Batched` — so a post, a
-//! step and a retire each take one lock. The tick lock is per connection
-//! too ([`Connection::tick`]): ticks on independent peers never contend.
+//! The slab is plain data — a state per op, plus the list of ops parked in
+//! `Batched` — under one short lock. The state machines of the ops still
+//! emitting frames live in the peer's in-flight queue, whose lock *is* the
+//! tick ([`Connection::tick`]): the one thread that holds it posts, steps
+//! and cancels on that connection, and steps each op in place — nothing
+//! is checked out of the slab and back. Ticks on independent peers never
+//! contend.
+//!
+//! ## Posting
+//!
+//! [`ProgressEngine::post`] is one critical section. With nothing in
+//! flight toward the peer, the op's first step runs right there, on the
+//! poster's stack: a message that batches whole (or ships whole) is
+//! settled by that one step and never allocated — it enters the slab
+//! already `Batched` (or retired). Only an op that must wait for a peer
+//! event is boxed and queued.
 //!
 //! ## Tick semantics
 //!
 //! One [`ProgressEngine::progress`] call makes a bounded pass: for every
-//! peer connection it first retires the parked ops a flush has covered
-//! since the last look (one comparison against the connection's flush
-//! watermark when there are none), then advances the **head** op of that
-//! peer's in-flight queue as far as it can go (per-peer FIFO keeps the
-//! wire stream in `begin_packing` order and guarantees at most one
-//! outstanding rendezvous per peer, so CTS frames can never pair with the
-//! wrong long send). Ticks never block: an op that cannot move is left in
-//! its wait state. An op is stepped only while it has frames to emit or a
+//! peer connection it advances the **head** op of that peer's in-flight
+//! queue as far as it can go (per-peer FIFO keeps the wire stream in
+//! `begin_packing` order and guarantees at most one outstanding rendezvous
+//! per peer, so CTS frames can never pair with the wrong long send), and
+//! retires the parked ops a flush has covered since the last look — ahead
+//! of any op that completes in the same pass; one comparison against the
+//! connection's flush watermark when there are none. Ticks never block: an
+//! op that cannot move is left in its wait state. An op is stepped only while it has frames to emit or a
 //! peer event to harvest — never to ask whether a flush happened — so a
 //! batchable message costs one step however many are parked ahead of it
 //! ([`ProgressEngine::steps`] counts them).
@@ -101,6 +113,7 @@
 
 use crate::connection::{Connection, Connections};
 use crate::error::{MadError, MadResult};
+use crate::stats::Stats;
 use crossbeam::queue::ArrayQueue;
 use madsim_net::time::VTime;
 use madsim_net::NodeId;
@@ -158,9 +171,17 @@ pub enum OpState {
 pub enum StepOutcome {
     /// The op cannot finish yet; it is parked in the given state.
     Pending(OpState),
-    /// Every packet of the op sits in the connection's send batch; the
-    /// flush that covers this batch ticket (the op's last) retires it.
-    Batched(u64),
+    /// Every packet of the op sits in the connection's send batch, under
+    /// tickets `first..=last`: it has nothing left to step. The flush that
+    /// covers `last` retires it, at that flush's instant or `done_at` if
+    /// later. Until one covers `first` nothing of it is on the wire and it
+    /// can be cancelled (`first == 0`: a frame of it already shipped
+    /// outside the batch).
+    Batched {
+        first: u64,
+        last: u64,
+        done_at: VTime,
+    },
     /// The op finished; local work completes at the given virtual instant.
     Done(VTime),
     /// The op failed terminally.
@@ -173,16 +194,14 @@ pub(crate) trait OpStep: Send {
     /// Push the op as far as it can go without waiting on the peer.
     fn try_advance(&mut self) -> StepOutcome;
     /// Whether anything irrevocable (a frame on the wire) happened yet.
+    /// Until then the op holds nothing but its own blocks: cancelling it
+    /// is dropping it.
     fn started(&self) -> bool;
-    /// Release resources of a never-started op.
-    fn on_cancel(&mut self);
-    /// The flush covering a [`Batched`](StepOutcome::Batched) op's last
-    /// packet shipped at `at`: account the message, return its completion
-    /// instant. Runs under the slab lock — no locking, no blocking.
-    fn on_flushed(&mut self, at: VTime) -> VTime {
-        at
-    }
 }
+
+/// A connection's in-flight queue: the ops still emitting frames, oldest
+/// first, each with its state machine (see [`Connection::tick`]).
+pub(crate) type OpQueue = VecDeque<(OpId, Box<dyn OpStep>)>;
 
 /// A finished op, as seen by drainers of the completion queue.
 #[derive(Clone, Debug)]
@@ -198,16 +217,21 @@ pub struct Completion {
 enum OpEntry {
     /// Free slot (on the slab's free list).
     Vacant,
-    /// A live op parked between ticks.
-    Active {
-        state: OpState,
-        step: Box<dyn OpStep>,
-    },
-    /// The (tick-serialized) advancer took the step out to run it without
-    /// holding the slab lock; observers still see the parked state.
-    Stepping { state: OpState },
+    /// Still emitting frames: its state machine waits in the connection's
+    /// in-flight queue, parked in `state` between ticks.
+    Active { state: OpState },
+    /// Done stepping, parked behind its batch tickets (see
+    /// [`StepOutcome::Batched`]; the last ticket is in the parked list).
+    Batched { first: u64, done_at: VTime },
     /// Terminal: the result waits here until `take_result` consumes it.
     Retired { result: MadResult<VTime> },
+}
+
+impl OpEntry {
+    /// Not yet terminal?
+    fn is_live(&self) -> bool {
+        matches!(self, OpEntry::Active { .. } | OpEntry::Batched { .. })
+    }
 }
 
 struct OpSlot {
@@ -217,16 +241,12 @@ struct OpSlot {
 
 /// A connection's op table: a slab with generational indices (slotmap
 /// style). Slots are recycled through a free list; every free bumps the
-/// slot's generation so stale [`OpId`]s can never alias a new op. The slab
-/// also keeps the connection's in-flight order, so posting, stepping and
-/// retiring each take its lock once.
+/// slot's generation so stale [`OpId`]s can never alias a new op.
 pub(crate) struct OpSlab {
     slots: Vec<OpSlot>,
     free: Vec<u16>,
-    /// Ops in Active or Stepping (i.e. not yet terminal).
+    /// Ops not yet terminal.
     live: usize,
-    /// Ops still emitting frames, oldest first; only the head is stepped.
-    queue: VecDeque<OpId>,
     /// Ops parked in `Batched`, each with the batch ticket of its last
     /// packet. Ticket order is posting order, so a flush retires a prefix.
     batched: VecDeque<(OpId, u64)>,
@@ -238,34 +258,34 @@ impl OpSlab {
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
-            queue: VecDeque::new(),
             batched: VecDeque::new(),
         }
     }
 
-    /// Register a new op toward `peer` at the tail of the in-flight queue.
-    fn insert(&mut self, peer: NodeId, step: Box<dyn OpStep>) -> OpId {
-        self.live += 1;
-        let entry = OpEntry::Active {
-            state: OpState::Posted,
-            step,
-        };
-        let (slot, generation) = if let Some(slot) = self.free.pop() {
+    /// Write `entry` into op `id`'s slot — or, for an op toward `peer`
+    /// that has none yet, into a fresh one. Returns the op's id.
+    fn put(&mut self, peer: NodeId, id: Option<OpId>, entry: OpEntry) -> OpId {
+        self.live += entry.is_live() as usize;
+        if let Some(id) = id {
+            let s = self
+                .slot_mut(id.slot(), id.generation())
+                .expect("stepped op vanished");
+            let was_live = std::mem::replace(&mut s.entry, entry).is_live();
+            self.live -= was_live as usize;
+            return id;
+        }
+        if let Some(slot) = self.free.pop() {
             let s = &mut self.slots[slot as usize];
             debug_assert!(matches!(s.entry, OpEntry::Vacant));
             s.entry = entry;
-            (slot, s.generation)
-        } else {
-            let slot = u16::try_from(self.slots.len()).expect("more than 65535 live ops per peer");
-            self.slots.push(OpSlot {
-                generation: 1,
-                entry,
-            });
-            (slot, 1)
-        };
-        let id = OpId::encode(peer, slot, generation);
-        self.queue.push_back(id);
-        id
+            return OpId::encode(peer, slot, s.generation);
+        }
+        let slot = u16::try_from(self.slots.len()).expect("more than 65535 live ops per peer");
+        self.slots.push(OpSlot {
+            generation: 1,
+            entry,
+        });
+        OpId::encode(peer, slot, 1)
     }
 
     fn slot_mut(&mut self, slot: u16, generation: u32) -> Option<&mut OpSlot> {
@@ -280,61 +300,13 @@ impl OpSlab {
         }
         match &s.entry {
             OpEntry::Vacant => None,
-            OpEntry::Active { state, .. } | OpEntry::Stepping { state } => Some(*state),
+            OpEntry::Active { state } => Some(*state),
+            OpEntry::Batched { .. } => Some(OpState::Batched),
             OpEntry::Retired { result } => Some(match result {
                 Ok(_) => OpState::Complete,
                 Err(_) => OpState::Failed,
             }),
         }
-    }
-
-    /// Take the step of the queue's head op out for advancing, leaving a
-    /// `Stepping` marker so concurrent observers still see its state.
-    fn begin_step(&mut self) -> Option<(OpId, Box<dyn OpStep>)> {
-        let id = *self.queue.front()?;
-        let s = self.slot_mut(id.slot(), id.generation())?;
-        let state = match &s.entry {
-            OpEntry::Active { state, .. } => *state,
-            _ => return None,
-        };
-        match std::mem::replace(&mut s.entry, OpEntry::Stepping { state }) {
-            OpEntry::Active { step, .. } => Some((id, step)),
-            _ => unreachable!("matched Active above"),
-        }
-    }
-
-    /// Park a stepped op back in the slab with its new wait state.
-    fn park(&mut self, id: OpId, state: OpState, step: Box<dyn OpStep>) {
-        let s = self
-            .slot_mut(id.slot(), id.generation())
-            .expect("parked op vanished mid-step");
-        debug_assert!(matches!(s.entry, OpEntry::Stepping { .. }));
-        s.entry = OpEntry::Active { state, step };
-    }
-
-    /// Park the stepped head op behind the batch ticket of its last
-    /// packet: it leaves the queue (the next op may append behind it —
-    /// that is what makes cross-message coalescing work) and is not
-    /// stepped again; the flush that covers `ticket` retires it.
-    fn park_batched(&mut self, id: OpId, ticket: u64, step: Box<dyn OpStep>) {
-        self.park(id, OpState::Batched, step);
-        let head = self.queue.pop_front();
-        debug_assert_eq!(head, Some(id), "only the head is stepped");
-        debug_assert!(self.batched.back().is_none_or(|&(_, t)| t < ticket));
-        self.batched.push_back((id, ticket));
-    }
-
-    /// Transition the stepped head op to terminal; the result waits in
-    /// the slot.
-    fn retire(&mut self, id: OpId, result: MadResult<VTime>) {
-        let head = self.queue.pop_front();
-        debug_assert_eq!(head, Some(id), "only the head is stepped");
-        let s = self
-            .slot_mut(id.slot(), id.generation())
-            .expect("retired op vanished mid-step");
-        debug_assert!(matches!(s.entry, OpEntry::Stepping { .. }));
-        s.entry = OpEntry::Retired { result };
-        self.live -= 1;
     }
 
     /// Has a flush resolved the oldest parked op: shipped it (its ticket
@@ -365,11 +337,10 @@ impl OpSlab {
         let s = self
             .slot_mut(id.slot(), id.generation())
             .expect("parked op vanished");
-        let OpEntry::Active { mut step, .. } = std::mem::replace(&mut s.entry, OpEntry::Vacant)
-        else {
-            unreachable!("parked ops are Active");
+        let OpEntry::Batched { done_at, .. } = s.entry else {
+            unreachable!("parked ops are Batched");
         };
-        let result = outcome.map(|at| step.on_flushed(at));
+        let result = outcome.map(|at| done_at.max(at));
         s.entry = OpEntry::Retired {
             result: result.clone(),
         };
@@ -385,11 +356,9 @@ impl OpSlab {
         if !matches!(s.entry, OpEntry::Retired { .. }) {
             return None;
         }
-        let OpEntry::Retired { result } = std::mem::replace(&mut s.entry, OpEntry::Vacant) else {
+        let OpEntry::Retired { result } = self.release(slot) else {
             unreachable!("matched Retired above");
         };
-        s.generation = s.generation.wrapping_add(1);
-        self.free.push(slot);
         Some(result)
     }
 
@@ -401,31 +370,15 @@ impl OpSlab {
         })
     }
 
-    /// Remove a never-started Active op, freeing its slot with a
-    /// generation bump (no dangling slot, no reusable handle) and
-    /// unlinking it from the in-flight order. Returns the step for the
-    /// caller to run `on_cancel` outside the slab lock.
-    fn cancel(&mut self, id: OpId) -> Option<Box<dyn OpStep>> {
-        let s = self.slot_mut(id.slot(), id.generation())?;
-        match &s.entry {
-            OpEntry::Active { step, .. } if !step.started() => {}
-            _ => return None,
-        }
-        let OpEntry::Active { step, .. } = std::mem::replace(&mut s.entry, OpEntry::Vacant) else {
-            unreachable!("matched Active above");
-        };
+    /// Vacate `slot` with a generation bump (no dangling slot, no reusable
+    /// handle), handing back what it held.
+    fn release(&mut self, slot: u16) -> OpEntry {
+        let s = &mut self.slots[slot as usize];
         s.generation = s.generation.wrapping_add(1);
-        self.free.push(id.slot());
-        self.live -= 1;
-        // The head pops; a mid-list cancel pays the scan.
-        if self.queue.front() == Some(&id) {
-            self.queue.pop_front();
-        } else if let Some(pos) = self.queue.iter().position(|&x| x == id) {
-            self.queue.remove(pos);
-        } else if let Some(pos) = self.batched.iter().position(|&(x, _)| x == id) {
-            self.batched.remove(pos);
-        }
-        Some(step)
+        self.free.push(slot);
+        let entry = std::mem::replace(&mut s.entry, OpEntry::Vacant);
+        self.live -= entry.is_live() as usize;
+        entry
     }
 
     /// Ops not yet terminal.
@@ -690,26 +643,49 @@ impl Completions {
 pub struct ProgressEngine {
     conns: Arc<Connections>,
     completions: Completions,
+    /// Every op is a message: one that retires `Ok` is counted here.
+    stats: Arc<Stats>,
     steps: AtomicU64,
 }
 
 impl ProgressEngine {
-    pub(crate) fn new(conns: Arc<Connections>) -> Self {
+    pub(crate) fn new(conns: Arc<Connections>, stats: Arc<Stats>) -> Self {
         ProgressEngine {
             completions: Completions::new(Arc::clone(&conns)),
             conns,
+            stats,
             steps: AtomicU64::new(0),
         }
     }
 
-    /// Register a new op at the tail of `conn`'s in-flight queue.
-    pub(crate) fn post(&self, conn: &Connection, step: Box<dyn OpStep>) -> OpId {
+    /// Post an op toward `conn`'s peer and push it as far as it goes —
+    /// one hold of the tick (see the module docs on posting).
+    pub(crate) fn post(&self, conn: &Connection, mut step: impl OpStep + 'static) -> OpId {
         let peer = conn.peer();
         assert!(
             peer <= u16::MAX as usize,
             "OpId packs the peer id into 16 bits"
         );
-        conn.ops().lock().insert(peer, step)
+        let mut queue = conn.tick().lock();
+        if !queue.is_empty() {
+            // Per-peer FIFO: no frame of this op may ship before the ops
+            // ahead are done emitting theirs.
+            let entry = OpEntry::Active {
+                state: OpState::Posted,
+            };
+            let id = conn.ops().lock().put(peer, None, entry);
+            queue.push_back((id, Box::new(step)));
+            self.advance_queue(conn, &mut queue);
+            return id;
+        }
+        self.steps.fetch_add(1, Ordering::Relaxed);
+        let outcome = step.try_advance();
+        let parked = matches!(outcome, StepOutcome::Pending(_));
+        let (id, _) = self.settle(conn, &mut conn.ops().lock(), None, outcome);
+        if parked {
+            queue.push_back((id, Box::new(step)));
+        }
+        id
     }
 
     /// Advance one peer's in-flight queue as far as it can go, retiring
@@ -719,45 +695,78 @@ impl ProgressEngine {
     /// (per-peer FIFO: a frame of op *k+1* must not ship before op *k* is
     /// done emitting). An op that parks in [`Batched`](OpState::Batched)
     /// has *fully* staged its packets in the connection's send batch: it
-    /// leaves the queue for the parked list, the next op steps behind it,
-    /// and it is never stepped again.
+    /// leaves the queue, the next op steps behind it, and it is never
+    /// stepped again.
     pub(crate) fn advance_conn(&self, conn: &Connection) -> usize {
         // Per-connection serialization: concurrent callers (an app thread
         // inside `wait` and another inside `post`) never advance the same
         // op twice, while ticks on *other* peers proceed untouched.
-        let _serial = conn.tick().lock();
+        self.advance_queue(conn, &mut conn.tick().lock())
+    }
+
+    fn advance_queue(&self, conn: &Connection, queue: &mut OpQueue) -> usize {
         let mut retired = 0;
-        let mut ops = conn.ops().lock();
         loop {
-            retired += self.retire_flushed(conn, &mut ops);
-            let Some((id, mut step)) = ops.begin_step() else {
-                return retired;
+            let Some((id, step)) = queue.front_mut() else {
+                return retired + self.retire_flushed(conn, &mut conn.ops().lock());
             };
             // The step runs without the slab lock held: TM pendings may
             // advance the virtual clock and touch driver state.
-            drop(ops);
             self.steps.fetch_add(1, Ordering::Relaxed);
             let outcome = step.try_advance();
-            ops = conn.ops().lock();
-            let result = match outcome {
-                StepOutcome::Batched(ticket) => {
-                    ops.park_batched(id, ticket, step);
-                    continue;
-                }
-                StepOutcome::Pending(state) => {
-                    ops.park(id, state, step);
-                    return retired + self.retire_flushed(conn, &mut ops);
-                }
-                StepOutcome::Done(at) => Ok(at),
-                StepOutcome::Failed(e) => Err(e),
-            };
-            // A barrier flush inside the step covered the ops parked
-            // ahead of this one: they complete first.
-            retired += self.retire_flushed(conn, &mut ops);
-            ops.retire(id, result.clone());
-            self.complete(id, result);
-            retired += 1;
+            let parked = matches!(outcome, StepOutcome::Pending(_));
+            retired += self
+                .settle(conn, &mut conn.ops().lock(), Some(*id), outcome)
+                .1;
+            if parked {
+                return retired;
+            }
+            queue.pop_front();
         }
+    }
+
+    /// Record in the slab what a step of op `id` achieved (`None`: the op
+    /// was stepped on its poster's stack and gets its slot now), retiring
+    /// whatever a flush inside the step covered. Returns the op's id and
+    /// how many ops retired.
+    fn settle(
+        &self,
+        conn: &Connection,
+        ops: &mut OpSlab,
+        id: Option<OpId>,
+        outcome: StepOutcome,
+    ) -> (OpId, usize) {
+        let peer = conn.peer();
+        let result = match outcome {
+            StepOutcome::Pending(state) => {
+                let id = ops.put(peer, id, OpEntry::Active { state });
+                return (id, self.retire_flushed(conn, ops));
+            }
+            StepOutcome::Batched {
+                first,
+                last,
+                done_at,
+            } => {
+                let id = ops.put(peer, id, OpEntry::Batched { first, done_at });
+                debug_assert!(ops.batched.back().is_none_or(|&(_, t)| t < last));
+                ops.batched.push_back((id, last));
+                // The frame that took its last packet may have shipped
+                // inside the step: then it retires here, behind the ops
+                // parked ahead of it.
+                return (id, self.retire_flushed(conn, ops));
+            }
+            StepOutcome::Done(at) => Ok(at),
+            StepOutcome::Failed(e) => Err(e),
+        };
+        // A barrier flush inside the step covered the ops parked ahead of
+        // this one: they complete first.
+        let retired = self.retire_flushed(conn, ops);
+        let entry = OpEntry::Retired {
+            result: result.clone(),
+        };
+        let id = ops.put(peer, id, entry);
+        self.complete(id, result);
+        (id, retired + 1)
     }
 
     /// Retire, in one pass and in ticket order, every op parked in
@@ -791,6 +800,9 @@ impl ProgressEngine {
     /// slab lock, so a peer's completions queue in the order it retired
     /// them.
     fn complete(&self, id: OpId, result: MadResult<VTime>) {
+        if result.is_ok() {
+            self.stats.record_message();
+        }
         self.completions.q.push(Completion {
             id,
             peer: id.peer(),
@@ -848,11 +860,34 @@ impl ProgressEngine {
         let Some(conn) = self.conns.get(id.peer()) else {
             return false;
         };
-        let _serial = conn.tick().lock();
-        let Some(mut step) = conn.ops().lock().cancel(id) else {
-            return false;
-        };
-        step.on_cancel();
+        let mut queue = conn.tick().lock();
+        let mut ops = conn.ops().lock();
+        match ops.slot_mut(id.slot(), id.generation()).map(|s| &s.entry) {
+            Some(OpEntry::Active { .. }) => {
+                // The head pops; a mid-list cancel pays the scan.
+                let queued = queue.iter().position(|(q, _)| *q == id);
+                let pos = queued.expect("ops still emitting are queued");
+                if queue[pos].1.started() {
+                    return false;
+                }
+                ops.release(id.slot());
+                queue.remove(pos);
+            }
+            Some(&OpEntry::Batched { first, .. }) => {
+                let parked = ops.batched.iter().position(|&(b, _)| b == id);
+                let pos = parked.expect("batched ops are parked");
+                // Pull its never-flushed packets back out of the batch —
+                // refused once a flush has covered the first of them. Its
+                // deferred header claimed no sequence number yet, so the
+                // peer sees no gap.
+                if !crate::batch::cancel_tickets(conn, first, ops.batched[pos].1) {
+                    return false;
+                }
+                ops.batched.remove(pos);
+                ops.release(id.slot());
+            }
+            _ => return false,
+        }
         true
     }
 
@@ -975,7 +1010,6 @@ mod tests {
         fn started(&self) -> bool {
             false
         }
-        fn on_cancel(&mut self) {}
     }
 
     /// An op that completes on its first tick.
@@ -987,9 +1021,6 @@ mod tests {
         fn started(&self) -> bool {
             true
         }
-        fn on_cancel(&mut self) {
-            unreachable!("started ops are never cancelled")
-        }
     }
 
     /// An op whose packets all sit in the send batch, the last one under
@@ -997,17 +1028,20 @@ mod tests {
     struct BatchedStep(u64);
     impl OpStep for BatchedStep {
         fn try_advance(&mut self) -> StepOutcome {
-            StepOutcome::Batched(self.0)
+            StepOutcome::Batched {
+                first: self.0,
+                last: self.0,
+                done_at: VTime::ZERO,
+            }
         }
         fn started(&self) -> bool {
             false
         }
-        fn on_cancel(&mut self) {}
     }
 
     fn engine_with_peer() -> (Arc<Connections>, ProgressEngine) {
         let conns = Arc::new(Connections::new(0, &[0, 1]));
-        let eng = ProgressEngine::new(Arc::clone(&conns));
+        let eng = ProgressEngine::new(Arc::clone(&conns), Stats::new());
         (conns, eng)
     }
 
@@ -1015,7 +1049,7 @@ mod tests {
     fn cancel_on_sharded_slab_leaves_no_dangling_slot() {
         let (conns, eng) = engine_with_peer();
         let conn = conns.get(1).unwrap();
-        let a = eng.post(conn, Box::new(NeverStep));
+        let a = eng.post(conn, NeverStep);
         assert_eq!(eng.in_flight(), 1);
         assert!(eng.cancel(a));
         // The slab slot is freed and recycled, not dangling: the stale
@@ -1027,7 +1061,7 @@ mod tests {
         assert!(eng.take_result(a).is_none());
         assert!(!eng.cancel(a), "double cancel must be a no-op");
         assert_eq!(conn.ops().lock().free_len(), 1);
-        let b = eng.post(conn, Box::new(NeverStep));
+        let b = eng.post(conn, NeverStep);
         assert_eq!(conn.ops().lock().free_len(), 0, "slot was recycled");
         assert_ne!(a, b, "recycled slot must carry a new generation");
         assert_eq!(b.slot(), a.slot());
@@ -1039,12 +1073,13 @@ mod tests {
     fn cancel_unlinks_head_and_mid_list_ops_in_order() {
         let (conns, eng) = engine_with_peer();
         let conn = conns.get(1).unwrap();
-        let [a, b, c] = [(); 3].map(|()| eng.post(conn, Box::new(NeverStep)));
+        let [a, b, c] = [(); 3].map(|()| eng.post(conn, NeverStep));
         assert_eq!(eng.advance_conn(conn), 0, "the head parks, the rest queue");
+        let queued = || conn.tick().lock().iter().map(|q| q.0).collect::<Vec<_>>();
         assert!(eng.cancel(b), "mid-list cancel");
-        assert_eq!(conn.ops().lock().queue, [a, c]);
+        assert_eq!(queued(), [a, c]);
         assert!(eng.cancel(a), "head cancel");
-        assert_eq!(conn.ops().lock().queue, [c]);
+        assert_eq!(queued(), [c]);
         assert_eq!(eng.in_flight(), 1);
     }
 
@@ -1052,7 +1087,7 @@ mod tests {
     fn flush_retires_the_covered_prefix_in_one_pass_without_stepping() {
         let (conns, eng) = engine_with_peer();
         let conn = conns.get(1).unwrap();
-        let ids = [1, 2, 3, 4].map(|t| eng.post(conn, Box::new(BatchedStep(t))));
+        let ids = [1, 2, 3, 4].map(|t| eng.post(conn, BatchedStep(t)));
         assert_eq!(eng.advance_conn(conn), 0);
         assert_eq!(eng.steps(), 4, "one step parks each op");
         assert!(ids
@@ -1080,9 +1115,13 @@ mod tests {
     fn take_result_voids_completion_entry() {
         let (conns, eng) = engine_with_peer();
         let conn = conns.get(1).unwrap();
-        let id = eng.post(conn, Box::new(DoneStep));
-        assert_eq!(eng.advance_conn(conn), 1);
-        assert_eq!(eng.state(id), Some(OpState::Complete));
+        let id = eng.post(conn, DoneStep);
+        assert_eq!(
+            eng.state(id),
+            Some(OpState::Complete),
+            "settled inside post"
+        );
+        assert_eq!(eng.advance_conn(conn), 0);
         assert!(eng.take_result(id).unwrap().is_ok());
         assert!(
             eng.completions().try_pop().is_none(),
@@ -1097,8 +1136,7 @@ mod tests {
     fn drained_completion_still_allows_take_result() {
         let (conns, eng) = engine_with_peer();
         let conn = conns.get(1).unwrap();
-        let id = eng.post(conn, Box::new(DoneStep));
-        eng.advance_conn(conn);
+        let id = eng.post(conn, DoneStep);
         let c = eng.completions().try_pop().expect("completion queued");
         assert_eq!(c.id, id);
         assert_eq!(c.peer, 1);

@@ -267,6 +267,21 @@ pub trait TransmissionModule: Send + Sync {
         Ok(())
     }
 
+    /// Receive one self-delimiting unit from `src` as a single refcounted
+    /// buffer (byte-stream TMs only; static-buffer TMs deliver their
+    /// buffers whole). `unit_len` is shown the unconsumed head of the
+    /// stream and answers the unit's total length, or `None` while too
+    /// little of it is visible to tell; an error abandons the receive with
+    /// nothing consumed. The unit is a slice of the arrival buffer itself
+    /// wherever the stack below kept it in one piece.
+    fn receive_delimited(
+        &self,
+        _src: NodeId,
+        _unit_len: &mut dyn FnMut(&[u8]) -> MadResult<Option<usize>>,
+    ) -> MadResult<Bytes> {
+        panic!("{}: not a byte-stream TM", self.name());
+    }
+
     /// Receive the next static buffer from `src` (static-buffer TMs only).
     fn receive_static_buffer(&self, _src: NodeId) -> MadResult<StaticBuf> {
         panic!("{}: static buffers not supported", self.name());

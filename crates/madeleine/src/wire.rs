@@ -272,76 +272,156 @@ pub(crate) fn decode_stripe_ack(payload: &[u8]) -> Option<u64> {
 // Batch frames.
 // ---------------------------------------------------------------------
 
-/// One decoded envelope-table entry.
-pub(crate) struct BatchEnvelope {
-    pub seq: u32,
-    pub len: usize,
-    pub flags: u32,
-}
-
-/// Build a batch frame's header + envelope table for `packets` (one
-/// `(len, flags)` pair per packet, envelope seqs `first_seq..`), with
-/// capacity reserved for the payload bytes the caller appends after.
+/// Write a batch frame's header + envelope table for `packets` (one
+/// `(len, flags)` pair per packet, envelope seqs `first_seq..`) into `out`,
+/// replacing its contents — the caller keeps `out` for its capacity.
+/// Returns how many payload bytes the frame carries after the table.
 /// Flags must fit the 2 bits below the length.
-pub(crate) fn encode_batch_frame(
+pub fn encode_batch_frame(
+    out: &mut Vec<u8>,
     first_seq: u32,
     packets: impl ExactSizeIterator<Item = (usize, u32)> + Clone,
-) -> Vec<u8> {
+) -> usize {
     let envelope = |(len, flags): (usize, u32)| {
         debug_assert!(flags < 4, "envelope flags fit 2 bits");
         ((len as u64) << 2) | flags as u64
     };
     let count = packets.len() as u64;
-    let table_and_payload = packets.clone().map(|p| varint_len(envelope(p)) + p.0);
-    let body = varint_len(first_seq as u64) + varint_len(count) + table_and_payload.sum::<usize>();
-    let mut out = Vec::with_capacity(1 + varint_len(body as u64) + body);
+    let payload: usize = packets.clone().map(|p| p.0).sum();
+    let table: usize = packets.clone().map(|p| varint_len(envelope(p))).sum();
+    let body = varint_len(first_seq as u64) + varint_len(count) + table + payload;
+    out.clear();
     out.push(PROLOGUE_BATCH);
-    put_varint(&mut out, body as u64);
-    put_varint(&mut out, first_seq as u64);
-    put_varint(&mut out, count);
+    put_varint(out, body as u64);
+    put_varint(out, first_seq as u64);
+    put_varint(out, count);
     for p in packets {
-        put_varint(&mut out, envelope(p));
+        put_varint(out, envelope(p));
     }
-    out
+    payload
 }
 
-/// Parse a whole batch frame's header + envelope table; returns the
-/// envelopes and the offset where the concatenated payloads begin.
-/// Payload-slicing and envelope-seq continuity stay with the caller.
-pub(crate) fn parse_batch_frame(
-    frame: &[u8],
+/// Total length of the batch frame that opens with `head`, or `None` while
+/// `head` stops short of the end of the body-length field. A body longer
+/// than `max_body` is more than any conforming sender ships: corruption,
+/// reported before anything is sized by the claim.
+pub(crate) fn batch_frame_len(
+    head: &[u8],
     src: NodeId,
-) -> MadResult<(Vec<BatchEnvelope>, usize)> {
-    if frame.first() != Some(&PROLOGUE_BATCH) {
-        return corrupt(format!(
-            "bad batch frame prologue from node {src} (batching enabled on one end only?)"
-        ));
+    max_body: usize,
+) -> MadResult<Option<usize>> {
+    match head.first() {
+        None => return Ok(None),
+        Some(&PROLOGUE_BATCH) => {}
+        Some(_) => {
+            return corrupt(format!(
+                "bad batch frame prologue from node {src} (batching enabled on one end only?)"
+            ))
+        }
+    }
+    let varint = &head[1..];
+    let complete = varint.iter().any(|b| b & VARINT_CONT == 0);
+    if !complete && varint.len() < MAX_VARINT {
+        return Ok(None);
     }
     let mut pos = 1;
-    let body = to_usize(read_varint(frame, &mut pos)?)?;
-    if pos.checked_add(body) != Some(frame.len()) {
-        return corrupt(format!(
-            "batch frame from node {src} is {} bytes where its body length says {body}",
-            frame.len() - pos
-        ));
+    let body = read_varint(head, &mut pos)?;
+    let whole = usize::try_from(body).ok().filter(|&b| b <= max_body);
+    match whole.and_then(|b| pos.checked_add(b)) {
+        Some(len) => Ok(Some(len)),
+        None => corrupt(format!(
+            "batch frame from node {src} claims a {body}-byte body"
+        )),
     }
-    let first_seq = read_u32_varint(frame, &mut pos, "batch envelope seq")?;
-    let count = to_usize(read_varint(frame, &mut pos)?)?;
-    if count == 0 || count > MAX_FRAME_PACKETS {
-        return corrupt(format!(
-            "batch frame from node {src} claims {count} packets"
-        ));
+}
+
+/// A cursor over one arrived batch frame: the frame's bytes, where its
+/// next envelope and that envelope's payload lie, and how many are left.
+/// Nothing is split out or copied; a packet is handed over as a borrow of
+/// the frame.
+pub(crate) struct BatchCursor {
+    frame: bytes::Bytes,
+    table_at: usize,
+    payload_at: usize,
+    left: usize,
+}
+
+impl BatchCursor {
+    /// The cursor of no frame: nothing left.
+    pub(crate) const fn empty() -> Self {
+        BatchCursor {
+            frame: bytes::Bytes::new(),
+            table_at: 0,
+            payload_at: 0,
+            left: 0,
+        }
     }
-    let mut envs = Vec::with_capacity(count);
-    for i in 0..count {
-        let packed = read_varint(frame, &mut pos)?;
-        envs.push(BatchEnvelope {
-            seq: first_seq.wrapping_add(i as u32),
-            len: to_usize(packed >> 2)?,
-            flags: (packed & 0b11) as u32,
-        });
+
+    /// Validate a whole frame — header, body length, every envelope, and
+    /// that the payloads fill the frame exactly — and point a cursor at
+    /// its first packet. Also returns the first envelope's sequence number
+    /// (continuity across frames is the caller's to check).
+    pub(crate) fn open(frame: bytes::Bytes, src: NodeId) -> MadResult<(Self, u32)> {
+        if frame.first() != Some(&PROLOGUE_BATCH) {
+            return corrupt(format!(
+                "bad batch frame prologue from node {src} (batching enabled on one end only?)"
+            ));
+        }
+        let mut pos = 1;
+        let body = to_usize(read_varint(&frame, &mut pos)?)?;
+        if pos.checked_add(body) != Some(frame.len()) {
+            return corrupt(format!(
+                "batch frame from node {src} is {} bytes where its body length says {body}",
+                frame.len() - pos
+            ));
+        }
+        let first_seq = read_u32_varint(&frame, &mut pos, "batch envelope seq")?;
+        let count = to_usize(read_varint(&frame, &mut pos)?)?;
+        if count == 0 || count > MAX_FRAME_PACKETS {
+            return corrupt(format!(
+                "batch frame from node {src} claims {count} packets"
+            ));
+        }
+        let table_at = pos;
+        let mut payload = 0usize;
+        for _ in 0..count {
+            let len = to_usize(read_varint(&frame, &mut pos)? >> 2)?;
+            payload = payload.saturating_add(len);
+        }
+        match frame.len() - pos {
+            room if room < payload => corrupt(format!(
+                "batch envelopes from node {src} overrun their frame by {} bytes",
+                payload - room
+            )),
+            room if room > payload => corrupt(format!(
+                "batch frame from node {src} carries {} trailing bytes",
+                room - payload
+            )),
+            _ => Ok((
+                BatchCursor {
+                    frame,
+                    table_at,
+                    payload_at: pos,
+                    left: count,
+                },
+                first_seq,
+            )),
+        }
     }
-    Ok((envs, pos))
+
+    /// Packets not yet handed over.
+    pub(crate) fn left(&self) -> usize {
+        self.left
+    }
+
+    /// Hand over the next packet: its payload and envelope flags.
+    pub(crate) fn next_packet(&mut self) -> Option<(&[u8], u32)> {
+        self.left = self.left.checked_sub(1)?;
+        let packed = read_varint(&self.frame, &mut self.table_at).expect("validated at open");
+        let start = self.payload_at;
+        self.payload_at += (packed >> 2) as usize;
+        Some((&self.frame[start..self.payload_at], (packed & 0b11) as u32))
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -511,8 +591,97 @@ mod tests {
         let _ = decode_msg_header(bytes);
         let _ = decode_stripe_header(bytes);
         let _ = FragHeader::from_wire(bytes);
-        let _ = parse_batch_frame(bytes, 0);
+        let _ = batch_frame_len(bytes, 0, usize::MAX);
+        if let Ok((mut cursor, _)) = BatchCursor::open(bytes::Bytes::copy_from_slice(bytes), 0) {
+            // A frame that opens is sound to its last byte: every packet
+            // it promised comes out, and they cover the frame exactly.
+            let (promised, mut carried) = (cursor.left(), 0);
+            let delivered =
+                std::iter::from_fn(|| cursor.next_packet().map(|p| carried += p.0.len()));
+            assert_eq!(delivered.count(), promised);
+            assert_eq!(cursor.payload_at, bytes.len());
+            assert!(carried < bytes.len());
+        }
         let _ = decode_stripe_ack(bytes);
+    }
+
+    /// A valid frame (table + `fill` payload bytes) for `packets`.
+    fn batch_frame(first_seq: u32, packets: &[(usize, u32)], fill: u8) -> Vec<u8> {
+        let mut frame = Vec::new();
+        let payload = encode_batch_frame(&mut frame, first_seq, packets.iter().copied());
+        frame.resize(frame.len() + payload, fill);
+        frame
+    }
+
+    fn open_err(frame: &[u8]) -> String {
+        match BatchCursor::open(bytes::Bytes::copy_from_slice(frame), 7) {
+            Err(MadError::CorruptStream(what)) => what,
+            Ok(_) => panic!("hostile frame {frame:02x?} opened"),
+            Err(e) => panic!("expected CorruptStream, got {e:?}"),
+        }
+    }
+
+    /// The receive path's own failure modes, each by construction: the
+    /// frame is rejected whole, before a single packet is handed over.
+    #[test]
+    fn hostile_batch_frames_are_rejected_whole() {
+        let packets = [(3usize, 0u32), (64, 1), (0, 2), (200, 0)];
+        let frame = batch_frame(9, &packets, 0x5A);
+        let (mut cursor, first_seq) = BatchCursor::open(frame.clone().into(), 7).unwrap();
+        assert_eq!((first_seq, cursor.left()), (9, packets.len()));
+        for &(len, flags) in &packets {
+            assert_eq!(cursor.next_packet(), Some((&vec![0x5A; len][..], flags)));
+        }
+        assert_eq!(
+            cursor.next_packet(),
+            None,
+            "an exhausted cursor stays exhausted"
+        );
+        assert_eq!(BatchCursor::empty().next_packet(), None);
+
+        // Truncated table: the frame ends inside its envelope varints.
+        let table_only = batch_frame(9, &[(0, 0), (0, 0), (0, 0)], 0);
+        let mut cut = table_only[..table_only.len() - 1].to_vec();
+        cut[1] -= 1; // keep the body length honest: only the table is short
+        assert!(open_err(&cut).contains("truncated varint"));
+        // Envelope overrun: an envelope claims more than the frame holds.
+        let mut overrun = batch_frame(9, &[(5, 0)], 1);
+        let env_at = overrun.len() - 5 - 1;
+        overrun[env_at] = 6 << 2;
+        assert!(open_err(&overrun).contains("overrun"));
+        let mut huge = batch_frame(9, &[(1, 0)], 1);
+        huge.truncate(huge.len() - 2); // drop the envelope and its payload
+        put_varint(&mut huge, u64::MAX); // a length that overflows every sum
+        huge[1] = (huge.len() - 2) as u8;
+        assert!(open_err(&huge).contains("overrun"));
+        // Trailing bytes: the payloads stop short of the frame's end.
+        let mut trailing = batch_frame(9, &[(5, 0)], 1);
+        trailing.push(0);
+        trailing[1] += 1;
+        assert!(open_err(&trailing).contains("1 trailing bytes"));
+        // Body length and frame length disagree (either way).
+        assert!(open_err(&frame[..frame.len() - 1]).contains("body length"));
+        // Oversize body claim: refused from the header alone, so nothing
+        // downstream is ever sized by it.
+        let mut claim = vec![PROLOGUE_BATCH];
+        put_varint(&mut claim, 4097);
+        assert_eq!(
+            batch_frame_len(&claim, 7, 4097).unwrap(),
+            Some(claim.len() + 4097)
+        );
+        match batch_frame_len(&claim, 7, 4096) {
+            Err(MadError::CorruptStream(what)) => assert!(what.contains("4097-byte body")),
+            other => panic!("expected CorruptStream, got {other:?}"),
+        }
+        // The header is read as it trickles in: no answer until the
+        // length field is whole, then always the same one.
+        assert_eq!(batch_frame_len(&[], 7, 99).unwrap(), None);
+        assert_eq!(batch_frame_len(&claim[..1], 7, 9999).unwrap(), None);
+        assert_eq!(batch_frame_len(&claim[..2], 7, 9999).unwrap(), None);
+        assert!(batch_frame_len(&[PROLOGUE_MSG, 1], 7, 99).is_err());
+        assert!(
+            batch_frame_len(&[[PROLOGUE_BATCH].as_slice(), &[0x80; 10]].concat(), 7, 99).is_err()
+        );
     }
 
     #[test]
@@ -559,14 +728,16 @@ mod tests {
                     .collect();
                 let total: usize = packets.iter().map(|p| p.0).sum();
                 let first_seq = rng.next() as u32;
-                let mut frame = encode_batch_frame(first_seq, packets.iter().copied());
-                frame.resize(frame.len() + total, 0x5A);
-                let (envs, at) = parse_batch_frame(&frame, 0).unwrap();
-                assert_eq!((envs.len(), frame.len() - at), (packets.len(), total));
-                for (i, (env, &(len, flags))) in envs.iter().zip(&packets).enumerate() {
-                    let seq = first_seq.wrapping_add(i as u32);
-                    assert_eq!((env.seq, env.len, env.flags), (seq, len, flags));
+                let frame = batch_frame(first_seq, &packets, 0x5A);
+                let whole = batch_frame_len(&frame, 0, total + 64).unwrap();
+                assert_eq!(whole, Some(frame.len()));
+                let (mut cursor, seq) = BatchCursor::open(frame.clone().into(), 0).unwrap();
+                assert_eq!((seq, cursor.left()), (first_seq, packets.len()));
+                for &(len, flags) in &packets {
+                    let (payload, got) = cursor.next_packet().expect("promised");
+                    assert_eq!((payload.len(), got), (len, flags));
                 }
+                assert_eq!(cursor.payload_at, frame.len());
 
                 let ack = encode_stripe_ack(want.off);
                 assert_eq!(decode_stripe_ack(&ack), Some(want.off as u64));
@@ -596,6 +767,7 @@ mod tests {
         assert!(FragHeader::from_wire(&[PROLOGUE_FRAG, 1, 2]).is_err());
         let mut huge = vec![PROLOGUE_BATCH];
         put_varint(&mut huge, u64::MAX);
-        assert!(parse_batch_frame(&huge, 0).is_err());
+        assert!(BatchCursor::open(huge.clone().into(), 0).is_err());
+        assert!(batch_frame_len(&huge, 0, usize::MAX).is_err());
     }
 }

@@ -221,21 +221,11 @@ impl TcpConn {
     /// Fallible [`recv_exact`](Self::recv_exact): `Err` if the fault-armed
     /// peer became unreachable or stopped retransmitting.
     pub fn try_recv_exact(&mut self, buf: &mut [u8]) -> Result<(), LinkError> {
-        let reliable = self.adapter.faulty();
         let mut filled = 0;
         let mut latest = VTime::ZERO;
         while filled < buf.len() {
             if self.rx.is_empty() {
-                if reliable {
-                    self.recv_segment_reliable()?;
-                } else {
-                    let (peer, port) = (self.peer, self.port as u64);
-                    let f = self
-                        .adapter
-                        .inbox()
-                        .recv_from(peer, KIND_TCP, |f| f.tag == port);
-                    self.rx.push_back((f.payload, f.arrival));
-                }
+                self.pull_segment()?;
             }
             let (chunk, arr) = self.rx.front_mut().expect("just filled");
             let take = (buf.len() - filled).min(chunk.len());
@@ -251,6 +241,57 @@ impl TcpConn {
         }
         time::advance_to(latest);
         Ok(())
+    }
+
+    /// Block for the next in-order segment and queue it for reassembly.
+    fn pull_segment(&mut self) -> Result<(), LinkError> {
+        if self.adapter.faulty() {
+            return self.recv_segment_reliable();
+        }
+        let (peer, port) = (self.peer, self.port as u64);
+        let f = self
+            .adapter
+            .inbox()
+            .recv_from(peer, KIND_TCP, |f| f.tag == port);
+        self.rx.push_back((f.payload, f.arrival));
+        Ok(())
+    }
+
+    /// Borrow the unconsumed head of the stream: at least `min` contiguous
+    /// bytes, blocking for segments until that many arrived. Nothing is
+    /// consumed. The head is one arrival segment as it came off the wire
+    /// unless it held fewer than `min` bytes — only then are segments
+    /// joined, by copy.
+    pub fn try_peek(&mut self, min: usize) -> Result<&[u8], LinkError> {
+        while self.rx.front().map_or(0, |(head, _)| head.len()) < min {
+            if self.rx.len() < 2 {
+                self.pull_segment()?;
+            }
+            if self.rx.len() >= 2 {
+                let (a, at_a) = self.rx.pop_front().expect("two queued");
+                let (b, at_b) = self.rx.pop_front().expect("two queued");
+                let joined = Bytes::from([&a[..], &b[..]].concat());
+                self.rx.push_front((joined, at_a.max(at_b)));
+            }
+        }
+        Ok(self.rx.front().map_or(&[], |(head, _)| head))
+    }
+
+    /// Receive exactly `len` bytes as one refcounted buffer — a slice of
+    /// the arrival segment itself (no copy) whenever the bytes lie in one.
+    pub fn try_recv_bytes(&mut self, len: usize) -> Result<Bytes, LinkError> {
+        if len == 0 {
+            return Ok(Bytes::new());
+        }
+        self.try_peek(len)?;
+        let (head, arrival) = self.rx.front_mut().expect("peeked");
+        time::advance_to(*arrival);
+        if head.len() == len {
+            return Ok(self.rx.pop_front().expect("peeked").0);
+        }
+        let taken = head.slice(..len);
+        *head = head.slice(len..);
+        Ok(taken)
     }
 
     /// The original unconditional send path (no sequence numbers, no acks).
@@ -510,6 +551,39 @@ mod tests {
             }
         });
         assert_eq!(out[1], b"abcdef");
+    }
+
+    #[test]
+    fn peek_shows_the_head_without_consuming_and_units_come_out_whole() {
+        let (w, net) = eth_pair();
+        let out = w.run(|env| {
+            let tcp = TcpStack::new(env.adapter_on(net).unwrap());
+            if env.id() == 0 {
+                let mut c = tcp.connect(1, 7);
+                c.send(b"ab");
+                c.send(b"cdefgh");
+                c.send(b"ij");
+                return Vec::new();
+            }
+            let mut c = tcp.connect(0, 7);
+            // One segment satisfies the peek: it is shown as it arrived.
+            assert_eq!(c.try_peek(1).unwrap(), b"ab");
+            assert_eq!(c.try_peek(2).unwrap(), b"ab", "a peek consumes nothing");
+            // A unit across two segments joins exactly those two.
+            assert_eq!(c.try_peek(3).unwrap(), b"abcdefgh");
+            let unit = c.try_recv_bytes(5).unwrap();
+            // A unit inside one segment is a slice of it; the rest stays.
+            assert_eq!(c.try_peek(1).unwrap(), b"fgh");
+            let rest = c.try_recv_bytes(3).unwrap();
+            assert!(
+                c.try_recv_bytes(0).unwrap().is_empty(),
+                "no wait for nothing"
+            );
+            let mut tail = [0u8; 2];
+            c.recv_exact(&mut tail);
+            [&unit[..], &rest[..], &tail[..]].concat()
+        });
+        assert_eq!(out[1], b"abcdefghij");
     }
 
     #[test]

@@ -263,32 +263,42 @@ pub fn restore_clock(prev: Option<ClockHandle>) {
 /// outside a simulated node thread. Every thread spawned through
 /// [`crate::world::World`] or [`crate::world::NodeEnv::spawn_thread`] has one.
 pub fn clock() -> ClockHandle {
+    with_clock(ClockHandle::clone)
+}
+
+/// Run `f` on the current thread's clock, borrowed where it is installed:
+/// no reference count moves.
+///
+/// # Panics
+/// Like [`clock`], if the thread has no installed clock.
+#[inline]
+fn with_clock<R>(f: impl FnOnce(&ClockHandle) -> R) -> R {
     THREAD_CLOCK.with(|c| {
-        let cur = c.replace(None);
-        let handle = cur
-            .clone()
-            .expect("no virtual clock installed on this thread (not a simulated node thread?)");
-        c.replace(cur);
-        handle
+        let cur = c.take();
+        let r = f(cur
+            .as_ref()
+            .expect("no virtual clock installed on this thread (not a simulated node thread?)"));
+        c.set(cur);
+        r
     })
 }
 
 /// Current thread's virtual time.
 #[inline]
 pub fn now() -> VTime {
-    clock().now()
+    with_clock(ClockHandle::now)
 }
 
 /// Advance the current thread's virtual clock by `d`.
 #[inline]
 pub fn advance(d: VDuration) -> VTime {
-    clock().advance(d)
+    with_clock(|c| c.advance(d))
 }
 
 /// Advance the current thread's virtual clock to at least `t`.
 #[inline]
 pub fn advance_to(t: VTime) -> VTime {
-    clock().advance_to(t)
+    with_clock(|c| c.advance_to(t))
 }
 
 #[cfg(test)]

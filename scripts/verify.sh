@@ -13,6 +13,17 @@ cargo test --offline --manifest-path benchmark/Cargo.toml \
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 python3 benchmark/run.py --self-test
 
+# Small-message budget stage (still offline): the two count gates on a
+# posted 64 B message over batched TCP — allocations per post and per
+# receive (counting allocator), engine steps per post — run by name, so a
+# regression of either names itself even when the suite above is filtered.
+for gate in alloc_budget posted_batch; do
+    cargo test --offline --manifest-path benchmark/Cargo.toml -p madeleine --test "$gate" || {
+        echo "verify: FAIL — small-message budget: --test $gate" >&2
+        exit 1
+    }
+done
+
 cargo build --release
 cargo test -q
 cargo clippy --all-targets -- -D warnings
