@@ -69,6 +69,12 @@ const DUALBUF_SETUP_US: f64 = 20.0;
 /// channel down rather than retrying.
 const FAULT_WAIT: Duration = Duration::from_millis(2_000);
 
+/// Flag polls granted to a wait *inside* a transfer (the sender's for ring
+/// space, the receiver's for the rest of a block it has begun to read),
+/// where the peer is known to be streaming: about one park + wake-up long.
+/// A wait with no such evidence (a block's first flag) parks at once.
+const STREAM_POLLS: u32 = 400;
+
 // Segment layout offsets.
 const OFF_SHORT: usize = 0;
 const OFF_SHORT_FLAG: usize = OFF_SHORT + SHORT_RING; // 4096
@@ -103,6 +109,8 @@ struct RecvStream {
     /// Last consumed position acknowledged to the sender.
     acked: u32,
 }
+
+type Links = Arc<HashMap<NodeId, Arc<PeerLink>>>;
 
 /// Everything one node holds about one peer on one SISCI channel.
 struct PeerLink {
@@ -191,51 +199,44 @@ fn checked_add(pos: u32, n: usize, what: &str) -> u32 {
 }
 
 impl PeerLink {
-    /// Wait until the local flag at `off` reaches `val`. Unbounded on a
-    /// clean world; bounded by [`FAULT_WAIT`] when faults are armed, with
-    /// expiry distinguishing a dead peer from a merely silent one.
-    fn wait_flag(&self, off: usize, val: u32) -> Result<u32, LinkError> {
-        let Some(faults) = &self.faults else {
-            return Ok(self.local.wait_flag_ge_val(off, val).0);
-        };
-        if !faults.reachable(self.me, self.peer) {
+    /// Wait until the local flag at `off` reaches `val`, polling it `polls`
+    /// times before parking. Unbounded on a clean world; bounded by
+    /// [`FAULT_WAIT`] when faults are armed (a dead peer or a silent one).
+    fn wait_flag(&self, off: usize, val: u32, polls: u32) -> Result<u32, LinkError> {
+        let faults = self.faults.as_ref();
+        let dead = || faults.is_some_and(|f| !f.reachable(self.me, self.peer));
+        if dead() {
             return Err(LinkError::PeerDead);
         }
-        match self.local.wait_flag_ge_val_timeout(off, val, FAULT_WAIT) {
+        let timeout = faults.map(|_| FAULT_WAIT);
+        match self.local.wait_flag_ge_val(off, val, polls, timeout) {
             Some((v, _)) => Ok(v),
-            None if !faults.reachable(self.me, self.peer) => Err(LinkError::PeerDead),
+            None if dead() => Err(LinkError::PeerDead),
             None => Err(LinkError::Timeout),
         }
     }
 
-    /// Stream a commit-group of blocks to the peer through `geom`.
+    /// Stream a commit-group of blocks to the peer through `geom`, in
+    /// chunks cut from the group's concatenation.
     fn send_group(&self, geom: StreamGeom, bufs: &[&[u8]]) -> Result<(), LinkError> {
-        let total: usize = bufs.iter().map(|b| b.len()).sum();
-        if total == 0 {
-            return Ok(());
-        }
         let mut st = self.streams[geom.index].send.lock();
-        // Gather into chunk-sized PIO/DMA writes; the staging buffer models
-        // the CPU's write-combining gather, not a user-visible copy.
-        let mut stage = vec![0u8; geom.chunk];
-        let mut stage_fill = 0usize;
-        let flush_chunk = |st: &mut SendStream, stage: &[u8]| -> Result<(), LinkError> {
-            let end = checked_add(st.pos, stage.len(), "send");
+        let write_chunk = |st: &mut SendStream, chunk: &[u8]| -> Result<(), LinkError> {
+            let end = checked_add(st.pos, chunk.len(), "send");
             // Flow control: the chunk's last byte must fit in the ring
             // window beyond the receiver's consumed position.
             if end > st.acked.saturating_add(geom.ring as u32) {
                 let need = end - geom.ring as u32;
-                st.acked = self.wait_flag(geom.ack_off, need)?;
+                st.acked = self.wait_flag(geom.ack_off, need, STREAM_POLLS)?;
             }
             // Streams are byte-granular, so a chunk may straddle the ring
             // wrap: split it into at most two writes.
             let mut written = 0usize;
             let mut vis = VTime::ZERO;
-            while written < stage.len() {
+            while written < chunk.len() {
                 let ring_off = (st.pos as usize + written) % geom.ring;
-                let span = (geom.ring - ring_off).min(stage.len() - written);
+                let span = (geom.ring - ring_off).min(chunk.len() - written);
                 let off = geom.data_off + ring_off;
-                let part = &stage[written..written + span];
+                let part = &chunk[written..written + span];
                 let w = if geom.dma {
                     let done = self.remote.dma_write(off, part);
                     time::advance_to(done);
@@ -250,21 +251,31 @@ impl PeerLink {
             self.remote.write_flag(geom.flag_off, st.pos, vis);
             Ok(())
         };
+        // A chunk that lies inside one block is written straight from it;
+        // only one that spans blocks is gathered first (the CPU's
+        // write-combining gather, not a user-visible copy).
+        let mut left: usize = bufs.iter().map(|b| b.len()).sum();
+        let mut stage = Vec::new();
         for b in bufs {
             let mut rest: &[u8] = b;
             while !rest.is_empty() {
-                let take = rest.len().min(geom.chunk - stage_fill);
-                stage[stage_fill..stage_fill + take].copy_from_slice(&rest[..take]);
-                stage_fill += take;
-                rest = &rest[take..];
-                if stage_fill == geom.chunk {
-                    flush_chunk(&mut st, &stage)?;
-                    stage_fill = 0;
+                let chunk = geom.chunk.min(left);
+                if stage.is_empty() && rest.len() >= chunk {
+                    write_chunk(&mut st, &rest[..chunk])?;
+                    rest = &rest[chunk..];
+                } else {
+                    let take = rest.len().min(chunk - stage.len());
+                    stage.reserve_exact(chunk - stage.len());
+                    stage.extend_from_slice(&rest[..take]);
+                    rest = &rest[take..];
+                    if stage.len() < chunk {
+                        continue;
+                    }
+                    write_chunk(&mut st, &stage)?;
+                    stage.clear();
                 }
+                left -= chunk;
             }
-        }
-        if stage_fill > 0 {
-            flush_chunk(&mut st, &stage[..stage_fill])?;
         }
         Ok(())
     }
@@ -278,7 +289,9 @@ impl PeerLink {
         let mut filled = 0usize;
         while filled < dst.len() {
             if st.known == st.pos {
-                st.known = self.wait_flag(geom.flag_off, st.pos + 1)?;
+                // Bytes of this block already read: the sender is streaming.
+                let polls = if filled > 0 { STREAM_POLLS } else { 0 };
+                st.known = self.wait_flag(geom.flag_off, st.pos + 1, polls)?;
             }
             let avail = (st.known - st.pos) as usize;
             let ring_left = geom.ring - (st.pos as usize % geom.ring);
@@ -307,21 +320,9 @@ impl PeerLink {
     }
 }
 
-/// Build the SISCI PMM for one channel. Collective across the channel's
+/// One link per peer on the channel. Collective across the channel's
 /// members: creates all local segments, then connects to every peer's.
-pub fn build(
-    adapter: &Adapter,
-    channel_id: u32,
-    enable_dma: bool,
-    poll: PollPolicy,
-    timing: Option<madsim_net::stacks::sisci::SisciTiming>,
-    stats: Arc<Stats>,
-    tracer: Arc<Tracer>,
-) -> Arc<dyn Pmm> {
-    let sisci = match timing {
-        Some(t) => Sisci::with_timing(adapter, t),
-        None => Sisci::new(adapter),
-    };
+fn connect_links(sisci: &Sisci, adapter: &Adapter, channel_id: u32) -> Links {
     let me = sisci.node();
     let peers: Vec<NodeId> = adapter
         .peers()
@@ -335,26 +336,37 @@ pub fn build(
         .iter()
         .map(|&p| (p, sisci.create_segment(seg_id(channel_id, p), SEG_SIZE)))
         .collect();
-    let links: HashMap<NodeId, Arc<PeerLink>> = peers
-        .iter()
-        .map(|&p| {
-            let remote = sisci.connect(p, seg_id(channel_id, me));
-            let local = locals.remove(&p).expect("created above");
-            (
-                p,
-                Arc::new(PeerLink {
-                    local,
-                    remote,
-                    streams: [StreamPair::new(), StreamPair::new(), StreamPair::new()],
-                    faults: adapter.faults().cloned(),
-                    me,
-                    peer: p,
-                }),
-            )
-        })
-        .collect();
-    let links = Arc::new(links);
+    let links = peers.iter().map(|&p| {
+        let remote = sisci.connect(p, seg_id(channel_id, me));
+        let local = locals.remove(&p).expect("created above");
+        let link = PeerLink {
+            local,
+            remote,
+            streams: [StreamPair::new(), StreamPair::new(), StreamPair::new()],
+            faults: adapter.faults().cloned(),
+            me,
+            peer: p,
+        };
+        (p, Arc::new(link))
+    });
+    Arc::new(links.collect())
+}
 
+/// Build the SISCI PMM for one channel (collective, see [`connect_links`]).
+pub fn build(
+    adapter: &Adapter,
+    channel_id: u32,
+    enable_dma: bool,
+    poll: PollPolicy,
+    timing: Option<madsim_net::stacks::sisci::SisciTiming>,
+    stats: Arc<Stats>,
+    tracer: Arc<Tracer>,
+) -> Arc<dyn Pmm> {
+    let sisci = match timing {
+        Some(t) => Sisci::with_timing(adapter, t),
+        None => Sisci::new(adapter),
+    };
+    let links = connect_links(&sisci, adapter, channel_id);
     let short: Arc<dyn TransmissionModule> = Arc::new(SisciStreamTm {
         name: "sisci/short-pio",
         geom: SHORT_GEOM,
@@ -388,7 +400,7 @@ pub fn build(
 }
 
 struct SisciPmm {
-    links: Arc<HashMap<NodeId, Arc<PeerLink>>>,
+    links: Links,
     tms: [Arc<dyn TransmissionModule>; 3],
     enable_dma: bool,
     poll: PollPolicy,
@@ -436,7 +448,7 @@ impl Pmm for SisciPmm {
 struct SisciStreamTm {
     name: &'static str,
     geom: StreamGeom,
-    links: Arc<HashMap<NodeId, Arc<PeerLink>>>,
+    links: Links,
     /// `(threshold, cost)`: charge `cost` when a group exceeds `threshold`
     /// (the dual-buffering pipeline arm cost of the regular TM).
     setup_above: Option<(usize, VDuration)>,
@@ -499,8 +511,6 @@ impl TransmissionModule for SisciStreamTm {
 
     fn send_gather(&self, dst: NodeId, bufs: &[&[u8]]) -> MadResult<()> {
         // Native gather: blocks stream back-to-back into the PIO ring.
-        // `send_group`'s chunk staging models the CPU's write-combining
-        // buffer, not a generic-layer copy.
         self.send_buffer_group(dst, bufs)
     }
 
@@ -517,5 +527,136 @@ impl TransmissionModule for SisciStreamTm {
                 .map_err(|e| self.wait_err(e, src))?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use madsim_net::{FaultPlan, NetKind, NodeEnv, WorldBuilder};
+    use std::sync::OnceLock;
+    use std::time::Instant;
+
+    fn sci_world(nodes: usize, plan: Option<FaultPlan>) -> madsim_net::World {
+        let mut b = WorldBuilder::new(nodes);
+        if let Some(plan) = plan {
+            b = b.fault_plan(plan);
+        }
+        let members: Vec<NodeId> = (0..nodes).collect();
+        b.network("sci0", NetKind::Sci, &members);
+        b.build()
+    }
+
+    /// Every link of this node (dropping one unregisters its segment, so
+    /// they are kept together until all nodes are done).
+    fn links_of(env: &NodeEnv) -> Links {
+        let adapter = env.adapter_named("sci0").expect("member");
+        connect_links(&Sisci::new(adapter), adapter, 0)
+    }
+
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 13 + 5) as u8).collect()
+    }
+
+    /// Eight node threads on however few cores there are, four streams at
+    /// once: every wait that polls must hand the CPU to the peer it waits
+    /// for, or the streams starve each other. Polls stay within the grant.
+    #[test]
+    fn four_oversubscribed_pairs_stream_within_their_poll_grant() {
+        const LEN: usize = 256 << 10;
+        let seen = sci_world(8, None).run(|env| {
+            let links = links_of(&env);
+            let link = &links[&(env.id() ^ 1)];
+            if env.id() % 2 == 0 {
+                let data = pattern(LEN);
+                link.send_group(DATA_GEOM, &[&data]).expect("clean world");
+            } else {
+                let mut got = vec![0u8; LEN];
+                link.read_stream(DATA_GEOM, &mut got).expect("clean world");
+                assert!(got == pattern(LEN), "stream corrupted");
+            }
+            env.barrier(); // segments outlive every peer's last write
+            link.local.flag_wait_stats()
+        });
+        for (node, cost) in seen.into_iter().enumerate() {
+            let granted = STREAM_POLLS as u64 * cost.waits;
+            assert!(cost.polls <= granted, "node {node}: {cost:?}");
+        }
+    }
+
+    /// A short ping-pong only ever waits for a block's first flag (no
+    /// evidence the peer is sending: park at once) or for ring space its
+    /// peer freed before replying (satisfied on the first look).
+    #[test]
+    fn short_ping_pongs_never_poll() {
+        let seen = sci_world(2, None).run(|env| {
+            let links = links_of(&env);
+            let link = &links[&(1 - env.id())];
+            let mut buf = [0u8; 64];
+            for round in 0..200 {
+                for turn in 0..2 {
+                    if turn == env.id() {
+                        link.send_group(SHORT_GEOM, &[&[round as u8; 64]])
+                            .expect("clean world");
+                    } else {
+                        link.read_stream(SHORT_GEOM, &mut buf).expect("clean world");
+                        assert_eq!(buf, [round as u8; 64]);
+                    }
+                }
+            }
+            env.barrier();
+            link.local.flag_wait_stats()
+        });
+        for cost in seen {
+            assert_eq!(cost.polls, 0, "{cost:?}");
+        }
+    }
+
+    /// Node 0 streams 256 KiB at node 1, which reads `consumed` bytes of it
+    /// and stops. `dies` crashes itself once the *other* node has polled
+    /// out its grant and is parking inside the transfer; that node's wait
+    /// must then end in `PeerDead` at the fault timer, not hang.
+    fn death_mid_transfer(dies: NodeId, consumed: usize) {
+        const LEN: usize = 256 << 10;
+        let all: [OnceLock<Links>; 2] = [OnceLock::new(), OnceLock::new()];
+        sci_world(2, Some(FaultPlan::new(18))).run(|env| {
+            let me = env.id();
+            let link = &all[me].get_or_init(|| links_of(&env))[&(1 - me)];
+            env.barrier();
+            let started = Instant::now();
+            let mut got = vec![0u8; if me == dies { consumed } else { LEN }];
+            let r = if me == 0 {
+                let sent = if me == dies { consumed } else { LEN };
+                link.send_group(DATA_GEOM, &[&pattern(LEN)[..sent]])
+            } else {
+                link.read_stream(DATA_GEOM, &mut got)
+            };
+            if me == dies {
+                r.expect("the peer is alive");
+                let other = &all[1 - me].get().expect("set before the barrier")[&me];
+                while other.local.flag_wait_stats().polls < STREAM_POLLS as u64 {
+                    std::thread::yield_now();
+                }
+                env.faults().expect("fault-armed world").crash(me);
+            } else {
+                let took = started.elapsed();
+                let intact = me == 0 || got[..consumed] == pattern(LEN)[..consumed];
+                assert_eq!((r, intact), (Err(LinkError::PeerDead), true));
+                assert!(took < FAULT_WAIT + Duration::from_secs(1), "took {took:?}");
+            }
+        });
+    }
+
+    #[test]
+    fn sender_death_ends_the_receivers_mid_block_wait() {
+        // Five chunks through the four-chunk ring: the sender's last write
+        // waits for the receiver's first ack, so the receiver is inside
+        // the block by the time the sender is done.
+        death_mid_transfer(0, 40 << 10);
+    }
+
+    #[test]
+    fn receiver_death_ends_the_senders_ring_space_wait() {
+        death_mid_transfer(1, 8 << 10);
     }
 }

@@ -1,7 +1,8 @@
-//! The small-message allocation budget, counted — not timed — with a
-//! counting global allocator: what one posted 64 B message over batched
-//! TCP may allocate on its sender and on its receiver, and that a hostile
-//! length claim never sizes an allocation.
+//! Allocation budgets, counted — not timed — with a counting global
+//! allocator: what one posted 64 B message over batched TCP may allocate
+//! on its sender and on its receiver, that a hostile length claim never
+//! sizes an allocation, and that a block streamed over SISCI allocates per
+//! message, not per chunk.
 
 use bytes::Bytes;
 use madeleine::{ChannelSpec, Config, MadError, Madeleine, Protocol, RecvMode, SendMode};
@@ -181,4 +182,52 @@ fn oversize_body_claim_sizes_no_allocation() {
         }
         env.barrier();
     });
+}
+
+/// One 1 MiB block over SISCI is 128 chunks through the dual-buffering
+/// ring. What its sender and receiver allocate between them must not grow
+/// with the chunk count: a chunk that lies inside the caller's block is
+/// written straight from it, and a flag write reuses its history.
+#[test]
+fn a_streamed_sisci_block_allocates_per_message_not_per_chunk() {
+    const LEN: usize = 1 << 20;
+    let mut b = WorldBuilder::new(2);
+    b.network("sci0", NetKind::Sci, &[0, 1]);
+    let config = Config::one("ch", "sci0", Protocol::Sisci);
+    let used = b.build().run(move |env| {
+        let mad = Madeleine::init(&env, &config);
+        let ch = mad.channel("ch");
+        let data = vec![0x5Au8; LEN];
+        let mut got = vec![0u8; LEN];
+        let mut used = (0, 0);
+        // The first message warms pools, flag slots and bus timelines.
+        for round in 0..2 {
+            if round == 1 {
+                used = (0, 0);
+            }
+            if env.id() == 0 {
+                counted(&mut used, || {
+                    let mut msg = ch.begin_packing(1);
+                    msg.pack(&data, SendMode::Cheaper, RecvMode::Cheaper);
+                    msg.end_packing();
+                });
+            } else {
+                counted(&mut used, || {
+                    let mut msg = ch.begin_unpacking();
+                    msg.unpack(&mut got, SendMode::Cheaper, RecvMode::Cheaper);
+                    msg.end_unpacking();
+                });
+                assert!(got == data, "round {round} corrupted");
+                got.fill(0);
+            }
+            env.barrier();
+        }
+        used.0
+    });
+    assert!(
+        used[0] + used[1] <= 16,
+        "{} sender + {} receiver allocations for one 1 MiB block",
+        used[0],
+        used[1]
+    );
 }

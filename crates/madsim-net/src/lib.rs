@@ -21,6 +21,8 @@
 //! * [`perf`] — calibrated piecewise-linear performance curves;
 //! * [`world`] — topology: nodes, networks, adapters, node threads;
 //! * [`mailbox`] — the blocking predicate-receive transport primitive;
+//! * [`eventcount`] — the poll-then-park wait the mailbox and the SISCI
+//!   segment flags block on;
 //! * [`stacks`] — the five vendor protocol stacks Madeleine II drives:
 //!   [`stacks::bip`] (Myrinet), [`stacks::sisci`] (SCI), [`stacks::tcp`]
 //!   (Fast Ethernet), [`stacks::via`] (VIA SAN), [`stacks::sbp`]
@@ -30,6 +32,7 @@
 //! Nexus ports, the inter-cluster gateway) treats these stacks exactly like
 //! the vendor libraries the original system drove.
 
+pub mod eventcount;
 pub mod fault;
 pub mod frame;
 pub mod mailbox;

@@ -28,20 +28,20 @@
 //!   with the smallest stamp, preserving the FIFO-among-matches contract
 //!   of the unsharded mailbox (`full_scans` counts these).
 //!
-//! Blocking uses an eventcount (a version counter plus a waiter count over
-//! one `std::sync` condvar): producers on the fast path never touch the
-//! condvar mutex unless a receiver is actually asleep.
+//! Blocking is the crate's [`EventCount`]: producers on the fast path never
+//! touch the condvar mutex unless a receiver is actually asleep, and every
+//! blocking receive polls [`SPIN_LIMIT`] times before it parks.
 //!
 //! This module is one of the lock-free hot-path modules linted by
-//! `scripts/verify.sh`: no `parking_lot` locks may appear here — the cold
-//! blocking fallback uses `std::sync` primitives only.
+//! `scripts/verify.sh`: no `parking_lot` locks may appear here.
 
 use crossbeam::queue::ArrayQueue;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Duration;
 
+use crate::eventcount::{lock_unpoisoned, EventCount};
 use crate::frame::{Frame, NodeId};
 
 /// Routes an item to its demux shard. Items whose keys are equal always
@@ -56,8 +56,10 @@ const SHARD_COUNT: usize = 16;
 /// Capacity of each shard's lock-free ring; overflow spills to the shard's
 /// staging deque, so this bounds memory of the fast path, not the mailbox.
 const RING_CAP: usize = 64;
-/// Failed receive attempts before a blocking receive parks on the
-/// condvar (see [`Mailbox::block_on`]).
+/// Failed attempts before a blocking receive (deadline or not) parks. Under
+/// a message storm the next item lands within a few re-checks, and parking
+/// would put a futex round-trip *plus* a notify-all of every sleeper on the
+/// per-item path; a genuinely idle receiver still parks.
 const SPIN_LIMIT: u32 = 64;
 
 /// Fibonacci multiplicative hash of a shard key → shard index.
@@ -99,14 +101,8 @@ struct MailboxInner<T> {
     shards: Vec<Shard<T>>,
     /// Global arrival stamp: the cross-shard FIFO order.
     stamp: AtomicU64,
-    /// Eventcount version: bumped after every push; sleepers re-scan when
-    /// it moves.
-    version: AtomicU64,
-    /// How many receivers are (about to be) asleep; producers skip the
-    /// condvar entirely while this is zero.
-    waiters: AtomicUsize,
-    sleep: Mutex<()>,
-    cond: Condvar,
+    /// Notified after every push; blocked receivers re-scan when it moves.
+    arrivals: EventCount,
     /// Operations resolved against a single shard: lock-free ring pushes
     /// plus keyed receives/peeks.
     shard_hits: AtomicU64,
@@ -127,12 +123,6 @@ impl<T> Clone for Mailbox<T> {
             inner: Arc::clone(&self.inner),
         }
     }
-}
-
-/// Recover the guard even if a predicate panicked while scanning: the
-/// queue itself is never left mid-mutation, so poisoning is benign here.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Insert into a staging deque preserving ascending-seq order. Ring
@@ -156,10 +146,7 @@ impl<T: Shardable> Mailbox<T> {
             inner: Arc::new(MailboxInner {
                 shards: (0..SHARD_COUNT).map(|_| Shard::new()).collect(),
                 stamp: AtomicU64::new(0),
-                version: AtomicU64::new(0),
-                waiters: AtomicUsize::new(0),
-                sleep: Mutex::new(()),
-                cond: Condvar::new(),
+                arrivals: EventCount::default(),
                 shard_hits: AtomicU64::new(0),
                 ring_overflows: AtomicU64::new(0),
                 full_scans: AtomicU64::new(0),
@@ -189,15 +176,7 @@ impl<T: Shardable> Mailbox<T> {
                 insert_by_seq(&mut staged, overflow);
             }
         }
-        // Publish, then wake: sleepers re-scan when the version moves, so
-        // a producer only pays the condvar when someone is actually asleep.
-        self.inner.version.fetch_add(1, Ordering::SeqCst);
-        if self.inner.waiters.load(Ordering::SeqCst) > 0 {
-            let _g = lock_unpoisoned(&self.inner.sleep);
-            // notify_all: receivers wait on *different* predicates, so a
-            // notify_one could wake the wrong one and lose the wakeup.
-            self.inner.cond.notify_all();
-        }
+        self.inner.arrivals.notify();
     }
 
     /// Lock one shard's staging deque and fold its ring into it (in seq
@@ -253,82 +232,17 @@ impl<T: Shardable> Mailbox<T> {
         s.item
     }
 
-    /// Park until the mailbox's version moves past `attempt`'s snapshot.
-    /// The eventcount handshake with [`push`](Self::push) guarantees no
-    /// lost wakeups: a push that lands after `attempt` misses bumps the
-    /// version before we commit to sleeping.
-    ///
-    /// A bounded spin precedes every park: under a message storm the next
-    /// item lands within a few re-checks, and parking would put the
-    /// consumer's wakeup (a futex round-trip *plus* a notify-all of every
-    /// sleeper, paid by the producer) on the per-item path. The spin keeps
-    /// the condvar machinery out of the hot path entirely; a genuinely
-    /// idle receiver still parks after `SPIN_LIMIT` failed attempts.
-    fn block_on<R>(&self, mut attempt: impl FnMut() -> Option<R>) -> R {
-        let mut spins = 0u32;
-        loop {
-            let v = self.inner.version.load(Ordering::SeqCst);
-            if let Some(r) = attempt() {
-                return r;
-            }
-            if spins < SPIN_LIMIT {
-                spins += 1;
-                if spins % 8 == 0 {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-                continue;
-            }
-            self.inner.waiters.fetch_add(1, Ordering::SeqCst);
-            let mut g = lock_unpoisoned(&self.inner.sleep);
-            while self.inner.version.load(Ordering::SeqCst) == v {
-                g = self.inner.cond.wait(g).unwrap_or_else(|e| e.into_inner());
-            }
-            drop(g);
-            self.inner.waiters.fetch_sub(1, Ordering::SeqCst);
-            spins = 0;
-        }
+    /// Run `attempt` until it yields, blocking on pushes in between.
+    fn block_on<R>(&self, attempt: impl FnMut() -> Option<R>) -> R {
+        let got = self.inner.arrivals.wait_timeout(SPIN_LIMIT, None, attempt);
+        got.expect("a wait without a timeout ends only in success")
     }
 
     /// [`block_on`](Self::block_on) with a real-time deadline; makes one
     /// final attempt at expiry (an item may have raced in).
-    fn block_on_timeout<R>(
-        &self,
-        timeout: Duration,
-        mut attempt: impl FnMut() -> Option<R>,
-    ) -> Option<R> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let v = self.inner.version.load(Ordering::SeqCst);
-            if let Some(r) = attempt() {
-                return Some(r);
-            }
-            if Instant::now() >= deadline {
-                return attempt();
-            }
-            self.inner.waiters.fetch_add(1, Ordering::SeqCst);
-            let mut g = lock_unpoisoned(&self.inner.sleep);
-            let mut expired = false;
-            while self.inner.version.load(Ordering::SeqCst) == v {
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    expired = true;
-                    break;
-                }
-                g = self
-                    .inner
-                    .cond
-                    .wait_timeout(g, left)
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0;
-            }
-            drop(g);
-            self.inner.waiters.fetch_sub(1, Ordering::SeqCst);
-            if expired {
-                return attempt();
-            }
-        }
+    fn block_on_timeout<R>(&self, t: Duration, attempt: impl FnMut() -> Option<R>) -> Option<R> {
+        let arrivals = &self.inner.arrivals;
+        arrivals.wait_timeout(SPIN_LIMIT, Some(t), attempt)
     }
 
     /// Block until an item satisfying `pred` is present; remove and return

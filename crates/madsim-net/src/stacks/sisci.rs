@@ -19,18 +19,22 @@
 //!   disappointing ≤35 MB/s, which is why Madeleine II ships the DMA TM
 //!   disabled.
 //!
-//! Segments really exist (a shared byte buffer); flag waits are condvar
-//! waits carrying the virtual arrival time of the write that satisfied them,
-//! so receivers synchronize both real and virtual time without spinning.
+//! Segments really exist (a shared byte buffer). A flag wait returns the
+//! virtual arrival time of the write that satisfied it, so receivers
+//! synchronize both real and virtual time. In real time it polls the flag's
+//! published value — one atomic load, as on the real hardware — for as many
+//! probes as its caller grants it, then parks on the segment's eventcount.
 
+use crate::eventcount::{EventCount, WaitStats};
 use crate::frame::NodeId;
 use crate::pci::{BusDir, BusKind, PciBus};
 use crate::time::{self, VDuration, VTime};
 use crate::world::{Adapter, NetKind};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Calibrated timing constants for the SISCI stack (µs / µs-per-byte).
 #[derive(Clone, Copy, Debug)]
@@ -74,13 +78,75 @@ impl Default for SisciTiming {
 
 type SegKey = (u64, NodeId, u32);
 
+/// One flag word of a segment. Slots chain in first-use order (a protocol
+/// uses a handful of offsets), so finding one takes no lock.
+#[derive(Default)]
+struct FlagSlot {
+    off: usize,
+    /// Highest value written, plus one (0: never written) — what a poll
+    /// loads. Stored (Release) after the write is in `history`, so a waiter
+    /// that loads it (Acquire) finds the entry there.
+    published: AtomicU64,
+    /// Unconsumed writes, ascending by value: `(value, virtual arrival)`.
+    history: Mutex<VecDeque<(u32, VTime)>>,
+    next: OnceLock<Box<FlagSlot>>,
+}
+
+impl FlagSlot {
+    /// Consume the earliest write with value `>= val`: advance the local
+    /// clock to its arrival and prune the history below it (flags are
+    /// monotone counters in every protocol built on top). Locks only once
+    /// the published value says the write is there.
+    fn take(&self, val: u32) -> Option<(u32, VTime)> {
+        if self.published.load(Ordering::Acquire) <= val as u64 {
+            return None;
+        }
+        let mut history = self.history.lock();
+        let at = history.partition_point(|&(v, _)| v < val);
+        let hit = *history.get(at)?;
+        history.drain(..at);
+        drop(history);
+        time::advance_to(hit.1);
+        Some(hit)
+    }
+}
+
 struct SegInner {
     mem: Mutex<Vec<u8>>,
-    /// Flag offset → (value → virtual arrival of the write that set it).
-    flags: Mutex<HashMap<usize, BTreeMap<u32, VTime>>>,
-    cond: Condvar,
+    flags: OnceLock<Box<FlagSlot>>,
+    /// Notified by every flag write.
+    flag_writes: EventCount,
     owner_bus: PciBus,
     size: usize,
+}
+
+impl SegInner {
+    fn flag(&self, off: usize) -> &FlagSlot {
+        let mut link = &self.flags;
+        loop {
+            let fresh = || FlagSlot {
+                off,
+                ..FlagSlot::default()
+            };
+            let slot = link.get_or_init(|| Box::new(fresh()));
+            if slot.off == off {
+                return slot;
+            }
+            link = &slot.next;
+        }
+    }
+
+    /// Store `data` at `off`; a store outside the segment is the caller's
+    /// bug, as it is a fault on the real mapping.
+    fn store(&self, what: &str, off: usize, data: &[u8]) {
+        assert!(
+            off.saturating_add(data.len()) <= self.size,
+            "{what} of {} bytes at {off} overruns segment of {}",
+            data.len(),
+            self.size,
+        );
+        self.mem.lock()[off..off + data.len()].copy_from_slice(data);
+    }
 }
 
 struct Registry {
@@ -141,8 +207,8 @@ impl Sisci {
         let key: SegKey = (self.adapter.uid(), self.node(), seg_id);
         let inner = Arc::new(SegInner {
             mem: Mutex::new(vec![0u8; size]),
-            flags: Mutex::new(HashMap::new()),
-            cond: Condvar::new(),
+            flags: OnceLock::new(),
+            flag_writes: EventCount::default(),
             owner_bus: self.adapter.pci().clone(),
             size,
         });
@@ -212,110 +278,50 @@ impl LocalSegment {
         ));
     }
 
-    /// Read a little-endian u32 (e.g. a length header) without the bulk
-    /// memcpy charge — a single load.
-    pub fn read_u32(&self, off: usize) -> u32 {
-        let mem = self.inner.mem.lock();
-        u32::from_le_bytes(mem[off..off + 4].try_into().expect("4 bytes"))
-    }
-
     /// Block until the flag word at `off` has been written with a value
     /// `>= val`; advances the local clock to the write's arrival and returns
-    /// that instant.
+    /// that instant. Parks at once.
     pub fn wait_flag_ge(&self, off: usize, val: u32) -> VTime {
-        let mut flags = self.inner.flags.lock();
-        loop {
-            if let Some(m) = flags.get_mut(&off) {
-                if let Some((&_v, &arr)) = m.range(val..).next() {
-                    // Prune history below the satisfied value: flags are
-                    // monotone counters in every protocol built on top.
-                    let keep = m.split_off(&val);
-                    *m = keep;
-                    drop(flags);
-                    time::advance_to(arr);
-                    return arr;
-                }
-            }
-            self.inner.cond.wait(&mut flags);
-        }
+        let hit = self.wait_flag_ge_val(off, val, 0, None);
+        hit.expect("a wait without a timeout only succeeds").1
     }
 
-    /// Like [`wait_flag_ge`](Self::wait_flag_ge), but also returns the
-    /// value of the satisfying write — the **earliest** write with value
-    /// `>= val`, so the caller never observes data whose publishing write
-    /// it has not paid the arrival time for.
-    pub fn wait_flag_ge_val(&self, off: usize, val: u32) -> (u32, VTime) {
-        let mut flags = self.inner.flags.lock();
-        loop {
-            if let Some(m) = flags.get_mut(&off) {
-                if let Some((&v, &arr)) = m.range(val..).next() {
-                    let keep = m.split_off(&val);
-                    *m = keep;
-                    drop(flags);
-                    time::advance_to(arr);
-                    return (v, arr);
-                }
-            }
-            self.inner.cond.wait(&mut flags);
-        }
-    }
-
-    /// [`wait_flag_ge_val`](Self::wait_flag_ge_val) with a *real-time*
-    /// deadline: `None` if no satisfying write arrived within `timeout`.
-    /// Fault-aware protocols use this to turn a vanished peer (crashed or
-    /// partitioned mid-transfer) into a detectable channel-down condition
-    /// instead of a hang.
-    pub fn wait_flag_ge_val_timeout(
+    /// [`wait_flag_ge`](Self::wait_flag_ge) that first polls the flag up to
+    /// `polls` times (grant them only on evidence that the writer is
+    /// mid-transfer) and also returns the value of the satisfying write —
+    /// the **earliest** write with value `>= val`, so the caller never
+    /// observes data whose publishing write it has not paid the arrival
+    /// time for. With a *real-time* `timeout`, `None` if no such write
+    /// arrived in time: fault-aware protocols turn a vanished peer into a
+    /// detectable channel-down condition that way instead of a hang.
+    pub fn wait_flag_ge_val(
         &self,
         off: usize,
         val: u32,
-        timeout: Duration,
+        polls: u32,
+        timeout: Option<Duration>,
     ) -> Option<(u32, VTime)> {
-        let deadline = Instant::now() + timeout;
-        let mut flags = self.inner.flags.lock();
-        loop {
-            if let Some(m) = flags.get_mut(&off) {
-                if let Some((&v, &arr)) = m.range(val..).next() {
-                    let keep = m.split_off(&val);
-                    *m = keep;
-                    drop(flags);
-                    time::advance_to(arr);
-                    return Some((v, arr));
-                }
-            }
-            if self.inner.cond.wait_until(&mut flags, deadline).timed_out() {
-                // Final re-check under the lock before giving up.
-                let m = flags.get_mut(&off)?;
-                let (&v, &arr) = m.range(val..).next()?;
-                let keep = m.split_off(&val);
-                *m = keep;
-                drop(flags);
-                time::advance_to(arr);
-                return Some((v, arr));
-            }
-        }
+        let flag = self.inner.flag(off);
+        let writes = &self.inner.flag_writes;
+        writes.wait_timeout(polls, timeout, || flag.take(val))
     }
 
-    /// Pure probe: is the flag at `off` already `>= val`? Consumes nothing
-    /// and does not advance the clock (used by incoming-message polling).
+    /// Pure probe (one load): is the flag at `off` already `>= val`? Consumes
+    /// nothing, does not advance the clock (incoming-message polling).
     pub fn probe_flag_ge(&self, off: usize, val: u32) -> bool {
-        let flags = self.inner.flags.lock();
-        flags
-            .get(&off)
-            .is_some_and(|m| m.range(val..).next().is_some())
+        self.inner.flag(off).published.load(Ordering::Acquire) > val as u64
     }
 
     /// Non-blocking flag poll; advances the clock and consumes history on
-    /// success exactly like [`wait_flag_ge`](Self::wait_flag_ge).
-    pub fn try_flag_ge(&self, off: usize, val: u32) -> Option<VTime> {
-        let mut flags = self.inner.flags.lock();
-        let m = flags.get_mut(&off)?;
-        let (&_v, &arr) = m.range(val..).next()?;
-        let keep = m.split_off(&val);
-        *m = keep;
-        drop(flags);
-        time::advance_to(arr);
-        Some(arr)
+    /// success exactly like [`wait_flag_ge_val`](Self::wait_flag_ge_val).
+    pub fn try_flag_ge(&self, off: usize, val: u32) -> Option<(u32, VTime)> {
+        self.inner.flag(off).take(val)
+    }
+
+    /// What the flag waits on this segment cost so far: `waits` that found
+    /// their flag unwritten, the `polls` they made, their `parks`.
+    pub fn flag_wait_stats(&self) -> WaitStats {
+        self.inner.flag_writes.stats()
     }
 }
 
@@ -342,16 +348,7 @@ impl RemoteSegment {
     /// crossing). Returns the virtual instant the data is visible in remote
     /// host memory (including receiver-bus contention).
     pub fn write(&self, off: usize, data: &[u8]) -> VTime {
-        assert!(
-            off + data.len() <= self.inner.size,
-            "write of {} bytes at {off} overruns segment of {}",
-            data.len(),
-            off,
-        );
-        {
-            let mut mem = self.inner.mem.lock();
-            mem[off..off + data.len()].copy_from_slice(data);
-        }
+        self.inner.store("write", off, data);
         let t = &self.timing;
         let t0 = time::now();
         let cpu =
@@ -382,15 +379,18 @@ impl RemoteSegment {
         let t = &self.timing;
         let cpu_end = time::advance(VDuration::from_micros_f64(t.flag_write_us));
         let arrival = (cpu_end + VDuration::from_micros_f64(t.wire_lat_us)).max(not_before);
+        self.inner.store("flag write", off, &val.to_le_bytes());
+        let flag = self.inner.flag(off);
         {
-            let mut mem = self.inner.mem.lock();
-            if off + 4 <= mem.len() {
-                mem[off..off + 4].copy_from_slice(&val.to_le_bytes());
+            let mut history = flag.history.lock();
+            let at = history.partition_point(|&(v, _)| v < val);
+            match history.get_mut(at) {
+                Some(same) if same.0 == val => same.1 = arrival,
+                _ => history.insert(at, (val, arrival)),
             }
         }
-        let mut flags = self.inner.flags.lock();
-        flags.entry(off).or_default().insert(val, arrival);
-        self.inner.cond.notify_all();
+        flag.published.fetch_max(val as u64 + 1, Ordering::Release);
+        self.inner.flag_writes.notify();
         arrival
     }
 
@@ -398,15 +398,7 @@ impl RemoteSegment {
     /// setup cost; the call returns the completion instant (callers model
     /// SISCI's `SCIWaitForDMAQueue` by `advance_to`-ing it).
     pub fn dma_write(&self, off: usize, data: &[u8]) -> VTime {
-        assert!(
-            off + data.len() <= self.inner.size,
-            "DMA write of {} bytes at {off} overruns segment",
-            data.len(),
-        );
-        {
-            let mut mem = self.inner.mem.lock();
-            mem[off..off + data.len()].copy_from_slice(data);
-        }
+        self.inner.store("DMA write", off, data);
         let t = &self.timing;
         let t0 = time::advance(VDuration::from_micros_f64(t.dma_setup_us));
         let dur = VDuration::from_micros_f64(data.len() as f64 * t.dma_per_byte_us);
@@ -561,7 +553,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "overruns segment")]
+    #[should_panic(expected = "write of 16 bytes at 8 overruns segment of 16")]
     fn write_overrun_panics() {
         let (w, net) = sci_pair();
         w.run(|env| {
@@ -573,6 +565,54 @@ mod tests {
                 let seg = sisci.connect(1, 4);
                 env.barrier();
                 seg.write(8, &[0u8; 16]);
+            }
+        });
+    }
+
+    /// A flag outside the segment is as much a bug as data outside it: it
+    /// must not be published to waiters with its store silently skipped.
+    #[test]
+    #[should_panic(expected = "flag write of 4 bytes at 14 overruns segment of 16")]
+    fn flag_write_outside_the_segment_panics() {
+        let (w, net) = sci_pair();
+        w.run(|env| {
+            let sisci = Sisci::new(env.adapter_on(net).unwrap());
+            if env.id() == 1 {
+                let _seg = sisci.create_segment(7, 16);
+                env.barrier();
+            } else {
+                let seg = sisci.connect(1, 7);
+                env.barrier();
+                seg.write_flag(14, 1, VTime::ZERO);
+            }
+        });
+    }
+
+    /// An unwritten flag costs a wait its whole poll grant and one park
+    /// (ended here by a timeout already expired), and a probe or a
+    /// non-blocking poll nothing; a written one is consumed in value order
+    /// with no wait counted at all.
+    #[test]
+    fn flag_counters_tell_polls_from_parks() {
+        let (w, net) = sci_pair();
+        w.run(|env| {
+            let sisci = Sisci::new(env.adapter_on(net).unwrap());
+            if env.id() == 0 {
+                let seg = sisci.create_segment(8, 64);
+                let own = sisci.connect(0, 8);
+                let now = Some(Duration::ZERO);
+                assert!(!seg.probe_flag_ge(0, 0));
+                assert_eq!(seg.try_flag_ge(0, 1), None);
+                assert_eq!(seg.wait_flag_ge_val(0, 1, 5, now), None);
+                assert_eq!(seg.wait_flag_ge_val(0, 1, 0, now), None);
+                let cost = seg.flag_wait_stats();
+                assert_eq!((cost.waits, cost.polls, cost.parks), (2, 5, 2));
+                let at = [7, 3, 7].map(|v| own.write_flag(0, v, VTime::ZERO));
+                assert!(seg.probe_flag_ge(0, 7) && !seg.probe_flag_ge(0, 8));
+                assert_eq!(seg.wait_flag_ge_val(0, 1, 5, None), Some((3, at[1])));
+                assert_eq!(seg.try_flag_ge(0, 4), Some((7, at[2])));
+                assert_eq!(seg.try_flag_ge(0, 8), None);
+                assert_eq!(seg.flag_wait_stats(), cost, "no wait since");
             }
         });
     }

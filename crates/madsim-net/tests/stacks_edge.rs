@@ -312,7 +312,7 @@ fn sisci_wait_flag_ge_val_returns_first_satisfying_write() {
         if env.id() == 1 {
             let seg = sisci.create_segment(3, 64);
             env.barrier(); // both flags written before we look
-            let (v, _) = seg.wait_flag_ge_val(0, 5);
+            let (v, _) = seg.wait_flag_ge_val(0, 5, 0, None).expect("no timeout");
             // The first write with value >= 5 was 10 (writes were 3, 10).
             assert_eq!(v, 10);
         } else {

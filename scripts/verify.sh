@@ -24,15 +24,25 @@ for gate in alloc_budget posted_batch; do
     }
 done
 
+# Bulk pipeline stage (still offline): the SISCI dual-buffering pipeline's
+# receiver clocks pinned to the nanosecond, and a peer's death inside a
+# block — run by name, like the stage above.
+cargo test --offline --manifest-path benchmark/Cargo.toml -p madeleine --test sisci_pipeline || {
+    echo "verify: FAIL — bulk pipeline: --test sisci_pipeline" >&2
+    exit 1
+}
+
 cargo build --release
 cargo test -q
 cargo clippy --all-targets -- -D warnings
 cargo fmt --all -- --check
 
-# Lock-free hot-path lint: the sharded mailbox, progress engine, buffer
-# pool, and stats counters were moved off blocking mutexes — a parking_lot
-# import reappearing in any of them is a regression, not a refactor.
+# Lock-free hot-path lint: the sharded mailbox, the eventcount it and the
+# SISCI flags block on, progress engine, buffer pool, and stats counters
+# were moved off blocking mutexes — a parking_lot import reappearing in any
+# of them is a regression, not a refactor.
 for f in crates/madsim-net/src/mailbox.rs \
+         crates/madsim-net/src/eventcount.rs \
          crates/madeleine/src/progress.rs \
          crates/madeleine/src/pool.rs \
          crates/madeleine/src/stats.rs; do
