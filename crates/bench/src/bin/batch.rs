@@ -17,6 +17,7 @@
 //!
 //! Usage: `batch [--out PATH]`
 
+use bench::{arg_value, json_struct, mibps, write_json};
 use bytes::Bytes;
 use madeleine::{ChannelSpec, Config, Madeleine, Protocol, RecvMode, SendMode};
 use madsim_net::stacks::TCP_FRAME_COST;
@@ -27,44 +28,38 @@ const ROUNDS: usize = 8;
 const PACKETS: usize = 64;
 const PACKET_LEN: usize = 64;
 
-#[derive(serde::Serialize)]
-struct BatchRun {
-    batching: bool,
-    rounds: usize,
-    packets_per_round: usize,
-    packet_bytes: usize,
-    elapsed_us: f64,
-    mibps: f64,
-    /// Batch frames flushed (both nodes; 0 when batching is off).
-    batches: u64,
-    /// Packets that traveled inside those frames.
-    batched_packets: u64,
-    /// Wire frames the coalescing avoided: every batch of `n` packets
-    /// replaces `n` single-packet frames with one.
-    frames_saved: u64,
-    /// Fixed frame cost avoided, per the shared stack cost table.
-    saved_frame_cost_us: f64,
-    /// Total bytes of node 0's flushed batch frames.
-    frame_bytes: u64,
-    /// Application payload bytes of the burst (64 B packets only).
-    app_payload_bytes: u64,
-    /// Everything that is not application payload: the frame header, the
-    /// per-packet envelopes, and the encoded per-message channel headers.
-    header_bytes: u64,
-    /// Nanoseconds per packet across the whole burst.
-    ns_per_op: f64,
+json_struct! {
+    struct BatchRun {
+        batching: bool,
+        rounds: usize,
+        packets_per_round: usize,
+        packet_bytes: usize,
+        elapsed_us: f64,
+        mibps: f64,
+        /// Batch frames flushed (both nodes; 0 when batching is off).
+        batches: u64,
+        /// Packets that traveled inside those frames.
+        batched_packets: u64,
+        /// Wire frames the coalescing avoided: every batch of `n` packets
+        /// replaces `n` single-packet frames with one.
+        frames_saved: u64,
+        /// Fixed frame cost avoided, per the shared stack cost table.
+        saved_frame_cost_us: f64,
+        /// Total bytes of node 0's flushed batch frames.
+        frame_bytes: u64,
+        /// Application payload bytes of the burst (64 B packets only).
+        app_payload_bytes: u64,
+        /// Everything that is not application payload: the frame header, the
+        /// per-packet envelopes, and the encoded per-message channel headers.
+        header_bytes: u64,
+    }
 }
 
-#[derive(serde::Serialize)]
-struct Output {
-    runs: Vec<BatchRun>,
-    speedup: f64,
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+json_struct! {
+    struct Output {
+        runs: Vec<BatchRun>,
+        speedup: f64,
+    }
 }
 
 /// Run the burst workload; per node:
@@ -130,10 +125,6 @@ fn burst(batching: bool) -> Vec<[f64; 5]> {
     })
 }
 
-fn mibps(bytes: usize, us: f64) -> f64 {
-    (bytes as f64 / (1 << 20) as f64) / (us / 1e6)
-}
-
 fn measure(batching: bool) -> BatchRun {
     let per_node = burst(batching);
     let elapsed_us = per_node[0][0];
@@ -166,7 +157,6 @@ fn measure(batching: bool) -> BatchRun {
         frame_bytes,
         app_payload_bytes,
         header_bytes: frame_bytes.saturating_sub(app_payload_bytes),
-        ns_per_op: elapsed_us * 1e3 / (ROUNDS * PACKETS) as f64,
     }
 }
 
@@ -198,11 +188,9 @@ fn main() {
     );
     println!("64x64B TCP burst batching speedup: {speedup:.2}x");
 
-    let json = serde_json::to_string_pretty(&Output {
+    let out = Output {
         runs: vec![off, on],
         speedup,
-    })
-    .expect("serialize results");
-    std::fs::write(&out_path, json).expect("write results");
-    eprintln!("wrote {out_path}");
+    };
+    write_json(&out_path, &out);
 }

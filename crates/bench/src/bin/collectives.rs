@@ -22,6 +22,7 @@
 //!
 //! Usage: `collectives [--out PATH]`
 
+use bench::{arg_value, json_struct, write_json};
 use mad_gateway::{Gateway, VirtualChannel, VirtualChannelSpec};
 use mad_mpi::{Mpi, ReduceOp, Topology};
 use madeleine::{Config, Madeleine, Protocol};
@@ -33,39 +34,36 @@ const ITERS: usize = 3;
 const SIZES: &[usize] = &[1 << 10, 64 << 10];
 const RANK_SWEEP: &[usize] = &[8, 16, 32, 64];
 
-#[derive(serde::Serialize)]
-struct Point {
-    collective: &'static str,
-    ranks: usize,
-    bytes: usize,
-    flat_us: f64,
-    hier_us: f64,
-    speedup: f64,
+json_struct! {
+    struct Point {
+        collective: &'static str,
+        ranks: usize,
+        bytes: usize,
+        flat_us: f64,
+        hier_us: f64,
+        speedup: f64,
+    }
 }
 
-#[derive(serde::Serialize)]
-struct ModeledPoint {
-    collective: &'static str,
-    ranks: usize,
-    clusters: usize,
-    note: &'static str,
-    flat_us: f64,
-    hier_us: f64,
-    speedup: f64,
+json_struct! {
+    struct ModeledPoint {
+        collective: &'static str,
+        ranks: usize,
+        clusters: usize,
+        note: &'static str,
+        flat_us: f64,
+        hier_us: f64,
+        speedup: f64,
+    }
 }
 
-#[derive(serde::Serialize)]
-struct Output {
-    measured: Vec<Point>,
-    modeled: Vec<ModeledPoint>,
-    speedup_bcast_64: f64,
-    speedup_allreduce_64: f64,
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+json_struct! {
+    struct Output {
+        measured: Vec<Point>,
+        modeled: Vec<ModeledPoint>,
+        speedup_bcast_64: f64,
+        speedup_allreduce_64: f64,
+    }
 }
 
 /// Build the two-cluster world for `n` end ranks: end nodes `0..n` plus
@@ -360,13 +358,11 @@ fn main() {
     println!(
         "64-rank speedups: bcast {speedup_bcast_64:.2}x, allreduce {speedup_allreduce_64:.2}x"
     );
-    let json = serde_json::to_string_pretty(&Output {
+    let out = Output {
         measured,
         modeled,
         speedup_bcast_64,
         speedup_allreduce_64,
-    })
-    .expect("serialize results");
-    std::fs::write(&out_path, json).expect("write results");
-    eprintln!("wrote {out_path}");
+    };
+    write_json(&out_path, &out);
 }

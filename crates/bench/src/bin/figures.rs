@@ -1,96 +1,58 @@
 //! Print the measured series for every figure of the paper.
 //!
-//! Usage: `figures [fig4|fig5|fig10|fig11|dma|all]`
+//! Usage: `figures [fig4|fig5|fig6|fig7|dma|crossover|fig10|fig11|all]`
 
 use bench::experiments::{self, ForwardDir};
-use bench::table::{print_table, Series};
-
-/// Print as a table and, when `--json <dir>` is given, also write the raw
-/// series as JSON for downstream tooling / EXPERIMENTS.md regeneration.
-fn emit(json_dir: &Option<String>, slug: &str, title: &str, series: &[Series]) {
-    print_table(title, series);
-    if let Some(dir) = json_dir {
-        std::fs::create_dir_all(dir).expect("create json dir");
-        let path = format!("{dir}/{slug}.json");
-        let body = serde_json::to_string_pretty(series).expect("serialize series");
-        std::fs::write(&path, body).expect("write json");
-        eprintln!("wrote {path}");
-    }
-}
+use bench::table::print_table;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_dir = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1).cloned());
-    let what = args.first().map(|s| s.as_str()).unwrap_or("all");
+    let what = std::env::args().nth(1).unwrap_or_else(|| "all".into());
+    let what = what.as_str();
     if matches!(what, "fig4" | "all") {
-        emit(
-            &json_dir,
-            "fig4",
-            "Fig. 4 — Madeleine II over SISCI/SCI",
-            &experiments::fig4(),
-        );
+        print_table("Fig. 4 — Madeleine II over SISCI/SCI", &experiments::fig4());
     }
     if matches!(what, "fig5" | "all") {
-        emit(
-            &json_dir,
-            "fig5",
+        print_table(
             "Fig. 5 — Madeleine II over BIP/Myrinet",
             &experiments::fig5(),
         );
     }
     if matches!(what, "fig6" | "all") {
-        emit(
-            &json_dir,
-            "fig6_bw",
+        print_table(
             "Fig. 6 — MPI implementations over SCI (bandwidth)",
             &experiments::fig6(),
         );
-        emit(
-            &json_dir,
-            "fig6_lat",
+        print_table(
             "Fig. 6 — MPI implementations over SCI (latency)",
             &experiments::fig6_latency(),
         );
     }
     if matches!(what, "fig7" | "all") {
-        emit(
-            &json_dir,
-            "fig7",
+        print_table(
             "Fig. 7 — Nexus/Madeleine II performance",
             &experiments::fig7(),
         );
     }
     if matches!(what, "dma" | "all") {
-        emit(
-            &json_dir,
-            "dma",
+        print_table(
             "SCI DMA ablation (§5.2.1)",
             &experiments::sci_dma_ablation(),
         );
     }
     if matches!(what, "crossover" | "all") {
-        emit(
-            &json_dir,
-            "crossover",
+        print_table(
             "§6.2.1 crossover — Madeleine one-way at 8/16/32 kB",
             &experiments::crossover_check(),
         );
     }
     if matches!(what, "fig10" | "all") {
-        emit(
-            &json_dir,
-            "fig10",
+        print_table(
             "Fig. 10 — forwarding bandwidth SISCI/SCI -> BIP/Myrinet",
             &experiments::forwarding_figure(ForwardDir::SciToMyrinet),
         );
     }
     if matches!(what, "fig11" | "all") {
-        emit(
-            &json_dir,
-            "fig11",
+        print_table(
             "Fig. 11 — forwarding bandwidth BIP/Myrinet -> SISCI/SCI",
             &experiments::forwarding_figure(ForwardDir::MyrinetToSci),
         );

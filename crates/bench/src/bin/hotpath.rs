@@ -26,6 +26,7 @@
 //!
 //! Writes `BENCH_hotpath.json`. Usage: `hotpath [--out PATH]`
 
+use bench::{arg_value, json_struct, write_json};
 use bytes::Bytes;
 use madeleine::pool::BufPool;
 use madeleine::stats::Stats;
@@ -88,13 +89,14 @@ impl LockedMailbox {
     }
 }
 
-#[derive(serde::Serialize)]
-struct Round {
-    name: &'static str,
-    ops: u64,
-    elapsed_ns: u64,
-    ns_per_op: f64,
-    ops_per_sec: f64,
+json_struct! {
+    struct Round {
+        name: &'static str,
+        ops: u64,
+        elapsed_ns: u64,
+        ns_per_op: f64,
+        ops_per_sec: f64,
+    }
 }
 
 fn round(name: &'static str, ops: u64, elapsed_ns: u64) -> Round {
@@ -261,20 +263,15 @@ fn post_wait_batched() -> (u64, u64) {
     (elapsed, steps)
 }
 
-#[derive(serde::Serialize)]
-struct Output {
-    rounds: Vec<Round>,
-    /// Sharded-mailbox ops/second over the single-lock baseline.
-    mailbox_speedup: f64,
-    /// Progress-engine steps per posted 64 B message of the
-    /// `post_wait_batched_64b` round (a count, identical run to run).
-    post_wait_steps_per_op: f64,
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+json_struct! {
+    struct Output {
+        rounds: Vec<Round>,
+        /// Sharded-mailbox ops/second over the single-lock baseline.
+        mailbox_speedup: f64,
+        /// Progress-engine steps per posted 64 B message of the
+        /// `post_wait_batched_64b` round (a count, identical run to run).
+        post_wait_steps_per_op: f64,
+    }
 }
 
 fn main() {
@@ -320,12 +317,10 @@ fn main() {
          ({posted_steps} steps / {posted_ops} ops): parked ops are being re-stepped"
     );
 
-    let json = serde_json::to_string_pretty(&Output {
+    let out = Output {
         rounds,
         mailbox_speedup,
         post_wait_steps_per_op,
-    })
-    .expect("serialize results");
-    std::fs::write(&out_path, json).expect("write results");
-    eprintln!("wrote {out_path}");
+    };
+    write_json(&out_path, &out);
 }

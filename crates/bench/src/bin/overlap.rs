@@ -3,25 +3,23 @@
 //! transfer time (the balanced case, where perfect overlap halves the
 //! elapsed time).
 //!
-//! Sweeps 4 kB -> 1 MB over BIP (Myrinet) and TCP (Ethernet), on 1 and 2
-//! rails, and writes `BENCH_overlap.json`. The headline claims asserted
-//! below: for 1 MB exchanges over BIP — single-rail, and striped over two
-//! rails — posting the send and computing through the rendezvous delivers
-//! at least 1.5x the effective throughput of send-then-compute. The
-//! progress engine anchors each transfer at posting time, so the
-//! simulated NIC moves the bytes while the host computes; a striped block
-//! is one parked engine op whose rails run on their own clocks from the
-//! post instant.
+//! Sweeps 4 kB -> 1 MB over BIP (Myrinet) on 1 and 2 rails, and writes
+//! `BENCH_overlap.json`. The headline claims asserted below: for 1 MB
+//! exchanges — single-rail, and striped over two rails — posting the send
+//! and computing through the rendezvous delivers at least 1.5x the
+//! effective throughput of send-then-compute. The progress engine anchors
+//! each transfer at posting time, so the simulated NIC moves the bytes
+//! while the host computes; a striped block is one parked engine op whose
+//! rails run on their own clocks from the post instant.
 //!
-//! Expected shape of the other rows: TCP's eager path executes its wire
-//! time inside the tick that ships it (no peer event to park on), so its
-//! single-rail speedup sits at 1.0x — overlap is a property of the
-//! rendezvous, which is the paper's point about receiver-driven long
-//! transfers. (The striped 2-rail TCP row does show a speedup: the rails'
-//! clocks, not the caller's, carry the sends.)
+//! BIP only: overlap is a property of the rendezvous, which is the paper's
+//! point about receiver-driven long transfers. TCP's eager path executes
+//! its wire time inside the tick that ships it, and the sender-side
+//! elapsed time this bench reads does not see it at all.
 //!
 //! Usage: `overlap [--out PATH]`
 
+use bench::{arg_value, json_struct, mibps, write_json};
 use bytes::Bytes;
 use madeleine::{ChannelSpec, Config, Madeleine, Protocol, RecvMode, SendMode};
 use madsim_net::time::{self, VDuration};
@@ -35,46 +33,35 @@ enum Mode {
     Overlap { compute_us: f64 },
 }
 
-#[derive(serde::Serialize)]
-struct OverlapPoint {
-    protocol: &'static str,
-    rails: usize,
-    bytes: usize,
-    /// Pure blocking transfer time (also the calibrated compute phase).
-    transfer_us: f64,
-    blocking_us: f64,
-    overlapped_us: f64,
-    blocking_mibps: f64,
-    overlapped_mibps: f64,
-    /// `blocking_us / overlapped_us`.
-    speedup: f64,
-    /// Nanoseconds per operation (one overlapped exchange per point).
-    ns_per_op: f64,
+json_struct! {
+    struct OverlapPoint {
+        protocol: &'static str,
+        rails: usize,
+        bytes: usize,
+        /// Pure blocking transfer time (also the calibrated compute phase).
+        transfer_us: f64,
+        blocking_us: f64,
+        overlapped_us: f64,
+        blocking_mibps: f64,
+        overlapped_mibps: f64,
+        /// `blocking_us / overlapped_us`.
+        speedup: f64,
+    }
 }
 
-#[derive(serde::Serialize)]
-struct Output {
-    points: Vec<OverlapPoint>,
+json_struct! {
+    struct Output {
+        points: Vec<OverlapPoint>,
+    }
 }
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Sender's elapsed virtual µs for one exchange of `n` bytes.
-fn exchange_us(protocol: Protocol, rails: usize, n: usize, mode: Mode) -> f64 {
-    let kind = match protocol {
-        Protocol::Bip => NetKind::Myrinet,
-        Protocol::Tcp => NetKind::Ethernet,
-        other => panic!("overlap bench does not cover {other:?}"),
-    };
+/// Sender's elapsed virtual µs for one exchange of `n` bytes over BIP.
+fn exchange_us(rails: usize, n: usize, mode: Mode) -> f64 {
     let mut b = WorldBuilder::new(2);
-    b.network_with_rails("net0", kind, &[0, 1], rails);
+    b.network_with_rails("net0", NetKind::Myrinet, &[0, 1], rails);
     let world = b.build();
     let config = Config::default().with_channel_spec(
-        ChannelSpec::new("ch", "net0", protocol)
+        ChannelSpec::new("ch", "net0", Protocol::Bip)
             .with_rails(rails)
             .with_striping(128 * 1024, 128 * 1024),
     );
@@ -117,32 +104,15 @@ fn exchange_us(protocol: Protocol, rails: usize, n: usize, mode: Mode) -> f64 {
     elapsed[0]
 }
 
-fn mibps(bytes: usize, us: f64) -> f64 {
-    (bytes as f64 / (1 << 20) as f64) / (us / 1e6)
-}
-
-fn measure(protocol: Protocol, name: &'static str, rails: usize, n: usize) -> OverlapPoint {
+fn measure(rails: usize, n: usize) -> OverlapPoint {
     // Calibrate the compute phase to the pure transfer time: the balanced
     // workload where overlap has the most to win (2x at the limit).
-    let transfer_us = exchange_us(protocol, rails, n, Mode::Blocking { compute_us: 0.0 });
-    let blocking_us = exchange_us(
-        protocol,
-        rails,
-        n,
-        Mode::Blocking {
-            compute_us: transfer_us,
-        },
-    );
-    let overlapped_us = exchange_us(
-        protocol,
-        rails,
-        n,
-        Mode::Overlap {
-            compute_us: transfer_us,
-        },
-    );
+    let transfer_us = exchange_us(rails, n, Mode::Blocking { compute_us: 0.0 });
+    let compute_us = transfer_us;
+    let blocking_us = exchange_us(rails, n, Mode::Blocking { compute_us });
+    let overlapped_us = exchange_us(rails, n, Mode::Overlap { compute_us });
     OverlapPoint {
-        protocol: name,
+        protocol: "bip",
         rails,
         bytes: n,
         transfer_us,
@@ -151,7 +121,6 @@ fn measure(protocol: Protocol, name: &'static str, rails: usize, n: usize) -> Ov
         blocking_mibps: mibps(n, blocking_us),
         overlapped_mibps: mibps(n, overlapped_us),
         speedup: blocking_us / overlapped_us,
-        ns_per_op: overlapped_us * 1e3,
     }
 }
 
@@ -165,22 +134,20 @@ fn main() {
         "{:>5} {:>6} {:>9} {:>12} {:>12} {:>12} {:>8}",
         "proto", "rails", "bytes", "transfer us", "blocking us", "overlap us", "speedup"
     );
-    for (protocol, name) in [(Protocol::Bip, "bip"), (Protocol::Tcp, "tcp")] {
-        for rails in [1usize, 2] {
-            for n in sizes {
-                let p = measure(protocol, name, rails, n);
-                println!(
-                    "{:>5} {:>6} {:>9} {:>12.1} {:>12.1} {:>12.1} {:>7.2}x",
-                    p.protocol,
-                    p.rails,
-                    p.bytes,
-                    p.transfer_us,
-                    p.blocking_us,
-                    p.overlapped_us,
-                    p.speedup
-                );
-                points.push(p);
-            }
+    for rails in [1usize, 2] {
+        for n in sizes {
+            let p = measure(rails, n);
+            println!(
+                "{:>5} {:>6} {:>9} {:>12.1} {:>12.1} {:>12.1} {:>7.2}x",
+                p.protocol,
+                p.rails,
+                p.bytes,
+                p.transfer_us,
+                p.blocking_us,
+                p.overlapped_us,
+                p.speedup
+            );
+            points.push(p);
         }
     }
 
@@ -190,7 +157,7 @@ fn main() {
     for rails in [1, 2] {
         let headline = points
             .iter()
-            .find(|p| p.protocol == "bip" && p.rails == rails && p.bytes == 1 << 20)
+            .find(|p| p.rails == rails && p.bytes == 1 << 20)
             .expect("headline point measured");
         assert!(
             headline.overlapped_mibps >= 1.5 * headline.blocking_mibps,
@@ -205,7 +172,5 @@ fn main() {
         );
     }
 
-    let json = serde_json::to_string_pretty(&Output { points }).expect("serialize results");
-    std::fs::write(&out_path, json).expect("write results");
-    eprintln!("wrote {out_path}");
+    write_json(&out_path, &Output { points });
 }

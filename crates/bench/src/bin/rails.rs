@@ -19,18 +19,14 @@
 //! Usage: `rails [--out PATH] [--bytes N]`
 
 use bench::experiments::{multirail_oneway, myrinet_class_timing, RailPoint};
+use bench::{arg_value, json_struct, write_json};
 
-#[derive(serde::Serialize)]
-struct Output {
-    bytes: usize,
-    paper_bus: Vec<RailPoint>,
-    fast_bus: Vec<RailPoint>,
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+json_struct! {
+    struct Output {
+        bytes: usize,
+        paper_bus: Vec<RailPoint>,
+        fast_bus: Vec<RailPoint>,
+    }
 }
 
 fn print_sweep(title: &str, points: &[RailPoint]) {
@@ -106,7 +102,5 @@ fn main() {
         paper_bus,
         fast_bus,
     };
-    let json = serde_json::to_string_pretty(&out).expect("serialize results");
-    std::fs::write(&out_path, json).expect("write results");
-    eprintln!("wrote {out_path}");
+    write_json(&out_path, &out);
 }

@@ -5,6 +5,7 @@
 //! at `end_unpacking` as the transfer time (exactly how the paper defines
 //! its one-way latency measurements, §5.1).
 
+use crate::json_struct;
 use crate::table::Series;
 use mad_gateway::{Gateway, GatewayConfig, VirtualChannel, VirtualChannelSpec};
 use mad_mpi::Mpi;
@@ -13,7 +14,7 @@ use madeleine::{ChannelSpec, Config, Madeleine, Protocol, RecvMode, SendMode};
 use madsim_net::perf::mibps;
 use madsim_net::stacks::bip::Bip;
 use madsim_net::time::{self, VDuration};
-use madsim_net::{FaultPlan, NetKind, WorldBuilder};
+use madsim_net::{NetKind, WorldBuilder};
 
 /// Message sizes swept by the latency/bandwidth figures.
 pub fn sweep_sizes() -> Vec<usize> {
@@ -416,131 +417,6 @@ fn multi_block_oneway_us(protocol: Protocol, k: usize, block: usize, aggregate: 
     times[1]
 }
 
-/// One row of the copy-accounting matrix (`copies` bench binary): sender
-/// and receiver counter deltas for a single message under one
-/// emission/reception flag combination.
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct CopyCell {
-    pub protocol: String,
-    pub send_mode: &'static str,
-    pub recv_mode: &'static str,
-    pub body: usize,
-    /// Generic-layer copies on the sender (what emission flags control).
-    pub send_copied_bytes: u64,
-    /// Protocol-internal copies on the sender (no flag can remove these).
-    pub send_tm_copied_bytes: u64,
-    /// Bytes the sender's TMs read straight from user memory.
-    pub send_borrowed_bytes: u64,
-    /// Native scatter/gather flushes on the sender.
-    pub send_gathers: u64,
-    pub recv_copied_bytes: u64,
-    pub recv_tm_copied_bytes: u64,
-    pub recv_borrowed_bytes: u64,
-    /// Pool checkouts served from a recycled slab (both ends).
-    pub pool_hits: u64,
-    pub pool_misses: u64,
-}
-
-/// Measure the copy-accounting matrix of one protocol: every send flag ×
-/// receive flag combination for one `n`-byte body, a fresh world per cell.
-pub fn copy_matrix(protocol: Protocol, n: usize) -> Vec<CopyCell> {
-    let mut out = Vec::new();
-    for (smode, sname) in [
-        (SendMode::Cheaper, "CHEAPER"),
-        (SendMode::Safer, "SAFER"),
-        (SendMode::Later, "LATER"),
-    ] {
-        for (rmode, rname) in [
-            (RecvMode::Cheaper, "CHEAPER"),
-            (RecvMode::Express, "EXPRESS"),
-        ] {
-            let (net, kind) = net_for(protocol);
-            let mut b = WorldBuilder::new(2);
-            b.network(net, kind, &[0, 1]);
-            let world = b.build();
-            let config = Config::one("ch", net, protocol);
-            let deltas = world.run(move |env| {
-                let mad = Madeleine::init(&env, &config);
-                let ch = mad.channel("ch");
-                let before = ch.stats().snapshot();
-                if env.id() == 0 {
-                    let data = vec![0x5Au8; n];
-                    let mut m = ch.begin_packing(1);
-                    m.pack(&data, smode, rmode);
-                    m.end_packing();
-                } else {
-                    let mut buf = vec![0u8; n];
-                    let mut m = ch.begin_unpacking();
-                    m.unpack(&mut buf, smode, rmode);
-                    m.end_unpacking();
-                }
-                ch.stats().snapshot().since(&before)
-            });
-            let (s, r) = (deltas[0], deltas[1]);
-            out.push(CopyCell {
-                protocol: format!("{protocol:?}"),
-                send_mode: sname,
-                recv_mode: rname,
-                body: n,
-                send_copied_bytes: s.copied_bytes,
-                send_tm_copied_bytes: s.tm_copied_bytes,
-                send_borrowed_bytes: s.borrowed_bytes,
-                send_gathers: s.gathers,
-                recv_copied_bytes: r.copied_bytes,
-                recv_tm_copied_bytes: r.tm_copied_bytes,
-                recv_borrowed_bytes: r.borrowed_bytes,
-                pool_hits: s.pool_hits + r.pool_hits,
-                pool_misses: s.pool_misses + r.pool_misses,
-            });
-        }
-    }
-    out
-}
-
-/// Steady-state pool behaviour over `rounds` of an n-byte ping-pong:
-/// returns `(hit_rate, hits, misses)` summed over both nodes.
-pub fn pool_steady_state(protocol: Protocol, rounds: usize, n: usize) -> (f64, u64, u64) {
-    let (net, kind) = net_for(protocol);
-    let mut b = WorldBuilder::new(2);
-    b.network(net, kind, &[0, 1]);
-    let world = b.build();
-    let config = Config::one("ch", net, protocol);
-    let counters = world.run(move |env| {
-        let mad = Madeleine::init(&env, &config);
-        let ch = mad.channel("ch");
-        let payload = vec![0xA5u8; n];
-        for _ in 0..rounds {
-            if env.id() == 0 {
-                let mut m = ch.begin_packing(1);
-                m.pack(&payload, SendMode::Cheaper, RecvMode::Cheaper);
-                m.end_packing();
-                let mut echo = vec![0u8; n];
-                let mut m = ch.begin_unpacking();
-                m.unpack(&mut echo, SendMode::Cheaper, RecvMode::Cheaper);
-                m.end_unpacking();
-            } else {
-                let mut echo = vec![0u8; n];
-                let mut m = ch.begin_unpacking();
-                m.unpack(&mut echo, SendMode::Cheaper, RecvMode::Cheaper);
-                m.end_unpacking();
-                let mut m = ch.begin_packing(0);
-                m.pack(&echo, SendMode::Cheaper, RecvMode::Cheaper);
-                m.end_packing();
-            }
-        }
-        (ch.stats().pool_hits(), ch.stats().pool_misses())
-    });
-    let hits: u64 = counters.iter().map(|c| c.0).sum();
-    let misses: u64 = counters.iter().map(|c| c.1).sum();
-    let total = hits + misses;
-    let rate = if total == 0 {
-        1.0
-    } else {
-        hits as f64 / total as f64
-    };
-    (rate, hits, misses)
-}
-
 /// §6.2.1's crossover check: Madeleine over SCI and Myrinet deliver
 /// "approximately the same performance for messages of size 16 kB".
 pub fn crossover_check() -> Vec<Series> {
@@ -580,104 +456,26 @@ pub fn modern_fabric_whatif() -> Vec<Series> {
     vec![paper, fast]
 }
 
-/// One point of the fault-injection sweep: a TCP bulk stream of
-/// `transfers x n` bytes under seeded frame loss.
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct LossPoint {
-    /// Loss probability per data frame; `None` = no fault plan installed
-    /// (the unarmed fast path, with no sequence numbers or acks at all).
-    pub loss: Option<f64>,
-    /// Total payload bytes moved.
-    pub bytes: usize,
-    /// Receiver's virtual clock when the last byte landed, µs.
-    pub virtual_us: f64,
-    pub goodput_mibps: f64,
-    /// Retransmissions the ARQ performed (Stats counter, both nodes).
-    pub retransmits: u64,
-    /// Frames the fault layer discarded.
-    pub drops: u64,
-}
-
-/// Measure one [`LossPoint`]: `transfers` one-way CHEAPER messages of `n`
-/// bytes over TCP, with the fabric dropping each data frame with
-/// probability `loss` (`None` leaves the fault layer out entirely).
-pub fn lossy_goodput(seed: u64, loss: Option<f64>, transfers: usize, n: usize) -> LossPoint {
-    let mut b = WorldBuilder::new(2);
-    if let Some(rate) = loss {
-        b = b.fault_plan(FaultPlan::new(seed).drop_rate(rate));
+json_struct! {
+    /// One point of the multirail bandwidth sweep: one n-byte CHEAPER/CHEAPER
+    /// message over a BIP channel spanning `rails` Myrinet adapters.
+    #[derive(Clone, Debug)]
+    pub struct RailPoint {
+        pub rails: usize,
+        pub bytes: usize,
+        /// Receiver's virtual clock when the block landed, µs.
+        pub virtual_us: f64,
+        pub bandwidth_mibps: f64,
+        /// Blocks the sender striped (0 on single-rail channels: the stripe
+        /// engine must stay entirely off the classic path).
+        pub stripes: u64,
+        /// Receiver-side bytes per rail, indexed by rail id: stripe chunks
+        /// with their headers, or the whole unstriped block on one rail
+        /// (the per-rail counters only see stripe traffic).
+        pub rail_bytes: Vec<u64>,
+        /// `(max - min) / max` of the per-rail byte counts.
+        pub rail_imbalance: f64,
     }
-    b.network("eth0", NetKind::Ethernet, &[0, 1]);
-    let world = b.build();
-    let config = Config::one("ch", "eth0", Protocol::Tcp);
-    let out = world.run(move |env| {
-        let mad = Madeleine::init(&env, &config);
-        let ch = mad.channel("ch");
-        if env.id() == 0 {
-            let data = vec![0x6Bu8; n];
-            for _ in 0..transfers {
-                let mut m = ch.begin_packing(1);
-                m.pack(&data, SendMode::Cheaper, RecvMode::Cheaper);
-                m.end_packing();
-            }
-            (ch.stats().retransmits(), 0.0)
-        } else {
-            let mut got = vec![0u8; n];
-            for _ in 0..transfers {
-                let mut m = ch.begin_unpacking();
-                m.unpack(&mut got, SendMode::Cheaper, RecvMode::Cheaper);
-                m.end_unpacking();
-            }
-            (ch.stats().retransmits(), time::now().as_micros_f64())
-        }
-    });
-    let bytes = transfers * n;
-    let virtual_us = out[1].1;
-    LossPoint {
-        loss,
-        bytes,
-        virtual_us,
-        goodput_mibps: mibps(bytes, VDuration::from_micros_f64(virtual_us)),
-        retransmits: out[0].0 + out[1].0,
-        drops: world.faults().map_or(0, |f| f.drops()),
-    }
-}
-
-/// The `faults` bench sweep: goodput vs loss rate. The `None` row is the
-/// unarmed fast-path baseline; the `0%` row prices the armed ARQ (sequence
-/// numbers + stop-and-wait acks) with nothing actually lost.
-pub fn loss_sweep(seed: u64, transfers: usize, n: usize) -> Vec<LossPoint> {
-    let rates = [
-        None,
-        Some(0.0),
-        Some(0.005),
-        Some(0.01),
-        Some(0.02),
-        Some(0.05),
-    ];
-    rates
-        .iter()
-        .map(|&loss| lossy_goodput(seed, loss, transfers, n))
-        .collect()
-}
-
-/// One point of the multirail bandwidth sweep: one n-byte CHEAPER/CHEAPER
-/// message over a BIP channel spanning `rails` Myrinet adapters.
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct RailPoint {
-    pub rails: usize,
-    pub bytes: usize,
-    /// Receiver's virtual clock when the block landed, µs.
-    pub virtual_us: f64,
-    pub bandwidth_mibps: f64,
-    /// Blocks the sender striped (0 on single-rail channels: the stripe
-    /// engine must stay entirely off the classic path).
-    pub stripes: u64,
-    /// Receiver-side payload bytes per rail, indexed by rail id.
-    pub rail_bytes: Vec<u64>,
-    /// `(max - min) / max` of the per-rail byte counts.
-    pub rail_imbalance: f64,
-    /// Virtual nanoseconds per operation (one message per point).
-    pub ns_per_op: f64,
 }
 
 /// Measure one [`RailPoint`]. `timing` retimes the BIP stack (`None` =
@@ -715,7 +513,11 @@ pub fn multirail_oneway(
             msg.end_unpacking();
             assert!(got.iter().all(|&x| x == 0x3C), "striped block corrupted");
             let s = ch.stats();
-            let per_rail: Vec<u64> = (0..rails).map(|r| s.rail_traffic(r).1).collect();
+            let per_rail: Vec<u64> = if rails == 1 {
+                vec![n as u64]
+            } else {
+                (0..rails).map(|r| s.rail_traffic(r).1).collect()
+            };
             (time::now().as_micros_f64(), 0, per_rail)
         }
     });
@@ -739,7 +541,6 @@ pub fn multirail_oneway(
         stripes,
         rail_bytes,
         rail_imbalance,
-        ns_per_op: virtual_us * 1e3,
     }
 }
 

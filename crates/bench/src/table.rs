@@ -1,10 +1,8 @@
 //! Structured experiment output: series of (x, y) points with labels,
-//! printable as aligned tables and serializable for EXPERIMENTS.md.
-
-use serde::Serialize;
+//! printable as aligned tables.
 
 /// One measured point.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Point {
     /// Message or packet size in bytes.
     pub x: usize,
@@ -13,7 +11,7 @@ pub struct Point {
 }
 
 /// One plotted curve of a figure.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Series {
     pub name: String,
     /// Unit of `y`: `"us"` or `"MiB/s"`.

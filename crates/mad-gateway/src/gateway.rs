@@ -238,6 +238,7 @@ fn spawn_direction(
                         filled.close();
                         return;
                     }
+                    time::check_abort();
                     std::thread::sleep(Duration::from_micros(20));
                     continue;
                 };

@@ -392,6 +392,7 @@ impl GenericTm {
                     Err(_) => self.recv_route_failed(ri),
                 }
             }
+            time::check_abort();
             std::thread::sleep(Duration::from_micros(20));
         }
     }

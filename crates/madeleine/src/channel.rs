@@ -644,6 +644,7 @@ impl Channel {
                 }
                 None => {}
             }
+            time::check_abort();
             std::thread::yield_now();
         }
     }
@@ -938,7 +939,7 @@ impl MessageSendOp {
             Some(b) => Self::batches(core, rail, b),
             None => false,
         };
-        if !header && !(self.header_sent && next_batches(&self.blocks)) {
+        if !(header || (self.header_sent && next_batches(&self.blocks))) {
             return Ok(());
         }
         let ctx = core.batch_ctx(self.dst, rail);
@@ -1192,6 +1193,7 @@ impl<'c, 'a> OutgoingMessage<'c, 'a> {
                     time::advance_to(done);
                     return Ok(());
                 }
+                time::check_abort();
                 std::thread::yield_now();
             }
         }

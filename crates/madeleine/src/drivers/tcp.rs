@@ -41,7 +41,7 @@ pub fn build(
         None => TcpStack::new(adapter),
     };
     let me = stack.node();
-    let mut peers: Vec<NodeId> = adapter.peers().iter().copied().collect();
+    let mut peers: Vec<NodeId> = adapter.peers().to_vec();
     peers.retain(|&peer| peer != me);
     peers.sort_unstable();
     let conns = peers

@@ -24,7 +24,7 @@
 //! [`take_pending_wakeup_charge`]). Tests can therefore assert the latency
 //! difference exactly.
 
-use madsim_net::time::VDuration;
+use madsim_net::time::{self, VDuration};
 use std::cell::Cell;
 use std::time::Duration;
 
@@ -76,6 +76,7 @@ impl PollPolicy {
                 if let Some(v) = probe() {
                     return v;
                 }
+                time::check_abort();
                 std::thread::yield_now();
             },
             PollPolicy::Interrupt { latency_us } => {
@@ -134,6 +135,7 @@ fn park_until<T>(probe: &mut impl FnMut() -> Option<T>) -> T {
         if let Some(v) = probe() {
             return v;
         }
+        time::check_abort();
         std::thread::sleep(Duration::from_micros(backoff_us));
         backoff_us = (backoff_us * 2).min(500);
     }
@@ -142,7 +144,7 @@ fn park_until<T>(probe: &mut impl FnMut() -> Option<T>) -> T {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use madsim_net::time::{self, ClockHandle};
+    use madsim_net::time::ClockHandle;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 

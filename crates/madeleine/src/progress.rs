@@ -115,7 +115,7 @@ use crate::connection::{Connection, Connections};
 use crate::error::{MadError, MadResult};
 use crate::stats::Stats;
 use crossbeam::queue::ArrayQueue;
-use madsim_net::time::VTime;
+use madsim_net::time::{self, VTime};
 use madsim_net::NodeId;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -544,9 +544,9 @@ impl<T> CompletionQueue<T> {
     /// ring is folded into staging first so every queued item is
     /// considered). The head is tried first: consuming in queue order is
     /// O(1).
-    fn remove_first(&self, mut pred: impl FnMut(&T) -> bool) {
+    fn remove_first(&self, pred: impl FnMut(&T) -> bool) {
         let mut staged = self.open();
-        if let Some(pos) = staged.iter().position(|it| pred(it)) {
+        if let Some(pos) = staged.iter().position(pred) {
             staged.remove(pos);
         }
     }
@@ -831,6 +831,7 @@ impl ProgressEngine {
                 return;
             }
             kick();
+            time::check_abort();
             std::thread::yield_now();
         }
     }

@@ -103,6 +103,9 @@ impl EventCount {
             if got.is_some() {
                 return got;
             }
+            // After `seen` was read: an abort raised from here on bumps the
+            // version past it, so checking before each park misses none.
+            crate::time::check_abort();
             self.parks.fetch_add(1, Ordering::Relaxed);
             if !self.park(seen, deadline) {
                 return attempt();

@@ -154,6 +154,12 @@ impl<T: Shardable> Mailbox<T> {
         }
     }
 
+    /// Wake every blocked receiver with nothing deposited (a world abort:
+    /// their waits re-check the flag).
+    pub(crate) fn wake(&self) {
+        self.inner.arrivals.notify();
+    }
+
     /// Deposit an item and wake any waiting receivers (they re-check their
     /// predicates; only matching ones consume). Lock-free unless the
     /// shard's ring is full or a receiver is asleep.

@@ -162,6 +162,17 @@ fn registry() -> &'static Registry {
     })
 }
 
+/// Wake every flag waiter and every `connect` of SCI network `uid` with
+/// nothing written (a world abort: their waits re-check the flag).
+pub(crate) fn wake_network(uid: u64) {
+    let reg = registry();
+    let map = reg.map.lock();
+    for (_, seg) in map.iter().filter(|(key, _)| key.0 == uid) {
+        seg.flag_writes.notify();
+    }
+    reg.cond.notify_all();
+}
+
 /// A node's handle on the SISCI interface of an SCI adapter.
 #[derive(Clone)]
 pub struct Sisci {
@@ -244,6 +255,7 @@ impl Sisci {
             if let Some(inner) = map.get(&key) {
                 break Arc::clone(inner);
             }
+            time::check_abort();
             reg.cond.wait(&mut map);
         };
         RemoteSegment {

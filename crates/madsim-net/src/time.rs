@@ -15,10 +15,10 @@
 //! two pipeline threads with independent clocks that synchronize through
 //! buffer hand-offs.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A point in virtual time, in nanoseconds since session start.
@@ -241,8 +241,36 @@ impl Default for ClockHandle {
     }
 }
 
+/// The abort flag of one [`World::run`](crate::world::World::run): the id
+/// of the first node whose closure panicked, [`NO_NODE`] until one does.
+pub(crate) type AbortFlag = Arc<AtomicUsize>;
+pub(crate) const NO_NODE: usize = usize::MAX;
+
 thread_local! {
     static THREAD_CLOCK: Cell<Option<ClockHandle>> = const { Cell::new(None) };
+    /// Set on node threads and on the auxiliary threads they spawn.
+    static THREAD_ABORT: RefCell<Option<AbortFlag>> = const { RefCell::new(None) };
+}
+
+/// Make `flag` the current thread's abort flag, for the rest of its life.
+pub(crate) fn set_abort(flag: AbortFlag) {
+    THREAD_ABORT.with(|a| a.replace(Some(flag)));
+}
+
+/// Give up a wait that can no longer end: panics with "world aborted: node
+/// N panicked" if node N of the `World::run` this thread works for has
+/// panicked. For the slow branch of blocking loops only — about to park,
+/// sleep or yield — never per message: a node that dies is rare, a wake-up
+/// is not.
+pub fn check_abort() {
+    let dead = THREAD_ABORT.with(|a| a.borrow().as_ref().map(|f| f.load(Ordering::SeqCst)));
+    if let Some(node) = dead.filter(|&n| n != NO_NODE) {
+        // A wait inside a destructor of a thread already unwinding must not
+        // panic again: that would abort the process.
+        if !std::thread::panicking() {
+            panic!("world aborted: node {node} panicked");
+        }
+    }
 }
 
 /// Install `clock` as the current thread's virtual clock. Returns the

@@ -6,14 +6,16 @@
 //! Clusters-of-clusters configurations are expressed naturally: a gateway
 //! node is simply a member of two networks (paper §6).
 
+use crate::eventcount::EventCount;
 use crate::fault::{FaultPlan, FaultState};
 use crate::frame::{Frame, NodeId};
 use crate::mailbox::Mailbox;
 use crate::pci::{PciBus, PciConfig};
-use crate::time::{self, ClockHandle, VDuration, VTime};
+use crate::time::{self, AbortFlag, ClockHandle, VDuration, VTime, NO_NODE};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::thread;
 
 /// World topology entry: one network's name, fabric kind, and members.
@@ -197,7 +199,7 @@ impl World {
         self.faults.as_ref()
     }
 
-    fn env_for(&self, node: NodeId, barrier: Arc<Barrier>) -> NodeEnv {
+    fn env_for(&self, node: NodeId, run: Arc<Run>) -> NodeEnv {
         let adapters = self
             .networks
             .iter()
@@ -230,7 +232,7 @@ impl World {
             n_nodes: self.n_nodes,
             adapters,
             pci: self.buses[node].clone(),
-            barrier,
+            run,
             topology,
             faults: self.faults.clone(),
         }
@@ -239,32 +241,47 @@ impl World {
     /// Run `f` once per node, each on its own OS thread with a fresh virtual
     /// clock, and return the per-node results in node order.
     ///
-    /// Panics in any node thread are propagated (after all threads are
-    /// joined, so no work is silently lost).
+    /// A panic in a node thread aborts the run: every other node's next
+    /// blocking wait (barrier, mailbox receive, SISCI flag, the polling
+    /// loops above them — see [`time::check_abort`]) panics in turn instead
+    /// of waiting for a peer that is gone, and once all threads are joined
+    /// the *first* panic's payload is re-raised.
     pub fn run<T, F>(&self, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(NodeEnv) -> T + Send + Sync,
     {
-        let barrier = Arc::new(Barrier::new(self.n_nodes));
+        let run = Arc::new(Run {
+            panicked: Arc::new(AtomicUsize::new(NO_NODE)),
+            n_nodes: self.n_nodes,
+            arrived: AtomicUsize::new(0),
+            barrier_moved: EventCount::default(),
+        });
         thread::scope(|s| {
             let mut handles = Vec::with_capacity(self.n_nodes);
             for node in 0..self.n_nodes {
-                let env = self.env_for(node, Arc::clone(&barrier));
-                let f = &f;
+                let env = self.env_for(node, Arc::clone(&run));
+                let (f, run) = (&f, &run);
                 handles.push(s.spawn(move || {
                     let prev = time::install_clock(ClockHandle::new());
-                    let out = f(env);
+                    time::set_abort(Arc::clone(&run.panicked));
+                    let out = catch_unwind(AssertUnwindSafe(|| f(env)));
+                    if out.is_err() {
+                        run.abort(node, self);
+                    }
                     time::restore_clock(prev);
                     out
                 }));
             }
+            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+            let first = run.panicked.load(Ordering::SeqCst);
             let mut results = Vec::with_capacity(self.n_nodes);
-            let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-            for h in handles {
-                match h.join() {
+            let mut panic = None;
+            for (node, out) in joined.into_iter().enumerate() {
+                match out.and_then(|out| out) {
                     Ok(v) => results.push(v),
-                    Err(e) => panic = Some(e),
+                    Err(e) if panic.is_none() || node == first => panic = Some(e),
+                    Err(_) => {}
                 }
             }
             if let Some(e) = panic {
@@ -272,6 +289,53 @@ impl World {
             }
             results
         })
+    }
+
+    /// Wake every blocked receiver and flag waiter of this world, so each
+    /// re-checks the abort flag.
+    fn wake_all(&self) {
+        for net in &self.networks {
+            net.mailboxes.values().for_each(Mailbox::wake);
+            if net.kind == NetKind::Sci {
+                crate::stacks::sisci::wake_network(net.uid);
+            }
+        }
+    }
+}
+
+/// What the node threads of one [`World::run`] share besides the fabric.
+struct Run {
+    panicked: AbortFlag,
+    n_nodes: usize,
+    /// Calls of [`NodeEnv::barrier`] so far, all rounds together. (Not a
+    /// `std::sync::Barrier`: that one cannot be left when a node dies.)
+    arrived: AtomicUsize,
+    barrier_moved: EventCount,
+}
+
+impl Run {
+    fn barrier_wait(&self) {
+        let ticket = self.arrived.fetch_add(1, Ordering::SeqCst);
+        // This round ends when every node has made as many calls as we have.
+        let full = (ticket / self.n_nodes + 1) * self.n_nodes;
+        if ticket + 1 == full {
+            return self.barrier_moved.notify();
+        }
+        let arrived = || (self.arrived.load(Ordering::SeqCst) >= full).then_some(());
+        self.barrier_moved.wait_timeout(0, None, arrived);
+    }
+
+    /// Node `node`'s closure panicked: raise the flag and wake every wait
+    /// of the world to see it. The first panic is the one to report; the
+    /// aborts it causes in the other nodes arrive here too, and change nothing.
+    fn abort(&self, node: NodeId, world: &World) {
+        let first =
+            self.panicked
+                .compare_exchange(NO_NODE, node, Ordering::SeqCst, Ordering::SeqCst);
+        if first.is_ok() {
+            self.barrier_moved.notify();
+            world.wake_all();
+        }
     }
 }
 
@@ -281,7 +345,7 @@ pub struct NodeEnv {
     n_nodes: usize,
     adapters: Vec<Adapter>,
     pci: PciBus,
-    barrier: Arc<Barrier>,
+    run: Arc<Run>,
     /// World topology: every network's (name, kind, members) — global
     /// configuration knowledge every node legitimately has.
     topology: Arc<Vec<TopologyEntry>>,
@@ -380,22 +444,24 @@ impl NodeEnv {
 
     /// Real-time barrier across *all* nodes of the world.
     pub fn barrier(&self) {
-        self.barrier.wait();
+        self.run.barrier_wait();
     }
 
     /// Spawn an auxiliary thread on this node (e.g. a gateway pipeline
     /// half). The thread gets its own virtual clock, initialized to the
-    /// spawner's current virtual time.
+    /// spawner's current virtual time, and the spawner's abort flag.
     pub fn spawn_thread<T, F>(&self, f: F) -> thread::JoinHandle<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
         let start = time::now();
+        let abort = Arc::clone(&self.run.panicked);
         thread::spawn(move || {
             let clock = ClockHandle::new();
             clock.advance_to(start);
             let prev = time::install_clock(clock);
+            time::set_abort(abort);
             let out = f();
             time::restore_clock(prev);
             out
@@ -746,6 +812,31 @@ mod tests {
             });
         }));
         assert!(res.is_err());
+    }
+
+    /// A node that panics ends the other nodes' waits — here a barrier and
+    /// a parked receive — and `run` re-raises *its* payload, not theirs.
+    /// (The pause biases toward the harder order, both already blocked;
+    /// either order must abort.)
+    #[test]
+    fn a_node_panic_ends_the_other_nodes_waits() {
+        let mut b = WorldBuilder::new(3);
+        let net = b.network("eth0", NetKind::Ethernet, &[0, 1, 2]);
+        let w = b.build();
+        let started = std::time::Instant::now();
+        let run = std::panic::AssertUnwindSafe(|| {
+            w.run(|env| match env.id() {
+                0 => env.barrier(),
+                1 => drop(env.adapter_on(net).unwrap().inbox().recv_match(|_| true)),
+                _ => {
+                    thread::sleep(std::time::Duration::from_millis(20));
+                    panic!("node 2 dies");
+                }
+            })
+        });
+        let payload = std::panic::catch_unwind(run).expect_err("the run re-raises the panic");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"node 2 dies"));
+        assert!(started.elapsed() < std::time::Duration::from_secs(2));
     }
 
     #[test]

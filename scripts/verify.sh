@@ -4,38 +4,46 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Offline lane first: needs no registry (benchmark/ is a workspace of its
-# own over std-only stand-ins, and the library crates declare no
-# dev-dependencies), so a break against the frozen benchmark/ API is caught
-# before anything below tries to resolve the root workspace.
-cargo test --offline --manifest-path benchmark/Cargo.toml \
-    -p madsim-net -p madeleine -p mad-gateway -p mad-mpi -p mad-nexus
+# No registry crate: the lock names path packages only, so the Tier-1 line
+# below resolves with no index and no network. A `source = ` line means a
+# registry dependency crept back in.
+if grep -q '^source = ' Cargo.lock; then
+    echo "verify: FAIL — Cargo.lock names a registry crate (the workspace builds from paths only)" >&2
+    exit 1
+fi
+
+# Tier-1: one workspace, one lane — every test of every crate, the
+# integration suites and the example builds.
+cargo build --release
+cargo test -q
+cargo clippy --all-targets -- -D warnings
+cargo fmt --all -- --check
+
+# benchmark/ is a workspace of its own, frozen between benchmark PRs, and
+# compiles against the library crates' public API: building it is what
+# catches an API break against the harness. (Its tests of the library
+# crates are the ones `cargo test` above already ran.)
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 python3 benchmark/run.py --self-test
 
-# Small-message budget stage (still offline): the two count gates on a
-# posted 64 B message over batched TCP — allocations per post and per
-# receive (counting allocator), engine steps per post — run by name, so a
-# regression of either names itself even when the suite above is filtered.
+# Small-message budget stage: the two count gates on a posted 64 B message
+# over batched TCP — allocations per post and per receive (counting
+# allocator), engine steps per post — run by name, so a regression of
+# either names itself even when the suite above is filtered.
 for gate in alloc_budget posted_batch; do
-    cargo test --offline --manifest-path benchmark/Cargo.toml -p madeleine --test "$gate" || {
+    cargo test -q -p madeleine --test "$gate" || {
         echo "verify: FAIL — small-message budget: --test $gate" >&2
         exit 1
     }
 done
 
-# Bulk pipeline stage (still offline): the SISCI dual-buffering pipeline's
-# receiver clocks pinned to the nanosecond, and a peer's death inside a
-# block — run by name, like the stage above.
-cargo test --offline --manifest-path benchmark/Cargo.toml -p madeleine --test sisci_pipeline || {
+# Bulk pipeline stage: the SISCI dual-buffering pipeline's receiver clocks
+# pinned to the nanosecond, and a peer's death inside a block — run by
+# name, like the stage above.
+cargo test -q -p madeleine --test sisci_pipeline || {
     echo "verify: FAIL — bulk pipeline: --test sisci_pipeline" >&2
     exit 1
 }
-
-cargo build --release
-cargo test -q
-cargo clippy --all-targets -- -D warnings
-cargo fmt --all -- --check
 
 # Lock-free hot-path lint: the sharded mailbox, the eventcount it and the
 # SISCI flags block on, progress engine, buffer pool, and stats counters
@@ -80,44 +88,68 @@ for f in crates/madeleine/src/rail.rs \
 done
 
 # Chaos stage: the robustness layer under seeded fault injection, run
-# explicitly so a regression here is named even when the suite is filtered.
-cargo test -q -p mad-integration --test chaos
+# explicitly so a regression here is named even when the suite is filtered
+# — three times, because a fault plan must replay the same whatever the OS
+# scheduler does.
+for _ in 1 2 3; do
+    cargo test -q -p mad-integration --test chaos
+done
 
 # Zero-fault regression guard: without a FaultPlan the recovery machinery
 # must stay entirely out of the fast path — every fault counter reads zero.
 cargo test -q -p mad-integration --test chaos -- --exact zero_fault_runs_count_nothing
 
+# The bench stages write to a scratch directory, not over the committed
+# BENCH_*.json: regenerating those is a deliberate act (run the bin with no
+# --out from the repository root and commit the result).
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
+bench() {
+    cargo run --release -q -p bench --bin "$1" -- --out "$out/BENCH_$1.json"
+    test -s "$out/BENCH_$1.json"
+}
+
 # Multirail stage: sweep 1->4 rails; the binary itself asserts that
 # single-rail channels never stripe, that every multirail 1 MB block does,
 # and that two rails on the retimed bus reach >= 1.7x the single-rail
 # 1 MB bandwidth.
-cargo run --release -p bench --bin rails -- --out BENCH_rails.json
-test -s BENCH_rails.json
+bench rails
 
 # Overlap stage: the nonblocking op path must buy real compute/transfer
 # overlap — the binary asserts >= 1.5x effective throughput for
 # compute-overlapped 1 MB exchanges over BIP, single-rail and striped
 # over two rails.
-cargo run --release -p bench --bin overlap -- --out BENCH_overlap.json
-test -s BENCH_overlap.json
+bench overlap
 
 # Batching stage: coalescing 64 B packets into multi-envelope frames over
 # TCP must buy real throughput — the binary asserts >= 2x for the 64-packet
 # ping-burst and that a batching-off run never touches the batch layer.
-cargo run --release -p bench --bin batch -- --out BENCH_batch.json
-test -s BENCH_batch.json
+# Its output is bit-deterministic (one TCP stream, no shared bus), so it
+# must also reproduce the committed file exactly.
+bench batch
+diff BENCH_batch.json "$out/BENCH_batch.json" || {
+    echo "verify: FAIL — BENCH_batch.json no longer regenerates byte-identical" >&2
+    exit 1
+}
 
 # Collectives stage: topology-aware hierarchical trees vs the flat
 # baselines across a simulated gateway — the binary asserts >= 1.5x for
 # hierarchical bcast and allreduce at 64 ranks and that the modeled
 # 1k-rank point keeps hierarchical at or below flat.
-cargo run --release -p bench --bin collectives -- --out BENCH_collectives.json
-test -s BENCH_collectives.json
+bench collectives
 
 # Hot-path stage: the concurrency primitives themselves, in real time —
 # the binary asserts the sharded mailbox moves the 4-peer small-message
-# storm at >= 1.3x the ops/sec of the single-lock baseline.
-cargo run --release -p bench --bin hotpath -- --out BENCH_hotpath.json
-test -s BENCH_hotpath.json
+# storm at >= 1.3x the ops/sec of the single-lock baseline, and a posted
+# 64 B message costs <= 2 engine steps.
+bench hotpath
+
+# benchmark/ is frozen: a manifest edit anywhere that makes cargo rewrite
+# its lock (a library crate gaining or losing a dependency) shows up here.
+if [ -n "$(git status --porcelain benchmark/)" ]; then
+    echo "verify: FAIL — the run changed files under benchmark/:" >&2
+    git status --porcelain benchmark/ >&2
+    exit 1
+fi
 
 echo "verify: all checks passed"

@@ -460,3 +460,80 @@ fn all_layers_coexist_in_one_session() {
         }
     });
 }
+
+// ---------------- a node's panic aborts the run ----------------
+
+/// Node 1 sends one 8-byte message, then panics while node 0 blocks in
+/// `wait`: the run must give node 0's wait up and re-raise node 1's payload
+/// — not the "world aborted" panic that ended the wait — and not hang. (The
+/// pause biases toward the harder order, node 0 already blocked; either
+/// order must abort. The barrier and the parked mailbox receive are
+/// `madsim-net`'s own test.)
+fn node_panic_ends(
+    rails: usize,
+    kind: NetKind,
+    protocol: Protocol,
+    wait: impl Fn(&madeleine::Channel) + Send + Sync,
+) {
+    let mut b = WorldBuilder::new(2);
+    b.network_with_rails("net0", kind, &[0, 1], rails);
+    let world = b.build();
+    let spec = madeleine::ChannelSpec::new("ch", "net0", protocol).with_rails(rails);
+    let config = Config::default().with_channel_spec(spec);
+    let started = std::time::Instant::now();
+    let run = std::panic::AssertUnwindSafe(|| {
+        world.run(|env| {
+            let mad = Madeleine::init(&env, &config);
+            let ch = mad.channel("ch");
+            if env.id() == 1 {
+                let mut msg = ch.begin_packing(0);
+                msg.pack(&[7u8; 8], SendMode::Cheaper, RecvMode::Express);
+                msg.end_packing();
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                panic!("node 1 dies");
+            }
+            wait(ch);
+        })
+    });
+    let payload = std::panic::catch_unwind(run).expect_err("the run re-raises the panic");
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"node 1 dies"));
+    let took = started.elapsed();
+    assert!(took < std::time::Duration::from_secs(2), "took {took:?}");
+}
+
+/// Take node 1's message — and a second block it does not have, if
+/// `overread` — then wait for a second message that never comes.
+fn unpack_then_wait(ch: &madeleine::Channel, overread: bool) {
+    let (mut sent, mut never_sent) = ([0u8; 8], [0u8; 8]);
+    let mut msg = ch.begin_unpacking();
+    msg.unpack(&mut sent, SendMode::Cheaper, RecvMode::Express);
+    if overread {
+        msg.unpack(&mut never_sent, SendMode::Cheaper, RecvMode::Express);
+    }
+    msg.end_unpacking();
+    ch.begin_unpacking();
+}
+
+/// `begin_unpacking` on one rail spins in the channel's `PollPolicy`.
+#[test]
+fn node_panic_ends_begin_unpacking_over_tcp() {
+    node_panic_ends(1, NetKind::Ethernet, Protocol::Tcp, |ch| {
+        unpack_then_wait(ch, false)
+    });
+}
+
+/// A block that never comes parks on the segment's flag.
+#[test]
+fn node_panic_ends_a_sisci_flag_wait() {
+    node_panic_ends(1, NetKind::Sci, Protocol::Sisci, |ch| {
+        unpack_then_wait(ch, true)
+    });
+}
+
+/// `begin_unpacking` on several rails scans them in `wait_incoming_multirail`.
+#[test]
+fn node_panic_ends_begin_unpacking_over_two_rail_bip() {
+    node_panic_ends(2, NetKind::Myrinet, Protocol::Bip, |ch| {
+        unpack_then_wait(ch, false)
+    });
+}
