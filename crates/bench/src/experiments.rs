@@ -352,26 +352,38 @@ pub fn bandwidth_control_ablation() -> Vec<Series> {
 }
 
 /// Ablation of buffer aggregation (BMM design choice, paper §3.4): one
-/// message of k blocks versus k single-block messages, over TCP (where a
-/// grouped flush is one `writev`) and SISCI (one PIO stream). x = block
-/// count, y = total transfer time in µs.
+/// message of k blocks — packed, or posted as one nonblocking op — versus k
+/// single-block messages, over TCP (where a grouped flush is one `writev`)
+/// and SISCI (one PIO stream). x = block count, y = total transfer time in
+/// µs.
 pub fn aggregation_ablation() -> Vec<Series> {
     let block = 64usize;
     let mut out = Vec::new();
     for protocol in [Protocol::Tcp, Protocol::Sisci] {
-        let mut agg = Series::new(format!("{protocol:?}: 1 message, k blocks"), "us");
-        let mut sep = Series::new(format!("{protocol:?}: k messages"), "us");
-        for k in [4usize, 16, 64] {
-            agg.push(k, multi_block_oneway_us(protocol, k, block, true));
-            sep.push(k, multi_block_oneway_us(protocol, k, block, false));
+        for (how, label) in [
+            (KBlocks::Packed, "1 message, k blocks"),
+            (KBlocks::Posted, "1 posted message, k blocks"),
+            (KBlocks::Split, "k messages"),
+        ] {
+            let mut series = Series::new(format!("{protocol:?}: {label}"), "us");
+            for k in [4usize, 16, 64] {
+                series.push(k, multi_block_oneway_us(protocol, k, block, how));
+            }
+            out.push(series);
         }
-        out.push(agg);
-        out.push(sep);
     }
     out
 }
 
-fn multi_block_oneway_us(protocol: Protocol, k: usize, block: usize, aggregate: bool) -> f64 {
+/// How [`multi_block_oneway_us`] sends its k blocks.
+#[derive(Clone, Copy, PartialEq)]
+enum KBlocks {
+    Packed,
+    Posted,
+    Split,
+}
+
+fn multi_block_oneway_us(protocol: Protocol, k: usize, block: usize, how: KBlocks) -> f64 {
     let (net, kind) = net_for(protocol);
     let mut b = WorldBuilder::new(2);
     b.network(net, kind, &[0, 1]);
@@ -381,35 +393,30 @@ fn multi_block_oneway_us(protocol: Protocol, k: usize, block: usize, aggregate: 
         let mad = Madeleine::init(&env, &config);
         let ch = mad.channel("ch");
         let data = vec![0x7Eu8; block];
-        if env.id() == 0 {
-            if aggregate {
+        let modes = (SendMode::Cheaper, RecvMode::Cheaper);
+        let messages = if how == KBlocks::Split { k } else { 1 };
+        if env.id() == 0 && how == KBlocks::Posted {
+            let owned = bytes::Bytes::from(data);
+            let id = ch.post_message(1, vec![(owned, modes.0, modes.1); k]);
+            ch.wait_op(id).expect("posted message completes");
+            0.0
+        } else if env.id() == 0 {
+            for _ in 0..messages {
                 let mut msg = ch.begin_packing(1);
-                for _ in 0..k {
-                    msg.pack(&data, SendMode::Cheaper, RecvMode::Cheaper);
+                for _ in 0..k / messages {
+                    msg.pack(&data, modes.0, modes.1);
                 }
                 msg.end_packing();
-            } else {
-                for _ in 0..k {
-                    let mut msg = ch.begin_packing(1);
-                    msg.pack(&data, SendMode::Cheaper, RecvMode::Cheaper);
-                    msg.end_packing();
-                }
             }
             0.0
         } else {
             let mut bufs = vec![vec![0u8; block]; k];
-            if aggregate {
+            for bufs in bufs.chunks_mut(k / messages) {
                 let mut msg = ch.begin_unpacking();
-                for buf in bufs.iter_mut() {
-                    msg.unpack(buf, SendMode::Cheaper, RecvMode::Cheaper);
+                for buf in bufs {
+                    msg.unpack(buf, modes.0, modes.1);
                 }
                 msg.end_unpacking();
-            } else {
-                for buf in bufs.iter_mut() {
-                    let mut msg = ch.begin_unpacking();
-                    msg.unpack(buf, SendMode::Cheaper, RecvMode::Cheaper);
-                    msg.end_unpacking();
-                }
             }
             time::now().as_micros_f64()
         }

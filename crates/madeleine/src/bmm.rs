@@ -23,9 +23,9 @@ use crate::error::MadResult;
 use crate::flags::{RecvMode, SendMode};
 use crate::pool::{BufPool, PooledBuf};
 use crate::stats::Stats;
-use crate::tm::{StaticBuf, TmId, TransmissionModule};
+use crate::tm::{PendingKind, StaticBuf, TmId, TmPending, TmSend, TmStep, TransmissionModule};
 use bytes::Bytes;
-use madsim_net::time;
+use madsim_net::time::{self, VTime};
 use madsim_net::NodeId;
 use std::sync::Arc;
 
@@ -59,7 +59,21 @@ impl Block<'_> {
     }
 }
 
+/// What a BMM hands its TM in one call.
+enum Shipment<'s, 'a> {
+    Dynamic(&'s Block<'a>),
+    Static(StaticBuf),
+    Group(&'s [Block<'a>]),
+}
+
 /// Send-side BMM instance for one in-flight message on one TM.
+///
+/// A BMM opened by a blocking message hands its buffers over through the
+/// TM's blocking calls. One opened by a posted op ([`posted`](Self::posted))
+/// uses the nonblocking ones: a shipment that has to wait for the peer
+/// parks here, everything packed meanwhile queues behind it in packing
+/// order — the queue a `send_LATER` block already forces — and
+/// [`resume`](Self::resume) picks up where it stopped.
 pub struct SendBmm<'a> {
     policy: SendPolicy,
     tm: Arc<dyn TransmissionModule>,
@@ -71,13 +85,23 @@ pub struct SendBmm<'a> {
     /// must own), so steady-state capture reuses warm slabs.
     pool: BufPool,
     /// Blocks not yet handed to the TM (aggregation queue, or blocks stuck
-    /// behind a `send_LATER` block).
+    /// behind a `send_LATER` block or a parked shipment).
     pending: Vec<Block<'a>>,
+    /// How much of `pending[0]` is staged already (StaticCopy: a buffer
+    /// filled, and parked, in mid-block).
+    head_staged: usize,
     /// Whether `pending` currently contains a LATER block (forces FIFO
     /// queueing of everything behind it).
     pending_has_later: bool,
     /// Current partially-filled static buffer (StaticCopy only).
     staged: Option<StaticBuf>,
+    posted: bool,
+    /// The shipment waiting for a peer event, and its length.
+    parked: Option<(Box<dyn TmPending>, usize)>,
+    /// A commit was asked for while a shipment was parked.
+    committing: bool,
+    /// Latest instant a posted shipment completed at.
+    done_at: VTime,
 }
 
 impl<'a> SendBmm<'a> {
@@ -88,24 +112,13 @@ impl<'a> SendBmm<'a> {
         host: HostModel,
         stats: Arc<Stats>,
     ) -> Self {
-        Self::with_tm_id(policy, tm, 0, dst, host, stats)
-    }
-
-    /// [`new`](Self::new) with the TM's id for per-TM traffic accounting.
-    pub fn with_tm_id(
-        policy: SendPolicy,
-        tm: Arc<dyn TransmissionModule>,
-        tm_id: TmId,
-        dst: NodeId,
-        host: HostModel,
-        stats: Arc<Stats>,
-    ) -> Self {
         let pool = BufPool::new(Arc::clone(&stats));
-        Self::with_pool(policy, tm, tm_id, dst, host, stats, pool)
+        Self::with_pool(policy, tm, 0, dst, host, stats, pool)
     }
 
-    /// [`with_tm_id`](Self::with_tm_id) sharing an existing buffer pool —
-    /// the channel-lifetime pool, so consecutive messages reuse slabs.
+    /// [`new`](Self::new) with the TM's id for per-TM traffic accounting,
+    /// sharing an existing buffer pool — the channel-lifetime pool, so
+    /// consecutive messages reuse slabs.
     pub fn with_pool(
         policy: SendPolicy,
         tm: Arc<dyn TransmissionModule>,
@@ -124,9 +137,21 @@ impl<'a> SendBmm<'a> {
             stats,
             pool,
             pending: Vec::new(),
+            head_staged: 0,
             pending_has_later: false,
             staged: None,
+            posted: false,
+            parked: None,
+            committing: false,
+            done_at: VTime::ZERO,
         }
+    }
+
+    /// Ship through the TM's nonblocking entry points from here on (see
+    /// the type docs): the flavour a posted op opens.
+    pub(crate) fn posted(mut self) -> Self {
+        self.posted = true;
+        self
     }
 
     /// Queue or transmit one user block according to the policy and the
@@ -139,30 +164,14 @@ impl<'a> SendBmm<'a> {
                 self.pending_has_later = true;
                 Ok(())
             }
-            SendMode::Safer => {
-                let capture_by_processing = match self.policy {
-                    // The static copy *is* the capture; eager transmission
-                    // captures synchronously — but only if nothing is
-                    // queued behind a LATER block.
-                    SendPolicy::StaticCopy | SendPolicy::Eager => !self.pending_has_later,
-                    SendPolicy::Aggregate => false,
-                };
-                if capture_by_processing {
-                    self.pack_now(Block::Borrowed(data))
-                } else {
-                    let owned = self.pool.checkout_from(data);
-                    self.charge_copy(data.len());
-                    self.pack_now(Block::Pooled(owned))
-                }
-            }
+            SendMode::Safer => self.pack_safer_now(data),
             SendMode::Cheaper => self.pack_now(Block::Borrowed(data)),
         }
     }
 
-    /// Queue a block the library already owns: posted nonblocking ops
-    /// capture their payloads as `Bytes` at post time and replay them
-    /// through here when the progress engine drives the op's frames on
-    /// its rail's TM stack.
+    /// Queue a block the library already owns: a posted op's blocks are
+    /// `Bytes` from the moment they are posted, so no mode asks anything
+    /// more of them.
     pub fn pack_owned(&mut self, data: Bytes) -> MadResult<()> {
         self.pack_now(Block::Owned(data))
     }
@@ -173,135 +182,204 @@ impl<'a> SendBmm<'a> {
         self.pack_now(Block::Pooled(data))
     }
 
-    /// The pool this BMM captures into.
-    pub fn pool(&self) -> &BufPool {
-        &self.pool
-    }
-
-    /// `send_SAFER` capture through a short-lived borrow: the data never
-    /// outlives this call. Depending on the policy it is copied into pool
-    /// memory, staged into this rail's static buffers, or transmitted
-    /// immediately on this BMM's TM. Blocks eligible for wire-level
-    /// coalescing are diverted to the batch layer before a BMM ever sees
-    /// them, so a SAFER block arriving here always travels as its own
-    /// frame on its own rail.
+    /// `send_SAFER` capture: the data never outlives this call. The static
+    /// copy *is* the capture and eager transmission captures synchronously
+    /// — if nothing is queued ahead; otherwise (and always when
+    /// aggregating) the block is copied into pool memory. Blocks eligible
+    /// for wire-level coalescing are diverted to the batch layer before a
+    /// BMM ever sees them, so a SAFER block arriving here always travels as
+    /// its own frame on its own rail.
     pub fn pack_safer_now(&mut self, data: &[u8]) -> MadResult<()> {
-        let capture_by_processing = match self.policy {
-            SendPolicy::StaticCopy | SendPolicy::Eager => !self.pending_has_later,
-            SendPolicy::Aggregate => false,
-        };
-        if capture_by_processing {
-            match self.policy {
-                SendPolicy::Eager => {
-                    self.stats.record_borrowed(data.len());
-                    self.tm.send_buffer(self.dst, data)?;
-                    self.stats.record_buffer_sent();
-                    self.stats.record_tm_traffic(self.tm_id, data.len());
-                    Ok(())
-                }
-                SendPolicy::StaticCopy => self.stage(data),
-                SendPolicy::Aggregate => unreachable!(),
-            }
-        } else {
+        if self.pending_has_later || self.parked.is_some() || self.policy == SendPolicy::Aggregate {
             let owned = self.pool.checkout_from(data);
             self.charge_copy(data.len());
-            self.pack_now(Block::Pooled(owned))
+            return self.pack_now(Block::Pooled(owned));
+        }
+        match self.policy {
+            SendPolicy::Eager => self.ship(Shipment::Dynamic(&Block::Borrowed(data))),
+            _ => self.stage(data).map(drop),
         }
     }
 
     fn pack_now(&mut self, block: Block<'a>) -> MadResult<()> {
-        if self.pending_has_later {
+        if self.pending_has_later || self.parked.is_some() {
             // Preserve order behind the deferred LATER block.
             self.pending.push(block);
             return Ok(());
         }
         match self.policy {
-            SendPolicy::Eager => {
-                if block.is_borrowed() {
-                    self.stats.record_borrowed(block.as_slice().len());
-                }
-                self.tm.send_buffer(self.dst, block.as_slice())?;
-                self.stats.record_buffer_sent();
-                self.stats
-                    .record_tm_traffic(self.tm_id, block.as_slice().len());
-                Ok(())
-            }
+            SendPolicy::Eager => self.ship(Shipment::Dynamic(&block)),
             SendPolicy::Aggregate => {
                 self.pending.push(block);
                 Ok(())
             }
-            SendPolicy::StaticCopy => self.stage(block.as_slice()),
+            SendPolicy::StaticCopy => {
+                let staged = self.stage(block.as_slice())?;
+                if staged < block.as_slice().len() {
+                    self.head_staged = staged;
+                    self.pending.push(block);
+                }
+                Ok(())
+            }
         }
     }
 
-    /// Copy a block into static buffers, shipping each buffer as it fills.
-    fn stage(&mut self, mut data: &[u8]) -> MadResult<()> {
-        while !data.is_empty() {
-            if self.staged.is_none() {
-                self.staged = Some(self.tm.obtain_static_buffer());
+    /// The one place a buffer goes to the TM, with its accounting: through
+    /// the blocking entry points, or — posted — the nonblocking ones, whose
+    /// continuation parks here if one comes back.
+    fn ship(&mut self, what: Shipment<'_, '_>) -> MadResult<()> {
+        let (tm, dst) = (&*self.tm, self.dst);
+        let (len, sent) = match what {
+            Shipment::Group(blocks) => {
+                // Scatter/gather: the TM reads each block from where it
+                // lies — no coalescing memcpy on this layer.
+                let slices: Vec<&[u8]> = blocks.iter().map(|b| b.as_slice()).collect();
+                for b in blocks.iter().filter(|b| b.is_borrowed()) {
+                    self.stats.record_borrowed(b.as_slice().len());
+                }
+                return send_group(tm, self.tm_id, dst, &slices, &self.host, &self.stats);
             }
-            let buf = self.staged.as_mut().expect("just obtained");
-            let take = data.len().min(buf.spare());
-            buf.spare_mut()[..take].copy_from_slice(&data[..take]);
-            buf.advance(take);
-            let full = buf.spare() == 0;
-            self.charge_copy(take);
-            data = &data[take..];
-            if full {
-                let full = self.staged.take().expect("present");
-                self.stats.record_tm_traffic(self.tm_id, full.len());
-                self.tm.send_static_buffer(self.dst, full)?;
-                self.stats.record_buffer_sent();
+            Shipment::Dynamic(b) => {
+                let data = b.as_slice();
+                if b.is_borrowed() {
+                    self.stats.record_borrowed(data.len());
+                }
+                let sent = match b {
+                    _ if !self.posted => tm.send_buffer(dst, data).map(|()| None),
+                    Block::Owned(bytes) => tm.post_send(dst, bytes.clone()).map(Some),
+                    _ => tm.post_send(dst, Bytes::copy_from_slice(data)).map(Some),
+                };
+                (data.len(), sent?)
             }
+            Shipment::Static(buf) if self.posted => {
+                (buf.len(), Some(tm.post_static_buffer(dst, buf)?))
+            }
+            Shipment::Static(buf) => (buf.len(), tm.send_static_buffer(dst, buf).map(|()| None)?),
+        };
+        match sent {
+            Some(TmSend::Pending(cont)) => self.parked = Some((cont, len)),
+            Some(TmSend::Done(at)) => self.shipped(len, at),
+            None => self.shipped(len, VTime::ZERO),
         }
         Ok(())
     }
 
-    /// Commit: drain every queued block and partial buffer to the TM.
+    fn shipped(&mut self, len: usize, at: VTime) {
+        self.done_at = self.done_at.max(at);
+        self.stats.record_buffer_sent();
+        self.stats.record_tm_traffic(self.tm_id, len);
+    }
+
+    /// Copy a block into static buffers, shipping each buffer as it fills.
+    /// Returns how much of it went in: all, unless a shipment parked.
+    fn stage(&mut self, data: &[u8]) -> MadResult<usize> {
+        let mut done = 0;
+        while done < data.len() && self.parked.is_none() {
+            let tm = &self.tm;
+            let buf = self.staged.get_or_insert_with(|| tm.obtain_static_buffer());
+            let take = (data.len() - done).min(buf.spare());
+            buf.spare_mut()[..take].copy_from_slice(&data[done..done + take]);
+            buf.advance(take);
+            let full = buf.spare() == 0;
+            self.charge_copy(take);
+            done += take;
+            if full {
+                let full = self.staged.take().expect("present");
+                self.ship(Shipment::Static(full))?;
+            }
+        }
+        Ok(done)
+    }
+
+    /// Hand the queued blocks to the TM, in order, as far as they go.
+    fn drain(&mut self) -> MadResult<()> {
+        let mut pending = std::mem::take(&mut self.pending);
+        self.pending_has_later = false;
+        let mut gone = 0;
+        match self.policy {
+            SendPolicy::Aggregate => {
+                self.ship(Shipment::Group(&pending))?;
+                gone = pending.len();
+            }
+            _ => {
+                while gone < pending.len() && self.parked.is_none() {
+                    let block = &pending[gone];
+                    if self.policy == SendPolicy::Eager {
+                        self.ship(Shipment::Dynamic(block))?;
+                    } else {
+                        self.head_staged += self.stage(&block.as_slice()[self.head_staged..])?;
+                        if self.head_staged < block.as_slice().len() {
+                            break;
+                        }
+                        self.head_staged = 0;
+                    }
+                    gone += 1;
+                }
+            }
+        }
+        // An emptied queue is let go, not kept for its capacity: a BMM
+        // lives for one message.
+        if gone < pending.len() {
+            pending.drain(..gone);
+            self.pending = pending;
+        }
+        Ok(())
+    }
+
+    /// Commit: drain every queued block and partial buffer to the TM. (A
+    /// posted BMM with a shipment parked finishes the commit as it
+    /// [`resume`](Self::resume)s.)
     pub fn flush(&mut self) -> MadResult<()> {
-        if self.pending_has_later || !self.pending.is_empty() {
-            let pending = std::mem::take(&mut self.pending);
-            self.pending_has_later = false;
-            match self.policy {
-                SendPolicy::Eager => {
-                    for b in &pending {
-                        if b.is_borrowed() {
-                            self.stats.record_borrowed(b.as_slice().len());
-                        }
-                        self.tm.send_buffer(self.dst, b.as_slice())?;
-                        self.stats.record_buffer_sent();
-                        self.stats.record_tm_traffic(self.tm_id, b.as_slice().len());
-                    }
-                }
-                SendPolicy::Aggregate => {
-                    // Scatter/gather flush: the TM reads each block from
-                    // where it lies — no coalescing memcpy on this layer.
-                    let slices: Vec<&[u8]> = pending.iter().map(|b| b.as_slice()).collect();
-                    for b in &pending {
-                        if b.is_borrowed() {
-                            self.stats.record_borrowed(b.as_slice().len());
-                        }
-                    }
-                    let (tm, host) = (&*self.tm, &self.host);
-                    send_group(tm, self.tm_id, self.dst, &slices, host, &self.stats)?;
-                }
-                SendPolicy::StaticCopy => {
-                    for b in &pending {
-                        self.stage(b.as_slice())?;
-                    }
-                }
-            }
-        }
-        if let Some(buf) = self.staged.take() {
-            if buf.is_empty() {
-                self.tm.release_static_buffer(buf);
-            } else {
-                self.stats.record_tm_traffic(self.tm_id, buf.len());
-                self.tm.send_static_buffer(self.dst, buf)?;
-                self.stats.record_buffer_sent();
-            }
-        }
+        self.committing = true;
+        self.advance()?;
         self.stats.record_commit();
+        Ok(())
+    }
+
+    /// Poll the parked shipment of a posted BMM and, once it is out, carry
+    /// on behind it. `Some`: what it (still, or again) waits for.
+    pub(crate) fn resume(&mut self) -> MadResult<Option<PendingKind>> {
+        if let Some((mut cont, len)) = self.parked.take() {
+            match cont.try_advance()? {
+                TmStep::Pending => self.parked = Some((cont, len)),
+                TmStep::Done(at) => {
+                    self.shipped(len, at);
+                    self.advance()?;
+                }
+            }
+        }
+        Ok(self.waits_for())
+    }
+
+    /// The peer event the parked shipment of a posted BMM waits for.
+    pub(crate) fn waits_for(&self) -> Option<PendingKind> {
+        self.parked.as_ref().map(|(cont, _)| cont.kind())
+    }
+
+    /// The latest instant a shipment of a posted BMM completed at.
+    pub(crate) fn done_at(&self) -> VTime {
+        self.done_at
+    }
+
+    /// Drain what may go — everything for a commit, otherwise what queued
+    /// behind a parked shipment — then ship the partial static buffer if a
+    /// commit is under way.
+    fn advance(&mut self) -> MadResult<()> {
+        let held =
+            !self.committing && (self.pending_has_later || self.policy == SendPolicy::Aggregate);
+        if self.parked.is_none() && !self.pending.is_empty() && !held {
+            self.drain()?;
+        }
+        if self.committing && self.parked.is_none() {
+            self.committing = false;
+            if let Some(buf) = self.staged.take() {
+                if buf.is_empty() {
+                    self.tm.release_static_buffer(buf);
+                } else {
+                    self.ship(Shipment::Static(buf))?;
+                }
+            }
+        }
         Ok(())
     }
 
@@ -382,24 +460,17 @@ impl<'a> RecvBmm<'a> {
         }
     }
 
-    /// Register or satisfy one unpack destination.
+    /// Register or satisfy one unpack destination. (Extraction from an
+    /// arrived protocol buffer is a local copy: StaticCopy extracts on the
+    /// spot in both modes.)
     pub fn unpack(&mut self, dst: &'a mut [u8], mode: RecvMode) -> MadResult<()> {
-        match self.policy {
-            SendPolicy::StaticCopy => {
-                // Extraction from an arrived protocol buffer is a local
-                // copy; both modes extract on the spot.
-                self.extract(dst)
-            }
-            SendPolicy::Eager | SendPolicy::Aggregate => match mode {
-                RecvMode::Express => {
-                    self.deferred.push(dst);
-                    self.checkout()
-                }
-                RecvMode::Cheaper => {
-                    self.deferred.push(dst);
-                    Ok(())
-                }
-            },
+        if self.policy == SendPolicy::StaticCopy {
+            return self.extract(dst);
+        }
+        self.deferred.push(dst);
+        match mode {
+            RecvMode::Express => self.checkout(),
+            RecvMode::Cheaper => Ok(()),
         }
     }
 
@@ -410,23 +481,29 @@ impl<'a> RecvBmm<'a> {
     pub fn unpack_express_now(&mut self, dst: &mut [u8]) -> MadResult<()> {
         match self.policy {
             SendPolicy::StaticCopy => self.extract(dst),
-            SendPolicy::Eager => {
-                for d in self.deferred.drain(..) {
-                    self.stats.record_borrowed(d.len());
-                    self.tm.receive_buffer(self.src, d)?;
-                }
-                self.stats.record_borrowed(dst.len());
-                self.tm.receive_buffer(self.src, dst)
-            }
-            SendPolicy::Aggregate => {
-                let mut group: Vec<&mut [u8]> = self.deferred.drain(..).collect();
-                group.push(dst);
-                for d in &group {
-                    self.stats.record_borrowed(d.len());
-                }
-                self.tm.receive_sub_buffer_group(self.src, &mut group)
-            }
+            SendPolicy::Eager | SendPolicy::Aggregate => self.receive_deferred(Some(dst)),
         }
+    }
+
+    /// Receive every deferred destination, in order, then `last`: one
+    /// buffer each (Eager) or all of them as one sub-buffer group.
+    fn receive_deferred(&mut self, last: Option<&mut [u8]>) -> MadResult<()> {
+        let all = self.deferred.drain(..).map(|d| d as &mut [u8]).chain(last);
+        if self.policy == SendPolicy::Eager {
+            for d in all {
+                self.stats.record_borrowed(d.len());
+                self.tm.receive_buffer(self.src, d)?;
+            }
+            return Ok(());
+        }
+        let mut group: Vec<&mut [u8]> = all.collect();
+        if group.is_empty() {
+            return Ok(());
+        }
+        for d in &group {
+            self.stats.record_borrowed(d.len());
+        }
+        self.tm.receive_sub_buffer_group(self.src, &mut group)
     }
 
     /// Fill `dst` from received static buffers, fetching as needed.
@@ -455,35 +532,19 @@ impl<'a> RecvBmm<'a> {
 
     /// Checkout: extract every deferred destination, in order.
     pub fn checkout(&mut self) -> MadResult<()> {
-        match self.policy {
-            SendPolicy::Eager => {
-                for d in self.deferred.drain(..) {
-                    self.stats.record_borrowed(d.len());
-                    self.tm.receive_buffer(self.src, d)?;
-                }
-            }
-            SendPolicy::Aggregate => {
-                if !self.deferred.is_empty() {
-                    let mut group: Vec<&mut [u8]> = self.deferred.drain(..).collect();
-                    for d in &group {
-                        self.stats.record_borrowed(d.len());
-                    }
-                    self.tm.receive_sub_buffer_group(self.src, &mut group)?;
-                }
-            }
-            SendPolicy::StaticCopy => {
-                // Extraction was immediate; verify the pack/unpack symmetry
-                // contract: a flushed buffer must be fully consumed.
-                if let Some((buf, off)) = self.rx.take() {
-                    assert_eq!(
-                        off,
-                        buf.len(),
-                        "static buffer not fully consumed at checkout: \
-                         asymmetric pack/unpack sequences?"
-                    );
-                    self.tm.release_static_buffer(buf);
-                }
-            }
+        if self.policy != SendPolicy::StaticCopy {
+            return self.receive_deferred(None);
+        }
+        // Extraction was immediate; verify the pack/unpack symmetry
+        // contract: a flushed buffer must be fully consumed.
+        if let Some((buf, off)) = self.rx.take() {
+            assert_eq!(
+                off,
+                buf.len(),
+                "static buffer not fully consumed at checkout: \
+                 asymmetric pack/unpack sequences?"
+            );
+            self.tm.release_static_buffer(buf);
         }
         Ok(())
     }

@@ -19,17 +19,20 @@
 //! * [`Channel`] (this module) — the pack/unpack API, owning `1..N`
 //!   rails and the `RailScheduler` that routes traffic across them.
 //!
-//! The Switch Module logic lives in `pack`/`unpack`: each packet is routed
-//! to the TM chosen by the PMM; when the chosen TM differs from the previous
-//! packet's, the previous TM's BMM is flushed (*commit*) before the new one
-//! takes over, so delivery order is preserved across transfer methods; the
-//! final `end_packing` performs the terminal commit (mirrored by *checkout*
-//! on the receive side). On a multirail channel a message's ordinary blocks
-//! ride its connection's *home rail*; large CHEAPER blocks are striped
-//! across every alive rail (see [`crate::rail`]) after the home rail's BMM
-//! is committed, so per-connection order still holds. A single-rail channel
-//! takes exactly the pre-multirail code paths: same locks, same copies,
-//! same trace stream.
+//! The Switch Module is one cursor per direction. Each block is routed by
+//! `ChannelCore::route` — the stripe engine, the connection's batch, or
+//! the TM the PMM selects — identically on both ends; when the route
+//! differs from the previous block's, the open BMM is flushed (*commit*)
+//! before the next takes over, so delivery order is preserved across
+//! transfer methods; the end of the message performs the terminal commit
+//! (mirrored by *checkout* on the receive side). The send cursor
+//! (`SendSwitch`) is resumable and has two drivers: a blocking
+//! [`OutgoingMessage`] spins it where it would park, a posted message
+//! (`MessageSendOp`) parks it between progress ticks — same routes, same
+//! BMMs, same wire bytes. On a multirail channel a message's ordinary
+//! blocks ride its connection's *home rail*; large CHEAPER blocks are
+//! striped across every alive rail (see [`crate::rail`]) after the home
+//! rail's BMM is committed, so per-connection order still holds.
 //!
 //! ### The internal message header
 //!
@@ -44,7 +47,7 @@
 //! which is how the receiver learns which rail carries the rest of the
 //! message's un-striped blocks.
 
-use crate::batch::{self, BatchCtx, BatchItem, FlushReason, RecvBatch};
+use crate::batch::{self, BatchCtx, BatchItem, FlushReason, RecvBatch, SendBatch};
 use crate::bmm::{RecvBmm, SendBmm};
 use crate::config::HostModel;
 use crate::connection::{Connection, Connections};
@@ -56,7 +59,7 @@ use crate::pool::{BufPool, PooledBuf};
 use crate::progress::{Completions, OpId, OpState, OpStep, ProgressEngine, StepOutcome};
 use crate::rail::{self, Rail, RailScheduler, StripeCtx, StripeSend};
 use crate::stats::{Stats, StatsSnapshot};
-use crate::tm::{PendingKind, TmId, TmPending, TmSend, TmStep};
+use crate::tm::{PendingKind, TmId};
 use crate::trace::{TraceEvent, Tracer};
 use crate::wire;
 use bytes::Bytes;
@@ -80,12 +83,6 @@ pub struct Channel {
     /// What posted ops need of the channel, shared with them.
     core: Arc<ChannelCore>,
     peers: Vec<NodeId>,
-    /// Channel-lifetime buffer pool: headers, SAFER captures, and (via the
-    /// session's driver wiring) protocol static buffers all draw from here,
-    /// so steady-state traffic reuses warm slabs across messages. On a
-    /// multirail channel this is rail 0's pool; each further rail has its
-    /// own (see [`Rail::pool`]).
-    pool: BufPool,
     /// Outgoing messages begun but not yet finalized (must stay ≤ 1:
     /// forgetting `end_packing` would silently lose queued blocks).
     open_tx: AtomicUsize,
@@ -123,6 +120,14 @@ struct ChannelCore {
     /// Base of this channel's stripe-ack demultiplexing tags (the channel
     /// index within the session config; see [`crate::rail`]).
     ack_base: u64,
+}
+
+/// Where the Switch sends a block (see [`ChannelCore::route`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Route {
+    Stripe,
+    Batch,
+    Tm(TmId),
 }
 
 impl ChannelCore {
@@ -169,13 +174,37 @@ impl ChannelCore {
         }
     }
 
-    /// Does a block of `len`/`smode` ride inside a batch frame on `rail`?
-    /// Pure and symmetric — the receiver evaluates it with the mirrored
-    /// arguments and must agree (the stripe check runs before this one on
-    /// both sides).
-    fn batchable(&self, len: usize, smode: SendMode, rail: usize) -> bool {
-        let cap = self.rails[rail].batch_frame_cap();
-        batch::batchable(&self.sched.batch, len, smode, cap)
+    /// The Switch step (paper §4.1) for a block classified as `len` bytes
+    /// sent `(smode, rmode)` on home rail `rail`: striped over every rail,
+    /// inside a batch frame, or through the TM the PMM selects. Pure and
+    /// symmetric — the receiver evaluates it with the mirrored arguments
+    /// and must agree, which is why both directions route here and nowhere
+    /// else.
+    fn route(&self, rail: usize, len: usize, smode: SendMode, rmode: RecvMode) -> Route {
+        let r = &self.rails[rail];
+        if self
+            .sched
+            .should_stripe(len, smode, rmode, self.rails.len())
+        {
+            Route::Stripe
+        } else if batch::batchable(&self.sched.batch, len, smode, r.batch_frame_cap()) {
+            Route::Batch
+        } else {
+            Route::Tm(r.pmm().select(len, smode, rmode))
+        }
+    }
+
+    /// The internal header of message `seq`, built directly in pooled
+    /// memory: no stack staging array, no per-message allocation — a warm
+    /// 64-byte slab per send.
+    fn header_buf(&self, seq: u32) -> PooledBuf {
+        let hdr = wire::encode_msg_header(self.me, seq);
+        let mut buf = self.rails[0].pool().checkout(hdr.len());
+        // Every encoded byte goes on the wire and recycled slabs carry
+        // stale bytes, so the full span is written.
+        buf.spare_mut()[..hdr.len()].copy_from_slice(&hdr);
+        buf.advance(hdr.len());
+        buf
     }
 
     /// Flush the open send batch toward `peer`, if any (no-op with
@@ -201,7 +230,6 @@ impl Channel {
         peers: Vec<NodeId>,
         host: HostModel,
         stats: Arc<Stats>,
-        pool: BufPool,
         tracer: Arc<Tracer>,
         ack_base: u64,
         poll: PollPolicy,
@@ -227,7 +255,6 @@ impl Channel {
                 ack_base,
             }),
             peers,
-            pool,
             open_tx: AtomicUsize::new(0),
             open_rx: AtomicUsize::new(0),
             live_mask,
@@ -253,15 +280,13 @@ impl Channel {
         tracer: Arc<Tracer>,
     ) -> Arc<Self> {
         let pool = BufPool::new(Arc::clone(&stats));
-        let rails = vec![Rail::new(0, pmm, pool.clone(), None)];
+        let rails = vec![Rail::new(0, pmm, pool, None)];
         let sched = RailScheduler::new(
             crate::config::DEFAULT_STRIPE_THRESHOLD,
             crate::config::DEFAULT_STRIPE_CHUNK,
         );
         let poll = PollPolicy::default();
-        Self::multirail(
-            name, rails, sched, me, peers, host, stats, pool, tracer, 0, poll,
-        )
+        Self::multirail(name, rails, sched, me, peers, host, stats, tracer, 0, poll)
     }
 
     pub fn name(&self) -> &str {
@@ -283,9 +308,12 @@ impl Channel {
         &self.core.stats
     }
 
-    /// The channel-lifetime buffer pool (rail 0's on multirail channels).
+    /// The channel-lifetime buffer pool: headers, SAFER captures and (via
+    /// the session's driver wiring) protocol static buffers all draw from
+    /// it, so steady-state traffic reuses warm slabs across messages. Rail
+    /// 0's on a multirail channel; each further rail has its own.
     pub fn pool(&self) -> &BufPool {
-        &self.pool
+        self.core.rails[0].pool()
     }
 
     /// The protocol module driving this channel — rail 0's on a multirail
@@ -388,10 +416,23 @@ impl Channel {
     /// [`begin_packing_checked`](Self::begin_packing_checked) to receive
     /// that failure as a value instead.
     pub fn begin_packing<'a>(&self, dst: NodeId) -> OutgoingMessage<'_, 'a> {
-        match self.begin_packing_checked(dst) {
-            Ok(msg) => msg,
-            Err(e) => panic!("begin_packing on channel {:?} failed: {e}", self.name),
-        }
+        self.expect("begin_packing", self.begin_packing_checked(dst))
+    }
+
+    /// Sending to a non-member or to oneself is API misuse, not a fabric
+    /// fault: it panics.
+    fn check_dst(&self, dst: NodeId) {
+        let name = &self.name;
+        assert!(
+            self.peers.contains(&dst),
+            "node {dst} is not a member of channel {name:?}"
+        );
+        assert_ne!(dst, self.core.me, "cannot send to self on channel {name:?}");
+    }
+
+    /// The panicking flavour of a `try_` / `_checked` call.
+    fn expect<T>(&self, what: &str, r: MadResult<T>) -> T {
+        r.unwrap_or_else(|e| panic!("{what} on channel {:?} failed: {e}", self.name))
     }
 
     /// [`begin_packing`](Self::begin_packing) that surfaces transport
@@ -401,16 +442,7 @@ impl Channel {
     /// that fails to send quarantines its rail and retries on the
     /// survivors before giving up.
     pub fn begin_packing_checked<'a>(&self, dst: NodeId) -> MadResult<OutgoingMessage<'_, 'a>> {
-        assert!(
-            self.peers.contains(&dst),
-            "node {dst} is not a member of channel {:?}",
-            self.name
-        );
-        assert_ne!(
-            dst, self.core.me,
-            "cannot send to self on channel {:?}",
-            self.name
-        );
+        self.check_dst(dst);
         assert_eq!(
             self.open_tx.fetch_add(1, Ordering::AcqRel),
             0,
@@ -450,28 +482,19 @@ impl Channel {
         };
         let mut msg = OutgoingMessage {
             chan: self,
-            dst,
-            rail,
-            cur_tm: None,
-            bmm: None,
+            sw: SendSwitch {
+                dst,
+                rail,
+                ..Default::default()
+            },
             done: false,
             stats_at_begin,
         };
         let mut attempts = 0;
         loop {
-            // The header is built directly in pooled memory: no stack
-            // staging array, no per-message allocation — a warm 64-byte
-            // slab per send.
-            let hdr = wire::encode_msg_header(self.core.me, seq);
-            let mut header = self.pool.checkout(hdr.len());
-            {
-                // Every encoded byte goes on the wire and recycled slabs
-                // carry stale bytes, so the full span is written.
-                let h = header.spare_mut();
-                h[..hdr.len()].copy_from_slice(&hdr);
-            }
-            header.advance(hdr.len());
-            let e = match msg.pack_internal(header) {
+            let header = Src::Header(Some(seq));
+            let (smode, rmode) = (SendMode::Cheaper, RecvMode::Express);
+            let e = match msg.drive(|sw, d| sw.emit(d, header, HEADER_LEN, smode, rmode)) {
                 Ok(()) => return Ok(msg),
                 Err(e) => e,
             };
@@ -483,15 +506,8 @@ impl Channel {
                 && !matches!(e, MadError::CorruptStream(_))
                 && attempts < self.core.rails.len()
             {
-                self.core.rails[msg.rail].quarantine(&self.core.stats, &self.core.tracer);
-                msg.cur_tm = None;
-                msg.bmm = None;
-                let next = self.core.sched.home_rail(conn.index(), &self.core.rails);
-                if self.core.rails[next].is_alive() {
-                    msg.rail = next;
-                    self.core
-                        .tracer
-                        .record(TraceEvent::RailSelect { dst, rail: next });
+                self.core.rails[msg.sw.rail].quarantine(&self.core.stats, &self.core.tracer);
+                if msg.sw.rehome(&self.core) {
                     continue;
                 }
             }
@@ -535,10 +551,7 @@ impl Channel {
     /// [`begin_unpacking_checked`](Self::begin_unpacking_checked) to
     /// receive those conditions as [`MadError`] values instead.
     pub fn begin_unpacking<'a>(&self) -> IncomingMessage<'_, 'a> {
-        match self.begin_unpacking_checked() {
-            Ok(msg) => msg,
-            Err(e) => panic!("begin_unpacking on channel {:?} failed: {e}", self.name),
-        }
+        self.expect("begin_unpacking", self.begin_unpacking_checked())
     }
 
     /// [`begin_unpacking`](Self::begin_unpacking) that surfaces wire-level
@@ -669,7 +682,8 @@ impl Channel {
         let expect = wire::encode_msg_header(src, conn.expected_recv_seq());
         let mut header = [0u8; wire::HeaderBytes::CAP];
         let got = &mut header[..expect.len()];
-        msg.unpack_internal(got)?;
+        let (smode, rmode) = (SendMode::Cheaper, RecvMode::Express);
+        msg.absorb(got, HEADER_LEN, smode, rmode, None)?;
         // If the wait went through an interrupt path, the wakeup latency
         // counts from the arrival we just synchronized with.
         time::advance(crate::polling::take_pending_wakeup_charge());
@@ -728,16 +742,7 @@ impl Channel {
     /// Panics if `dst` is not a member, is this node, or a blocking
     /// outgoing message is currently open on the channel.
     pub fn post_message(&self, dst: NodeId, blocks: Vec<(Bytes, SendMode, RecvMode)>) -> OpId {
-        assert!(
-            self.peers.contains(&dst),
-            "node {dst} is not a member of channel {:?}",
-            self.name
-        );
-        assert_ne!(
-            dst, self.core.me,
-            "cannot send to self on channel {:?}",
-            self.name
-        );
+        self.check_dst(dst);
         assert_eq!(
             self.open_tx.load(Ordering::Acquire),
             0,
@@ -765,17 +770,15 @@ impl Channel {
         }
         clock.advance(VDuration::from_micros_f64(core.host.end_op_us));
         let op = MessageSendOp {
-            dst,
-            rail,
             core: Arc::clone(core),
+            sw: SendSwitch {
+                dst,
+                rail,
+                posted: true,
+                ..Default::default()
+            },
             header_sent: false,
             blocks: blocks.into_iter(),
-            pending: None,
-            stripe: None,
-            started: false,
-            done_at: VTime::ZERO,
-            first_ticket: None,
-            last_ticket: None,
         };
         // The post is the op's first tick: a message whose frames need no
         // peer event is fully on the wire (or in the batch) when
@@ -818,18 +821,33 @@ impl Channel {
     /// the failed op itself). Batches toward other peers keep coalescing:
     /// they ship when a probe's tick finds them past their deadline, as
     /// under any [`progress`](Self::progress) call.
+    ///
+    /// # Panics
+    /// Panics if the engine does not know `id`: its result was consumed
+    /// already, or the op was cancelled.
     pub fn wait_op(&self, id: OpId) -> MadResult<VTime> {
         let done = || self.engine.take_result(id);
+        let mut looked_up = false;
         let r = self.poll.drive(|| {
             let flushed = done().or_else(|| {
                 let conn = self.core.conns.get(id.peer())?;
                 let _ = self.flush_peer(conn);
                 done()
             });
-            flushed.or_else(|| {
+            let r = flushed.or_else(|| {
                 self.progress();
                 done()
-            })
+            });
+            // Nothing will ever retire an op the engine has forgotten.
+            if r.is_none() && !std::mem::replace(&mut looked_up, true) {
+                assert!(
+                    self.engine.state(id).is_some(),
+                    "wait_op on channel {:?}: {id:?} is not in flight (its result \
+                     was consumed already, or it was cancelled)",
+                    self.name
+                );
+            }
+            r
         });
         let clock = time::clock();
         if let Ok(at) = r {
@@ -868,257 +886,338 @@ impl Channel {
     }
 }
 
-/// A TM continuation parked between ticks, with the accounting recorded
-/// once the frame actually ships.
-struct PendingFrame {
-    kind: PendingKind,
-    cont: Box<dyn TmPending>,
-    tm: TmId,
-    len: usize,
+/// One drive of a send cursor: the channel it works on and, once an emit
+/// has taken it, the connection's batch lock — so a run of batched frames
+/// (a whole small posted message) takes it once.
+struct Drive<'c> {
+    core: &'c ChannelCore,
+    batch: Option<MutexGuard<'c, SendBatch>>,
 }
 
-/// One block of a posted message, as the caller handed it over.
-type Block = (Bytes, SendMode, RecvMode);
+/// What a block's bytes are when they reach the send cursor.
+enum Src<'a, 's> {
+    /// User memory borrowed until the message ends (`pack`).
+    Borrowed(&'a [u8]),
+    /// User memory borrowed for this call only (`pack_safer`).
+    Safer(&'s [u8]),
+    /// A posted op's block.
+    Owned(Bytes),
+    /// The internal message header: its sequence number claimed at
+    /// `begin_packing` (a blocking message), or left to the moment it ships
+    /// or its batch frame flushes (an op: cancelling one that never started
+    /// must leave no gap in the connection's sequence space).
+    Header(Option<u32>),
+}
 
-/// The send-side message state machine behind [`Channel::post_message`]:
-/// ships the header and every block frame in order, parking in
-/// `CreditWait` / `RendezvousWait` / `StripePartial` whenever a frame
-/// needs a peer event, and failing fast (`ChannelDown`) when its rails
-/// die under it. Allocated (boxed by the engine) only if it has to park.
-struct MessageSendOp {
+fn park_state(kind: PendingKind) -> OpState {
+    match kind {
+        PendingKind::Credit => OpState::CreditWait,
+        PendingKind::Rendezvous => OpState::RendezvousWait,
+    }
+}
+
+/// The send side of the Switch: a resumable cursor over one outgoing
+/// message. [`emit`](Self::emit) routes a block, [`close`](Self::close)
+/// commits the open BMM, [`resume`](Self::resume) picks up whatever a
+/// peer event held back; each answers `None` — all handed over so far is
+/// with the TMs, by `done_at` at the latest — or the [`OpState`] it is
+/// parked in. A cursor opened by a blocking message parks on a striped
+/// block only: its BMMs make blocking TM calls.
+#[derive(Default)]
+struct SendSwitch<'a> {
     dst: NodeId,
     /// Home rail; fixed once the header frame ships (the receiver pins
     /// the message's un-striped blocks to the announcing rail).
     rail: usize,
-    core: Arc<ChannelCore>,
-    /// Whether the library header went out (or into the batch); it claims
-    /// the connection's next sequence number as it ships, or — riding in
-    /// a batch frame — when the batch flushes.
-    header_sent: bool,
-    /// The blocks still to emit: the caller's `Vec`, consumed in place.
-    blocks: std::vec::IntoIter<Block>,
-    pending: Option<PendingFrame>,
-    /// The striped block in flight and its per-connection block number,
-    /// parked between ticks (never together with `pending`: frames ship
-    /// strictly in order).
+    posted: bool,
+    cur_tm: Option<TmId>,
+    bmm: Option<SendBmm<'a>>,
+    /// The open BMM is committing and leaves once it is done.
+    closing: bool,
+    /// The block an op's cursor parked on before it could take it.
+    held: Option<(Bytes, SendMode, RecvMode)>,
+    /// The striped block in flight and its per-connection block number.
     stripe: Option<(StripeSend, u64)>,
+    /// Batch tickets of the message's first and last batched packets.
+    tickets: Option<(u64, u64)>,
+    /// Whether anything irrevocable happened: a frame left outside the
+    /// batch, or the header claimed its sequence number.
     started: bool,
     done_at: VTime,
-    /// Batch tickets of this op's first and last batched packets: once
-    /// every frame is emitted they are what is left of the op (see
-    /// [`StepOutcome::Batched`]).
-    first_ticket: Option<u64>,
-    last_ticket: Option<u64>,
+}
+
+impl<'a> SendSwitch<'a> {
+    /// Move a message of which nothing has shipped to the connection's
+    /// next alive rail; `false` if there is none.
+    fn rehome(&mut self, core: &ChannelCore) -> bool {
+        let (dst, rail) = (self.dst, core.home_rail(core.conn(self.dst)));
+        (self.bmm, self.cur_tm, self.rail) = (None, None, rail);
+        if core.rails[rail].is_alive() {
+            core.tracer.record(TraceEvent::RailSelect { dst, rail });
+        }
+        core.rails[rail].is_alive()
+    }
+
+    /// Route one block and hand it over. `len` is what both ends classify
+    /// it by: its length, or the canonical [`HEADER_LEN`] for the header,
+    /// whose encoded length depends on a sequence number the receiver's
+    /// mirrored classification cannot know yet.
+    fn emit(
+        &mut self,
+        d: &mut Drive<'_>,
+        src: Src<'a, '_>,
+        len: usize,
+        smode: SendMode,
+        rmode: RecvMode,
+    ) -> MadResult<Option<OpState>> {
+        let (core, dst) = (d.core, self.dst);
+        let route = core.route(self.rail, len, smode, rmode);
+        let from = self.bmm.as_ref().and(self.cur_tm);
+        if self.cur_tm.map(Route::Tm) != Some(route) {
+            // Commit the open BMM so the block takes its place in the
+            // per-connection order whatever carries it (paper §4.1; the
+            // receiver mirrors this with a checkout).
+            if let Some(parked) = self.close()? {
+                let Src::Owned(data) = src else {
+                    unreachable!("only an op parks on a BMM, and it owns its blocks");
+                };
+                self.held = Some((data, smode, rmode));
+                return Ok(Some(parked));
+            }
+        }
+        if route != Route::Batch {
+            // A frame outside the batch must not overtake the packets
+            // staged there: it is an ordering barrier for the batch, the
+            // way a TM switch is for the open BMM.
+            d.batch = None;
+            core.flush_batch(dst, self.rail, FlushReason::Explicit)?;
+            self.started = true;
+        }
+        let express = rmode == RecvMode::Express;
+        let tm = match route {
+            Route::Tm(tm) => tm,
+            Route::Batch => {
+                let (item, express, internal) = match src {
+                    // The caller's borrow may end with this call, so the
+                    // bytes are captured into pooled memory now (which is
+                    // why `send_LATER` blocks never batch).
+                    Src::Borrowed(data) | Src::Safer(data) => {
+                        let buf = core.rails[self.rail].pool().checkout_from(data);
+                        time::advance(core.host.memcpy(len));
+                        core.stats.record_copy(len);
+                        (BatchItem::Pooled(buf, len), express, false)
+                    }
+                    Src::Owned(data) => (BatchItem::Owned(data), express, false),
+                    // No express flush for a header: alone it announces
+                    // nothing the peer can act on, and holding it is what
+                    // lets whole small messages coalesce.
+                    Src::Header(None) => (BatchItem::DeferredHeader, false, true),
+                    Src::Header(Some(seq)) => {
+                        let buf = core.header_buf(seq);
+                        let len = buf.len();
+                        (BatchItem::Pooled(buf, len), false, true)
+                    }
+                };
+                let ctx = core.batch_ctx(dst, self.rail);
+                let batch = d.batch.get_or_insert_with(|| ctx.conn.send_batch().lock());
+                let t = batch::append(&ctx, batch, item, express, internal)?;
+                self.tickets = Some((self.tickets.map_or(t, |(first, _)| first), t));
+                return Ok(None);
+            }
+            Route::Stripe => {
+                let data = match src {
+                    // The copy stages the simulated DMA (real BIP reads
+                    // user memory): not counted.
+                    Src::Borrowed(data) => Bytes::copy_from_slice(data),
+                    Src::Owned(data) => data,
+                    _ => unreachable!("only (CHEAPER, CHEAPER) user blocks stripe"),
+                };
+                let block = core.conn(dst).next_tx_stripe_block();
+                let stripe = StripeSend::new(&core.stripe_ctx(core.me, block), dst, data);
+                self.stripe = Some((stripe, block));
+                // This drive already ships every rail's first header.
+                return self.resume(d);
+            }
+        };
+        if self.cur_tm != Some(tm) {
+            if let Some(from) = from {
+                core.tracer
+                    .record(TraceEvent::CommitOnSwitch { from, to: tm });
+            }
+            let rail = &core.rails[self.rail];
+            let bmm = SendBmm::with_pool(
+                rail.pmm().policy(tm),
+                rail.pmm().tm(tm),
+                tm,
+                dst,
+                core.host,
+                Arc::clone(&core.stats),
+                rail.pool().clone(),
+            );
+            self.bmm = Some(if self.posted { bmm.posted() } else { bmm });
+            self.cur_tm = Some(tm);
+        }
+        let bmm = self.bmm.as_mut().expect("switched");
+        match src {
+            Src::Borrowed(data) => {
+                let packed = TraceEvent::Pack {
+                    len,
+                    smode,
+                    rmode,
+                    tm,
+                };
+                core.tracer.record(packed);
+                bmm.pack(data, smode)?
+            }
+            Src::Safer(data) => bmm.pack_safer_now(data)?,
+            Src::Owned(data) => bmm.pack_owned(data)?,
+            // An op's header claims its sequence number here: the point
+            // of no return (cancel is refused once `started`).
+            Src::Header(seq) => {
+                let seq = seq.unwrap_or_else(|| core.conn(dst).next_send_seq());
+                bmm.pack_pooled(core.header_buf(seq))?
+            }
+        }
+        // An EXPRESS block must be extractable as soon as the peer unpacks
+        // it, so it cannot linger in the aggregation queue — unless the
+        // caller forbade reading it before commit (LATER).
+        if express && smode != SendMode::Later {
+            bmm.flush()?;
+        }
+        Ok(bmm.waits_for().map(park_state))
+    }
+
+    /// Commit the open BMM and let it go.
+    fn close(&mut self) -> MadResult<Option<OpState>> {
+        let Some(bmm) = &mut self.bmm else {
+            return Ok(None);
+        };
+        if !std::mem::replace(&mut self.closing, true) {
+            bmm.flush()?;
+        }
+        if let Some(kind) = bmm.waits_for() {
+            return Ok(Some(park_state(kind)));
+        }
+        self.done_at = self.done_at.max(bmm.done_at());
+        (self.bmm, self.cur_tm, self.closing) = (None, None, false);
+        Ok(None)
+    }
+
+    /// Advance what is in flight — the striped block, the open BMM's
+    /// parked shipment and what queued behind it — then emit the block
+    /// that waited for it.
+    fn resume(&mut self, d: &mut Drive<'_>) -> MadResult<Option<OpState>> {
+        if let Some((mut stripe, block)) = self.stripe.take() {
+            match stripe.try_advance(&d.core.stripe_ctx(d.core.me, block))? {
+                Some(at) => self.done_at = self.done_at.max(at),
+                None => {
+                    self.stripe = Some((stripe, block));
+                    return Ok(Some(OpState::StripePartial));
+                }
+            }
+        }
+        if let Some(bmm) = &mut self.bmm {
+            if let Some(kind) = bmm.resume()? {
+                return Ok(Some(park_state(kind)));
+            }
+            if self.closing {
+                self.close()?;
+            }
+        }
+        match self.held.take() {
+            Some((data, smode, rmode)) => {
+                let len = data.len();
+                self.emit(d, Src::Owned(data), len, smode, rmode)
+            }
+            None => Ok(None),
+        }
+    }
+}
+
+/// A posted message ([`Channel::post_message`]): the send cursor at
+/// `'static` plus the blocks still to emit, stepped by the progress
+/// engine — parked in `CreditWait` / `RendezvousWait` / `StripePartial`
+/// whenever the cursor is, failing fast (`ChannelDown`) when its rails
+/// die under it. Allocated (boxed by the engine) only if it has to park.
+struct MessageSendOp {
+    core: Arc<ChannelCore>,
+    sw: SendSwitch<'static>,
+    /// Whether the library header went to the cursor.
+    header_sent: bool,
+    /// The caller's `Vec`, consumed in place.
+    blocks: std::vec::IntoIter<(Bytes, SendMode, RecvMode)>,
 }
 
 impl MessageSendOp {
-    fn park_state(kind: PendingKind) -> OpState {
-        match kind {
-            PendingKind::Credit => OpState::CreditWait,
-            PendingKind::Rendezvous => OpState::RendezvousWait,
+    fn step(&mut self) -> MadResult<StepOutcome> {
+        let (core, sw) = (&*self.core, &mut self.sw);
+        // A dead home rail fails the op: after the header is out the
+        // receiver expects the rest of the message on the announcing
+        // rail, so only an op nothing of which has shipped re-homes. (A
+        // striped block in flight re-stripes over the survivors by itself.)
+        if sw.stripe.is_none()
+            && !core.rails[sw.rail].is_alive()
+            && (sw.started || !sw.rehome(core))
+        {
+            return Err(MadError::ChannelDown);
         }
-    }
-
-    /// Does the block ride inside a batch frame (the stripe check runs
-    /// first, as on the blocking path and on the receiver)?
-    fn batches(core: &ChannelCore, rail: usize, (data, smode, rmode): &Block) -> bool {
-        !core
-            .sched
-            .should_stripe(data.len(), *smode, *rmode, core.rails.len())
-            && core.batchable(data.len(), *smode, rail)
-    }
-
-    /// Move the run of batchable frames at the head of what is left of
-    /// the message — its header first, if still unsent — into the
-    /// connection's send batch, zero-copy, under one hold of the batch
-    /// lock.
-    fn append_batchable(&mut self) -> MadResult<()> {
-        let (core, rail) = (&*self.core, self.rail);
-        let header = !self.header_sent && core.batchable(HEADER_LEN, SendMode::Cheaper, rail);
-        let next_batches = |blocks: &std::vec::IntoIter<Block>| match blocks.as_slice().first() {
-            Some(b) => Self::batches(core, rail, b),
-            None => false,
-        };
-        if !(header || (self.header_sent && next_batches(&self.blocks))) {
-            return Ok(());
-        }
-        let ctx = core.batch_ctx(self.dst, rail);
-        let mut batch = ctx.conn.send_batch().lock();
-        if header {
-            self.header_sent = true;
-            let t = batch::append(&ctx, &mut batch, BatchItem::DeferredHeader, false, true)?;
-            self.first_ticket.get_or_insert(t);
-            self.last_ticket = Some(t);
-        }
-        while next_batches(&self.blocks) {
-            let (data, _, rmode) = self.blocks.next().expect("peeked");
-            let express = rmode == RecvMode::Express;
-            let t = batch::append(&ctx, &mut batch, BatchItem::Owned(data), express, false)?;
-            self.first_ticket.get_or_insert(t);
-            self.last_ticket = Some(t);
-        }
-        Ok(())
-    }
-}
-
-impl OpStep for MessageSendOp {
-    fn try_advance(&mut self) -> StepOutcome {
-        // A dead home rail fails the op: before anything shipped we could
-        // re-home, but after the header is out the receiver expects the
-        // rest of the message on the announcing rail. Re-home only in the
-        // nothing-shipped case; otherwise surface the fault. (A striped
-        // block in flight re-stripes over the survivors by itself.)
-        if self.stripe.is_none() && !self.core.rails[self.rail].is_alive() {
-            if self.started {
-                if let Some(mut p) = self.pending.take() {
-                    p.cont.cancel();
-                }
-                return StepOutcome::Failed(MadError::ChannelDown);
-            }
-            let next = self.core.home_rail(self.core.conn(self.dst));
-            if !self.core.rails[next].is_alive() {
-                return StepOutcome::Failed(MadError::ChannelDown);
-            }
-            self.rail = next;
-            self.core.tracer.record(TraceEvent::RailSelect {
-                dst: self.dst,
-                rail: next,
-            });
-        }
-        // The parked continuation goes first: frames ship strictly in
-        // order.
-        if let Some(mut p) = self.pending.take() {
-            match p.cont.try_advance() {
-                Ok(TmStep::Pending) => {
-                    let state = Self::park_state(p.kind);
-                    self.pending = Some(p);
-                    return StepOutcome::Pending(state);
-                }
-                Ok(TmStep::Done(at)) => {
-                    self.core.stats.record_tm_traffic(p.tm, p.len);
-                    self.core.stats.record_buffer_sent();
-                    self.done_at = self.done_at.max(at);
-                }
-                Err(e) => return StepOutcome::Failed(e),
-            }
-        }
-        // So does the striped block in flight.
-        if let Some((mut stripe, block)) = self.stripe.take() {
-            match stripe.try_advance(&self.core.stripe_ctx(self.core.me, block)) {
-                Ok(Some(at)) => self.done_at = self.done_at.max(at),
-                Ok(None) => {
-                    self.stripe = Some((stripe, block));
-                    return StepOutcome::Pending(OpState::StripePartial);
-                }
-                Err(e) => return StepOutcome::Failed(e),
-            }
-        }
-        loop {
-            if let Err(e) = self.append_batchable() {
-                return StepOutcome::Failed(e);
-            }
-            let block = if self.header_sent {
-                match self.blocks.next() {
-                    Some(block) => Some(block),
-                    None => break,
-                }
+        let d = &mut Drive { core, batch: None };
+        let mut parked = sw.resume(d)?;
+        while parked.is_none() {
+            parked = if !std::mem::replace(&mut self.header_sent, true) {
+                let (smode, rmode) = (SendMode::Cheaper, RecvMode::Express);
+                sw.emit(d, Src::Header(None), HEADER_LEN, smode, rmode)?
+            } else if let Some((data, smode, rmode)) = self.blocks.next() {
+                let len = data.len();
+                sw.emit(d, Src::Owned(data), len, smode, rmode)?
+            } else if sw.bmm.is_some() {
+                sw.close()?
             } else {
-                None
+                break;
             };
-            // The next frame bypasses the batch layer (a big block, a
-            // striped block, a non-batchable header) and must not
-            // overtake packets already staged in the connection's batch:
-            // close its frame first.
-            let barrier = self
-                .core
-                .flush_batch(self.dst, self.rail, FlushReason::Explicit);
-            if let Err(e) = barrier {
-                return StepOutcome::Failed(e);
-            }
-            let conn = self.core.conn(self.dst);
-            let (data, smode, rmode) = match block {
-                Some(block) => block,
-                None => {
-                    // The point of no return: the sequence number is
-                    // claimed, so from here the op must run to a terminal
-                    // state (cancel is refused once `started`).
-                    self.header_sent = true;
-                    let hdr = wire::encode_msg_header(self.core.me, conn.next_send_seq());
-                    let data = Bytes::copy_from_slice(&hdr);
-                    (data, SendMode::Cheaper, RecvMode::Express)
-                }
-            };
-            self.started = true;
-            let n_rails = self.core.rails.len();
-            if self
-                .core
-                .sched
-                .should_stripe(data.len(), smode, rmode, n_rails)
-            {
-                let block = conn.next_tx_stripe_block();
-                let ctx = self.core.stripe_ctx(self.core.me, block);
-                self.stripe = Some((StripeSend::new(&ctx, self.dst, data), block));
-                // This tick already ships every rail's first header.
-                return self.try_advance();
-            }
-            let pmm = self.core.rails[self.rail].pmm();
-            let tm = pmm.select(data.len(), smode, rmode);
-            let len = data.len();
-            match pmm.tm(tm).post_send(self.dst, data) {
-                Ok(TmSend::Done(at)) => {
-                    self.core.stats.record_tm_traffic(tm, len);
-                    self.core.stats.record_buffer_sent();
-                    self.done_at = self.done_at.max(at);
-                }
-                Ok(TmSend::Pending(cont)) => {
-                    let kind = cont.kind();
-                    self.pending = Some(PendingFrame {
-                        kind,
-                        cont,
-                        tm,
-                        len,
-                    });
-                    return StepOutcome::Pending(Self::park_state(kind));
-                }
-                Err(e) => return StepOutcome::Failed(e),
-            }
+        }
+        if let Some(state) = parked {
+            return Ok(StepOutcome::Pending(state));
         }
         // Every frame is emitted, but batched packets only count as sent
         // once a flush covers them: the engine parks what is left of the
         // op behind its last ticket and the flush that covers it retires
         // it (a later op may append behind it meanwhile).
-        match (self.first_ticket, self.last_ticket) {
-            (Some(first), Some(last)) => StepOutcome::Batched {
-                first: if self.started { 0 } else { first },
+        Ok(match sw.tickets {
+            Some((first, last)) => StepOutcome::Batched {
+                first: if sw.started { 0 } else { first },
                 last,
-                done_at: self.done_at,
+                done_at: sw.done_at,
             },
-            _ => StepOutcome::Done(self.done_at.max(time::now())),
-        }
+            None => StepOutcome::Done(sw.done_at.max(time::now())),
+        })
+    }
+}
+
+impl OpStep for MessageSendOp {
+    fn try_advance(&mut self) -> StepOutcome {
+        self.step().unwrap_or_else(StepOutcome::Failed)
     }
 
     fn started(&self) -> bool {
         // An op still in the queue parks only behind a frame that shipped
         // outside the batch, after a barrier flush of whatever it staged:
         // while this is false nothing of it is anywhere.
-        debug_assert!(self.started || (self.pending.is_none() && self.first_ticket.is_none()));
-        self.started
+        debug_assert!(self.sw.started || (self.sw.bmm.is_none() && self.sw.tickets.is_none()));
+        self.sw.started
     }
 }
 
 /// An outgoing message under construction — the paper's send-side
-/// *connection* object returned by `mad_begin_packing`.
+/// *connection* object returned by `mad_begin_packing`: the send cursor
+/// and its blocking driver.
 ///
 /// Lifetime `'a` covers all packed user blocks: `send_LATER` and
 /// `send_CHEAPER` blocks are read as late as `end_packing`, so they must
 /// outlive the message.
 pub struct OutgoingMessage<'c, 'a> {
     chan: &'c Channel,
-    dst: NodeId,
-    /// Home rail of this message (0 on single-rail channels).
-    rail: usize,
-    cur_tm: Option<TmId>,
-    bmm: Option<SendBmm<'a>>,
+    sw: SendSwitch<'a>,
     done: bool,
     /// Counter snapshot at `begin_packing` when tracing is enabled, so
     /// `end_packing` can record this message's copy-accounting delta.
@@ -1128,12 +1227,12 @@ pub struct OutgoingMessage<'c, 'a> {
 impl<'c, 'a> OutgoingMessage<'c, 'a> {
     /// Destination node of this message.
     pub fn dst(&self) -> NodeId {
-        self.dst
+        self.sw.dst
     }
 
     /// The rail carrying this message's un-striped blocks.
     pub fn rail(&self) -> usize {
-        self.rail
+        self.sw.rail
     }
 
     /// Append one block to the message (paper: `mad_pack`).
@@ -1141,116 +1240,15 @@ impl<'c, 'a> OutgoingMessage<'c, 'a> {
     /// # Panics
     /// Panics on transport failure (see [`try_pack`](Self::try_pack)).
     pub fn pack(&mut self, data: &'a [u8], smode: SendMode, rmode: RecvMode) {
-        if let Err(e) = self.try_pack(data, smode, rmode) {
-            panic!("pack on channel {:?} failed: {e}", self.chan.name);
-        }
+        let r = self.try_pack(data, smode, rmode);
+        self.chan.expect("pack", r)
     }
 
     /// [`pack`](Self::pack) that surfaces transport failure as a value.
     /// On error the message is abandoned (the channel returns to the
     /// no-open-message state); further operations on it panic.
     pub fn try_pack(&mut self, data: &'a [u8], smode: SendMode, rmode: RecvMode) -> MadResult<()> {
-        let r = self.pack_inner(data, smode, rmode);
-        if r.is_err() {
-            self.abort();
-        }
-        r
-    }
-
-    fn pack_inner(&mut self, data: &'a [u8], smode: SendMode, rmode: RecvMode) -> MadResult<()> {
-        assert!(
-            !self.done,
-            "pack after end_packing (or after a failed pack)"
-        );
-        time::advance(VDuration::from_micros_f64(self.chan.core.host.pack_op_us));
-        let chan = self.chan;
-        if chan
-            .core
-            .sched
-            .should_stripe(data.len(), smode, rmode, chan.core.rails.len())
-        {
-            // Commit the home rail's BMM first so the striped block takes
-            // its place in the per-connection order (the receiver mirrors
-            // this with a checkout before reassembly).
-            if let Some(mut old) = self.bmm.take() {
-                old.flush()?;
-            }
-            self.cur_tm = None;
-            let conn = chan.core.conn(self.dst);
-            // The striped block must not overtake small packets staged in
-            // the connection's batch either.
-            chan.core
-                .flush_batch(self.dst, self.rail, FlushReason::Explicit)?;
-            let ctx = chan
-                .core
-                .stripe_ctx(chan.core.me, conn.next_tx_stripe_block());
-            // The engine op a posted message parks, spun to completion (a
-            // blocking send waits on its peer at no modelled cost). The copy
-            // stages the simulated DMA (real BIP reads user memory): not counted.
-            let mut stripe = StripeSend::new(&ctx, self.dst, Bytes::copy_from_slice(data));
-            loop {
-                if let Some(done) = stripe.try_advance(&ctx)? {
-                    time::advance_to(done);
-                    return Ok(());
-                }
-                time::check_abort();
-                std::thread::yield_now();
-            }
-        }
-        if chan.core.batchable(data.len(), smode, self.rail) {
-            return self.pack_batched(data, smode, rmode == RecvMode::Express);
-        }
-        // A non-batchable block is an ordering barrier for the batch, the
-        // same way a TM switch is for the open BMM.
-        chan.core
-            .flush_batch(self.dst, self.rail, FlushReason::Explicit)?;
-        let pmm = chan.core.rails[self.rail].pmm();
-        let tm = pmm.select(data.len(), smode, rmode);
-        self.switch_to(tm)?;
-        chan.core.tracer.record(TraceEvent::Pack {
-            len: data.len(),
-            smode,
-            rmode,
-            tm,
-        });
-        let bmm = self.bmm.as_mut().expect("switched");
-        bmm.pack(data, smode)?;
-        // An EXPRESS block must be extractable as soon as the peer unpacks
-        // it, so it cannot linger in the aggregation queue — unless the
-        // caller forbade reading it before commit (LATER).
-        if rmode == RecvMode::Express && smode != SendMode::Later {
-            bmm.flush()?;
-        }
-        Ok(())
-    }
-
-    /// Stage one small block in the connection's send batch (blocking
-    /// path). The caller's borrow ends with this call, so the bytes are
-    /// captured into pooled memory now — `send_LATER` blocks therefore
-    /// never come here ([`batchable`](Channel::batchable) excludes them).
-    fn pack_batched(&mut self, data: &[u8], smode: SendMode, express: bool) -> MadResult<()> {
-        let chan = self.chan;
-        // Commit the open BMM first so the batched packet takes its place
-        // in the per-connection order (the receiver mirrors this with a
-        // checkout before reading from under its frame cursor).
-        if let Some(mut old) = self.bmm.take() {
-            old.flush()?;
-        }
-        self.cur_tm = None;
-        debug_assert!(smode != SendMode::Later, "LATER blocks never batch");
-        let buf = chan.core.rails[self.rail].pool().checkout_from(data);
-        time::advance(chan.core.host.memcpy(data.len()));
-        chan.core.stats.record_copy(data.len());
-        let ctx = chan.core.batch_ctx(self.dst, self.rail);
-        let item = BatchItem::Pooled(buf, data.len());
-        batch::append(
-            &ctx,
-            &mut ctx.conn.send_batch().lock(),
-            item,
-            express,
-            false,
-        )?;
-        Ok(())
+        self.put(Src::Borrowed(data), data.len(), smode, rmode)
     }
 
     /// Pack a block with `send_SAFER` semantics through a short-lived
@@ -1258,103 +1256,52 @@ impl<'c, 'a> OutgoingMessage<'c, 'a> {
     /// synchronous transmission), so the caller may modify or free it as
     /// soon as this returns — the ergonomic point of `send_SAFER`.
     pub fn pack_safer(&mut self, data: &[u8], rmode: RecvMode) {
-        if let Err(e) = self.try_pack_safer(data, rmode) {
-            panic!("pack_safer on channel {:?} failed: {e}", self.chan.name);
-        }
+        let r = self.try_pack_safer(data, rmode);
+        self.chan.expect("pack_safer", r)
     }
 
     /// [`pack_safer`](Self::pack_safer) that surfaces transport failure
     /// as a value (same abandonment semantics as [`try_pack`](Self::try_pack)).
     pub fn try_pack_safer(&mut self, data: &[u8], rmode: RecvMode) -> MadResult<()> {
-        let r = self.pack_safer_inner(data, rmode);
+        self.put(Src::Safer(data), data.len(), SendMode::Safer, rmode)
+    }
+
+    fn put(
+        &mut self,
+        src: Src<'a, '_>,
+        len: usize,
+        smode: SendMode,
+        rmode: RecvMode,
+    ) -> MadResult<()> {
+        assert!(
+            !self.done,
+            "pack after end_packing (or after a failed pack)"
+        );
+        time::advance(VDuration::from_micros_f64(self.chan.core.host.pack_op_us));
+        let r = self.drive(|sw, d| sw.emit(d, src, len, smode, rmode));
         if r.is_err() {
             self.abort();
         }
         r
     }
 
-    fn pack_safer_inner(&mut self, data: &[u8], rmode: RecvMode) -> MadResult<()> {
-        assert!(
-            !self.done,
-            "pack after end_packing (or after a failed pack)"
-        );
-        time::advance(VDuration::from_micros_f64(self.chan.core.host.pack_op_us));
-        if self
-            .chan
-            .core
-            .batchable(data.len(), SendMode::Safer, self.rail)
-        {
-            // SAFER wants the data captured during the call — exactly what
-            // the batch append does.
-            return self.pack_batched(data, SendMode::Safer, rmode == RecvMode::Express);
+    /// The blocking driver: run one cursor call, then spin the cursor
+    /// where an op would park it between ticks (a blocking send waits on
+    /// its peer at no modelled cost), and take the thread's clock to the
+    /// instant the cursor reached.
+    fn drive(
+        &mut self,
+        call: impl FnOnce(&mut SendSwitch<'a>, &mut Drive<'c>) -> MadResult<Option<OpState>>,
+    ) -> MadResult<()> {
+        let core = &self.chan.core;
+        let d = &mut Drive { core, batch: None };
+        let mut parked = call(&mut self.sw, d)?;
+        while parked.is_some() {
+            time::check_abort();
+            std::thread::yield_now();
+            parked = self.sw.resume(d)?;
         }
-        self.chan
-            .core
-            .flush_batch(self.dst, self.rail, FlushReason::Explicit)?;
-        let pmm = self.chan.core.rails[self.rail].pmm();
-        self.switch_to(pmm.select(data.len(), SendMode::Safer, rmode))?;
-        let bmm = self.bmm.as_mut().expect("switched");
-        bmm.pack_safer_now(data)?;
-        if rmode == RecvMode::Express {
-            bmm.flush()?;
-        }
-        Ok(())
-    }
-
-    /// Pack a library-internal block (always `(CHEAPER, EXPRESS)`).
-    ///
-    /// Classification (batch eligibility, TM selection) runs on the
-    /// canonical `HEADER_LEN`, not the encoded length: the encoded
-    /// header's length depends on the sequence number, which the
-    /// receiver's mirrored classification cannot know yet.
-    fn pack_internal(&mut self, data: PooledBuf) -> MadResult<()> {
-        let chan = self.chan;
-        if chan
-            .core
-            .batchable(HEADER_LEN, SendMode::Cheaper, self.rail)
-        {
-            // The message header opens the message, so no BMM can be open
-            // yet; it joins the batch *without* an express flush — the
-            // header alone announces nothing the peer can act on, and
-            // holding it is what lets whole small messages coalesce.
-            debug_assert!(self.bmm.is_none(), "header packed mid-message");
-            let len = data.len();
-            let ctx = chan.core.batch_ctx(self.dst, self.rail);
-            let item = BatchItem::Pooled(data, len);
-            batch::append(&ctx, &mut ctx.conn.send_batch().lock(), item, false, true)?;
-            return Ok(());
-        }
-        let pmm = chan.core.rails[self.rail].pmm();
-        self.switch_to(pmm.select(HEADER_LEN, SendMode::Cheaper, RecvMode::Express))?;
-        let bmm = self.bmm.as_mut().expect("switched");
-        bmm.pack_pooled(data)?;
-        bmm.flush()
-    }
-
-    fn switch_to(&mut self, tm: TmId) -> MadResult<()> {
-        if self.cur_tm == Some(tm) {
-            return Ok(());
-        }
-        // Commit the previous BMM so delivery order is preserved across
-        // transfer methods (paper §4.1).
-        if let Some(mut old) = self.bmm.take() {
-            old.flush()?;
-            self.chan.core.tracer.record(TraceEvent::CommitOnSwitch {
-                from: self.cur_tm.expect("old BMM implies a current TM"),
-                to: tm,
-            });
-        }
-        let rail = &self.chan.core.rails[self.rail];
-        self.cur_tm = Some(tm);
-        self.bmm = Some(SendBmm::with_pool(
-            rail.pmm().policy(tm),
-            rail.pmm().tm(tm),
-            tm,
-            self.dst,
-            self.chan.core.host,
-            Arc::clone(&self.chan.core.stats),
-            rail.pool().clone(),
-        ));
+        time::advance_to(self.sw.done_at);
         Ok(())
     }
 
@@ -1364,13 +1311,12 @@ impl<'c, 'a> OutgoingMessage<'c, 'a> {
     fn abort(&mut self) {
         if !self.done {
             self.done = true;
-            self.bmm = None;
-            self.cur_tm = None;
+            (self.sw.bmm, self.sw.cur_tm) = (None, None);
             // Drop this message's never-flushed batched packets too: no
             // envelope sequence number was assigned yet, so the peer's
             // continuity check is unaffected. (Posted ops cannot have
             // packets pending here — `begin_packing` drained them.)
-            if let Some(conn) = self.chan.core.conns.get(self.dst) {
+            if let Some(conn) = self.chan.core.conns.get(self.sw.dst) {
                 batch::cancel_tickets(conn, conn.batch_flushed() + 1, u64::MAX);
             }
             self.chan.open_tx.fetch_sub(1, Ordering::AcqRel);
@@ -1387,41 +1333,34 @@ impl<'c, 'a> OutgoingMessage<'c, 'a> {
     /// [`try_end_packing`](Self::try_end_packing)).
     pub fn end_packing(self) {
         let chan = self.chan;
-        if let Err(e) = self.try_end_packing() {
-            panic!("end_packing on channel {:?} failed: {e}", chan.name);
-        }
+        chan.expect("end_packing", self.try_end_packing())
     }
 
     /// [`end_packing`](Self::end_packing) that surfaces transport failure
     /// as a value. Win or lose, the message is finalized: the channel
     /// accepts a new `begin_packing` afterwards.
     pub fn try_end_packing(mut self) -> MadResult<()> {
-        let mut result = Ok(());
-        if let Some(mut bmm) = self.bmm.take() {
-            result = bmm.flush();
-        }
+        let core = &self.chan.core;
+        let mut result = self.drive(|sw, _| sw.close());
         // Terminal batch flush: `end_packing` promises the message is on
         // the wire when it returns (only posted ops coalesce *across*
         // messages).
         if result.is_ok() {
-            result = self
-                .chan
-                .core
-                .flush_batch(self.dst, self.rail, FlushReason::Explicit);
+            result = core.flush_batch(self.sw.dst, self.sw.rail, FlushReason::Explicit);
         }
-        time::advance(VDuration::from_micros_f64(self.chan.core.host.end_op_us));
-        self.chan.core.tracer.record(TraceEvent::EndPacking);
+        time::advance(VDuration::from_micros_f64(core.host.end_op_us));
+        core.tracer.record(TraceEvent::EndPacking);
         if result.is_ok() {
             if let Some(at_begin) = self.stats_at_begin.take() {
-                let d = self.chan.core.stats.snapshot().since(&at_begin);
-                self.chan.core.tracer.record(TraceEvent::MessageStats {
+                let d = core.stats.snapshot().since(&at_begin);
+                core.tracer.record(TraceEvent::MessageStats {
                     copied_bytes: d.copied_bytes,
                     borrowed_bytes: d.borrowed_bytes,
                     pool_hits: d.pool_hits,
                     pool_misses: d.pool_misses,
                 });
             }
-            self.chan.core.stats.record_message();
+            core.stats.record_message();
         }
         self.chan.open_tx.fetch_sub(1, Ordering::AcqRel);
         self.done = true;
@@ -1429,8 +1368,14 @@ impl<'c, 'a> OutgoingMessage<'c, 'a> {
     }
 }
 
+/// How a receive BMM takes a block routed to it: [`RecvBmm::unpack`]
+/// (which may fill it as late as the checkout) or
+/// [`RecvBmm::unpack_express_now`].
+type Hand<'a, 'd> = fn(&mut RecvBmm<'a>, &'d mut [u8], RecvMode) -> MadResult<()>;
+
 /// An incoming message being consumed — the paper's receive-side
-/// *connection* object returned by `mad_begin_unpacking`.
+/// *connection* object returned by `mad_begin_unpacking`: the receive side
+/// of the Switch, mirroring [`SendSwitch`] route for route.
 pub struct IncomingMessage<'c, 'a> {
     chan: &'c Channel,
     src: NodeId,
@@ -1465,9 +1410,8 @@ impl<'c, 'a> IncomingMessage<'c, 'a> {
     /// # Panics
     /// Panics on transport failure (see [`try_unpack`](Self::try_unpack)).
     pub fn unpack(&mut self, dst: &'a mut [u8], smode: SendMode, rmode: RecvMode) {
-        if let Err(e) = self.try_unpack(dst, smode, rmode) {
-            panic!("unpack on channel {:?} failed: {e}", self.chan.name);
-        }
+        let r = self.try_unpack(dst, smode, rmode);
+        self.chan.expect("unpack", r)
     }
 
     /// [`unpack`](Self::unpack) that surfaces transport failure as a
@@ -1480,78 +1424,7 @@ impl<'c, 'a> IncomingMessage<'c, 'a> {
         smode: SendMode,
         rmode: RecvMode,
     ) -> MadResult<()> {
-        let r = self.unpack_inner(dst, smode, rmode);
-        if r.is_err() {
-            self.abort();
-        }
-        r
-    }
-
-    fn unpack_inner(
-        &mut self,
-        dst: &'a mut [u8],
-        smode: SendMode,
-        rmode: RecvMode,
-    ) -> MadResult<()> {
-        assert!(
-            !self.done,
-            "unpack after end_unpacking (or after a failed unpack)"
-        );
-        time::advance(VDuration::from_micros_f64(self.chan.core.host.pack_op_us));
-        let chan = self.chan;
-        if chan
-            .core
-            .sched
-            .should_stripe(dst.len(), smode, rmode, chan.core.rails.len())
-        {
-            // Mirror of the sender's pre-stripe commit: check out the
-            // home rail's BMM, then reassemble the striped block.
-            if let Some(mut old) = self.bmm.take() {
-                old.checkout()?;
-            }
-            self.cur_tm = None;
-            let conn = chan.core.conn(self.src);
-            let ctx = chan.core.stripe_ctx(self.src, conn.next_rx_stripe_block());
-            return rail::stripe_recv(&ctx, self.src, dst);
-        }
-        if chan.core.batchable(dst.len(), smode, self.rail) {
-            return self.unpack_batched(dst);
-        }
-        // Mirror of the sender's pre-barrier flush: by the time a
-        // non-batchable block is unpacked, every batched packet before it
-        // was already popped by the mirrored unpacks.
-        debug_assert!(
-            chan.core.conn(self.src).recv_queued().is_none(),
-            "batched packets left queued at a non-batchable unpack \
-             (asymmetric pack/unpack?)"
-        );
-        let pmm = chan.core.rails[self.rail].pmm();
-        let tm = pmm.select(dst.len(), smode, rmode);
-        self.switch_to(tm)?;
-        chan.core.tracer.record(TraceEvent::Unpack {
-            len: dst.len(),
-            smode,
-            rmode,
-            tm,
-        });
-        self.bmm.as_mut().expect("switched").unpack(dst, rmode)
-    }
-
-    /// Deliver one batched packet (mirror of the sender's batch append):
-    /// check out the open BMM first — the commit/checkout discipline
-    /// spans the batch layer too — then copy the packet out from under
-    /// the connection's frame cursor, which pulls the next frame off the
-    /// wire when it is spent.
-    fn unpack_batched(&mut self, dst: &mut [u8]) -> MadResult<()> {
-        if let Some(mut old) = self.bmm.take() {
-            old.checkout()?;
-        }
-        self.cur_tm = None;
-        let ctx = self.chan.core.batch_ctx(self.src, self.rail);
-        let cursor = self
-            .batch
-            .get_or_insert_with(|| ctx.conn.recv_batch().lock());
-        batch::recv_into(&ctx, cursor, self.src, dst)
+        self.take(dst, smode, rmode, RecvBmm::unpack)
     }
 
     /// Extract one `receive_EXPRESS` block through a short-lived borrow:
@@ -1559,82 +1432,111 @@ impl<'c, 'a> IncomingMessage<'c, 'a> {
     /// call, so the value can steer the following unpacks (the paper's
     /// Fig. 1 pattern: read a length header, allocate, unpack the array).
     pub fn unpack_express(&mut self, dst: &mut [u8], smode: SendMode) {
-        if let Err(e) = self.try_unpack_express(dst, smode) {
-            panic!("unpack_express on channel {:?} failed: {e}", self.chan.name);
-        }
+        let r = self.try_unpack_express(dst, smode);
+        self.chan.expect("unpack_express", r)
     }
 
     /// [`unpack_express`](Self::unpack_express) that surfaces transport
     /// failure as a value (same abandonment semantics as
     /// [`try_unpack`](Self::try_unpack)).
     pub fn try_unpack_express(&mut self, dst: &mut [u8], smode: SendMode) -> MadResult<()> {
-        let r = self.unpack_express_inner(dst, smode);
+        self.take(dst, smode, RecvMode::Express, |bmm, dst, _| {
+            bmm.unpack_express_now(dst)
+        })
+    }
+
+    fn take<'d>(
+        &mut self,
+        dst: &'d mut [u8],
+        smode: SendMode,
+        rmode: RecvMode,
+        hand: Hand<'a, 'd>,
+    ) -> MadResult<()> {
+        assert!(
+            !self.done,
+            "unpack after end_unpacking (or after a failed unpack)"
+        );
+        time::advance(VDuration::from_micros_f64(self.chan.core.host.pack_op_us));
+        let len = dst.len();
+        let r = self.absorb(dst, len, smode, rmode, Some(hand));
         if r.is_err() {
             self.abort();
         }
         r
     }
 
-    fn unpack_express_inner(&mut self, dst: &mut [u8], smode: SendMode) -> MadResult<()> {
-        assert!(
-            !self.done,
-            "unpack after end_unpacking (or after a failed unpack)"
-        );
-        time::advance(VDuration::from_micros_f64(self.chan.core.host.pack_op_us));
-        if self.chan.core.batchable(dst.len(), smode, self.rail) {
-            return self.unpack_batched(dst);
+    /// Route one block the way the sender's [`SendSwitch::emit`] did —
+    /// same arguments, same `route` — and receive it: checkout where the
+    /// sender committed, reassembly where it striped, the connection's
+    /// frame cursor where it batched. `len` is the sender's, which for the
+    /// internal header (`hand` is `None`) is [`HEADER_LEN`], not the
+    /// predicted encoded length `dst` has.
+    fn absorb<'d>(
+        &mut self,
+        dst: &'d mut [u8],
+        len: usize,
+        smode: SendMode,
+        rmode: RecvMode,
+        hand: Option<Hand<'a, 'd>>,
+    ) -> MadResult<()> {
+        let (core, src) = (&self.chan.core, self.src);
+        let route = core.route(self.rail, len, smode, rmode);
+        if self.cur_tm.map(Route::Tm) != Some(route) {
+            if let Some(mut old) = self.bmm.take() {
+                old.checkout()?;
+                if let Route::Tm(to) = route {
+                    let from = self.cur_tm.expect("old BMM implies a current TM");
+                    core.tracer
+                        .record(TraceEvent::CheckoutOnSwitch { from, to });
+                }
+            }
+            self.cur_tm = None;
         }
-        let pmm = self.chan.core.rails[self.rail].pmm();
-        let tm = pmm.select(dst.len(), smode, RecvMode::Express);
-        self.switch_to(tm)?;
-        self.chan.core.tracer.record(TraceEvent::Unpack {
-            len: dst.len(),
+        let tm = match route {
+            Route::Tm(tm) => tm,
+            Route::Stripe => {
+                let block = core.conn(src).next_rx_stripe_block();
+                return rail::stripe_recv(&core.stripe_ctx(src, block), src, dst);
+            }
+            // The packet lies under the connection's frame cursor, which
+            // pulls the next frame off the wire when it is spent.
+            Route::Batch => {
+                let ctx = core.batch_ctx(src, self.rail);
+                let cursor = self
+                    .batch
+                    .get_or_insert_with(|| ctx.conn.recv_batch().lock());
+                return batch::recv_into(&ctx, cursor, src, dst);
+            }
+        };
+        // Mirror of the sender's barrier flush: every batched packet ahead
+        // of this block was popped by its own unpack.
+        debug_assert!(
+            core.conn(src).recv_queued().is_none(),
+            "batched packets left queued at a non-batchable unpack \
+             (asymmetric pack/unpack?)"
+        );
+        if self.cur_tm != Some(tm) {
+            let rail = &core.rails[self.rail];
+            self.cur_tm = Some(tm);
+            self.bmm = Some(RecvBmm::new(
+                rail.pmm().policy(tm),
+                rail.pmm().tm(tm),
+                src,
+                core.host,
+                Arc::clone(&core.stats),
+            ));
+        }
+        let bmm = self.bmm.as_mut().expect("switched");
+        let Some(hand) = hand else {
+            return bmm.unpack_express_now(dst);
+        };
+        core.tracer.record(TraceEvent::Unpack {
+            len,
             smode,
-            rmode: RecvMode::Express,
+            rmode,
             tm,
         });
-        self.bmm.as_mut().expect("switched").unpack_express_now(dst)
-    }
-
-    /// Unpack a library-internal block (mirror of `pack_internal`,
-    /// including its canonical-`HEADER_LEN` classification; `dst` is the
-    /// predicted encoded length, which may be shorter).
-    fn unpack_internal(&mut self, dst: &mut [u8]) -> MadResult<()> {
-        let chan = self.chan;
-        if chan
-            .core
-            .batchable(HEADER_LEN, SendMode::Cheaper, self.rail)
-        {
-            debug_assert!(self.bmm.is_none(), "header unpacked mid-message");
-            return self.unpack_batched(dst);
-        }
-        let pmm = chan.core.rails[self.rail].pmm();
-        self.switch_to(pmm.select(HEADER_LEN, SendMode::Cheaper, RecvMode::Express))?;
-        self.bmm.as_mut().expect("switched").unpack_express_now(dst)
-    }
-
-    fn switch_to(&mut self, tm: TmId) -> MadResult<()> {
-        if self.cur_tm == Some(tm) {
-            return Ok(());
-        }
-        // Checkout the previous BMM (mirror of the sender's commit).
-        if let Some(mut old) = self.bmm.take() {
-            old.checkout()?;
-            self.chan.core.tracer.record(TraceEvent::CheckoutOnSwitch {
-                from: self.cur_tm.expect("old BMM implies a current TM"),
-                to: tm,
-            });
-        }
-        let rail = &self.chan.core.rails[self.rail];
-        self.cur_tm = Some(tm);
-        self.bmm = Some(RecvBmm::new(
-            rail.pmm().policy(tm),
-            rail.pmm().tm(tm),
-            self.src,
-            self.chan.core.host,
-            Arc::clone(&self.chan.core.stats),
-        ));
-        Ok(())
+        hand(bmm, dst, rmode)
     }
 
     /// Abandon the message after a transport error: return the channel to
@@ -1658,9 +1560,7 @@ impl<'c, 'a> IncomingMessage<'c, 'a> {
     /// [`try_end_unpacking`](Self::try_end_unpacking)).
     pub fn end_unpacking(self) {
         let chan = self.chan;
-        if let Err(e) = self.try_end_unpacking() {
-            panic!("end_unpacking on channel {:?} failed: {e}", chan.name);
-        }
+        chan.expect("end_unpacking", self.try_end_unpacking())
     }
 
     /// [`end_unpacking`](Self::end_unpacking) that surfaces transport
@@ -1677,5 +1577,44 @@ impl<'c, 'a> IncomingMessage<'c, 'a> {
         self.chan.open_rx.fetch_sub(1, Ordering::AcqRel);
         self.done = true;
         result
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ChannelSpec, Config, Madeleine, Protocol};
+    use madsim_net::{NetKind, WorldBuilder};
+
+    /// Both directions call `route`, so the ends cannot disagree; what is
+    /// left to pin is where each argument shape its callers produce
+    /// (`pack`, `pack_safer`, the header, a posted block; `unpack`,
+    /// `unpack_express`, the header) lands.
+    #[test]
+    fn every_call_shape_has_its_route() {
+        use {RecvMode::*, Route::*, SendMode as S};
+        let mut b = WorldBuilder::new(2);
+        b.network_with_rails("eth0", NetKind::Ethernet, &[0, 1], 2);
+        let spec = ChannelSpec::new("ch", "eth0", Protocol::Tcp).with_rails(2);
+        let spec = spec.with_striping(8192, 4096).with_batching(16, 4096, 20.0);
+        let config = Config::default().with_channel_spec(spec);
+        b.build().run(move |env| {
+            let mad = Madeleine::init(&env, &config);
+            let core = &mad.channel("ch").core;
+            let shapes = [
+                (64, S::Cheaper, Cheaper, Batch), // pack, unpack, a posted block
+                (64, S::Cheaper, Express, Batch), // unpack_express of a batched block
+                (64, S::Safer, Cheaper, Batch),   // pack_safer
+                (64, S::Later, Cheaper, Tm(0)),   // send_LATER never batches
+                (HEADER_LEN, S::Cheaper, Express, Batch), // the header, both ends
+                (8192, S::Cheaper, Cheaper, Stripe), // pack, unpack, a posted block
+                (8192, S::Cheaper, Express, Tm(0)), // unpack_express never stripes
+                (8192, S::Safer, Cheaper, Tm(0)), // pack_safer never stripes
+                (5000, S::Cheaper, Cheaper, Tm(0)), // past a batch, short of a stripe
+            ];
+            for (len, s, r, want) in shapes {
+                assert_eq!(core.route(0, len, s, r), want, "{len} B ({s:?}, {r:?})");
+            }
+        });
     }
 }

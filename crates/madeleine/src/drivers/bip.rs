@@ -230,6 +230,18 @@ impl BipShortTm {
         }
     }
 
+    /// Copy a dynamic buffer into a static one (the TM-level copy of the
+    /// dynamic entry points).
+    fn stage_dynamic(&self, data: &[u8]) -> StaticBuf {
+        let mut buf = self.obtain_static_buffer();
+        assert!(data.len() <= buf.spare(), "short TM buffer overflow");
+        buf.spare_mut()[..data.len()].copy_from_slice(data);
+        buf.advance(data.len());
+        madsim_net::time::advance(self.host.memcpy(data.len()));
+        self.stats.record_tm_copy(data.len());
+        buf
+    }
+
     /// Account one consumed receive buffer; return batched credits.
     fn account_consumed(&self, peer: NodeId) {
         let send_back = {
@@ -266,14 +278,7 @@ impl TransmissionModule for BipShortTm {
     fn send_buffer(&self, dst: NodeId, data: &[u8]) -> MadResult<()> {
         // Dynamic entry point: copy through a static buffer (kept for
         // completeness; the StaticCopy BMM normally uses the static path).
-        let mut buf = self.obtain_static_buffer();
-        let n = data.len().min(buf.spare());
-        assert_eq!(n, data.len(), "short TM buffer overflow");
-        buf.spare_mut()[..n].copy_from_slice(data);
-        buf.advance(n);
-        madsim_net::time::advance(self.host.memcpy(n));
-        self.stats.record_tm_copy(n);
-        self.send_static_buffer(dst, buf)
+        self.send_static_buffer(dst, self.stage_dynamic(data))
     }
 
     fn send_static_buffer(&self, dst: NodeId, buf: StaticBuf) -> MadResult<()> {
@@ -315,21 +320,13 @@ impl TransmissionModule for BipShortTm {
     }
 
     fn post_send(&self, dst: NodeId, data: Bytes) -> MadResult<TmSend> {
-        // Stage exactly like the blocking dynamic entry point…
-        let mut buf = self.obtain_static_buffer();
-        assert!(data.len() <= buf.spare(), "short TM buffer overflow");
-        buf.spare_mut()[..data.len()].copy_from_slice(&data);
-        buf.advance(data.len());
-        madsim_net::time::advance(self.host.memcpy(data.len()));
-        self.stats.record_tm_copy(data.len());
-        // …but take the credit nonblockingly: out of credits becomes a
-        // CreditWait continuation instead of a spin.
-        self.drain_credits(dst)?;
-        if try_take_credit(&self.flow, dst) {
-            self.bip.send_short(dst, self.data_tag, buf.filled());
-            return Ok(TmSend::Done(madsim_net::time::now()));
-        }
-        Ok(TmSend::Pending(Box::new(CreditWaitSend {
+        self.post_static_buffer(dst, self.stage_dynamic(&data))
+    }
+
+    fn post_static_buffer(&self, dst: NodeId, buf: StaticBuf) -> MadResult<TmSend> {
+        // The blocking send with the credit taken nonblockingly: out of
+        // credits becomes a CreditWait continuation instead of a spin.
+        first_poll(CreditWaitSend {
             bip: self.bip.clone(),
             flow: Arc::clone(&self.flow),
             data_tag: self.data_tag,
@@ -339,8 +336,17 @@ impl TransmissionModule for BipShortTm {
             deadline: None,
             stats: Arc::clone(&self.stats),
             tracer: Arc::clone(&self.tracer),
-        })))
+        })
     }
+}
+
+/// Post a send as its continuation's first poll: done if the peer event
+/// it needs is already there, handed back to be polled again if not.
+fn first_poll(mut cont: impl TmPending + 'static) -> MadResult<TmSend> {
+    Ok(match cont.try_advance()? {
+        TmStep::Done(at) => TmSend::Done(at),
+        TmStep::Pending => TmSend::Pending(Box::new(cont)),
+    })
 }
 
 /// A short block staged in a static buffer, waiting for a flow-control
@@ -389,12 +395,6 @@ impl TmPending for CreditWaitSend {
             }
         }
         Ok(TmStep::Pending)
-    }
-
-    fn cancel(&mut self) {
-        // Nothing reached the wire; the staged buffer drops back to the
-        // pool.
-        self.buf = None;
     }
 }
 
@@ -495,18 +495,7 @@ impl TransmissionModule for BipLongTm {
     }
 
     fn post_send(&self, dst: NodeId, data: Bytes) -> MadResult<TmSend> {
-        // Link check first: a CTS that made it across before the link was
-        // cut must not release a payload into the dead link.
-        if self.bip.adapter().faulty() && !self.bip.adapter().reachable_to(dst) {
-            return Err(MadError::PeerUnreachable { peer: dst });
-        }
-        if let Some(cts) = self.bip.try_take_cts(dst, self.long_tag) {
-            let start = madsim_net::time::now().max(cts);
-            let local_done = self.bip.send_long_from(dst, self.long_tag, data, start);
-            let host_post = VDuration::from_micros_f64(self.bip.timing().host_post_us);
-            return Ok(TmSend::Done(local_done + host_post));
-        }
-        Ok(TmSend::Pending(Box::new(RendezvousSend {
+        first_poll(RendezvousSend {
             bip: self.bip.clone(),
             long_tag: self.long_tag,
             dst,
@@ -515,7 +504,7 @@ impl TransmissionModule for BipLongTm {
             deadline: None,
             stats: Arc::clone(&self.stats),
             tracer: Arc::clone(&self.tracer),
-        })))
+        })
     }
 }
 
@@ -542,7 +531,8 @@ impl TmPending for RendezvousSend {
 
     fn try_advance(&mut self) -> MadResult<TmStep> {
         let faulty = self.bip.adapter().faulty();
-        // Link check first, as in `post_send`.
+        // Link check first: a CTS that made it across before the link was
+        // cut must not release a payload into the dead link.
         if faulty && !self.bip.adapter().reachable_to(self.dst) {
             return Err(MadError::PeerUnreachable { peer: self.dst });
         }
@@ -569,9 +559,5 @@ impl TmPending for RendezvousSend {
             }
         }
         Ok(TmStep::Pending)
-    }
-
-    fn cancel(&mut self) {
-        self.data = None;
     }
 }

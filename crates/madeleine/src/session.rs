@@ -93,7 +93,6 @@ impl Madeleine {
                 })
                 .collect();
             let peers = adapters[0].peers().to_vec();
-            let pool = rails[0].pool().clone();
             // Wire-level batching is opt-in per spec, and only on stacks
             // whose drivers speak the multi-envelope frame format.
             assert!(
@@ -118,7 +117,6 @@ impl Madeleine {
                 peers,
                 config.host.0,
                 stats,
-                pool,
                 tracer,
                 idx as u64,
                 config.poll.0,

@@ -48,19 +48,16 @@ pub enum TmStep {
     Done(VTime),
 }
 
-/// The resumable continuation of a [`TransmissionModule::post_send`] that
-/// could not complete inside the call. The progress engine polls it; it
-/// must never block.
+/// The resumable continuation of a [`TransmissionModule::post_send`] (or
+/// [`post_static_buffer`](TransmissionModule::post_static_buffer)) that
+/// could not complete inside the call. Whoever posted polls it; it must
+/// never block. Dropping it unshipped releases what it holds.
 pub trait TmPending: Send {
     fn kind(&self) -> PendingKind;
 
     /// Check for the peer event and, if it arrived, ship the block. Errors
     /// are terminal (dead peer, expired bounded wait on a faulty fabric).
     fn try_advance(&mut self) -> MadResult<TmStep>;
-
-    /// Release resources without shipping (the op was cancelled before
-    /// anything reached the wire).
-    fn cancel(&mut self) {}
 }
 
 /// Outcome of [`TransmissionModule::post_send`].
@@ -320,6 +317,15 @@ pub trait TransmissionModule: Send + Sync {
     /// scheme and long-message rendezvous) override it.
     fn post_send(&self, dst: NodeId, data: Bytes) -> MadResult<TmSend> {
         self.send_buffer(dst, &data)?;
+        Ok(TmSend::Done(time::now()))
+    }
+
+    /// [`post_send`](Self::post_send) for a filled static buffer obtained
+    /// from this TM. Default: the blocking
+    /// [`send_static_buffer`](Self::send_static_buffer); a TM whose static
+    /// path waits on the peer (BIP's credits) overrides it.
+    fn post_static_buffer(&self, dst: NodeId, buf: StaticBuf) -> MadResult<TmSend> {
+        self.send_static_buffer(dst, buf)?;
         Ok(TmSend::Done(time::now()))
     }
 }

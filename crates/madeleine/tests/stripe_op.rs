@@ -1,12 +1,17 @@
-//! The striped send as one multi-rail engine op (`rail::StripeSend`):
-//! delivery through both send paths, the op's observable states, and its
-//! virtual-time contract (the transfer hides behind the caller's compute;
-//! a single booking thread makes the sender's timeline repeatable).
+//! One send cursor, two drivers: a message leaves the same way whether it is
+//! packed (blocking) or posted (an engine op) — the same BMMs, buffers and
+//! instants on every protocol — and the striped block as one multi-rail
+//! engine op (`rail::StripeSend`): delivery through both paths, the op's
+//! observable states, and its virtual-time contract (the transfer hides
+//! behind the caller's compute; a single booking thread makes the sender's
+//! timeline repeatable).
 
 use bytes::Bytes;
-use madeleine::config::{DEFAULT_STRIPE_CHUNK, DEFAULT_STRIPE_THRESHOLD};
-use madeleine::{ChannelSpec, Config, Madeleine, OpState, Protocol, RecvMode, SendMode};
-use madsim_net::time::{self, VDuration};
+use madeleine::config::{HostModelOpt, DEFAULT_STRIPE_CHUNK, DEFAULT_STRIPE_THRESHOLD};
+use madeleine::{
+    ChannelSpec, Config, HostModel, Madeleine, OpState, Protocol, RecvMode, SendMode, StatsSnapshot,
+};
+use madsim_net::time::{self, VDuration, VTime};
 use madsim_net::{NetKind, World, WorldBuilder};
 
 const MIB: usize = 1 << 20;
@@ -16,7 +21,8 @@ fn world(protocol: Protocol, rails: usize) -> (World, Config) {
     let kind = match protocol {
         Protocol::Bip => NetKind::Myrinet,
         Protocol::Sisci => NetKind::Sci,
-        _ => NetKind::Ethernet,
+        Protocol::Via => NetKind::ViaSan,
+        Protocol::Tcp | Protocol::Sbp => NetKind::Ethernet,
     };
     let mut b = WorldBuilder::new(2);
     b.network_with_rails("net0", kind, &[0, 1], rails);
@@ -33,43 +39,192 @@ fn pattern(len: usize) -> Vec<u8> {
     (0..len).map(|i| (i * 31 + len) as u8).collect()
 }
 
-/// How node 0 sends the block.
+/// How node 0 sends the message.
 #[derive(Clone, Copy, Debug)]
 enum Path {
     Pack,
     Post,
 }
 
-/// Ship one `len`-byte block from node 0 to node 1; returns what node 1
-/// unpacked and how many stripes node 0 counted.
-fn ship(protocol: Protocol, rails: usize, len: usize, path: Path) -> (Vec<u8>, u64) {
-    let (world, config) = world(protocol, rails);
+/// One block of a test message: its length and mode pair.
+type BlockSpec = (usize, SendMode, RecvMode);
+
+/// What one shipped message looked like from both ends.
+struct Shipped {
+    /// The blocks node 1 unpacked.
+    got: Vec<Vec<u8>>,
+    /// Node 0's counters and per-TM `(tm, buffers, bytes)` traffic.
+    stats: StatsSnapshot,
+    tm_traffic: Vec<(u8, u64, u64)>,
+    /// Node 0's clock once the message is out; node 1's after
+    /// `end_unpacking`.
+    sent_at: VTime,
+    received_at: VTime,
+}
+
+/// Ship one message of `blocks` (block `i` is `pattern(len + i)`) from
+/// node 0 to node 1 under `host`'s generic-layer cost model. `held`: node 1
+/// starts receiving only once node 0 has the whole message out (for a
+/// message whose send needs nothing from the receiver).
+fn ship(
+    protocol: Protocol,
+    rails: usize,
+    blocks: &[BlockSpec],
+    (path, held): (Path, bool),
+    host: HostModel,
+) -> Shipped {
+    let (world, mut config) = world(protocol, rails);
+    config.host = HostModelOpt(host);
+    let blocks = blocks.to_vec();
     let mut out = world.run(move |env| {
         let mad = Madeleine::init(&env, &config);
         let ch = mad.channel("ch");
+        let data = blocks.iter().enumerate();
+        let mut data: Vec<Vec<u8>> = data
+            .map(|(i, b)| pattern(b.0 + i)[..b.0].to_vec())
+            .collect();
         if env.id() == 0 {
-            let data = pattern(len);
             match path {
                 Path::Pack => {
                     let mut msg = ch.begin_packing(1);
-                    msg.pack(&data, CHEAPER.0, CHEAPER.1);
+                    for (d, b) in data.iter().zip(&blocks) {
+                        msg.pack(d, b.1, b.2);
+                    }
                     msg.end_packing();
                 }
                 Path::Post => {
-                    let id = ch.post_message(1, vec![(Bytes::from(data), CHEAPER.0, CHEAPER.1)]);
-                    ch.wait_op(id).expect("striped op completes");
+                    let owned = data.drain(..).zip(&blocks);
+                    let owned = owned.map(|(d, b)| (Bytes::from(d), b.1, b.2)).collect();
+                    let id = ch.post_message(1, owned);
+                    ch.wait_op(id).expect("posted message completes");
                 }
             }
-            (Vec::new(), ch.stats().stripes())
+            if held {
+                env.barrier();
+            }
+            let stats = ch.stats();
+            (
+                Vec::new(),
+                Some((stats.snapshot(), stats.tm_breakdown())),
+                time::now(),
+            )
         } else {
-            let mut got = vec![0u8; len];
+            data.iter_mut().for_each(|d| d.fill(0));
+            if held {
+                env.barrier();
+            }
             let mut msg = ch.begin_unpacking();
-            msg.unpack(&mut got, CHEAPER.0, CHEAPER.1);
+            for (d, b) in data.iter_mut().zip(&blocks) {
+                msg.unpack(d, b.1, b.2);
+            }
             msg.end_unpacking();
-            (got, 0)
+            (data, None, time::now())
         }
     });
-    (std::mem::take(&mut out[1].0), out[0].1)
+    let (stats, tm_traffic) = out[0].1.take().expect("node 0 reports its counters");
+    Shipped {
+        got: std::mem::take(&mut out[1].0),
+        stats,
+        tm_traffic,
+        sent_at: out[0].2,
+        received_at: out[1].2,
+    }
+}
+
+/// Ship one `(CHEAPER, CHEAPER)` block of `len` bytes; returns what node 1
+/// unpacked and how many stripes node 0 counted.
+fn ship_block(protocol: Protocol, rails: usize, len: usize, path: Path) -> (Vec<u8>, u64) {
+    let block = [(len, CHEAPER.0, CHEAPER.1)];
+    let mut s = ship(protocol, rails, &block, (path, false), HostModel::default());
+    (s.got.remove(0), s.stats.stripes)
+}
+
+/// `post_message` books the generic layer's per-call costs — one begin,
+/// a pack per block, one end — before its first frame leaves; the blocking
+/// calls book them between the frames. That bookkeeping is the only thing
+/// the two drivers of the send cursor do differently, so with it zeroed
+/// (copies and every protocol cost stay modelled) a posted message and a
+/// packed one are the same message: same buffers, commits, gathers and
+/// per-TM traffic, the sender done at the same instant, and the
+/// receiver's `end_unpacking` instant equal to the nanosecond. Two things
+/// a block can add, both spelled out below: packing a `send_SAFER` block
+/// into an aggregating BMM copies it, where the op was handed bytes it
+/// owns; and BIP's rendezvous of a posted long block is anchored at the
+/// CTS instead of holding the thread's clock, so what is packed behind it
+/// leaves earlier.
+#[test]
+fn posted_message_equals_packed_message_on_every_protocol() {
+    use Protocol::*;
+    let host = HostModel {
+        pack_op_us: 0.0,
+        begin_op_us: 0.0,
+        end_op_us: 0.0,
+        ..HostModel::default()
+    };
+    const SAFER_LEN: usize = 40;
+    let mixed = vec![
+        (8, SendMode::Cheaper, RecvMode::Express),
+        (100, CHEAPER.0, CHEAPER.1),
+        (100, CHEAPER.0, CHEAPER.1),
+        (100, CHEAPER.0, CHEAPER.1),
+        (2048, CHEAPER.0, CHEAPER.1),
+        (SAFER_LEN, SendMode::Safer, RecvMode::Cheaper),
+    ];
+    let uniform = |k: usize| vec![(64, CHEAPER.0, CHEAPER.1); k];
+    let messages = [uniform(1), uniform(4), uniform(64), mixed];
+    for protocol in [Sisci, Tcp, Bip, Sbp, Via] {
+        for blocks in &messages {
+            let what = format!("{protocol:?}, {} blocks", blocks.len());
+            let is_mixed = blocks.len() == 6;
+            // BIP's credit returns reach the sender's clock if they arrive,
+            // in real time, before its last buffers leave: the receiver of
+            // a message that needs none of them is held back.
+            let held = protocol == Bip && !is_mixed;
+            let pack = ship(protocol, 1, blocks, (Path::Pack, held), host);
+            let post = ship(protocol, 1, blocks, (Path::Post, held), host);
+            let expect = blocks.iter().enumerate();
+            let expect: Vec<_> = expect
+                .map(|(i, b)| pattern(b.0 + i)[..b.0].to_vec())
+                .collect();
+            assert_eq!(post.got, expect, "{what}: received bytes");
+            assert_eq!(pack.got, expect, "{what}: received bytes");
+            let captured = is_mixed && matches!(protocol, Sisci | Tcp);
+            let counts = |s: &StatsSnapshot| (s.buffers_sent, s.commits, s.gathers, s.copies);
+            let mut posted = counts(&post.stats);
+            posted.3 += captured as u64;
+            assert_eq!(
+                posted,
+                counts(&pack.stats),
+                "{what}: buffers, commits, gathers, copies"
+            );
+            assert_eq!(post.tm_traffic, pack.tm_traffic, "{what}: per-TM traffic");
+            if is_mixed && protocol == Bip {
+                assert!(post.sent_at <= pack.sent_at, "{what}: sender");
+                assert!(post.received_at <= pack.received_at, "{what}: receiver");
+                continue;
+            }
+            let capture = if captured {
+                host.memcpy(SAFER_LEN)
+            } else {
+                VDuration::ZERO
+            };
+            assert_eq!(
+                post.sent_at + capture,
+                pack.sent_at,
+                "{what}: sender's clock"
+            );
+            // The receiver sees the capture only if it was waiting for the
+            // commit behind it.
+            let late = pack.received_at.saturating_since(post.received_at);
+            assert!(
+                post.received_at <= pack.received_at
+                    && (late == VDuration::ZERO || late == capture),
+                "{what}: receiver finished at {:?} posted, {:?} packed",
+                post.received_at,
+                pack.received_at
+            );
+        }
+    }
 }
 
 #[test]
@@ -78,7 +233,7 @@ fn blocks_arrive_byte_identical_through_both_send_paths() {
     for rails in [2, 3] {
         for len in [t, t + 1, MIB, MIB + 17] {
             for path in [Path::Pack, Path::Post] {
-                let (got, stripes) = ship(Protocol::Bip, rails, len, path);
+                let (got, stripes) = ship_block(Protocol::Bip, rails, len, path);
                 assert_eq!(stripes, 1, "{rails} rails, {len} B, {path:?}: not striped");
                 let bad = got.iter().zip(pattern(len)).position(|(a, b)| *a != b);
                 assert_eq!(bad, None, "{rails} rails, {len} B, {path:?}: corrupted");
@@ -87,8 +242,9 @@ fn blocks_arrive_byte_identical_through_both_send_paths() {
     }
 }
 
-/// Only BIP's TMs park (`post_send` overrides); the other protocols'
-/// sends complete inside the call, SISCI's only once the receiver has
+/// Only BIP's TMs hand back a continuation to park on (a credit, a CTS);
+/// the other protocols' posts are their blocking sends and complete
+/// inside the call, SISCI's only once the receiver has
 /// drained a ring smaller than a chunk. One thread drives every rail, so
 /// the engine must release frames in the order the mirroring receiver
 /// consumes them. (VIA and SBP carry nothing beyond a static buffer, so
@@ -100,7 +256,7 @@ fn blocking_protocols_stripe_without_deadlock() {
             for len in [DEFAULT_STRIPE_THRESHOLD + 1, MIB] {
                 for path in [Path::Pack, Path::Post] {
                     let what = format!("{protocol:?}, {rails} rails, {len} B, {path:?}");
-                    let (got, stripes) = ship(protocol, rails, len, path);
+                    let (got, stripes) = ship_block(protocol, rails, len, path);
                     assert_eq!(stripes, 1, "{what}: not striped");
                     assert!(got == pattern(len), "{what}: corrupted");
                 }

@@ -1,0 +1,167 @@
+//! The stop-and-wait ARQ the TCP and SBP stacks run on a fault-armed
+//! world: data frames carry a 4-byte sequence prefix, the receiver acks
+//! every in-order frame and re-acks duplicates, the sender retransmits on
+//! timeout with exponential backoff (charging the modeled RTO to the
+//! virtual clock, so goodput degrades with the loss rate). Without a
+//! [`FaultPlan`](crate::fault::FaultPlan) neither stack comes here.
+
+use crate::fault::{
+    LinkError, ARQ_MAX_RETRIES, ARQ_RECV_TIMEOUT_MS, ARQ_RTO_REAL_BASE_MS, ARQ_RTO_REAL_MAX_MS,
+    ARQ_RTO_VIRT_BASE_US, ARQ_RTO_VIRT_MAX_US,
+};
+use crate::frame::{Frame, NodeId};
+use crate::pci::BusKind;
+use crate::stacks::{charge_dest_bus, charge_send_bus};
+use crate::time::{self, VDuration, VTime};
+use crate::world::Adapter;
+use bytes::Bytes;
+use std::time::{Duration, Instant};
+
+/// One direction of one reliable exchange, and what tells one stack's
+/// from another's. The sequence counters stay with the stack: `send` and
+/// `recv` are told the number to use.
+pub(crate) struct Arq<'a> {
+    pub adapter: &'a Adapter,
+    pub peer: NodeId,
+    pub tag: u64,
+    /// Frame kinds of data and ack frames.
+    pub kinds: (u16, u16),
+    /// One-way latency floor, per-byte wire cost and per-byte host-bus
+    /// occupancy of a data frame, µs.
+    pub wire_us: (f64, f64, f64),
+    /// Sender host time charged per transmission attempt, µs.
+    pub host_send_us: f64,
+}
+
+/// Sequence number of a data or ack frame, if it carries one.
+fn seq_of(f: &Frame) -> Option<u32> {
+    Some(u32::from_le_bytes(f.payload.get(..4)?.try_into().ok()?))
+}
+
+impl Arq<'_> {
+    /// Transmit `data` as frame `seq`: send (charging the bus model per
+    /// attempt), await the matching ack with a real-time RTO, retransmit
+    /// on timeout. Returns the number of retransmissions.
+    pub(crate) fn send(&self, seq: u32, data: &[u8]) -> Result<u64, LinkError> {
+        let faults = self.adapter.faults().cloned();
+        let faults = faults.expect("reliable path requires a fault plan");
+        let (me, peer, tag) = (self.adapter.node(), self.peer, self.tag);
+        let (lat_us, per_byte_us, bus_per_byte_us) = self.wire_us;
+        let wire = Bytes::from([&seq.to_le_bytes()[..], data].concat());
+        let mut retransmits = 0u64;
+        let mut rto_real = Duration::from_millis(ARQ_RTO_REAL_BASE_MS);
+        let mut rto_virt_us = ARQ_RTO_VIRT_BASE_US;
+        loop {
+            if !faults.reachable(me, peer) {
+                return Err(LinkError::PeerDead);
+            }
+            let oneway = VDuration::from_micros_f64(lat_us + wire.len() as f64 * per_byte_us);
+            let bus_occ = VDuration::from_micros_f64(wire.len() as f64 * bus_per_byte_us);
+            let arrival = charge_send_bus(self.adapter, BusKind::Dma, oneway, bus_occ);
+            let arrival = charge_dest_bus(self.adapter, peer, BusKind::Dma, arrival, bus_occ);
+            self.adapter.send_raw(
+                peer,
+                Frame {
+                    src: me,
+                    kind: self.kinds.0,
+                    tag,
+                    arrival,
+                    payload: wire.clone(),
+                },
+            );
+            time::advance(VDuration::from_micros_f64(self.host_send_us));
+            // Drain acks until ours arrives or the RTO expires. Stale
+            // duplicate acks (seq < ours) are consumed and ignored.
+            let deadline = Instant::now() + rto_real;
+            let acked = loop {
+                let now = Instant::now();
+                if now >= deadline {
+                    break None;
+                }
+                let f = self.adapter.inbox().recv_from_timeout(
+                    peer,
+                    self.kinds.1,
+                    |f| f.tag == tag && f.payload.len() == 4 && seq_of(f).is_some_and(|s| s <= seq),
+                    deadline - now,
+                );
+                match f {
+                    Some(f) if seq_of(&f) == Some(seq) => break Some(f),
+                    Some(_) => continue,
+                    None => break None,
+                }
+            };
+            if let Some(f) = acked {
+                time::advance_to(f.arrival);
+                return Ok(retransmits);
+            }
+            retransmits += 1;
+            if retransmits > u64::from(ARQ_MAX_RETRIES) {
+                return Err(LinkError::Timeout);
+            }
+            time::advance(VDuration::from_micros_f64(rto_virt_us));
+            rto_virt_us = (rto_virt_us * 2.0).min(ARQ_RTO_VIRT_MAX_US);
+            rto_real = (rto_real * 2).min(Duration::from_millis(ARQ_RTO_REAL_MAX_MS));
+        }
+    }
+
+    /// Pull frame `expected` off the wire and ack it; duplicates of
+    /// delivered frames are re-acked (their ack may have been lost, or the
+    /// frame was duplicated in flight) and discarded. Returns the payload
+    /// behind the sequence prefix and its arrival instant.
+    pub(crate) fn recv(&self, expected: u32) -> Result<(Bytes, VTime), LinkError> {
+        let faults = self.adapter.faults().cloned();
+        let faults = faults.expect("reliable path requires a fault plan");
+        let (me, peer, tag, kind) = (self.adapter.node(), self.peer, self.tag, self.kinds.0);
+        let deadline = Instant::now() + Duration::from_millis(ARQ_RECV_TIMEOUT_MS);
+        loop {
+            let inbox = self.adapter.inbox();
+            let f = match inbox.try_recv_from(peer, kind, |f| f.tag == tag) {
+                Some(f) => f,
+                None => {
+                    if !faults.reachable(me, peer) {
+                        return Err(LinkError::PeerDead);
+                    }
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return Err(LinkError::Timeout);
+                    }
+                    // Wait in short slices so a peer crash mid-wait is
+                    // noticed promptly.
+                    let slice = (deadline - now).min(Duration::from_millis(100));
+                    match inbox.recv_from_timeout(peer, kind, |f| f.tag == tag, slice) {
+                        Some(f) => f,
+                        None => continue,
+                    }
+                }
+            };
+            // A frame ahead of `expected` cannot happen under
+            // stop-and-wait; it is dropped like a malformed one.
+            let Some(seq) = seq_of(&f).filter(|&s| s <= expected) else {
+                continue;
+            };
+            self.ack(seq, f.arrival);
+            if seq == expected {
+                return Ok((f.payload.slice(4..), f.arrival));
+            }
+        }
+    }
+
+    /// Ack `seq` back to the peer. Acks ride the loss-exempt control path
+    /// ([`Adapter::send_raw_control`]): data-frame loss alone drives the
+    /// retransmission machinery, and the final ack of an exchange cannot
+    /// vanish after the receiver has gone quiet. They carry no bus charge
+    /// — 4-byte control frames.
+    fn ack(&self, seq: u32, data_arrival: VTime) {
+        let arrival = time::now().max(data_arrival) + VDuration::from_micros_f64(self.wire_us.0);
+        self.adapter.send_raw_control(
+            self.peer,
+            Frame {
+                src: self.adapter.node(),
+                kind: self.kinds.1,
+                tag: self.tag,
+                arrival,
+                payload: Bytes::copy_from_slice(&seq.to_le_bytes()),
+            },
+        );
+    }
+}

@@ -19,6 +19,7 @@
 //! figures (Fig. 4, 5) are anchored while the gateway figures (Fig. 10, 11)
 //! emerge from contention.
 
+pub(crate) mod arq;
 pub mod bip;
 pub mod sbp;
 pub mod sisci;

@@ -9,20 +9,17 @@
 //! exactly what Madeleine II's `obtain_static_buffer`/`release_static_buffer`
 //! TM interface (Table 2) exists to accommodate.
 
-use crate::fault::{
-    LinkError, ARQ_MAX_RETRIES, ARQ_RECV_TIMEOUT_MS, ARQ_RTO_REAL_BASE_MS, ARQ_RTO_REAL_MAX_MS,
-    ARQ_RTO_VIRT_BASE_US, ARQ_RTO_VIRT_MAX_US,
-};
+use crate::fault::LinkError;
 use crate::frame::{Frame, NodeId};
 use crate::pci::BusKind;
+use crate::stacks::arq::Arq;
 use crate::stacks::{charge_dest_bus, charge_send_bus};
-use crate::time::{self, VDuration, VTime};
+use crate::time::{self, VDuration};
 use crate::world::{Adapter, NetKind};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 const KIND_SBP: u16 = 30;
 /// Ack frames of the fault-armed ARQ (payload: 4-byte LE sequence number).
@@ -87,12 +84,6 @@ impl Pool {
     fn available(&self) -> usize {
         *self.available.lock()
     }
-}
-
-/// Sequence number of an ack frame, if it is well-formed.
-fn sbp_ack_seq(f: &Frame) -> Option<u32> {
-    (f.payload.len() == 4)
-        .then(|| u32::from_le_bytes([f.payload[0], f.payload[1], f.payload[2], f.payload[3]]))
 }
 
 /// Sequence state for the fault-armed ARQ, one counter per `(peer, tag)`
@@ -202,12 +193,6 @@ impl Sbp {
             self.send_fast(dst, tag, &buf);
             return Ok(0);
         }
-        let faults = self
-            .adapter
-            .faults()
-            .cloned()
-            .expect("reliable path requires a fault plan");
-        let me = self.node();
         let seq = {
             let mut tx = self.arq.tx.lock();
             let e = tx.entry((dst, tag)).or_insert(0);
@@ -215,68 +200,24 @@ impl Sbp {
             *e = e.wrapping_add(1);
             s
         };
-        let mut wire = Vec::with_capacity(4 + buf.len);
-        wire.extend_from_slice(&seq.to_le_bytes());
-        wire.extend_from_slice(&buf.data[..buf.len]);
-        let wire = Bytes::from(wire);
-        let t = self.timing;
-        let mut retransmits = 0u64;
-        let mut rto_real = Duration::from_millis(ARQ_RTO_REAL_BASE_MS);
-        let mut rto_virt_us = ARQ_RTO_VIRT_BASE_US;
-        loop {
-            if !faults.reachable(me, dst) {
-                return Err(LinkError::PeerDead);
-            }
-            let oneway = VDuration::from_micros_f64(t.lat_us + wire.len() as f64 * t.per_byte_us);
-            let bus_occ = VDuration::from_micros_f64(wire.len() as f64 * t.bus_per_byte_us);
-            let arrival = charge_send_bus(&self.adapter, BusKind::Dma, oneway, bus_occ);
-            let arrival = charge_dest_bus(&self.adapter, dst, BusKind::Dma, arrival, bus_occ);
-            self.adapter.send_raw(
-                dst,
-                Frame {
-                    src: me,
-                    kind: KIND_SBP,
-                    tag,
-                    arrival,
-                    payload: wire.clone(),
-                },
-            );
-            let deadline = Instant::now() + rto_real;
-            let acked = loop {
-                let now = Instant::now();
-                if now >= deadline {
-                    break None;
-                }
-                let f = self.adapter.inbox().recv_from_timeout(
-                    dst,
-                    KIND_SBP_ACK,
-                    |f| f.tag == tag && sbp_ack_seq(f).is_some_and(|s| s <= seq),
-                    deadline - now,
-                );
-                match f {
-                    Some(f) if sbp_ack_seq(&f) == Some(seq) => break Some(f),
-                    Some(_) => continue,
-                    None => break None,
-                }
-            };
-            match acked {
-                Some(f) => {
-                    time::advance_to(f.arrival);
-                    time::advance(VDuration::from_micros_f64(t.pool_op_us));
-                    return Ok(retransmits);
-                }
-                None => {
-                    retransmits += 1;
-                    if retransmits > u64::from(ARQ_MAX_RETRIES) {
-                        return Err(LinkError::Timeout);
-                    }
-                    time::advance(VDuration::from_micros_f64(rto_virt_us));
-                    rto_virt_us = (rto_virt_us * 2.0).min(ARQ_RTO_VIRT_MAX_US);
-                    rto_real = (rto_real * 2).min(Duration::from_millis(ARQ_RTO_REAL_MAX_MS));
-                }
-            }
-        }
+        let retransmits = self.arq_with(dst, tag).send(seq, &buf.data[..buf.len])?;
+        time::advance(VDuration::from_micros_f64(self.timing.pool_op_us));
+        Ok(retransmits)
         // `buf` drops here and its pool slot frees.
+    }
+
+    /// The fault-armed ARQ of the exchange with `peer` under `tag` (see
+    /// [`crate::stacks::arq`]).
+    fn arq_with(&self, peer: NodeId, tag: u64) -> Arq<'_> {
+        let t = &self.timing;
+        Arq {
+            adapter: &self.adapter,
+            peer,
+            tag,
+            kinds: (KIND_SBP, KIND_SBP_ACK),
+            wire_us: (t.lat_us, t.per_byte_us, t.bus_per_byte_us),
+            host_send_us: 0.0,
+        }
     }
 
     /// The original unconditional send path (no sequence prefix, no acks).
@@ -330,85 +271,15 @@ impl Sbp {
             self.rx_pool.put();
             return Ok(f.payload);
         }
-        let faults = self
-            .adapter
-            .faults()
-            .cloned()
-            .expect("reliable path requires a fault plan");
-        let me = self.node();
-        let deadline = Instant::now() + Duration::from_millis(ARQ_RECV_TIMEOUT_MS);
-        loop {
-            let pending = self
-                .adapter
-                .inbox()
-                .try_recv_from(src, KIND_SBP, |f| f.tag == tag);
-            let f = match pending {
-                Some(f) => f,
-                None => {
-                    if !faults.reachable(me, src) {
-                        return Err(LinkError::PeerDead);
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(LinkError::Timeout);
-                    }
-                    let slice = (deadline - now).min(Duration::from_millis(100));
-                    match self.adapter.inbox().recv_from_timeout(
-                        src,
-                        KIND_SBP,
-                        |f| f.tag == tag,
-                        slice,
-                    ) {
-                        Some(f) => f,
-                        None => continue,
-                    }
-                }
-            };
-            if f.payload.len() < 4 {
-                continue;
-            }
-            let seq = u32::from_le_bytes([f.payload[0], f.payload[1], f.payload[2], f.payload[3]]);
-            let expected = {
-                let rx = self.arq.rx.lock();
-                rx.get(&(src, tag)).copied().unwrap_or(0)
-            };
-            if seq == expected {
-                self.arq
-                    .rx
-                    .lock()
-                    .insert((src, tag), expected.wrapping_add(1));
-                self.send_ack(src, tag, seq, f.arrival);
-                self.rx_pool.take();
-                let t = &self.timing;
-                time::advance_to(f.arrival);
-                time::advance(VDuration::from_micros_f64(t.pool_op_us));
-                self.rx_pool.put();
-                return Ok(f.payload.slice(4..));
-            }
-            if seq < expected {
-                // Duplicate of a delivered message: re-ack and discard.
-                self.send_ack(src, tag, seq, f.arrival);
-            }
-        }
-    }
-
-    /// Ack `seq` back to `dst`. Acks ride the loss-exempt control path
-    /// ([`Adapter::send_raw_control`]) so an exchange's final ack cannot
-    /// vanish after the receiver has gone quiet; they carry no bus charge
-    /// — 4-byte control frames.
-    fn send_ack(&self, dst: NodeId, tag: u64, seq: u32, data_arrival: VTime) {
-        let arrival =
-            time::now().max(data_arrival) + VDuration::from_micros_f64(self.timing.lat_us);
-        self.adapter.send_raw_control(
-            dst,
-            Frame {
-                src: self.node(),
-                kind: KIND_SBP_ACK,
-                tag,
-                arrival,
-                payload: Bytes::copy_from_slice(&seq.to_le_bytes()),
-            },
-        );
+        let expected = self.arq.rx.lock().get(&(src, tag)).copied().unwrap_or(0);
+        let (payload, arrival) = self.arq_with(src, tag).recv(expected)?;
+        let next = expected.wrapping_add(1);
+        self.arq.rx.lock().insert((src, tag), next);
+        self.rx_pool.take();
+        time::advance_to(arrival);
+        time::advance(VDuration::from_micros_f64(self.timing.pool_op_us));
+        self.rx_pool.put();
+        Ok(payload)
     }
 
     /// Block until some node has a pending SBP message under `tag`; return

@@ -7,25 +7,19 @@
 //! control/acknowledgment network of the gateway experiments (§6.2).
 //!
 //! When the world carries a [`FaultPlan`](crate::fault::FaultPlan), the
-//! stream runs a stop-and-wait ARQ: data frames carry a 4-byte sequence
-//! prefix, receivers ack every in-order segment and re-ack duplicates, and
-//! senders retransmit on timeout with exponential backoff (charging the
-//! modeled RTO to the virtual clock, so goodput degrades with loss rate).
-//! Without a plan the original unconditional fast path runs — no sequence
-//! numbers, no acks, zero overhead.
+//! stream is segmented and each segment runs the stop-and-wait ARQ of
+//! [`crate::stacks::arq`]. Without a plan the original unconditional fast
+//! path runs — no sequence numbers, no acks, zero overhead.
 
-use crate::fault::{
-    LinkError, ARQ_MAX_RETRIES, ARQ_RECV_TIMEOUT_MS, ARQ_RTO_REAL_BASE_MS, ARQ_RTO_REAL_MAX_MS,
-    ARQ_RTO_VIRT_BASE_US, ARQ_RTO_VIRT_MAX_US,
-};
+use crate::fault::LinkError;
 use crate::frame::{Frame, NodeId};
 use crate::pci::BusKind;
+use crate::stacks::arq::Arq;
 use crate::stacks::{charge_dest_bus, charge_send_bus};
 use crate::time::{self, VDuration, VTime};
 use crate::world::{Adapter, NetKind};
 use bytes::Bytes;
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
 
 const KIND_TCP: u16 = 10;
 /// Ack frames of the fault-armed ARQ (payload: 4-byte LE sequence number).
@@ -134,12 +128,6 @@ pub struct TcpConn {
     tx_seq: u32,
     /// Next sequence number expected (fault-armed ARQ only).
     rx_seq: u32,
-}
-
-/// Sequence number of an ack frame, if it is well-formed.
-fn ack_seq(f: &Frame) -> Option<u32> {
-    (f.payload.len() == 4)
-        .then(|| u32::from_le_bytes([f.payload[0], f.payload[1], f.payload[2], f.payload[3]]))
 }
 
 impl TcpConn {
@@ -339,163 +327,35 @@ impl TcpConn {
         time::advance(VDuration::from_micros_f64(t.host_send_us));
     }
 
-    /// Stop-and-wait transmission of one segment: send (charging the bus
-    /// model per attempt), await the matching ack with a real-time RTO,
-    /// retransmit on timeout with exponential backoff. Each retransmission
-    /// also charges the *modeled* RTO to the virtual clock.
+    /// The fault-armed ARQ of this connection's outgoing or incoming
+    /// direction (see [`crate::stacks::arq`]).
+    fn arq(&self) -> Arq<'_> {
+        let t = &self.timing;
+        Arq {
+            adapter: &self.adapter,
+            peer: self.peer,
+            tag: self.port as u64,
+            kinds: (KIND_TCP, KIND_TCP_ACK),
+            wire_us: (t.lat_us, t.per_byte_us, t.bus_per_byte_us),
+            host_send_us: t.host_send_us,
+        }
+    }
+
+    /// Stop-and-wait transmission of one segment; returns how many
+    /// retransmissions it took.
     fn send_segment_reliable(&mut self, data: &[u8]) -> Result<u64, LinkError> {
-        let faults = self
-            .adapter
-            .faults()
-            .cloned()
-            .expect("reliable path requires a fault plan");
-        let me = self.adapter.node();
-        let (peer, port) = (self.peer, self.port as u64);
         let seq = self.tx_seq;
         self.tx_seq = self.tx_seq.wrapping_add(1);
-        let mut wire = Vec::with_capacity(4 + data.len());
-        wire.extend_from_slice(&seq.to_le_bytes());
-        wire.extend_from_slice(data);
-        let wire = Bytes::from(wire);
-        let t = self.timing;
-        let mut retransmits = 0u64;
-        let mut rto_real = Duration::from_millis(ARQ_RTO_REAL_BASE_MS);
-        let mut rto_virt_us = ARQ_RTO_VIRT_BASE_US;
-        loop {
-            if !faults.reachable(me, peer) {
-                return Err(LinkError::PeerDead);
-            }
-            let oneway = VDuration::from_micros_f64(t.lat_us + wire.len() as f64 * t.per_byte_us);
-            let bus_occ = VDuration::from_micros_f64(wire.len() as f64 * t.bus_per_byte_us);
-            let arrival = charge_send_bus(&self.adapter, BusKind::Dma, oneway, bus_occ);
-            let arrival = charge_dest_bus(&self.adapter, peer, BusKind::Dma, arrival, bus_occ);
-            self.adapter.send_raw(
-                peer,
-                Frame {
-                    src: me,
-                    kind: KIND_TCP,
-                    tag: port,
-                    arrival,
-                    payload: wire.clone(),
-                },
-            );
-            time::advance(VDuration::from_micros_f64(t.host_send_us));
-            // Drain acks until ours arrives or the RTO expires. Stale
-            // duplicate acks (seq < ours) are consumed and ignored.
-            let deadline = Instant::now() + rto_real;
-            let acked = loop {
-                let now = Instant::now();
-                if now >= deadline {
-                    break None;
-                }
-                let f = self.adapter.inbox().recv_from_timeout(
-                    peer,
-                    KIND_TCP_ACK,
-                    |f| f.tag == port && ack_seq(f).is_some_and(|s| s <= seq),
-                    deadline - now,
-                );
-                match f {
-                    Some(f) if ack_seq(&f) == Some(seq) => break Some(f),
-                    Some(_) => continue,
-                    None => break None,
-                }
-            };
-            match acked {
-                Some(f) => {
-                    time::advance_to(f.arrival);
-                    return Ok(retransmits);
-                }
-                None => {
-                    retransmits += 1;
-                    if retransmits > u64::from(ARQ_MAX_RETRIES) {
-                        return Err(LinkError::Timeout);
-                    }
-                    time::advance(VDuration::from_micros_f64(rto_virt_us));
-                    rto_virt_us = (rto_virt_us * 2.0).min(ARQ_RTO_VIRT_MAX_US);
-                    rto_real = (rto_real * 2).min(Duration::from_millis(ARQ_RTO_REAL_MAX_MS));
-                }
-            }
-        }
+        self.arq().send(seq, data)
     }
 
     /// Pull the next in-order segment off the wire into the reassembly
-    /// queue, acking it; duplicates of already-delivered segments are
-    /// re-acked (their ack may have been lost) and discarded.
+    /// queue.
     fn recv_segment_reliable(&mut self) -> Result<(), LinkError> {
-        let faults = self
-            .adapter
-            .faults()
-            .cloned()
-            .expect("reliable path requires a fault plan");
-        let me = self.adapter.node();
-        let (peer, port) = (self.peer, self.port as u64);
-        let deadline = Instant::now() + Duration::from_millis(ARQ_RECV_TIMEOUT_MS);
-        loop {
-            let pending = self
-                .adapter
-                .inbox()
-                .try_recv_from(peer, KIND_TCP, |f| f.tag == port);
-            let f = match pending {
-                Some(f) => f,
-                None => {
-                    if !faults.reachable(me, peer) {
-                        return Err(LinkError::PeerDead);
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(LinkError::Timeout);
-                    }
-                    // Wait in short slices so a peer crash mid-wait is
-                    // noticed promptly.
-                    let slice = (deadline - now).min(Duration::from_millis(100));
-                    match self.adapter.inbox().recv_from_timeout(
-                        peer,
-                        KIND_TCP,
-                        |f| f.tag == port,
-                        slice,
-                    ) {
-                        Some(f) => f,
-                        None => continue,
-                    }
-                }
-            };
-            if f.payload.len() < 4 {
-                continue;
-            }
-            let seq = u32::from_le_bytes([f.payload[0], f.payload[1], f.payload[2], f.payload[3]]);
-            if seq == self.rx_seq {
-                self.rx_seq = self.rx_seq.wrapping_add(1);
-                self.send_ack(seq, f.arrival);
-                self.rx.push_back((f.payload.slice(4..), f.arrival));
-                return Ok(());
-            }
-            if seq < self.rx_seq {
-                // Duplicate of a delivered segment: the original ack was
-                // lost or the frame was duplicated in flight. Re-ack.
-                self.send_ack(seq, f.arrival);
-            }
-            // seq > rx_seq cannot happen under stop-and-wait; drop it.
-        }
-    }
-
-    /// Ack `seq` back to the peer. Acks ride the loss-exempt control path
-    /// ([`Adapter::send_raw_control`]): data-frame loss alone drives the
-    /// retransmission machinery, and the final ack of an exchange cannot
-    /// vanish after the receiver has gone quiet. They carry no bus charge
-    /// — 4-byte control frames.
-    fn send_ack(&self, seq: u32, data_arrival: VTime) {
-        let arrival =
-            time::now().max(data_arrival) + VDuration::from_micros_f64(self.timing.lat_us);
-        self.adapter.send_raw_control(
-            self.peer,
-            Frame {
-                src: self.adapter.node(),
-                kind: KIND_TCP_ACK,
-                tag: self.port as u64,
-                arrival,
-                payload: Bytes::copy_from_slice(&seq.to_le_bytes()),
-            },
-        );
+        let segment = self.arq().recv(self.rx_seq)?;
+        self.rx_seq = self.rx_seq.wrapping_add(1);
+        self.rx.push_back(segment);
+        Ok(())
     }
 }
 

@@ -28,9 +28,11 @@ python3 benchmark/run.py --self-test
 
 # Small-message budget stage: the two count gates on a posted 64 B message
 # over batched TCP — allocations per post and per receive (counting
-# allocator), engine steps per post — run by name, so a regression of
-# either names itself even when the suite above is filtered.
-for gate in alloc_budget posted_batch; do
+# allocator), engine steps per post — and the identity of a posted message
+# with a packed one (same buffers, commits and instants on all five
+# protocols), run by name, so a regression of any names itself even when
+# the suite above is filtered.
+for gate in alloc_budget posted_batch stripe_op; do
     cargo test -q -p madeleine --test "$gate" || {
         echo "verify: FAIL — small-message budget: --test $gate" >&2
         exit 1
@@ -86,6 +88,16 @@ for f in crates/madeleine/src/rail.rs \
         exit 1
     fi
 done
+
+# One-emitter lint: a message reaches its TMs through the BMMs the send
+# cursor opens or through the stripe engine, posted or packed alike — a TM
+# post call anywhere else (channel.rs above all) is a second emitter
+# growing back beside them.
+if grep -rlE 'post_send\(|post_static_buffer\(' crates/madeleine/src |
+    grep -vE '/(bmm|rail|tm)\.rs$|/drivers/'; then
+    echo "verify: FAIL — TM post call outside bmm.rs / rail.rs / tm.rs / drivers/ (listed above)" >&2
+    exit 1
+fi
 
 # Chaos stage: the robustness layer under seeded fault injection, run
 # explicitly so a regression here is named even when the suite is filtered

@@ -312,3 +312,93 @@ fn quarantined_rails_fail_in_flight_ops_with_channel_down() {
         env.barrier();
     });
 }
+
+/// `wait_op` on an op the engine has forgotten — its result was consumed,
+/// or it was cancelled — is API misuse: it panics instead of spinning on
+/// a result that can never come.
+#[test]
+#[should_panic(expected = "is not in flight")]
+fn wait_op_on_a_consumed_op_panics() {
+    let (world, config) = bip_world(2);
+    world.run(move |env| {
+        let mad = Madeleine::init(&env, &config);
+        let ch = mad.channel("net");
+        if env.id() == 0 {
+            let block = (
+                Bytes::from_static(b"once"),
+                SendMode::Cheaper,
+                RecvMode::Cheaper,
+            );
+            let id = ch.post_message(1, vec![block]);
+            ch.wait_op(id).expect("short message completes");
+            let _ = ch.wait_op(id);
+        }
+    });
+}
+
+/// A posted op parks *inside* a BMM: its short blocks fill BIP static
+/// buffers, and with the receiver held back the ring's credits run out on
+/// a buffer that filled in mid-block — the rest of that block and the
+/// blocks behind it wait in the BMM's queue, the op in `CreditWait`. Once
+/// the receiver drains, every byte arrives in order and everything posted
+/// behind the parked op follows; an op queued behind it is still
+/// unstarted, so it cancels.
+#[test]
+fn credit_park_inside_a_bmm_keeps_order_and_drains() {
+    use madsim_net::stacks::bip::{BIP_SHORT_MAX, BIP_SHORT_RING};
+    // A message is its header's buffer, four buffers filled by its blocks
+    // and the partial one its commit ships.
+    const BLOCKS: usize = 5;
+    const LEN: usize = 1000;
+    let per_msg = 1 + (BLOCKS * LEN).div_ceil(BIP_SHORT_MAX);
+    assert!(
+        (2..per_msg).contains(&((BIP_SHORT_RING + 1) % per_msg)),
+        "the first buffer without a credit must be one filled in mid-block"
+    );
+    let byte = |msg: usize, block: usize, i: usize| (msg * 37 + block * 11 + i) as u8;
+    let (world, config) = bip_world(2);
+    world.run(move |env| {
+        let mad = Madeleine::init(&env, &config);
+        let ch = mad.channel("net");
+        let message = |m: usize| -> Vec<Vec<u8>> {
+            let block = |b: usize| (0..LEN).map(|i| byte(m, b, i)).collect();
+            (0..BLOCKS).map(block).collect()
+        };
+        let sent = BIP_SHORT_RING / per_msg + 3;
+        if env.id() == 0 {
+            let post = |m: usize| {
+                let blocks = message(m).into_iter();
+                let modes = (SendMode::Cheaper, RecvMode::Cheaper);
+                ch.post_message(
+                    1,
+                    blocks.map(|b| (Bytes::from(b), modes.0, modes.1)).collect(),
+                )
+            };
+            let ids: Vec<_> = (0..sent).map(post).collect();
+            let parked = BIP_SHORT_RING / per_msg;
+            assert_eq!(ch.engine().state(ids[parked]), Some(OpState::CreditWait));
+            assert_eq!(ch.engine().state(ids[parked + 1]), Some(OpState::Posted));
+            let doomed = post(sent);
+            assert!(
+                ch.cancel_op(doomed),
+                "an op queued behind the parked one is unstarted"
+            );
+            env.barrier();
+            for id in ids {
+                ch.wait_op(id).expect("parked and queued ops complete");
+            }
+            assert_eq!(ch.engine().in_flight(), 0);
+        } else {
+            env.barrier();
+            for m in 0..sent {
+                let mut got = vec![vec![0u8; LEN]; BLOCKS];
+                let mut msg = ch.begin_unpacking();
+                for block in got.iter_mut() {
+                    msg.unpack(block, SendMode::Cheaper, RecvMode::Cheaper);
+                }
+                msg.end_unpacking();
+                assert!(got == message(m), "message {m} corrupted or out of order");
+            }
+        }
+    });
+}

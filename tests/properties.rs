@@ -87,12 +87,14 @@ fn sanitize(blocks: &[(usize, u8, u8)]) -> Vec<(usize, SendMode, RecvMode)> {
         .collect()
 }
 
-/// Pack `blocks` on node 0, unpack them on node 1, compare byte for byte.
-/// Block `k`'s byte `i` is `fill(i, k)`.
+/// Send `blocks` from node 0 — packed, or `posted` as one nonblocking op —
+/// unpack them on node 1, compare byte for byte. Block `k`'s byte `i` is
+/// `fill(i, k)`.
 fn roundtrip(
     world: madsim_net::World,
     config: Config,
     blocks: Vec<(usize, SendMode, RecvMode)>,
+    posted: bool,
     fill: fn(usize, usize) -> u8,
 ) {
     world.run(|env| {
@@ -103,7 +105,12 @@ fn roundtrip(
             .enumerate()
             .map(|(k, &(len, _, _))| (0..len).map(|i| fill(i, k)).collect())
             .collect();
-        if env.id() == 0 {
+        if env.id() == 0 && posted {
+            let owned = payloads.into_iter().zip(&blocks);
+            let owned = owned.map(|(p, &(_, sm, rm))| (p.into(), sm, rm));
+            let id = ch.post_message(1, owned.collect());
+            ch.wait_op(id).expect("posted message completes");
+        } else if env.id() == 0 {
             let mut msg = ch.begin_packing(1);
             for (payload, &(_, sm, rm)) in payloads.iter().zip(&blocks) {
                 msg.pack(payload, sm, rm);
@@ -117,20 +124,20 @@ fn roundtrip(
             }
             msg.end_unpacking();
             for (got, want) in bufs.iter().zip(&payloads) {
-                assert_eq!(got, want, "shape {blocks:?}");
+                assert_eq!(got, want, "shape {blocks:?}, posted: {posted}");
             }
         }
     });
 }
 
 /// Any symmetric pack/unpack sequence round-trips byte-exact over any
-/// protocol, for every mode combination.
+/// protocol, for every mode combination, through either send path.
 #[test]
 fn arbitrary_messages_roundtrip() {
     check("arbitrary_messages_roundtrip", WORLDS, &[], |g| {
         let blocks = message_shape(g);
         let (world, config) = pair_over(g.pick(&PROTOCOLS));
-        roundtrip(world, config, blocks, |i, k| {
+        roundtrip(world, config, blocks, g.pick(&[false, true]), |i, k| {
             (i as u8).wrapping_add(k as u8)
         });
     });
@@ -156,7 +163,7 @@ fn multirail_messages_roundtrip() {
                 .with_rails(rails)
                 .with_striping(4096, 2048),
         );
-        roundtrip(b.build(), config, blocks, |i, k| {
+        roundtrip(b.build(), config, blocks, g.pick(&[false, true]), |i, k| {
             (i as u8).wrapping_mul(3).wrapping_add(k as u8)
         });
     });
