@@ -13,6 +13,7 @@
 
 use crate::bmm::SendPolicy;
 use crate::config::HostModel;
+use crate::drivers::CreditWindow;
 use crate::error::{MadError, MadResult};
 use crate::flags::{RecvMode, SendMode};
 use crate::pmm::Pmm;
@@ -22,28 +23,22 @@ use crate::stats::Stats;
 use crate::tm::{
     PendingKind, StaticBuf, TmCaps, TmId, TmPending, TmSend, TmStep, TransmissionModule,
 };
-use crate::trace::{TraceEvent, Tracer};
+use crate::trace::Tracer;
 use bytes::Bytes;
 use madsim_net::stacks::bip::{Bip, BIP_SHORT_MAX, BIP_SHORT_RING};
+use madsim_net::stacks::link_deadline;
 use madsim_net::time::{VDuration, VTime};
 use madsim_net::world::Adapter;
 use madsim_net::NodeId;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Blocks shorter than this ride the short TM (BIP's own boundary).
 pub const SHORT_LIMIT: usize = BIP_SHORT_MAX;
 /// Return credits every this many consumed buffers.
-const CREDIT_BATCH: u64 = 4;
-/// Bounded wait for credit returns / rendezvous handshakes on a
-/// fault-armed fabric. BIP has no retransmission: when this expires the
-/// channel is reported down rather than silently hanging.
-const FAULT_WAIT: Duration = Duration::from_millis(2_000);
-/// The fault-armed payload wait is taken in slices this long, so a link
-/// known to be cut costs one slice instead of the whole [`FAULT_WAIT`].
-const FAULT_SLICE: Duration = Duration::from_millis(2);
+const CREDIT_BATCH: usize = 4;
 
 const SUB_DATA: u64 = 0;
 const SUB_CREDIT: u64 = 1;
@@ -70,14 +65,16 @@ pub fn build(
         None => Bip::new(adapter),
     };
     let short: Arc<dyn TransmissionModule> = Arc::new(BipShortTm {
-        bip: bip.clone(),
-        data_tag: tag(channel_id, SUB_DATA),
-        credit_tag: tag(channel_id, SUB_CREDIT),
-        flow: Arc::new(Mutex::new(HashMap::new())),
+        path: ShortPath {
+            bip: bip.clone(),
+            data_tag: tag(channel_id, SUB_DATA),
+            credit_tag: tag(channel_id, SUB_CREDIT),
+            flow: Arc::new(Mutex::new(HashMap::new())),
+            stats: Arc::clone(&stats),
+            tracer: Arc::clone(&tracer),
+        },
         host,
-        stats: Arc::clone(&stats),
         pool,
-        tracer: Arc::clone(&tracer),
     });
     let long: Arc<dyn TransmissionModule> = Arc::new(BipLongTm {
         bip: bip.clone(),
@@ -136,23 +133,6 @@ impl Pmm for BipPmm {
     }
 }
 
-/// Per-peer flow-control state of the short TM.
-struct FlowState {
-    /// Send credits remaining (receive-ring slots we may still fill).
-    credits: usize,
-    /// Buffers received from this peer since the last credit return.
-    consumed_since_credit: u64,
-}
-
-impl Default for FlowState {
-    fn default() -> Self {
-        FlowState {
-            credits: BIP_SHORT_RING,
-            consumed_since_credit: 0,
-        }
-    }
-}
-
 /// Parse a credit-return packet, surfacing truncation as stream damage
 /// instead of panicking.
 fn credit_value(pkt: &[u8]) -> MadResult<usize> {
@@ -163,71 +143,62 @@ fn credit_value(pkt: &[u8]) -> MadResult<usize> {
     Ok(u32::from_le_bytes(bytes) as usize)
 }
 
-/// Decrement a credit for `peer` if one is available (nonblocking half of
-/// [`BipShortTm::take_credit`], shared with the credit-wait continuation).
-fn try_take_credit(flow: &Mutex<HashMap<NodeId, FlowState>>, peer: NodeId) -> bool {
-    let mut flow = flow.lock();
-    let st = flow.entry(peer).or_default();
-    if st.credits > 0 {
-        st.credits -= 1;
-        true
-    } else {
-        false
+/// What the short TM and its credit-wait continuation share: the stack,
+/// the data and credit tags, one credit window per peer, and where link
+/// failures are counted.
+#[derive(Clone)]
+struct ShortPath {
+    bip: Bip,
+    data_tag: u64,
+    credit_tag: u64,
+    flow: Arc<Mutex<HashMap<NodeId, CreditWindow>>>,
+    stats: Arc<Stats>,
+    tracer: Arc<Tracer>,
+}
+
+impl ShortPath {
+    fn with_window<T>(&self, peer: NodeId, f: impl FnOnce(&mut CreditWindow) -> T) -> T {
+        let mut flow = self.flow.lock();
+        f(flow
+            .entry(peer)
+            .or_insert_with(|| CreditWindow::new(BIP_SHORT_RING, CREDIT_BATCH)))
+    }
+
+    /// Take back the credits in a credit-return packet from `peer`.
+    fn refund(&self, peer: NodeId, pkt: &[u8]) -> MadResult<()> {
+        let n = credit_value(pkt)?;
+        self.with_window(peer, |w| w.refund(n));
+        Ok(())
+    }
+
+    /// Absorb the credit returns already queued from `peer`, then spend a
+    /// credit toward it if one is left.
+    fn try_take_credit(&self, peer: NodeId) -> MadResult<bool> {
+        while let Some(pkt) = self.bip.poll_short_from(peer, self.credit_tag) {
+            self.refund(peer, &pkt)?;
+        }
+        Ok(self.with_window(peer, CreditWindow::take))
     }
 }
 
 struct BipShortTm {
-    bip: Bip,
-    data_tag: u64,
-    credit_tag: u64,
-    flow: Arc<Mutex<HashMap<NodeId, FlowState>>>,
+    path: ShortPath,
     host: HostModel,
-    stats: Arc<Stats>,
     pool: BufPool,
-    tracer: Arc<Tracer>,
 }
 
 impl BipShortTm {
-    /// Absorb any credit-return packets already queued from `peer`.
-    fn drain_credits(&self, peer: NodeId) -> MadResult<()> {
-        while let Some(pkt) = self.bip.try_recv_short_from(peer, self.credit_tag) {
-            let n = credit_value(&pkt)?;
-            self.flow.lock().entry(peer).or_default().credits += n;
+    fn take_credit(&self, peer: NodeId) -> MadResult<()> {
+        let p = &self.path;
+        while !p.try_take_credit(peer)? {
+            // Out of credits: block until the receiver returns some.
+            let pkt = p
+                .bip
+                .try_recv_short_from(peer, p.credit_tag)
+                .map_err(MadError::from_link(peer, &p.stats, &p.tracer))?;
+            p.refund(peer, &pkt)?;
         }
         Ok(())
-    }
-
-    /// Report an expired bounded wait on `peer`: count it, trace it, and
-    /// name the condition (dead peer vs. merely down channel).
-    fn wait_expired(&self, peer: NodeId) -> MadError {
-        self.stats.record_link_timeout();
-        self.tracer.record(TraceEvent::CreditTimeout { peer });
-        if !self.bip.adapter().reachable_to(peer) {
-            MadError::PeerUnreachable { peer }
-        } else {
-            MadError::ChannelDown
-        }
-    }
-
-    fn take_credit(&self, peer: NodeId) -> MadResult<()> {
-        loop {
-            self.drain_credits(peer)?;
-            if try_take_credit(&self.flow, peer) {
-                return Ok(());
-            }
-            // Out of credits: block until the receiver returns some. On a
-            // fault-armed fabric the wait is bounded — a vanished credit
-            // source marks the channel down instead of hanging forever.
-            let pkt = if self.bip.adapter().faulty() {
-                self.bip
-                    .recv_short_from_timeout(peer, self.credit_tag, FAULT_WAIT)
-                    .ok_or_else(|| self.wait_expired(peer))?
-            } else {
-                self.bip.recv_short_from(peer, self.credit_tag)
-            };
-            let n = credit_value(&pkt)?;
-            self.flow.lock().entry(peer).or_default().credits += n;
-        }
     }
 
     /// Copy a dynamic buffer into a static one (the TM-level copy of the
@@ -238,27 +209,8 @@ impl BipShortTm {
         buf.spare_mut()[..data.len()].copy_from_slice(data);
         buf.advance(data.len());
         madsim_net::time::advance(self.host.memcpy(data.len()));
-        self.stats.record_tm_copy(data.len());
+        self.path.stats.record_tm_copy(data.len());
         buf
-    }
-
-    /// Account one consumed receive buffer; return batched credits.
-    fn account_consumed(&self, peer: NodeId) {
-        let send_back = {
-            let mut flow = self.flow.lock();
-            let st = flow.entry(peer).or_default();
-            st.consumed_since_credit += 1;
-            if st.consumed_since_credit >= CREDIT_BATCH {
-                st.consumed_since_credit = 0;
-                true
-            } else {
-                false
-            }
-        };
-        if send_back {
-            self.bip
-                .send_short(peer, self.credit_tag, &(CREDIT_BATCH as u32).to_le_bytes());
-        }
     }
 }
 
@@ -283,7 +235,8 @@ impl TransmissionModule for BipShortTm {
 
     fn send_static_buffer(&self, dst: NodeId, buf: StaticBuf) -> MadResult<()> {
         self.take_credit(dst)?;
-        self.bip.send_short(dst, self.data_tag, buf.filled());
+        let p = &self.path;
+        p.bip.send_short(dst, p.data_tag, buf.filled());
         Ok(())
     }
 
@@ -296,21 +249,21 @@ impl TransmissionModule for BipShortTm {
         );
         dst.copy_from_slice(buf.filled());
         madsim_net::time::advance(self.host.memcpy(dst.len()));
-        self.stats.record_tm_copy(dst.len());
+        self.path.stats.record_tm_copy(dst.len());
         Ok(())
     }
 
     fn receive_static_buffer(&self, src: NodeId) -> MadResult<StaticBuf> {
-        // The announcing header already arrived on this tag, so the data
-        // wait is bounded on a fault-armed fabric too.
-        let data = if self.bip.adapter().faulty() {
-            self.bip
-                .recv_short_from_timeout(src, self.data_tag, FAULT_WAIT)
-                .ok_or_else(|| self.wait_expired(src))?
-        } else {
-            self.bip.recv_short_from(src, self.data_tag)
-        };
-        self.account_consumed(src);
+        let p = &self.path;
+        let data = p
+            .bip
+            .try_recv_short_from(src, p.data_tag)
+            .map_err(MadError::from_link(src, &p.stats, &p.tracer))?;
+        // One receive-ring slot consumed: return a batch of credits when due.
+        if let Some(n) = p.with_window(src, CreditWindow::consume) {
+            p.bip
+                .send_short(src, p.credit_tag, &(n as u32).to_le_bytes());
+        }
         Ok(StaticBuf::shared(data, 0))
     }
 
@@ -327,15 +280,10 @@ impl TransmissionModule for BipShortTm {
         // The blocking send with the credit taken nonblockingly: out of
         // credits becomes a CreditWait continuation instead of a spin.
         first_poll(CreditWaitSend {
-            bip: self.bip.clone(),
-            flow: Arc::clone(&self.flow),
-            data_tag: self.data_tag,
-            credit_tag: self.credit_tag,
+            path: self.path.clone(),
             dst,
             buf: Some(buf),
             deadline: None,
-            stats: Arc::clone(&self.stats),
-            tracer: Arc::clone(&self.tracer),
         })
     }
 }
@@ -352,17 +300,12 @@ fn first_poll(mut cont: impl TmPending + 'static) -> MadResult<TmSend> {
 /// A short block staged in a static buffer, waiting for a flow-control
 /// credit. Each poll absorbs queued credit returns and ships the block as
 /// soon as one is available; on a fault-armed fabric the wait is bounded
-/// by the same [`FAULT_WAIT`] the blocking path uses.
+/// by [`link_deadline`], the twin of the blocking path's wait.
 struct CreditWaitSend {
-    bip: Bip,
-    flow: Arc<Mutex<HashMap<NodeId, FlowState>>>,
-    data_tag: u64,
-    credit_tag: u64,
+    path: ShortPath,
     dst: NodeId,
     buf: Option<StaticBuf>,
     deadline: Option<Instant>,
-    stats: Arc<Stats>,
-    tracer: Arc<Tracer>,
 }
 
 impl TmPending for CreditWaitSend {
@@ -371,29 +314,14 @@ impl TmPending for CreditWaitSend {
     }
 
     fn try_advance(&mut self) -> MadResult<TmStep> {
-        while let Some(pkt) = self.bip.try_recv_short_from(self.dst, self.credit_tag) {
-            let n = credit_value(&pkt)?;
-            self.flow.lock().entry(self.dst).or_default().credits += n;
-        }
-        if try_take_credit(&self.flow, self.dst) {
+        let (p, dst) = (&self.path, self.dst);
+        if p.try_take_credit(dst)? {
             let buf = self.buf.take().expect("credit-wait block already shipped");
-            self.bip.send_short(self.dst, self.data_tag, buf.filled());
+            p.bip.send_short(dst, p.data_tag, buf.filled());
             return Ok(TmStep::Done(madsim_net::time::now()));
         }
-        if self.bip.adapter().faulty() {
-            if !self.bip.adapter().reachable_to(self.dst) {
-                return Err(MadError::PeerUnreachable { peer: self.dst });
-            }
-            let deadline = *self
-                .deadline
-                .get_or_insert_with(|| Instant::now() + FAULT_WAIT);
-            if Instant::now() >= deadline {
-                self.stats.record_link_timeout();
-                self.tracer
-                    .record(TraceEvent::CreditTimeout { peer: self.dst });
-                return Err(MadError::ChannelDown);
-            }
-        }
+        link_deadline(p.bip.adapter(), dst, &mut self.deadline)
+            .map_err(MadError::from_link(dst, &p.stats, &p.tracer))?;
         Ok(TmStep::Pending)
     }
 }
@@ -405,21 +333,6 @@ struct BipLongTm {
     cts_ahead: Mutex<HashMap<NodeId, usize>>,
     stats: Arc<Stats>,
     tracer: Arc<Tracer>,
-}
-
-impl BipLongTm {
-    /// Lift a rendezvous failure into the taxonomy: an expired handshake
-    /// wait means the channel is down (BIP has no retransmission).
-    fn rendezvous_err(&self, e: madsim_net::LinkError, peer: NodeId) -> MadError {
-        match e {
-            madsim_net::LinkError::PeerDead => MadError::PeerUnreachable { peer },
-            madsim_net::LinkError::Timeout => {
-                self.stats.record_link_timeout();
-                self.tracer.record(TraceEvent::CreditTimeout { peer });
-                MadError::ChannelDown
-            }
-        }
-    }
 }
 
 impl TransmissionModule for BipLongTm {
@@ -439,15 +352,10 @@ impl TransmissionModule for BipLongTm {
         // Rendezvous: blocks until the receiver posts; zero software copies
         // (the `copy_from_slice` below stages the simulated wire transfer —
         // real BIP DMAs straight from this user memory).
-        let payload = bytes::Bytes::copy_from_slice(data);
-        if self.bip.adapter().faulty() {
-            self.bip
-                .try_send_long(dst, self.long_tag, payload, FAULT_WAIT)
-                .map_err(|e| self.rendezvous_err(e, dst))
-        } else {
-            self.bip.send_long(dst, self.long_tag, payload);
-            Ok(())
-        }
+        let payload = Bytes::copy_from_slice(data);
+        self.bip
+            .try_send_long(dst, self.long_tag, payload)
+            .map_err(MadError::from_link(dst, &self.stats, &self.tracer))
     }
 
     fn receive_buffer(&self, src: NodeId, dst: &mut [u8]) -> MadResult<()> {
@@ -461,26 +369,13 @@ impl TransmissionModule for BipLongTm {
                 _ => false,
             }
         };
-        let n = if self.bip.adapter().faulty() {
-            if !posted {
-                self.bip.post_cts(src, self.long_tag);
-            }
-            // Each expired slice re-checks the link, so a cut rail fails fast.
-            let deadline = Instant::now() + FAULT_WAIT;
-            loop {
-                match self
-                    .bip
-                    .recv_long_posted_timeout(src, self.long_tag, dst, FAULT_SLICE)
-                {
-                    Err(madsim_net::LinkError::Timeout) if Instant::now() < deadline => {}
-                    r => break r.map_err(|e| self.rendezvous_err(e, src))?,
-                }
-            }
-        } else if posted {
-            self.bip.recv_long_posted(src, self.long_tag, dst)
-        } else {
-            self.bip.recv_long(src, self.long_tag, dst)
-        };
+        if !posted {
+            self.bip.post_cts(src, self.long_tag);
+        }
+        let n = self
+            .bip
+            .try_recv_long_posted(src, self.long_tag, dst)
+            .map_err(MadError::from_link(src, &self.stats, &self.tracer))?;
         assert_eq!(n, dst.len(), "long TM receive length mismatch");
         Ok(())
     }
@@ -530,12 +425,10 @@ impl TmPending for RendezvousSend {
     }
 
     fn try_advance(&mut self) -> MadResult<TmStep> {
-        let faulty = self.bip.adapter().faulty();
         // Link check first: a CTS that made it across before the link was
         // cut must not release a payload into the dead link.
-        if faulty && !self.bip.adapter().reachable_to(self.dst) {
-            return Err(MadError::PeerUnreachable { peer: self.dst });
-        }
+        link_deadline(self.bip.adapter(), self.dst, &mut self.deadline)
+            .map_err(MadError::from_link(self.dst, &self.stats, &self.tracer))?;
         if let Some(cts) = self.bip.try_take_cts(self.dst, self.long_tag) {
             let data = self.data.take().expect("rendezvous block already shipped");
             let start = self.posted_at.max(cts);
@@ -544,19 +437,6 @@ impl TmPending for RendezvousSend {
                 .send_long_from(self.dst, self.long_tag, data, start);
             let host_post = VDuration::from_micros_f64(self.bip.timing().host_post_us);
             return Ok(TmStep::Done(local_done + host_post));
-        }
-        if faulty {
-            let deadline = *self
-                .deadline
-                .get_or_insert_with(|| Instant::now() + FAULT_WAIT);
-            if Instant::now() >= deadline {
-                // Same taxonomy as the blocking rendezvous: an expired
-                // handshake marks the channel down (BIP cannot retransmit).
-                self.stats.record_link_timeout();
-                self.tracer
-                    .record(TraceEvent::CreditTimeout { peer: self.dst });
-                return Err(MadError::ChannelDown);
-            }
         }
         Ok(TmStep::Pending)
     }

@@ -103,3 +103,52 @@ pub fn build_pmm(
         }
     }
 }
+
+/// Flow control over one peer's bounded receive window — BIP's short
+/// ring, VIA's preposted descriptors — which the stack itself would let a
+/// sender overrun. A sender spends a credit per send and stops at zero;
+/// the receiver counts what it consumes and returns credits in batches.
+/// Each driver keeps one per peer under its own lock, and its own window,
+/// batch and credit-packet format.
+pub(crate) struct CreditWindow {
+    /// Credits a sender starts with, and at most holds.
+    window: usize,
+    /// Credits returned at once, after this many buffers consumed.
+    batch: usize,
+    /// Sends toward the peer still allowed.
+    credits: usize,
+    /// Buffers consumed from the peer since the last credit return.
+    consumed: usize,
+}
+
+impl CreditWindow {
+    pub(crate) fn new(window: usize, batch: usize) -> Self {
+        CreditWindow {
+            window,
+            batch,
+            credits: window,
+            consumed: 0,
+        }
+    }
+
+    /// Spend one credit, if one is left.
+    pub(crate) fn take(&mut self) -> bool {
+        let Some(left) = self.credits.checked_sub(1) else {
+            return false;
+        };
+        self.credits = left;
+        true
+    }
+
+    /// Take back `n` credits the peer returned.
+    pub(crate) fn refund(&mut self, n: usize) {
+        self.credits = self.credits.saturating_add(n).min(self.window);
+    }
+
+    /// Count one buffer consumed from the peer: `Some(n)` when that
+    /// completes a batch and `n` credits are to be returned.
+    pub(crate) fn consume(&mut self) -> Option<usize> {
+        self.consumed += 1;
+        (self.consumed >= self.batch).then(|| std::mem::take(&mut self.consumed))
+    }
+}

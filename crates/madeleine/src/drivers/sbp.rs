@@ -18,7 +18,7 @@ use crate::tm::{StaticBuf, TmCaps, TmId, TransmissionModule};
 use crate::trace::{TraceEvent, Tracer};
 use madsim_net::stacks::sbp::{Sbp, SBP_BUFFER_SIZE};
 use madsim_net::world::Adapter;
-use madsim_net::{LinkError, NodeId};
+use madsim_net::NodeId;
 use std::sync::Arc;
 
 fn tag(channel_id: u32) -> u64 {
@@ -100,17 +100,6 @@ struct SbpTm {
     tracer: Arc<Tracer>,
 }
 
-impl SbpTm {
-    /// Lift a fabric link error into the taxonomy, counting timeouts.
-    fn link_err(&self, e: LinkError, peer: NodeId) -> MadError {
-        if e == LinkError::Timeout {
-            self.stats.record_link_timeout();
-            self.tracer.record(TraceEvent::CreditTimeout { peer });
-        }
-        MadError::from_link(e, peer)
-    }
-}
-
 impl TransmissionModule for SbpTm {
     fn name(&self) -> &'static str {
         "sbp/static"
@@ -140,7 +129,7 @@ impl TransmissionModule for SbpTm {
         let n = self
             .sbp
             .try_send(dst, self.tag, tx)
-            .map_err(|e| self.link_err(e, dst))?;
+            .map_err(MadError::from_link(dst, &self.stats, &self.tracer))?;
         if n > 0 {
             self.stats.record_retransmits(n);
             self.tracer.record(TraceEvent::Retransmit {
@@ -162,7 +151,7 @@ impl TransmissionModule for SbpTm {
         let rx = self
             .sbp
             .try_recv_from(src, self.tag)
-            .map_err(|e| self.link_err(e, src))?;
+            .map_err(MadError::from_link(src, &self.stats, &self.tracer))?;
         Ok(StaticBuf::shared(rx, 0))
     }
 

@@ -37,15 +37,14 @@ use crate::pmm::Pmm;
 use crate::polling::PollPolicy;
 use crate::stats::Stats;
 use crate::tm::{TmCaps, TmId, TransmissionModule};
-use crate::trace::{TraceEvent, Tracer};
+use crate::trace::Tracer;
 use madsim_net::stacks::sisci::{LocalSegment, RemoteSegment, Sisci};
 use madsim_net::time::{self, VDuration, VTime};
 use madsim_net::world::Adapter;
-use madsim_net::{FaultState, LinkError, NodeId};
+use madsim_net::{LinkError, NodeId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Largest block carried by the short TM.
 pub const SHORT_LIMIT: usize = 512;
@@ -63,11 +62,6 @@ const DMA_RING: usize = DMA_CHUNK;
 
 /// Fixed cost of arming the dual-buffering pipeline for a bulk transfer.
 const DUALBUF_SETUP_US: f64 = 20.0;
-
-/// Bounded wait (real time) for flag/ack publication on a fault-armed
-/// fabric. SCI has no retransmission, so an expired wait reports the
-/// channel down rather than retrying.
-const FAULT_WAIT: Duration = Duration::from_millis(2_000);
 
 /// Flag polls granted to a wait *inside* a transfer (the sender's for ring
 /// space, the receiver's for the rest of a block it has begun to read),
@@ -119,9 +113,6 @@ struct PeerLink {
     /// Owned by the peer; we write our data (me→peer) and our acks here.
     remote: RemoteSegment,
     streams: [StreamPair; 3],
-    /// Fault state of the fabric, if armed (`None` on a clean world).
-    faults: Option<Arc<FaultState>>,
-    me: NodeId,
     peer: NodeId,
 }
 
@@ -199,21 +190,12 @@ fn checked_add(pos: u32, n: usize, what: &str) -> u32 {
 }
 
 impl PeerLink {
-    /// Wait until the local flag at `off` reaches `val`, polling it `polls`
-    /// times before parking. Unbounded on a clean world; bounded by
-    /// [`FAULT_WAIT`] when faults are armed (a dead peer or a silent one).
+    /// Wait until the peer's flag at `off` reaches `val`, polling it
+    /// `polls` times before parking. Unbounded on a clean world; the link's
+    /// bounded wait when faults are armed (a dead peer or a silent one).
     fn wait_flag(&self, off: usize, val: u32, polls: u32) -> Result<u32, LinkError> {
-        let faults = self.faults.as_ref();
-        let dead = || faults.is_some_and(|f| !f.reachable(self.me, self.peer));
-        if dead() {
-            return Err(LinkError::PeerDead);
-        }
-        let timeout = faults.map(|_| FAULT_WAIT);
-        match self.local.wait_flag_ge_val(off, val, polls, timeout) {
-            Some((v, _)) => Ok(v),
-            None if dead() => Err(LinkError::PeerDead),
-            None => Err(LinkError::Timeout),
-        }
+        let hit = self.local.try_wait_flag_ge(self.peer, off, val, polls)?;
+        Ok(hit.0)
     }
 
     /// Stream a commit-group of blocks to the peer through `geom`, in
@@ -343,8 +325,6 @@ fn connect_links(sisci: &Sisci, adapter: &Adapter, channel_id: u32) -> Links {
             local,
             remote,
             streams: [StreamPair::new(), StreamPair::new(), StreamPair::new()],
-            faults: adapter.faults().cloned(),
-            me,
             peer: p,
         };
         (p, Arc::new(link))
@@ -462,19 +442,6 @@ impl SisciStreamTm {
             .get(&peer)
             .unwrap_or_else(|| panic!("no SISCI link to node {peer}"))
     }
-
-    /// Lift an expired flag wait into the taxonomy: SCI has no
-    /// retransmission, so a silent peer means the channel is down.
-    fn wait_err(&self, e: LinkError, peer: NodeId) -> MadError {
-        match e {
-            LinkError::PeerDead => MadError::PeerUnreachable { peer },
-            LinkError::Timeout => {
-                self.stats.record_link_timeout();
-                self.tracer.record(TraceEvent::CreditTimeout { peer });
-                MadError::ChannelDown
-            }
-        }
-    }
 }
 
 impl TransmissionModule for SisciStreamTm {
@@ -506,7 +473,7 @@ impl TransmissionModule for SisciStreamTm {
         }
         self.link(dst)
             .send_group(self.geom, bufs)
-            .map_err(|e| self.wait_err(e, dst))
+            .map_err(MadError::from_link(dst, &self.stats, &self.tracer))
     }
 
     fn send_gather(&self, dst: NodeId, bufs: &[&[u8]]) -> MadResult<()> {
@@ -517,14 +484,14 @@ impl TransmissionModule for SisciStreamTm {
     fn receive_buffer(&self, src: NodeId, dst: &mut [u8]) -> MadResult<()> {
         self.link(src)
             .read_stream(self.geom, dst)
-            .map_err(|e| self.wait_err(e, src))
+            .map_err(MadError::from_link(src, &self.stats, &self.tracer))
     }
 
     fn receive_sub_buffer_group(&self, src: NodeId, dsts: &mut [&mut [u8]]) -> MadResult<()> {
         let link = self.link(src);
+        let lift = MadError::from_link(src, &self.stats, &self.tracer);
         for d in dsts.iter_mut() {
-            link.read_stream(self.geom, d)
-                .map_err(|e| self.wait_err(e, src))?;
+            link.read_stream(self.geom, d).map_err(&lift)?;
         }
         Ok(())
     }
@@ -535,7 +502,7 @@ mod tests {
     use super::*;
     use madsim_net::{FaultPlan, NetKind, NodeEnv, WorldBuilder};
     use std::sync::OnceLock;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     fn sci_world(nodes: usize, plan: Option<FaultPlan>) -> madsim_net::World {
         let mut b = WorldBuilder::new(nodes);
@@ -642,7 +609,7 @@ mod tests {
                 let took = started.elapsed();
                 let intact = me == 0 || got[..consumed] == pattern(LEN)[..consumed];
                 assert_eq!((r, intact), (Err(LinkError::PeerDead), true));
-                assert!(took < FAULT_WAIT + Duration::from_secs(1), "took {took:?}");
+                assert!(took < Duration::from_millis(500), "took {took:?}");
             }
         });
     }

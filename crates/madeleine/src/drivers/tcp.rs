@@ -21,7 +21,7 @@ use bytes::Bytes;
 use madsim_net::stacks::tcp::{TcpConn, TcpStack};
 use madsim_net::time;
 use madsim_net::world::Adapter;
-use madsim_net::{LinkError, NodeId};
+use madsim_net::NodeId;
 use parking_lot::{Mutex, MutexGuard};
 use std::sync::Arc;
 
@@ -127,15 +127,6 @@ impl TcpTm {
                 .record(TraceEvent::Retransmit { peer, retries: n });
         }
     }
-
-    /// Lift a fabric link error into the taxonomy, counting timeouts.
-    fn link_err(&self, e: LinkError, peer: NodeId) -> MadError {
-        if e == LinkError::Timeout {
-            self.stats.record_link_timeout();
-            self.tracer.record(TraceEvent::CreditTimeout { peer });
-        }
-        MadError::from_link(e, peer)
-    }
 }
 
 impl TransmissionModule for TcpTm {
@@ -152,10 +143,11 @@ impl TransmissionModule for TcpTm {
     }
 
     fn send_buffer(&self, dst: NodeId, data: &[u8]) -> MadResult<()> {
-        let n = self
-            .conn(dst)
-            .try_send(data)
-            .map_err(|e| self.link_err(e, dst))?;
+        let n = self.conn(dst).try_send(data).map_err(MadError::from_link(
+            dst,
+            &self.stats,
+            &self.tracer,
+        ))?;
         self.note_retransmits(dst, n);
         Ok(())
     }
@@ -167,7 +159,7 @@ impl TransmissionModule for TcpTm {
         let n = self
             .conn(dst)
             .try_send_vectored(bufs)
-            .map_err(|e| self.link_err(e, dst))?;
+            .map_err(MadError::from_link(dst, &self.stats, &self.tracer))?;
         self.note_retransmits(dst, n);
         Ok(())
     }
@@ -181,7 +173,7 @@ impl TransmissionModule for TcpTm {
     fn receive_buffer(&self, src: NodeId, dst: &mut [u8]) -> MadResult<()> {
         self.conn(src)
             .try_recv_exact(dst)
-            .map_err(|e| self.link_err(e, src))?;
+            .map_err(MadError::from_link(src, &self.stats, &self.tracer))?;
         // Socket buffer → user memory copy: a cost of the protocol itself,
         // not of the generic layer (no emission flag could avoid it).
         time::advance(self.host.memcpy(dst.len()));
@@ -192,8 +184,9 @@ impl TransmissionModule for TcpTm {
     fn receive_sub_buffer_group(&self, src: NodeId, dsts: &mut [&mut [u8]]) -> MadResult<()> {
         let mut total = 0;
         let mut conn = self.conn(src);
+        let lift = MadError::from_link(src, &self.stats, &self.tracer);
         for d in dsts.iter_mut() {
-            conn.try_recv_exact(d).map_err(|e| self.link_err(e, src))?;
+            conn.try_recv_exact(d).map_err(&lift)?;
             total += d.len();
         }
         drop(conn);
@@ -210,15 +203,16 @@ impl TransmissionModule for TcpTm {
         unit_len: &mut dyn FnMut(&[u8]) -> MadResult<Option<usize>>,
     ) -> MadResult<Bytes> {
         let mut conn = self.conn(src);
+        let lift = MadError::from_link(src, &self.stats, &self.tracer);
         let mut want = 1;
         let len = loop {
-            let head = conn.try_peek(want).map_err(|e| self.link_err(e, src))?;
+            let head = conn.try_peek(want).map_err(&lift)?;
             match unit_len(head)? {
                 Some(len) => break len,
                 None => want = head.len() + 1,
             }
         };
         // Still in its socket buffer: the copy out is the caller's.
-        conn.try_recv_bytes(len).map_err(|e| self.link_err(e, src))
+        conn.try_recv_bytes(len).map_err(lift)
     }
 }

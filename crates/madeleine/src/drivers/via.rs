@@ -12,6 +12,7 @@
 //!   panics, so getting this wrong is loud).
 
 use crate::bmm::SendPolicy;
+use crate::drivers::CreditWindow;
 use crate::error::{MadError, MadResult};
 use crate::flags::{RecvMode, SendMode};
 use crate::pmm::Pmm;
@@ -19,14 +20,13 @@ use crate::polling::PollPolicy;
 use crate::pool::BufPool;
 use crate::stats::Stats;
 use crate::tm::{StaticBuf, TmCaps, TmId, TransmissionModule};
-use crate::trace::{TraceEvent, Tracer};
+use crate::trace::Tracer;
 use madsim_net::stacks::via::{Vi, Via};
 use madsim_net::world::Adapter;
-use madsim_net::{LinkError, NodeId};
+use madsim_net::NodeId;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Registered buffer (descriptor) size.
 pub const VIA_BUF: usize = 8192;
@@ -45,11 +45,6 @@ const CREDIT_WINDOW: usize = 8;
 const SUB_DATA: u64 = 0;
 const SUB_CREDIT: u64 = 1;
 
-/// Bounded wait (real time) for credit returns and data arrivals on a
-/// fault-armed fabric. VIA has no retransmission, so an expired wait
-/// reports the channel down rather than retrying.
-const FAULT_WAIT: Duration = Duration::from_millis(2_000);
-
 /// Decode a credit-return packet (8-byte LE count).
 fn credit_value(pkt: &[u8]) -> MadResult<usize> {
     let bytes: [u8; 8] = pkt
@@ -66,10 +61,9 @@ fn tag(channel_id: u32, sub: u64) -> u64 {
 struct PeerVis {
     data: Vi,
     credit: Vi,
-    /// Sends in flight against the peer's posted window.
-    outstanding: usize,
-    /// Messages consumed since the last credit return.
-    consumed: usize,
+    /// Sends against the peer's posted descriptors, and consumption of
+    /// ours.
+    window: CreditWindow,
 }
 
 /// Build the VIA PMM for one channel (collective: every member preposts).
@@ -105,8 +99,7 @@ pub fn build(
             Mutex::new(PeerVis {
                 data,
                 credit,
-                outstanding: 0,
-                consumed: 0,
+                window: CreditWindow::new(WINDOW, CREDIT_BATCH),
             }),
         );
     }
@@ -180,19 +173,6 @@ impl ViaTm {
             .unwrap_or_else(|| panic!("no VIA VI to node {peer}"));
         f(&mut vi.lock())
     }
-
-    /// Lift an expired bounded wait into the taxonomy: VIA has no
-    /// retransmission, so a silent peer means the channel is down.
-    fn wait_err(&self, e: LinkError, peer: NodeId) -> MadError {
-        match e {
-            LinkError::PeerDead => MadError::PeerUnreachable { peer },
-            LinkError::Timeout => {
-                self.stats.record_link_timeout();
-                self.tracer.record(TraceEvent::CreditTimeout { peer });
-                MadError::ChannelDown
-            }
-        }
-    }
 }
 
 impl TransmissionModule for ViaTm {
@@ -217,29 +197,19 @@ impl TransmissionModule for ViaTm {
     }
 
     fn send_static_buffer(&self, dst: NodeId, buf: StaticBuf) -> MadResult<()> {
+        let lift = MadError::from_link(dst, &self.stats, &self.tracer);
         self.with_peer(dst, |p| {
-            // Refresh the window view from any queued credit returns.
-            while let Some(pkt) = p.credit.try_recv() {
-                let n = credit_value(&pkt)?;
-                p.outstanding = p.outstanding.saturating_sub(n);
+            // Refresh the window from any queued credit returns.
+            while let Some(pkt) = p.credit.poll_recv() {
+                p.window.refund(credit_value(&pkt)?);
                 p.credit.post_recv(8);
             }
-            while p.outstanding >= WINDOW {
-                // Window closed: block for a credit return. On a fault-armed
-                // fabric the wait is bounded — a vanished receiver marks the
-                // channel down instead of hanging forever.
-                let pkt = if p.credit.faulty() {
-                    p.credit
-                        .recv_timeout(FAULT_WAIT)
-                        .map_err(|e| self.wait_err(e, dst))?
-                } else {
-                    p.credit.recv()
-                };
-                let n = credit_value(&pkt)?;
-                p.outstanding = p.outstanding.saturating_sub(n);
+            while !p.window.take() {
+                // Window closed: block for a credit return.
+                let pkt = p.credit.try_recv().map_err(&lift)?;
+                p.window.refund(credit_value(&pkt)?);
                 p.credit.post_recv(8);
             }
-            p.outstanding += 1;
             p.data.send(buf.filled());
             Ok(())
         })
@@ -253,22 +223,12 @@ impl TransmissionModule for ViaTm {
     }
 
     fn receive_static_buffer(&self, src: NodeId) -> MadResult<StaticBuf> {
+        let lift = MadError::from_link(src, &self.stats, &self.tracer);
         self.with_peer(src, |p| {
-            // The announcing header already arrived on this VI, so the data
-            // wait is bounded on a fault-armed fabric too.
-            let data = if p.data.faulty() {
-                p.data
-                    .recv_timeout(FAULT_WAIT)
-                    .map_err(|e| self.wait_err(e, src))?
-            } else {
-                p.data.recv()
-            };
+            let data = p.data.try_recv().map_err(lift)?;
             p.data.post_recv(VIA_BUF);
-            p.consumed += 1;
-            if p.consumed >= CREDIT_BATCH {
-                let n = p.consumed as u64;
-                p.consumed = 0;
-                p.credit.send(&n.to_le_bytes());
+            if let Some(n) = p.window.consume() {
+                p.credit.send(&(n as u64).to_le_bytes());
             }
             Ok(StaticBuf::shared(data, 0))
         })

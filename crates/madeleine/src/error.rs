@@ -8,23 +8,27 @@
 //! variants of the channel/TM API return [`MadResult`], and the original
 //! panicking entry points remain as thin shims over them — so the
 //! zero-fault fast path pays nothing for the machinery.
+//!
+//! A link-level failure (`madsim_net::LinkError`) becomes a [`MadError`] in
+//! one place, [`MadError::from_link`], the same way on all five protocols.
 
+use crate::stats::Stats;
+use crate::trace::{TraceEvent, Tracer};
 use madsim_net::{LinkError, NodeId};
 
 /// Everything that can go wrong on a Madeleine data path.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MadError {
-    /// A bounded wait (ack, credit, rendezvous, flag) expired. The peer
-    /// may still be alive; retrying at a higher level may succeed.
-    Timeout,
-    /// The peer is known dead: crashed or partitioned away.
+    /// The peer is known dead: crashed, partitioned away, or cut off on
+    /// the rail the operation used.
     PeerUnreachable {
         /// The unreachable node.
         peer: NodeId,
     },
     /// The channel (or virtual-channel route) can no longer deliver —
-    /// retransmission was exhausted, a credit source vanished, or every
-    /// route of a virtual channel is down.
+    /// retransmission was exhausted, a live peer stayed silent for a whole
+    /// bounded wait (credit, rendezvous, data, flag), or every route of a
+    /// virtual channel is down.
     ChannelDown,
     /// Incoming bytes violate a wire protocol (bad magic, corrupt
     /// envelope, malformed header). The stream cannot be resynchronized.
@@ -38,12 +42,23 @@ pub enum MadError {
 pub type MadResult<T> = Result<T, MadError>;
 
 impl MadError {
-    /// Lift a fabric-level link error into the taxonomy, naming the peer
-    /// the link pointed at.
-    pub fn from_link(e: LinkError, peer: NodeId) -> Self {
-        match e {
-            LinkError::Timeout => MadError::Timeout,
+    /// The one lift of a link error on the link to `peer` into the
+    /// taxonomy, as a `map_err` adapter: `PeerDead` is
+    /// [`PeerUnreachable`](MadError::PeerUnreachable), `Timeout` is
+    /// [`ChannelDown`](MadError::ChannelDown) — counted as a link timeout
+    /// and traced, here and nowhere else.
+    pub(crate) fn from_link<'a>(
+        peer: NodeId,
+        stats: &'a Stats,
+        tracer: &'a Tracer,
+    ) -> impl Fn(LinkError) -> MadError + 'a {
+        move |e| match e {
             LinkError::PeerDead => MadError::PeerUnreachable { peer },
+            LinkError::Timeout => {
+                stats.record_link_timeout();
+                tracer.record(TraceEvent::CreditTimeout { peer });
+                MadError::ChannelDown
+            }
         }
     }
 
@@ -56,7 +71,6 @@ impl MadError {
 impl std::fmt::Display for MadError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            MadError::Timeout => write!(f, "operation timed out"),
             MadError::PeerUnreachable { peer } => write!(f, "peer node {peer} is unreachable"),
             MadError::ChannelDown => write!(f, "channel is down"),
             MadError::CorruptStream(what) => write!(f, "corrupt stream: {what}"),
@@ -73,14 +87,15 @@ mod tests {
 
     #[test]
     fn from_link_maps_both_variants() {
+        let (stats, tracer) = (Stats::new(), Tracer::new());
+        let lift = MadError::from_link(3, &stats, &tracer);
         assert_eq!(
-            MadError::from_link(LinkError::Timeout, 3),
-            MadError::Timeout
-        );
-        assert_eq!(
-            MadError::from_link(LinkError::PeerDead, 3),
+            lift(LinkError::PeerDead),
             MadError::PeerUnreachable { peer: 3 }
         );
+        assert_eq!(stats.link_timeouts(), 0, "a dead peer is not a timeout");
+        assert_eq!(lift(LinkError::Timeout), MadError::ChannelDown);
+        assert_eq!(stats.link_timeouts(), 1);
     }
 
     #[test]

@@ -4,6 +4,7 @@ use crate::batch::BatchPolicy;
 use crate::channel::Channel;
 use crate::config::Config;
 use crate::drivers;
+use crate::flags::{RecvMode, SendMode};
 use crate::pool::BufPool;
 use crate::rail::{Rail, RailScheduler};
 use crate::stats::Stats;
@@ -30,7 +31,8 @@ impl Madeleine {
     ///
     /// # Panics
     /// Panics if a channel references an unknown network, duplicates a
-    /// name, or its protocol does not match the network's fabric.
+    /// name, its protocol does not match the network's fabric, or it
+    /// stripes over several rails in chunks its TM cannot carry.
     pub fn init(env: &NodeEnv, config: &Config) -> Self {
         let me = env.id();
         // Validate the configuration before any membership filtering: a
@@ -92,6 +94,23 @@ impl Madeleine {
                     Rail::new(r, pmm, pool, Some((*adapter).clone()))
                 })
                 .collect();
+            // A stripe chunk is one buffer of the TM the Switch picks for
+            // it: a TM that cannot carry one would fail the first striped
+            // send, so the channel is refused here instead.
+            if spec.rails > 1 {
+                let pmm = rails[0].pmm();
+                let chunk = spec.stripe_chunk;
+                let tm = pmm.tm(pmm.select(chunk, SendMode::Cheaper, RecvMode::Cheaper));
+                let cap = tm.caps().buffer_cap;
+                assert!(
+                    cap >= chunk,
+                    "channel {:?} stripes {chunk}-byte chunks over {} rails, but its TM {:?} \
+                     carries at most {cap} bytes per buffer (lower the chunk with_striping)",
+                    spec.name,
+                    spec.rails,
+                    tm.name()
+                );
+            }
             let peers = adapters[0].peers().to_vec();
             // Wire-level batching is opt-in per spec, and only on stacks
             // whose drivers speak the multi-envelope frame format.

@@ -5,7 +5,7 @@
 
 use bytes::Bytes;
 use madeleine::progress::CQ_RING_CAP;
-use madeleine::{Channel, ChannelSpec, Config, Madeleine, OpId, OpState, Protocol};
+use madeleine::{Channel, ChannelSpec, Config, MadError, Madeleine, OpId, OpState, Protocol};
 use madeleine::{RecvMode, SendMode};
 use madsim_net::{FaultPlan, NetKind, World, WorldBuilder};
 
@@ -213,7 +213,9 @@ fn failed_flush_fails_every_op_it_covered() {
 /// A failed flush fails the ops *it* covered, not the ones an earlier
 /// frame already delivered: a message that flushes twice inside one step
 /// ships the op parked ahead of it with its first frame, loses its second
-/// frame to a link cut — and the delivered op still completes.
+/// frame to a link cut — and the delivered op still completes. The cut is
+/// on the rail itself, so the ARQ's liveness test sees it before the frame
+/// leaves: no frame is dropped and no retransmission timer runs.
 #[test]
 fn failed_flush_spares_ops_an_earlier_frame_shipped() {
     // The link dies once it has carried one frame toward the peer.
@@ -231,7 +233,9 @@ fn failed_flush_spares_ops_an_earlier_frame_shipped() {
             let big = ch.post_message(1, (1..=40).map(block).collect());
             assert_eq!(ch.stats().batches(), 1, "only the first frame shipped");
             assert_eq!(ch.engine().state(big), Some(OpState::Failed));
-            ch.wait_op(big).expect_err("its second frame was lost");
+            let lost = ch.wait_op(big).expect_err("its second frame was lost");
+            assert_eq!(lost, MadError::PeerUnreachable { peer: 1 });
+            assert_eq!(ch.stats().link_timeouts(), 0, "no bounded wait expired");
             ch.wait_op(a).expect("A was delivered by the first frame");
             let late = post(ch, 1, 41, LEN);
             assert!(ch.wait_op(late).is_err(), "the batch stays poisoned");
@@ -241,4 +245,6 @@ fn failed_flush_spares_ops_an_earlier_frame_shipped() {
         }
         env.barrier();
     });
+    let faults = world.faults().expect("fault-armed world");
+    assert_eq!(faults.drops(), 0, "a frame was sent into the cut rail");
 }

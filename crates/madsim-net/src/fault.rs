@@ -39,20 +39,23 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Error surfaced by fault-aware stack operations ("link level" — below
-/// the Madeleine error taxonomy, which wraps these).
+/// the Madeleine error taxonomy, which lifts these in one place). Only a
+/// fault-armed world produces one: see [`crate::stacks`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LinkError {
-    /// Retries exhausted without an acknowledgment.
+    /// The link gave up on a live peer: a bounded wait ran out (the ARQ's
+    /// retries, or a peer silent for the whole bound of a credit, CTS,
+    /// data or flag wait).
     Timeout,
-    /// The destination is crashed or partitioned from us — fail fast
-    /// instead of burning the full retry schedule.
+    /// The peer is crashed or cut off from us on this rail — found by the
+    /// liveness test between wait slices, instead of waiting out the bound.
     PeerDead,
 }
 
 impl std::fmt::Display for LinkError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            LinkError::Timeout => write!(f, "link timeout: retries exhausted"),
+            LinkError::Timeout => write!(f, "link timeout: the peer stayed silent"),
             LinkError::PeerDead => write!(f, "peer crashed or partitioned"),
         }
     }
@@ -285,16 +288,20 @@ impl FaultState {
             .any(|&(x, y)| (x == a && y == b) || (x == b && y == a))
     }
 
-    /// Fast reachability check for fail-fast paths: `false` when `dst` (or
-    /// `src`) is crashed or the pair is partitioned.
-    pub fn reachable(&self, src: NodeId, dst: NodeId) -> bool {
+    /// `false` when `dst` (or `src`) is crashed or the pair is partitioned
+    /// — blind to rail cuts; the stacks ask [`reachable_on`]
+    /// (Self::reachable_on) through the adapter.
+    fn reachable(&self, src: NodeId, dst: NodeId) -> bool {
         !self.is_crashed(src) && !self.is_crashed(dst) && !self.is_partitioned(src, dst)
     }
 
-    /// [`reachable`](Self::reachable) refined to one rail of one network:
-    /// additionally `false` once a [`partition_rail_after`]
-    /// (FaultPlan::partition_rail_after) cut on that rail has activated in
-    /// the `src → dst` direction (its frame counter reached the threshold).
+    /// Is `dst` reachable from `src` on one rail of one network? `false`
+    /// when either is crashed, the pair is partitioned, or a
+    /// [`partition_rail_after`](FaultPlan::partition_rail_after) cut on
+    /// that rail has activated in the `src → dst` direction (its frame
+    /// counter reached the threshold). Read under the counter lock
+    /// [`carry`](Self::carry) delivers under, so a cut seen here implies
+    /// every frame that crossed before it is already in its mailbox.
     pub fn reachable_on(&self, net: usize, rail: usize, src: NodeId, dst: NodeId) -> bool {
         if !self.reachable(src, dst) {
             return false;
@@ -344,32 +351,41 @@ impl FaultState {
         });
     }
 
-    /// Decide the fate of the `index`-th frame from `src` to `dst` on
-    /// network `net`. Called by [`Adapter::send_raw`](crate::world::Adapter)
-    /// — one call per frame, which also advances the counter.
-    pub(crate) fn judge(&self, net: usize, src: NodeId, dst: NodeId) -> FaultVerdict {
-        self.decide(net, src, dst, false)
-    }
-
-    /// [`judge`](Self::judge) for acknowledgment/control frames: exempt
-    /// from the seeded loss roll — crashes, partitions, stalls,
-    /// duplication and jitter still apply. Stop-and-wait acks are modeled
-    /// loss-free so an exchange's *final* ack cannot vanish and wedge the
-    /// sender against a receiver that has already gone quiet; data-frame
-    /// loss alone drives the retransmission machinery. See
+    /// Decide the fate of the next frame from `src` to `dst` on network
+    /// `net` (advancing that direction's counter) and hand the verdict to
+    /// `deliver` — both under the counter lock, so the liveness test
+    /// ([`reachable_on`](Self::reachable_on)) never sees a frame counted
+    /// that is not yet delivered. Called by
+    /// [`Adapter::send_raw`](crate::world::Adapter), one call per frame.
+    ///
+    /// `lossless` frames (acknowledgments/control) are exempt from the
+    /// seeded loss roll — crashes, partitions, stalls, duplication and
+    /// jitter still apply. Stop-and-wait acks are modeled loss-free so an
+    /// exchange's *final* ack cannot vanish and wedge the sender against a
+    /// receiver that has already gone quiet; data-frame loss alone drives
+    /// the retransmission machinery. See
     /// [`Adapter::send_raw_control`](crate::world::Adapter::send_raw_control).
-    pub(crate) fn judge_control(&self, net: usize, src: NodeId, dst: NodeId) -> FaultVerdict {
-        self.decide(net, src, dst, true)
+    pub(crate) fn carry<R>(
+        &self,
+        (net, src, dst): (usize, NodeId, NodeId),
+        lossless: bool,
+        deliver: impl FnOnce(FaultVerdict) -> R,
+    ) -> R {
+        let mut counters = self.counters.lock();
+        let e = counters.entry((net, src, dst)).or_insert(0);
+        let index = *e;
+        *e += 1;
+        deliver(self.decide(net, src, dst, index, lossless))
     }
 
-    fn decide(&self, net: usize, src: NodeId, dst: NodeId, lossless: bool) -> FaultVerdict {
-        let index = {
-            let mut c = self.counters.lock();
-            let e = c.entry((net, src, dst)).or_insert(0);
-            let i = *e;
-            *e += 1;
-            i
-        };
+    fn decide(
+        &self,
+        net: usize,
+        src: NodeId,
+        dst: NodeId,
+        index: u64,
+        lossless: bool,
+    ) -> FaultVerdict {
         let mut v = FaultVerdict {
             deliver: true,
             duplicate: false,
@@ -452,6 +468,16 @@ fn splitmix64(mut z: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FaultState {
+        fn judge(&self, net: usize, src: NodeId, dst: NodeId) -> FaultVerdict {
+            self.carry((net, src, dst), false, |v| v)
+        }
+
+        fn judge_control(&self, net: usize, src: NodeId, dst: NodeId) -> FaultVerdict {
+            self.carry((net, src, dst), true, |v| v)
+        }
+    }
 
     #[test]
     fn same_seed_same_verdicts() {

@@ -238,36 +238,29 @@ impl<T: Shardable> Mailbox<T> {
         s.item
     }
 
-    /// Run `attempt` until it yields, blocking on pushes in between.
-    fn block_on<R>(&self, attempt: impl FnMut() -> Option<R>) -> R {
-        let got = self.inner.arrivals.wait_timeout(SPIN_LIMIT, None, attempt);
-        got.expect("a wait without a timeout ends only in success")
+    /// Run `attempt` until it yields, blocking on pushes in between. With
+    /// a real-time `timeout`, `None` once it expires (after one final
+    /// attempt: an item may have raced in); without one, always `Some`.
+    fn wait_for<R>(
+        &self,
+        timeout: Option<Duration>,
+        attempt: impl FnMut() -> Option<R>,
+    ) -> Option<R> {
+        self.inner
+            .arrivals
+            .wait_timeout(SPIN_LIMIT, timeout, attempt)
     }
 
-    /// [`block_on`](Self::block_on) with a real-time deadline; makes one
-    /// final attempt at expiry (an item may have raced in).
-    fn block_on_timeout<R>(&self, t: Duration, attempt: impl FnMut() -> Option<R>) -> Option<R> {
-        let arrivals = &self.inner.arrivals;
-        arrivals.wait_timeout(SPIN_LIMIT, Some(t), attempt)
+    /// [`wait_for`](Self::wait_for) without a timeout.
+    fn block_on<R>(&self, attempt: impl FnMut() -> Option<R>) -> R {
+        let got = self.wait_for(None, attempt);
+        got.expect("a wait without a timeout ends only in success")
     }
 
     /// Block until an item satisfying `pred` is present; remove and return
     /// the *oldest* matching item (FIFO among matches).
     pub fn recv_match(&self, mut pred: impl FnMut(&T) -> bool) -> T {
         self.block_on(|| self.try_recv_match(&mut pred))
-    }
-
-    /// [`recv_match`](Self::recv_match) with a *real-time* deadline:
-    /// returns `None` if no matching item arrived within `timeout`. The
-    /// fault-aware stacks use this to bound their ack waits — on the
-    /// no-fault path nothing ever times out, so the plain blocking
-    /// receives stay untouched.
-    pub fn recv_match_timeout(
-        &self,
-        mut pred: impl FnMut(&T) -> bool,
-        timeout: Duration,
-    ) -> Option<T> {
-        self.block_on_timeout(timeout, || self.try_recv_match(&mut pred))
     }
 
     /// Non-blocking variant of [`recv_match`](Self::recv_match).
@@ -290,14 +283,17 @@ impl<T: Shardable> Mailbox<T> {
         self.block_on(|| self.try_recv_keyed(key, &mut pred))
     }
 
-    /// [`recv_keyed`](Self::recv_keyed) with a real-time deadline.
+    /// [`recv_keyed`](Self::recv_keyed) with an optional real-time
+    /// deadline: `None` if no match arrived within `timeout`. Without one
+    /// this is exactly `recv_keyed`'s wait — the fault-bounded waits of the
+    /// stacks (see [`crate::stacks`]) make it on a clean world.
     pub fn recv_keyed_timeout(
         &self,
         key: u64,
         mut pred: impl FnMut(&T) -> bool,
-        timeout: Duration,
+        timeout: Option<Duration>,
     ) -> Option<T> {
-        self.block_on_timeout(timeout, || self.try_recv_keyed(key, &mut pred))
+        self.wait_for(timeout, || self.try_recv_keyed(key, &mut pred))
     }
 
     /// Non-blocking variant of [`recv_keyed`](Self::recv_keyed). The
@@ -328,29 +324,10 @@ impl<T: Shardable> Mailbox<T> {
             .map(|s| proj(&s.item))
     }
 
-    /// Block until an item satisfying `pred` is present and return a clone
-    /// of the oldest match **without consuming it** (used by protocol
-    /// stacks to announce incoming traffic before committing to receive).
-    pub fn peek_wait(&self, mut pred: impl FnMut(&T) -> bool) -> T
-    where
-        T: Clone,
-    {
-        self.block_on(|| self.try_peek(&mut pred))
-    }
-
-    /// Non-blocking peek: clone of the oldest matching item, if any.
-    pub fn try_peek(&self, pred: impl FnMut(&T) -> bool) -> Option<T>
-    where
-        T: Clone,
-    {
-        self.try_peek_map(pred, |item| item.clone())
-    }
-
-    /// [`peek_wait`](Self::peek_wait) without the clone: block until an
-    /// item satisfying `pred` is present and return `proj` of the oldest
-    /// match, computed under the shard locks. The hot announce path only
-    /// needs a source id or a flag out of a queued frame — projecting
-    /// avoids cloning the frame (and its payload refcounts) on every poll.
+    /// Block until an item satisfying `pred` is present and return `proj`
+    /// of the oldest match, computed under the shard locks, **without
+    /// consuming it**. A projection, not a clone: an announce only needs
+    /// a source id or a flag out of a queued frame.
     pub fn peek_wait_map<U>(
         &self,
         mut pred: impl FnMut(&T) -> bool,
@@ -437,14 +414,9 @@ impl<T: Shardable> Default for Mailbox<T> {
 /// (tcp / sbp / bip / via) build their receive paths from, so each stack
 /// no longer hand-rolls its own `peek_pending_src` helper.
 impl Mailbox<Frame> {
-    /// Block until a frame of `kind` carrying `tag` (any source) is
-    /// queued; report its source **without consuming the frame**. This is
-    /// the announce query behind every stack's `wait_pending_src`.
-    pub fn wait_src_of(&self, kind: u16, tag: u64) -> NodeId {
-        self.peek_wait_map(|f| f.kind == kind && f.tag == tag, |f| f.src)
-    }
-
-    /// Non-blocking [`wait_src_of`](Self::wait_src_of).
+    /// The source of the oldest queued frame of `kind` carrying `tag` (any
+    /// source), **without consuming it**: the announce query behind every
+    /// stack's `peek_pending_src`.
     pub fn poll_src_of(&self, kind: u16, tag: u64) -> Option<NodeId> {
         self.try_peek_map(|f| f.kind == kind && f.tag == tag, |f| f.src)
     }
@@ -465,13 +437,13 @@ impl Mailbox<Frame> {
         self.try_recv_keyed(Frame::demux_key(src, kind), pred)
     }
 
-    /// Targeted receive with a real-time deadline. Single-shard.
+    /// Targeted receive with an optional real-time deadline. Single-shard.
     pub fn recv_from_timeout(
         &self,
         src: NodeId,
         kind: u16,
         pred: impl FnMut(&Frame) -> bool,
-        timeout: Duration,
+        timeout: Option<Duration>,
     ) -> Option<Frame> {
         self.recv_keyed_timeout(Frame::demux_key(src, kind), pred, timeout)
     }
@@ -603,7 +575,7 @@ mod tests {
     #[test]
     fn keyed_timeout_expires_empty() {
         let m: Mailbox<i32> = Mailbox::new();
-        let got = m.recv_keyed_timeout(3, |_| true, Duration::from_millis(10));
+        let got = m.recv_keyed_timeout(3, |_| true, Some(Duration::from_millis(10)));
         assert_eq!(got, None);
     }
 

@@ -10,8 +10,7 @@ use crate::fault::{
     ARQ_RTO_VIRT_BASE_US, ARQ_RTO_VIRT_MAX_US,
 };
 use crate::frame::{Frame, NodeId};
-use crate::pci::BusKind;
-use crate::stacks::{charge_dest_bus, charge_send_bus};
+use crate::stacks::{link_wait, send_frame};
 use crate::time::{self, VDuration, VTime};
 use crate::world::Adapter;
 use bytes::Bytes;
@@ -40,59 +39,42 @@ fn seq_of(f: &Frame) -> Option<u32> {
 
 impl Arq<'_> {
     /// Transmit `data` as frame `seq`: send (charging the bus model per
-    /// attempt), await the matching ack with a real-time RTO, retransmit
-    /// on timeout. Returns the number of retransmissions.
+    /// attempt), await the matching ack with a real-time RTO as the wait's
+    /// bound, retransmit on timeout. Returns the number of
+    /// retransmissions. A peer the liveness test finds unreachable — this
+    /// rail toward it before each attempt, back from it during the ack
+    /// wait — ends the send with `PeerDead` at once.
     pub(crate) fn send(&self, seq: u32, data: &[u8]) -> Result<u64, LinkError> {
-        let faults = self.adapter.faults().cloned();
-        let faults = faults.expect("reliable path requires a fault plan");
-        let (me, peer, tag) = (self.adapter.node(), self.peer, self.tag);
-        let (lat_us, per_byte_us, bus_per_byte_us) = self.wire_us;
+        let (peer, tag, (data_kind, ack_kind)) = (self.peer, self.tag, self.kinds);
         let wire = Bytes::from([&seq.to_le_bytes()[..], data].concat());
+        let inbox = self.adapter.inbox();
         let mut retransmits = 0u64;
         let mut rto_real = Duration::from_millis(ARQ_RTO_REAL_BASE_MS);
         let mut rto_virt_us = ARQ_RTO_VIRT_BASE_US;
         loop {
-            if !faults.reachable(me, peer) {
+            if !self.adapter.reachable_to(peer) {
                 return Err(LinkError::PeerDead);
             }
-            let oneway = VDuration::from_micros_f64(lat_us + wire.len() as f64 * per_byte_us);
-            let bus_occ = VDuration::from_micros_f64(wire.len() as f64 * bus_per_byte_us);
-            let arrival = charge_send_bus(self.adapter, BusKind::Dma, oneway, bus_occ);
-            let arrival = charge_dest_bus(self.adapter, peer, BusKind::Dma, arrival, bus_occ);
-            self.adapter.send_raw(
-                peer,
-                Frame {
-                    src: me,
-                    kind: self.kinds.0,
-                    tag,
-                    arrival,
-                    payload: wire.clone(),
-                },
-            );
+            let (frame, t0) = ((data_kind, tag), time::now());
+            send_frame(self.adapter, peer, frame, self.wire_us, t0, wire.clone());
             time::advance(VDuration::from_micros_f64(self.host_send_us));
-            // Drain acks until ours arrives or the RTO expires. Stale
-            // duplicate acks (seq < ours) are consumed and ignored.
-            let deadline = Instant::now() + rto_real;
-            let acked = loop {
-                let now = Instant::now();
-                if now >= deadline {
-                    break None;
-                }
-                let f = self.adapter.inbox().recv_from_timeout(
-                    peer,
-                    self.kinds.1,
-                    |f| f.tag == tag && f.payload.len() == 4 && seq_of(f).is_some_and(|s| s <= seq),
-                    deadline - now,
-                );
-                match f {
-                    Some(f) if seq_of(&f) == Some(seq) => break Some(f),
-                    Some(_) => continue,
-                    None => break None,
-                }
+            // Stale duplicate acks (seq < ours) are consumed and ignored.
+            let ack = |f: &Frame| {
+                f.tag == tag && f.payload.len() == 4 && seq_of(f).is_some_and(|s| s <= seq)
             };
-            if let Some(f) = acked {
-                time::advance_to(f.arrival);
-                return Ok(retransmits);
+            let acked = link_wait(self.adapter, peer, rto_real, |t| loop {
+                let f = inbox.recv_from_timeout(peer, ack_kind, ack, t)?;
+                if seq_of(&f) == Some(seq) {
+                    return Some(f);
+                }
+            });
+            match acked {
+                Ok(f) => {
+                    time::advance_to(f.arrival);
+                    return Ok(retransmits);
+                }
+                Err(LinkError::PeerDead) => return Err(LinkError::PeerDead),
+                Err(LinkError::Timeout) => {}
             }
             retransmits += 1;
             if retransmits > u64::from(ARQ_MAX_RETRIES) {
@@ -109,31 +91,14 @@ impl Arq<'_> {
     /// frame was duplicated in flight) and discarded. Returns the payload
     /// behind the sequence prefix and its arrival instant.
     pub(crate) fn recv(&self, expected: u32) -> Result<(Bytes, VTime), LinkError> {
-        let faults = self.adapter.faults().cloned();
-        let faults = faults.expect("reliable path requires a fault plan");
-        let (me, peer, tag, kind) = (self.adapter.node(), self.peer, self.tag, self.kinds.0);
+        let (peer, tag, kind) = (self.peer, self.tag, self.kinds.0);
+        let inbox = self.adapter.inbox();
         let deadline = Instant::now() + Duration::from_millis(ARQ_RECV_TIMEOUT_MS);
         loop {
-            let inbox = self.adapter.inbox();
-            let f = match inbox.try_recv_from(peer, kind, |f| f.tag == tag) {
-                Some(f) => f,
-                None => {
-                    if !faults.reachable(me, peer) {
-                        return Err(LinkError::PeerDead);
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(LinkError::Timeout);
-                    }
-                    // Wait in short slices so a peer crash mid-wait is
-                    // noticed promptly.
-                    let slice = (deadline - now).min(Duration::from_millis(100));
-                    match inbox.recv_from_timeout(peer, kind, |f| f.tag == tag, slice) {
-                        Some(f) => f,
-                        None => continue,
-                    }
-                }
-            };
+            let bound = deadline.saturating_duration_since(Instant::now());
+            let f = link_wait(self.adapter, peer, bound, |t| {
+                inbox.recv_from_timeout(peer, kind, |f| f.tag == tag, t)
+            })?;
             // A frame ahead of `expected` cannot happen under
             // stop-and-wait; it is dropped like a malformed one.
             let Some(seq) = seq_of(&f).filter(|&s| s <= expected) else {

@@ -20,12 +20,10 @@
 
 use crate::fault::LinkError;
 use crate::frame::{Frame, NodeId};
-use crate::pci::BusKind;
-use crate::stacks::{charge_dest_bus, charge_send_bus, charge_send_bus_at};
+use crate::stacks::{link_wait, send_frame, LINK_BOUND};
 use crate::time::{self, VDuration, VTime};
 use crate::world::{Adapter, NetKind};
 use bytes::Bytes;
-use std::time::Duration;
 
 /// Largest message accepted by the short path (exclusive bound is 1 kB in
 /// the paper; we accept exactly up to 1024 bytes).
@@ -121,7 +119,7 @@ impl Bip {
     }
 
     /// Non-blocking receive of a short message with `tag` from `src`.
-    pub fn try_recv_short_from(&self, src: NodeId, tag: u64) -> Option<Bytes> {
+    pub fn poll_short_from(&self, src: NodeId, tag: u64) -> Option<Bytes> {
         let f = self
             .adapter
             .inbox()
@@ -133,11 +131,6 @@ impl Bip {
     /// with `tag`, without consuming it.
     pub fn peek_short_src(&self, tag: u64) -> Option<NodeId> {
         self.adapter.inbox().poll_src_of(KIND_SHORT, tag)
-    }
-
-    /// Blocking variant of [`peek_short_src`](Self::peek_short_src).
-    pub fn wait_short_src(&self, tag: u64) -> NodeId {
-        self.adapter.inbox().wait_src_of(KIND_SHORT, tag)
     }
 
     /// Send a short message (≤ [`BIP_SHORT_MAX`] bytes). Returns as soon as
@@ -165,21 +158,9 @@ impl Bip {
         );
 
         let t = &self.timing;
-        let oneway =
-            VDuration::from_micros_f64(t.short_lat_us + data.len() as f64 * t.short_per_byte_us);
-        let bus_occ = VDuration::from_micros_f64(data.len() as f64 * t.bus_per_byte_us);
-        let arrival = charge_send_bus(&self.adapter, BusKind::Dma, oneway, bus_occ);
-        let arrival = charge_dest_bus(&self.adapter, dst, BusKind::Dma, arrival, bus_occ);
-        self.adapter.send_raw(
-            dst,
-            Frame {
-                src: me,
-                kind: KIND_SHORT,
-                tag,
-                arrival,
-                payload: Bytes::copy_from_slice(data),
-            },
-        );
+        let wire_us = (t.short_lat_us, t.short_per_byte_us, t.bus_per_byte_us);
+        let (frame, payload) = ((KIND_SHORT, tag), Bytes::copy_from_slice(data));
+        send_frame(&self.adapter, dst, frame, wire_us, time::now(), payload);
         time::advance(VDuration::from_micros_f64(t.host_post_us));
     }
 
@@ -195,33 +176,24 @@ impl Bip {
     }
 
     /// Like [`recv_short`](Self::recv_short) but from a specific source.
+    ///
+    /// # Panics
+    /// Panics if the fault-armed link fails (see
+    /// [`try_recv_short_from`](Self::try_recv_short_from)).
     pub fn recv_short_from(&self, src: NodeId, tag: u64) -> Bytes {
-        let f = self
-            .adapter
-            .inbox()
-            .recv_from(src, KIND_SHORT, |f| f.tag == tag);
-        self.finish_short(f).1
+        self.try_recv_short_from(src, tag)
+            .unwrap_or_else(|e| panic!("BIP short receive from node {src} failed: {e}"))
     }
 
-    /// [`recv_short_from`](Self::recv_short_from) with a *real-time*
-    /// deadline: `None` if nothing arrived within `timeout`. Fault-aware
-    /// callers use this to detect a dead credit source instead of hanging.
-    pub fn recv_short_from_timeout(
-        &self,
-        src: NodeId,
-        tag: u64,
-        timeout: Duration,
-    ) -> Option<Bytes> {
-        let f =
-            self.adapter
-                .inbox()
-                .recv_from_timeout(src, KIND_SHORT, |f| f.tag == tag, timeout)?;
-        Some(self.finish_short(f).1)
-    }
-
-    /// Non-blocking probe for a pending short message with `tag`.
-    pub fn probe_short(&self, tag: u64) -> bool {
-        count_queued_shorts_any_src(&self.adapter, self.node(), tag) > 0
+    /// Fallible [`recv_short_from`](Self::recv_short_from): on a
+    /// fault-armed world the wait is the link's bounded one (see
+    /// [`crate::stacks`]), so a dead or silent source is an error, not a hang.
+    pub fn try_recv_short_from(&self, src: NodeId, tag: u64) -> Result<Bytes, LinkError> {
+        let inbox = self.adapter.inbox();
+        let f = link_wait(&self.adapter, src, LINK_BOUND, |t| {
+            inbox.recv_from_timeout(src, KIND_SHORT, |f| f.tag == tag, t)
+        })?;
+        Ok(self.finish_short(f).1)
     }
 
     fn finish_short(&self, f: Frame) -> (NodeId, Bytes) {
@@ -237,56 +209,35 @@ impl Bip {
     /// drained the message from host memory (`bip_send` is synchronous for
     /// long messages: the user buffer is reusable on return, so the call
     /// cannot complete before the NIC has read it all).
+    ///
+    /// # Panics
+    /// Panics if the fault-armed link fails (see
+    /// [`try_send_long`](Self::try_send_long)).
     pub fn send_long(&self, dst: NodeId, tag: u64, data: Bytes) {
-        // Wait for the receiver's clear-to-send.
-        let cts = self
-            .adapter
-            .inbox()
-            .recv_from(dst, KIND_CTS, |f| f.tag == tag);
-        self.send_long_after_cts(dst, tag, data, cts.arrival);
+        if let Err(e) = self.try_send_long(dst, tag, data) {
+            panic!("BIP long send to node {dst} failed: {e}");
+        }
     }
 
-    /// Fallible [`send_long`](Self::send_long): waits at most `timeout`
-    /// (real time) for the receiver's clear-to-send. `Err(Timeout)` means
-    /// the peer never posted its receive; `Err(PeerDead)` that it crashed
-    /// or is partitioned away. BIP has no retransmission — a rendezvous
-    /// that cannot complete marks the channel down at the layer above.
-    pub fn try_send_long(
-        &self,
-        dst: NodeId,
-        tag: u64,
-        data: Bytes,
-        timeout: Duration,
-    ) -> Result<(), LinkError> {
+    /// Fallible [`send_long`](Self::send_long). On a fault-armed world the
+    /// wait for the receiver's clear-to-send is the link's bounded one:
+    /// `Err(PeerDead)` if `dst` is crashed or cut off, `Err(Timeout)` if
+    /// it never posted its receive. BIP has no retransmission — a
+    /// rendezvous that cannot complete marks the channel down at the layer
+    /// above.
+    pub fn try_send_long(&self, dst: NodeId, tag: u64, data: Bytes) -> Result<(), LinkError> {
         if !self.adapter.reachable_to(dst) {
             return Err(LinkError::PeerDead);
         }
-        let cts = self
-            .adapter
-            .inbox()
-            .recv_from_timeout(dst, KIND_CTS, |f| f.tag == tag, timeout);
-        match cts {
-            Some(cts) => {
-                self.send_long_after_cts(dst, tag, data, cts.arrival);
-                Ok(())
-            }
-            None => {
-                if !self.adapter.reachable_to(dst) {
-                    Err(LinkError::PeerDead)
-                } else {
-                    Err(LinkError::Timeout)
-                }
-            }
-        }
-    }
-
-    /// Second half of a long send, once the CTS for it has been received.
-    fn send_long_after_cts(&self, dst: NodeId, tag: u64, data: Bytes, cts_arrival: VTime) {
-        let t = self.timing;
-        time::advance_to(cts_arrival);
+        let inbox = self.adapter.inbox();
+        let cts = link_wait(&self.adapter, dst, LINK_BOUND, |t| {
+            inbox.recv_from_timeout(dst, KIND_CTS, |f| f.tag == tag, t)
+        })?;
+        time::advance_to(cts.arrival);
         let local_done = self.send_long_from(dst, tag, data, time::now());
         time::advance_to(local_done);
-        time::advance(VDuration::from_micros_f64(t.host_post_us));
+        time::advance(VDuration::from_micros_f64(self.timing.host_post_us));
+        Ok(())
     }
 
     /// Non-blocking check for a pending clear-to-send from `dst` for `tag`;
@@ -309,22 +260,8 @@ impl Bip {
     /// host-post cost for the CPU-side completion).
     pub fn send_long_from(&self, dst: NodeId, tag: u64, data: Bytes, start: VTime) -> VTime {
         let t = self.timing;
-        let me = self.node();
-        let oneway =
-            VDuration::from_micros_f64(t.long_lat_us + data.len() as f64 * t.long_per_byte_us);
-        let bus_occ = VDuration::from_micros_f64(data.len() as f64 * t.bus_per_byte_us);
-        let arrival = charge_send_bus_at(&self.adapter, BusKind::Dma, start, oneway, bus_occ);
-        let arrival = charge_dest_bus(&self.adapter, dst, BusKind::Dma, arrival, bus_occ);
-        self.adapter.send_raw(
-            dst,
-            Frame {
-                src: me,
-                kind: KIND_LONG,
-                tag,
-                arrival,
-                payload: data,
-            },
-        );
+        let wire_us = (t.long_lat_us, t.long_per_byte_us, t.bus_per_byte_us);
+        let arrival = send_frame(&self.adapter, dst, (KIND_LONG, tag), wire_us, start, data);
         // Local completion: the wire hop is the only part that overlaps
         // with the caller.
         arrival.saturating_sub(VDuration::from_micros_f64(t.short_lat_us))
@@ -354,44 +291,28 @@ impl Bip {
 
     /// Second half of the rendezvous: wait for the message matching an
     /// earlier [`post_cts`](Self::post_cts).
+    ///
+    /// # Panics
+    /// Panics if the fault-armed link fails (see
+    /// [`try_recv_long_posted`](Self::try_recv_long_posted)).
     pub fn recv_long_posted(&self, src: NodeId, tag: u64, buf: &mut [u8]) -> usize {
-        let t = self.timing;
-        let f = self
-            .adapter
-            .inbox()
-            .recv_from(src, KIND_LONG, |f| f.tag == tag);
-        assert!(
-            f.payload.len() <= buf.len(),
-            "BIP long message of {} bytes does not fit posted buffer of {}",
-            f.payload.len(),
-            buf.len()
-        );
-        let _ = t;
-        buf[..f.payload.len()].copy_from_slice(&f.payload);
-        time::advance_to(f.arrival);
-        f.payload.len()
+        self.try_recv_long_posted(src, tag, buf)
+            .unwrap_or_else(|e| panic!("BIP long receive from node {src} failed: {e}"))
     }
 
-    /// [`recv_long_posted`](Self::recv_long_posted) with a *real-time*
-    /// deadline, distinguishing a crashed/partitioned sender (or one whose
-    /// link to us on this rail has been cut) from one that is merely slow.
-    pub fn recv_long_posted_timeout(
+    /// Fallible [`recv_long_posted`](Self::recv_long_posted): on a
+    /// fault-armed world the wait is the link's bounded one, so a sender
+    /// that crashed, or whose rail to us was cut, fails within a slice.
+    pub fn try_recv_long_posted(
         &self,
         src: NodeId,
         tag: u64,
         buf: &mut [u8],
-        timeout: Duration,
     ) -> Result<usize, LinkError> {
-        let f = self
-            .adapter
-            .inbox()
-            .recv_from_timeout(src, KIND_LONG, |f| f.tag == tag, timeout);
-        let Some(f) = f else {
-            if !self.adapter.reachable_to(src) || !self.adapter.reachable_from(src) {
-                return Err(LinkError::PeerDead);
-            }
-            return Err(LinkError::Timeout);
-        };
+        let inbox = self.adapter.inbox();
+        let f = link_wait(&self.adapter, src, LINK_BOUND, |t| {
+            inbox.recv_from_timeout(src, KIND_LONG, |f| f.tag == tag, t)
+        })?;
         assert!(
             f.payload.len() <= buf.len(),
             "BIP long message of {} bytes does not fit posted buffer of {}",
@@ -402,34 +323,14 @@ impl Bip {
         time::advance_to(f.arrival);
         Ok(f.payload.len())
     }
-
-    /// Uncontended one-way time of a long message of `len` bytes, counted
-    /// from the instant both sides are ready (includes the rendezvous).
-    pub fn long_oneway(&self, len: usize) -> VDuration {
-        let t = self.timing;
-        VDuration::from_micros_f64(t.ctrl_lat_us + t.long_lat_us + len as f64 * t.long_per_byte_us)
-    }
-
-    /// Uncontended one-way time of a short message of `len` bytes.
-    pub fn short_oneway(&self, len: usize) -> VDuration {
-        let t = self.timing;
-        VDuration::from_micros_f64(t.short_lat_us + len as f64 * t.short_per_byte_us)
-    }
 }
 
 fn count_queued_shorts(adapter: &Adapter, dst: NodeId, src: NodeId, tag: u64) -> usize {
     // Inspect the destination mailbox; simulation-only introspection used to
     // enforce the preallocated-ring contract.
-    adapter_inbox_of(adapter, dst)
+    adapter
+        .inbox_of(dst)
         .count_match(|f| f.kind == KIND_SHORT && f.src == src && f.tag == tag)
-}
-
-fn count_queued_shorts_any_src(adapter: &Adapter, dst: NodeId, tag: u64) -> usize {
-    adapter_inbox_of(adapter, dst).count_match(|f| f.kind == KIND_SHORT && f.tag == tag)
-}
-
-fn adapter_inbox_of(adapter: &Adapter, node: NodeId) -> crate::mailbox::Mailbox<Frame> {
-    adapter.inbox_of(node)
 }
 
 #[cfg(test)]

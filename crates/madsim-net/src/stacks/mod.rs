@@ -18,6 +18,12 @@
 //! end-to-end time equals the calibrated curve exactly, so the single-network
 //! figures (Fig. 4, 5) are anchored while the gateway figures (Fig. 10, 11)
 //! emerge from contention.
+//!
+//! Under the five stacks sits one link layer, here: one frame send
+//! (`send_frame`), one bounded wait (`link_wait`) with its nonblocking
+//! twin ([`link_deadline`]), and one liveness test — the adapter's
+//! rail-aware [`Adapter::reachable_from`] / [`Adapter::reachable_to`]. A
+//! stack keeps only its protocol: frame kinds, costs, what it waits for.
 
 pub(crate) mod arq;
 pub mod bip;
@@ -66,31 +72,128 @@ pub const SBP_FRAME_COST: FrameCost = FrameCost {
     host_us: 2.0,
 };
 
+use crate::fault::LinkError;
+use crate::frame::{Frame, NodeId};
 use crate::pci::{BusDir, BusKind};
-use crate::time::{self, VDuration, VTime};
+use crate::time::{VDuration, VTime};
 use crate::world::Adapter;
+use bytes::Bytes;
+use std::time::{Duration, Instant};
 
-/// Charge the sender-side host-bus crossing of a transfer beginning now.
+/// Real-time bound on one fault-armed wait: a peer that stays reachable
+/// but silent this long has the link give up with [`LinkError::Timeout`].
+/// (The ARQ passes its own RTO and receive bounds instead.)
+pub(crate) const LINK_BOUND: Duration = Duration::from_millis(2_000);
+/// A fault-armed wait re-tests liveness this often, so a dead peer or a
+/// cut rail costs one slice, not the bound.
+const LINK_SLICE: Duration = Duration::from_millis(10);
+
+/// The stacks' one blocking wait, for something `peer` sends us. `wait(t)`
+/// makes one wait of at most `t` (`None`: no deadline) and returns what it
+/// got.
+///
+/// On a clean world this is `wait(None)` and nothing else: the one
+/// unbounded mailbox or eventcount wait — same call, same poll grant — the
+/// caller would make by hand. On a fault-armed world the wait runs in
+/// slices; before each, the liveness test asks whether `peer` can still
+/// reach us over this rail, and the wait fails with `PeerDead` when it
+/// cannot, or with `Timeout` once `bound` has passed.
+pub(crate) fn link_wait<R>(
+    adapter: &Adapter,
+    peer: NodeId,
+    bound: Duration,
+    mut wait: impl FnMut(Option<Duration>) -> Option<R>,
+) -> Result<R, LinkError> {
+    if !adapter.faulty() {
+        return Ok(wait(None).expect("a wait without a deadline ends only in success"));
+    }
+    let deadline = Instant::now() + bound;
+    loop {
+        // Tested before the attempt: a frame is delivered before a cut
+        // behind it shows (`FaultState::carry`), so a dead verdict never
+        // hides one that crossed in time.
+        let up = adapter.reachable_from(peer);
+        let slice = deadline
+            .saturating_duration_since(Instant::now())
+            .min(LINK_SLICE);
+        if let Some(got) = wait(Some(if up { slice } else { Duration::ZERO })) {
+            return Ok(got);
+        }
+        if !up {
+            return Err(LinkError::PeerDead);
+        }
+        if Instant::now() >= deadline {
+            return Err(LinkError::Timeout);
+        }
+    }
+}
+
+/// `link_wait`'s nonblocking twin, for a poll that sends to `dst` once
+/// what it waits for is there: `PeerDead` once `dst` is unreachable over
+/// this rail, `Timeout` once the 2 s `LINK_BOUND` has passed since the first
+/// call (which sets `deadline`). Always `Ok` on a clean world.
+pub fn link_deadline(
+    adapter: &Adapter,
+    dst: NodeId,
+    deadline: &mut Option<Instant>,
+) -> Result<(), LinkError> {
+    if !adapter.faulty() {
+        return Ok(());
+    }
+    if !adapter.reachable_to(dst) {
+        return Err(LinkError::PeerDead);
+    }
+    if Instant::now() >= *deadline.get_or_insert_with(|| Instant::now() + LINK_BOUND) {
+        return Err(LinkError::Timeout);
+    }
+    Ok(())
+}
+
+/// The one frame send of the message-passing stacks: ship `payload` to
+/// `dst` as a DMA frame of `(kind, tag)` starting at `t0`. `wire_us` is
+/// the (latency, per-byte, bus-per-byte) cost in µs: the frame's one-way
+/// time and bus occupancy follow from it, both ends' buses are charged
+/// (see [`charge_send_bus`], [`charge_dest_bus`]), and the frame's
+/// arrival instant is stamped on it and returned.
+pub(crate) fn send_frame(
+    adapter: &Adapter,
+    dst: NodeId,
+    (kind, tag): (u16, u64),
+    wire_us: (f64, f64, f64),
+    t0: VTime,
+    payload: Bytes,
+) -> VTime {
+    let (lat_us, per_byte_us, bus_per_byte_us) = wire_us;
+    let len = payload.len() as f64;
+    let oneway = VDuration::from_micros_f64(lat_us + len * per_byte_us);
+    let bus_occ = VDuration::from_micros_f64(len * bus_per_byte_us);
+    let arrival = charge_send_bus(adapter, BusKind::Dma, t0, oneway, bus_occ);
+    let arrival = charge_dest_bus(adapter, dst, BusKind::Dma, arrival, bus_occ);
+    let src = adapter.node();
+    adapter.send_raw(
+        dst,
+        Frame {
+            src,
+            kind,
+            tag,
+            arrival,
+            payload,
+        },
+    );
+    arrival
+}
+
+/// Charge the sender-side host-bus crossing of a transfer starting at
+/// `t0` — the caller's clock, or later: a transfer whose trigger (a
+/// rendezvous CTS) arrived while the host was busy computing starts at the
+/// trigger's arrival, which lets a progress engine anchor overlapped
+/// transfers retroactively.
 ///
 /// `oneway` is the uncontended end-to-end time, `bus_occ` the slice of it
 /// that occupies the sender's bus. Returns the frame's arrival instant at
-/// the far NIC: `now + oneway`, delayed by however much contention
+/// the far NIC: `t0 + oneway`, delayed by however much contention
 /// stretched the bus crossing.
-pub(crate) fn charge_send_bus(
-    adapter: &Adapter,
-    kind: BusKind,
-    oneway: VDuration,
-    bus_occ: VDuration,
-) -> VTime {
-    charge_send_bus_at(adapter, kind, time::now(), oneway, bus_occ)
-}
-
-/// [`charge_send_bus`] with an explicit start instant `t0` instead of the
-/// caller's clock. A transfer whose trigger (a rendezvous CTS) arrived
-/// while the host was busy computing starts at the trigger's arrival, not
-/// at whenever the host got around to noticing it — this is what lets a
-/// progress engine anchor overlapped transfers retroactively.
-pub(crate) fn charge_send_bus_at(
+fn charge_send_bus(
     adapter: &Adapter,
     kind: BusKind,
     t0: VTime,
@@ -118,9 +221,9 @@ pub(crate) fn charge_send_bus_at(
 /// transfer, so it is modelled as the window `[arrival - bus_occ, arrival]`;
 /// contention can push completion past `arrival`. Returns the instant the
 /// data is actually in the destination's host memory.
-pub(crate) fn charge_dest_bus(
+fn charge_dest_bus(
     adapter: &Adapter,
-    dst: crate::frame::NodeId,
+    dst: NodeId,
     kind: BusKind,
     arrival: VTime,
     bus_occ: VDuration,
@@ -145,7 +248,7 @@ pub(crate) fn charge_dest_bus(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::ClockHandle;
+    use crate::time::{self, ClockHandle};
     use crate::world::{NetKind, WorldBuilder};
 
     fn us(n: u64) -> VDuration {
@@ -163,7 +266,7 @@ mod tests {
             }
             let a = env.adapter_on(net).unwrap();
             crate::time::advance(us(10));
-            let arrival = charge_send_bus(a, BusKind::Pio, us(100), us(80));
+            let arrival = charge_send_bus(a, BusKind::Pio, time::now(), us(100), us(80));
             arrival.as_nanos()
         });
         assert_eq!(arrivals[0], 110_000);
@@ -201,7 +304,7 @@ mod tests {
             // asked at 0 queues behind it and pays the 1.5x inflation.
             a.pci()
                 .transfer(BusKind::Dma, BusDir::Inbound, VTime::ZERO, us(1000));
-            let arrival = charge_send_bus(a, BusKind::Pio, us(100), us(84));
+            let arrival = charge_send_bus(a, BusKind::Pio, time::now(), us(100), us(84));
             // bus end = 1000 + 84*1.5 = 1126; stretch = 1126 - 84 = 1042;
             // arrival = 100 + 1042 = 1142us.
             arrival.as_nanos()

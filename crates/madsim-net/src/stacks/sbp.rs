@@ -10,10 +10,9 @@
 //! TM interface (Table 2) exists to accommodate.
 
 use crate::fault::LinkError;
-use crate::frame::{Frame, NodeId};
-use crate::pci::BusKind;
+use crate::frame::NodeId;
 use crate::stacks::arq::Arq;
-use crate::stacks::{charge_dest_bus, charge_send_bus};
+use crate::stacks::send_frame;
 use crate::time::{self, VDuration};
 use crate::world::{Adapter, NetKind};
 use bytes::Bytes;
@@ -223,22 +222,10 @@ impl Sbp {
     /// The original unconditional send path (no sequence prefix, no acks).
     fn send_fast(&self, dst: NodeId, tag: u64, buf: &SbpTxBuffer) {
         let t = &self.timing;
-        let len = buf.len;
-        let oneway = VDuration::from_micros_f64(t.lat_us + len as f64 * t.per_byte_us);
-        let bus_occ = VDuration::from_micros_f64(len as f64 * t.bus_per_byte_us);
-        let arrival = charge_send_bus(&self.adapter, BusKind::Dma, oneway, bus_occ);
-        let arrival = charge_dest_bus(&self.adapter, dst, BusKind::Dma, arrival, bus_occ);
-        let payload = Bytes::copy_from_slice(&buf.data[..len]);
-        self.adapter.send_raw(
-            dst,
-            Frame {
-                src: self.node(),
-                kind: KIND_SBP,
-                tag,
-                arrival,
-                payload,
-            },
-        );
+        let wire_us = (t.lat_us, t.per_byte_us, t.bus_per_byte_us);
+        let payload = Bytes::copy_from_slice(&buf.data[..buf.len]);
+        let frame = (KIND_SBP, tag);
+        send_frame(&self.adapter, dst, frame, wire_us, time::now(), payload);
         time::advance(VDuration::from_micros_f64(t.pool_op_us));
     }
 
@@ -282,13 +269,8 @@ impl Sbp {
         Ok(payload)
     }
 
-    /// Block until some node has a pending SBP message under `tag`; return
-    /// its id without consuming anything.
-    pub fn wait_pending_src(&self, tag: u64) -> NodeId {
-        self.adapter.inbox().wait_src_of(KIND_SBP, tag)
-    }
-
-    /// Non-blocking variant of [`wait_pending_src`](Self::wait_pending_src).
+    /// The oldest node with a pending SBP message under `tag`, if any;
+    /// nothing is consumed.
     pub fn peek_pending_src(&self, tag: u64) -> Option<NodeId> {
         self.adapter.inbox().poll_src_of(KIND_SBP, tag)
     }

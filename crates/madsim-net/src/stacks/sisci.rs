@@ -26,8 +26,10 @@
 //! probes as its caller grants it, then parks on the segment's eventcount.
 
 use crate::eventcount::{EventCount, WaitStats};
+use crate::fault::LinkError;
 use crate::frame::NodeId;
 use crate::pci::{BusDir, BusKind, PciBus};
+use crate::stacks::{link_wait, LINK_BOUND};
 use crate::time::{self, VDuration, VTime};
 use crate::world::{Adapter, NetKind};
 use parking_lot::{Condvar, Mutex};
@@ -236,6 +238,7 @@ impl Sisci {
             key,
             inner,
             timing: self.timing,
+            adapter: self.adapter.clone(),
         }
     }
 
@@ -271,6 +274,9 @@ pub struct LocalSegment {
     key: SegKey,
     inner: Arc<SegInner>,
     timing: SisciTiming,
+    /// The owner's adapter: a fallible wait asks it whether the writer
+    /// can still reach us.
+    adapter: Adapter,
 }
 
 impl LocalSegment {
@@ -298,14 +304,31 @@ impl LocalSegment {
         hit.expect("a wait without a timeout only succeeds").1
     }
 
+    /// Fallible [`wait_flag_ge_val`](Self::wait_flag_ge_val) for a flag
+    /// that node `writer` publishes: on a fault-armed world the wait is the
+    /// link's bounded one (see [`crate::stacks`]), so a writer that crashed or
+    /// went silent is an error instead of a hang. The poll grant applies
+    /// to each slice of the wait.
+    pub fn try_wait_flag_ge(
+        &self,
+        writer: NodeId,
+        off: usize,
+        val: u32,
+        polls: u32,
+    ) -> Result<(u32, VTime), LinkError> {
+        link_wait(&self.adapter, writer, LINK_BOUND, |t| {
+            self.wait_flag_ge_val(off, val, polls, t)
+        })
+    }
+
     /// [`wait_flag_ge`](Self::wait_flag_ge) that first polls the flag up to
     /// `polls` times (grant them only on evidence that the writer is
     /// mid-transfer) and also returns the value of the satisfying write —
     /// the **earliest** write with value `>= val`, so the caller never
     /// observes data whose publishing write it has not paid the arrival
     /// time for. With a *real-time* `timeout`, `None` if no such write
-    /// arrived in time: fault-aware protocols turn a vanished peer into a
-    /// detectable channel-down condition that way instead of a hang.
+    /// arrived in time — one slice of
+    /// [`try_wait_flag_ge`](Self::try_wait_flag_ge)'s bounded wait.
     pub fn wait_flag_ge_val(
         &self,
         off: usize,
@@ -326,7 +349,7 @@ impl LocalSegment {
 
     /// Non-blocking flag poll; advances the clock and consumes history on
     /// success exactly like [`wait_flag_ge_val`](Self::wait_flag_ge_val).
-    pub fn try_flag_ge(&self, off: usize, val: u32) -> Option<(u32, VTime)> {
+    pub fn poll_flag_ge(&self, off: usize, val: u32) -> Option<(u32, VTime)> {
         self.inner.flag(off).take(val)
     }
 
@@ -519,11 +542,11 @@ mod tests {
             let sisci = Sisci::new(env.adapter_on(net).unwrap());
             if env.id() == 1 {
                 let seg = sisci.create_segment(2, 64);
-                assert!(seg.try_flag_ge(0, 1).is_none());
+                assert!(seg.poll_flag_ge(0, 1).is_none());
                 env.barrier();
                 // After the writer passed the barrier the flag is set
                 // (frame delivery is synchronous in real time).
-                assert!(seg.try_flag_ge(0, 1).is_some());
+                assert!(seg.poll_flag_ge(0, 1).is_some());
             } else {
                 let seg = sisci.connect(1, 2);
                 let vis = seg.write(4, b"data");
@@ -614,7 +637,7 @@ mod tests {
                 let own = sisci.connect(0, 8);
                 let now = Some(Duration::ZERO);
                 assert!(!seg.probe_flag_ge(0, 0));
-                assert_eq!(seg.try_flag_ge(0, 1), None);
+                assert_eq!(seg.poll_flag_ge(0, 1), None);
                 assert_eq!(seg.wait_flag_ge_val(0, 1, 5, now), None);
                 assert_eq!(seg.wait_flag_ge_val(0, 1, 0, now), None);
                 let cost = seg.flag_wait_stats();
@@ -622,8 +645,8 @@ mod tests {
                 let at = [7, 3, 7].map(|v| own.write_flag(0, v, VTime::ZERO));
                 assert!(seg.probe_flag_ge(0, 7) && !seg.probe_flag_ge(0, 8));
                 assert_eq!(seg.wait_flag_ge_val(0, 1, 5, None), Some((3, at[1])));
-                assert_eq!(seg.try_flag_ge(0, 4), Some((7, at[2])));
-                assert_eq!(seg.try_flag_ge(0, 8), None);
+                assert_eq!(seg.poll_flag_ge(0, 4), Some((7, at[2])));
+                assert_eq!(seg.poll_flag_ge(0, 8), None);
                 assert_eq!(seg.flag_wait_stats(), cost, "no wait since");
             }
         });

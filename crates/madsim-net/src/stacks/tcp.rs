@@ -12,10 +12,9 @@
 //! path runs — no sequence numbers, no acks, zero overhead.
 
 use crate::fault::LinkError;
-use crate::frame::{Frame, NodeId};
-use crate::pci::BusKind;
+use crate::frame::NodeId;
 use crate::stacks::arq::Arq;
-use crate::stacks::{charge_dest_bus, charge_send_bus};
+use crate::stacks::send_frame;
 use crate::time::{self, VDuration, VTime};
 use crate::world::{Adapter, NetKind};
 use bytes::Bytes;
@@ -83,13 +82,8 @@ impl TcpStack {
         self.adapter.node()
     }
 
-    /// Block until some peer has unconsumed stream data on `port`; return
-    /// the oldest such peer without consuming anything.
-    pub fn wait_pending_src(&self, port: u32) -> NodeId {
-        self.adapter.inbox().wait_src_of(KIND_TCP, port as u64)
-    }
-
-    /// Non-blocking variant of [`wait_pending_src`](Self::wait_pending_src).
+    /// The oldest peer with unconsumed stream data on `port`, if any;
+    /// nothing is consumed.
     pub fn peek_pending_src(&self, port: u32) -> Option<NodeId> {
         self.adapter.inbox().poll_src_of(KIND_TCP, port as u64)
     }
@@ -176,7 +170,7 @@ impl TcpConn {
     /// retransmissions performed.
     pub fn try_send(&mut self, data: &[u8]) -> Result<u64, LinkError> {
         if !self.adapter.faulty() {
-            self.send_fast(data);
+            self.send_fast(Bytes::copy_from_slice(data));
             return Ok(0);
         }
         let mut retransmits = 0;
@@ -192,16 +186,16 @@ impl TcpConn {
     /// Fallible [`send_vectored`](Self::send_vectored). Returns the number
     /// of retransmissions performed (always 0 on a fault-free world).
     pub fn try_send_vectored(&mut self, bufs: &[&[u8]]) -> Result<u64, LinkError> {
-        if !self.adapter.faulty() {
-            self.send_vectored_fast(bufs);
-            return Ok(0);
-        }
-        // The reliable path needs contiguous segments anyway; concatenate
-        // once and reuse the segmented sender.
+        // Both paths need the unit contiguous (one frame, or the ARQ's
+        // segments); concatenate once.
         let total: usize = bufs.iter().map(|b| b.len()).sum();
         let mut all = Vec::with_capacity(total);
         for b in bufs {
             all.extend_from_slice(b);
+        }
+        if !self.adapter.faulty() {
+            self.send_fast(Bytes::from(all));
+            return Ok(0);
         }
         self.try_send(&all)
     }
@@ -282,48 +276,13 @@ impl TcpConn {
         Ok(taken)
     }
 
-    /// The original unconditional send path (no sequence numbers, no acks).
-    fn send_fast(&mut self, data: &[u8]) {
+    /// The original unconditional send path (no sequence numbers, no
+    /// acks): the stream unit leaves as one frame.
+    fn send_fast(&mut self, payload: Bytes) {
         let t = &self.timing;
-        let oneway = VDuration::from_micros_f64(t.lat_us + data.len() as f64 * t.per_byte_us);
-        let bus_occ = VDuration::from_micros_f64(data.len() as f64 * t.bus_per_byte_us);
-        let arrival = charge_send_bus(&self.adapter, BusKind::Dma, oneway, bus_occ);
-        let arrival = charge_dest_bus(&self.adapter, self.peer, BusKind::Dma, arrival, bus_occ);
-        self.adapter.send_raw(
-            self.peer,
-            Frame {
-                src: self.adapter.node(),
-                kind: KIND_TCP,
-                tag: self.port as u64,
-                arrival,
-                payload: Bytes::copy_from_slice(data),
-            },
-        );
-        time::advance(VDuration::from_micros_f64(t.host_send_us));
-    }
-
-    /// The original unconditional vectored send path.
-    fn send_vectored_fast(&mut self, bufs: &[&[u8]]) {
-        let total: usize = bufs.iter().map(|b| b.len()).sum();
-        let t = &self.timing;
-        let oneway = VDuration::from_micros_f64(t.lat_us + total as f64 * t.per_byte_us);
-        let bus_occ = VDuration::from_micros_f64(total as f64 * t.bus_per_byte_us);
-        let arrival = charge_send_bus(&self.adapter, BusKind::Dma, oneway, bus_occ);
-        let arrival = charge_dest_bus(&self.adapter, self.peer, BusKind::Dma, arrival, bus_occ);
-        let mut payload = Vec::with_capacity(total);
-        for b in bufs {
-            payload.extend_from_slice(b);
-        }
-        self.adapter.send_raw(
-            self.peer,
-            Frame {
-                src: self.adapter.node(),
-                kind: KIND_TCP,
-                tag: self.port as u64,
-                arrival,
-                payload: Bytes::from(payload),
-            },
-        );
+        let wire_us = (t.lat_us, t.per_byte_us, t.bus_per_byte_us);
+        let (dst, frame) = (self.peer, (KIND_TCP, self.port as u64));
+        send_frame(&self.adapter, dst, frame, wire_us, time::now(), payload);
         time::advance(VDuration::from_micros_f64(t.host_send_us));
     }
 

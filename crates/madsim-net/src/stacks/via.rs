@@ -11,8 +11,7 @@
 
 use crate::fault::LinkError;
 use crate::frame::{Frame, NodeId};
-use crate::pci::BusKind;
-use crate::stacks::{charge_dest_bus, charge_send_bus};
+use crate::stacks::{link_wait, send_frame, LINK_BOUND};
 use crate::time::{self, VDuration};
 use crate::world::{Adapter, NetKind};
 use bytes::Bytes;
@@ -20,7 +19,6 @@ use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 const KIND_VIA: u16 = 20;
 
@@ -158,42 +156,37 @@ impl Vi {
             self.tag
         );
         let t = &self.timing;
-        let oneway = VDuration::from_micros_f64(t.lat_us + data.len() as f64 * t.per_byte_us);
-        let bus_occ = VDuration::from_micros_f64(data.len() as f64 * t.bus_per_byte_us);
-        let arrival = charge_send_bus(&self.adapter, BusKind::Dma, oneway, bus_occ);
-        let arrival = charge_dest_bus(&self.adapter, self.peer, BusKind::Dma, arrival, bus_occ);
-        self.adapter.send_raw(
-            self.peer,
-            Frame {
-                src: self.adapter.node(),
-                kind: KIND_VIA,
-                tag: self.tag,
-                arrival,
-                payload: Bytes::copy_from_slice(data),
-            },
-        );
+        let wire_us = (t.lat_us, t.per_byte_us, t.bus_per_byte_us);
+        let (dst, frame) = (self.peer, (KIND_VIA, self.tag));
+        let payload = Bytes::copy_from_slice(data);
+        send_frame(&self.adapter, dst, frame, wire_us, time::now(), payload);
         time::advance(VDuration::from_micros_f64(t.post_us));
     }
 
     /// Non-blocking receive: completes the oldest posted receive if a
     /// message has already arrived.
-    pub fn try_recv(&mut self) -> Option<Bytes> {
+    pub fn poll_recv(&mut self) -> Option<Bytes> {
         let tag = self.tag;
         let f = self
             .adapter
             .inbox()
             .try_recv_from(self.peer, KIND_VIA, |f| f.tag == tag)?;
+        Some(self.complete(f))
+    }
+
+    /// Complete the oldest posted receive with the arrived frame `f`.
+    fn complete(&mut self, f: Frame) -> Bytes {
         let cap = self
             .posted_caps
             .pop_front()
-            .expect("VIA message arrived with no posted descriptor");
+            .expect("VIA recv with no posted descriptor on this end");
         assert!(
             f.payload.len() <= cap,
             "VIA message of {} bytes exceeds descriptor capacity {cap}",
             f.payload.len()
         );
         time::advance_to(f.arrival);
-        Some(f.payload)
+        f.payload
     }
 
     /// Non-blocking peek: is a message pending on this VI?
@@ -208,70 +201,27 @@ impl Vi {
     /// received data.
     ///
     /// # Panics
-    /// Panics if no receive was posted, or if the incoming message exceeds
-    /// the descriptor's capacity.
+    /// Panics if no receive was posted, if the incoming message exceeds
+    /// the descriptor's capacity, or if the fault-armed link fails (see
+    /// [`try_recv`](Self::try_recv)).
     pub fn recv(&mut self) -> Bytes {
-        let cap = self
-            .posted_caps
-            .pop_front()
-            .expect("VIA recv with no posted descriptor on this end");
-        let tag = self.tag;
-        let f = self
-            .adapter
-            .inbox()
-            .recv_from(self.peer, KIND_VIA, |f| f.tag == tag);
-        assert!(
-            f.payload.len() <= cap,
-            "VIA message of {} bytes exceeds descriptor capacity {cap}",
-            f.payload.len()
-        );
-        time::advance_to(f.arrival);
-        f.payload
+        self.try_recv()
+            .unwrap_or_else(|e| panic!("VIA receive from node {} failed: {e}", self.peer))
     }
 
-    /// Whether the underlying adapter has a fault plan armed (callers use
-    /// this to decide between blocking and bounded waits).
-    pub fn faulty(&self) -> bool {
-        self.adapter.faulty()
-    }
-
-    /// [`recv`](Self::recv) with a *real-time* deadline. On expiry the
-    /// posted descriptor stays posted; `Err(PeerDead)` reports a crashed
-    /// or partitioned peer, `Err(Timeout)` one that is merely silent.
-    pub fn recv_timeout(&mut self, timeout: Duration) -> Result<Bytes, LinkError> {
-        let me = self.adapter.node();
-        if let Some(faults) = self.adapter.faults() {
-            if !faults.reachable(me, self.peer) {
-                return Err(LinkError::PeerDead);
-            }
-        }
-        let tag = self.tag;
-        let f =
-            self.adapter
-                .inbox()
-                .recv_from_timeout(self.peer, KIND_VIA, |f| f.tag == tag, timeout);
-        let Some(f) = f else {
-            let dead = self
-                .adapter
-                .faults()
-                .is_some_and(|fa| !fa.reachable(me, self.peer));
-            return Err(if dead {
-                LinkError::PeerDead
-            } else {
-                LinkError::Timeout
-            });
-        };
-        let cap = self
-            .posted_caps
-            .pop_front()
-            .expect("VIA recv with no posted descriptor on this end");
+    /// Fallible [`recv`](Self::recv): on a fault-armed world the wait is
+    /// the link's bounded one (see [`crate::stacks`]). On an error the posted
+    /// descriptor stays posted.
+    pub fn try_recv(&mut self) -> Result<Bytes, LinkError> {
         assert!(
-            f.payload.len() <= cap,
-            "VIA message of {} bytes exceeds descriptor capacity {cap}",
-            f.payload.len()
+            !self.posted_caps.is_empty(),
+            "VIA recv with no posted descriptor on this end"
         );
-        time::advance_to(f.arrival);
-        Ok(f.payload)
+        let (peer, tag, inbox) = (self.peer, self.tag, self.adapter.inbox());
+        let f = link_wait(&self.adapter, peer, LINK_BOUND, |t| {
+            inbox.recv_from_timeout(peer, KIND_VIA, |f| f.tag == tag, t)
+        })?;
+        Ok(self.complete(f))
     }
 }
 

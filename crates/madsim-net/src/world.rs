@@ -611,12 +611,10 @@ impl Adapter {
             .mailboxes
             .get(&dst)
             .unwrap_or_else(|| panic!("node {dst} is not on network {:?}", self.name));
-        if let Some(faults) = &self.faults {
-            let v = if control {
-                faults.judge_control(self.fault_key(), self.node, dst)
-            } else {
-                faults.judge(self.fault_key(), self.node, dst)
-            };
+        let Some(faults) = &self.faults else {
+            return mb.push(frame);
+        };
+        faults.carry((self.fault_key(), self.node, dst), control, |v| {
             if v.stall_ns > 0 {
                 time::advance(VDuration::from_micros_f64(v.stall_ns as f64 / 1_000.0));
             }
@@ -629,8 +627,8 @@ impl Adapter {
             if v.duplicate {
                 mb.push(frame.clone());
             }
-        }
-        mb.push(frame);
+            mb.push(frame);
+        });
     }
 
     /// This node's inbound mailbox on this network.

@@ -99,6 +99,21 @@ if grep -rlE 'post_send\(|post_static_buffer\(' crates/madeleine/src |
     exit 1
 fi
 
+# Link-layer lint: the drivers under crates/madeleine lift link errors
+# through MadError::from_link and wait through the stacks' one bounded
+# wait — a fault timer, a timeout count or a LinkError::Timeout match in a
+# driver is a per-stack copy growing back. Likewise the stacks charge the
+# receiver's bus only through stacks/mod.rs's one frame send.
+if grep -nE 'FAULT_WAIT|FAULT_SLICE|record_link_timeout|LinkError::Timeout' \
+    crates/madeleine/src/drivers/*.rs; then
+    echo "verify: FAIL — link-layer copy in a driver (listed above)" >&2
+    exit 1
+fi
+if grep -ln 'charge_dest_bus(' crates/madsim-net/src/stacks/*.rs | grep -v '/mod\.rs$'; then
+    echo "verify: FAIL — a stack sends frames beside stacks::send_frame (listed above)" >&2
+    exit 1
+fi
+
 # Chaos stage: the robustness layer under seeded fault injection, run
 # explicitly so a regression here is named even when the suite is filtered
 # — three times, because a fault plan must replay the same whatever the OS
@@ -106,6 +121,14 @@ fi
 for _ in 1 2 3; do
     cargo test -q -p mad-integration --test chaos
 done
+
+# Dead-peer gate: every stack's receive from a peer that crashes mid-wait
+# fails with PeerUnreachable within one liveness slice and counts no link
+# timeout; the test names the protocol that failed.
+cargo test -q -p mad-integration --test chaos -- --exact every_stack_notices_a_dead_peer_within_a_slice || {
+    echo "verify: FAIL — dead-peer gate: chaos::every_stack_notices_a_dead_peer_within_a_slice" >&2
+    exit 1
+}
 
 # Zero-fault regression guard: without a FaultPlan the recovery machinery
 # must stay entirely out of the fast path — every fault counter reads zero.

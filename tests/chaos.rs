@@ -350,6 +350,53 @@ fn batched_channel_survives_seeded_loss_and_dup() {
     );
 }
 
+/// Every stack notices a dead peer within one slice of the link layer's
+/// bounded wait: node 1 crashes right after the barrier, and node 0's
+/// receive from it — each protocol's small-message TM — must fail with
+/// `PeerUnreachable` long before the 2 s bound, with no link timeout
+/// counted.
+#[test]
+fn every_stack_notices_a_dead_peer_within_a_slice() {
+    use madeleine::MadError;
+    use std::time::{Duration, Instant};
+
+    for (protocol, kind) in [
+        (Protocol::Sisci, NetKind::Sci),
+        (Protocol::Bip, NetKind::Myrinet),
+        (Protocol::Via, NetKind::ViaSan),
+        (Protocol::Tcp, NetKind::Ethernet),
+        (Protocol::Sbp, NetKind::Ethernet),
+    ] {
+        let mut b = WorldBuilder::new(2);
+        b.network("net0", kind, &[0, 1]);
+        let world = b.fault_plan(FaultPlan::new(1)).build();
+        let config = Config::one("ch", "net0", protocol);
+        let seen = world.run(move |env| {
+            let mad = Madeleine::init(&env, &config);
+            let ch = mad.channel("ch");
+            env.barrier();
+            if env.id() == 1 {
+                env.faults().expect("plan installed").crash(1);
+                return None;
+            }
+            let started = Instant::now();
+            let r = ch.pmm().tm(0).receive_buffer(1, &mut [0; 8]);
+            Some((r, started.elapsed(), ch.stats().link_timeouts()))
+        });
+        let (r, took, timeouts) = seen[0].clone().expect("node 0 waited");
+        assert_eq!(
+            r,
+            Err(MadError::PeerUnreachable { peer: 1 }),
+            "{protocol:?}"
+        );
+        assert_eq!(timeouts, 0, "{protocol:?}: a bounded wait expired");
+        assert!(
+            took < Duration::from_millis(500),
+            "{protocol:?}: the dead peer took {took:?} to notice"
+        );
+    }
+}
+
 /// With no fault plan installed nothing is armed: the recovery machinery
 /// must stay entirely out of the fast path and every fault counter must
 /// read zero.

@@ -461,6 +461,59 @@ fn all_layers_coexist_in_one_session() {
     });
 }
 
+// ---------------- striping over static-buffer TMs ----------------
+
+/// One byte-checked 1 MiB CHEAPER block over a two-rail channel.
+fn two_rail_megabyte(kind: NetKind, spec: madeleine::ChannelSpec) {
+    const LEN: usize = 1 << 20;
+    let fill = |i: usize| (i % 251) as u8;
+    let mut b = WorldBuilder::new(2);
+    b.network_with_rails("net0", kind, &[0, 1], 2);
+    let config = Config::default().with_channel_spec(spec.with_rails(2));
+    b.build().run(|env| {
+        let mad = Madeleine::init(&env, &config);
+        let ch = mad.channel("ch");
+        if env.id() == 0 {
+            let data: Vec<u8> = (0..LEN).map(fill).collect();
+            let mut msg = ch.begin_packing(1);
+            msg.pack(&data, SendMode::Cheaper, RecvMode::Cheaper);
+            msg.end_packing();
+        } else {
+            let mut got = vec![0u8; LEN];
+            let mut msg = ch.begin_unpacking();
+            msg.unpack(&mut got, SendMode::Cheaper, RecvMode::Cheaper);
+            msg.end_unpacking();
+            let bad = got.iter().enumerate().position(|(i, &b)| b != fill(i));
+            assert_eq!(bad, None, "{kind:?}: corrupted");
+        }
+    });
+}
+
+/// VIA and SBP carry at most one static buffer per send, so they stripe
+/// in chunks that fit one.
+#[test]
+fn static_buffer_protocols_stripe_in_chunks_that_fit() {
+    for (protocol, kind) in [
+        (Protocol::Via, NetKind::ViaSan),
+        (Protocol::Sbp, NetKind::Ethernet),
+    ] {
+        let spec = madeleine::ChannelSpec::new("ch", "net0", protocol);
+        two_rail_megabyte(kind, spec.with_striping(64 << 10, 4096));
+    }
+}
+
+/// A stripe chunk larger than the TM's buffer is refused when the channel
+/// is built, not at its first striped send.
+#[test]
+#[should_panic(
+    expected = "stripes 131072-byte chunks over 2 rails, but its TM \"via/registered\" \
+                           carries at most 8192 bytes"
+)]
+fn via_refuses_the_default_stripe_chunk() {
+    let spec = madeleine::ChannelSpec::new("ch", "net0", Protocol::Via);
+    two_rail_megabyte(NetKind::ViaSan, spec);
+}
+
 // ---------------- a node's panic aborts the run ----------------
 
 /// Node 1 sends one 8-byte message, then panics while node 0 blocks in
