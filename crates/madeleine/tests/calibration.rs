@@ -19,8 +19,9 @@ use madsim_net::perf::mibps;
 use madsim_net::time::{self, VDuration};
 use madsim_net::{NetKind, WorldBuilder};
 
-/// One-way virtual time (µs) for a single n-byte message, full stack.
-fn oneway_us(protocol: Protocol, n: usize) -> f64 {
+/// Receiver's virtual clock (ns) at `end_unpacking` for a single n-byte
+/// message, full stack, fresh world; `tune` adjusts the channel's config.
+fn oneway_ns(protocol: Protocol, n: usize, tune: impl FnOnce(Config) -> Config) -> u64 {
     let mut b = WorldBuilder::new(2);
     let (net, kind) = match protocol {
         Protocol::Tcp | Protocol::Sbp => ("eth0", NetKind::Ethernet),
@@ -30,7 +31,7 @@ fn oneway_us(protocol: Protocol, n: usize) -> f64 {
     };
     b.network(net, kind, &[0, 1]);
     let world = b.build();
-    let config = Config::one("ch", net, protocol);
+    let config = tune(Config::one("ch", net, protocol));
     let times = world.run(move |env| {
         let mad = Madeleine::init(&env, &config);
         let ch = mad.channel("ch");
@@ -39,16 +40,21 @@ fn oneway_us(protocol: Protocol, n: usize) -> f64 {
             let mut msg = ch.begin_packing(1);
             msg.pack(&data, SendMode::Cheaper, RecvMode::Cheaper);
             msg.end_packing();
-            0.0
+            0
         } else {
             let mut got = vec![0u8; n];
             let mut msg = ch.begin_unpacking();
             msg.unpack(&mut got, SendMode::Cheaper, RecvMode::Cheaper);
             msg.end_unpacking();
-            time::now().as_micros_f64()
+            time::now().as_nanos()
         }
     });
     times[1]
+}
+
+/// One-way virtual time (µs) for a single n-byte message, full stack.
+fn oneway_us(protocol: Protocol, n: usize) -> f64 {
+    oneway_ns(protocol, n, |c| c) as f64 / 1_000.0
 }
 
 fn bw(protocol: Protocol, n: usize) -> f64 {
@@ -148,28 +154,8 @@ fn sci_dma_mode_is_much_slower_than_pio() {
     // reason the DMA TM ships disabled.
     let n = 1 << 18;
     let pio = bw(Protocol::Sisci, n);
-    let mut b = WorldBuilder::new(2);
-    b.network("sci0", NetKind::Sci, &[0, 1]);
-    let world = b.build();
-    let config = Config::one("ch", "sci0", Protocol::Sisci).with_sci_dma(true);
-    let times = world.run(move |env| {
-        let mad = Madeleine::init(&env, &config);
-        let ch = mad.channel("ch");
-        let data = vec![1u8; n];
-        if env.id() == 0 {
-            let mut msg = ch.begin_packing(1);
-            msg.pack(&data, SendMode::Cheaper, RecvMode::Cheaper);
-            msg.end_packing();
-            0.0
-        } else {
-            let mut got = vec![0u8; n];
-            let mut msg = ch.begin_unpacking();
-            msg.unpack(&mut got, SendMode::Cheaper, RecvMode::Cheaper);
-            msg.end_unpacking();
-            time::now().as_micros_f64()
-        }
-    });
-    let dma = mibps(n, VDuration::from_micros_f64(times[1]));
+    let dma_ns = oneway_ns(Protocol::Sisci, n, |c| c.with_sci_dma(true));
+    let dma = mibps(n, VDuration::from_nanos(dma_ns));
     assert!(
         (28.0..40.0).contains(&dma),
         "SCI DMA bandwidth {dma:.1} MiB/s outside 28–40"
@@ -196,6 +182,45 @@ fn tcp_fast_ethernet_profile() {
         (10.5..11.8).contains(&b),
         "TCP 1 MiB bandwidth {b:.1} MiB/s outside Fast-Ethernet range"
     );
+}
+
+/// Every protocol's single-flow receiver clock, pinned to the nanosecond:
+/// the bands above would not notice a one-ns drift in the timing model.
+/// VIA at 64 KiB and 1 MiB is left out: its credit returns are booked on
+/// the bus from two threads, so those two points move run to run.
+#[test]
+fn exact_single_flow_instants() {
+    use Protocol::*;
+    let points: &[(Protocol, usize, u64)] = &[
+        (Bip, 4, 7233),
+        (Bip, 1024, 108544),
+        (Bip, 8 << 10, 162735),
+        (Bip, 64 << 10, 596255),
+        (Bip, 1 << 20, 8028038),
+        (Sisci, 4, 4548),
+        (Sisci, 1024, 20664),
+        (Sisci, 8 << 10, 134418),
+        (Sisci, 64 << 10, 830107),
+        (Sisci, 1 << 20, 12413347),
+        (Tcp, 4, 125307),
+        (Tcp, 1024, 216393),
+        (Tcp, 8 << 10, 856495),
+        (Tcp, 64 << 10, 5977315),
+        (Tcp, 1 << 20, 93762787),
+        (Via, 4, 68639),
+        (Via, 1024, 88019),
+        (Via, 8 << 10, 224210),
+        (Sbp, 4, 24497),
+        (Sbp, 1024, 58565),
+        (Sbp, 8 << 10, 297975),
+        (Sbp, 64 << 10, 1505477),
+        (Sbp, 1 << 20, 13105355),
+    ];
+    for &(p, n, want) in points {
+        assert_eq!(oneway_ns(p, n, |c| c), want, "{p:?} {n} B");
+    }
+    let dma = oneway_ns(Sisci, 256 << 10, |c| c.with_sci_dma(true));
+    assert_eq!(dma, 8284837, "SISCI DMA 256 KiB");
 }
 
 /// Print the full sweep for eyeballing (runs with `--nocapture`).
