@@ -6,12 +6,13 @@
 //! flushes, waits the ops out, and then blocks on a 1-byte ack. Without
 //! batching every message costs two wire frames (internal header + data);
 //! with `with_batching(16, 4096, 20.0)` sixteen consecutive packets ride
-//! one frame, so the fixed per-frame cost (`TCP_FRAME_COST`) is paid an
+//! one frame, so the fixed per-frame cost (the `tcp` row's latency floor
+//! plus host time, `Row::per_frame_us`) is paid an
 //! eighth as often. The headline claim asserted below: the batched burst
 //! moves >= 2x the payload throughput of the unbatched one.
 //!
-//! Writes `BENCH_batch.json`, including the frames saved per the shared
-//! cost table in `madsim_net::stacks` — the same constants the TCP stack
+//! Writes `BENCH_batch.json`, including the frames saved per the world's
+//! calibration table (`madsim_net::calib`) — the same row the TCP stack
 //! charges, so the "saved" column and the measured speedup must agree in
 //! shape.
 //!
@@ -20,8 +21,8 @@
 use bench::{arg_value, json_struct, mibps, write_json};
 use bytes::Bytes;
 use madeleine::{ChannelSpec, Config, Madeleine, Protocol, RecvMode, SendMode};
-use madsim_net::stacks::TCP_FRAME_COST;
 use madsim_net::time;
+use madsim_net::Calib;
 use madsim_net::{NetKind, WorldBuilder};
 
 const ROUNDS: usize = 8;
@@ -153,7 +154,7 @@ fn measure(batching: bool) -> BatchRun {
         batches,
         batched_packets,
         frames_saved,
-        saved_frame_cost_us: frames_saved as f64 * TCP_FRAME_COST.per_frame_us(),
+        saved_frame_cost_us: frames_saved as f64 * Calib::PAPER.tcp.per_frame_us(),
         frame_bytes,
         app_payload_bytes,
         header_bytes: frame_bytes.saturating_sub(app_payload_bytes),

@@ -1,9 +1,10 @@
 //! Multirail bandwidth sweep: one bulk CHEAPER message over a BIP channel
-//! spanning 1→4 Myrinet rails, on both the paper-calibrated stack and a
-//! Myrinet-class retiming with a faster host bus. Prints two tables and
-//! writes the raw numbers to `BENCH_rails.json`.
+//! spanning 1→4 Myrinet rails, in a world timed by the paper's table
+//! (`Calib::PAPER`) and in one with a faster, Myrinet-class host bus
+//! (`bench::MYRINET_CLASS_BUS`). Prints two tables and writes the raw
+//! numbers to `BENCH_rails.json`.
 //!
-//! The single-rail default-timing row is the pre-multirail library's
+//! The single-rail paper-table row is the pre-multirail library's
 //! figure — the refactor must not move it. On the retimed stack two rails
 //! must deliver at least 1.7x the single-rail bandwidth for 1 MB messages
 //! (checked below); on the paper stack they must NOT, because the shared
@@ -18,8 +19,9 @@
 //!
 //! Usage: `rails [--out PATH] [--bytes N]`
 
-use bench::experiments::{multirail_oneway, myrinet_class_timing, RailPoint};
+use bench::experiments::{multirail_oneway, RailPoint, MYRINET_CLASS_BUS};
 use bench::{arg_value, json_struct, write_json};
+use madsim_net::Calib;
 
 json_struct! {
     struct Output {
@@ -61,20 +63,20 @@ fn main() {
         .unwrap_or(1 << 20);
 
     const REPS: usize = 3;
-    let sweep = |timing: Option<madsim_net::stacks::bip::BipTiming>| -> Vec<RailPoint> {
+    let sweep = |calib: Calib| -> Vec<RailPoint> {
         (1..=4)
             .map(|rails| {
                 (0..REPS)
-                    .map(|_| multirail_oneway(timing, rails, bytes))
+                    .map(|_| multirail_oneway(calib, rails, bytes))
                     .min_by(|a, b| a.virtual_us.total_cmp(&b.virtual_us))
                     .expect("at least one rep")
             })
             .collect()
     };
 
-    let paper_bus = sweep(None);
+    let paper_bus = sweep(Calib::PAPER);
     print_sweep("paper-calibrated stack (PCI-bound)", &paper_bus);
-    let fast_bus = sweep(Some(myrinet_class_timing()));
+    let fast_bus = sweep(MYRINET_CLASS_BUS);
     print_sweep("Myrinet-class retimed bus", &fast_bus);
 
     // Single-rail channels must never stripe — the classic path is pinned

@@ -14,7 +14,7 @@ use madeleine::{ChannelSpec, Config, Madeleine, Protocol, RecvMode, SendMode};
 use madsim_net::perf::mibps;
 use madsim_net::stacks::bip::Bip;
 use madsim_net::time::{self, VDuration};
-use madsim_net::{NetKind, WorldBuilder};
+use madsim_net::{Calib, NetKind, Row, WorldBuilder};
 
 /// Message sizes swept by the latency/bandwidth figures.
 pub fn sweep_sizes() -> Vec<usize> {
@@ -47,8 +47,13 @@ fn net_for(protocol: Protocol) -> (&'static str, NetKind) {
 
 /// One-way time (µs) of a single n-byte Madeleine message.
 pub fn madeleine_oneway_us(protocol: Protocol, n: usize, sci_dma: bool) -> f64 {
+    oneway_us_in(Calib::PAPER, protocol, n, sci_dma)
+}
+
+/// [`madeleine_oneway_us`] in a world timed by `calib`.
+pub fn oneway_us_in(calib: Calib, protocol: Protocol, n: usize, sci_dma: bool) -> f64 {
     let (net, kind) = net_for(protocol);
-    let mut b = WorldBuilder::new(2);
+    let mut b = WorldBuilder::new(2).calib(calib);
     b.network(net, kind, &[0, 1]);
     let world = b.build();
     let config = Config::one("ch", net, protocol).with_sci_dma(sci_dma);
@@ -436,28 +441,45 @@ pub fn crossover_check() -> Vec<Series> {
     vec![sci, myr]
 }
 
-/// What-if: Madeleine II's software architecture on a modern fabric.
-/// Retimes the BIP-like stack to 200 Gb/s-class numbers (1 µs latency,
-/// ~23 GiB/s) and measures where the 2000-era software overheads would
-/// put the achievable curve — the forward-looking question behind
-/// today's UCX/libfabric designs.
+/// The modern-fabric what-if table: the paper's world with BIP retimed
+/// to 200 Gb/s-class numbers (1 µs latency, ~23.8 GiB/s, a host bus to
+/// match).
+pub static MODERN_FABRIC: Calib = Calib {
+    bip_short: Row::new(0.9, 0.00004, 0.00004, 0.2),
+    bip_long: Row::new(2.0, 0.00004, 0.00004, 0.2),
+    bip_cts: Row::new(0.9, 0.0, 0.0, 0.0),
+    ..Calib::PAPER
+};
+
+/// The Myrinet-class retimed bus of the `rails` bench: the paper's wire
+/// costs with a 64-bit/66 MHz-class host bus (a quarter of the calibrated
+/// per-byte bus occupancy), so the shared PCI bus can feed about four
+/// rails before it saturates. With the paper's original bus a second rail
+/// is pointless — the 1999 32-bit/33 MHz PCI *was* the bottleneck, which
+/// is exactly what the sweep's paper-table series shows.
+pub static MYRINET_CLASS_BUS: Calib = Calib {
+    bip_short: Row {
+        bus_per_byte_us: 0.0019,
+        ..Calib::PAPER.bip_short
+    },
+    bip_long: Row {
+        bus_per_byte_us: 0.0019,
+        ..Calib::PAPER.bip_long
+    },
+    ..Calib::PAPER
+};
+
+/// What-if: Madeleine II's software architecture on a modern fabric
+/// ([`MODERN_FABRIC`]): where the 2000-era software overheads would put
+/// the achievable curve — the forward-looking question behind today's
+/// UCX/libfabric designs.
 pub fn modern_fabric_whatif() -> Vec<Series> {
-    use madsim_net::stacks::bip::BipTiming;
-    let modern = BipTiming {
-        short_lat_us: 0.9,
-        short_per_byte_us: 0.00004,
-        ctrl_lat_us: 0.9,
-        long_lat_us: 2.0,
-        long_per_byte_us: 0.00004, // ~23.8 GiB/s
-        host_post_us: 0.2,
-        bus_per_byte_us: 0.00004,
-    };
     let mut paper = Series::new("paper-era Myrinet", "MiB/s");
     let mut fast = Series::new("modern fabric (what-if)", "MiB/s");
     for n in [4096usize, 65536, 1 << 20] {
         let t = madeleine_oneway_us(Protocol::Bip, n, false);
         paper.push(n, mibps(n, VDuration::from_micros_f64(t)));
-        let tf = modern_oneway_us(modern, n);
+        let tf = oneway_us_in(MODERN_FABRIC, Protocol::Bip, n, false);
         fast.push(n, mibps(n, VDuration::from_micros_f64(tf)));
     }
     vec![paper, fast]
@@ -485,25 +507,18 @@ json_struct! {
     }
 }
 
-/// Measure one [`RailPoint`]. `timing` retimes the BIP stack (`None` =
-/// the paper-calibrated constants); the stripe chunk is fixed at 128 KiB
-/// so the sweep varies exactly one thing — the rail count.
-pub fn multirail_oneway(
-    timing: Option<madsim_net::stacks::bip::BipTiming>,
-    rails: usize,
-    n: usize,
-) -> RailPoint {
-    let mut b = WorldBuilder::new(2);
+/// Measure one [`RailPoint`] in a world timed by `calib`; the stripe
+/// chunk is fixed at 128 KiB so the sweep varies exactly one thing — the
+/// rail count.
+pub fn multirail_oneway(calib: Calib, rails: usize, n: usize) -> RailPoint {
+    let mut b = WorldBuilder::new(2).calib(calib);
     b.network_with_rails("myr0", NetKind::Myrinet, &[0, 1], rails);
     let world = b.build();
-    let mut config = Config::default().with_channel_spec(
+    let config = Config::default().with_channel_spec(
         ChannelSpec::new("ch", "myr0", Protocol::Bip)
             .with_rails(rails)
             .with_striping(128 * 1024, 128 * 1024),
     );
-    if let Some(t) = timing {
-        config = config.with_bip_timing(t);
-    }
     let out = world.run(move |env| {
         let mad = Madeleine::init(&env, &config);
         let ch = mad.channel("ch");
@@ -549,43 +564,4 @@ pub fn multirail_oneway(
         rail_bytes,
         rail_imbalance,
     }
-}
-
-/// The Myrinet-class retimed stack of the `rails` bench: the paper's wire
-/// constants with a 64-bit/66 MHz-class host bus (a quarter of the
-/// calibrated per-byte bus occupancy), so the shared PCI bus can feed
-/// about four rails before it saturates. With the paper's original bus a
-/// second rail is pointless — the 1999 32-bit/33 MHz PCI *was* the
-/// bottleneck, which is exactly what the sweep's default-timing series
-/// shows.
-pub fn myrinet_class_timing() -> madsim_net::stacks::bip::BipTiming {
-    madsim_net::stacks::bip::BipTiming {
-        bus_per_byte_us: 0.0019,
-        ..Default::default()
-    }
-}
-
-fn modern_oneway_us(timing: madsim_net::stacks::bip::BipTiming, n: usize) -> f64 {
-    let mut b = WorldBuilder::new(2);
-    b.network("myr0", NetKind::Myrinet, &[0, 1]);
-    let world = b.build();
-    let config = Config::one("ch", "myr0", Protocol::Bip).with_bip_timing(timing);
-    let times = world.run(move |env| {
-        let mad = Madeleine::init(&env, &config);
-        let ch = mad.channel("ch");
-        let data = vec![0x66u8; n];
-        if env.id() == 0 {
-            let mut msg = ch.begin_packing(1);
-            msg.pack(&data, SendMode::Cheaper, RecvMode::Cheaper);
-            msg.end_packing();
-            0.0
-        } else {
-            let mut got = vec![0u8; n];
-            let mut msg = ch.begin_unpacking();
-            msg.unpack(&mut got, SendMode::Cheaper, RecvMode::Cheaper);
-            msg.end_unpacking();
-            time::now().as_micros_f64()
-        }
-    });
-    times[1]
 }

@@ -10,7 +10,6 @@
 pub mod experiments;
 pub mod json;
 pub mod table;
-pub mod workloads;
 
 pub use experiments::*;
 pub use table::{print_table, Point, Series};

@@ -159,10 +159,8 @@ impl Gateway {
                     threads.extend(spawn_direction(
                         env,
                         Arc::clone(&route),
-                        me,
                         in_pmm,
                         out_pmm,
-                        config,
                         gwcfg,
                         Arc::clone(&stats),
                         Arc::clone(&stop),
@@ -194,19 +192,16 @@ impl Gateway {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn spawn_direction(
     env: &NodeEnv,
     route: Arc<Route>,
-    me: madsim_net::NodeId,
     in_pmm: Arc<dyn Pmm>,
     out_pmm: Arc<dyn Pmm>,
-    config: &Config,
     gwcfg: GatewayConfig,
     stats: Arc<Stats>,
     stop: Arc<AtomicBool>,
 ) -> Vec<JoinHandle<()>> {
-    let host = config.host.0;
+    let (me, host) = (env.id(), env.calib().host);
     let depth = gwcfg.depth.max(1);
     // Finished fragments flow to the sending half through a completion
     // queue (the progress engine's terminal primitive); the dual-buffering

@@ -141,7 +141,7 @@ impl VirtualChannel {
             routes.push(RouteState::new(r, hop_pmms));
         }
         let stats = Stats::new();
-        let host = config.host.0;
+        let host = env.calib().host;
         let tracer = Arc::new(Tracer::new());
         let generic = Arc::new(GenericTm::new(
             routes,

@@ -1,12 +1,7 @@
 //! Session configuration.
 
 use crate::polling::PollPolicy;
-use madsim_net::stacks::bip::BipTiming;
-use madsim_net::stacks::sbp::SbpTiming;
-use madsim_net::stacks::sisci::SisciTiming;
-use madsim_net::stacks::tcp::TcpTiming;
-use madsim_net::stacks::via::ViaTiming;
-use madsim_net::time::VDuration;
+pub use madsim_net::calib::HostModel;
 
 /// Which protocol stack drives a channel. A network fabric may admit more
 /// than one protocol (Ethernet carries both TCP and SBP), so the choice is
@@ -122,42 +117,10 @@ impl ChannelSpec {
     }
 }
 
-/// Host-side cost model for the generic (protocol-independent) layer.
-#[derive(Clone, Copy, Debug)]
-pub struct HostModel {
-    /// Fixed cost of a memory-to-memory copy.
-    pub memcpy_setup_us: f64,
-    /// Per-byte cost of a memory-to-memory copy (≈230 MiB/s on the paper's
-    /// Pentium II 450 nodes).
-    pub memcpy_per_byte_us: f64,
-    /// Software cost of one `pack`/`unpack` call (switch step).
-    pub pack_op_us: f64,
-    /// Software cost of `begin_packing`/`begin_unpacking`.
-    pub begin_op_us: f64,
-    /// Software cost of `end_packing`/`end_unpacking` (final commit).
-    pub end_op_us: f64,
-}
-
-impl Default for HostModel {
-    fn default() -> Self {
-        HostModel {
-            memcpy_setup_us: 0.2,
-            memcpy_per_byte_us: 0.0042,
-            pack_op_us: 0.15,
-            begin_op_us: 0.3,
-            end_op_us: 0.3,
-        }
-    }
-}
-
-impl HostModel {
-    /// Virtual cost of copying `len` bytes in host memory.
-    pub fn memcpy(&self, len: usize) -> VDuration {
-        VDuration::from_micros_f64(self.memcpy_setup_us + len as f64 * self.memcpy_per_byte_us)
-    }
-}
-
-/// Full session configuration.
+/// Full session configuration. What the session costs in virtual time —
+/// the stacks, the bus and the generic layer's [`HostModel`] — is the
+/// world's calibration table ([`madsim_net::WorldBuilder::calib`]), not
+/// the session's.
 #[derive(Clone, Debug, Default)]
 pub struct Config {
     pub channels: Vec<ChannelSpec>,
@@ -165,34 +128,11 @@ pub struct Config {
     /// disabled: D310 DMA measured at ≤35 MB/s versus 82 MB/s for PIO
     /// (§5.2.1). Kept as a switch for the ablation benchmark.
     pub enable_sci_dma: bool,
-    pub host: HostModelOpt,
     /// How receivers wait for incoming traffic (see
     /// [`crate::polling`]). Default: pure polling, the paper-era
     /// behaviour.
-    pub poll: PollPolicyOpt,
-    /// Per-stack timing overrides (`None` = the paper-calibrated
-    /// defaults). Lets experiments retime the fabric — e.g. a
-    /// modern-interconnect what-if — without touching the drivers.
-    pub timings: StackTimings,
+    pub poll: PollPolicy,
 }
-
-/// Optional overrides of the simulated stacks' calibrated constants.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StackTimings {
-    pub bip: Option<BipTiming>,
-    pub sisci: Option<SisciTiming>,
-    pub tcp: Option<TcpTiming>,
-    pub via: Option<ViaTiming>,
-    pub sbp: Option<SbpTiming>,
-}
-
-/// Wrapper so `Config::default()` works without spelling out the model.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct HostModelOpt(pub HostModel);
-
-/// Wrapper so `Config::default()` works without spelling out the policy.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PollPolicyOpt(pub PollPolicy);
 
 impl Config {
     /// Convenience: a single-channel configuration.
@@ -222,22 +162,7 @@ impl Config {
     }
 
     pub fn with_poll_policy(mut self, policy: PollPolicy) -> Self {
-        self.poll = PollPolicyOpt(policy);
-        self
-    }
-
-    pub fn with_bip_timing(mut self, t: BipTiming) -> Self {
-        self.timings.bip = Some(t);
-        self
-    }
-
-    pub fn with_sisci_timing(mut self, t: SisciTiming) -> Self {
-        self.timings.sisci = Some(t);
-        self
-    }
-
-    pub fn with_tcp_timing(mut self, t: TcpTiming) -> Self {
-        self.timings.tcp = Some(t);
+        self.poll = policy;
         self
     }
 }

@@ -27,7 +27,7 @@ use crate::trace::Tracer;
 use bytes::Bytes;
 use madsim_net::stacks::bip::{Bip, BIP_SHORT_MAX, BIP_SHORT_RING};
 use madsim_net::stacks::link_deadline;
-use madsim_net::time::{VDuration, VTime};
+use madsim_net::time::VTime;
 use madsim_net::world::Adapter;
 use madsim_net::NodeId;
 use parking_lot::Mutex;
@@ -49,21 +49,15 @@ fn tag(channel_id: u32, sub: u64) -> u64 {
 }
 
 /// Build the BIP PMM for one channel.
-#[allow(clippy::too_many_arguments)]
 pub fn build(
     adapter: &Adapter,
     channel_id: u32,
-    host: HostModel,
     stats: Arc<Stats>,
     poll: PollPolicy,
-    timing: Option<madsim_net::stacks::bip::BipTiming>,
     pool: BufPool,
     tracer: Arc<Tracer>,
 ) -> Arc<dyn Pmm> {
-    let bip = match timing {
-        Some(t) => Bip::with_timing(adapter, t),
-        None => Bip::new(adapter),
-    };
+    let bip = Bip::new(adapter);
     let short: Arc<dyn TransmissionModule> = Arc::new(BipShortTm {
         path: ShortPath {
             bip: bip.clone(),
@@ -73,7 +67,7 @@ pub fn build(
             stats: Arc::clone(&stats),
             tracer: Arc::clone(&tracer),
         },
-        host,
+        host: adapter.calib().host,
         pool,
     });
     let long: Arc<dyn TransmissionModule> = Arc::new(BipLongTm {
@@ -435,7 +429,7 @@ impl TmPending for RendezvousSend {
             let local_done = self
                 .bip
                 .send_long_from(self.dst, self.long_tag, data, start);
-            let host_post = VDuration::from_micros_f64(self.bip.timing().host_post_us);
+            let host_post = self.bip.adapter().calib().bip_long.host();
             return Ok(TmStep::Done(local_done + host_post));
         }
         Ok(TmStep::Pending)

@@ -8,7 +8,7 @@ pub mod sisci;
 pub mod tcp;
 pub mod via;
 
-use crate::config::{Config, HostModel, Protocol};
+use crate::config::{Config, Protocol};
 use crate::pmm::Pmm;
 use crate::pool::BufPool;
 use crate::stats::Stats;
@@ -27,79 +27,37 @@ use std::sync::Arc;
 /// `tracer` is the channel's event tracer: on a fault-armed fabric the
 /// drivers record recovery events (retransmissions, credit timeouts)
 /// into it alongside the channel's own pack/unpack stream.
-#[allow(clippy::too_many_arguments)]
 pub fn build_pmm(
     protocol: Protocol,
     adapter: &Adapter,
     channel_id: u32,
     cfg: &Config,
-    host: HostModel,
     stats: Arc<Stats>,
     pool: BufPool,
     tracer: Arc<Tracer>,
 ) -> Arc<dyn Pmm> {
-    let poll = cfg.poll.0;
+    let poll = cfg.poll;
     match protocol {
         Protocol::Tcp => {
             assert_eq!(adapter.kind(), NetKind::Ethernet, "TCP needs Ethernet");
-            tcp::build(
-                adapter,
-                channel_id,
-                host,
-                stats,
-                poll,
-                cfg.timings.tcp,
-                tracer,
-            )
+            tcp::build(adapter, channel_id, stats, poll, tracer)
         }
         Protocol::Bip => {
             assert_eq!(adapter.kind(), NetKind::Myrinet, "BIP needs Myrinet");
-            bip::build(
-                adapter,
-                channel_id,
-                host,
-                stats,
-                poll,
-                cfg.timings.bip,
-                pool,
-                tracer,
-            )
+            bip::build(adapter, channel_id, stats, poll, pool, tracer)
         }
         Protocol::Sisci => {
             assert_eq!(adapter.kind(), NetKind::Sci, "SISCI needs SCI");
-            sisci::build(
-                adapter,
-                channel_id,
-                cfg.enable_sci_dma,
-                poll,
-                cfg.timings.sisci,
-                stats,
-                tracer,
-            )
+            let dma = cfg.enable_sci_dma;
+            sisci::build(adapter, channel_id, dma, poll, stats, tracer)
         }
         Protocol::Via => {
             assert_eq!(adapter.kind(), NetKind::ViaSan, "VIA needs a SAN");
-            via::build(
-                adapter,
-                channel_id,
-                poll,
-                cfg.timings.via,
-                pool,
-                stats,
-                tracer,
-            )
+            via::build(adapter, channel_id, poll, pool, stats, tracer)
         }
         Protocol::Sbp => {
             assert_eq!(adapter.kind(), NetKind::Ethernet, "SBP needs Ethernet");
-            sbp::build(
-                adapter,
-                channel_id,
-                poll,
-                cfg.timings.sbp,
-                pool,
-                stats,
-                tracer,
-            )
+            sbp::build(adapter, channel_id, poll, pool, stats, tracer)
         }
     }
 }

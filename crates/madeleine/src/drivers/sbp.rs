@@ -30,15 +30,11 @@ pub fn build(
     adapter: &Adapter,
     channel_id: u32,
     poll: PollPolicy,
-    timing: Option<madsim_net::stacks::sbp::SbpTiming>,
     pool: BufPool,
     stats: Arc<Stats>,
     tracer: Arc<Tracer>,
 ) -> Arc<dyn Pmm> {
-    let sbp = match timing {
-        Some(t) => Sbp::with_timing(adapter, t),
-        None => Sbp::new(adapter),
-    };
+    let sbp = Sbp::new(adapter);
     let tm: Arc<dyn TransmissionModule> = Arc::new(SbpTm {
         sbp: sbp.clone(),
         tag: tag(channel_id),

@@ -338,14 +338,10 @@ pub fn build(
     channel_id: u32,
     enable_dma: bool,
     poll: PollPolicy,
-    timing: Option<madsim_net::stacks::sisci::SisciTiming>,
     stats: Arc<Stats>,
     tracer: Arc<Tracer>,
 ) -> Arc<dyn Pmm> {
-    let sisci = match timing {
-        Some(t) => Sisci::with_timing(adapter, t),
-        None => Sisci::new(adapter),
-    };
+    let sisci = Sisci::new(adapter);
     let links = connect_links(&sisci, adapter, channel_id);
     let short: Arc<dyn TransmissionModule> = Arc::new(SisciStreamTm {
         name: "sisci/short-pio",

@@ -30,16 +30,11 @@ use std::sync::Arc;
 pub fn build(
     adapter: &Adapter,
     channel_id: u32,
-    host: HostModel,
     stats: Arc<Stats>,
     poll: PollPolicy,
-    timing: Option<madsim_net::stacks::tcp::TcpTiming>,
     tracer: Arc<Tracer>,
 ) -> Arc<dyn Pmm> {
-    let stack = match timing {
-        Some(t) => TcpStack::with_timing(adapter, t),
-        None => TcpStack::new(adapter),
-    };
+    let stack = TcpStack::new(adapter);
     let me = stack.node();
     let mut peers: Vec<NodeId> = adapter.peers().to_vec();
     peers.retain(|&peer| peer != me);
@@ -50,7 +45,7 @@ pub fn build(
         .collect();
     let tm: Arc<dyn TransmissionModule> = Arc::new(TcpTm {
         conns,
-        host,
+        host: adapter.calib().host,
         stats,
         tracer,
     });

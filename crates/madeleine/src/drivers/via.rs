@@ -71,15 +71,11 @@ pub fn build(
     adapter: &Adapter,
     channel_id: u32,
     poll: PollPolicy,
-    timing: Option<madsim_net::stacks::via::ViaTiming>,
     pool: BufPool,
     stats: Arc<Stats>,
     tracer: Arc<Tracer>,
 ) -> Arc<dyn Pmm> {
-    let via = match timing {
-        Some(t) => Via::with_timing(adapter, t),
-        None => Via::new(adapter),
-    };
+    let via = Via::new(adapter);
     let me = via.node();
     let mut vis = HashMap::new();
     for &peer in adapter.peers() {

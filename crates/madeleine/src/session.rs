@@ -86,7 +86,6 @@ impl Madeleine {
                         adapter,
                         (idx as u32) | ((r as u32) << 16),
                         config,
-                        config.host.0,
                         Arc::clone(&stats),
                         pool.clone(),
                         Arc::clone(&tracer),
@@ -134,11 +133,11 @@ impl Madeleine {
                 sched,
                 me,
                 peers,
-                config.host.0,
+                env.calib().host,
                 stats,
                 tracer,
                 idx as u64,
-                config.poll.0,
+                config.poll,
             );
             channels.insert(spec.name.clone(), channel);
         }

@@ -625,46 +625,100 @@ fn per_tm_traffic_breakdown() {
     });
 }
 
-/// Stack-timing overrides flow through the drivers: a slowed-down SISCI
-/// profile visibly stretches the measured one-way time.
+/// The world's calibration table is the one retiming surface, and every
+/// row of it reaches the layer that charges it: scaling one figure of a
+/// protocol's row (or of the generic layer's host row) stretches the
+/// measured one-way time of a 4 KiB message over that protocol.
 #[test]
 fn stack_timing_overrides_apply() {
-    use madsim_net::stacks::sisci::SisciTiming;
-    let oneway = |timing: Option<SisciTiming>| -> f64 {
-        let mut b = WorldBuilder::new(2);
-        b.network("sci0", NetKind::Sci, &[0, 1]);
-        let world = b.build();
-        let mut config = Config::one("ch", "sci0", Protocol::Sisci);
-        if let Some(t) = timing {
-            config = config.with_sisci_timing(t);
-        }
-        let out = world.run(move |env| {
+    use madsim_net::{Calib, HostModel, Row};
+    use Protocol::*;
+    let oneway = |protocol: Protocol, calib: Calib| -> u64 {
+        let (net, kind) = match protocol {
+            Tcp | Sbp => ("eth0", NetKind::Ethernet),
+            Bip => ("myr0", NetKind::Myrinet),
+            Sisci => ("sci0", NetKind::Sci),
+            Via => ("san0", NetKind::ViaSan),
+        };
+        let mut b = WorldBuilder::new(2).calib(calib);
+        b.network(net, kind, &[0, 1]);
+        let config = Config::one("ch", net, protocol);
+        let out = b.build().run(move |env| {
             let mad = Madeleine::init(&env, &config);
             let ch = mad.channel("ch");
             if env.id() == 0 {
                 let mut m = ch.begin_packing(1);
                 m.pack(&[1u8; 4096], SendMode::Cheaper, RecvMode::Cheaper);
                 m.end_packing();
-                0.0
             } else {
                 let mut buf = [0u8; 4096];
                 let mut m = ch.begin_unpacking();
                 m.unpack(&mut buf, SendMode::Cheaper, RecvMode::Cheaper);
                 m.end_unpacking();
-                madsim_net::time::now().as_micros_f64()
             }
+            madsim_net::time::now().as_nanos()
         });
         out[1]
     };
-    let stock = oneway(None);
-    let slow = oneway(Some(SisciTiming {
-        pio_per_byte_us: 0.1, // ~10 MiB/s instead of ~82
-        ..SisciTiming::default()
-    }));
-    assert!(
-        slow > stock * 4.0,
-        "override ignored: stock {stock:.1} us, slowed {slow:.1} us"
-    );
+    let p = Calib::PAPER;
+    let slower = |row: Row| Row {
+        per_byte_us: row.per_byte_us * 4.0,
+        ..row
+    };
+    let host = HostModel {
+        pack_op_us: p.host.pack_op_us * 10.0,
+        ..p.host
+    };
+    let retimed = [
+        (
+            "bip_long",
+            Bip,
+            Calib {
+                bip_long: slower(p.bip_long),
+                ..p
+            },
+        ),
+        (
+            "sci_pio",
+            Sisci,
+            Calib {
+                sci_pio: slower(p.sci_pio),
+                ..p
+            },
+        ),
+        (
+            "tcp",
+            Tcp,
+            Calib {
+                tcp: slower(p.tcp),
+                ..p
+            },
+        ),
+        (
+            "via",
+            Via,
+            Calib {
+                via: slower(p.via),
+                ..p
+            },
+        ),
+        (
+            "sbp",
+            Sbp,
+            Calib {
+                sbp: slower(p.sbp),
+                ..p
+            },
+        ),
+        ("host", Sisci, Calib { host, ..p }),
+    ];
+    for (row, protocol, calib) in retimed {
+        let (stock, slow) = (oneway(protocol, p), oneway(protocol, calib));
+        assert!(
+            slow > stock,
+            "{row} retiming ignored over {protocol:?}: stock {stock} ns, retimed {slow} ns"
+        );
+    }
 }
 
 /// try_begin_unpacking composes with the full unpack flow.

@@ -7,24 +7,24 @@
 //! timeline repeatable).
 
 use bytes::Bytes;
-use madeleine::config::{HostModelOpt, DEFAULT_STRIPE_CHUNK, DEFAULT_STRIPE_THRESHOLD};
+use madeleine::config::{DEFAULT_STRIPE_CHUNK, DEFAULT_STRIPE_THRESHOLD};
 use madeleine::{
     ChannelSpec, Config, HostModel, Madeleine, OpState, Protocol, RecvMode, SendMode, StatsSnapshot,
 };
 use madsim_net::time::{self, VDuration, VTime};
-use madsim_net::{NetKind, World, WorldBuilder};
+use madsim_net::{Calib, NetKind, Row, World, WorldBuilder};
 
 const MIB: usize = 1 << 20;
 const CHEAPER: (SendMode, RecvMode) = (SendMode::Cheaper, RecvMode::Cheaper);
 
-fn world(protocol: Protocol, rails: usize) -> (World, Config) {
+fn world(protocol: Protocol, rails: usize, calib: Calib) -> (World, Config) {
     let kind = match protocol {
         Protocol::Bip => NetKind::Myrinet,
         Protocol::Sisci => NetKind::Sci,
         Protocol::Via => NetKind::ViaSan,
         Protocol::Tcp | Protocol::Sbp => NetKind::Ethernet,
     };
-    let mut b = WorldBuilder::new(2);
+    let mut b = WorldBuilder::new(2).calib(calib);
     b.network_with_rails("net0", kind, &[0, 1], rails);
     let config = Config::default()
         .with_channel_spec(ChannelSpec::new("ch", "net0", protocol).with_rails(rails));
@@ -32,7 +32,7 @@ fn world(protocol: Protocol, rails: usize) -> (World, Config) {
 }
 
 fn bip_world(rails: usize) -> (World, Config) {
-    world(Protocol::Bip, rails)
+    world(Protocol::Bip, rails, Calib::PAPER)
 }
 
 fn pattern(len: usize) -> Vec<u8> {
@@ -63,7 +63,7 @@ struct Shipped {
 }
 
 /// Ship one message of `blocks` (block `i` is `pattern(len + i)`) from
-/// node 0 to node 1 under `host`'s generic-layer cost model. `held`: node 1
+/// node 0 to node 1 in a world whose generic layer costs `host`. `held`: node 1
 /// starts receiving only once node 0 has the whole message out (for a
 /// message whose send needs nothing from the receiver).
 fn ship(
@@ -73,8 +73,14 @@ fn ship(
     (path, held): (Path, bool),
     host: HostModel,
 ) -> Shipped {
-    let (world, mut config) = world(protocol, rails);
-    config.host = HostModelOpt(host);
+    let (world, config) = world(
+        protocol,
+        rails,
+        Calib {
+            host,
+            ..Calib::PAPER
+        },
+    );
     let blocks = blocks.to_vec();
     let mut out = world.run(move |env| {
         let mad = Madeleine::init(&env, &config);
@@ -344,13 +350,17 @@ fn striped_transfer_hides_behind_compute() {
 /// frame books the shared bus first decides this (DESIGN.md §14).
 #[test]
 fn two_rails_on_a_fast_bus_deliver_1_7x() {
+    let fast_bus = |row: Row| Row {
+        bus_per_byte_us: 0.0019,
+        ..row
+    };
+    let calib = Calib {
+        bip_short: fast_bus(Calib::PAPER.bip_short),
+        bip_long: fast_bus(Calib::PAPER.bip_long),
+        ..Calib::PAPER
+    };
     let landed_us = |rails: usize| {
-        let (world, config) = bip_world(rails);
-        let timing = madsim_net::stacks::bip::BipTiming {
-            bus_per_byte_us: 0.0019,
-            ..Default::default()
-        };
-        let config = config.with_bip_timing(timing);
+        let (world, config) = world(Protocol::Bip, rails, calib);
         let out = world.run(move |env| {
             let mad = Madeleine::init(&env, &config);
             let ch = mad.channel("ch");

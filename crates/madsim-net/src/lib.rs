@@ -16,9 +16,11 @@
 //! The crate provides:
 //!
 //! * [`time`] — virtual clocks (one per simulated thread) and durations;
-//! * [`resource`] — FIFO reservation timelines for serially-reusable devices;
+//! * [`calib`] — the calibration table: every cost a world charges, set
+//!   once per world;
+//! * [`resource`] — reservation timelines for serially-reusable devices;
 //! * [`pci`] — the host bus contention model;
-//! * [`perf`] — calibrated piecewise-linear performance curves;
+//! * [`perf`] — MiB/s helpers and piecewise-linear performance curves;
 //! * [`world`] — topology: nodes, networks, adapters, node threads;
 //! * [`mailbox`] — the blocking predicate-receive transport primitive;
 //! * [`eventcount`] — the poll-then-park wait the mailbox and the SISCI
@@ -32,6 +34,7 @@
 //! Nexus ports, the inter-cluster gateway) treats these stacks exactly like
 //! the vendor libraries the original system drove.
 
+pub mod calib;
 pub mod eventcount;
 pub mod fault;
 pub mod frame;
@@ -43,6 +46,7 @@ pub mod stacks;
 pub mod time;
 pub mod world;
 
+pub use calib::{Calib, HostModel, Row};
 pub use fault::{FaultEvent, FaultPlan, FaultRecord, FaultState, LinkError};
 pub use frame::{Frame, NodeId};
 pub use mailbox::{Mailbox, Shardable};

@@ -17,10 +17,11 @@
 //!   while the DMA is active, ≈ ×1.6 averaged over a whole packet, which
 //!   reproduces Fig. 11's 29–36.5 MB/s band.
 //!
-//! The bus is a FIFO reservation timeline: a transfer asked to start at
-//! `t` begins at `max(t, bus_free)` and occupies the bus for its duration
-//! (inflated for PIO if the bus was busy when it asked). An idle bus adds
-//! nothing, so the single-network figures (4, 5) are unaffected.
+//! The bus is a reservation timeline: a transfer asked to start at `t` is
+//! placed in the earliest gap at or after `t` that holds it whole (see
+//! [`crate::resource`]) and occupies the bus for its duration (inflated for
+//! PIO if the bus was busy or a DMA engine active when it asked). An idle
+//! bus adds nothing, so the single-network figures (4, 5) are unaffected.
 
 use crate::resource::ResourceTimeline;
 use crate::time::{VDuration, VTime};
@@ -47,20 +48,18 @@ pub enum BusDir {
     Outbound,
 }
 
-/// Calibration constants for the bus contention model.
+/// The bus row of the calibration table ([`crate::calib::Calib::pci`]).
 #[derive(Clone, Copy, Debug)]
 pub struct PciConfig {
     /// Duration multiplier for a PIO transfer that found the bus busy
     /// (bus-master DMA wins PCI arbitration; the CPU's programmed stores
-    /// retry and stall). Calibrated from Fig. 11 (≈1.6).
+    /// retry and stall).
     pub pio_contended_inflation: f64,
 }
 
 impl Default for PciConfig {
     fn default() -> Self {
-        PciConfig {
-            pio_contended_inflation: 1.6,
-        }
+        crate::calib::Calib::PAPER.pci
     }
 }
 
@@ -89,10 +88,6 @@ impl PciBus {
     pub fn note_dma_window(&self, until: VTime) {
         let mut cur = self.dma_active_until.lock();
         *cur = cur.max(until);
-    }
-
-    pub fn config(&self) -> PciConfig {
-        self.cfg
     }
 
     /// Run a transfer of uncontended bus occupancy `base` starting no

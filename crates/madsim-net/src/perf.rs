@@ -1,11 +1,13 @@
-//! Calibrated performance curves.
+//! Bandwidth helpers and piecewise-linear performance curves.
 //!
-//! Each simulated protocol stack owns a [`PerfCurve`]: a piecewise-linear
-//! interpolation of *one-way transfer time* over message size, anchored on
-//! the numbers the paper itself reports (min latency, bandwidth at 8 kB /
-//! 16 kB, asymptotic bandwidth). Between anchors the curve interpolates
-//! linearly in message size; beyond the last anchor it extrapolates with the
-//! slope of the final segment, i.e. the asymptotic bandwidth.
+//! A [`PerfCurve`] is a piecewise-linear interpolation of *one-way transfer
+//! time* over message size, anchored on published numbers (min latency,
+//! bandwidth at given sizes, asymptotic bandwidth). Between anchors the
+//! curve interpolates linearly in message size; beyond the last anchor it
+//! extrapolates with the slope of the final segment, i.e. the asymptotic
+//! bandwidth. The simulated stacks do not use curves — they charge the
+//! rows of [`crate::calib`] — only the models of other libraries the
+//! paper compares against (`mad_mpi::baselines`) do.
 //!
 //! The paper quotes bandwidth in "MB/s" meaning **MiB/s** (2^20 bytes per
 //! second): this is the only reading that makes its §6.2.2 arithmetic

@@ -5,6 +5,7 @@
 //! virtual clock, so goodput degrades with the loss rate). Without a
 //! [`FaultPlan`](crate::fault::FaultPlan) neither stack comes here.
 
+use crate::calib::Row;
 use crate::fault::{
     LinkError, ARQ_MAX_RETRIES, ARQ_RECV_TIMEOUT_MS, ARQ_RTO_REAL_BASE_MS, ARQ_RTO_REAL_MAX_MS,
     ARQ_RTO_VIRT_BASE_US, ARQ_RTO_VIRT_MAX_US,
@@ -25,11 +26,9 @@ pub(crate) struct Arq<'a> {
     pub tag: u64,
     /// Frame kinds of data and ack frames.
     pub kinds: (u16, u16),
-    /// One-way latency floor, per-byte wire cost and per-byte host-bus
-    /// occupancy of a data frame, µs.
-    pub wire_us: (f64, f64, f64),
-    /// Sender host time charged per transmission attempt, µs.
-    pub host_send_us: f64,
+    /// What a data frame costs; its host time is charged per
+    /// transmission attempt, its latency floor per ack.
+    pub row: Row,
 }
 
 /// Sequence number of a data or ack frame, if it carries one.
@@ -56,8 +55,8 @@ impl Arq<'_> {
                 return Err(LinkError::PeerDead);
             }
             let (frame, t0) = ((data_kind, tag), time::now());
-            send_frame(self.adapter, peer, frame, self.wire_us, t0, wire.clone());
-            time::advance(VDuration::from_micros_f64(self.host_send_us));
+            send_frame(self.adapter, peer, frame, self.row, t0, wire.clone());
+            time::advance(self.row.host());
             // Stale duplicate acks (seq < ours) are consumed and ignored.
             let ack = |f: &Frame| {
                 f.tag == tag && f.payload.len() == 4 && seq_of(f).is_some_and(|s| s <= seq)
@@ -117,7 +116,7 @@ impl Arq<'_> {
     /// vanish after the receiver has gone quiet. They carry no bus charge
     /// — 4-byte control frames.
     fn ack(&self, seq: u32, data_arrival: VTime) {
-        let arrival = time::now().max(data_arrival) + VDuration::from_micros_f64(self.wire_us.0);
+        let arrival = time::now().max(data_arrival) + self.row.lat();
         self.adapter.send_raw_control(
             self.peer,
             Frame {

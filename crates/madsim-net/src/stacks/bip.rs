@@ -13,15 +13,13 @@
 //!   blocks until the receiver has posted the receive and acknowledged
 //!   readiness.
 //!
-//! Calibration (see `DESIGN.md` §4): raw BIP min latency 5 µs and ~126 MB/s
-//! asymptotic bandwidth; the long-message path carries a large constant
-//! (rendezvous + pinning) making the 8 kB point land near the paper's §6.2
-//! measurements once Madeleine's overhead is added on top.
+//! Costs: the `bip_short`, `bip_long` and `bip_cts` rows of the world's
+//! [`crate::calib::Calib`].
 
 use crate::fault::LinkError;
 use crate::frame::{Frame, NodeId};
 use crate::stacks::{link_wait, send_frame, LINK_BOUND};
-use crate::time::{self, VDuration, VTime};
+use crate::time::{self, VTime};
 use crate::world::{Adapter, NetKind};
 use bytes::Bytes;
 
@@ -38,49 +36,10 @@ const KIND_SHORT: u16 = 1;
 const KIND_CTS: u16 = 2;
 const KIND_LONG: u16 = 3;
 
-/// Calibrated timing constants for the BIP stack (all µs / µs-per-byte).
-#[derive(Clone, Copy, Debug)]
-pub struct BipTiming {
-    /// One-way latency floor of a short message.
-    pub short_lat_us: f64,
-    /// Per-byte cost of a short message.
-    pub short_per_byte_us: f64,
-    /// One-way latency of a control frame (CTS).
-    pub ctrl_lat_us: f64,
-    /// Constant cost of a long-message transfer once rendezvous completed
-    /// (pinning, DMA setup, LANai program turnaround).
-    pub long_lat_us: f64,
-    /// Per-byte cost of a long-message transfer.
-    pub long_per_byte_us: f64,
-    /// Host CPU time consumed by posting a send (returns before the wire
-    /// time elapses — the LANai DMAs autonomously).
-    pub host_post_us: f64,
-    /// Per-byte host-bus occupancy (the LANai's bus-master DMA burst rate).
-    pub bus_per_byte_us: f64,
-}
-
-impl Default for BipTiming {
-    fn default() -> Self {
-        // Anchors: raw short latency 5 µs; long path ~126 MB/s asymptote
-        // with a ~95 µs rendezvous constant, placing 8 kB at ≈160 µs raw
-        // (≈47 MiB/s once Madeleine's overhead is added, §6.2.2).
-        BipTiming {
-            short_lat_us: 4.8,
-            short_per_byte_us: 0.009,
-            ctrl_lat_us: 4.8,
-            long_lat_us: 90.0,
-            long_per_byte_us: 0.00756,
-            host_post_us: 1.0,
-            bus_per_byte_us: 0.00756,
-        }
-    }
-}
-
 /// A node's handle on the BIP interface of a Myrinet adapter.
 #[derive(Clone)]
 pub struct Bip {
     adapter: Adapter,
-    timing: BipTiming,
 }
 
 impl Bip {
@@ -89,10 +48,6 @@ impl Bip {
     /// # Panics
     /// Panics if the adapter is not on a Myrinet fabric.
     pub fn new(adapter: &Adapter) -> Self {
-        Self::with_timing(adapter, BipTiming::default())
-    }
-
-    pub fn with_timing(adapter: &Adapter, timing: BipTiming) -> Self {
         assert_eq!(
             adapter.kind(),
             NetKind::Myrinet,
@@ -101,16 +56,11 @@ impl Bip {
         );
         Bip {
             adapter: adapter.clone(),
-            timing,
         }
     }
 
     pub fn node(&self) -> NodeId {
         self.adapter.node()
-    }
-
-    pub fn timing(&self) -> BipTiming {
-        self.timing
     }
 
     /// The adapter this BIP instance drives.
@@ -157,11 +107,10 @@ impl Bip {
              from node {me} tag {tag} — missing credit-based flow control?"
         );
 
-        let t = &self.timing;
-        let wire_us = (t.short_lat_us, t.short_per_byte_us, t.bus_per_byte_us);
+        let row = self.adapter.calib().bip_short;
         let (frame, payload) = ((KIND_SHORT, tag), Bytes::copy_from_slice(data));
-        send_frame(&self.adapter, dst, frame, wire_us, time::now(), payload);
-        time::advance(VDuration::from_micros_f64(t.host_post_us));
+        send_frame(&self.adapter, dst, frame, row, time::now(), payload);
+        time::advance(row.host());
     }
 
     /// Block until a short message with `tag` arrives from any source.
@@ -236,7 +185,7 @@ impl Bip {
         time::advance_to(cts.arrival);
         let local_done = self.send_long_from(dst, tag, data, time::now());
         time::advance_to(local_done);
-        time::advance(VDuration::from_micros_f64(self.timing.host_post_us));
+        time::advance(self.adapter.calib().bip_long.host());
         Ok(())
     }
 
@@ -259,12 +208,11 @@ impl Bip {
     /// returns the local-completion instant (user buffer drained; add the
     /// host-post cost for the CPU-side completion).
     pub fn send_long_from(&self, dst: NodeId, tag: u64, data: Bytes, start: VTime) -> VTime {
-        let t = self.timing;
-        let wire_us = (t.long_lat_us, t.long_per_byte_us, t.bus_per_byte_us);
-        let arrival = send_frame(&self.adapter, dst, (KIND_LONG, tag), wire_us, start, data);
+        let (c, frame) = (self.adapter.calib(), (KIND_LONG, tag));
+        let arrival = send_frame(&self.adapter, dst, frame, c.bip_long, start, data);
         // Local completion: the wire hop is the only part that overlaps
         // with the caller.
-        arrival.saturating_sub(VDuration::from_micros_f64(t.short_lat_us))
+        arrival.saturating_sub(c.bip_short.lat())
     }
 
     /// Post a receive for a long message from `src` and block until it has
@@ -282,9 +230,8 @@ impl Bip {
     /// lets the sender's transfer (a background NIC DMA) overlap whatever
     /// the receiving CPU does next.
     pub fn post_cts(&self, src: NodeId, tag: u64) {
-        let t = self.timing;
         let me = self.node();
-        let cts_arrival = time::now() + VDuration::from_micros_f64(t.ctrl_lat_us);
+        let cts_arrival = time::now() + self.adapter.calib().bip_cts.lat();
         self.adapter
             .send_raw(src, Frame::control(me, KIND_CTS, tag, cts_arrival));
     }
@@ -439,8 +386,8 @@ mod tests {
                 time::now().as_micros_f64()
             }
         });
-        let t = BipTiming::default();
-        let expected = t.ctrl_lat_us + t.long_lat_us + len as f64 * t.long_per_byte_us;
+        let c = crate::calib::Calib::PAPER;
+        let expected = c.bip_cts.lat_us + c.bip_long.lat_us + len as f64 * c.bip_long.per_byte_us;
         assert!(
             (times[1] - expected).abs() < 1.0,
             "got {} expected {}",

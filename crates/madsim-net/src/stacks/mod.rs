@@ -12,7 +12,8 @@
 //! | [`sbp`] | SBP (Russell & Hatcher) | all data must live in kernel-provided *static buffers* on both sides |
 //!
 //! Timing discipline shared by all stacks: every operation has a calibrated
-//! *uncontended* cost; the portion that crosses the host PCI bus is pushed
+//! *uncontended* cost, read from the world's table ([`crate::calib`]); the
+//! portion that crosses the host PCI bus is pushed
 //! through the node's [`crate::pci::PciBus`] model where concurrent transfers stretch it
 //! (full-duplex conflicts, DMA-over-PIO priority). With an idle bus the
 //! end-to-end time equals the calibrated curve exactly, so the single-network
@@ -23,7 +24,8 @@
 //! (`send_frame`), one bounded wait (`link_wait`) with its nonblocking
 //! twin ([`link_deadline`]), and one liveness test — the adapter's
 //! rail-aware [`Adapter::reachable_from`] / [`Adapter::reachable_to`]. A
-//! stack keeps only its protocol: frame kinds, costs, what it waits for.
+//! stack keeps only its protocol: frame kinds, which rows it charges, what
+//! it waits for.
 
 pub(crate) mod arq;
 pub mod bip;
@@ -32,46 +34,7 @@ pub mod sisci;
 pub mod tcp;
 pub mod via;
 
-/// Fixed per-frame cost of one wire frame on a stack, independent of its
-/// payload length: the one-way latency floor plus the sender's host time
-/// (syscall, descriptor post, or kernel-buffer round). This is the cost a
-/// batching layer saves each time it coalesces two packets into one frame,
-/// so the calibrated `Default` timings of each stack and any "frames saved"
-/// accounting in the benches must agree on it — hence one table here.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FrameCost {
-    /// One-way latency floor of one frame, µs.
-    pub lat_us: f64,
-    /// Sender host time per frame (send call / descriptor post), µs.
-    pub host_us: f64,
-}
-
-impl FrameCost {
-    /// Total fixed cost one coalesced frame saves, µs.
-    pub fn per_frame_us(&self) -> f64 {
-        self.lat_us + self.host_us
-    }
-}
-
-/// Fixed frame cost of the TCP/Fast-Ethernet stack (kernel traversal +
-/// `send` syscall).
-pub const TCP_FRAME_COST: FrameCost = FrameCost {
-    lat_us: 60.0,
-    host_us: 4.0,
-};
-
-/// Fixed frame cost of the VIA/SAN stack (doorbell + descriptor post).
-pub const VIA_FRAME_COST: FrameCost = FrameCost {
-    lat_us: 8.0,
-    host_us: 0.8,
-};
-
-/// Fixed frame cost of the SBP stack (kernel mediation + pool operation).
-pub const SBP_FRAME_COST: FrameCost = FrameCost {
-    lat_us: 15.0,
-    host_us: 2.0,
-};
-
+use crate::calib::Row;
 use crate::fault::LinkError;
 use crate::frame::{Frame, NodeId};
 use crate::pci::{BusDir, BusKind};
@@ -150,23 +113,22 @@ pub fn link_deadline(
 }
 
 /// The one frame send of the message-passing stacks: ship `payload` to
-/// `dst` as a DMA frame of `(kind, tag)` starting at `t0`. `wire_us` is
-/// the (latency, per-byte, bus-per-byte) cost in µs: the frame's one-way
-/// time and bus occupancy follow from it, both ends' buses are charged
-/// (see [`charge_send_bus`], [`charge_dest_bus`]), and the frame's
-/// arrival instant is stamped on it and returned.
+/// `dst` as a DMA frame of `(kind, tag)` starting at `t0`, charged as
+/// `row`: the frame's one-way time (latency plus per-byte) and bus
+/// occupancy follow from it, both ends' buses are charged (see
+/// [`charge_send_bus`], [`charge_dest_bus`]), and the frame's arrival
+/// instant is stamped on it and returned. The row's host time is the
+/// caller's to charge.
 pub(crate) fn send_frame(
     adapter: &Adapter,
     dst: NodeId,
     (kind, tag): (u16, u64),
-    wire_us: (f64, f64, f64),
+    row: Row,
     t0: VTime,
     payload: Bytes,
 ) -> VTime {
-    let (lat_us, per_byte_us, bus_per_byte_us) = wire_us;
-    let len = payload.len() as f64;
-    let oneway = VDuration::from_micros_f64(lat_us + len * per_byte_us);
-    let bus_occ = VDuration::from_micros_f64(len * bus_per_byte_us);
+    let oneway = VDuration::from_micros_f64(row.lat_us + payload.len() as f64 * row.per_byte_us);
+    let bus_occ = row.bus(payload.len());
     let arrival = charge_send_bus(adapter, BusKind::Dma, t0, oneway, bus_occ);
     let arrival = charge_dest_bus(adapter, dst, BusKind::Dma, arrival, bus_occ);
     let src = adapter.node();
@@ -248,6 +210,7 @@ fn charge_dest_bus(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::calib::Calib;
     use crate::time::{self, ClockHandle};
     use crate::world::{NetKind, WorldBuilder};
 
@@ -291,10 +254,15 @@ mod tests {
     fn contended_send_is_delayed() {
         let mut b = WorldBuilder::new(2);
         let net = b.network("sci0", NetKind::Sci, &[0, 1]);
-        let b = b.pci_config(crate::pci::PciConfig {
+        let pci = crate::pci::PciConfig {
             pio_contended_inflation: 1.5,
-        });
-        let w = b.build();
+        };
+        let w = b
+            .calib(Calib {
+                pci,
+                ..Calib::PAPER
+            })
+            .build();
         let arrivals = w.run(|env| {
             if env.id() != 0 {
                 return 0;

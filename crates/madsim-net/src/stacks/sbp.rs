@@ -8,12 +8,16 @@
 //! cannot be avoided when *both* networks require static buffers") and is
 //! exactly what Madeleine II's `obtain_static_buffer`/`release_static_buffer`
 //! TM interface (Table 2) exists to accommodate.
+//!
+//! Costs: the `sbp` row of the world's [`crate::calib::Calib`]; its host
+//! time is one kernel pool operation.
 
+use crate::calib::Row;
 use crate::fault::LinkError;
 use crate::frame::NodeId;
 use crate::stacks::arq::Arq;
 use crate::stacks::send_frame;
-use crate::time::{self, VDuration};
+use crate::time;
 use crate::world::{Adapter, NetKind};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
@@ -28,30 +32,6 @@ const KIND_SBP_ACK: u16 = 31;
 pub const SBP_BUFFER_SIZE: usize = 32 * 1024;
 /// Buffers per node-side pool.
 pub const SBP_POOL_SIZE: usize = 16;
-
-/// Calibrated timing constants for the SBP stack.
-#[derive(Clone, Copy, Debug)]
-pub struct SbpTiming {
-    /// One-way latency floor (kernel mediation).
-    pub lat_us: f64,
-    /// Per-byte cost (≈38 MiB/s).
-    pub per_byte_us: f64,
-    /// Cost of obtaining/releasing a kernel buffer.
-    pub pool_op_us: f64,
-    /// Per-byte host-bus occupancy.
-    pub bus_per_byte_us: f64,
-}
-
-impl Default for SbpTiming {
-    fn default() -> Self {
-        SbpTiming {
-            lat_us: crate::stacks::SBP_FRAME_COST.lat_us,
-            per_byte_us: 0.025,
-            pool_op_us: crate::stacks::SBP_FRAME_COST.host_us,
-            bus_per_byte_us: 0.0076,
-        }
-    }
-}
 
 struct Pool {
     available: Mutex<usize>,
@@ -98,7 +78,6 @@ struct ArqState {
 #[derive(Clone)]
 pub struct Sbp {
     adapter: Adapter,
-    timing: SbpTiming,
     tx_pool: Arc<Pool>,
     rx_pool: Arc<Pool>,
     arq: Arc<ArqState>,
@@ -109,10 +88,6 @@ impl Sbp {
     /// Panics if the adapter is not on an Ethernet fabric (SBP is a kernel
     /// protocol for commodity NICs).
     pub fn new(adapter: &Adapter) -> Self {
-        Self::with_timing(adapter, SbpTiming::default())
-    }
-
-    pub fn with_timing(adapter: &Adapter, timing: SbpTiming) -> Self {
         assert_eq!(
             adapter.kind(),
             NetKind::Ethernet,
@@ -121,7 +96,6 @@ impl Sbp {
         );
         Sbp {
             adapter: adapter.clone(),
-            timing,
             tx_pool: Pool::new(SBP_POOL_SIZE),
             rx_pool: Pool::new(SBP_POOL_SIZE),
             arq: Arc::new(ArqState::default()),
@@ -153,7 +127,7 @@ impl Sbp {
     /// still respect the kernel pool bound.
     pub fn reserve_tx_slot(&self) {
         self.tx_pool.take();
-        time::advance(VDuration::from_micros_f64(self.timing.pool_op_us));
+        time::advance(self.adapter.calib().sbp.host());
     }
 
     /// Return a reservation taken with [`Self::reserve_tx_slot`].
@@ -200,33 +174,35 @@ impl Sbp {
             s
         };
         let retransmits = self.arq_with(dst, tag).send(seq, &buf.data[..buf.len])?;
-        time::advance(VDuration::from_micros_f64(self.timing.pool_op_us));
+        time::advance(self.adapter.calib().sbp.host());
         Ok(retransmits)
         // `buf` drops here and its pool slot frees.
     }
 
     /// The fault-armed ARQ of the exchange with `peer` under `tag` (see
-    /// [`crate::stacks::arq`]).
+    /// [`crate::stacks::arq`]). It charges no host time: the pool
+    /// operation is charged once per send, not per transmission attempt.
     fn arq_with(&self, peer: NodeId, tag: u64) -> Arq<'_> {
-        let t = &self.timing;
+        let row = self.adapter.calib().sbp;
         Arq {
             adapter: &self.adapter,
             peer,
             tag,
             kinds: (KIND_SBP, KIND_SBP_ACK),
-            wire_us: (t.lat_us, t.per_byte_us, t.bus_per_byte_us),
-            host_send_us: 0.0,
+            row: Row {
+                host_us: 0.0,
+                ..row
+            },
         }
     }
 
     /// The original unconditional send path (no sequence prefix, no acks).
     fn send_fast(&self, dst: NodeId, tag: u64, buf: &SbpTxBuffer) {
-        let t = &self.timing;
-        let wire_us = (t.lat_us, t.per_byte_us, t.bus_per_byte_us);
+        let row = self.adapter.calib().sbp;
         let payload = Bytes::copy_from_slice(&buf.data[..buf.len]);
         let frame = (KIND_SBP, tag);
-        send_frame(&self.adapter, dst, frame, wire_us, time::now(), payload);
-        time::advance(VDuration::from_micros_f64(t.pool_op_us));
+        send_frame(&self.adapter, dst, frame, row, time::now(), payload);
+        time::advance(row.host());
     }
 
     /// Receive the next message under `tag` from `src`, releasing the
@@ -252,9 +228,8 @@ impl Sbp {
                 .adapter
                 .inbox()
                 .recv_from(src, KIND_SBP, |f| f.tag == tag);
-            let t = &self.timing;
             time::advance_to(f.arrival);
-            time::advance(VDuration::from_micros_f64(t.pool_op_us));
+            time::advance(self.adapter.calib().sbp.host());
             self.rx_pool.put();
             return Ok(f.payload);
         }
@@ -264,7 +239,7 @@ impl Sbp {
         self.arq.rx.lock().insert((src, tag), next);
         self.rx_pool.take();
         time::advance_to(arrival);
-        time::advance(VDuration::from_micros_f64(self.timing.pool_op_us));
+        time::advance(self.adapter.calib().sbp.host());
         self.rx_pool.put();
         Ok(payload)
     }

@@ -24,6 +24,9 @@
 //! synchronize both real and virtual time. In real time it polls the flag's
 //! published value — one atomic load, as on the real hardware — for as many
 //! probes as its caller grants it, then parks on the segment's eventcount.
+//!
+//! Costs: the `sci_pio`, `sci_flag`, `sci_copy` and `sci_dma` rows of the
+//! world's [`crate::calib::Calib`].
 
 use crate::eventcount::{EventCount, WaitStats};
 use crate::fault::LinkError;
@@ -37,46 +40,6 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-
-/// Calibrated timing constants for the SISCI stack (µs / µs-per-byte).
-#[derive(Clone, Copy, Debug)]
-pub struct SisciTiming {
-    /// Fixed cost of issuing a PIO write (store buffer flush, window setup).
-    pub pio_setup_us: f64,
-    /// Per-byte cost of streaming PIO writes (~82 MiB/s calibrated).
-    pub pio_per_byte_us: f64,
-    /// Cost of a 4-byte flag write.
-    pub flag_write_us: f64,
-    /// SCI wire + switch latency after the last byte leaves the sender.
-    pub wire_lat_us: f64,
-    /// Fixed cost of a local copy out of a segment.
-    pub copy_setup_us: f64,
-    /// Per-byte cost of copying between a segment and user memory.
-    pub copy_per_byte_us: f64,
-    /// Per-byte sender-bus occupancy of PIO (the CPU drives the bus the
-    /// whole time, so this equals the PIO per-byte cost).
-    pub pio_bus_per_byte_us: f64,
-    /// DMA engine: fixed start cost.
-    pub dma_setup_us: f64,
-    /// DMA engine: per-byte cost (≈35 MB/s on D310 hardware).
-    pub dma_per_byte_us: f64,
-}
-
-impl Default for SisciTiming {
-    fn default() -> Self {
-        SisciTiming {
-            pio_setup_us: 1.0,
-            pio_per_byte_us: 0.0116,
-            flag_write_us: 0.5,
-            wire_lat_us: 0.6,
-            copy_setup_us: 0.1,
-            copy_per_byte_us: 0.0042,
-            pio_bus_per_byte_us: 0.0116,
-            dma_setup_us: 20.0,
-            dma_per_byte_us: 0.026,
-        }
-    }
-}
 
 type SegKey = (u64, NodeId, u32);
 
@@ -179,7 +142,6 @@ pub(crate) fn wake_network(uid: u64) {
 #[derive(Clone)]
 pub struct Sisci {
     adapter: Adapter,
-    timing: SisciTiming,
 }
 
 impl Sisci {
@@ -188,10 +150,6 @@ impl Sisci {
     /// # Panics
     /// Panics if the adapter is not on an SCI fabric.
     pub fn new(adapter: &Adapter) -> Self {
-        Self::with_timing(adapter, SisciTiming::default())
-    }
-
-    pub fn with_timing(adapter: &Adapter, timing: SisciTiming) -> Self {
         assert_eq!(
             adapter.kind(),
             NetKind::Sci,
@@ -200,16 +158,11 @@ impl Sisci {
         );
         Sisci {
             adapter: adapter.clone(),
-            timing,
         }
     }
 
     pub fn node(&self) -> NodeId {
         self.adapter.node()
-    }
-
-    pub fn timing(&self) -> SisciTiming {
-        self.timing
     }
 
     /// Create (and export) a local segment of `size` bytes.
@@ -237,7 +190,6 @@ impl Sisci {
         LocalSegment {
             key,
             inner,
-            timing: self.timing,
             adapter: self.adapter.clone(),
         }
     }
@@ -263,8 +215,7 @@ impl Sisci {
         };
         RemoteSegment {
             inner,
-            timing: self.timing,
-            sender_bus: self.adapter.pci().clone(),
+            adapter: self.adapter.clone(),
         }
     }
 }
@@ -273,7 +224,6 @@ impl Sisci {
 pub struct LocalSegment {
     key: SegKey,
     inner: Arc<SegInner>,
-    timing: SisciTiming,
     /// The owner's adapter: a fallible wait asks it whether the writer
     /// can still reach us.
     adapter: Adapter,
@@ -290,10 +240,7 @@ impl LocalSegment {
         let mem = self.inner.mem.lock();
         buf.copy_from_slice(&mem[off..off + buf.len()]);
         drop(mem);
-        let t = &self.timing;
-        time::advance(VDuration::from_micros_f64(
-            t.copy_setup_us + buf.len() as f64 * t.copy_per_byte_us,
-        ));
+        time::advance(self.adapter.calib().sci_copy.cpu(buf.len()));
     }
 
     /// Block until the flag word at `off` has been written with a value
@@ -369,8 +316,8 @@ impl Drop for LocalSegment {
 /// A mapped window onto a remote node's segment.
 pub struct RemoteSegment {
     inner: Arc<SegInner>,
-    timing: SisciTiming,
-    sender_bus: PciBus,
+    /// The writer's adapter: its bus and its world's costs.
+    adapter: Adapter,
 }
 
 impl RemoteSegment {
@@ -384,26 +331,24 @@ impl RemoteSegment {
     /// host memory (including receiver-bus contention).
     pub fn write(&self, off: usize, data: &[u8]) -> VTime {
         self.inner.store("write", off, data);
-        let t = &self.timing;
+        let row = self.adapter.calib().sci_pio;
         let t0 = time::now();
-        let cpu =
-            VDuration::from_micros_f64(t.pio_setup_us + data.len() as f64 * t.pio_per_byte_us);
-        let bus_occ = VDuration::from_micros_f64(data.len() as f64 * t.pio_bus_per_byte_us);
+        let bus_occ = row.bus(data.len());
         // Sender bus: PIO outbound; the CPU is stalled for the stretched
         // duration under contention.
         let send_end = self
-            .sender_bus
+            .adapter
+            .pci()
             .transfer(BusKind::Pio, BusDir::Outbound, t0, bus_occ);
-        let cpu_end = (t0 + cpu).max(send_end);
+        let cpu_end = (t0 + row.cpu(data.len())).max(send_end);
         time::advance_to(cpu_end);
         // Receiver bus: the SCI NIC master-writes into host memory.
-        let nominal_arrival = cpu_end + VDuration::from_micros_f64(t.wire_lat_us);
-        let in_occ = VDuration::from_micros_f64(data.len() as f64 * t.pio_bus_per_byte_us);
-        let busy_start = nominal_arrival.saturating_sub(in_occ);
+        let nominal_arrival = cpu_end + row.lat();
+        let busy_start = nominal_arrival.saturating_sub(bus_occ);
         let in_end =
             self.inner
                 .owner_bus
-                .transfer(BusKind::Dma, BusDir::Inbound, busy_start, in_occ);
+                .transfer(BusKind::Dma, BusDir::Inbound, busy_start, bus_occ);
         in_end.max(nominal_arrival)
     }
 
@@ -411,9 +356,9 @@ impl RemoteSegment {
     /// `not_before` (pass the return of the preceding data [`write`] to
     /// preserve causality). Wakes remote waiters.
     pub fn write_flag(&self, off: usize, val: u32, not_before: VTime) -> VTime {
-        let t = &self.timing;
-        let cpu_end = time::advance(VDuration::from_micros_f64(t.flag_write_us));
-        let arrival = (cpu_end + VDuration::from_micros_f64(t.wire_lat_us)).max(not_before);
+        let row = self.adapter.calib().sci_flag;
+        let cpu_end = time::advance(row.host());
+        let arrival = (cpu_end + row.lat()).max(not_before);
         self.inner.store("flag write", off, &val.to_le_bytes());
         let flag = self.inner.flag(off);
         {
@@ -434,15 +379,16 @@ impl RemoteSegment {
     /// SISCI's `SCIWaitForDMAQueue` by `advance_to`-ing it).
     pub fn dma_write(&self, off: usize, data: &[u8]) -> VTime {
         self.inner.store("DMA write", off, data);
-        let t = &self.timing;
-        let t0 = time::advance(VDuration::from_micros_f64(t.dma_setup_us));
-        let dur = VDuration::from_micros_f64(data.len() as f64 * t.dma_per_byte_us);
+        let row = self.adapter.calib().sci_dma;
+        let t0 = time::advance(row.host());
+        let dur = VDuration::from_micros_f64(data.len() as f64 * row.per_byte_us);
         // The engine's transactions cross the sender bus as DMA.
-        let occ = dur;
+        let occ = row.bus(data.len());
         let send_end = self
-            .sender_bus
+            .adapter
+            .pci()
             .transfer(BusKind::Dma, BusDir::Outbound, t0, occ);
-        let nominal_arrival = send_end.max(t0 + dur) + VDuration::from_micros_f64(t.wire_lat_us);
+        let nominal_arrival = send_end.max(t0 + dur) + row.lat();
         let busy_start = nominal_arrival.saturating_sub(occ);
         let in_end = self
             .inner
@@ -504,9 +450,11 @@ mod tests {
         assert!((times[0] - times[1]).abs() < 1e-9);
         // Sequential on the sender CPU: data PIO, then flag write, then the
         // flag's wire hop (the data's own wire hop overlaps the flag write).
-        let t = SisciTiming::default();
-        let expected =
-            t.pio_setup_us + 1000.0 * t.pio_per_byte_us + t.flag_write_us + t.wire_lat_us;
+        let c = crate::calib::Calib::PAPER;
+        let expected = c.sci_pio.host_us
+            + 1000.0 * c.sci_pio.per_byte_us
+            + c.sci_flag.host_us
+            + c.sci_flag.lat_us;
         assert!(
             (times[1] - expected).abs() < 0.01,
             "got {} expected {}",

@@ -10,12 +10,14 @@
 //! stream is segmented and each segment runs the stop-and-wait ARQ of
 //! [`crate::stacks::arq`]. Without a plan the original unconditional fast
 //! path runs — no sequence numbers, no acks, zero overhead.
+//!
+//! Costs: the `tcp` row of the world's [`crate::calib::Calib`].
 
 use crate::fault::LinkError;
 use crate::frame::NodeId;
 use crate::stacks::arq::Arq;
 use crate::stacks::send_frame;
-use crate::time::{self, VDuration, VTime};
+use crate::time::{self, VTime};
 use crate::world::{Adapter, NetKind};
 use bytes::Bytes;
 use std::collections::VecDeque;
@@ -27,45 +29,16 @@ const KIND_TCP_ACK: u16 = 11;
 /// retransmission, not the whole send.
 const ARQ_SEGMENT: usize = 64 * 1024;
 
-/// Calibrated timing constants for the TCP stack.
-#[derive(Clone, Copy, Debug)]
-pub struct TcpTiming {
-    /// One-way latency floor (kernel traversal, interrupt, Fast Ethernet).
-    pub lat_us: f64,
-    /// Per-byte cost (≈11.2 MiB/s on 100 Mbit/s Ethernet).
-    pub per_byte_us: f64,
-    /// Sender host time per send call (syscall + copy into socket buffer).
-    pub host_send_us: f64,
-    /// Per-byte host-bus occupancy of the NIC's DMA.
-    pub bus_per_byte_us: f64,
-}
-
-impl Default for TcpTiming {
-    fn default() -> Self {
-        TcpTiming {
-            lat_us: crate::stacks::TCP_FRAME_COST.lat_us,
-            per_byte_us: 0.0851,
-            host_send_us: crate::stacks::TCP_FRAME_COST.host_us,
-            bus_per_byte_us: 0.0076,
-        }
-    }
-}
-
 /// A node's TCP endpoint on an Ethernet adapter.
 #[derive(Clone)]
 pub struct TcpStack {
     adapter: Adapter,
-    timing: TcpTiming,
 }
 
 impl TcpStack {
     /// # Panics
     /// Panics if the adapter is not on an Ethernet fabric.
     pub fn new(adapter: &Adapter) -> Self {
-        Self::with_timing(adapter, TcpTiming::default())
-    }
-
-    pub fn with_timing(adapter: &Adapter, timing: TcpTiming) -> Self {
         assert_eq!(
             adapter.kind(),
             NetKind::Ethernet,
@@ -74,7 +47,6 @@ impl TcpStack {
         );
         TcpStack {
             adapter: adapter.clone(),
-            timing,
         }
     }
 
@@ -97,10 +69,9 @@ impl TcpStack {
             self.adapter.name()
         );
         // One RTT of handshake, amortized as one latency each side.
-        time::advance(VDuration::from_micros_f64(self.timing.lat_us));
+        time::advance(self.adapter.calib().tcp.lat());
         TcpConn {
             adapter: self.adapter.clone(),
-            timing: self.timing,
             peer,
             port,
             rx: VecDeque::new(),
@@ -113,7 +84,6 @@ impl TcpStack {
 /// One endpoint of an established TCP connection.
 pub struct TcpConn {
     adapter: Adapter,
-    timing: TcpTiming,
     peer: NodeId,
     port: u32,
     /// Reassembly queue: in-order received chunks not yet consumed.
@@ -279,24 +249,21 @@ impl TcpConn {
     /// The original unconditional send path (no sequence numbers, no
     /// acks): the stream unit leaves as one frame.
     fn send_fast(&mut self, payload: Bytes) {
-        let t = &self.timing;
-        let wire_us = (t.lat_us, t.per_byte_us, t.bus_per_byte_us);
+        let row = self.adapter.calib().tcp;
         let (dst, frame) = (self.peer, (KIND_TCP, self.port as u64));
-        send_frame(&self.adapter, dst, frame, wire_us, time::now(), payload);
-        time::advance(VDuration::from_micros_f64(t.host_send_us));
+        send_frame(&self.adapter, dst, frame, row, time::now(), payload);
+        time::advance(row.host());
     }
 
     /// The fault-armed ARQ of this connection's outgoing or incoming
     /// direction (see [`crate::stacks::arq`]).
     fn arq(&self) -> Arq<'_> {
-        let t = &self.timing;
         Arq {
             adapter: &self.adapter,
             peer: self.peer,
             tag: self.port as u64,
             kinds: (KIND_TCP, KIND_TCP_ACK),
-            wire_us: (t.lat_us, t.per_byte_us, t.bus_per_byte_us),
-            host_send_us: t.host_send_us,
+            row: self.adapter.calib().tcp,
         }
     }
 
@@ -421,7 +388,7 @@ mod tests {
                 time::now().as_micros_f64()
             }
         });
-        let t = TcpTiming::default();
+        let t = crate::calib::Calib::PAPER.tcp;
         // connect (one lat) + one-way message time
         let expected = t.lat_us + t.lat_us + 4.0 * t.per_byte_us;
         assert!(
@@ -514,7 +481,7 @@ mod tests {
                 time::now().as_micros_f64()
             }
         });
-        let bw = crate::perf::mibps(1 << 20, VDuration::from_micros_f64(times[1]));
+        let bw = crate::perf::mibps(1 << 20, crate::time::VDuration::from_micros_f64(times[1]));
         assert!(bw > 10.0 && bw < 12.5, "Fast Ethernet bandwidth {bw} MiB/s");
     }
 }

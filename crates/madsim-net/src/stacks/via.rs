@@ -8,11 +8,13 @@
 //! NIC has nowhere to put the data and the packet is dropped (reliability
 //! level permitting). The simulation enforces this as a panic so that the
 //! Madeleine VIA transmission module must get its preposting right.
+//!
+//! Costs: the `via` row of the world's [`crate::calib::Calib`].
 
 use crate::fault::LinkError;
 use crate::frame::{Frame, NodeId};
 use crate::stacks::{link_wait, send_frame, LINK_BOUND};
-use crate::time::{self, VDuration};
+use crate::time;
 use crate::world::{Adapter, NetKind};
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -21,30 +23,6 @@ use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 const KIND_VIA: u16 = 20;
-
-/// Calibrated timing constants for the VIA stack.
-#[derive(Clone, Copy, Debug)]
-pub struct ViaTiming {
-    /// One-way latency floor (doorbell, NIC scheduling, wire).
-    pub lat_us: f64,
-    /// Per-byte cost (≈90 MiB/s SAN).
-    pub per_byte_us: f64,
-    /// Host cost of posting a descriptor.
-    pub post_us: f64,
-    /// Per-byte host-bus occupancy (NIC bus-master DMA).
-    pub bus_per_byte_us: f64,
-}
-
-impl Default for ViaTiming {
-    fn default() -> Self {
-        ViaTiming {
-            lat_us: crate::stacks::VIA_FRAME_COST.lat_us,
-            per_byte_us: 0.0106,
-            post_us: crate::stacks::VIA_FRAME_COST.host_us,
-            bus_per_byte_us: 0.0106,
-        }
-    }
-}
 
 /// Descriptor-count registry shared by both ends of each VI, so the sender
 /// can observe the receiver's posted descriptors (in hardware this is the
@@ -68,17 +46,12 @@ fn descriptor_cell(uid: u64, owner: NodeId, peer: NodeId, tag: u64) -> Arc<Atomi
 #[derive(Clone)]
 pub struct Via {
     adapter: Adapter,
-    timing: ViaTiming,
 }
 
 impl Via {
     /// # Panics
     /// Panics if the adapter is not on a VIA-capable SAN fabric.
     pub fn new(adapter: &Adapter) -> Self {
-        Self::with_timing(adapter, ViaTiming::default())
-    }
-
-    pub fn with_timing(adapter: &Adapter, timing: ViaTiming) -> Self {
         assert_eq!(
             adapter.kind(),
             NetKind::ViaSan,
@@ -87,7 +60,6 @@ impl Via {
         );
         Via {
             adapter: adapter.clone(),
-            timing,
         }
     }
 
@@ -105,7 +77,6 @@ impl Via {
         let me = self.node();
         Vi {
             adapter: self.adapter.clone(),
-            timing: self.timing,
             peer,
             tag,
             // Our posted receive descriptors (owned by this end).
@@ -120,7 +91,6 @@ impl Via {
 /// One end of a Virtual Interface.
 pub struct Vi {
     adapter: Adapter,
-    timing: ViaTiming,
     peer: NodeId,
     tag: u64,
     my_descs: Arc<AtomicIsize>,
@@ -138,7 +108,7 @@ impl Vi {
     pub fn post_recv(&mut self, capacity: usize) {
         self.my_descs.fetch_add(1, Ordering::AcqRel);
         self.posted_caps.push_back(capacity);
-        time::advance(VDuration::from_micros_f64(self.timing.post_us));
+        time::advance(self.adapter.calib().via.host());
     }
 
     /// Send `data`; consumes one of the peer's preposted descriptors.
@@ -155,12 +125,11 @@ impl Vi {
             self.peer,
             self.tag
         );
-        let t = &self.timing;
-        let wire_us = (t.lat_us, t.per_byte_us, t.bus_per_byte_us);
+        let row = self.adapter.calib().via;
         let (dst, frame) = (self.peer, (KIND_VIA, self.tag));
         let payload = Bytes::copy_from_slice(data);
-        send_frame(&self.adapter, dst, frame, wire_us, time::now(), payload);
-        time::advance(VDuration::from_micros_f64(t.post_us));
+        send_frame(&self.adapter, dst, frame, row, time::now(), payload);
+        time::advance(row.host());
     }
 
     /// Non-blocking receive: completes the oldest posted receive if a
@@ -311,7 +280,7 @@ mod tests {
                 0.0
             }
         });
-        let t = ViaTiming::default();
+        let t = crate::calib::Calib::PAPER.via;
         // Receiver clock advances *to* the arrival instant (sender started
         // at virtual 0), which dominates the 0.8 µs descriptor post.
         let expected = t.lat_us + 4.0 * t.per_byte_us;

@@ -6,11 +6,12 @@
 //! Clusters-of-clusters configurations are expressed naturally: a gateway
 //! node is simply a member of two networks (paper §6).
 
+use crate::calib::Calib;
 use crate::eventcount::EventCount;
 use crate::fault::{FaultPlan, FaultState};
 use crate::frame::{Frame, NodeId};
 use crate::mailbox::Mailbox;
-use crate::pci::{PciBus, PciConfig};
+use crate::pci::PciBus;
 use crate::time::{self, AbortFlag, ClockHandle, VDuration, VTime, NO_NODE};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -55,7 +56,7 @@ pub const MAX_RAILS: usize = 16;
 pub struct WorldBuilder {
     n_nodes: usize,
     networks: Vec<NetworkSpec>,
-    pci_cfg: PciConfig,
+    calib: Calib,
     faults: Option<FaultPlan>,
 }
 
@@ -65,14 +66,16 @@ impl WorldBuilder {
         WorldBuilder {
             n_nodes,
             networks: Vec::new(),
-            pci_cfg: PciConfig::default(),
+            calib: Calib::PAPER,
             faults: None,
         }
     }
 
-    /// Override the per-node host-bus contention constants.
-    pub fn pci_config(mut self, cfg: PciConfig) -> Self {
-        self.pci_cfg = cfg;
+    /// Set the world's calibration table (default [`Calib::PAPER`]): the
+    /// one place a world's costs are retimed, for every stack, bus and
+    /// session in it.
+    pub fn calib(mut self, calib: Calib) -> Self {
+        self.calib = calib;
         self
     }
 
@@ -155,13 +158,14 @@ impl WorldBuilder {
         }
         let buses = Arc::new(
             (0..self.n_nodes)
-                .map(|_| PciBus::new(self.pci_cfg))
+                .map(|_| PciBus::new(self.calib.pci))
                 .collect::<Vec<_>>(),
         );
         World {
             n_nodes: self.n_nodes,
             networks,
             buses,
+            calib: Arc::new(self.calib),
             faults: self.faults.as_ref().map(FaultPlan::build),
         }
     }
@@ -185,6 +189,7 @@ pub struct World {
     n_nodes: usize,
     networks: Vec<BuiltNetwork>,
     buses: Arc<Vec<PciBus>>,
+    calib: Arc<Calib>,
     faults: Option<Arc<FaultState>>,
 }
 
@@ -217,6 +222,7 @@ impl World {
                     mailboxes: Arc::clone(&net.mailboxes),
                     pci: self.buses[node].clone(),
                     all_buses: Arc::clone(&self.buses),
+                    calib: Arc::clone(&self.calib),
                     faults: self.faults.clone(),
                 })
             })
@@ -234,6 +240,7 @@ impl World {
             pci: self.buses[node].clone(),
             run,
             topology,
+            calib: Arc::clone(&self.calib),
             faults: self.faults.clone(),
         }
     }
@@ -349,6 +356,7 @@ pub struct NodeEnv {
     /// World topology: every network's (name, kind, members) — global
     /// configuration knowledge every node legitimately has.
     topology: Arc<Vec<TopologyEntry>>,
+    calib: Arc<Calib>,
     faults: Option<Arc<FaultState>>,
 }
 
@@ -425,6 +433,11 @@ impl NodeEnv {
         &self.pci
     }
 
+    /// The world's calibration table.
+    pub fn calib(&self) -> &Calib {
+        &self.calib
+    }
+
     /// Members of the named network, whether or not this node is one
     /// (topology is static configuration, not a secret).
     pub fn members_of(&self, network: &str) -> Option<Vec<NodeId>> {
@@ -487,6 +500,7 @@ pub struct Adapter {
     mailboxes: Arc<HashMap<NodeId, Mailbox<Frame>>>,
     pci: PciBus,
     all_buses: Arc<Vec<PciBus>>,
+    calib: Arc<Calib>,
     faults: Option<Arc<FaultState>>,
 }
 
@@ -563,6 +577,12 @@ impl Adapter {
     /// receiving node issues later.
     pub fn pci_of(&self, node: NodeId) -> &PciBus {
         &self.all_buses[node]
+    }
+
+    /// The world's calibration table: what the stack driving this adapter
+    /// charges.
+    pub fn calib(&self) -> &Calib {
+        &self.calib
     }
 
     /// Is a fault plan installed in this world? Stacks use this to arm
