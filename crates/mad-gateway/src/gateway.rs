@@ -6,7 +6,8 @@
 //! other buffer onto the outgoing network. With balanced per-packet times
 //! the two overlap perfectly and the pipeline period is
 //! `max(recv, send) + software overhead` — the paper measures that overhead
-//! at roughly 50 µs per step.
+//! at roughly 50 µs per step. An idle receiving half parks on the gateway
+//! node's arrivals count, which every frame or flag reaching it notifies.
 //!
 //! Copy avoidance follows §6.1 exactly:
 //!
@@ -31,12 +32,12 @@ use madeleine::pool::{BufPool, PooledBuf};
 use madeleine::stats::Stats;
 use madeleine::tm::StaticBuf;
 use madeleine::{CompletionQueue, Madeleine};
+use madsim_net::eventcount::EventCount;
 use madsim_net::time::{self, VDuration, VTime};
 use madsim_net::world::NodeEnv;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Gateway software overhead charged on the receiving half of each step.
 pub const GW_RECV_OVERHEAD_US: f64 = 15.0;
@@ -113,6 +114,8 @@ struct Filled {
 /// running, [`stop`](Gateway::stop) shuts them down once idle.
 pub struct Gateway {
     stop: Arc<AtomicBool>,
+    /// The node's arrivals count, which idle receiving halves park on.
+    arrivals: Arc<EventCount>,
     threads: Vec<JoinHandle<()>>,
     stats: Vec<(String, Arc<Stats>)>,
 }
@@ -173,6 +176,7 @@ impl Gateway {
         }
         Some(Gateway {
             stop,
+            arrivals: Arc::clone(env.arrivals()),
             threads,
             stats: stats_out,
         })
@@ -186,6 +190,7 @@ impl Gateway {
     /// Ask the forwarders to stop once idle and join them.
     pub fn stop(self) {
         self.stop.store(true, Ordering::Release);
+        self.arrivals.notify();
         for t in self.threads {
             let _ = t.join();
         }
@@ -224,18 +229,19 @@ fn spawn_direction(
         let free_tx = free_tx.clone();
         let mut limiter = gwcfg.inbound_limit_mibps.map(RateLimiter::new);
         let pool = BufPool::new(Arc::clone(&stats));
+        let arrivals = Arc::clone(env.arrivals());
         env.spawn_thread(move || {
             loop {
-                let Some(neighbor) = in_pmm.poll_incoming() else {
-                    if stop.load(Ordering::Acquire) {
-                        // Closing the queue drains the sending half: it
-                        // forwards what is already filled, then exits.
-                        filled.close();
-                        return;
-                    }
-                    time::check_abort();
-                    std::thread::sleep(Duration::from_micros(20));
-                    continue;
+                // The next announced fragment, or `None` once stopped.
+                let next = arrivals.wait_timeout(0, None, || match in_pmm.poll_incoming() {
+                    Some(neighbor) => Some(Some(neighbor)),
+                    None => stop.load(Ordering::Acquire).then_some(None),
+                });
+                let Some(neighbor) = next.expect("a wait without a timeout only succeeds") else {
+                    // Closing the queue drains the sending half: it
+                    // forwards what is already filled, then exits.
+                    filled.close();
+                    return;
                 };
                 // Dual buffering: wait (in virtual time too) for a free slot.
                 let Ok(slot_free_at) = free_rx.recv() else {
@@ -400,5 +406,42 @@ fn receive_payload(
         )?;
         v.advance(hdr.len);
         Ok(GwPayload::Dyn(v))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use madeleine::Protocol;
+    use madsim_net::{NetKind, WorldBuilder};
+    use std::time::{Duration, Instant};
+
+    /// An idle gateway's receiving halves park on the node's arrivals count:
+    /// with nothing announced, the count shows a park per direction and no
+    /// poll (their budget is 0), and `stop` wakes them and returns.
+    #[test]
+    fn an_idle_gateway_parks_until_stopped() {
+        let mut b = WorldBuilder::new(3);
+        b.network("sci0", NetKind::Sci, &[0, 1]);
+        b.network("myr0", NetKind::Myrinet, &[1, 2]);
+        let world = b.build();
+        let config =
+            Config::one("sci", "sci0", Protocol::Sisci).with_channel("myr", "myr0", Protocol::Bip);
+        world.run(|env| {
+            let mad = Madeleine::init(&env, &config);
+            let before = env.arrivals().stats();
+            let spec = VirtualChannelSpec::new("vc", &["sci", "myr"], 8192);
+            let Some(gw) = Gateway::spawn(&env, &mad, &config, &spec) else {
+                return;
+            };
+            let parked = || env.arrivals().stats().parks - before.parks;
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while parked() < 2 && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            let polls = env.arrivals().stats().polls - before.polls;
+            assert_eq!((parked() >= 2, polls), (true, 0));
+            gw.stop();
+        });
     }
 }

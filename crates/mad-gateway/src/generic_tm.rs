@@ -35,6 +35,7 @@
 use crate::route::Route;
 use crate::wire::{FragHeader, FRAG_HEADER_LEN};
 use madeleine::bmm::{RecvBmm, SendBmm, SendPolicy};
+use madeleine::channel::Channel;
 use madeleine::config::HostModel;
 use madeleine::error::{MadError, MadResult};
 use madeleine::flags::{RecvMode, SendMode};
@@ -43,13 +44,13 @@ use madeleine::pool::{BufPool, PooledBuf};
 use madeleine::stats::Stats;
 use madeleine::tm::{TmCaps, TmId, TransmissionModule};
 use madeleine::trace::{TraceEvent, Tracer};
+use madsim_net::eventcount::EventCount;
 use madsim_net::time;
 use madsim_net::NodeId;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Send one logical buffer through a hop channel's real TMs, honouring the
 /// hop's own TM selection and buffer policy.
@@ -115,9 +116,9 @@ pub(crate) fn recv_fragment_header(
 /// health flag.
 pub(crate) struct RouteState {
     route: Arc<Route>,
-    /// `hop_pmms[i]` is hop *i*'s protocol module, present for the hops
-    /// this node belongs to.
-    hop_pmms: Vec<Option<Arc<dyn Pmm>>>,
+    /// `hops[i]` is hop *i*'s channel, present for the hops this node
+    /// belongs to.
+    hops: Vec<Option<Arc<Channel>>>,
     /// Set once a send on this route fails; the route is never retried.
     down: AtomicBool,
     /// Header of a fragment whose payload transfer was initiated early
@@ -127,10 +128,10 @@ pub(crate) struct RouteState {
 }
 
 impl RouteState {
-    pub(crate) fn new(route: Arc<Route>, hop_pmms: Vec<Option<Arc<dyn Pmm>>>) -> Self {
+    pub(crate) fn new(route: Arc<Route>, hops: Vec<Option<Arc<Channel>>>) -> Self {
         RouteState {
             route,
-            hop_pmms,
+            hops,
             down: AtomicBool::new(false),
             prefetched: Mutex::new(None),
         }
@@ -160,9 +161,9 @@ impl RouteState {
         hops[0]
     }
 
-    fn hop_pmm(&self, hop: usize) -> &Arc<dyn Pmm> {
-        self.hop_pmms[hop]
-            .as_ref()
+    fn hop(&self, hop: usize) -> &Channel {
+        self.hops[hop]
+            .as_deref()
             .expect("node holds the channels of its own hops")
     }
 }
@@ -189,6 +190,9 @@ pub struct GenericTm {
     pool: BufPool,
     /// Fragments already pulled off the wire, queued by originating node.
     pending: Mutex<HashMap<NodeId, VecDeque<Pending>>>,
+    /// The node's arrivals count: a receive polling several routes parks
+    /// on it until one of them announces a fragment.
+    arrivals: Arc<EventCount>,
 }
 
 impl GenericTm {
@@ -199,6 +203,7 @@ impl GenericTm {
         host: HostModel,
         stats: Arc<Stats>,
         tracer: Arc<Tracer>,
+        arrivals: Arc<EventCount>,
     ) -> Self {
         assert!(!routes.is_empty(), "a virtual channel needs a route");
         let pool = BufPool::new(Arc::clone(&stats));
@@ -211,6 +216,7 @@ impl GenericTm {
             tracer,
             pool,
             pending: Mutex::new(HashMap::new()),
+            arrivals,
         }
     }
 
@@ -245,11 +251,11 @@ impl GenericTm {
     fn try_ingest_one(&self, ri: usize) -> MadResult<NodeId> {
         let rs = &self.routes[ri];
         let hop = rs.my_hop(self.me);
-        let pmm = rs.hop_pmm(hop);
+        let pmm = rs.hop(hop).pmm();
         let (neighbor, h) = match rs.prefetched.lock().take() {
             Some(x) => x,
             None => {
-                let neighbor = pmm.wait_incoming();
+                let neighbor = rs.hop(hop).wait_incoming();
                 let h = recv_fragment_header(pmm, neighbor, self.host, &self.stats)?;
                 (neighbor, h)
             }
@@ -294,7 +300,7 @@ impl GenericTm {
             return Ok(());
         }
         let hop = rs.my_hop(self.me);
-        let pmm = rs.hop_pmm(hop);
+        let pmm = rs.hop(hop).pmm();
         if let Some(neighbor) = pmm.poll_incoming() {
             let h = recv_fragment_header(pmm, neighbor, self.host, &self.stats)?;
             if h.len > 0 {
@@ -323,7 +329,7 @@ impl GenericTm {
             // until its header is read, so ingest it now (blocking is fine:
             // the fragment is already announced by the hop PMM).
             let hop = rs.my_hop(self.me);
-            if rs.hop_pmm(hop).poll_incoming().is_some() {
+            if rs.hop(hop).pmm().poll_incoming().is_some() {
                 return self.ingest_one(ri);
             }
         }
@@ -334,7 +340,7 @@ impl GenericTm {
     /// with its offset so the receiver can validate reassembly.
     fn send_block_on(&self, rs: &RouteState, dst: NodeId, data: &[u8]) -> MadResult<()> {
         let (hop, next) = rs.route.next_leg(self.me, dst);
-        let pmm = rs.hop_pmm(hop);
+        let pmm = rs.hop(hop).pmm();
         let mut offset = 0usize;
         for chunk in data.chunks(self.mtu.max(1)) {
             let header = FragHeader {
@@ -355,45 +361,48 @@ impl GenericTm {
     fn next_fragment(&self) -> MadResult<(usize, NodeId, FragHeader)> {
         loop {
             let candidates: Vec<usize> = self.live_recv_routes().map(|(ri, _)| ri).collect();
-            if candidates.is_empty() {
-                return Err(MadError::ChannelDown);
-            }
-            // Single healthy route: block in the hop PMM's own wait (the
-            // zero-fault fast path, identical to a plain channel).
-            let poll_only = candidates.len() > 1;
-            for ri in candidates {
+            // A fragment this route prefetched, or one announced on its hop.
+            let announced = |ri: usize| {
                 let rs = &self.routes[ri];
-                if let Some(x) = rs.prefetched.lock().take() {
-                    return Ok((ri, x.0, x.1));
+                match rs.prefetched.lock().take() {
+                    Some((neighbor, h)) => Some((ri, neighbor, Some(h))),
+                    None => Some((ri, rs.hop(rs.my_hop(self.me)).pmm().poll_incoming()?, None)),
                 }
-                let hop = rs.my_hop(self.me);
-                let pmm = rs.hop_pmm(hop);
-                let neighbor = if poll_only {
-                    match pmm.poll_incoming() {
-                        Some(n) => n,
-                        None => continue,
-                    }
-                } else {
-                    pmm.wait_incoming()
-                };
-                match recv_fragment_header(pmm, neighbor, self.host, &self.stats) {
-                    Ok(h) => {
-                        if h.len > 0 {
-                            let id = pmm.select(h.len, SendMode::Cheaper, RecvMode::Cheaper);
-                            pmm.tm(id).prefetch(neighbor);
-                        }
-                        return Ok((ri, neighbor, h));
-                    }
-                    Err(MadError::CorruptStream(what)) => {
-                        // The stream cannot be resynchronized: not a route
-                        // fault but a wiring error — surface it.
-                        return Err(MadError::CorruptStream(what));
-                    }
-                    Err(_) => self.recv_route_failed(ri),
+            };
+            let (ri, neighbor, prefetched) = match candidates[..] {
+                [] => return Err(MadError::ChannelDown),
+                // Single healthy route: block in the hop channel's own wait
+                // (the zero-fault fast path, identical to a plain channel).
+                [ri] => announced(ri).unwrap_or_else(|| {
+                    let rs = &self.routes[ri];
+                    (ri, rs.hop(rs.my_hop(self.me)).wait_incoming(), None)
+                }),
+                // Several: poll them, parking on the node's arrivals.
+                _ => {
+                    let poll = || candidates.iter().find_map(|&ri| announced(ri));
+                    let hit = self.arrivals.wait_timeout(0, None, poll);
+                    hit.expect("a wait without a timeout only succeeds")
                 }
+            };
+            if let Some(h) = prefetched {
+                return Ok((ri, neighbor, h));
             }
-            time::check_abort();
-            std::thread::sleep(Duration::from_micros(20));
+            let pmm = self.routes[ri].hop(self.routes[ri].my_hop(self.me)).pmm();
+            match recv_fragment_header(pmm, neighbor, self.host, &self.stats) {
+                Ok(h) => {
+                    if h.len > 0 {
+                        let id = pmm.select(h.len, SendMode::Cheaper, RecvMode::Cheaper);
+                        pmm.tm(id).prefetch(neighbor);
+                    }
+                    return Ok((ri, neighbor, h));
+                }
+                Err(MadError::CorruptStream(what)) => {
+                    // The stream cannot be resynchronized: not a route
+                    // fault but a wiring error — surface it.
+                    return Err(MadError::CorruptStream(what));
+                }
+                Err(_) => self.recv_route_failed(ri),
+            }
         }
     }
 
@@ -410,7 +419,7 @@ impl GenericTm {
             return Ok(());
         }
         let rs = &self.routes[ri];
-        let pmm = rs.hop_pmm(rs.my_hop(self.me));
+        let pmm = rs.hop(rs.my_hop(self.me)).pmm();
         let mut scratch = self.pool.checkout(len);
         hop_recv(
             pmm,
@@ -551,7 +560,7 @@ impl TransmissionModule for GenericTm {
                 );
                 if h.len > 0 {
                     let rs = &self.routes[ri];
-                    let pmm = rs.hop_pmm(rs.my_hop(self.me));
+                    let pmm = rs.hop(rs.my_hop(self.me)).pmm();
                     hop_recv(
                         pmm,
                         neighbor,
@@ -565,7 +574,7 @@ impl TransmissionModule for GenericTm {
             } else {
                 // Interleaved flow from another source: buffer it.
                 let rs = &self.routes[ri];
-                let pmm = rs.hop_pmm(rs.my_hop(self.me));
+                let pmm = rs.hop(rs.my_hop(self.me)).pmm();
                 let mut payload = self.pool.checkout(h.len);
                 if h.len > 0 {
                     hop_recv(
@@ -624,10 +633,6 @@ impl Pmm for GenericPmm {
 
     fn policy(&self, _id: TmId) -> SendPolicy {
         SendPolicy::Aggregate
-    }
-
-    fn wait_incoming(&self) -> NodeId {
-        madeleine::polling::PollPolicy::default().wait(|| self.generic.poll_announced())
     }
 
     fn poll_incoming(&self) -> Option<NodeId> {

@@ -134,11 +134,8 @@ impl VirtualChannel {
             if r.hops_of(me).len() != 1 || !r.gateway_positions(me).is_empty() {
                 continue;
             }
-            let hop_pmms: Vec<Option<Arc<dyn Pmm>>> = chain
-                .iter()
-                .map(|h| mad.try_channel(h).map(|c| Arc::clone(c.pmm())))
-                .collect();
-            routes.push(RouteState::new(r, hop_pmms));
+            let hops = chain.iter().map(|h| mad.try_channel(h).cloned());
+            routes.push(RouteState::new(r, hops.collect()));
         }
         let stats = Stats::new();
         let host = env.calib().host;
@@ -150,6 +147,7 @@ impl VirtualChannel {
             host,
             Arc::clone(&stats),
             Arc::clone(&tracer),
+            Arc::clone(env.arrivals()),
         ));
         let pmm: Arc<dyn Pmm> = Arc::new(GenericPmm::new(generic));
         let chan = Channel::with_pmm(
@@ -160,6 +158,7 @@ impl VirtualChannel {
             host,
             stats,
             tracer,
+            Arc::clone(env.arrivals()),
         );
         Some(VirtualChannel { chan, route })
     }

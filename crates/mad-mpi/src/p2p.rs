@@ -199,7 +199,7 @@ impl P2p {
     /// Block until some message is announced on the channel (without
     /// consuming it); used by `wait`/`waitall` between match attempts.
     pub(crate) fn block_for_traffic(&self, comm: &Comm) {
-        let _ = comm.channel().pmm().wait_incoming();
+        let _ = comm.channel().wait_incoming();
     }
 
     /// Nonblocking probe: is a message matching `(src, tag)` available?

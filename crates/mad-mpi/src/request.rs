@@ -143,8 +143,10 @@ impl<'a> Request<'a> {
     /// Block until complete, driving the channel's progress engine under
     /// its poll policy (see module docs for the wakeup-charge accounting).
     pub fn wait(mut self, comm: &Comm, p2p: &P2p) -> Status {
-        let policy = comm.channel().poll_policy();
-        let st = policy.drive(|| self.test(comm, p2p));
+        let ch = comm.channel();
+        let st = ch
+            .poll_policy()
+            .wait(ch.arrivals(), true, || self.test(comm, p2p));
         // If the policy parked, the wakeup latency counts from the
         // arrival/completion `test` just synchronized with.
         time::advance(take_pending_wakeup_charge());
@@ -156,8 +158,8 @@ impl<'a> Request<'a> {
 pub fn waitall<'a>(comm: &Comm, p2p: &P2p, reqs: Vec<Request<'a>>) -> Vec<Status> {
     let mut reqs: Vec<Option<Request<'a>>> = reqs.into_iter().map(Some).collect();
     let mut out: Vec<Option<Status>> = vec![None; reqs.len()];
-    let policy = comm.channel().poll_policy();
-    policy.drive(|| {
+    let ch = comm.channel();
+    ch.poll_policy().wait(ch.arrivals(), true, || {
         let mut pending = false;
         for (slot, st) in reqs.iter_mut().zip(out.iter_mut()) {
             if st.is_some() {

@@ -63,6 +63,7 @@ use crate::tm::{PendingKind, TmId};
 use crate::trace::{TraceEvent, Tracer};
 use crate::wire;
 use bytes::Bytes;
+use madsim_net::eventcount::EventCount;
 use madsim_net::time::{self, VDuration, VTime};
 use madsim_net::NodeId;
 use parking_lot::MutexGuard;
@@ -95,6 +96,8 @@ pub struct Channel {
     /// How engine-driving waits behave when no op can move (see
     /// [`crate::polling`]).
     poll: PollPolicy,
+    /// The node's arrivals count: what those waits park on.
+    arrivals: Arc<EventCount>,
     /// The nonblocking-op state machines of this channel (see
     /// [`crate::progress`]).
     engine: ProgressEngine,
@@ -233,6 +236,7 @@ impl Channel {
         tracer: Arc<Tracer>,
         ack_base: u64,
         poll: PollPolicy,
+        arrivals: Arc<EventCount>,
     ) -> Arc<Self> {
         assert!(!rails.is_empty(), "a channel needs at least one rail");
         assert!(rails.len() <= 64, "the live-rail mask is one u64");
@@ -259,6 +263,7 @@ impl Channel {
             open_rx: AtomicUsize::new(0),
             live_mask,
             poll,
+            arrivals,
             engine,
         })
     }
@@ -269,7 +274,9 @@ impl Channel {
     /// layer (paper §6.1: the forwarding mechanism is inserted *between*
     /// BMMs and TMs). The tracer is the caller's, so the protocol module
     /// underneath can record its events (e.g. failovers) into the same
-    /// stream the channel's pack/unpack events land in.
+    /// stream the channel's pack/unpack events land in. `arrivals` is the
+    /// node's arrivals count (see [`Channel::arrivals`]).
+    #[allow(clippy::too_many_arguments)]
     pub fn with_pmm(
         name: String,
         pmm: Arc<dyn Pmm>,
@@ -278,6 +285,7 @@ impl Channel {
         host: HostModel,
         stats: Arc<Stats>,
         tracer: Arc<Tracer>,
+        arrivals: Arc<EventCount>,
     ) -> Arc<Self> {
         let pool = BufPool::new(Arc::clone(&stats));
         let rails = vec![Rail::new(0, pmm, pool, None)];
@@ -286,7 +294,9 @@ impl Channel {
             crate::config::DEFAULT_STRIPE_CHUNK,
         );
         let poll = PollPolicy::default();
-        Self::multirail(name, rails, sched, me, peers, host, stats, tracer, 0, poll)
+        Self::multirail(
+            name, rails, sched, me, peers, host, stats, tracer, 0, poll, arrivals,
+        )
     }
 
     pub fn name(&self) -> &str {
@@ -582,7 +592,7 @@ impl Channel {
         let (src, rail) = if let Some(queued) = self.queued_batch_source() {
             queued
         } else if self.core.rails.len() == 1 {
-            (self.core.rails[0].pmm().wait_incoming(), 0)
+            (self.wait_incoming(), 0)
         } else {
             self.wait_incoming_multirail()
         };
@@ -618,10 +628,19 @@ impl Channel {
         self.core.sched.home_rail(my_index, &self.core.rails)
     }
 
-    /// Wait for an announced message (multirail only — a single rail uses
-    /// its PMM's blocking wait directly). Liveness is read once per scan
-    /// from the channel's cached mask — one atomic word instead of a
-    /// per-rail flag walk on this hot loop.
+    /// Block until some node has started sending a message on rail 0 — the
+    /// whole of a single-rail channel — and return its id, consuming
+    /// nothing. Waits through the channel's [`PollPolicy`], parked (if the
+    /// policy parks) on the node's arrivals count.
+    pub fn wait_incoming(&self) -> NodeId {
+        let pmm = self.pmm();
+        self.poll
+            .wait(&self.arrivals, false, || pmm.poll_incoming())
+    }
+
+    /// Wait for an announced message on a multirail channel. Liveness is
+    /// read once per scan from the channel's cached mask — one atomic word
+    /// instead of a per-rail flag walk on this hot loop.
     ///
     /// Rails are scanned in wrap order starting from [`my_announce_rail`]
     /// (Self::my_announce_rail), because stripe chunks ride the same
@@ -828,7 +847,7 @@ impl Channel {
     pub fn wait_op(&self, id: OpId) -> MadResult<VTime> {
         let done = || self.engine.take_result(id);
         let mut looked_up = false;
-        let r = self.poll.drive(|| {
+        let r = self.poll.wait(&self.arrivals, true, || {
             let flushed = done().or_else(|| {
                 let conn = self.core.conns.get(id.peer())?;
                 let _ = self.flush_peer(conn);
@@ -876,6 +895,12 @@ impl Channel {
     /// The engine-driving wait policy of this channel.
     pub fn poll_policy(&self) -> PollPolicy {
         self.poll
+    }
+
+    /// The node's arrivals count, which every frame or SISCI flag reaching
+    /// the node notifies: what this channel's blocked waits park on.
+    pub fn arrivals(&self) -> &EventCount {
+        &self.arrivals
     }
 
     /// Force-quarantine rail `idx`, as a link failure would (fault

@@ -17,7 +17,6 @@ use crate::drivers::CreditWindow;
 use crate::error::{MadError, MadResult};
 use crate::flags::{RecvMode, SendMode};
 use crate::pmm::Pmm;
-use crate::polling::PollPolicy;
 use crate::pool::BufPool;
 use crate::stats::Stats;
 use crate::tm::{
@@ -53,7 +52,6 @@ pub fn build(
     adapter: &Adapter,
     channel_id: u32,
     stats: Arc<Stats>,
-    poll: PollPolicy,
     pool: BufPool,
     tracer: Arc<Tracer>,
 ) -> Arc<dyn Pmm> {
@@ -81,7 +79,6 @@ pub fn build(
         bip,
         data_tag: tag(channel_id, SUB_DATA),
         tms: [short, long],
-        poll,
     })
 }
 
@@ -89,7 +86,6 @@ struct BipPmm {
     bip: Bip,
     data_tag: u64,
     tms: [Arc<dyn TransmissionModule>; 2],
-    poll: PollPolicy,
 }
 
 impl Pmm for BipPmm {
@@ -116,13 +112,9 @@ impl Pmm for BipPmm {
         }
     }
 
-    fn wait_incoming(&self) -> NodeId {
+    fn poll_incoming(&self) -> Option<NodeId> {
         // Every message opens with its header block, which is < 1 kB and
         // therefore always travels as a short DATA packet.
-        self.poll.wait(|| self.poll_incoming())
-    }
-
-    fn poll_incoming(&self) -> Option<NodeId> {
         self.bip.peek_short_src(self.data_tag)
     }
 }

@@ -36,28 +36,27 @@ pub fn build_pmm(
     pool: BufPool,
     tracer: Arc<Tracer>,
 ) -> Arc<dyn Pmm> {
-    let poll = cfg.poll;
     match protocol {
         Protocol::Tcp => {
             assert_eq!(adapter.kind(), NetKind::Ethernet, "TCP needs Ethernet");
-            tcp::build(adapter, channel_id, stats, poll, tracer)
+            tcp::build(adapter, channel_id, stats, tracer)
         }
         Protocol::Bip => {
             assert_eq!(adapter.kind(), NetKind::Myrinet, "BIP needs Myrinet");
-            bip::build(adapter, channel_id, stats, poll, pool, tracer)
+            bip::build(adapter, channel_id, stats, pool, tracer)
         }
         Protocol::Sisci => {
             assert_eq!(adapter.kind(), NetKind::Sci, "SISCI needs SCI");
             let dma = cfg.enable_sci_dma;
-            sisci::build(adapter, channel_id, dma, poll, stats, tracer)
+            sisci::build(adapter, channel_id, dma, stats, tracer)
         }
         Protocol::Via => {
             assert_eq!(adapter.kind(), NetKind::ViaSan, "VIA needs a SAN");
-            via::build(adapter, channel_id, poll, pool, stats, tracer)
+            via::build(adapter, channel_id, pool, stats, tracer)
         }
         Protocol::Sbp => {
             assert_eq!(adapter.kind(), NetKind::Ethernet, "SBP needs Ethernet");
-            sbp::build(adapter, channel_id, poll, pool, stats, tracer)
+            sbp::build(adapter, channel_id, pool, stats, tracer)
         }
     }
 }

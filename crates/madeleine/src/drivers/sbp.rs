@@ -11,7 +11,6 @@ use crate::bmm::SendPolicy;
 use crate::error::{MadError, MadResult};
 use crate::flags::{RecvMode, SendMode};
 use crate::pmm::Pmm;
-use crate::polling::PollPolicy;
 use crate::pool::BufPool;
 use crate::stats::Stats;
 use crate::tm::{StaticBuf, TmCaps, TmId, TransmissionModule};
@@ -29,7 +28,6 @@ fn tag(channel_id: u32) -> u64 {
 pub fn build(
     adapter: &Adapter,
     channel_id: u32,
-    poll: PollPolicy,
     pool: BufPool,
     stats: Arc<Stats>,
     tracer: Arc<Tracer>,
@@ -46,7 +44,6 @@ pub fn build(
         sbp,
         tag: tag(channel_id),
         tms: [tm],
-        poll,
     })
 }
 
@@ -54,7 +51,6 @@ struct SbpPmm {
     sbp: Sbp,
     tag: u64,
     tms: [Arc<dyn TransmissionModule>; 1],
-    poll: PollPolicy,
 }
 
 impl Pmm for SbpPmm {
@@ -72,10 +68,6 @@ impl Pmm for SbpPmm {
 
     fn policy(&self, _id: TmId) -> SendPolicy {
         SendPolicy::StaticCopy
-    }
-
-    fn wait_incoming(&self) -> NodeId {
-        self.poll.wait(|| self.poll_incoming())
     }
 
     fn poll_incoming(&self) -> Option<NodeId> {

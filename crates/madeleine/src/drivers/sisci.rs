@@ -34,7 +34,6 @@ use crate::bmm::SendPolicy;
 use crate::error::{MadError, MadResult};
 use crate::flags::{RecvMode, SendMode};
 use crate::pmm::Pmm;
-use crate::polling::PollPolicy;
 use crate::stats::Stats;
 use crate::tm::{TmCaps, TmId, TransmissionModule};
 use crate::trace::Tracer;
@@ -337,7 +336,6 @@ pub fn build(
     adapter: &Adapter,
     channel_id: u32,
     enable_dma: bool,
-    poll: PollPolicy,
     stats: Arc<Stats>,
     tracer: Arc<Tracer>,
 ) -> Arc<dyn Pmm> {
@@ -371,7 +369,6 @@ pub fn build(
         links,
         tms: [short, regular, dma],
         enable_dma,
-        poll,
     })
 }
 
@@ -379,7 +376,6 @@ struct SisciPmm {
     links: Links,
     tms: [Arc<dyn TransmissionModule>; 3],
     enable_dma: bool,
-    poll: PollPolicy,
 }
 
 impl Pmm for SisciPmm {
@@ -405,13 +401,9 @@ impl Pmm for SisciPmm {
         SendPolicy::Aggregate
     }
 
-    fn wait_incoming(&self) -> NodeId {
+    fn poll_incoming(&self) -> Option<NodeId> {
         // Every message opens with its ≤512 B header, so the short stream
         // of the sender's link always announces it.
-        self.poll.wait(|| self.poll_incoming())
-    }
-
-    fn poll_incoming(&self) -> Option<NodeId> {
         self.links
             .iter()
             .find(|(_, link)| link.probe(SHORT_GEOM))

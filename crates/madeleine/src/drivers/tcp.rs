@@ -13,7 +13,6 @@ use crate::config::HostModel;
 use crate::error::{MadError, MadResult};
 use crate::flags::{RecvMode, SendMode};
 use crate::pmm::Pmm;
-use crate::polling::PollPolicy;
 use crate::stats::Stats;
 use crate::tm::{TmCaps, TmId, TransmissionModule};
 use crate::trace::{TraceEvent, Tracer};
@@ -31,7 +30,6 @@ pub fn build(
     adapter: &Adapter,
     channel_id: u32,
     stats: Arc<Stats>,
-    poll: PollPolicy,
     tracer: Arc<Tracer>,
 ) -> Arc<dyn Pmm> {
     let stack = TcpStack::new(adapter);
@@ -53,7 +51,6 @@ pub fn build(
         stack,
         port: channel_id,
         tms: [tm],
-        poll,
     })
 }
 
@@ -61,7 +58,6 @@ struct TcpPmm {
     stack: TcpStack,
     port: u32,
     tms: [Arc<dyn TransmissionModule>; 1],
-    poll: PollPolicy,
 }
 
 impl Pmm for TcpPmm {
@@ -79,10 +75,6 @@ impl Pmm for TcpPmm {
 
     fn policy(&self, _id: TmId) -> SendPolicy {
         SendPolicy::Aggregate
-    }
-
-    fn wait_incoming(&self) -> NodeId {
-        self.poll.wait(|| self.poll_incoming())
     }
 
     fn poll_incoming(&self) -> Option<NodeId> {

@@ -16,7 +16,6 @@ use crate::drivers::CreditWindow;
 use crate::error::{MadError, MadResult};
 use crate::flags::{RecvMode, SendMode};
 use crate::pmm::Pmm;
-use crate::polling::PollPolicy;
 use crate::pool::BufPool;
 use crate::stats::Stats;
 use crate::tm::{StaticBuf, TmCaps, TmId, TransmissionModule};
@@ -70,7 +69,6 @@ struct PeerVis {
 pub fn build(
     adapter: &Adapter,
     channel_id: u32,
-    poll: PollPolicy,
     pool: BufPool,
     stats: Arc<Stats>,
     tracer: Arc<Tracer>,
@@ -106,17 +104,12 @@ pub fn build(
         stats,
         tracer,
     });
-    Arc::new(ViaPmm {
-        vis,
-        tms: [tm],
-        poll,
-    })
+    Arc::new(ViaPmm { vis, tms: [tm] })
 }
 
 struct ViaPmm {
     vis: Arc<HashMap<NodeId, Mutex<PeerVis>>>,
     tms: [Arc<dyn TransmissionModule>; 1],
-    poll: PollPolicy,
 }
 
 impl Pmm for ViaPmm {
@@ -134,10 +127,6 @@ impl Pmm for ViaPmm {
 
     fn policy(&self, _id: TmId) -> SendPolicy {
         SendPolicy::StaticCopy
-    }
-
-    fn wait_incoming(&self) -> NodeId {
-        self.poll.wait(|| self.poll_incoming())
     }
 
     fn poll_incoming(&self) -> Option<NodeId> {

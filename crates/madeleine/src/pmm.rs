@@ -4,7 +4,9 @@
 //! protocol, decides — identically on the sending and the receiving side —
 //! which TM carries a packet of a given length and mode combination (the
 //! paper's "most-efficient transfer-method selection"), names the buffer
-//! policy that feeds each TM, and announces incoming messages.
+//! policy that feeds each TM, and announces incoming messages (a blocked
+//! receive waits for an announcement through its channel's
+//! [`PollPolicy`](crate::PollPolicy), not here).
 
 use crate::bmm::SendPolicy;
 use crate::flags::{RecvMode, SendMode};
@@ -28,14 +30,10 @@ pub trait Pmm: Send + Sync {
     /// The buffer policy feeding TM `id`.
     fn policy(&self, id: TmId) -> SendPolicy;
 
-    /// Block until some node has started sending a message on this channel
-    /// and return its id. Consumes nothing: the message body (starting with
-    /// the internal header) is still fully receivable afterwards.
-    fn wait_incoming(&self) -> NodeId;
-
-    /// Non-blocking variant of [`wait_incoming`](Self::wait_incoming):
-    /// the source of pending traffic, if any, consuming nothing. Lets a
-    /// poller (e.g. a gateway forwarder) remain interruptible.
+    /// The node that has started sending a message on this channel, if
+    /// any. Consumes nothing: the message body (starting with the internal
+    /// header) is still fully receivable afterwards. Never blocks; see
+    /// [`Channel::wait_incoming`](crate::Channel::wait_incoming).
     fn poll_incoming(&self) -> Option<NodeId>;
 
     /// Fetch a TM handle.

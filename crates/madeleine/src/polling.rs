@@ -23,7 +23,15 @@
 //! synchronized with the arrival instant (see
 //! [`take_pending_wakeup_charge`]). Tests can therefore assert the latency
 //! difference exactly.
+//!
+//! In real time, "blocked" means parked on the node's arrivals count (see
+//! [`madsim_net::eventcount`]): every frame or SISCI flag that reaches the
+//! node notifies it, so the park ends at the arrival. A probe that is a
+//! progress-engine tick can also succeed with no arrival at all — another
+//! thread retired the op — so its parks recheck after 20 µs, doubling up
+//! to 500 µs.
 
+use madsim_net::eventcount::EventCount;
 use madsim_net::time::{self, VDuration};
 use std::cell::Cell;
 use std::time::Duration;
@@ -34,8 +42,8 @@ pub enum PollPolicy {
     /// Busy-poll until traffic shows up. Lowest latency, one CPU burned.
     #[default]
     Spin,
-    /// Sleep-and-recheck; every arrival that finds the receiver parked
-    /// pays the interrupt/wakeup latency.
+    /// Park at once; every arrival that finds the receiver parked pays the
+    /// interrupt/wakeup latency.
     Interrupt {
         /// Wakeup cost charged to the receiver (µs).
         latency_us: f64,
@@ -65,13 +73,17 @@ impl PollPolicy {
     }
 
     /// Wait until `probe` yields a value, honouring the policy's cost
-    /// model. `probe` must be cheap and side-effect-free on failure.
-    pub fn wait<T>(&self, mut probe: impl FnMut() -> Option<T>) -> T {
-        // Arrival before we ever wait is free under every policy.
-        if let Some(v) = probe() {
-            return v;
-        }
-        match *self {
+    /// model. `Spin` re-probes, yielding in between; `Interrupt` and
+    /// `Adaptive` re-probe 0 and `spin_rounds` times, then park on
+    /// `arrivals`, and a wait that parked charges the wakeup latency. Set
+    /// `tick` when the probe is a progress-engine tick (see module docs).
+    pub fn wait<T>(
+        &self,
+        arrivals: &EventCount,
+        tick: bool,
+        mut probe: impl FnMut() -> Option<T>,
+    ) -> T {
+        let (mut budget, latency_us) = match *self {
             PollPolicy::Spin => loop {
                 if let Some(v) = probe() {
                     return v;
@@ -79,36 +91,32 @@ impl PollPolicy {
                 time::check_abort();
                 std::thread::yield_now();
             },
-            PollPolicy::Interrupt { latency_us } => {
-                let v = park_until(&mut probe);
-                add_pending_wakeup(latency_us);
-                v
-            }
+            PollPolicy::Interrupt { latency_us } => (0, latency_us),
             PollPolicy::Adaptive {
                 spin_rounds,
                 interrupt_latency_us,
-            } => {
-                for _ in 0..spin_rounds {
-                    if let Some(v) = probe() {
-                        return v; // caught while spinning: free
-                    }
-                    std::thread::yield_now();
-                }
-                let v = park_until(&mut probe);
-                add_pending_wakeup(interrupt_latency_us);
-                v
+            } => (spin_rounds, interrupt_latency_us),
+        };
+        // Arrival within the first probe and the poll budget is free.
+        let free_probes = 1 + u64::from(budget);
+        let mut probes = 0u64;
+        let mut recheck_us = 20;
+        let v = loop {
+            let timeout = tick.then(|| Duration::from_micros(recheck_us));
+            let got = arrivals.wait_timeout(budget, timeout, || {
+                probes += 1;
+                probe()
+            });
+            if let Some(v) = got {
+                break v;
             }
+            budget = 0;
+            recheck_us = (recheck_us * 2).min(500);
+        };
+        if probes > free_probes {
+            add_pending_wakeup(latency_us);
         }
-    }
-
-    /// [`wait`](Self::wait) for probes with *idempotent side effects* —
-    /// specifically a progress-engine tick, which may ship frames and
-    /// retire ops on each call. The cost model is identical (a hit on the
-    /// first probe is free; a parked wakeup charges the interrupt
-    /// latency); the separate entry point exists because `wait` documents
-    /// its probe as side-effect-free and the engine's is deliberately not.
-    pub fn drive<T>(&self, probe: impl FnMut() -> Option<T>) -> T {
-        self.wait(probe)
+        v
     }
 }
 
@@ -128,25 +136,11 @@ pub fn take_pending_wakeup_charge() -> VDuration {
     VDuration::from_nanos(PENDING_WAKEUP_NS.with(|c| c.replace(0)))
 }
 
-/// Sleep-and-recheck loop (the "parked waiting for an interrupt" state).
-fn park_until<T>(probe: &mut impl FnMut() -> Option<T>) -> T {
-    let mut backoff_us = 20u64;
-    loop {
-        if let Some(v) = probe() {
-            return v;
-        }
-        time::check_abort();
-        std::thread::sleep(Duration::from_micros(backoff_us));
-        backoff_us = (backoff_us * 2).min(500);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use madsim_net::time::ClockHandle;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
 
     fn with_clock<T>(f: impl FnOnce() -> T) -> (T, f64) {
         let clock = ClockHandle::new();
@@ -159,82 +153,105 @@ mod tests {
         (out, t)
     }
 
+    /// Wait under `policy` for a flag another thread raises after `ms` of
+    /// real time. An `announce`d flag also notifies the count, as every
+    /// arrival at a node does; one that is not is what a tick finds. Returns
+    /// the virtual time charged.
+    fn wait_for_flag(policy: PollPolicy, ms: u64, arrivals: &EventCount, announce: bool) -> f64 {
+        let flag = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(ms));
+                flag.store(true, Ordering::Release);
+                if announce {
+                    arrivals.notify();
+                }
+            });
+            let raised = || flag.load(Ordering::Acquire).then_some(());
+            with_clock(|| policy.wait(arrivals, !announce, raised)).1
+        })
+    }
+
     #[test]
     fn immediate_data_is_free_under_every_policy() {
+        let arrivals = EventCount::default();
         for policy in [
             PollPolicy::Spin,
             PollPolicy::interrupt(),
             PollPolicy::adaptive(),
         ] {
             let ((), t) = with_clock(|| {
-                policy.wait(|| Some(()));
+                policy.wait(&arrivals, false, || Some(()));
             });
             assert_eq!(t, 0.0, "{policy:?} charged {t} us for present data");
         }
+        assert_eq!(arrivals.stats().parks, 0);
     }
 
+    /// A blocked interrupt wait parks once, on the count, and charges its
+    /// wakeup latency once.
     #[test]
     fn interrupt_charges_wakeup_latency_when_blocked() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let f2 = Arc::clone(&flag);
-        let setter = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            f2.store(true, Ordering::Release);
-        });
-        let ((), t) = with_clock(|| {
-            PollPolicy::Interrupt { latency_us: 12.5 }
-                .wait(|| flag.load(Ordering::Acquire).then_some(()));
-        });
-        setter.join().unwrap();
+        let arrivals = EventCount::default();
+        let t = wait_for_flag(
+            PollPolicy::Interrupt { latency_us: 12.5 },
+            20,
+            &arrivals,
+            true,
+        );
         assert_eq!(t, 12.5);
+        let s = arrivals.stats();
+        assert_eq!((s.polls, s.parks), (0, 1), "{s:?}");
+    }
+
+    /// Nothing notifies the count when another thread retires the op a
+    /// tick waits for: the park rechecks on its own.
+    #[test]
+    fn a_tick_wait_rechecks_without_an_arrival() {
+        let arrivals = EventCount::default();
+        let t = wait_for_flag(
+            PollPolicy::Interrupt { latency_us: 12.5 },
+            5,
+            &arrivals,
+            false,
+        );
+        assert_eq!(t, 12.5, "charged once however many rechecks");
+        assert!(arrivals.stats().parks >= 1);
     }
 
     #[test]
     fn spin_never_charges() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let f2 = Arc::clone(&flag);
-        let setter = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(5));
-            f2.store(true, Ordering::Release);
-        });
-        let ((), t) = with_clock(|| {
-            PollPolicy::Spin.wait(|| flag.load(Ordering::Acquire).then_some(()));
-        });
-        setter.join().unwrap();
+        let arrivals = EventCount::default();
+        let t = wait_for_flag(PollPolicy::Spin, 5, &arrivals, false);
         assert_eq!(t, 0.0);
+        assert_eq!(arrivals.stats().parks, 0, "spinning never parks");
     }
 
     #[test]
     fn adaptive_charges_only_past_the_spin_phase() {
         // Data that shows up within the spin rounds is free.
+        let arrivals = EventCount::default();
         let mut calls = 0;
         let ((), t) = with_clock(|| {
             PollPolicy::Adaptive {
                 spin_rounds: 64,
                 interrupt_latency_us: 10.0,
             }
-            .wait(|| {
+            .wait(&arrivals, false, || {
                 calls += 1;
                 (calls > 5).then_some(())
             });
         });
         assert_eq!(t, 0.0);
+        assert_eq!(arrivals.stats().parks, 0);
 
         // Data that arrives long after the spin phase pays the wakeup.
-        let flag = Arc::new(AtomicBool::new(false));
-        let f2 = Arc::clone(&flag);
-        let setter = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            f2.store(true, Ordering::Release);
-        });
-        let ((), t) = with_clock(|| {
-            PollPolicy::Adaptive {
-                spin_rounds: 4,
-                interrupt_latency_us: 10.0,
-            }
-            .wait(|| flag.load(Ordering::Acquire).then_some(()));
-        });
-        setter.join().unwrap();
-        assert_eq!(t, 10.0);
+        let adaptive = PollPolicy::Adaptive {
+            spin_rounds: 4,
+            interrupt_latency_us: 10.0,
+        };
+        assert_eq!(wait_for_flag(adaptive, 30, &arrivals, true), 10.0);
+        let s = arrivals.stats();
+        assert_eq!(s.parks, 1, "{s:?}");
     }
 }

@@ -108,18 +108,20 @@
 //!
 //! This module is one of the lock-free hot-path modules linted by
 //! `scripts/verify.sh`: no `parking_lot` locks may appear here — producers
-//! push completions onto a lock-free ring, and the only mutexes are
-//! `std::sync` consumer-side staging and sleep locks.
+//! push completions onto a lock-free ring, the only mutex is the
+//! `std::sync` consumer-side staging lock, and a blocked popper parks on the
+//! queue's [`EventCount`].
 
 use crate::connection::{Connection, Connections};
 use crate::error::{MadError, MadResult};
 use crate::stats::Stats;
 use crossbeam::queue::ArrayQueue;
+use madsim_net::eventcount::EventCount;
 use madsim_net::time::{self, VTime};
 use madsim_net::NodeId;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Handle of a posted nonblocking operation. Bit-packed as
 /// `peer(16) | slot(16) | generation(32)`: the peer routes straight to the
@@ -404,7 +406,7 @@ impl Default for OpSlab {
 /// not the queue.
 #[doc(hidden)]
 pub const CQ_RING_CAP: usize = 256;
-/// Spin iterations a blocked popper burns before sleeping on the condvar.
+/// Polls a blocked popper makes before it parks.
 const CQ_SPIN_LIMIT: u32 = 32;
 
 /// An unbounded queue with close semantics — the terminal stage of the
@@ -412,18 +414,15 @@ const CQ_SPIN_LIMIT: u32 = 32;
 /// finished work between threads (the gateway forwarder uses one per
 /// direction). Producers push onto a lock-free MPMC ring (spilling to a
 /// staging deque only when it fills); consumers serialize on the small
-/// staging lock and block only when the queue is truly empty, after a
-/// bounded spin (`spins` counts the burned iterations — the `cq_spins`
-/// observability counter).
+/// staging lock and park only when the queue is truly empty, after a
+/// bounded poll (`spins` counts the polls — the `cq_spins` observability
+/// counter).
 pub struct CompletionQueue<T> {
     ring: ArrayQueue<T>,
     staged: Mutex<VecDeque<T>>,
     closed: AtomicBool,
-    version: AtomicU64,
-    waiters: AtomicUsize,
-    sleep: Mutex<()>,
-    cond: Condvar,
-    spins: AtomicU64,
+    /// Notified by every push and by `close`.
+    ready: EventCount,
 }
 
 impl<T> Default for CompletionQueue<T> {
@@ -442,11 +441,7 @@ impl<T> CompletionQueue<T> {
             ring: ArrayQueue::new(CQ_RING_CAP),
             staged: Mutex::new(VecDeque::new()),
             closed: AtomicBool::new(false),
-            version: AtomicU64::new(0),
-            waiters: AtomicUsize::new(0),
-            sleep: Mutex::new(()),
-            cond: Condvar::new(),
-            spins: AtomicU64::new(0),
+            ready: EventCount::default(),
         }
     }
 
@@ -464,11 +459,7 @@ impl<T> CompletionQueue<T> {
             }
             staged.push_back(item);
         }
-        self.version.fetch_add(1, Ordering::SeqCst);
-        if self.waiters.load(Ordering::SeqCst) > 0 {
-            let _g = lock_unpoisoned(&self.sleep);
-            self.cond.notify_all();
-        }
+        self.ready.notify();
         true
     }
 
@@ -488,43 +479,23 @@ impl<T> CompletionQueue<T> {
     }
 
     /// Dequeue, blocking until an item arrives. Returns `None` only once
-    /// the queue is closed **and** drained. Spins briefly before parking —
+    /// the queue is closed **and** drained. Polls briefly before parking —
     /// completions arrive in bursts from the progress tick.
     pub fn pop_wait(&self) -> Option<T> {
-        loop {
-            let v = self.version.load(Ordering::SeqCst);
-            if let Some(item) = self.try_pop() {
-                return Some(item);
-            }
-            if self.closed.load(Ordering::SeqCst) {
-                return None;
-            }
-            let mut spun = 0u32;
-            while spun < CQ_SPIN_LIMIT && self.version.load(Ordering::SeqCst) == v {
-                std::hint::spin_loop();
-                spun += 1;
-            }
-            self.spins.fetch_add(u64::from(spun), Ordering::Relaxed);
-            if spun < CQ_SPIN_LIMIT {
-                continue; // something arrived (or the queue closed) mid-spin
-            }
-            self.waiters.fetch_add(1, Ordering::SeqCst);
-            let mut g = lock_unpoisoned(&self.sleep);
-            while self.version.load(Ordering::SeqCst) == v && !self.closed.load(Ordering::SeqCst) {
-                g = self.cond.wait(g).unwrap_or_else(|e| e.into_inner());
-            }
-            drop(g);
-            self.waiters.fetch_sub(1, Ordering::SeqCst);
-        }
+        let got = self
+            .ready
+            .wait_timeout(CQ_SPIN_LIMIT, None, || match self.try_pop() {
+                Some(item) => Some(Some(item)),
+                None => self.closed.load(Ordering::SeqCst).then_some(None),
+            });
+        got.expect("a wait without a timeout only succeeds")
     }
 
     /// Close the queue: further pushes are rejected, blocked poppers wake,
     /// already-queued items remain poppable.
     pub fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-        self.version.fetch_add(1, Ordering::SeqCst);
-        let _g = lock_unpoisoned(&self.sleep);
-        self.cond.notify_all();
+        self.closed.store(true, Ordering::SeqCst);
+        self.ready.notify();
     }
 
     pub fn len(&self) -> usize {
@@ -551,10 +522,10 @@ impl<T> CompletionQueue<T> {
         }
     }
 
-    /// Spin iterations poppers burned before blocking (the `cq_spins`
-    /// observability counter).
+    /// Polls poppers made before they found an item or parked (the
+    /// `cq_spins` observability counter).
     pub fn spins(&self) -> u64 {
-        self.spins.load(Ordering::Relaxed)
+        self.ready.stats().polls
     }
 }
 
@@ -631,7 +602,8 @@ impl Completions {
         all
     }
 
-    /// Spin iterations drainers burned before blocking (`cq_spins`).
+    /// Polls drainers made before they found an entry or parked
+    /// (`cq_spins`).
     pub fn spins(&self) -> u64 {
         self.q.spins()
     }
@@ -935,6 +907,28 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(10));
         assert!(q.push(7));
         assert_eq!(t.join().unwrap(), Some(7));
+    }
+
+    /// A world abort ends a park on a queue's own count: node 1 blocks in
+    /// `pop_wait` on a queue nobody pushes to, node 0 dies once it has
+    /// parked, and the run re-raises node 0's panic instead of hanging.
+    #[test]
+    fn pop_wait_ends_when_the_world_aborts() {
+        let world = madsim_net::WorldBuilder::new(2).build();
+        let q = CompletionQueue::<u32>::new();
+        let run = std::panic::AssertUnwindSafe(|| {
+            world.run(|env| {
+                if env.id() == 0 {
+                    while q.ready.stats().parks == 0 {
+                        std::thread::yield_now();
+                    }
+                    panic!("node 0 dies");
+                }
+                q.pop_wait()
+            })
+        });
+        let payload = std::panic::catch_unwind(run).expect_err("the run re-raises the panic");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"node 0 dies"));
     }
 
     #[test]

@@ -770,9 +770,6 @@ mod tests {
         fn policy(&self, _id: TmId) -> SendPolicy {
             SendPolicy::Eager
         }
-        fn wait_incoming(&self) -> NodeId {
-            unreachable!("null PMM carries no traffic")
-        }
         fn poll_incoming(&self) -> Option<NodeId> {
             None
         }

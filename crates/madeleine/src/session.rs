@@ -138,6 +138,7 @@ impl Madeleine {
                 tracer,
                 idx as u64,
                 config.poll,
+                Arc::clone(env.arrivals()),
             );
             channels.insert(spec.name.clone(), channel);
         }

@@ -279,11 +279,13 @@ fn modes_are_transparent_to_content() {
 
 /// The Marcel-style network interaction policies (paper conclusion):
 /// interrupt-driven reception pays a wakeup latency that pure polling does
-/// not — measurable end-to-end through the stack.
+/// not — measurable end-to-end through the stack. Counted as well as timed:
+/// a wait for the message that blocks parks exactly once, on the receiver
+/// node's arrivals count, and a spinning one never does.
 #[test]
 fn poll_policy_cost_is_visible_end_to_end() {
     use madeleine::PollPolicy;
-    let oneway = |policy: PollPolicy| -> f64 {
+    let oneway = |policy: PollPolicy| -> (f64, u64) {
         let mut b = WorldBuilder::new(2);
         b.network("sci0", NetKind::Sci, &[0, 1]);
         let world = b.build();
@@ -297,19 +299,25 @@ fn poll_policy_cost_is_visible_end_to_end() {
                 let mut msg = ch.begin_packing(1);
                 msg.pack(&[1u8; 64], SendMode::Cheaper, RecvMode::Cheaper);
                 msg.end_packing();
-                0.0
+                (0.0, 0)
             } else {
+                // The wait for the message is begin_unpacking's; the
+                // body's own flag may or may not be up by the time it ends.
+                let parked = || env.arrivals().stats().parks;
+                let before = parked();
                 let mut buf = [0u8; 64];
                 let mut msg = ch.begin_unpacking();
+                let parks = parked() - before;
                 msg.unpack(&mut buf, SendMode::Cheaper, RecvMode::Cheaper);
                 msg.end_unpacking();
-                madsim_net::time::now().as_micros_f64()
+                (madsim_net::time::now().as_micros_f64(), parks)
             }
         });
         out[1]
     };
-    let spin = oneway(PollPolicy::Spin);
-    let intr = oneway(PollPolicy::Interrupt { latency_us: 25.0 });
+    let (spin, spin_parks) = oneway(PollPolicy::Spin);
+    let (intr, intr_parks) = oneway(PollPolicy::Interrupt { latency_us: 25.0 });
+    assert_eq!((spin_parks, intr_parks), (0, 1));
     let diff = intr - spin;
     // The full 25 us lands on the receiver, minus whatever post-arrival
     // work the wakeup window absorbs (the receiver's extraction overlaps
@@ -321,10 +329,11 @@ fn poll_policy_cost_is_visible_end_to_end() {
     // Adaptive with a long spin phase behaves like polling when the
     // message arrives while spinning... here the sender is slow, so the
     // interrupt path arms and the charge applies.
-    let adaptive = oneway(PollPolicy::Adaptive {
+    let (adaptive, adaptive_parks) = oneway(PollPolicy::Adaptive {
         spin_rounds: 2,
         interrupt_latency_us: 25.0,
     });
+    assert_eq!(adaptive_parks, 1);
     assert!(
         (adaptive - intr).abs() < 2.0,
         "slow sender forces the adaptive policy onto the interrupt path \

@@ -1,12 +1,11 @@
-//! The fabric's one blocking-wait discipline: an eventcount — a version
-//! counter plus a waiter count over one `std::sync` condvar. A publisher
-//! makes its data visible, then calls [`notify`](EventCount::notify); a
-//! waiter runs an *attempt* closure in
-//! [`wait_timeout`](EventCount::wait_timeout) until it yields. The version
-//! handshake loses no wake-up (a publication that lands after a failed
-//! attempt bumps the version before the waiter commits to sleeping), and
-//! the waiter count keeps the condvar out of the publisher's path unless
-//! someone is actually asleep.
+//! The one way library code blocks: an eventcount — a version counter plus
+//! a waiter count over the list of threads asleep on it. A publisher makes
+//! its data visible, then calls [`notify`](EventCount::notify); a waiter
+//! runs an *attempt* closure in [`wait_timeout`](EventCount::wait_timeout)
+//! until it yields. The version handshake loses no wake-up (a publication
+//! that lands after a failed attempt bumps the version before the waiter
+//! commits to sleeping), and the waiter count keeps the sleeper list out of
+//! the publisher's path unless someone is actually asleep.
 //!
 //! Every wait is **poll, then park**, and the poll budget is the caller's:
 //! where the next publication is due within a few re-checks, a park puts a
@@ -15,11 +14,18 @@
 //! the CPU every [`YIELD_EVERY`]th probe, and a park once before it sleeps,
 //! so with more runnable threads than cores the publisher gets to run.
 //!
+//! A park is the thread's own (`std::thread::park`): a world abort unparks
+//! every thread of its run, whatever count each sleeps on. Each node has
+//! one count every arrival at it notifies
+//! ([`crate::world::NodeEnv::arrivals`]); the other counts belong to
+//! waits no arrival announces (segment registry, SBP pool, barrier, ...).
+//!
 //! Linted by `scripts/verify.sh` as a lock-free hot-path module: no
-//! `parking_lot`; the cold park is `std::sync` only.
+//! `parking_lot`; the sleeper list is `std::sync` only.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 /// One probe in this many gives up the CPU instead of pausing.
@@ -36,8 +42,8 @@ pub struct EventCount {
     version: AtomicU64,
     /// How many waiters are (about to be) asleep.
     waiters: AtomicUsize,
-    sleep: Mutex<()>,
-    cond: Condvar,
+    /// The threads asleep on this count.
+    sleepers: Mutex<Vec<Thread>>,
     /// Statistics, see [`WaitStats`].
     waits: AtomicU64,
     polls: AtomicU64,
@@ -52,20 +58,21 @@ pub struct WaitStats {
     pub waits: u64,
     /// Re-probes made in those rounds.
     pub polls: u64,
-    /// Rounds that exhausted their budget and slept on the condvar.
+    /// Rounds that exhausted their budget and went to sleep.
     pub parks: u64,
 }
 
 impl EventCount {
     /// Announce a publication. Call *after* the data an attempt looks for
-    /// is visible. Touches the condvar only if a waiter is asleep.
+    /// is visible. Touches the sleeper list only if a waiter is asleep.
     pub fn notify(&self) {
         self.version.fetch_add(1, Ordering::SeqCst);
         if self.waiters.load(Ordering::SeqCst) > 0 {
-            let _g = lock_unpoisoned(&self.sleep);
-            // notify_all: waiters wait on *different* conditions, so a
-            // notify_one could wake the wrong one and lose the wake-up.
-            self.cond.notify_all();
+            // Every sleeper: they wait on *different* conditions, so waking
+            // only one could wake the wrong one and lose the wake-up.
+            lock_unpoisoned(&self.sleepers)
+                .iter()
+                .for_each(Thread::unpark);
         }
     }
 
@@ -103,9 +110,6 @@ impl EventCount {
             if got.is_some() {
                 return got;
             }
-            // After `seen` was read: an abort raised from here on bumps the
-            // version past it, so checking before each park misses none.
-            crate::time::check_abort();
             self.parks.fetch_add(1, Ordering::Relaxed);
             if !self.park(seen, deadline) {
                 return attempt();
@@ -113,25 +117,27 @@ impl EventCount {
         }
     }
 
-    /// Give the CPU away once (a publication landing meanwhile is caught under
-    /// the lock and saves both sides the futex round-trip), then sleep until
-    /// the version moves past `seen` (`true`) or `deadline` passes.
+    /// Give the CPU away once (a publication landing meanwhile saves both
+    /// sides the futex round-trip), then sleep until the version moves past
+    /// `seen` (`true`) or `deadline` passes. A world abort, raised before
+    /// or during the sleep, ends it with the abort's panic.
     fn park(&self, seen: u64, deadline: Option<Instant>) -> bool {
         std::thread::yield_now();
+        let me = std::thread::current();
         self.waiters.fetch_add(1, Ordering::SeqCst);
-        let mut g = lock_unpoisoned(&self.sleep);
-        while self.version.load(Ordering::SeqCst) == seen {
-            g = match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
-                None => self.cond.wait(g).unwrap_or_else(|e| e.into_inner()),
+        lock_unpoisoned(&self.sleepers).push(me.clone());
+        // An unpark that lands before `park` is kept for it, so a notify
+        // between the version check and the sleep is not lost.
+        while self.version.load(Ordering::SeqCst) == seen && crate::time::aborted_by().is_none() {
+            match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+                None => std::thread::park(),
                 Some(Duration::ZERO) => break,
-                Some(t) => match self.cond.wait_timeout(g, t) {
-                    Ok((g, _)) => g,
-                    Err(e) => e.into_inner().0,
-                },
-            };
+                Some(t) => std::thread::park_timeout(t),
+            }
         }
-        drop(g);
+        lock_unpoisoned(&self.sleepers).retain(|t| t.id() != me.id());
         self.waiters.fetch_sub(1, Ordering::SeqCst);
+        crate::time::check_abort();
         self.version.load(Ordering::SeqCst) != seen
     }
 
@@ -180,12 +186,12 @@ mod tests {
         assert_eq!((s.waits, s.polls, s.parks), (0, 0, 0));
     }
 
-    /// With nobody asleep `notify` must not touch the sleep lock: it is
-    /// held here, so a `notify` that took it would never report back.
+    /// With nobody asleep `notify` must not touch the sleeper list: its
+    /// lock is held here, so a `notify` that took it would never report back.
     #[test]
-    fn notify_with_no_waiter_leaves_the_condvar_alone() {
+    fn notify_with_no_waiter_leaves_the_sleepers_alone() {
         let ec = EventCount::default();
-        let held = lock_unpoisoned(&ec.sleep);
+        let held = lock_unpoisoned(&ec.sleepers);
         let (tx, rx) = mpsc::channel();
         thread::scope(|s| {
             s.spawn(|| {

@@ -29,8 +29,12 @@
 //!   of the unsharded mailbox (`full_scans` counts these).
 //!
 //! Blocking is the crate's [`EventCount`]: producers on the fast path never
-//! touch the condvar mutex unless a receiver is actually asleep, and every
-//! blocking receive polls [`SPIN_LIMIT`] times before it parks.
+//! touch the sleeper list unless a receiver is actually asleep, and every
+//! blocking receive polls [`SPIN_LIMIT`] times before it parks. The count
+//! is the owning node's arrivals count for an inbox the world builds —
+//! every push into any of the node's inboxes notifies it, so one wait can
+//! cover them all — and a private one for a mailbox made with
+//! [`Mailbox::new`].
 //!
 //! This module is one of the lock-free hot-path modules linted by
 //! `scripts/verify.sh`: no `parking_lot` locks may appear here.
@@ -102,7 +106,7 @@ struct MailboxInner<T> {
     /// Global arrival stamp: the cross-shard FIFO order.
     stamp: AtomicU64,
     /// Notified after every push; blocked receivers re-scan when it moves.
-    arrivals: EventCount,
+    arrivals: Arc<EventCount>,
     /// Operations resolved against a single shard: lock-free ring pushes
     /// plus keyed receives/peeks.
     shard_hits: AtomicU64,
@@ -141,23 +145,24 @@ fn insert_by_seq<T>(staged: &mut VecDeque<Stamped<T>>, s: Stamped<T>) {
 }
 
 impl<T: Shardable> Mailbox<T> {
+    /// A mailbox with an arrivals count of its own.
     pub fn new() -> Self {
+        Self::notifying(Arc::default())
+    }
+
+    /// A mailbox whose pushes notify `arrivals`, and whose blocking
+    /// receives park on it.
+    pub(crate) fn notifying(arrivals: Arc<EventCount>) -> Self {
         Mailbox {
             inner: Arc::new(MailboxInner {
                 shards: (0..SHARD_COUNT).map(|_| Shard::new()).collect(),
                 stamp: AtomicU64::new(0),
-                arrivals: EventCount::default(),
+                arrivals,
                 shard_hits: AtomicU64::new(0),
                 ring_overflows: AtomicU64::new(0),
                 full_scans: AtomicU64::new(0),
             }),
         }
-    }
-
-    /// Wake every blocked receiver with nothing deposited (a world abort:
-    /// their waits re-check the flag).
-    pub(crate) fn wake(&self) {
-        self.inner.arrivals.notify();
     }
 
     /// Deposit an item and wake any waiting receivers (they re-check their

@@ -13,6 +13,7 @@
 //! time is one kernel pool operation.
 
 use crate::calib::Row;
+use crate::eventcount::EventCount;
 use crate::fault::LinkError;
 use crate::frame::NodeId;
 use crate::stacks::arq::Arq;
@@ -20,7 +21,7 @@ use crate::stacks::send_frame;
 use crate::time;
 use crate::world::{Adapter, NetKind};
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -35,29 +36,30 @@ pub const SBP_POOL_SIZE: usize = 16;
 
 struct Pool {
     available: Mutex<usize>,
-    cond: Condvar,
+    /// Notified by every buffer returned.
+    returned: EventCount,
 }
 
 impl Pool {
     fn new(n: usize) -> Arc<Self> {
         Arc::new(Pool {
             available: Mutex::new(n),
-            cond: Condvar::new(),
+            returned: EventCount::default(),
         })
     }
 
+    /// Take a buffer, parking until one is free.
     fn take(&self) {
-        let mut n = self.available.lock();
-        while *n == 0 {
-            self.cond.wait(&mut n);
-        }
-        *n -= 1;
+        let got = self.returned.wait_timeout(0, None, || {
+            let mut n = self.available.lock();
+            (*n > 0).then(|| *n -= 1)
+        });
+        got.expect("a wait without a timeout only succeeds");
     }
 
     fn put(&self) {
-        let mut n = self.available.lock();
-        *n += 1;
-        self.cond.notify_one();
+        *self.available.lock() += 1;
+        self.returned.notify();
     }
 
     fn available(&self) -> usize {

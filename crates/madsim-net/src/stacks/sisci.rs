@@ -23,7 +23,10 @@
 //! virtual arrival time of the write that satisfied it, so receivers
 //! synchronize both real and virtual time. In real time it polls the flag's
 //! published value — one atomic load, as on the real hardware — for as many
-//! probes as its caller grants it, then parks on the segment's eventcount.
+//! probes as its caller grants it, then parks on the owning node's arrivals
+//! count, which every flag write into any of the node's segments notifies.
+//! `connect` parks on the segment registry's own count until the owner has
+//! created the segment.
 //!
 //! Costs: the `sci_pio`, `sci_flag`, `sci_copy` and `sci_dma` rows of the
 //! world's [`crate::calib::Calib`].
@@ -35,7 +38,7 @@ use crate::pci::{BusDir, BusKind, PciBus};
 use crate::stacks::{link_wait, LINK_BOUND};
 use crate::time::{self, VDuration, VTime};
 use crate::world::{Adapter, NetKind};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -79,8 +82,8 @@ impl FlagSlot {
 struct SegInner {
     mem: Mutex<Vec<u8>>,
     flags: OnceLock<Box<FlagSlot>>,
-    /// Notified by every flag write.
-    flag_writes: EventCount,
+    /// The owning node's arrivals count: notified by every flag write.
+    arrivals: Arc<EventCount>,
     owner_bus: PciBus,
     size: usize,
 }
@@ -116,26 +119,16 @@ impl SegInner {
 
 struct Registry {
     map: Mutex<HashMap<SegKey, Arc<SegInner>>>,
-    cond: Condvar,
+    /// Notified by every segment creation.
+    created: EventCount,
 }
 
 fn registry() -> &'static Registry {
     static REG: OnceLock<Registry> = OnceLock::new();
     REG.get_or_init(|| Registry {
         map: Mutex::new(HashMap::new()),
-        cond: Condvar::new(),
+        created: EventCount::default(),
     })
-}
-
-/// Wake every flag waiter and every `connect` of SCI network `uid` with
-/// nothing written (a world abort: their waits re-check the flag).
-pub(crate) fn wake_network(uid: u64) {
-    let reg = registry();
-    let map = reg.map.lock();
-    for (_, seg) in map.iter().filter(|(key, _)| key.0 == uid) {
-        seg.flag_writes.notify();
-    }
-    reg.cond.notify_all();
 }
 
 /// A node's handle on the SISCI interface of an SCI adapter.
@@ -174,7 +167,7 @@ impl Sisci {
         let inner = Arc::new(SegInner {
             mem: Mutex::new(vec![0u8; size]),
             flags: OnceLock::new(),
-            flag_writes: EventCount::default(),
+            arrivals: Arc::clone(self.adapter.arrivals()),
             owner_bus: self.adapter.pci().clone(),
             size,
         });
@@ -186,7 +179,8 @@ impl Sisci {
             self.node()
         );
         map.insert(key, Arc::clone(&inner));
-        reg.cond.notify_all();
+        drop(map);
+        reg.created.notify();
         LocalSegment {
             key,
             inner,
@@ -205,14 +199,10 @@ impl Sisci {
         );
         let key: SegKey = (self.adapter.uid(), owner, seg_id);
         let reg = registry();
-        let mut map = reg.map.lock();
-        let inner = loop {
-            if let Some(inner) = map.get(&key) {
-                break Arc::clone(inner);
-            }
-            time::check_abort();
-            reg.cond.wait(&mut map);
-        };
+        let created = reg
+            .created
+            .wait_timeout(0, None, || reg.map.lock().get(&key).cloned());
+        let inner = created.expect("a wait without a timeout only succeeds");
         RemoteSegment {
             inner,
             adapter: self.adapter.clone(),
@@ -284,8 +274,8 @@ impl LocalSegment {
         timeout: Option<Duration>,
     ) -> Option<(u32, VTime)> {
         let flag = self.inner.flag(off);
-        let writes = &self.inner.flag_writes;
-        writes.wait_timeout(polls, timeout, || flag.take(val))
+        let arrivals = &self.inner.arrivals;
+        arrivals.wait_timeout(polls, timeout, || flag.take(val))
     }
 
     /// Pure probe (one load): is the flag at `off` already `>= val`? Consumes
@@ -300,10 +290,12 @@ impl LocalSegment {
         self.inner.flag(off).take(val)
     }
 
-    /// What the flag waits on this segment cost so far: `waits` that found
-    /// their flag unwritten, the `polls` they made, their `parks`.
+    /// What the waits on the owning node's arrivals count cost so far —
+    /// flag waits on any of its segments and its inbox receives alike:
+    /// `waits` that found their condition unmet, the `polls` they made,
+    /// their `parks`.
     pub fn flag_wait_stats(&self) -> WaitStats {
-        self.inner.flag_writes.stats()
+        self.inner.arrivals.stats()
     }
 }
 
@@ -370,7 +362,7 @@ impl RemoteSegment {
             }
         }
         flag.published.fetch_max(val as u64 + 1, Ordering::Release);
-        self.inner.flag_writes.notify();
+        self.inner.arrivals.notify();
         arrival
     }
 

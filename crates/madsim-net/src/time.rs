@@ -257,19 +257,21 @@ pub(crate) fn set_abort(flag: AbortFlag) {
     THREAD_ABORT.with(|a| a.replace(Some(flag)));
 }
 
+/// The node whose panic aborted the `World::run` this thread works for, if
+/// one has — unless this thread is already unwinding: a wait inside its
+/// destructors must not panic again, which would abort the process.
+pub(crate) fn aborted_by() -> Option<usize> {
+    let dead = THREAD_ABORT.with(|a| a.borrow().as_ref().map(|f| f.load(Ordering::SeqCst)));
+    dead.filter(|&n| n != NO_NODE && !std::thread::panicking())
+}
+
 /// Give up a wait that can no longer end: panics with "world aborted: node
 /// N panicked" if node N of the `World::run` this thread works for has
-/// panicked. For the slow branch of blocking loops only — about to park,
-/// sleep or yield — never per message: a node that dies is rare, a wake-up
-/// is not.
+/// panicked. For the slow branch of blocking loops only — about to park or
+/// yield — never per message: a node that dies is rare, a wake-up is not.
 pub fn check_abort() {
-    let dead = THREAD_ABORT.with(|a| a.borrow().as_ref().map(|f| f.load(Ordering::SeqCst)));
-    if let Some(node) = dead.filter(|&n| n != NO_NODE) {
-        // A wait inside a destructor of a thread already unwinding must not
-        // panic again: that would abort the process.
-        if !std::thread::panicking() {
-            panic!("world aborted: node {node} panicked");
-        }
+    if let Some(node) = aborted_by() {
+        panic!("world aborted: node {node} panicked");
     }
 }
 

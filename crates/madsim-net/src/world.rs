@@ -7,6 +7,7 @@
 //! node is simply a member of two networks (paper §6).
 
 use crate::calib::Calib;
+use crate::eventcount::lock_unpoisoned;
 use crate::eventcount::EventCount;
 use crate::fault::{FaultPlan, FaultState};
 use crate::frame::{Frame, NodeId};
@@ -16,8 +17,8 @@ use crate::time::{self, AbortFlag, ClockHandle, VDuration, VTime, NO_NODE};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread;
+use std::sync::{Arc, Mutex};
+use std::thread::{self, Thread};
 
 /// World topology entry: one network's name, fabric kind, and members.
 pub type TopologyEntry = (Arc<str>, NetKind, Arc<[NodeId]>);
@@ -142,11 +143,14 @@ impl WorldBuilder {
     }
 
     pub fn build(self) -> World {
-        // One inbound mailbox per (network, member node).
+        let arrivals: Vec<Arc<EventCount>> = (0..self.n_nodes).map(|_| Arc::default()).collect();
+        // One inbound mailbox per (network, member node), notifying the
+        // member's arrivals count.
         let mut networks = Vec::with_capacity(self.networks.len());
         for spec in &self.networks {
+            let inbox = |m: NodeId| (m, Mailbox::notifying(Arc::clone(&arrivals[m])));
             let mailboxes: Arc<HashMap<NodeId, Mailbox<Frame>>> =
-                Arc::new(spec.members.iter().map(|&m| (m, Mailbox::new())).collect());
+                Arc::new(spec.members.iter().map(|&m| inbox(m)).collect());
             networks.push(BuiltNetwork {
                 uid: NEXT_NET_UID.fetch_add(1, Ordering::Relaxed),
                 name: Arc::clone(&spec.name),
@@ -164,6 +168,7 @@ impl WorldBuilder {
         World {
             n_nodes: self.n_nodes,
             networks,
+            arrivals,
             buses,
             calib: Arc::new(self.calib),
             faults: self.faults.as_ref().map(FaultPlan::build),
@@ -188,6 +193,8 @@ struct BuiltNetwork {
 pub struct World {
     n_nodes: usize,
     networks: Vec<BuiltNetwork>,
+    /// Per node, what every arrival at it notifies ([`NodeEnv::arrivals`]).
+    arrivals: Vec<Arc<EventCount>>,
     buses: Arc<Vec<PciBus>>,
     calib: Arc<Calib>,
     faults: Option<Arc<FaultState>>,
@@ -220,6 +227,7 @@ impl World {
                     node,
                     peers: Arc::clone(&net.members),
                     mailboxes: Arc::clone(&net.mailboxes),
+                    arrivals: Arc::clone(&self.arrivals[node]),
                     pci: self.buses[node].clone(),
                     all_buses: Arc::clone(&self.buses),
                     calib: Arc::clone(&self.calib),
@@ -237,6 +245,7 @@ impl World {
             node,
             n_nodes: self.n_nodes,
             adapters,
+            arrivals: Arc::clone(&self.arrivals[node]),
             pci: self.buses[node].clone(),
             run,
             topology,
@@ -248,11 +257,11 @@ impl World {
     /// Run `f` once per node, each on its own OS thread with a fresh virtual
     /// clock, and return the per-node results in node order.
     ///
-    /// A panic in a node thread aborts the run: every other node's next
-    /// blocking wait (barrier, mailbox receive, SISCI flag, the polling
-    /// loops above them — see [`time::check_abort`]) panics in turn instead
-    /// of waiting for a peer that is gone, and once all threads are joined
-    /// the *first* panic's payload is re-raised.
+    /// A panic in a node thread aborts the run: every thread of the run is
+    /// unparked, and each blocking wait (every [`EventCount`] wait and the
+    /// polling loops — see [`time::check_abort`]) panics in turn instead
+    /// of waiting for a peer that is gone. Once all threads are joined the
+    /// *first* panic's payload is re-raised.
     pub fn run<T, F>(&self, f: F) -> Vec<T>
     where
         T: Send,
@@ -260,6 +269,7 @@ impl World {
     {
         let run = Arc::new(Run {
             panicked: Arc::new(AtomicUsize::new(NO_NODE)),
+            threads: Mutex::default(),
             n_nodes: self.n_nodes,
             arrived: AtomicUsize::new(0),
             barrier_moved: EventCount::default(),
@@ -271,10 +281,10 @@ impl World {
                 let (f, run) = (&f, &run);
                 handles.push(s.spawn(move || {
                     let prev = time::install_clock(ClockHandle::new());
-                    time::set_abort(Arc::clone(&run.panicked));
+                    run.enlist();
                     let out = catch_unwind(AssertUnwindSafe(|| f(env)));
                     if out.is_err() {
-                        run.abort(node, self);
+                        run.abort(node);
                     }
                     time::restore_clock(prev);
                     out
@@ -297,22 +307,13 @@ impl World {
             results
         })
     }
-
-    /// Wake every blocked receiver and flag waiter of this world, so each
-    /// re-checks the abort flag.
-    fn wake_all(&self) {
-        for net in &self.networks {
-            net.mailboxes.values().for_each(Mailbox::wake);
-            if net.kind == NetKind::Sci {
-                crate::stacks::sisci::wake_network(net.uid);
-            }
-        }
-    }
 }
 
 /// What the node threads of one [`World::run`] share besides the fabric.
 struct Run {
     panicked: AbortFlag,
+    /// Every thread of the run, node and auxiliary: an abort unparks them.
+    threads: Mutex<Vec<Thread>>,
     n_nodes: usize,
     /// Calls of [`NodeEnv::barrier`] so far, all rounds together. (Not a
     /// `std::sync::Barrier`: that one cannot be left when a node dies.)
@@ -332,16 +333,25 @@ impl Run {
         self.barrier_moved.wait_timeout(0, None, arrived);
     }
 
-    /// Node `node`'s closure panicked: raise the flag and wake every wait
-    /// of the world to see it. The first panic is the one to report; the
-    /// aborts it causes in the other nodes arrive here too, and change nothing.
-    fn abort(&self, node: NodeId, world: &World) {
+    /// Make the calling thread one of the run's: its waits end when a node
+    /// panics.
+    fn enlist(&self) {
+        lock_unpoisoned(&self.threads).push(thread::current());
+        time::set_abort(Arc::clone(&self.panicked));
+    }
+
+    /// Node `node`'s closure panicked: raise the flag and unpark every
+    /// thread of the run, whatever it sleeps on, to see it. The first panic
+    /// is the one to report; the aborts it causes in the other nodes arrive
+    /// here too, and change nothing.
+    fn abort(&self, node: NodeId) {
         let first =
             self.panicked
                 .compare_exchange(NO_NODE, node, Ordering::SeqCst, Ordering::SeqCst);
         if first.is_ok() {
-            self.barrier_moved.notify();
-            world.wake_all();
+            lock_unpoisoned(&self.threads)
+                .iter()
+                .for_each(Thread::unpark);
         }
     }
 }
@@ -351,6 +361,7 @@ pub struct NodeEnv {
     node: NodeId,
     n_nodes: usize,
     adapters: Vec<Adapter>,
+    arrivals: Arc<EventCount>,
     pci: PciBus,
     run: Arc<Run>,
     /// World topology: every network's (name, kind, members) — global
@@ -433,6 +444,13 @@ impl NodeEnv {
         &self.pci
     }
 
+    /// This node's arrivals count: every frame pushed into any of its
+    /// inboxes and every flag written into any SISCI segment it owns
+    /// notifies it, so a wait for "anything inbound" parks here.
+    pub fn arrivals(&self) -> &Arc<EventCount> {
+        &self.arrivals
+    }
+
     /// The world's calibration table.
     pub fn calib(&self) -> &Calib {
         &self.calib
@@ -462,19 +480,20 @@ impl NodeEnv {
 
     /// Spawn an auxiliary thread on this node (e.g. a gateway pipeline
     /// half). The thread gets its own virtual clock, initialized to the
-    /// spawner's current virtual time, and the spawner's abort flag.
+    /// spawner's current virtual time, and is enlisted in the spawner's
+    /// run: a node panic aborts its waits too.
     pub fn spawn_thread<T, F>(&self, f: F) -> thread::JoinHandle<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
         let start = time::now();
-        let abort = Arc::clone(&self.run.panicked);
+        let run = Arc::clone(&self.run);
         thread::spawn(move || {
             let clock = ClockHandle::new();
             clock.advance_to(start);
             let prev = time::install_clock(clock);
-            time::set_abort(abort);
+            run.enlist();
             let out = f();
             time::restore_clock(prev);
             out
@@ -498,6 +517,8 @@ pub struct Adapter {
     node: NodeId,
     peers: Arc<[NodeId]>,
     mailboxes: Arc<HashMap<NodeId, Mailbox<Frame>>>,
+    /// The owning node's arrivals count (see [`NodeEnv::arrivals`]).
+    arrivals: Arc<EventCount>,
     pci: PciBus,
     all_buses: Arc<Vec<PciBus>>,
     calib: Arc<Calib>,
@@ -568,6 +589,11 @@ impl Adapter {
     /// Host bus of the owning node.
     pub fn pci(&self) -> &PciBus {
         &self.pci
+    }
+
+    /// The owning node's arrivals count (see [`NodeEnv::arrivals`]).
+    pub fn arrivals(&self) -> &Arc<EventCount> {
+        &self.arrivals
     }
 
     /// Host bus of any node in the world. Simulation-level access: a

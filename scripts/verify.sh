@@ -129,6 +129,19 @@ if grep -rnE '\b(BipTiming|SisciTiming|TcpTiming|ViaTiming|SbpTiming|StackTiming
     exit 1
 fi
 
+# One-park lint: library code blocks only through madsim_net::eventcount,
+# whose parks a world abort can end — a real-time sleep or a condition
+# variable before a file's test module is a second wait discipline growing
+# back. (crates/bench's LockedMailbox baseline is not library code.)
+park_hits=$(find crates/madsim-net/src crates/madeleine/src crates/mad-gateway/src \
+        crates/mad-mpi/src crates/mad-nexus/src crates/mad-pm2/src -name '*.rs' | sort |
+    xargs awk '/^#\[cfg\(test\)\]/ { nextfile } /thread::sleep|Condvar/ { print FILENAME ":" FNR ": " $0 }')
+if [ -n "$park_hits" ]; then
+    echo "$park_hits" >&2
+    echo "verify: FAIL — a sleep or a condvar outside madsim_net::eventcount (listed above)" >&2
+    exit 1
+fi
+
 # Chaos stage: the robustness layer under seeded fault injection, run
 # explicitly so a regression here is named even when the suite is filtered
 # — three times, because a fault plan must replay the same whatever the OS
