@@ -7,6 +7,8 @@
 //!
 //! Usage: `cargo run -p bench --bin ablations [dma|bandwidth|aggregation|modern|all]`
 
+#![forbid(unsafe_code)]
+
 use bench::experiments;
 use bench::table::print_table;
 

@@ -18,6 +18,8 @@
 //!
 //! Usage: `batch [--out PATH]`
 
+#![forbid(unsafe_code)]
+
 use bench::{arg_value, json_struct, mibps, write_json};
 use bytes::Bytes;
 use madeleine::{ChannelSpec, Config, Madeleine, Protocol, RecvMode, SendMode};

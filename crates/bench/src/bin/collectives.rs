@@ -22,6 +22,8 @@
 //!
 //! Usage: `collectives [--out PATH]`
 
+#![forbid(unsafe_code)]
+
 use bench::{arg_value, json_struct, write_json};
 use mad_gateway::{Gateway, VirtualChannel, VirtualChannelSpec};
 use mad_mpi::{Mpi, ReduceOp, Topology};

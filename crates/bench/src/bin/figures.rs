@@ -2,6 +2,8 @@
 //!
 //! Usage: `figures [fig4|fig5|fig6|fig7|dma|crossover|fig10|fig11|all]`
 
+#![forbid(unsafe_code)]
+
 use bench::experiments::{self, ForwardDir};
 use bench::table::print_table;
 

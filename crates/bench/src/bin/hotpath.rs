@@ -26,6 +26,8 @@
 //!
 //! Writes `BENCH_hotpath.json`. Usage: `hotpath [--out PATH]`
 
+#![forbid(unsafe_code)]
+
 use bench::{arg_value, json_struct, write_json};
 use bytes::Bytes;
 use madeleine::pool::BufPool;

@@ -19,6 +19,8 @@
 //!
 //! Usage: `overlap [--out PATH]`
 
+#![forbid(unsafe_code)]
+
 use bench::{arg_value, json_struct, mibps, write_json};
 use bytes::Bytes;
 use madeleine::{ChannelSpec, Config, Madeleine, Protocol, RecvMode, SendMode};

@@ -19,6 +19,8 @@
 //!
 //! Usage: `rails [--out PATH] [--bytes N]`
 
+#![forbid(unsafe_code)]
+
 use bench::experiments::{multirail_oneway, RailPoint, MYRINET_CLASS_BUS};
 use bench::{arg_value, json_struct, write_json};
 use madsim_net::Calib;

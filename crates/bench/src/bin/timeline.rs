@@ -8,6 +8,8 @@
 //! Usage: `cargo run -p bench --bin timeline [-- <protocol>]`
 //! where `<protocol>` is one of sisci|bip|tcp|via|sbp (default sisci).
 
+#![forbid(unsafe_code)]
+
 use madeleine::trace::TraceEvent;
 use madeleine::{Config, Madeleine, Protocol, RecvMode, SendMode};
 use madsim_net::{NetKind, WorldBuilder};

@@ -7,6 +7,8 @@
 //! tables; `EXPERIMENTS.md` records paper-vs-measured values. The gated
 //! bins write their numbers to `BENCH_*.json` through [`json`].
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod json;
 pub mod table;

@@ -21,6 +21,8 @@
 //!   buffers; one copy only when *both* sides demand static buffers);
 //! * [`route::Route`] — static linear-chain routing.
 
+#![forbid(unsafe_code)]
+
 pub mod gateway;
 pub mod generic_tm;
 pub mod route;

@@ -33,6 +33,8 @@
 //! [`baselines`] carries the analytic SCI-MPICH / ScaMPI models used as the
 //! closed-source comparators of Fig. 6.
 
+#![forbid(unsafe_code)]
+
 pub mod baselines;
 pub mod collectives;
 pub mod comm;

@@ -20,6 +20,8 @@
 //! would keep plain TCP for wide-area links and this module for the
 //! cluster fabric.
 
+#![forbid(unsafe_code)]
+
 use bytes::Bytes;
 use madeleine::{Channel, RecvMode, SendMode};
 use madsim_net::time::{self, VDuration};

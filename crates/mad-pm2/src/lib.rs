@@ -30,6 +30,8 @@
 //! ride in the same frame as their envelope. [`Pm2::flush`] exposes the
 //! channel-level flush for callers that also post raw CHEAPER traffic.
 
+#![forbid(unsafe_code)]
+
 use bytes::Bytes;
 use madeleine::error::{MadError, MadResult};
 use madeleine::{Channel, RecvMode, SendMode};

@@ -66,6 +66,8 @@
 //! * [`stats`] — copy accounting backing the zero-copy claims;
 //! * [`config`], [`session`] — session setup.
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod bmm;
 pub mod channel;

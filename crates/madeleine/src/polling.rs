@@ -33,7 +33,6 @@
 
 use madsim_net::eventcount::EventCount;
 use madsim_net::time::{self, VDuration};
-use std::cell::Cell;
 use std::time::Duration;
 
 /// How a channel waits for incoming traffic.
@@ -114,26 +113,20 @@ impl PollPolicy {
             recheck_us = (recheck_us * 2).min(500);
         };
         if probes > free_probes {
-            add_pending_wakeup(latency_us);
+            time::add_pending(VDuration::from_micros_f64(latency_us));
         }
         v
     }
 }
 
-thread_local! {
-    static PENDING_WAKEUP_NS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn add_pending_wakeup(latency_us: f64) {
-    PENDING_WAKEUP_NS.with(|c| c.set(c.get() + (latency_us * 1_000.0).round() as u64));
-}
-
 /// Drain the wakeup latency accrued by interrupt-path waits on this
-/// thread. Callers apply it with `time::advance` **after** synchronizing
-/// with the message's arrival (the interrupt fires at arrival; the
-/// receiver resumes one wakeup later).
+/// thread's clock. Callers apply it with `time::advance` **after**
+/// synchronizing with the message's arrival (the interrupt fires at
+/// arrival; the receiver resumes one wakeup later). The charge is the
+/// clock's ([`ClockHandle::add_pending`](madsim_net::time::ClockHandle::add_pending)),
+/// so one left untaken when a world ends dies with that world's clock.
 pub fn take_pending_wakeup_charge() -> VDuration {
-    VDuration::from_nanos(PENDING_WAKEUP_NS.with(|c| c.replace(0)))
+    time::take_pending()
 }
 
 #[cfg(test)]
@@ -253,5 +246,35 @@ mod tests {
         assert_eq!(wait_for_flag(adaptive, 30, &arrivals, true), 10.0);
         let s = arrivals.stats();
         assert_eq!(s.parks, 1, "{s:?}");
+    }
+
+    /// A wakeup charge nobody takes dies with its world's clock: the next
+    /// world run from the same caller, whose node 0 is the same OS thread,
+    /// starts with nothing pending.
+    #[test]
+    fn a_charge_left_pending_is_not_carried_into_the_next_world() {
+        let world = || madsim_net::WorldBuilder::new(1).build();
+        let (first, clock) = world()
+            .run(|env| {
+                // The first probe fails, the tick's recheck succeeds: a
+                // wait that parked, so its wakeup is charged — and left.
+                let mut probes = 0;
+                PollPolicy::interrupt().wait(env.arrivals(), true, || {
+                    probes += 1;
+                    (probes > 1).then_some(())
+                });
+                (std::thread::current().id(), time::clock())
+            })
+            .remove(0);
+        let (next, charge) = world()
+            .run(|_| (std::thread::current().id(), take_pending_wakeup_charge()))
+            .remove(0);
+        assert_eq!(next, first, "node 0 of both worlds is one OS thread");
+        assert_eq!(charge, VDuration::ZERO);
+        assert_eq!(
+            clock.take_pending(),
+            VDuration::from_micros(10),
+            "left by the first world"
+        );
     }
 }

@@ -34,6 +34,8 @@
 //! Nexus ports, the inter-cluster gateway) treats these stacks exactly like
 //! the vendor libraries the original system drove.
 
+#![deny(unsafe_code)]
+
 pub mod calib;
 pub mod eventcount;
 pub mod fault;

@@ -13,7 +13,9 @@
 //!
 //! Clocks are per *thread*, not per node: a gateway node legitimately runs
 //! two pipeline threads with independent clocks that synchronize through
-//! buffer hand-offs.
+//! buffer hand-offs. A clock also holds a *pending* charge: a cost incurred
+//! before the instant it counts from is known (see
+//! [`ClockHandle::add_pending`]).
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -190,6 +192,8 @@ pub struct ClockHandle {
 
 struct ClockInner {
     now: AtomicU64,
+    /// Nanoseconds set aside by [`ClockHandle::add_pending`].
+    pending: AtomicU64,
 }
 
 impl ClockHandle {
@@ -197,8 +201,27 @@ impl ClockHandle {
         ClockHandle {
             inner: Arc::new(ClockInner {
                 now: AtomicU64::new(0),
+                pending: AtomicU64::new(0),
             }),
         }
+    }
+
+    /// Set `d` aside, to be charged by whoever next takes it with
+    /// [`take_pending`](Self::take_pending): a cost whose start is an
+    /// instant the clock has not synchronized with yet (an interrupt's
+    /// wakeup counts from the arrival that raised it). It lives and dies
+    /// with this clock, so a fresh clock starts with nothing pending.
+    pub fn add_pending(&self, d: VDuration) {
+        // Relaxed: a plain tally, read back by the thread the clock is
+        // installed on; it publishes nothing else.
+        self.inner.pending.fetch_add(d.0, Ordering::Relaxed);
+    }
+
+    /// Take every charge [`add_pending`](Self::add_pending) set aside,
+    /// leaving none.
+    #[inline]
+    pub fn take_pending(&self) -> VDuration {
+        VDuration(self.inner.pending.swap(0, Ordering::Relaxed))
     }
 
     #[inline]
@@ -248,13 +271,22 @@ pub(crate) const NO_NODE: usize = usize::MAX;
 
 thread_local! {
     static THREAD_CLOCK: Cell<Option<ClockHandle>> = const { Cell::new(None) };
-    /// Set on node threads and on the auxiliary threads they spawn.
+    /// Set while a thread works for a run: a node's job, or an auxiliary
+    /// thread a node spawned.
     static THREAD_ABORT: RefCell<Option<AbortFlag>> = const { RefCell::new(None) };
 }
 
-/// Make `flag` the current thread's abort flag, for the rest of its life.
-pub(crate) fn set_abort(flag: AbortFlag) {
-    THREAD_ABORT.with(|a| a.replace(Some(flag)));
+/// Make `flag` the current thread's abort flag (`None`: the thread works
+/// for no run). Returns the flag it replaces, for [`restore_abort`]: a node
+/// thread outlives its run, and must not carry the run's abort into the
+/// next.
+pub(crate) fn install_abort(flag: Option<AbortFlag>) -> Option<AbortFlag> {
+    THREAD_ABORT.with(|a| a.replace(flag))
+}
+
+/// Put back the abort flag [`install_abort`] replaced.
+pub(crate) fn restore_abort(prev: Option<AbortFlag>) {
+    THREAD_ABORT.with(|a| a.replace(prev));
 }
 
 /// The node whose panic aborted the `World::run` this thread works for, if
@@ -290,8 +322,10 @@ pub fn restore_clock(prev: Option<ClockHandle>) {
 ///
 /// # Panics
 /// Panics if the thread has no installed clock — i.e. the code is running
-/// outside a simulated node thread. Every thread spawned through
-/// [`crate::world::World`] or [`crate::world::NodeEnv::spawn_thread`] has one.
+/// outside a simulated node. A node's closure in
+/// [`World::run`](crate::world::World::run) has a fresh one for the length
+/// of the run, and a [`crate::world::NodeEnv::spawn_thread`] thread has one
+/// for its whole life.
 pub fn clock() -> ClockHandle {
     with_clock(ClockHandle::clone)
 }
@@ -329,6 +363,17 @@ pub fn advance(d: VDuration) -> VTime {
 #[inline]
 pub fn advance_to(t: VTime) -> VTime {
     with_clock(|c| c.advance_to(t))
+}
+
+/// [`ClockHandle::add_pending`] on the current thread's clock.
+pub fn add_pending(d: VDuration) {
+    with_clock(|c| c.add_pending(d))
+}
+
+/// [`ClockHandle::take_pending`] on the current thread's clock.
+#[inline]
+pub fn take_pending() -> VDuration {
+    with_clock(ClockHandle::take_pending)
 }
 
 #[cfg(test)]

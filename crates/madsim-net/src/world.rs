@@ -1,10 +1,14 @@
 //! Cluster topology: worlds, nodes, networks, adapters.
 //!
-//! A [`World`] is a set of nodes (each backed by a real OS thread when the
-//! world runs) connected by one or more named networks. A node that is a
-//! member of a network owns an [`Adapter`] on it — the simulated NIC.
-//! Clusters-of-clusters configurations are expressed naturally: a gateway
-//! node is simply a member of two networks (paper §6).
+//! A [`World`] is a set of nodes connected by one or more named networks.
+//! A node that is a member of a network owns an [`Adapter`] on it — the
+//! simulated NIC. Clusters-of-clusters configurations are expressed
+//! naturally: a gateway node is simply a member of two networks (paper §6).
+//!
+//! When a world runs, each node is a real OS thread: node *i* of every
+//! world a thread runs is the same OS thread, worker *i* of that thread's
+//! *crew* (see [`World::run`]). The crew is started once, so a run costs
+//! two hand-offs per node instead of a thread spawn and join.
 
 use crate::calib::Calib;
 use crate::eventcount::lock_unpoisoned;
@@ -14,6 +18,7 @@ use crate::frame::{Frame, NodeId};
 use crate::mailbox::Mailbox;
 use crate::pci::PciBus;
 use crate::time::{self, AbortFlag, ClockHandle, VDuration, VTime, NO_NODE};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -254,14 +259,28 @@ impl World {
         }
     }
 
-    /// Run `f` once per node, each on its own OS thread with a fresh virtual
-    /// clock, and return the per-node results in node order.
+    /// Run `f` once per node, each with a fresh virtual clock, and return
+    /// the per-node results in node order.
     ///
-    /// A panic in a node thread aborts the run: every thread of the run is
+    /// Node *i* runs on worker *i* of the calling thread's crew: an OS
+    /// thread named `mad-node-{i}`, spawned the first time this thread runs
+    /// a world of more than *i* nodes, that exits when this thread does. So
+    /// node *i* of every world a thread runs is the same OS thread, and a
+    /// run spawns no thread once the crew is big enough. A node that runs a
+    /// world of its own runs it on its worker's crew.
+    ///
+    /// The library's per-thread state — the virtual clock with its pending
+    /// charge, and the run's abort flag — is installed for a node's job and
+    /// removed after it. OS state a closure gives its thread is not: a
+    /// worker pinned to a CPU (as `benchmark/`'s harness pins node *i* to
+    /// CPU *i*) stays pinned in the next world, and so do the threads it
+    /// spawns there.
+    ///
+    /// A panic in a node aborts the run: every thread of the run is
     /// unparked, and each blocking wait (every [`EventCount`] wait and the
     /// polling loops — see [`time::check_abort`]) panics in turn instead
-    /// of waiting for a peer that is gone. Once all threads are joined the
-    /// *first* panic's payload is re-raised.
+    /// of waiting for a peer that is gone. Once every node has returned
+    /// the *first* panic's payload is re-raised; the crew lives on.
     pub fn run<T, F>(&self, f: F) -> Vec<T>
     where
         T: Send,
@@ -274,38 +293,160 @@ impl World {
             arrived: AtomicUsize::new(0),
             barrier_moved: EventCount::default(),
         });
-        thread::scope(|s| {
-            let mut handles = Vec::with_capacity(self.n_nodes);
-            for node in 0..self.n_nodes {
-                let env = self.env_for(node, Arc::clone(&run));
-                let (f, run) = (&f, &run);
-                handles.push(s.spawn(move || {
-                    let prev = time::install_clock(ClockHandle::new());
-                    run.enlist();
-                    let out = catch_unwind(AssertUnwindSafe(|| f(env)));
-                    if out.is_err() {
-                        run.abort(node);
-                    }
-                    time::restore_clock(prev);
-                    out
-                }));
-            }
-            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-            let first = run.panicked.load(Ordering::SeqCst);
-            let mut results = Vec::with_capacity(self.n_nodes);
-            let mut panic = None;
-            for (node, out) in joined.into_iter().enumerate() {
-                match out.and_then(|out| out) {
-                    Ok(v) => results.push(v),
-                    Err(e) if panic.is_none() || node == first => panic = Some(e),
-                    Err(_) => {}
+        let mut outs: Vec<Option<thread::Result<T>>> = (0..self.n_nodes).map(|_| None).collect();
+        let jobs = outs.iter_mut().enumerate().map(|(node, out)| {
+            let env = self.env_for(node, Arc::clone(&run));
+            let (f, run) = (&f, &run);
+            Box::new(move || {
+                let prev = time::install_clock(ClockHandle::new());
+                let prev_abort = run.enlist();
+                let got = catch_unwind(AssertUnwindSafe(|| f(env)));
+                if got.is_err() {
+                    run.abort(node);
                 }
+                time::restore_abort(prev_abort);
+                time::restore_clock(prev);
+                *out = Some(got);
+            }) as Box<dyn FnOnce() + Send + '_>
+        });
+        CREW.with_borrow_mut(|crew| crew.dispatch(jobs.collect()));
+        let first = run.panicked.load(Ordering::SeqCst);
+        let mut results = Vec::with_capacity(self.n_nodes);
+        let mut panic = None;
+        for (node, out) in outs.into_iter().enumerate() {
+            match out.expect("dispatch returns once every job has run") {
+                Ok(v) => results.push(v),
+                Err(e) if panic.is_none() || node == first => panic = Some(e),
+                Err(_) => {}
             }
-            if let Some(e) = panic {
-                std::panic::resume_unwind(e);
+        }
+        if let Some(e) = panic {
+            std::panic::resume_unwind(e);
+        }
+        results
+    }
+}
+
+/// A node's job as its worker receives it, its borrows erased (see
+/// [`Crew::dispatch`]).
+type Job = Box<dyn FnOnce() + Send>;
+
+/// What a worker is handed.
+enum Order {
+    Run(Job),
+    Exit,
+}
+
+/// One worker's in-tray.
+#[derive(Default)]
+struct Seat {
+    order: Mutex<Option<Order>>,
+    bell: EventCount,
+}
+
+impl Seat {
+    fn hand(&self, order: Order) {
+        *lock_unpoisoned(&self.order) = Some(order);
+        self.bell.notify();
+    }
+
+    /// A worker's life: run each job it is handed and count it done, until
+    /// it is told to exit. It works for no run while idle, so no abort ends
+    /// this wait.
+    fn serve(&self, latch: &Latch) {
+        loop {
+            let order = self
+                .bell
+                .wait_timeout(0, None, || lock_unpoisoned(&self.order).take());
+            match order {
+                Some(Order::Run(job)) => {
+                    job();
+                    latch.count_down();
+                }
+                Some(Order::Exit) | None => return,
             }
-            results
-        })
+        }
+    }
+}
+
+/// How many of the jobs dispatched last have yet to return.
+#[derive(Default)]
+struct Latch {
+    left: AtomicUsize,
+    done: EventCount,
+}
+
+impl Latch {
+    fn count_down(&self) {
+        if self.left.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.done.notify();
+        }
+    }
+}
+
+/// One thread's node threads: worker *i* runs node *i* of every world that
+/// thread runs (see [`World::run`]).
+#[derive(Default)]
+struct Crew {
+    seats: Vec<Arc<Seat>>,
+    latch: Arc<Latch>,
+}
+
+thread_local! {
+    static CREW: RefCell<Crew> = RefCell::default();
+}
+
+impl Crew {
+    /// Run job *i* on worker *i*, spawning the workers the crew lacks
+    /// first, and return once every job has returned.
+    #[allow(unsafe_code)]
+    fn dispatch(&mut self, jobs: Vec<Box<dyn FnOnce() + Send + '_>>) {
+        while self.seats.len() < jobs.len() {
+            let seat = Arc::<Seat>::default();
+            let (mine, latch) = (Arc::clone(&seat), Arc::clone(&self.latch));
+            thread::Builder::new()
+                .name(format!("mad-node-{}", self.seats.len()))
+                .spawn(move || mine.serve(&latch))
+                .expect("spawn a node thread");
+            self.seats.push(seat);
+        }
+        // This thread may itself be a node of an outer run: that run's
+        // abort must not end the wait for our jobs, so it is masked until
+        // they have returned, and seen by this node's next wait.
+        let outer = time::install_abort(None);
+        self.latch.left.store(jobs.len(), Ordering::SeqCst);
+        for (seat, job) in self.seats.iter().zip(jobs) {
+            // SAFETY: the job borrows from the caller's frame, which must
+            // outlive every use of it. It does, because this function
+            // neither returns nor unwinds while a dispatched job can still
+            // run — the invariant `std::thread::scope` keeps:
+            // - everything fallible is behind us: the crew is grown, every
+            //   job (and `NodeEnv`) built, the abort flag masked;
+            // - from here to the end of the wait nothing can panic: handing
+            //   over and the wait take poison-proof locks, and with the
+            //   abort masked no `EventCount` wait calls `check_abort`;
+            // - a job's completion signal is its last access to the frame:
+            //   the worker counts it down after the job has returned, and
+            //   the job catches its closure's panic;
+            // - the wait ends only when every job dispatched here has
+            //   counted down.
+            let job = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
+            seat.hand(Order::Run(job));
+        }
+        let latch = &self.latch;
+        let returned = || (latch.left.load(Ordering::SeqCst) == 0).then_some(());
+        latch.done.wait_timeout(0, None, returned);
+        time::restore_abort(outer);
+    }
+}
+
+impl Drop for Crew {
+    /// The owner thread is exiting (a thread-local's destructor): so do its
+    /// workers, idle since its last run.
+    fn drop(&mut self) {
+        for seat in &self.seats {
+            seat.hand(Order::Exit);
+        }
     }
 }
 
@@ -334,10 +475,11 @@ impl Run {
     }
 
     /// Make the calling thread one of the run's: its waits end when a node
-    /// panics.
-    fn enlist(&self) {
+    /// panics. Returns the abort flag this replaces, for
+    /// [`time::restore_abort`] once the thread's work for the run is done.
+    fn enlist(&self) -> Option<AbortFlag> {
         lock_unpoisoned(&self.threads).push(thread::current());
-        time::set_abort(Arc::clone(&self.panicked));
+        time::install_abort(Some(Arc::clone(&self.panicked)))
     }
 
     /// Node `node`'s closure panicked: raise the flag and unpark every
@@ -493,8 +635,9 @@ impl NodeEnv {
             let clock = ClockHandle::new();
             clock.advance_to(start);
             let prev = time::install_clock(clock);
-            run.enlist();
+            let prev_abort = run.enlist();
             let out = f();
+            time::restore_abort(prev_abort);
             time::restore_clock(prev);
             out
         })
@@ -912,6 +1055,146 @@ mod tests {
             h.join().unwrap()
         });
         assert_eq!(out, vec![6_000, 6_000]);
+    }
+
+    /// A world of `n` nodes on one Ethernet.
+    fn eth(n: usize) -> World {
+        let mut b = WorldBuilder::new(n);
+        b.network("eth0", NetKind::Ethernet, &(0..n).collect::<Vec<_>>());
+        b.build()
+    }
+
+    /// Node *i* of 100 consecutive worlds from one caller is one OS thread:
+    /// no world after the first spawns a thread.
+    #[test]
+    fn node_threads_are_reused() {
+        let first = eth(2).run(|_| thread::current().id());
+        assert_ne!(first[0], first[1]);
+        for _ in 1..100 {
+            assert_eq!(eth(2).run(|_| thread::current().id()), first);
+        }
+    }
+
+    /// A panicked world re-raises its first panic, and the same crew runs
+    /// the next world normally: no stale abort, fresh clocks.
+    #[test]
+    fn a_crew_outlives_a_panicked_world() {
+        let before = eth(2).run(|_| thread::current().id());
+        let dies = std::panic::AssertUnwindSafe(|| {
+            eth(2).run(|env| {
+                time::advance(VDuration::from_micros(7));
+                match env.id() {
+                    0 => env.barrier(),
+                    _ => panic!("node 1 dies"),
+                }
+            })
+        });
+        let payload = std::panic::catch_unwind(dies).expect_err("the run re-raises the panic");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"node 1 dies"));
+        let after = eth(2).run(|env| {
+            env.barrier();
+            time::check_abort();
+            (thread::current().id(), time::now())
+        });
+        assert_eq!(
+            after,
+            before
+                .into_iter()
+                .map(|id| (id, VTime::ZERO))
+                .collect::<Vec<_>>()
+        );
+    }
+
+    /// A node runs a world of its own (on its worker's crew), and four
+    /// callers run worlds at once, each on its own crew.
+    #[test]
+    fn worlds_run_nested_and_from_concurrent_callers() {
+        let outer = eth(2).run(|env| {
+            time::advance(VDuration::from_micros(3));
+            let inner = eth(2).run(|inner| {
+                time::advance(VDuration::from_micros(1));
+                (inner.id(), time::now().as_nanos())
+            });
+            (env.id(), inner, time::now().as_nanos())
+        });
+        for (i, (id, inner, now)) in outer.into_iter().enumerate() {
+            assert_eq!((id, now), (i, 3_000));
+            assert_eq!(inner, [(0, 1_000), (1, 1_000)]);
+        }
+        thread::scope(|s| {
+            for caller in 0..4u64 {
+                s.spawn(move || {
+                    for round in 0..25u64 {
+                        let tag = caller << 32 | round;
+                        let got = eth(2).run(|env| {
+                            let a = &env.adapters()[0];
+                            if env.id() == 0 {
+                                a.send_raw(1, Frame::control(0, 1, tag, VTime::ZERO));
+                                return tag;
+                            }
+                            a.inbox().recv_match(|f| f.kind == 1).tag
+                        });
+                        assert_eq!(got, [tag, tag]);
+                    }
+                });
+            }
+        });
+    }
+
+    /// The crew grows to the largest world its caller ran, and worker *i*
+    /// keeps running node *i*.
+    #[test]
+    fn a_crew_grows_to_the_largest_world() {
+        let names = |n| {
+            eth(n).run(|env| {
+                let me = thread::current();
+                (env.id(), me.id(), me.name().map(str::to_owned))
+            })
+        };
+        let (two, five, again) = (names(2), names(5), names(2));
+        assert_eq!(&five[..2], &two[..]);
+        assert_eq!(again, two);
+        for (i, (node, _, name)) in five.iter().enumerate() {
+            assert_eq!(
+                (*node, name.as_deref()),
+                (i, Some(&*format!("mad-node-{i}")))
+            );
+        }
+        let ids: std::collections::HashSet<_> = five.iter().map(|n| n.1).collect();
+        assert_eq!(ids.len(), 5);
+    }
+
+    /// An outer world aborts while its node 0 is inside an inner run whose
+    /// nodes still work. The abort does not cut the inner run short: it
+    /// returns once both inner nodes have finished, and node 0's next wait
+    /// then ends with the abort.
+    #[test]
+    fn an_outer_abort_waits_for_the_inner_run() {
+        let finished = AtomicUsize::new(0);
+        let seen = AtomicUsize::new(0);
+        let outer = std::panic::AssertUnwindSafe(|| {
+            eth(2).run(|env| {
+                if env.id() == 1 {
+                    panic!("outer node 1 dies");
+                }
+                let aborted = Arc::clone(&env.run.panicked);
+                eth(2).run(|_| {
+                    while aborted.load(Ordering::SeqCst) == NO_NODE {
+                        thread::yield_now();
+                    }
+                    finished.fetch_add(1, Ordering::SeqCst);
+                });
+                seen.store(finished.load(Ordering::SeqCst), Ordering::SeqCst);
+                env.barrier();
+            })
+        });
+        let payload = std::panic::catch_unwind(outer).expect_err("the run re-raises the panic");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"outer node 1 dies"));
+        assert_eq!(
+            seen.load(Ordering::SeqCst),
+            2,
+            "the inner run returned early"
+        );
     }
 
     #[test]

@@ -52,6 +52,30 @@ cargo test -q -p madeleine --test calibration -- --exact exact_single_flow_insta
     exit 1
 }
 
+# World set-up stage: World::run hands node i of every world to worker i of
+# the calling thread's crew of persistent threads. Run by name: a crew
+# spawns no thread after its first world, lives on after a panicked world,
+# and an outer world's abort never cuts short the wait for an inner run's
+# nodes — the condition the crew's one `unsafe` rests on. The count guards
+# against a renamed test filtering itself out.
+crew_out=$(cargo test -q -p madsim-net --lib -- --exact \
+    world::tests::node_threads_are_reused \
+    world::tests::a_crew_outlives_a_panicked_world \
+    world::tests::an_outer_abort_waits_for_the_inner_run 2>&1) || true
+if ! grep -q 'test result: ok. 3 passed' <<<"$crew_out"; then
+    echo "$crew_out" >&2
+    echo "verify: FAIL — world set-up: world::tests (reuse, panicked world, outer abort)" >&2
+    exit 1
+fi
+# ... and that `unsafe` is the only one: every library crate forbids
+# unsafe code, madsim-net denies it and allows it once, on the crew's
+# dispatch.
+if [ "$(grep -rn 'allow(unsafe_code)' crates/*/src | wc -l)" != 1 ]; then
+    grep -rn 'allow(unsafe_code)' crates/*/src >&2
+    echo "verify: FAIL — unsafe code allowed other than on the crew's dispatch (listed above)" >&2
+    exit 1
+fi
+
 # Lock-free hot-path lint: the sharded mailbox, the eventcount it and the
 # SISCI flags block on, progress engine, buffer pool, and stats counters
 # were moved off blocking mutexes — a parking_lot import reappearing in any
@@ -132,7 +156,9 @@ fi
 # One-park lint: library code blocks only through madsim_net::eventcount,
 # whose parks a world abort can end — a real-time sleep or a condition
 # variable before a file's test module is a second wait discipline growing
-# back. (crates/bench's LockedMailbox baseline is not library code.)
+# back. That includes World::run's crew: an idle worker waits for its next
+# job, and a run for its jobs, on an EventCount. (crates/bench's
+# LockedMailbox baseline is not library code.)
 park_hits=$(find crates/madsim-net/src crates/madeleine/src crates/mad-gateway/src \
         crates/mad-mpi/src crates/mad-nexus/src crates/mad-pm2/src -name '*.rs' | sort |
     xargs awk '/^#\[cfg\(test\)\]/ { nextfile } /thread::sleep|Condvar/ { print FILENAME ":" FNR ": " $0 }')
