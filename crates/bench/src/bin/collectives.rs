@@ -8,15 +8,12 @@
 //! once per remote rank; the hierarchical schedules cross exactly once
 //! per remote cluster and keep every other edge inside a leaf network.
 //!
-//! Sweeps world sizes and payload sizes, measures both algorithms on the
-//! same virtual fabric, and closes with an analytic (labelled *modeled*)
-//! 1024-rank point: both schedules evaluated as discrete-event trees over
-//! the same per-edge cost pair, far beyond what the simulator can host.
+//! Sweeps world sizes and payload sizes and measures both algorithms on
+//! the same virtual fabric.
 //!
-//! Headline claims asserted here: hierarchical bcast and allreduce
-//! reach 1.5x or better over their flat counterparts at 64 ranks across
-//! a gateway, and the modeled 1k-rank point keeps hierarchical at or
-//! below flat.
+//! Headline claim asserted here: hierarchical bcast and allreduce reach
+//! 1.5x or better over their flat counterparts at 64 ranks across a
+//! gateway.
 //!
 //! Writes `BENCH_collectives.json`.
 //!
@@ -48,21 +45,8 @@ json_struct! {
 }
 
 json_struct! {
-    struct ModeledPoint {
-        collective: &'static str,
-        ranks: usize,
-        clusters: usize,
-        note: &'static str,
-        flat_us: f64,
-        hier_us: f64,
-        speedup: f64,
-    }
-}
-
-json_struct! {
     struct Output {
         measured: Vec<Point>,
-        modeled: Vec<ModeledPoint>,
         speedup_bcast_64: f64,
         speedup_allreduce_64: f64,
     }
@@ -180,106 +164,6 @@ fn measure_world(n: usize) -> Vec<f64> {
         .collect()
 }
 
-// ---------------------------------------------------------------------
-// Modeled 1k-rank point: both schedules evaluated as discrete-event
-// trees over one per-edge cost pair. Costs are round numbers in the
-// shape of the simulated fabric (one SCI/Myrinet hop vs store-and-
-// forward through the gateway); the point is the *schedule* comparison,
-// not the absolute numbers — hence "modeled" in the output.
-// ---------------------------------------------------------------------
-
-const MODEL_LOCAL_US: f64 = 8.0;
-const MODEL_CROSS_US: f64 = 60.0;
-const MODEL_SEND_GAP_US: f64 = 2.0;
-/// Store-and-forward occupancy of the single gateway per cross-cluster
-/// message — the shared resource every cross edge queues on.
-const MODEL_GW_US: f64 = 20.0;
-
-fn model_cluster(rank: usize) -> usize {
-    rank % 2
-}
-
-/// Completion time of a binomial bcast over `ranks` rooted at position 0,
-/// given per-edge latency `cost(parent, child)`; senders serialize their
-/// child sends `MODEL_SEND_GAP_US` apart, and cross-cluster edges queue
-/// on the shared gateway (`gw_free` carries its availability across the
-/// trees of one schedule). Tree indices are settled in increasing order,
-/// which tracks chronological order closely enough for a labelled model.
-fn model_tree_bcast(ranks: &[usize], gw_free: &mut f64, cost: impl Fn(usize, usize) -> f64) -> f64 {
-    let n = ranks.len();
-    let mut ready = vec![0.0f64; n];
-    // Virtual ranks become ready in increasing numeric order (the parent
-    // of v clears v's lowest set bit), so one forward pass settles all.
-    for v in 1..n {
-        let m = v & v.wrapping_neg(); // the edge bit: v's lowest set bit
-        let parent = v ^ m;
-        // The parent sends to its children highest-bit-first; siblings
-        // dispatched before this one add a serialization gap each.
-        let limit = if parent == 0 {
-            n.next_power_of_two()
-        } else {
-            parent & parent.wrapping_neg()
-        };
-        let mut slot = 0usize;
-        let mut bit = m << 1;
-        while bit < limit {
-            if parent | bit < n {
-                slot += 1;
-            }
-            bit <<= 1;
-        }
-        let sent = ready[parent] + slot as f64 * MODEL_SEND_GAP_US;
-        let edge = cost(ranks[parent], ranks[v]);
-        ready[v] = if edge >= MODEL_CROSS_US {
-            let start = sent.max(*gw_free);
-            *gw_free = start + MODEL_GW_US;
-            start + edge
-        } else {
-            sent + edge
-        };
-    }
-    ready.into_iter().fold(0.0, f64::max)
-}
-
-fn edge_cost(a: usize, b: usize) -> f64 {
-    if model_cluster(a) == model_cluster(b) {
-        MODEL_LOCAL_US
-    } else {
-        MODEL_CROSS_US
-    }
-}
-
-fn model_bcast(n: usize) -> (f64, f64) {
-    let all: Vec<usize> = (0..n).collect();
-    let flat = model_tree_bcast(&all, &mut 0.0, edge_cost);
-    // Hierarchical: leader tree (always cross edges), then the two
-    // intra-cluster trees run concurrently — completion is the max.
-    let mut gw = 0.0;
-    let leaders = [0usize, 1usize];
-    let inter = model_tree_bcast(&leaders, &mut gw, edge_cost);
-    let c0: Vec<usize> = (0..n).filter(|r| model_cluster(*r) == 0).collect();
-    let c1: Vec<usize> = (0..n).filter(|r| model_cluster(*r) == 1).collect();
-    let intra =
-        model_tree_bcast(&c0, &mut gw, edge_cost).max(model_tree_bcast(&c1, &mut gw, edge_cost));
-    (flat, inter + intra)
-}
-
-fn model_allreduce(n: usize) -> (f64, f64) {
-    // Flat allreduce is a linear fan-in to rank 0 plus a binomial bcast.
-    // Model the fan-in generously for flat: all n-1 messages in flight at
-    // once, the root draining one per send gap, the n/2 cross-cluster
-    // ones also queueing on the gateway, plus one trailing latency.
-    let all: Vec<usize> = (0..n).collect();
-    let fan_in =
-        ((n - 1) as f64 * MODEL_SEND_GAP_US).max(n as f64 / 2.0 * MODEL_GW_US) + MODEL_CROSS_US;
-    let flat = fan_in + model_tree_bcast(&all, &mut 0.0, edge_cost);
-    // Hierarchical: binomial fan-in mirrors the bcast tree cost, leaders
-    // exchange once each way, binomial bcast back down.
-    let (_, hier_bcast) = model_bcast(n);
-    let hier = hier_bcast + hier_bcast; // reduce mirror + bcast
-    (flat, hier)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let out_path = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_collectives.json".into());
@@ -331,38 +215,11 @@ fn main() {
         "hierarchical allreduce speedup {speedup_allreduce_64:.2}x below 1.5x at 64 ranks"
     );
 
-    // Modeled 1k-rank point (the simulator cannot host 1024 live nodes).
-    let mut modeled = Vec::new();
-    for (name, (flat_us, hier_us)) in [
-        ("bcast", model_bcast(1024)),
-        ("allreduce", model_allreduce(1024)),
-    ] {
-        let speedup = flat_us / hier_us;
-        println!(
-            "{name:>10} {:>6} {:>8} {flat_us:>10.1} {hier_us:>10.1} {speedup:>7.2}x  (modeled)",
-            1024, "-"
-        );
-        assert!(
-            hier_us <= flat_us,
-            "modeled 1k-rank {name}: hierarchical {hier_us:.1}us above flat {flat_us:.1}us"
-        );
-        modeled.push(ModeledPoint {
-            collective: name,
-            ranks: 1024,
-            clusters: 2,
-            note: "modeled",
-            flat_us,
-            hier_us,
-            speedup,
-        });
-    }
-
     println!(
         "64-rank speedups: bcast {speedup_bcast_64:.2}x, allreduce {speedup_allreduce_64:.2}x"
     );
     let out = Output {
         measured,
-        modeled,
         speedup_bcast_64,
         speedup_allreduce_64,
     };

@@ -47,13 +47,8 @@ fn net_for(protocol: Protocol) -> (&'static str, NetKind) {
 
 /// One-way time (µs) of a single n-byte Madeleine message.
 pub fn madeleine_oneway_us(protocol: Protocol, n: usize, sci_dma: bool) -> f64 {
-    oneway_us_in(Calib::PAPER, protocol, n, sci_dma)
-}
-
-/// [`madeleine_oneway_us`] in a world timed by `calib`.
-pub fn oneway_us_in(calib: Calib, protocol: Protocol, n: usize, sci_dma: bool) -> f64 {
     let (net, kind) = net_for(protocol);
-    let mut b = WorldBuilder::new(2).calib(calib);
+    let mut b = WorldBuilder::new(2);
     b.network(net, kind, &[0, 1]);
     let world = b.build();
     let config = Config::one("ch", net, protocol).with_sci_dma(sci_dma);
@@ -263,7 +258,7 @@ pub fn forwarding_oneway_us(dir: ForwardDir, packet: usize, msg: usize) -> f64 {
 }
 
 /// [`forwarding_oneway_us`] with explicit gateway tunables (used by the
-/// bandwidth-control ablation).
+/// bandwidth-control test).
 pub fn forwarding_oneway_us_with(
     dir: ForwardDir,
     packet: usize,
@@ -337,58 +332,21 @@ pub fn forwarding_figure(dir: ForwardDir) -> Vec<Series> {
         .collect()
 }
 
-/// Ablation of the paper's proposed **gateway bandwidth control** (its
-/// conclusion's future-work item): achieved Myrinet→SCI forwarding
-/// bandwidth as the inbound admission rate is varied. x = inbound limit
-/// in MiB/s (0 = unregulated).
-pub fn bandwidth_control_ablation() -> Vec<Series> {
-    let packet = 131072;
-    let msg = 1 << 20;
-    let mut s = Series::new("Myrinet->SCI, 128 kB packets", "MiB/s");
-    for limit in [0usize, 30, 40, 50, 60, 80, 100] {
-        let gwcfg = GatewayConfig {
-            inbound_limit_mibps: (limit > 0).then_some(limit as f64),
-            depth: 2,
-        };
-        let t = forwarding_oneway_us_with(ForwardDir::MyrinetToSci, packet, msg, gwcfg);
-        s.push(limit, mibps(msg, VDuration::from_micros_f64(t)));
-    }
-    vec![s]
-}
-
-/// Ablation of buffer aggregation (BMM design choice, paper §3.4): one
-/// message of k blocks — packed, or posted as one nonblocking op — versus k
-/// single-block messages, over TCP (where a grouped flush is one `writev`)
-/// and SISCI (one PIO stream). x = block count, y = total transfer time in
-/// µs.
-pub fn aggregation_ablation() -> Vec<Series> {
-    let block = 64usize;
-    let mut out = Vec::new();
-    for protocol in [Protocol::Tcp, Protocol::Sisci] {
-        for (how, label) in [
-            (KBlocks::Packed, "1 message, k blocks"),
-            (KBlocks::Posted, "1 posted message, k blocks"),
-            (KBlocks::Split, "k messages"),
-        ] {
-            let mut series = Series::new(format!("{protocol:?}: {label}"), "us");
-            for k in [4usize, 16, 64] {
-                series.push(k, multi_block_oneway_us(protocol, k, block, how));
-            }
-            out.push(series);
-        }
-    }
-    out
-}
-
 /// How [`multi_block_oneway_us`] sends its k blocks.
 #[derive(Clone, Copy, PartialEq)]
-enum KBlocks {
+pub enum KBlocks {
+    /// One message, k blocks packed.
     Packed,
+    /// One message, k blocks posted as one nonblocking op.
     Posted,
+    /// k single-block messages.
     Split,
 }
 
-fn multi_block_oneway_us(protocol: Protocol, k: usize, block: usize, how: KBlocks) -> f64 {
+/// Buffer aggregation (BMM design choice, paper §3.4): one-way time (µs)
+/// of k `block`-byte blocks sent as `how` says, measured when the last one
+/// lands.
+pub fn multi_block_oneway_us(protocol: Protocol, k: usize, block: usize, how: KBlocks) -> f64 {
     let (net, kind) = net_for(protocol);
     let mut b = WorldBuilder::new(2);
     b.network(net, kind, &[0, 1]);
@@ -441,16 +399,6 @@ pub fn crossover_check() -> Vec<Series> {
     vec![sci, myr]
 }
 
-/// The modern-fabric what-if table: the paper's world with BIP retimed
-/// to 200 Gb/s-class numbers (1 µs latency, ~23.8 GiB/s, a host bus to
-/// match).
-pub static MODERN_FABRIC: Calib = Calib {
-    bip_short: Row::new(0.9, 0.00004, 0.00004, 0.2),
-    bip_long: Row::new(2.0, 0.00004, 0.00004, 0.2),
-    bip_cts: Row::new(0.9, 0.0, 0.0, 0.0),
-    ..Calib::PAPER
-};
-
 /// The Myrinet-class retimed bus of the `rails` bench: the paper's wire
 /// costs with a 64-bit/66 MHz-class host bus (a quarter of the calibrated
 /// per-byte bus occupancy), so the shared PCI bus can feed about four
@@ -468,22 +416,6 @@ pub static MYRINET_CLASS_BUS: Calib = Calib {
     },
     ..Calib::PAPER
 };
-
-/// What-if: Madeleine II's software architecture on a modern fabric
-/// ([`MODERN_FABRIC`]): where the 2000-era software overheads would put
-/// the achievable curve — the forward-looking question behind today's
-/// UCX/libfabric designs.
-pub fn modern_fabric_whatif() -> Vec<Series> {
-    let mut paper = Series::new("paper-era Myrinet", "MiB/s");
-    let mut fast = Series::new("modern fabric (what-if)", "MiB/s");
-    for n in [4096usize, 65536, 1 << 20] {
-        let t = madeleine_oneway_us(Protocol::Bip, n, false);
-        paper.push(n, mibps(n, VDuration::from_micros_f64(t)));
-        let tf = oneway_us_in(MODERN_FABRIC, Protocol::Bip, n, false);
-        fast.push(n, mibps(n, VDuration::from_micros_f64(tf)));
-    }
-    vec![paper, fast]
-}
 
 json_struct! {
     /// One point of the multirail bandwidth sweep: one n-byte CHEAPER/CHEAPER

@@ -137,6 +137,28 @@ fn sci_dma_band() {
     assert!(pio > dma * 2.0);
 }
 
+/// §3.4 buffer aggregation: one message of k 64 B blocks beats k one-block
+/// messages over TCP (one grouped `writev`) and SISCI (one PIO stream),
+/// and posting that message costs what packing it does.
+#[test]
+fn aggregation_beats_k_messages() {
+    use experiments::{multi_block_oneway_us, KBlocks};
+    for protocol in [Protocol::Tcp, Protocol::Sisci] {
+        for k in [4usize, 16, 64] {
+            let [packed, posted, split] = [KBlocks::Packed, KBlocks::Posted, KBlocks::Split]
+                .map(|how| multi_block_oneway_us(protocol, k, 64, how));
+            assert!(
+                packed < split,
+                "{protocol:?}, k = {k}: one message {packed:.2} us, k messages {split:.2} us"
+            );
+            assert!(
+                (posted - packed).abs() <= 1.0,
+                "{protocol:?}, k = {k}: posted {posted:.2} us vs packed {packed:.2} us"
+            );
+        }
+    }
+}
+
 /// Gateway bandwidth control: a binding admission limit caps throughput at
 /// (about) the limit — the regulation mechanism works even though, in this
 /// bus model, regulation alone does not recover Fig. 11's lost bandwidth.
@@ -150,7 +172,6 @@ fn bandwidth_control_regulates() {
         msg,
         GatewayConfig {
             inbound_limit_mibps: Some(8.0),
-            depth: 2,
         },
     );
     let bw = bw_of(t, msg);

@@ -25,7 +25,7 @@ use crate::vchannel::{route_of_chain, VirtualChannelSpec};
 use crate::wire::FragHeader;
 use madeleine::bmm::SendPolicy;
 use madeleine::config::Config;
-use madeleine::error::MadResult;
+use madeleine::error::{MadError, MadResult};
 use madeleine::flags::{RecvMode, SendMode};
 use madeleine::pmm::Pmm;
 use madeleine::pool::{BufPool, PooledBuf};
@@ -45,31 +45,20 @@ pub const GW_RECV_OVERHEAD_US: f64 = 15.0;
 /// (buffer exchange, demultiplexing, next-hop lookup).
 pub const GW_SEND_OVERHEAD_US: f64 = 35.0;
 
-/// Number of pipeline buffers (the paper's dual-buffering).
+/// Pipeline buffers per direction (the paper's dual buffering).
 const PIPELINE_DEPTH: usize = 2;
 
-/// Tunables of a node's forwarders — including the **bandwidth control**
-/// mechanism the paper's conclusion calls for: "the sharing of the gateway
-/// internal system bus bandwidth appears to be a central issue: some
-/// sophisticated bandwidth control mechanism is needed to regulate the
-/// incoming communication flow on gateways."
-#[derive(Clone, Copy, Debug)]
+/// Tunables of a node's forwarders — the **bandwidth control** mechanism
+/// the paper's conclusion calls for: "the sharing of the gateway internal
+/// system bus bandwidth appears to be a central issue: some sophisticated
+/// bandwidth control mechanism is needed to regulate the incoming
+/// communication flow on gateways."
+#[derive(Clone, Copy, Debug, Default)]
 pub struct GatewayConfig {
     /// Cap the inbound payload rate per direction (MiB/s). Pacing the
     /// receive side frees host-bus arbitration slots for the outgoing
-    /// transfers — see the `ablations` bench for the measured effect.
+    /// transfers — EXPERIMENTS.md records the measured effect.
     pub inbound_limit_mibps: Option<f64>,
-    /// Pipeline buffers per direction (the paper's dual buffering = 2).
-    pub depth: usize,
-}
-
-impl Default for GatewayConfig {
-    fn default() -> Self {
-        GatewayConfig {
-            inbound_limit_mibps: None,
-            depth: PIPELINE_DEPTH,
-        }
-    }
 }
 
 /// Virtual-time token bucket regulating the inbound flow of one pipeline
@@ -96,7 +85,8 @@ impl RateLimiter {
 
 enum GwPayload {
     /// Pooled staging memory (dynamic→dynamic): with dual buffering the
-    /// direction's pool converges on `depth` warm slabs that just cycle.
+    /// direction's pool converges on `PIPELINE_DEPTH` warm slabs that just
+    /// cycle.
     Dyn(PooledBuf),
     /// A buffer obtained from the *outgoing* TM and filled directly.
     OutStatic(StaticBuf),
@@ -207,15 +197,15 @@ fn spawn_direction(
     stop: Arc<AtomicBool>,
 ) -> Vec<JoinHandle<()>> {
     let (me, host) = (env.id(), env.calib().host);
-    let depth = gwcfg.depth.max(1);
-    // Finished fragments flow to the sending half through a completion
-    // queue (the progress engine's terminal primitive); the dual-buffering
-    // backpressure stays on the bounded `free` slot channel, so at most
-    // `depth` fragments are ever in flight per direction.
+    // Finished fragments flow to the sending half, and emptied slots back
+    // to the receiving half (stamped with the virtual instant they freed),
+    // through two completion queues (the progress engine's terminal
+    // primitive): `PIPELINE_DEPTH` slot tokens circulate, so at most that
+    // many fragments are ever in flight per direction.
     let filled = Arc::new(CompletionQueue::<Filled>::new());
-    let (free_tx, free_rx) = crossbeam::channel::bounded::<VTime>(depth);
-    for _ in 0..depth {
-        free_tx.send(VTime::ZERO).expect("fresh channel");
+    let free = Arc::new(CompletionQueue::<VTime>::new());
+    for _ in 0..PIPELINE_DEPTH {
+        free.push(VTime::ZERO);
     }
 
     // ---- receiving half ----
@@ -226,7 +216,7 @@ fn spawn_direction(
         let stats = Arc::clone(&stats);
         let stop = Arc::clone(&stop);
         let filled = Arc::clone(&filled);
-        let free_tx = free_tx.clone();
+        let free = Arc::clone(&free);
         let mut limiter = gwcfg.inbound_limit_mibps.map(RateLimiter::new);
         let pool = BufPool::new(Arc::clone(&stats));
         let arrivals = Arc::clone(env.arrivals());
@@ -244,7 +234,7 @@ fn spawn_direction(
                     return;
                 };
                 // Dual buffering: wait (in virtual time too) for a free slot.
-                let Ok(slot_free_at) = free_rx.recv() else {
+                let Some(slot_free_at) = free.pop_wait() else {
                     filled.close();
                     return;
                 };
@@ -257,22 +247,25 @@ fn spawn_direction(
                         // recycle the slot — the end nodes' failover makes
                         // the block whole again on another route.
                         stats.record_frag_discarded();
-                        let _ = free_tx.send(time::now());
+                        free.push(time::now());
                         continue;
                     }
                 };
-                debug_assert_ne!(hdr.dst, me, "gateways are not endpoints");
                 // Bandwidth control: admit the payload at the regulated
                 // rate before pulling it across the bus.
                 if let Some(l) = limiter.as_mut() {
                     l.admit(hdr.len);
                 }
+                // A fragment addressed to this gateway or off the route has
+                // no next leg: its payload is still received, so the stream
+                // stays in step, and then dropped like a failed one.
+                let routable = hdr.dst != me && !route.hops_of(hdr.dst).is_empty();
                 let got = receive_payload(&in_pmm, &out_pmm, neighbor, &hdr, &pool, host, &stats);
                 let payload = match got {
-                    Ok(p) => p,
-                    Err(_) => {
+                    Ok(p) if routable => p,
+                    _ => {
                         stats.record_frag_discarded();
-                        let _ = free_tx.send(time::now());
+                        free.push(time::now());
                         continue;
                     }
                 };
@@ -284,7 +277,6 @@ fn spawn_direction(
                 }) {
                     return;
                 }
-                let _ = route; // route is used by the sending half only
             }
         })
     };
@@ -342,9 +334,7 @@ fn spawn_direction(
                     stats.record_frag_discarded();
                 }
                 time::advance(VDuration::from_micros_f64(GW_SEND_OVERHEAD_US));
-                if free_tx.send(time::now()).is_err() {
-                    return;
-                }
+                free.push(time::now());
             }
         })
     };
@@ -388,11 +378,11 @@ fn receive_payload(
     } else if in_static && hdr.len <= in_tm.caps().buffer_cap {
         // Forward the arrival buffer itself.
         let buf = in_tm.receive_static_buffer(neighbor)?;
-        assert_eq!(
-            buf.len(),
-            hdr.len,
-            "arrival buffer does not match the fragment header"
-        );
+        if buf.len() != hdr.len {
+            return Err(MadError::corrupt(
+                "arrival buffer does not match the fragment header",
+            ));
+        }
         Ok(GwPayload::InStatic(buf))
     } else {
         let mut v = pool.checkout(hdr.len);
@@ -412,8 +402,11 @@ fn receive_payload(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generic_tm::send_fragment;
+    use crate::vchannel::VirtualChannel;
     use madeleine::Protocol;
     use madsim_net::{NetKind, WorldBuilder};
+    use std::sync::mpsc::{self, RecvTimeoutError};
     use std::time::{Duration, Instant};
 
     /// An idle gateway's receiving halves park on the node's arrivals count:
@@ -443,5 +436,69 @@ mod tests {
             assert_eq!((parked() >= 2, polls), (true, 0));
             gw.stop();
         });
+    }
+
+    /// A fragment the gateway cannot route — addressed off the route, or to
+    /// the gateway itself — is received, counted as discarded and dropped:
+    /// the forwarder lives on, and the message sent after it arrives whole.
+    #[test]
+    fn an_unroutable_fragment_is_dropped_and_counted() {
+        let mut b = WorldBuilder::new(3);
+        b.network("sci0", NetKind::Sci, &[0, 1]);
+        b.network("myr0", NetKind::Myrinet, &[1, 2]);
+        let world = b.build();
+        let config =
+            Config::one("sci", "sci0", Protocol::Sisci).with_channel("myr", "myr0", Protocol::Bip);
+        let data: Vec<u8> = (0..20_000).map(|i| (i % 251) as u8).collect();
+        // A wedged forwarder never lets the world return: watch it from
+        // another thread instead of hanging the suite.
+        let (done_tx, done) = mpsc::channel();
+        let watched = std::thread::spawn(move || {
+            let discarded = world.run(move |env| {
+                let mad = Madeleine::init(&env, &config);
+                let spec = VirtualChannelSpec::new("vc", &["sci", "myr"], 8192);
+                let gw = Gateway::spawn(&env, &mad, &config, &spec);
+                let vc = VirtualChannel::open(&env, &mad, &config, &spec);
+                if env.id() == 0 {
+                    let (pmm, stats) = (mad.channel("sci").pmm(), Stats::new());
+                    for dst in [9, 1] {
+                        let hdr = FragHeader {
+                            src: 0,
+                            dst,
+                            len: 64,
+                            offset: 0,
+                        };
+                        send_fragment(pmm, 1, &hdr, &[0xEE; 64], env.calib().host, &stats)
+                            .expect("hop send to the gateway");
+                    }
+                    let vc = vc.expect("endpoint");
+                    let mut m = vc.begin_packing(2);
+                    m.pack(&data, SendMode::Cheaper, RecvMode::Cheaper);
+                    m.end_packing();
+                } else if env.id() == 2 {
+                    let mut got = vec![0u8; data.len()];
+                    let vc = vc.expect("endpoint");
+                    let mut m = vc.begin_unpacking();
+                    m.unpack(&mut got, SendMode::Cheaper, RecvMode::Cheaper);
+                    m.end_unpacking();
+                    assert_eq!(got, data);
+                }
+                env.barrier();
+                gw.map_or(0, |gw| {
+                    let n = gw.stats().iter().map(|(_, s)| s.frags_discarded()).sum();
+                    gw.stop();
+                    n
+                })
+            });
+            let _ = done_tx.send(());
+            discarded
+        });
+        if let Err(RecvTimeoutError::Timeout) = done.recv_timeout(Duration::from_secs(60)) {
+            panic!("an unroutable fragment wedged the gateway");
+        }
+        let discarded = watched
+            .join()
+            .unwrap_or_else(|p| std::panic::resume_unwind(p));
+        assert_eq!(discarded, vec![0, 2, 0]);
     }
 }

@@ -297,9 +297,9 @@ fn gateway_copy_matrix() {
     }
 }
 
-/// GatewayConfig: deeper pipelines and inbound rate limits still forward
-/// correctly, and the limiter really paces the flow (virtual completion
-/// grows once the limit binds).
+/// GatewayConfig: inbound rate limits still forward correctly, and the
+/// limiter really paces the flow (virtual completion grows once the limit
+/// binds).
 #[test]
 fn gateway_config_variants_forward_correctly() {
     use mad_gateway::GatewayConfig;
@@ -335,13 +335,8 @@ fn gateway_config_variants_forward_correctly() {
         times[4]
     };
     let base = run(GatewayConfig::default());
-    let deep = run(GatewayConfig {
-        inbound_limit_mibps: None,
-        depth: 4,
-    });
     let throttled = run(GatewayConfig {
         inbound_limit_mibps: Some(5.0),
-        depth: 2,
     });
     // A 5 MiB/s admission limit must dominate: 200 kB needs about 38 ms
     // (the first fragment is admitted for free, so slightly less).
@@ -350,11 +345,6 @@ fn gateway_config_variants_forward_correctly() {
         "rate limiter not binding: {throttled:.0} us"
     );
     assert!(throttled > base * 3.0);
-    // Deeper pipelines must not break anything or slow the flow massively.
-    assert!(
-        deep < base * 1.5,
-        "depth-4 regressed: {deep:.0} vs {base:.0}"
-    );
 }
 
 /// A fragment length travels in 24 bits: an MTU that could not be encoded

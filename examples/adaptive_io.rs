@@ -84,7 +84,6 @@ fn forward_with_limit(limit: Option<f64>) -> f64 {
             &spec,
             GatewayConfig {
                 inbound_limit_mibps: limit,
-                depth: 2,
             },
         );
         let vc = VirtualChannel::open(&env, &mad, &config, &spec);

@@ -154,19 +154,33 @@ if grep -rnE '\b(BipTiming|SisciTiming|TcpTiming|ViaTiming|SbpTiming|StackTiming
 fi
 
 # One-park lint: library code blocks only through madsim_net::eventcount,
-# whose parks a world abort can end — a real-time sleep or a condition
-# variable before a file's test module is a second wait discipline growing
-# back. That includes World::run's crew: an idle worker waits for its next
-# job, and a run for its jobs, on an EventCount. (crates/bench's
-# LockedMailbox baseline is not library code.)
+# whose parks a world abort can end — a real-time sleep, a condition
+# variable or a channel (std's mpsc, or the crossbeam one built on it)
+# before a file's test module is a second wait discipline growing back.
+# That includes World::run's crew: an idle worker waits for its next job,
+# and a run for its jobs, on an EventCount; and the gateway's slot hand-off
+# is a CompletionQueue. (crates/bench's LockedMailbox baseline is not
+# library code.)
 park_hits=$(find crates/madsim-net/src crates/madeleine/src crates/mad-gateway/src \
         crates/mad-mpi/src crates/mad-nexus/src crates/mad-pm2/src -name '*.rs' | sort |
-    xargs awk '/^#\[cfg\(test\)\]/ { nextfile } /thread::sleep|Condvar/ { print FILENAME ":" FNR ": " $0 }')
+    xargs awk '/^#\[cfg\(test\)\]/ { nextfile }
+               /thread::sleep|Condvar|mpsc|crossbeam::channel/ { print FILENAME ":" FNR ": " $0 }')
 if [ -n "$park_hits" ]; then
     echo "$park_hits" >&2
-    echo "verify: FAIL — a sleep or a condvar outside madsim_net::eventcount (listed above)" >&2
+    echo "verify: FAIL — a sleep, a condvar or a channel outside madsim_net::eventcount (listed above)" >&2
     exit 1
 fi
+
+# Bench-bin lint: every binary of crates/bench asserts a claim or is
+# diffed, so each must be run by a stage below — `bench <name>` or a
+# `cargo run ... --bin <name>` line. A bin no stage runs asserts nothing.
+for f in crates/bench/src/bin/*.rs; do
+    bin=$(basename "$f" .rs)
+    if ! grep -Eq "^(bench $bin|cargo run .*--bin $bin)( |\$)" scripts/verify.sh; then
+        echo "verify: FAIL — crates/bench bin '$bin' is run by no verify.sh stage" >&2
+        exit 1
+    fi
+done
 
 # Chaos stage: the robustness layer under seeded fault injection, run
 # explicitly so a regression here is named even when the suite is filtered
@@ -190,12 +204,23 @@ cargo test -q -p mad-integration --test chaos -- --exact zero_fault_runs_count_n
 
 # The bench stages write to a scratch directory, not over the committed
 # BENCH_*.json: regenerating those is a deliberate act (run the bin with no
-# --out from the repository root and commit the result).
+# --out from the repository root and commit the result; for
+# BENCH_figures.txt, redirect the figures stage's command line into it).
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 bench() {
     cargo run --release -q -p bench --bin "$1" -- --out "$out/BENCH_$1.json"
     test -s "$out/BENCH_$1.json"
+}
+
+# Figures stage: the paper's Figs. 4-7, the SCI DMA table and the §6.2.1
+# crossover, all single-flow and bit-deterministic, must reproduce the
+# committed tables byte for byte. (Figs. 10/11 stay out: their forwarding
+# rows depend on how the OS orders the gateway's threads on the shared bus.)
+cargo run --release -q -p bench --bin figures -- fig4 fig5 fig6 fig7 dma crossover >"$out/BENCH_figures.txt"
+diff BENCH_figures.txt "$out/BENCH_figures.txt" || {
+    echo "verify: FAIL — BENCH_figures.txt no longer regenerates byte-identical" >&2
+    exit 1
 }
 
 # Multirail stage: sweep 1->4 rails; the binary itself asserts that
@@ -222,9 +247,8 @@ diff BENCH_batch.json "$out/BENCH_batch.json" || {
 }
 
 # Collectives stage: topology-aware hierarchical trees vs the flat
-# baselines across a simulated gateway — the binary asserts >= 1.5x for
-# hierarchical bcast and allreduce at 64 ranks and that the modeled
-# 1k-rank point keeps hierarchical at or below flat.
+# baselines across a simulated gateway, every point run live — the binary
+# asserts >= 1.5x for hierarchical bcast and allreduce at 64 ranks.
 bench collectives
 
 # Hot-path stage: the concurrency primitives themselves, in real time —
