@@ -166,6 +166,15 @@ impl RouteState {
             .as_deref()
             .expect("node holds the channels of its own hops")
     }
+
+    /// Block until this endpoint's hop announces a fragment on its rail-0
+    /// PMM — where fragments are read from, however many rails the hop
+    /// has — through the hop channel's own poll policy.
+    fn wait_announced(&self, me: NodeId) -> NodeId {
+        let hop = self.hop(self.my_hop(me));
+        hop.poll_policy()
+            .wait(hop.arrivals(), false, || hop.pmm().poll_incoming())
+    }
 }
 
 /// A fragment pulled off the wire before its block was asked for.
@@ -255,7 +264,7 @@ impl GenericTm {
         let (neighbor, h) = match rs.prefetched.lock().take() {
             Some(x) => x,
             None => {
-                let neighbor = rs.hop(hop).wait_incoming();
+                let neighbor = rs.wait_announced(self.me);
                 let h = recv_fragment_header(pmm, neighbor, self.host, &self.stats)?;
                 (neighbor, h)
             }
@@ -373,10 +382,8 @@ impl GenericTm {
                 [] => return Err(MadError::ChannelDown),
                 // Single healthy route: block in the hop channel's own wait
                 // (the zero-fault fast path, identical to a plain channel).
-                [ri] => announced(ri).unwrap_or_else(|| {
-                    let rs = &self.routes[ri];
-                    (ri, rs.hop(rs.my_hop(self.me)).wait_incoming(), None)
-                }),
+                [ri] => announced(ri)
+                    .unwrap_or_else(|| (ri, self.routes[ri].wait_announced(self.me), None)),
                 // Several: poll them, parking on the node's arrivals.
                 _ => {
                     let poll = || candidates.iter().find_map(|&ri| announced(ri));

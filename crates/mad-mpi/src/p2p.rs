@@ -188,7 +188,7 @@ impl P2p {
         if let Some(st) = self.take_unexpected(comm, src, tag, buf) {
             return Some(st);
         }
-        while comm.channel().pmm().poll_incoming().is_some() {
+        while comm.channel().has_incoming() {
             if let Some(st) = self.pump_one(comm, src, tag, buf) {
                 return Some(st);
             }
@@ -221,8 +221,10 @@ impl P2p {
                     });
                 }
             }
-            comm.channel().pmm().poll_incoming()?;
-            // Something is on the wire: classify it. `pump_one` with
+            if !comm.channel().has_incoming() {
+                return None;
+            }
+            // Something is announced: classify it. `pump_one` with
             // never-matching selectors routes it to the unexpected queue.
             let mut sink = [0u8; 0];
             let consumed = self.pump_one(comm, Some(usize::MAX), None, &mut sink);

@@ -419,3 +419,45 @@ fn nested_splits_work() {
         mpi.barrier();
     });
 }
+
+/// On a batched channel the MPI envelope is EXPRESS, so it closes its
+/// frame: the first message's payload leaves in the frame that carries the
+/// second (empty) message's header and envelope. Once the first is
+/// received the second lies whole in memory with nothing left on the wire,
+/// and `iprobe` must still see it — it asks the channel whether a message
+/// is announced, not rail 0's protocol module.
+#[test]
+fn iprobe_sees_a_message_left_in_an_arrived_batch_frame() {
+    use madeleine::ChannelSpec;
+    let mut b = WorldBuilder::new(2);
+    b.network("eth0", NetKind::Ethernet, &[0, 1]);
+    let world = b.build();
+    let spec = ChannelSpec::new("mpi", "eth0", Protocol::Tcp).with_batching(16, 4096, 20.0);
+    let config = Config::default().with_channel_spec(spec);
+    world.run(move |env| {
+        let mad = Madeleine::init(&env, &config);
+        let mpi = Mpi::init(&mad, "mpi");
+        if mpi.rank() == 0 {
+            mpi.waitall(vec![mpi.isend(1, 1, b"first"), mpi.isend(1, 2, b"")]);
+            let stats = mad.channel("mpi").stats();
+            assert_eq!(
+                (stats.batches(), stats.batched_packets()),
+                (2, 5),
+                "[header 1, envelope 1] then [payload 1, header 2, envelope 2]"
+            );
+        } else {
+            let mut buf = [0u8; 16];
+            let st = mpi.recv(Some(0), Some(1), &mut buf);
+            assert_eq!(&buf[..st.len], b"first");
+            let ch = mad.channel("mpi");
+            assert_eq!(ch.pmm().poll_incoming(), None, "nothing left on the wire");
+            let st = mpi.iprobe(Some(0), Some(2));
+            assert_eq!(
+                st.map(|s| s.len),
+                Some(0),
+                "the second message is in memory"
+            );
+        }
+        env.barrier();
+    });
+}

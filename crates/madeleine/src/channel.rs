@@ -93,11 +93,9 @@ pub struct Channel {
     /// service. Maintained by [`Rail::quarantine`]; the hot wait paths
     /// test one word per scan instead of re-walking every rail's flag.
     live_mask: Arc<AtomicU64>,
-    /// How engine-driving waits behave when no op can move (see
-    /// [`crate::polling`]).
+    /// How the waits for an announcement or an op behave when nothing can
+    /// move (see [`crate::polling`]).
     poll: PollPolicy,
-    /// The node's arrivals count: what those waits park on.
-    arrivals: Arc<EventCount>,
     /// The nonblocking-op state machines of this channel (see
     /// [`crate::progress`]).
     engine: ProgressEngine,
@@ -123,6 +121,9 @@ struct ChannelCore {
     /// Base of this channel's stripe-ack demultiplexing tags (the channel
     /// index within the session config; see [`crate::rail`]).
     ack_base: u64,
+    /// The node's arrivals count: what every wait of the channel polls
+    /// and parks on.
+    arrivals: Arc<EventCount>,
 }
 
 /// Where the Switch sends a block (see [`ChannelCore::route`]).
@@ -159,6 +160,7 @@ impl ChannelCore {
             me: self.me,
             stats: &self.stats,
             tracer: &self.tracer,
+            arrivals: &self.arrivals,
             ack_tag: tag,
         }
     }
@@ -257,13 +259,13 @@ impl Channel {
                 host,
                 tracer,
                 ack_base,
+                arrivals,
             }),
             peers,
             open_tx: AtomicUsize::new(0),
             open_rx: AtomicUsize::new(0),
             live_mask,
             poll,
-            arrivals,
             engine,
         })
     }
@@ -408,11 +410,8 @@ impl Channel {
     }
 
     /// The peer (and arrival rail) of batched packets that arrived in a
-    /// frame an earlier message did not use up, if any — checked before
-    /// blocking on the wire: one arrived frame can span several messages,
-    /// so the next message may be entirely in memory with nothing left on
-    /// the fabric. Peers are scanned in peer order for determinism, one
-    /// load each.
+    /// frame an earlier message did not use up, if any. Peers are scanned
+    /// in peer order for determinism, one load each.
     fn queued_batch_source(&self) -> Option<(NodeId, usize)> {
         let mut conns = self.core.conns.iter();
         conns.find_map(|c| Some((c.peer(), c.recv_queued()?)))
@@ -470,13 +469,20 @@ impl Channel {
         // Ops parked in `Batched` retire only when their frame ships, so
         // the fence flushes the connection's open batch up front and
         // between ticks (a flush error poisons the batch and fails the
-        // parked ops, which terminates the drain).
+        // parked ops, which terminates the drain). It spins whatever the
+        // channel's policy; on a fault-armed fabric the ops' own bounded
+        // waits end it.
         if let Err(e) = self.core.flush_batch(dst, rail, FlushReason::Explicit) {
             self.open_tx.fetch_sub(1, Ordering::AcqRel);
             return Err(e);
         }
-        self.engine.drain_conn(conn, || {
+        PollPolicy::Spin.wait(&self.core.arrivals, false, || {
+            self.engine.advance_conn(conn);
+            if conn.ops().lock().live() == 0 {
+                return Some(());
+            }
             let _ = self.core.flush_batch(dst, rail, FlushReason::Explicit);
+            None
         });
         let seq = conn.next_send_seq();
         self.core.tracer.record(TraceEvent::BeginPacking { dst });
@@ -530,16 +536,7 @@ impl Channel {
     /// guarantees the next [`begin_unpacking`](Self::begin_unpacking) will
     /// not block waiting for an announcement.)
     pub fn has_incoming(&self) -> bool {
-        // Batched packets of an arrived frame count: it can span several
-        // messages, so the next message may already be in memory.
-        if self.queued_batch_source().is_some() {
-            return true;
-        }
-        let live = self.live_mask.load(Ordering::Acquire);
-        self.core
-            .rails
-            .iter()
-            .any(|r| live & (1 << r.id()) != 0 && r.pmm().poll_incoming().is_some())
+        self.announced().is_some()
     }
 
     /// Non-blocking [`begin_unpacking`](Self::begin_unpacking): `None`
@@ -586,16 +583,8 @@ impl Channel {
         let _ = self.flush();
         // The announcing header rides the sender's home rail, which makes
         // the rail that announced the message the rail that carries its
-        // un-striped blocks — no negotiation needed. Batched packets
-        // already in memory win over the fabric: a frame that spanned
-        // several messages announced them all at once.
-        let (src, rail) = if let Some(queued) = self.queued_batch_source() {
-            queued
-        } else if self.core.rails.len() == 1 {
-            (self.wait_incoming(), 0)
-        } else {
-            self.wait_incoming_multirail()
-        };
+        // un-striped blocks — no negotiation needed.
+        let (src, rail) = self.wait_incoming();
         self.core.tracer.record(TraceEvent::BeginUnpacking { src });
         let mut msg = IncomingMessage {
             chan: self,
@@ -628,19 +617,21 @@ impl Channel {
         self.core.sched.home_rail(my_index, &self.core.rails)
     }
 
-    /// Block until some node has started sending a message on rail 0 — the
-    /// whole of a single-rail channel — and return its id, consuming
-    /// nothing. Waits through the channel's [`PollPolicy`], parked (if the
-    /// policy parks) on the node's arrivals count.
-    pub fn wait_incoming(&self) -> NodeId {
-        let pmm = self.pmm();
+    /// Block until some node has started sending a message on this
+    /// channel, and return it and the rail that announced it, consuming
+    /// nothing: [`announced`](Self::announced) probed through the channel's
+    /// [`PollPolicy`], parked (if the policy parks) on the node's arrivals
+    /// count — on one rail or on several.
+    pub fn wait_incoming(&self) -> (NodeId, usize) {
         self.poll
-            .wait(&self.arrivals, false, || pmm.poll_incoming())
+            .wait(&self.core.arrivals, false, || self.announced())
     }
 
-    /// Wait for an announced message on a multirail channel. Liveness is
-    /// read once per scan from the channel's cached mask — one atomic word
-    /// instead of a per-rail flag walk on this hot loop.
+    /// The sender and arrival rail of the next message, if one is
+    /// announced. Batched packets already in memory come first: an arrived
+    /// frame can span several messages, so the next one may be entirely in
+    /// memory with nothing left on the fabric. Then the live rails, read
+    /// once from the channel's cached mask.
     ///
     /// Rails are scanned in wrap order starting from [`my_announce_rail`]
     /// (Self::my_announce_rail), because stripe chunks ride the same
@@ -654,30 +645,23 @@ impl Channel {
     /// chunk guarantees the header is visible by now. One rescan from
     /// the announce rail therefore settles it: the first hit in wrap
     /// order is a genuine announcement.
-    fn wait_incoming_multirail(&self) -> (NodeId, usize) {
-        loop {
-            let start = self.my_announce_rail();
-            let n = self.core.rails.len();
-            let live = self.live_mask.load(Ordering::Acquire);
-            let scan = || {
-                (0..n).map(|k| (start + k) % n).find_map(|r| {
-                    if live & (1 << r) == 0 {
-                        return None;
-                    }
-                    self.core.rails[r].pmm().poll_incoming().map(|src| (src, r))
-                })
-            };
-            match scan() {
-                Some(hit) if hit.1 == start => return hit,
-                Some(_) => {
-                    if let Some(hit) = scan() {
-                        return hit;
-                    }
+    fn announced(&self) -> Option<(NodeId, usize)> {
+        if let Some(queued) = self.queued_batch_source() {
+            return Some(queued);
+        }
+        let (n, start) = (self.core.rails.len(), self.my_announce_rail());
+        let live = self.live_mask.load(Ordering::Acquire);
+        let scan = || {
+            (0..n).map(|k| (start + k) % n).find_map(|r| {
+                if live & (1 << r) == 0 {
+                    return None;
                 }
-                None => {}
-            }
-            time::check_abort();
-            std::thread::yield_now();
+                self.core.rails[r].pmm().poll_incoming().map(|src| (src, r))
+            })
+        };
+        match scan()? {
+            hit if hit.1 == start => Some(hit),
+            _ => scan(),
         }
     }
 
@@ -847,7 +831,7 @@ impl Channel {
     pub fn wait_op(&self, id: OpId) -> MadResult<VTime> {
         let done = || self.engine.take_result(id);
         let mut looked_up = false;
-        let r = self.poll.wait(&self.arrivals, true, || {
+        let r = self.poll.wait(&self.core.arrivals, true, || {
             let flushed = done().or_else(|| {
                 let conn = self.core.conns.get(id.peer())?;
                 let _ = self.flush_peer(conn);
@@ -900,7 +884,7 @@ impl Channel {
     /// The node's arrivals count, which every frame or SISCI flag reaching
     /// the node notifies: what this channel's blocked waits park on.
     pub fn arrivals(&self) -> &EventCount {
-        &self.arrivals
+        &self.core.arrivals
     }
 
     /// Force-quarantine rail `idx`, as a link failure would (fault
@@ -1312,19 +1296,19 @@ impl<'c, 'a> OutgoingMessage<'c, 'a> {
 
     /// The blocking driver: run one cursor call, then spin the cursor
     /// where an op would park it between ticks (a blocking send waits on
-    /// its peer at no modelled cost), and take the thread's clock to the
-    /// instant the cursor reached.
+    /// its peer at no modelled cost, whatever the channel's policy), and
+    /// take the thread's clock to the instant the cursor reached.
     fn drive(
         &mut self,
         call: impl FnOnce(&mut SendSwitch<'a>, &mut Drive<'c>) -> MadResult<Option<OpState>>,
     ) -> MadResult<()> {
         let core = &self.chan.core;
         let d = &mut Drive { core, batch: None };
-        let mut parked = call(&mut self.sw, d)?;
-        while parked.is_some() {
-            time::check_abort();
-            std::thread::yield_now();
-            parked = self.sw.resume(d)?;
+        if call(&mut self.sw, d)?.is_some() {
+            PollPolicy::Spin.wait(&core.arrivals, false, || match self.sw.resume(d) {
+                Ok(Some(_parked)) => None,
+                r => Some(r.map(drop)),
+            })?;
         }
         time::advance_to(self.sw.done_at);
         Ok(())

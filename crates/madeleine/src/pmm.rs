@@ -30,10 +30,13 @@ pub trait Pmm: Send + Sync {
     /// The buffer policy feeding TM `id`.
     fn policy(&self, id: TmId) -> SendPolicy;
 
-    /// The node that has started sending a message on this channel, if
-    /// any. Consumes nothing: the message body (starting with the internal
-    /// header) is still fully receivable afterwards. Never blocks; see
-    /// [`Channel::wait_incoming`](crate::Channel::wait_incoming).
+    /// The node that has started sending a message on this rail, if any.
+    /// Consumes nothing: the message body (starting with the internal
+    /// header) is still fully receivable afterwards. Never blocks. This is
+    /// one rail's wire only: whether a *channel* has a message announced —
+    /// batched packets already in memory, any live rail — is
+    /// [`Channel::has_incoming`](crate::Channel::has_incoming), and the
+    /// wait for one [`Channel::wait_incoming`](crate::Channel::wait_incoming).
     fn poll_incoming(&self) -> Option<NodeId>;
 
     /// Fetch a TM handle.

@@ -24,12 +24,18 @@
 //! [`take_pending_wakeup_charge`]). Tests can therefore assert the latency
 //! difference exactly.
 //!
-//! In real time, "blocked" means parked on the node's arrivals count (see
-//! [`madsim_net::eventcount`]): every frame or SISCI flag that reaches the
-//! node notifies it, so the park ends at the arrival. A probe that is a
-//! progress-engine tick can also succeed with no arrival at all — another
-//! thread retired the op — so its parks recheck after 20 µs, doubling up
-//! to 500 µs.
+//! In real time every wait is one [`EventCount::wait_timeout`] on the
+//! node's arrivals count (see [`madsim_net::eventcount`]): poll, then park.
+//! The three policies differ only in the poll budget and the wakeup
+//! latency — `Spin` is an unbounded budget (it never parks, and never
+//! pays), `Interrupt` a budget of 0, `Adaptive` its `spin_rounds`. Every
+//! frame or SISCI flag that reaches the node notifies the count, so a
+//! park ends at the arrival. A probe that is a progress-engine tick can
+//! also succeed with no arrival at all — another thread retired the op —
+//! so its parks recheck after 20 µs, doubling up to 500 µs. The library's
+//! waits that spin whatever the channel's policy (a blocking send on its
+//! peer, the `begin_packing` fence, a fault-armed stripe reassembly) are
+//! `PollPolicy::Spin` waits on the same count.
 
 use madsim_net::eventcount::EventCount;
 use madsim_net::time::{self, VDuration};
@@ -38,7 +44,8 @@ use std::time::Duration;
 /// How a channel waits for incoming traffic.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub enum PollPolicy {
-    /// Busy-poll until traffic shows up. Lowest latency, one CPU burned.
+    /// Busy-poll until traffic shows up: an unbounded poll budget, so it
+    /// never parks. Lowest latency, one CPU burned.
     #[default]
     Spin,
     /// Park at once; every arrival that finds the receiver parked pays the
@@ -72,9 +79,9 @@ impl PollPolicy {
     }
 
     /// Wait until `probe` yields a value, honouring the policy's cost
-    /// model. `Spin` re-probes, yielding in between; `Interrupt` and
-    /// `Adaptive` re-probe 0 and `spin_rounds` times, then park on
-    /// `arrivals`, and a wait that parked charges the wakeup latency. Set
+    /// model: re-probe up to the policy's budget (unbounded for `Spin`, 0
+    /// for `Interrupt`, `spin_rounds` for `Adaptive`), then park on
+    /// `arrivals`; a wait that parked charges the wakeup latency. Set
     /// `tick` when the probe is a progress-engine tick (see module docs).
     pub fn wait<T>(
         &self,
@@ -83,13 +90,7 @@ impl PollPolicy {
         mut probe: impl FnMut() -> Option<T>,
     ) -> T {
         let (mut budget, latency_us) = match *self {
-            PollPolicy::Spin => loop {
-                if let Some(v) = probe() {
-                    return v;
-                }
-                time::check_abort();
-                std::thread::yield_now();
-            },
+            PollPolicy::Spin => (u32::MAX, 0.0),
             PollPolicy::Interrupt { latency_us } => (0, latency_us),
             PollPolicy::Adaptive {
                 spin_rounds,

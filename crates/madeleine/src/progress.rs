@@ -117,7 +117,7 @@ use crate::error::{MadError, MadResult};
 use crate::stats::Stats;
 use crossbeam::queue::ArrayQueue;
 use madsim_net::eventcount::EventCount;
-use madsim_net::time::{self, VTime};
+use madsim_net::time::VTime;
 use madsim_net::NodeId;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -384,7 +384,7 @@ impl OpSlab {
     }
 
     /// Ops not yet terminal.
-    fn live(&self) -> usize {
+    pub(crate) fn live(&self) -> usize {
         self.live
     }
 
@@ -786,26 +786,6 @@ impl ProgressEngine {
     /// Returns how many ops retired during the tick.
     pub fn progress(&self) -> usize {
         self.conns.iter().map(|c| self.advance_conn(c)).sum()
-    }
-
-    /// Drive one peer's in-flight ops to terminal. Blocks (spinning
-    /// through ticks) until every op addressed to `conn`'s peer has
-    /// retired — the ordering fence `begin_packing` uses so a blocking
-    /// send never overtakes posted ops to the same peer. On a fault-armed
-    /// fabric the ops' own bounded waits guarantee termination. `kick`
-    /// runs between ticks while ops remain: the channel uses it to flush
-    /// the connection's send batch, without which ops parked in
-    /// [`Batched`](OpState::Batched) would never retire.
-    pub(crate) fn drain_conn(&self, conn: &Connection, mut kick: impl FnMut()) {
-        loop {
-            self.advance_conn(conn);
-            if conn.ops().lock().live() == 0 {
-                return;
-            }
-            kick();
-            time::check_abort();
-            std::thread::yield_now();
-        }
     }
 
     /// Current state of an op, if the engine still knows it. Terminal

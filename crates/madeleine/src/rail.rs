@@ -48,12 +48,14 @@ use crate::batch::BatchPolicy;
 use crate::error::{MadError, MadResult};
 use crate::flags::{RecvMode, SendMode};
 use crate::pmm::Pmm;
+use crate::polling::PollPolicy;
 use crate::pool::BufPool;
 use crate::stats::Stats;
 use crate::tm::{TmId, TmPending, TmSend, TmStep};
 use crate::trace::{TraceEvent, Tracer};
 use crate::wire::{self, STRIPE_CLASS_LEN, STRIPE_HEADER_LEN};
 use bytes::Bytes;
+use madsim_net::eventcount::EventCount;
 use madsim_net::time::{self, ClockHandle, VDuration, VTime};
 use madsim_net::{Adapter, Frame, NodeId};
 use std::collections::VecDeque;
@@ -282,6 +284,8 @@ pub(crate) struct StripeCtx<'c> {
     pub me: NodeId,
     pub stats: &'c Arc<Stats>,
     pub tracer: &'c Arc<Tracer>,
+    /// The node's arrivals count: what reassembly polls on.
+    pub arrivals: &'c EventCount,
     /// Demultiplexing tag of this block's ack frames: unique per
     /// (channel, connection direction, block) — both endpoints derive it
     /// from their per-connection stripe-block counters, so no extra wire
@@ -609,7 +613,9 @@ fn stripe_recv_mirror(ctx: &StripeCtx<'_>, src: NodeId, dst: &mut [u8]) -> MadRe
 /// quarantine and chunks re-stripe mid-block), so chunks are accepted in
 /// whatever order the rails deliver them, keyed by the stripe header's
 /// offset, and every received chunk is acknowledged so the sender can
-/// tell loss from latency.
+/// tell loss from latency. Rounds are polled on the node's arrivals count
+/// and never park; a round that finds nothing to do for [`RECV_STALL`]
+/// fails the block.
 fn stripe_recv_dynamic(ctx: &StripeCtx<'_>, src: NodeId, dst: &mut [u8]) -> MadResult<()> {
     let total = dst.len();
     let n = ctx.rails.len();
@@ -617,7 +623,8 @@ fn stripe_recv_dynamic(ctx: &StripeCtx<'_>, src: NodeId, dst: &mut [u8]) -> MadR
     let mut received = 0usize;
     let mut awaiting: Vec<Option<(usize, usize)>> = vec![None; n];
     let mut stall_since = Instant::now();
-    while received < total {
+    // One round: `Some(())` once the block is complete.
+    let mut round = || -> MadResult<Option<()>> {
         let mut progressed = false;
         // Phase A: harvest announced stripe headers (at most one
         // outstanding per rail, so stream protocols stay parseable) and
@@ -677,16 +684,17 @@ fn stripe_recv_dynamic(ctx: &StripeCtx<'_>, src: NodeId, dst: &mut [u8]) -> MadR
                 Err(_) => rail.quarantine(ctx.stats, ctx.tracer),
             }
         }
+        if received >= total {
+            return Ok(Some(()));
+        }
         if progressed {
             stall_since = Instant::now();
-        } else {
-            if ctx.rails.iter().all(|r| !r.is_alive()) || stall_since.elapsed() >= RECV_STALL {
-                return Err(MadError::ChannelDown);
-            }
-            std::thread::yield_now();
+        } else if ctx.rails.iter().all(|r| !r.is_alive()) || stall_since.elapsed() >= RECV_STALL {
+            return Err(MadError::ChannelDown);
         }
-    }
-    Ok(())
+        Ok(None)
+    };
+    PollPolicy::Spin.wait(ctx.arrivals, false, || round().transpose())
 }
 
 /// Receive one stripe header on `rail` and return the chunk span it

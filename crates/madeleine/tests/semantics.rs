@@ -281,15 +281,24 @@ fn modes_are_transparent_to_content() {
 /// interrupt-driven reception pays a wakeup latency that pure polling does
 /// not — measurable end-to-end through the stack. Counted as well as timed:
 /// a wait for the message that blocks parks exactly once, on the receiver
-/// node's arrivals count, and a spinning one never does.
+/// node's arrivals count, and a spinning one never does — on one rail
+/// (SCI) and on two (BIP) alike.
 #[test]
 fn poll_policy_cost_is_visible_end_to_end() {
-    use madeleine::PollPolicy;
-    let oneway = |policy: PollPolicy| -> (f64, u64) {
+    use madeleine::{ChannelSpec, PollPolicy};
+    let oneway = |policy: PollPolicy, rails: usize| -> (f64, u64) {
         let mut b = WorldBuilder::new(2);
-        b.network("sci0", NetKind::Sci, &[0, 1]);
+        let spec = if rails == 1 {
+            b.network("net0", NetKind::Sci, &[0, 1]);
+            ChannelSpec::new("ch", "net0", Protocol::Sisci)
+        } else {
+            b.network_with_rails("net0", NetKind::Myrinet, &[0, 1], rails);
+            ChannelSpec::new("ch", "net0", Protocol::Bip).with_rails(rails)
+        };
         let world = b.build();
-        let config = Config::one("ch", "sci0", Protocol::Sisci).with_poll_policy(policy);
+        let config = Config::default()
+            .with_channel_spec(spec)
+            .with_poll_policy(policy);
         let out = world.run(move |env| {
             let mad = Madeleine::init(&env, &config);
             let ch = mad.channel("ch");
@@ -315,30 +324,34 @@ fn poll_policy_cost_is_visible_end_to_end() {
         });
         out[1]
     };
-    let (spin, spin_parks) = oneway(PollPolicy::Spin);
-    let (intr, intr_parks) = oneway(PollPolicy::Interrupt { latency_us: 25.0 });
-    assert_eq!((spin_parks, intr_parks), (0, 1));
-    let diff = intr - spin;
-    // The full 25 us lands on the receiver, minus whatever post-arrival
-    // work the wakeup window absorbs (the receiver's extraction overlaps
-    // the interrupt delivery).
-    assert!(
-        diff > 18.0 && diff <= 25.5,
-        "interrupt wakeup should cost ~25us more: spin={spin:.2} intr={intr:.2}"
-    );
-    // Adaptive with a long spin phase behaves like polling when the
-    // message arrives while spinning... here the sender is slow, so the
-    // interrupt path arms and the charge applies.
-    let (adaptive, adaptive_parks) = oneway(PollPolicy::Adaptive {
-        spin_rounds: 2,
-        interrupt_latency_us: 25.0,
-    });
-    assert_eq!(adaptive_parks, 1);
-    assert!(
-        (adaptive - intr).abs() < 2.0,
-        "slow sender forces the adaptive policy onto the interrupt path \
-         (adaptive={adaptive:.2} intr={intr:.2})"
-    );
+    for rails in [1, 2] {
+        let (spin, spin_parks) = oneway(PollPolicy::Spin, rails);
+        let (intr, intr_parks) = oneway(PollPolicy::Interrupt { latency_us: 25.0 }, rails);
+        assert_eq!((spin_parks, intr_parks), (0, 1), "{rails} rail(s)");
+        let diff = intr - spin;
+        // The full 25 us lands on the receiver, minus whatever post-arrival
+        // work the wakeup window absorbs (the receiver's extraction overlaps
+        // the interrupt delivery).
+        assert!(
+            diff > 18.0 && diff <= 25.5,
+            "interrupt wakeup should cost ~25us more on {rails} rail(s): \
+             spin={spin:.2} intr={intr:.2}"
+        );
+        // Adaptive with a long spin phase behaves like polling when the
+        // message arrives while spinning... here the sender is slow, so the
+        // interrupt path arms and the charge applies.
+        let adaptive = PollPolicy::Adaptive {
+            spin_rounds: 2,
+            interrupt_latency_us: 25.0,
+        };
+        let (adaptive, adaptive_parks) = oneway(adaptive, rails);
+        assert_eq!(adaptive_parks, 1, "{rails} rail(s)");
+        assert!(
+            (adaptive - intr).abs() < 2.0,
+            "slow sender forces the adaptive policy onto the interrupt path \
+             on {rails} rail(s) (adaptive={adaptive:.2} intr={intr:.2})"
+        );
+    }
 }
 
 /// The §4 ordering discipline observed directly through the tracer: a TM

@@ -10,9 +10,12 @@
 //! Every wait is **poll, then park**, and the poll budget is the caller's:
 //! where the next publication is due within a few re-checks, a park puts a
 //! futex round-trip (paid by both sides) on the per-item path; a waiter
-//! with no such evidence passes 0 and parks at once. The poll phase yields
-//! the CPU every [`YIELD_EVERY`]th probe, and a park once before it sleeps,
-//! so with more runnable threads than cores the publisher gets to run.
+//! with no such evidence passes 0 and parks at once, and one that must
+//! never park (a spinning receiver, a blocking send) passes `u32::MAX`.
+//! The poll phase yields the CPU every [`YIELD_EVERY`]th probe, and a park
+//! once before it sleeps, so with more runnable threads than cores the
+//! publisher gets to run; each yielding probe also looks for a world
+//! abort, so an unbounded poll ends with its world.
 //!
 //! A park is the thread's own (`std::thread::park`): a world abort unparks
 //! every thread of its run, whatever count each sleeps on. Each node has
@@ -29,7 +32,7 @@ use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 /// One probe in this many gives up the CPU instead of pausing.
-const YIELD_EVERY: u32 = 8;
+const YIELD_EVERY: u64 = 8;
 
 /// Recover a poisoned guard: nothing guarded this way is left mid-mutation.
 pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -76,10 +79,11 @@ impl EventCount {
         }
     }
 
-    /// Run `attempt` until it yields: re-probe up to `budget` times, park
-    /// until the next `notify`, start over. A real-time `timeout` (looked at
-    /// only while parked) ends the wait with one final attempt — a
-    /// publication may have raced it; without one the result is `Some`.
+    /// Run `attempt` until it yields: re-probe up to `budget` times
+    /// (`u32::MAX`: without end), park until the next `notify`, start over.
+    /// A real-time `timeout` (looked at only while parked) ends the wait
+    /// with one final attempt — a publication may have raced it; without
+    /// one the result is `Some`.
     pub fn wait_timeout<R>(
         &self,
         budget: u32,
@@ -87,13 +91,14 @@ impl EventCount {
         mut attempt: impl FnMut() -> Option<R>,
     ) -> Option<R> {
         let deadline = timeout.map(|t| Instant::now() + t);
-        let mut polled = 0u32;
+        let mut polled = 0u64;
         loop {
             let seen = self.version.load(Ordering::SeqCst);
             let got = attempt();
-            if got.is_none() && polled < budget {
+            if got.is_none() && (polled < u64::from(budget) || budget == u32::MAX) {
                 polled += 1;
                 if polled % YIELD_EVERY == 0 {
+                    crate::time::check_abort();
                     std::thread::yield_now();
                 } else {
                     std::hint::spin_loop();
@@ -104,7 +109,7 @@ impl EventCount {
                 // A round that had to wait ends here; counted before any
                 // park, so the statistics can be read while a waiter sleeps.
                 self.waits.fetch_add(1, Ordering::Relaxed);
-                self.polls.fetch_add(polled as u64, Ordering::Relaxed);
+                self.polls.fetch_add(polled, Ordering::Relaxed);
                 polled = 0;
             }
             if got.is_some() {
@@ -176,6 +181,29 @@ mod tests {
             let s = ec.stats();
             assert_eq!((s.waits, s.polls, s.parks), (1, budget as u64, 1));
         }
+    }
+
+    /// A wait that never parks still ends with its world: node 1 panics,
+    /// and node 0's `u32::MAX`-budget poll gives up with the abort's panic
+    /// at its next yielding probe, so `run` re-raises node 1's payload
+    /// promptly.
+    #[test]
+    fn an_unbounded_poll_ends_with_its_world() {
+        let w = crate::WorldBuilder::new(2).build();
+        let started = Instant::now();
+        let run = std::panic::AssertUnwindSafe(|| {
+            w.run(|env| {
+                if env.id() == 1 {
+                    thread::sleep(Duration::from_millis(20));
+                    panic!("node 1 dies");
+                }
+                let ec = EventCount::default();
+                ec.wait_timeout(u32::MAX, None, || None::<()>)
+            })
+        });
+        let payload = std::panic::catch_unwind(run).expect_err("the run re-raises the panic");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"node 1 dies"));
+        assert!(started.elapsed() < Duration::from_secs(2));
     }
 
     #[test]

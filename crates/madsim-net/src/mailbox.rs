@@ -329,28 +329,10 @@ impl<T: Shardable> Mailbox<T> {
             .map(|s| proj(&s.item))
     }
 
-    /// Block until an item satisfying `pred` is present and return `proj`
-    /// of the oldest match, computed under the shard locks, **without
-    /// consuming it**. A projection, not a clone: an announce only needs
-    /// a source id or a flag out of a queued frame.
-    pub fn peek_wait_map<U>(
-        &self,
-        mut pred: impl FnMut(&T) -> bool,
-        proj: impl FnOnce(&T) -> U,
-    ) -> U {
-        // The projection is FnOnce but attempts may fail repeatedly; only
-        // take it out of the Option once a match is actually in hand.
-        let mut proj = Some(proj);
-        self.block_on(|| {
-            let guards = self.open_nonempty();
-            let (gi, pos) = Self::best_match(&guards, &mut pred)?;
-            let p = proj.take().expect("only one attempt can succeed");
-            Some(p(&guards[gi].1[pos].item))
-        })
-    }
-
-    /// Non-blocking [`peek_wait_map`](Self::peek_wait_map): `proj` of the
-    /// oldest matching item, if any — no clone.
+    /// `proj` of the oldest item satisfying `pred`, if any, computed under
+    /// the shard locks **without consuming it**. A projection, not a
+    /// clone: an announce only needs a source id or a flag out of a queued
+    /// frame.
     pub fn try_peek_map<U>(
         &self,
         mut pred: impl FnMut(&T) -> bool,
@@ -646,17 +628,6 @@ mod tests {
         m.push(NoClone(8));
         assert_eq!(m.try_peek_map(|x| x.0 > 7, |x| x.0), Some(8));
         assert_eq!(m.len(), 2, "peek must not consume");
-    }
-
-    #[test]
-    fn peek_wait_map_wakes_on_push_without_cloning() {
-        let m = Mailbox::new();
-        let m2 = m.clone();
-        let h = thread::spawn(move || m2.peek_wait_map(|x: &NoClone| x.0 == 42, |x| x.0));
-        thread::sleep(Duration::from_millis(20));
-        m.push(NoClone(42));
-        assert_eq!(h.join().unwrap(), 42);
-        assert_eq!(m.len(), 1, "peek must not consume");
     }
 
     /// A (key, sequence) item for the interleaving test below: items with

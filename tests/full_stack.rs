@@ -583,7 +583,7 @@ fn node_panic_ends_a_sisci_flag_wait() {
     });
 }
 
-/// `begin_unpacking` on several rails scans them in `wait_incoming_multirail`.
+/// `begin_unpacking` on several rails scans them all in one `wait_incoming`.
 #[test]
 fn node_panic_ends_begin_unpacking_over_two_rail_bip() {
     node_panic_ends(2, NetKind::Myrinet, Protocol::Bip, |ch| {
