@@ -53,7 +53,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Send one logical buffer through a hop channel's real TMs, honouring the
-/// hop's own TM selection and buffer policy.
+/// hop's own TM selection and buffer policy, waited out in place.
 pub(crate) fn hop_send(
     pmm: &Arc<dyn Pmm>,
     next: NodeId,
@@ -65,7 +65,8 @@ pub(crate) fn hop_send(
     let id = pmm.select(data.len(), SendMode::Cheaper, rmode);
     let mut bmm = SendBmm::new(pmm.policy(id), pmm.tm(id), next, host, Arc::clone(stats));
     bmm.pack(data, SendMode::Cheaper)?;
-    bmm.flush()
+    bmm.flush()?;
+    bmm.wait_out()
 }
 
 /// Receive one logical buffer from a hop channel (mirror of [`hop_send`]).
@@ -487,23 +488,18 @@ impl TransmissionModule for GenericTm {
     }
 
     fn send_buffer_group(&self, dst: NodeId, bufs: &[&[u8]]) -> MadResult<()> {
-        // Fragments never span blocks: each block fragments independently,
-        // so the receiver can reassemble into its destination blocks with
-        // no description beyond the per-fragment header.
+        // Fragments never span blocks: each block fragments independently
+        // (still by slicing — copy-free), so the receiver can reassemble
+        // into its destination blocks with no description beyond the
+        // per-fragment header. No native scatter/gather on a virtual
+        // channel: `caps().gather` stays false, so the aggregated flush is
+        // not counted as a hardware gather.
         for b in bufs {
             if !b.is_empty() {
                 self.send_buffer(dst, b)?;
             }
         }
         Ok(())
-    }
-
-    fn send_gather(&self, dst: NodeId, bufs: &[&[u8]]) -> MadResult<()> {
-        // No native scatter/gather on a virtual channel: the aggregated
-        // blocks fragment independently (still by slicing — copy-free),
-        // and `caps().gather` stays false so the flush is not counted as
-        // a hardware gather.
-        self.send_buffer_group(dst, bufs)
     }
 
     /// Reassemble `dst` from its fragments, receiving payloads **directly

@@ -34,8 +34,10 @@
 use crate::comm::Comm;
 use crate::p2p::{P2p, Status};
 use madeleine::polling::take_pending_wakeup_charge;
-use madeleine::OpId;
-use madsim_net::time;
+use madeleine::{Channel, MadResult, OpId};
+use madsim_net::time::{self, VTime};
+
+type PollOp = fn(&Channel, OpId) -> Option<MadResult<VTime>>;
 
 /// A pending nonblocking operation.
 pub struct Request<'a> {
@@ -100,6 +102,13 @@ impl<'a> Request<'a> {
     /// Panics if a posted send fails terminally (dead peer, channel down)
     /// — the same contract as the blocking send path.
     pub fn test(&mut self, comm: &Comm, p2p: &P2p) -> Option<Status> {
+        self.probe(comm, p2p, Channel::test_op)
+    }
+
+    /// [`test`](Self::test) with a send's op polled by `poll_op`: a blocking
+    /// wait passes [`Channel::drive_op`], whose flush a spinning clock that
+    /// never reaches the batch deadline needs.
+    fn probe(&mut self, comm: &Comm, p2p: &P2p, poll_op: PollOp) -> Option<Status> {
         match &mut self.kind {
             Kind::Send {
                 op,
@@ -111,7 +120,7 @@ impl<'a> Request<'a> {
                 if done.is_some() {
                     return *done;
                 }
-                match comm.channel().test_op(*op)? {
+                match poll_op(comm.channel(), *op)? {
                     Ok(_) => {
                         let st = Status {
                             source: *dst,
@@ -144,9 +153,9 @@ impl<'a> Request<'a> {
     /// its poll policy (see module docs for the wakeup-charge accounting).
     pub fn wait(mut self, comm: &Comm, p2p: &P2p) -> Status {
         let ch = comm.channel();
-        let st = ch
-            .poll_policy()
-            .wait(ch.arrivals(), true, || self.test(comm, p2p));
+        let st = ch.poll_policy().wait(ch.arrivals(), true, || {
+            self.probe(comm, p2p, Channel::drive_op)
+        });
         // If the policy parked, the wakeup latency counts from the
         // arrival/completion `test` just synchronized with.
         time::advance(take_pending_wakeup_charge());
@@ -166,7 +175,7 @@ pub fn waitall<'a>(comm: &Comm, p2p: &P2p, reqs: Vec<Request<'a>>) -> Vec<Status
                 continue;
             }
             let req = slot.as_mut().expect("unfinished requests are present");
-            if let Some(s) = req.test(comm, p2p) {
+            if let Some(s) = req.probe(comm, p2p, Channel::drive_op) {
                 *st = Some(s);
                 *slot = None;
             } else {

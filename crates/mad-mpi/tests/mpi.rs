@@ -461,3 +461,55 @@ fn iprobe_sees_a_message_left_in_an_arrived_batch_frame() {
         env.barrier();
     });
 }
+
+/// On a batched channel an `isend`'s EXPRESS envelope closes its frame and
+/// the payload opens the next one, which only a deadline in virtual time
+/// would ship — one a spinning wait's clock never reaches. A blocking wait
+/// force-flushes the op's peer, as `Channel::wait_op` does: `wait` on an
+/// `isend` with a payload returns, and so does a `waitall` mixing an
+/// `isend` and an `irecv`. The world runs on a helper thread, so a wait
+/// that hangs fails the test after 10 s instead of hanging it.
+#[test]
+fn blocking_waits_ship_an_isend_payload_on_a_batched_channel() {
+    use madeleine::ChannelSpec;
+    use std::sync::mpsc::RecvTimeoutError;
+    use std::time::Duration;
+    let (done, finished) = std::sync::mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        let mut b = WorldBuilder::new(2);
+        b.network("eth0", NetKind::Ethernet, &[0, 1]);
+        let world = b.build();
+        let spec = ChannelSpec::new("mpi", "eth0", Protocol::Tcp).with_batching(16, 4096, 20.0);
+        let config = Config::default().with_channel_spec(spec);
+        world.run(move |env| {
+            let mad = Madeleine::init(&env, &config);
+            let mpi = Mpi::init(&mad, "mpi");
+            let mut buf = [0u8; 16];
+            if mpi.rank() == 0 {
+                assert_eq!(mpi.wait(mpi.isend(1, 1, b"payload")).len, 7);
+                let reqs = vec![
+                    mpi.isend(1, 2, b"request"),
+                    mpi.irecv(Some(1), Some(3), &mut buf),
+                ];
+                let st = mpi.waitall(reqs);
+                assert_eq!(&buf[..st[1].len], b"reply");
+            } else {
+                let st = mpi.recv(Some(0), Some(1), &mut buf);
+                assert_eq!(&buf[..st.len], b"payload");
+                let st = mpi.recv(Some(0), Some(2), &mut buf);
+                assert_eq!(&buf[..st.len], b"request");
+                mpi.send(0, 3, b"reply");
+            }
+        });
+        let _ = done.send(());
+    });
+    let ended = finished.recv_timeout(Duration::from_secs(10));
+    assert_ne!(
+        ended,
+        Err(RecvTimeoutError::Timeout),
+        "a blocking wait hung"
+    );
+    if let Err(panic) = helper.join() {
+        std::panic::resume_unwind(panic);
+    }
+}

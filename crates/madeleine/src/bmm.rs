@@ -22,8 +22,9 @@ use crate::config::HostModel;
 use crate::error::MadResult;
 use crate::flags::{RecvMode, SendMode};
 use crate::pool::{BufPool, PooledBuf};
+use crate::progress::OpState;
 use crate::stats::Stats;
-use crate::tm::{PendingKind, StaticBuf, TmId, TmPending, TmSend, TmStep, TransmissionModule};
+use crate::tm::{StaticBuf, TmId, TmPending, TmSend, TransmissionModule};
 use bytes::Bytes;
 use madsim_net::time::{self, VTime};
 use madsim_net::NodeId;
@@ -68,12 +69,12 @@ enum Shipment<'s, 'a> {
 
 /// Send-side BMM instance for one in-flight message on one TM.
 ///
-/// A BMM opened by a blocking message hands its buffers over through the
-/// TM's blocking calls. One opened by a posted op ([`posted`](Self::posted))
-/// uses the nonblocking ones: a shipment that has to wait for the peer
-/// parks here, everything packed meanwhile queues behind it in packing
-/// order — the queue a `send_LATER` block already forces — and
-/// [`resume`](Self::resume) picks up where it stopped.
+/// Every single buffer goes to the TM through its post calls. A shipment
+/// that has to wait for the peer parks here, and what is packed meanwhile
+/// queues behind it in packing order (the queue a `send_LATER` block
+/// forces); a packed message waits it out in place
+/// ([`wait_out`](Self::wait_out)), a posted op polls it between ticks
+/// ([`resume`](Self::resume)).
 pub struct SendBmm<'a> {
     policy: SendPolicy,
     tm: Arc<dyn TransmissionModule>,
@@ -95,12 +96,11 @@ pub struct SendBmm<'a> {
     pending_has_later: bool,
     /// Current partially-filled static buffer (StaticCopy only).
     staged: Option<StaticBuf>,
-    posted: bool,
     /// The shipment waiting for a peer event, and its length.
     parked: Option<(Box<dyn TmPending>, usize)>,
     /// A commit was asked for while a shipment was parked.
     committing: bool,
-    /// Latest instant a posted shipment completed at.
+    /// Latest instant a shipment completed at.
     done_at: VTime,
 }
 
@@ -140,18 +140,10 @@ impl<'a> SendBmm<'a> {
             head_staged: 0,
             pending_has_later: false,
             staged: None,
-            posted: false,
             parked: None,
             committing: false,
             done_at: VTime::ZERO,
         }
-    }
-
-    /// Ship through the TM's nonblocking entry points from here on (see
-    /// the type docs): the flavour a posted op opens.
-    pub(crate) fn posted(mut self) -> Self {
-        self.posted = true;
-        self
     }
 
     /// Queue or transmit one user block according to the policy and the
@@ -225,8 +217,7 @@ impl<'a> SendBmm<'a> {
     }
 
     /// The one place a buffer goes to the TM, with its accounting: through
-    /// the blocking entry points, or — posted — the nonblocking ones, whose
-    /// continuation parks here if one comes back.
+    /// the TM's post calls, whose continuation parks here if one comes back.
     fn ship(&mut self, what: Shipment<'_, '_>) -> MadResult<()> {
         let (tm, dst) = (&*self.tm, self.dst);
         let (len, sent) = match what {
@@ -245,21 +236,16 @@ impl<'a> SendBmm<'a> {
                     self.stats.record_borrowed(data.len());
                 }
                 let sent = match b {
-                    _ if !self.posted => tm.send_buffer(dst, data).map(|()| None),
-                    Block::Owned(bytes) => tm.post_send(dst, bytes.clone()).map(Some),
-                    _ => tm.post_send(dst, Bytes::copy_from_slice(data)).map(Some),
+                    Block::Owned(bytes) => tm.post_send(dst, bytes.clone()),
+                    _ => tm.post_send(dst, Bytes::copy_from_slice(data)),
                 };
                 (data.len(), sent?)
             }
-            Shipment::Static(buf) if self.posted => {
-                (buf.len(), Some(tm.post_static_buffer(dst, buf)?))
-            }
-            Shipment::Static(buf) => (buf.len(), tm.send_static_buffer(dst, buf).map(|()| None)?),
+            Shipment::Static(buf) => (buf.len(), tm.post_static_buffer(dst, buf)?),
         };
         match sent {
-            Some(TmSend::Pending(cont)) => self.parked = Some((cont, len)),
-            Some(TmSend::Done(at)) => self.shipped(len, at),
-            None => self.shipped(len, VTime::ZERO),
+            TmSend::Pending(cont) => self.parked = Some((cont, len)),
+            TmSend::Done(at) => self.shipped(len, at),
         }
         Ok(())
     }
@@ -326,9 +312,8 @@ impl<'a> SendBmm<'a> {
         Ok(())
     }
 
-    /// Commit: drain every queued block and partial buffer to the TM. (A
-    /// posted BMM with a shipment parked finishes the commit as it
-    /// [`resume`](Self::resume)s.)
+    /// Commit: drain every queued block and partial buffer to the TM (behind
+    /// a parked shipment, once it is out).
     pub fn flush(&mut self) -> MadResult<()> {
         self.committing = true;
         self.advance()?;
@@ -336,13 +321,26 @@ impl<'a> SendBmm<'a> {
         Ok(())
     }
 
-    /// Poll the parked shipment of a posted BMM and, once it is out, carry
-    /// on behind it. `Some`: what it (still, or again) waits for.
-    pub(crate) fn resume(&mut self) -> MadResult<Option<PendingKind>> {
+    /// Wait parked shipments out in place, the thread's clock moved to each
+    /// one's completion instant as it resumes, then to the latest one: the
+    /// instants blocking TM calls produce.
+    pub fn wait_out(&mut self) -> MadResult<()> {
+        while let Some((cont, len)) = self.parked.take() {
+            let at = crate::tm::wait_out(TmSend::Pending(cont))?;
+            self.shipped(len, at);
+            self.advance()?;
+        }
+        time::advance_to(self.done_at);
+        Ok(())
+    }
+
+    /// Poll the parked shipment and, once it is out, carry on behind it.
+    /// `Some`: what it (still, or again) waits for.
+    pub(crate) fn resume(&mut self) -> MadResult<Option<OpState>> {
         if let Some((mut cont, len)) = self.parked.take() {
             match cont.try_advance()? {
-                TmStep::Pending => self.parked = Some((cont, len)),
-                TmStep::Done(at) => {
+                None => self.parked = Some((cont, len)),
+                Some(at) => {
                     self.shipped(len, at);
                     self.advance()?;
                 }
@@ -351,12 +349,12 @@ impl<'a> SendBmm<'a> {
         Ok(self.waits_for())
     }
 
-    /// The peer event the parked shipment of a posted BMM waits for.
-    pub(crate) fn waits_for(&self) -> Option<PendingKind> {
-        self.parked.as_ref().map(|(cont, _)| cont.kind())
+    /// The peer event the parked shipment waits for.
+    pub(crate) fn waits_for(&self) -> Option<OpState> {
+        self.parked.as_ref().map(|(cont, _)| cont.state())
     }
 
-    /// The latest instant a shipment of a posted BMM completed at.
+    /// The latest instant a shipment completed at.
     pub(crate) fn done_at(&self) -> VTime {
         self.done_at
     }
@@ -418,7 +416,7 @@ pub(crate) fn send_group(
         stats.record_copy(total);
         tm.send_static_buffer(dst, buf)?;
     } else {
-        tm.send_gather(dst, parts)?;
+        tm.send_buffer_group(dst, parts)?;
         if caps.gather {
             stats.record_gather();
         }

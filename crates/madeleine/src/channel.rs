@@ -23,15 +23,16 @@
 //! `ChannelCore::route` — the stripe engine, the connection's batch, or
 //! the TM the PMM selects — identically on both ends; when the route
 //! differs from the previous block's, the open BMM is flushed (*commit*)
-//! before the next takes over, so delivery order is preserved across
+//! before the block is taken, so delivery order is preserved across
 //! transfer methods; the end of the message performs the terminal commit
 //! (mirrored by *checkout* on the receive side). The send cursor
-//! (`SendSwitch`) is resumable and has two drivers: a blocking
-//! [`OutgoingMessage`] spins it where it would park, a posted message
-//! (`MessageSendOp`) parks it between progress ticks — same routes, same
-//! BMMs, same wire bytes. On a multirail channel a message's ordinary
-//! blocks ride its connection's *home rail*; large CHEAPER blocks are
-//! striped across every alive rail (see [`crate::rail`]) after the home
+//! (`SendSwitch`) is resumable and hands every buffer to a TM's post calls.
+//! Its two drivers differ only where it parks: a packed [`OutgoingMessage`]
+//! waits in place, its clock taken to each shipment's completion instant;
+//! a posted message (`MessageSendOp`) parks between progress ticks — same
+//! routes, same BMMs, same wire bytes. On a multirail channel a message's
+//! ordinary blocks ride its connection's *home rail*; large CHEAPER blocks
+//! are striped across every alive rail (see [`crate::rail`]) after the home
 //! rail's BMM is committed, so per-connection order still holds.
 //!
 //! ### The internal message header
@@ -59,7 +60,7 @@ use crate::pool::{BufPool, PooledBuf};
 use crate::progress::{Completions, OpId, OpState, OpStep, ProgressEngine, StepOutcome};
 use crate::rail::{self, Rail, RailScheduler, StripeCtx, StripeSend};
 use crate::stats::{Stats, StatsSnapshot};
-use crate::tm::{PendingKind, TmId};
+use crate::tm::TmId;
 use crate::trace::{TraceEvent, Tracer};
 use crate::wire;
 use bytes::Bytes;
@@ -777,11 +778,10 @@ impl Channel {
             sw: SendSwitch {
                 dst,
                 rail,
-                posted: true,
                 ..Default::default()
             },
             header_sent: false,
-            blocks: blocks.into_iter(),
+            blocks: blocks.into_iter().peekable(),
         };
         // The post is the op's first tick: a message whose frames need no
         // peer event is fully on the wire (or in the batch) when
@@ -802,9 +802,27 @@ impl Channel {
     /// caller's clock is synchronized with the op's local completion
     /// instant.
     pub fn test_op(&self, id: OpId) -> Option<MadResult<VTime>> {
-        let r = self.engine.take_result(id).or_else(|| {
+        self.poll_op(id, false)
+    }
+
+    /// One probe of [`wait_op`](Self::wait_op), for a caller running its
+    /// own wait: [`test_op`](Self::test_op), with the op's peer's open send
+    /// batch force-flushed before the tick.
+    pub fn drive_op(&self, id: OpId) -> Option<MadResult<VTime>> {
+        self.poll_op(id, true)
+    }
+
+    fn poll_op(&self, id: OpId, flush: bool) -> Option<MadResult<VTime>> {
+        let done = || self.engine.take_result(id);
+        let flushed = || {
+            // Only a blocking wait forces the peer's open batch out.
+            let conn = self.core.conns.get(id.peer()).filter(|_| flush)?;
+            let _ = self.flush_peer(conn);
+            done()
+        };
+        let r = done().or_else(flushed).or_else(|| {
             self.progress();
-            self.engine.take_result(id)
+            done()
         })?;
         if let Ok(at) = r {
             time::advance_to(at);
@@ -829,18 +847,9 @@ impl Channel {
     /// Panics if the engine does not know `id`: its result was consumed
     /// already, or the op was cancelled.
     pub fn wait_op(&self, id: OpId) -> MadResult<VTime> {
-        let done = || self.engine.take_result(id);
         let mut looked_up = false;
         let r = self.poll.wait(&self.core.arrivals, true, || {
-            let flushed = done().or_else(|| {
-                let conn = self.core.conns.get(id.peer())?;
-                let _ = self.flush_peer(conn);
-                done()
-            });
-            let r = flushed.or_else(|| {
-                self.progress();
-                done()
-            });
+            let r = self.drive_op(id);
             // Nothing will ever retire an op the engine has forgotten.
             if r.is_none() && !std::mem::replace(&mut looked_up, true) {
                 assert!(
@@ -852,11 +861,7 @@ impl Channel {
             }
             r
         });
-        let clock = time::clock();
-        if let Ok(at) = r {
-            clock.advance_to(at);
-        }
-        clock.advance(crate::polling::take_pending_wakeup_charge());
+        time::advance(crate::polling::take_pending_wakeup_charge());
         r
     }
 
@@ -918,33 +923,22 @@ enum Src<'a, 's> {
     Header(Option<u32>),
 }
 
-fn park_state(kind: PendingKind) -> OpState {
-    match kind {
-        PendingKind::Credit => OpState::CreditWait,
-        PendingKind::Rendezvous => OpState::RendezvousWait,
-    }
-}
-
 /// The send side of the Switch: a resumable cursor over one outgoing
-/// message. [`emit`](Self::emit) routes a block, [`close`](Self::close)
-/// commits the open BMM, [`resume`](Self::resume) picks up whatever a
-/// peer event held back; each answers `None` — all handed over so far is
-/// with the TMs, by `done_at` at the latest — or the [`OpState`] it is
-/// parked in. A cursor opened by a blocking message parks on a striped
-/// block only: its BMMs make blocking TM calls.
+/// message. [`switch`](Self::switch) commits the open BMM if a block's
+/// route leaves it, [`emit`](Self::emit) then hands the block over,
+/// [`close`](Self::close) commits, [`resume`](Self::resume) picks up what a
+/// peer event held back. Each answers `None` — all handed over so far is
+/// with the TMs by [`done_at`](Self::done_at) — or the state it parked in.
 #[derive(Default)]
 struct SendSwitch<'a> {
     dst: NodeId,
     /// Home rail; fixed once the header frame ships (the receiver pins
     /// the message's un-striped blocks to the announcing rail).
     rail: usize,
-    posted: bool,
     cur_tm: Option<TmId>,
     bmm: Option<SendBmm<'a>>,
     /// The open BMM is committing and leaves once it is done.
     closing: bool,
-    /// The block an op's cursor parked on before it could take it.
-    held: Option<(Bytes, SendMode, RecvMode)>,
     /// The striped block in flight and its per-connection block number.
     stripe: Option<(StripeSend, u64)>,
     /// Batch tickets of the message's first and last batched packets.
@@ -967,10 +961,24 @@ impl<'a> SendSwitch<'a> {
         core.rails[rail].is_alive()
     }
 
-    /// Route one block and hand it over. `len` is what both ends classify
-    /// it by: its length, or the canonical [`HEADER_LEN`] for the header,
-    /// whose encoded length depends on a sequence number the receiver's
-    /// mirrored classification cannot know yet.
+    /// Commit the open BMM if `route` leaves it, so the next block takes its
+    /// place in the per-connection order whatever carries it (paper §4.1;
+    /// the receiver mirrors this with a checkout).
+    fn switch(&mut self, core: &ChannelCore, route: Route) -> MadResult<Option<OpState>> {
+        if self.cur_tm.map(Route::Tm) == Some(route) {
+            return Ok(None);
+        }
+        if let (Some(from), Route::Tm(to)) = (self.bmm.as_ref().and(self.cur_tm), route) {
+            core.tracer.record(TraceEvent::CommitOnSwitch { from, to });
+        }
+        self.close()
+    }
+
+    /// Route one block and hand it over, once [`switch`](Self::switch) has
+    /// cleared its route. `len` is what both ends classify it by: its
+    /// length, or the canonical [`HEADER_LEN`] for the header, whose encoded
+    /// length depends on a sequence number the receiver's mirrored
+    /// classification cannot know yet.
     fn emit(
         &mut self,
         d: &mut Drive<'_>,
@@ -981,19 +989,6 @@ impl<'a> SendSwitch<'a> {
     ) -> MadResult<Option<OpState>> {
         let (core, dst) = (d.core, self.dst);
         let route = core.route(self.rail, len, smode, rmode);
-        let from = self.bmm.as_ref().and(self.cur_tm);
-        if self.cur_tm.map(Route::Tm) != Some(route) {
-            // Commit the open BMM so the block takes its place in the
-            // per-connection order whatever carries it (paper §4.1; the
-            // receiver mirrors this with a checkout).
-            if let Some(parked) = self.close()? {
-                let Src::Owned(data) = src else {
-                    unreachable!("only an op parks on a BMM, and it owns its blocks");
-                };
-                self.held = Some((data, smode, rmode));
-                return Ok(Some(parked));
-            }
-        }
         if route != Route::Batch {
             // A frame outside the batch must not overtake the packets
             // staged there: it is an ordering barrier for the batch, the
@@ -1049,12 +1044,8 @@ impl<'a> SendSwitch<'a> {
             }
         };
         if self.cur_tm != Some(tm) {
-            if let Some(from) = from {
-                core.tracer
-                    .record(TraceEvent::CommitOnSwitch { from, to: tm });
-            }
             let rail = &core.rails[self.rail];
-            let bmm = SendBmm::with_pool(
+            self.bmm = Some(SendBmm::with_pool(
                 rail.pmm().policy(tm),
                 rail.pmm().tm(tm),
                 tm,
@@ -1062,8 +1053,7 @@ impl<'a> SendSwitch<'a> {
                 core.host,
                 Arc::clone(&core.stats),
                 rail.pool().clone(),
-            );
-            self.bmm = Some(if self.posted { bmm.posted() } else { bmm });
+            ));
             self.cur_tm = Some(tm);
         }
         let bmm = self.bmm.as_mut().expect("switched");
@@ -1093,7 +1083,7 @@ impl<'a> SendSwitch<'a> {
         if express && smode != SendMode::Later {
             bmm.flush()?;
         }
-        Ok(bmm.waits_for().map(park_state))
+        Ok(bmm.waits_for())
     }
 
     /// Commit the open BMM and let it go.
@@ -1104,17 +1094,21 @@ impl<'a> SendSwitch<'a> {
         if !std::mem::replace(&mut self.closing, true) {
             bmm.flush()?;
         }
-        if let Some(kind) = bmm.waits_for() {
-            return Ok(Some(park_state(kind)));
+        if let Some(state) = bmm.waits_for() {
+            return Ok(Some(state));
         }
         self.done_at = self.done_at.max(bmm.done_at());
         (self.bmm, self.cur_tm, self.closing) = (None, None, false);
         Ok(None)
     }
 
-    /// Advance what is in flight — the striped block, the open BMM's
-    /// parked shipment and what queued behind it — then emit the block
-    /// that waited for it.
+    /// The latest instant a shipment completed at, the open BMM's included.
+    fn done_at(&self) -> VTime {
+        (self.bmm.as_ref()).map_or(self.done_at, |b| self.done_at.max(b.done_at()))
+    }
+
+    /// Advance what is in flight: the striped block, the open BMM's parked
+    /// shipment and what queued behind it, and a commit under way.
     fn resume(&mut self, d: &mut Drive<'_>) -> MadResult<Option<OpState>> {
         if let Some((mut stripe, block)) = self.stripe.take() {
             match stripe.try_advance(&d.core.stripe_ctx(d.core.me, block))? {
@@ -1126,20 +1120,14 @@ impl<'a> SendSwitch<'a> {
             }
         }
         if let Some(bmm) = &mut self.bmm {
-            if let Some(kind) = bmm.resume()? {
-                return Ok(Some(park_state(kind)));
+            if let Some(state) = bmm.resume()? {
+                return Ok(Some(state));
             }
             if self.closing {
                 self.close()?;
             }
         }
-        match self.held.take() {
-            Some((data, smode, rmode)) => {
-                let len = data.len();
-                self.emit(d, Src::Owned(data), len, smode, rmode)
-            }
-            None => Ok(None),
-        }
+        Ok(None)
     }
 }
 
@@ -1153,8 +1141,9 @@ struct MessageSendOp {
     sw: SendSwitch<'static>,
     /// Whether the library header went to the cursor.
     header_sent: bool,
-    /// The caller's `Vec`, consumed in place.
-    blocks: std::vec::IntoIter<(Bytes, SendMode, RecvMode)>,
+    /// The caller's `Vec`, consumed in place; a block a parked commit has
+    /// not let through stays in it.
+    blocks: std::iter::Peekable<std::vec::IntoIter<(Bytes, SendMode, RecvMode)>>,
 }
 
 impl MessageSendOp {
@@ -1176,9 +1165,15 @@ impl MessageSendOp {
             parked = if !std::mem::replace(&mut self.header_sent, true) {
                 let (smode, rmode) = (SendMode::Cheaper, RecvMode::Express);
                 sw.emit(d, Src::Header(None), HEADER_LEN, smode, rmode)?
-            } else if let Some((data, smode, rmode)) = self.blocks.next() {
+            } else if let Some(&(ref data, smode, rmode)) = self.blocks.peek() {
                 let len = data.len();
-                sw.emit(d, Src::Owned(data), len, smode, rmode)?
+                match sw.switch(core, core.route(sw.rail, len, smode, rmode))? {
+                    None => {
+                        let data = self.blocks.next().expect("peeked").0;
+                        sw.emit(d, Src::Owned(data), len, smode, rmode)?
+                    }
+                    parked => parked,
+                }
             } else if sw.bmm.is_some() {
                 sw.close()?
             } else {
@@ -1286,31 +1281,42 @@ impl<'c, 'a> OutgoingMessage<'c, 'a> {
             !self.done,
             "pack after end_packing (or after a failed pack)"
         );
-        time::advance(VDuration::from_micros_f64(self.chan.core.host.pack_op_us));
-        let r = self.drive(|sw, d| sw.emit(d, src, len, smode, rmode));
+        let core = &self.chan.core;
+        time::advance(VDuration::from_micros_f64(core.host.pack_op_us));
+        // A TM switch's commit is waited out before the block is offered:
+        // the block leaves behind it, as behind blocking TM calls.
+        let route = core.route(self.sw.rail, len, smode, rmode);
+        let r = self.drive(|sw, d| sw.switch(d.core, route));
+        let r = r.and_then(|()| self.drive(|sw, d| sw.emit(d, src, len, smode, rmode)));
         if r.is_err() {
             self.abort();
         }
         r
     }
 
-    /// The blocking driver: run one cursor call, then spin the cursor
-    /// where an op would park it between ticks (a blocking send waits on
-    /// its peer at no modelled cost, whatever the channel's policy), and
-    /// take the thread's clock to the instant the cursor reached.
+    /// The blocking driver: run one cursor call, wait out in place what it
+    /// parked on (at no modelled cost, whatever the channel's policy) and
+    /// take the clock to the cursor's [`done_at`](SendSwitch::done_at).
     fn drive(
         &mut self,
         call: impl FnOnce(&mut SendSwitch<'a>, &mut Drive<'c>) -> MadResult<Option<OpState>>,
     ) -> MadResult<()> {
         let core = &self.chan.core;
         let d = &mut Drive { core, batch: None };
-        if call(&mut self.sw, d)?.is_some() {
-            PollPolicy::Spin.wait(&core.arrivals, false, || match self.sw.resume(d) {
-                Ok(Some(_parked)) => None,
-                r => Some(r.map(drop)),
-            })?;
+        let mut parked = call(&mut self.sw, d)?;
+        while let Some(state) = parked {
+            parked = match (state, &mut self.sw.bmm) {
+                (OpState::CreditWait | OpState::RendezvousWait, Some(bmm)) => {
+                    bmm.wait_out()?;
+                    self.sw.resume(d)?
+                }
+                _ => PollPolicy::Spin.wait(&core.arrivals, false, || match self.sw.resume(d) {
+                    Ok(Some(OpState::StripePartial)) => None,
+                    r => Some(r),
+                })?,
+            };
         }
-        time::advance_to(self.sw.done_at);
+        time::advance_to(self.sw.done_at());
         Ok(())
     }
 

@@ -18,10 +18,9 @@ use crate::error::{MadError, MadResult};
 use crate::flags::{RecvMode, SendMode};
 use crate::pmm::Pmm;
 use crate::pool::BufPool;
+use crate::progress::OpState;
 use crate::stats::Stats;
-use crate::tm::{
-    PendingKind, StaticBuf, TmCaps, TmId, TmPending, TmSend, TmStep, TransmissionModule,
-};
+use crate::tm::{wait_out, StaticBuf, TmCaps, TmId, TmPending, TmSend, TransmissionModule};
 use crate::trace::Tracer;
 use bytes::Bytes;
 use madsim_net::stacks::bip::{Bip, BIP_SHORT_MAX, BIP_SHORT_RING};
@@ -69,11 +68,13 @@ pub fn build(
         pool,
     });
     let long: Arc<dyn TransmissionModule> = Arc::new(BipLongTm {
-        bip: bip.clone(),
-        long_tag: tag(channel_id, SUB_LONG),
+        path: LongPath {
+            bip: bip.clone(),
+            long_tag: tag(channel_id, SUB_LONG),
+            stats,
+            tracer,
+        },
         cts_ahead: Mutex::new(HashMap::new()),
-        stats,
-        tracer,
     });
     Arc::new(BipPmm {
         bip,
@@ -150,20 +151,37 @@ impl ShortPath {
             .or_insert_with(|| CreditWindow::new(BIP_SHORT_RING, CREDIT_BATCH)))
     }
 
-    /// Take back the credits in a credit-return packet from `peer`.
-    fn refund(&self, peer: NodeId, pkt: &[u8]) -> MadResult<()> {
-        let n = credit_value(pkt)?;
-        self.with_window(peer, |w| w.refund(n));
-        Ok(())
-    }
-
     /// Absorb the credit returns already queued from `peer`, then spend a
     /// credit toward it if one is left.
     fn try_take_credit(&self, peer: NodeId) -> MadResult<bool> {
         while let Some(pkt) = self.bip.poll_short_from(peer, self.credit_tag) {
-            self.refund(peer, &pkt)?;
+            let n = credit_value(&pkt)?;
+            self.with_window(peer, |w| w.refund(n));
         }
         Ok(self.with_window(peer, CreditWindow::take))
+    }
+}
+
+impl SendPath for ShortPath {
+    type Block = Option<StaticBuf>;
+    const STATE: OpState = OpState::CreditWait;
+
+    fn bip(&self) -> &Bip {
+        &self.bip
+    }
+
+    /// Ship the staged block if a credit toward the peer is in hand.
+    fn try_ship(&self, post: &mut Post<Self::Block>) -> MadResult<Option<VTime>> {
+        if self.try_take_credit(post.dst)? {
+            let buf = post
+                .block
+                .take()
+                .expect("credit-wait block already shipped");
+            self.bip.send_short(post.dst, self.data_tag, buf.filled());
+            return Ok(Some(madsim_net::time::now()));
+        }
+        post.check_link(&self.bip, &self.stats, &self.tracer)?;
+        Ok(None)
     }
 }
 
@@ -174,19 +192,6 @@ struct BipShortTm {
 }
 
 impl BipShortTm {
-    fn take_credit(&self, peer: NodeId) -> MadResult<()> {
-        let p = &self.path;
-        while !p.try_take_credit(peer)? {
-            // Out of credits: block until the receiver returns some.
-            let pkt = p
-                .bip
-                .try_recv_short_from(peer, p.credit_tag)
-                .map_err(MadError::from_link(peer, &p.stats, &p.tracer))?;
-            p.refund(peer, &pkt)?;
-        }
-        Ok(())
-    }
-
     /// Copy a dynamic buffer into a static one (the TM-level copy of the
     /// dynamic entry points).
     fn stage_dynamic(&self, data: &[u8]) -> StaticBuf {
@@ -220,10 +225,7 @@ impl TransmissionModule for BipShortTm {
     }
 
     fn send_static_buffer(&self, dst: NodeId, buf: StaticBuf) -> MadResult<()> {
-        self.take_credit(dst)?;
-        let p = &self.path;
-        p.bip.send_short(dst, p.data_tag, buf.filled());
-        Ok(())
+        wait_out(self.post_static_buffer(dst, buf)?).map(drop)
     }
 
     fn receive_buffer(&self, src: NodeId, dst: &mut [u8]) -> MadResult<()> {
@@ -263,62 +265,115 @@ impl TransmissionModule for BipShortTm {
     }
 
     fn post_static_buffer(&self, dst: NodeId, buf: StaticBuf) -> MadResult<TmSend> {
-        // The blocking send with the credit taken nonblockingly: out of
-        // credits becomes a CreditWait continuation instead of a spin.
-        first_poll(CreditWaitSend {
-            path: self.path.clone(),
+        self.path.post(dst, Some(buf))
+    }
+}
+
+/// A BIP send path whose post may wait for a peer event: the short path's
+/// credit, the long path's clear-to-send. `try_ship` is one poll.
+trait SendPath: Clone + Send + 'static {
+    /// What a post holds until it ships.
+    type Block: Send;
+    const STATE: OpState;
+
+    fn bip(&self) -> &Bip;
+
+    fn try_ship(&self, post: &mut Post<Self::Block>) -> MadResult<Option<VTime>>;
+
+    /// Ship `block` inside the call if the peer event is in; otherwise,
+    /// and only then, build the continuation that waits for it.
+    fn post(&self, dst: NodeId, block: Self::Block) -> MadResult<TmSend> {
+        let mut post = Post {
             dst,
-            buf: Some(buf),
+            block,
             deadline: None,
+        };
+        Ok(match self.try_ship(&mut post)? {
+            Some(at) => TmSend::Done(at),
+            None => TmSend::Pending(Box::new(Parked {
+                path: self.clone(),
+                post,
+            })),
         })
     }
 }
 
-/// Post a send as its continuation's first poll: done if the peer event
-/// it needs is already there, handed back to be polled again if not.
-fn first_poll(mut cont: impl TmPending + 'static) -> MadResult<TmSend> {
-    Ok(match cont.try_advance()? {
-        TmStep::Done(at) => TmSend::Done(at),
-        TmStep::Pending => TmSend::Pending(Box::new(cont)),
-    })
-}
-
-/// A short block staged in a static buffer, waiting for a flow-control
-/// credit. Each poll absorbs queued credit returns and ships the block as
-/// soon as one is available; on a fault-armed fabric the wait is bounded
-/// by [`link_deadline`], the twin of the blocking path's wait.
-struct CreditWaitSend {
-    path: ShortPath,
+/// A block on its way to `dst`.
+struct Post<B> {
     dst: NodeId,
-    buf: Option<StaticBuf>,
+    block: B,
     deadline: Option<Instant>,
 }
 
-impl TmPending for CreditWaitSend {
-    fn kind(&self) -> PendingKind {
-        PendingKind::Credit
+impl<B> Post<B> {
+    /// On a fault-armed fabric, fail the wait once `dst` is dead or the
+    /// link's bound has passed (see [`link_deadline`]).
+    fn check_link(&mut self, bip: &Bip, stats: &Stats, tracer: &Tracer) -> MadResult<()> {
+        link_deadline(bip.adapter(), self.dst, &mut self.deadline)
+            .map_err(MadError::from_link(self.dst, stats, tracer))
+    }
+}
+
+/// A posted block waiting for its path's peer event.
+struct Parked<P: SendPath> {
+    path: P,
+    post: Post<P::Block>,
+}
+
+impl<P: SendPath> TmPending for Parked<P> {
+    fn state(&self) -> OpState {
+        P::STATE
     }
 
-    fn try_advance(&mut self) -> MadResult<TmStep> {
-        let (p, dst) = (&self.path, self.dst);
-        if p.try_take_credit(dst)? {
-            let buf = self.buf.take().expect("credit-wait block already shipped");
-            p.bip.send_short(dst, p.data_tag, buf.filled());
-            return Ok(TmStep::Done(madsim_net::time::now()));
-        }
-        link_deadline(p.bip.adapter(), dst, &mut self.deadline)
-            .map_err(MadError::from_link(dst, &p.stats, &p.tracer))?;
-        Ok(TmStep::Pending)
+    fn adapter(&self) -> &Adapter {
+        self.path.bip().adapter()
+    }
+
+    fn try_advance(&mut self) -> MadResult<Option<VTime>> {
+        self.path.try_ship(&mut self.post)
+    }
+}
+
+/// What the long TM and its rendezvous wait share.
+#[derive(Clone)]
+struct LongPath {
+    bip: Bip,
+    long_tag: u64,
+    stats: Arc<Stats>,
+    tracer: Arc<Tracer>,
+}
+
+impl SendPath for LongPath {
+    /// The payload, and the instant it was posted at.
+    type Block = (Option<Bytes>, VTime);
+    const STATE: OpState = OpState::RendezvousWait;
+
+    fn bip(&self) -> &Bip {
+        &self.bip
+    }
+
+    /// Ship the payload if the receiver's clear-to-send is in, anchored at
+    /// `max(posted_at, cts_arrival)`: the LANai DMA ran while the host
+    /// computed, however late the CTS is noticed. The link is checked first:
+    /// a CTS that crossed before a cut must not release a payload into it.
+    fn try_ship(&self, post: &mut Post<Self::Block>) -> MadResult<Option<VTime>> {
+        post.check_link(&self.bip, &self.stats, &self.tracer)?;
+        let (dst, (data, posted_at)) = (post.dst, &mut post.block);
+        let Some(cts) = self.bip.try_take_cts(dst, self.long_tag) else {
+            return Ok(None);
+        };
+        let data = data.take().expect("rendezvous block already shipped");
+        let start = (*posted_at).max(cts);
+        let local_done = self.bip.send_long_from(dst, self.long_tag, data, start);
+        let host_post = self.bip.adapter().calib().bip_long.host();
+        Ok(Some(local_done + host_post))
     }
 }
 
 struct BipLongTm {
-    bip: Bip,
-    long_tag: u64,
+    path: LongPath,
     /// CTSs posted ahead of their receive_buffer, per peer.
     cts_ahead: Mutex<HashMap<NodeId, usize>>,
-    stats: Arc<Stats>,
-    tracer: Arc<Tracer>,
 }
 
 impl TransmissionModule for BipLongTm {
@@ -338,10 +393,7 @@ impl TransmissionModule for BipLongTm {
         // Rendezvous: blocks until the receiver posts; zero software copies
         // (the `copy_from_slice` below stages the simulated wire transfer —
         // real BIP DMAs straight from this user memory).
-        let payload = Bytes::copy_from_slice(data);
-        self.bip
-            .try_send_long(dst, self.long_tag, payload)
-            .map_err(MadError::from_link(dst, &self.stats, &self.tracer))
+        wait_out(self.post_send(dst, Bytes::copy_from_slice(data))?).map(drop)
     }
 
     fn receive_buffer(&self, src: NodeId, dst: &mut [u8]) -> MadResult<()> {
@@ -355,19 +407,20 @@ impl TransmissionModule for BipLongTm {
                 _ => false,
             }
         };
+        let p = &self.path;
         if !posted {
-            self.bip.post_cts(src, self.long_tag);
+            p.bip.post_cts(src, p.long_tag);
         }
-        let n = self
+        let n = p
             .bip
-            .try_recv_long_posted(src, self.long_tag, dst)
-            .map_err(MadError::from_link(src, &self.stats, &self.tracer))?;
+            .try_recv_long_posted(src, p.long_tag, dst)
+            .map_err(MadError::from_link(src, &p.stats, &p.tracer))?;
         assert_eq!(n, dst.len(), "long TM receive length mismatch");
         Ok(())
     }
 
     fn prefetch(&self, src: NodeId) {
-        self.bip.post_cts(src, self.long_tag);
+        self.path.bip.post_cts(src, self.path.long_tag);
         *self.cts_ahead.lock().entry(src).or_insert(0) += 1;
     }
 
@@ -376,54 +429,6 @@ impl TransmissionModule for BipLongTm {
     }
 
     fn post_send(&self, dst: NodeId, data: Bytes) -> MadResult<TmSend> {
-        first_poll(RendezvousSend {
-            bip: self.bip.clone(),
-            long_tag: self.long_tag,
-            dst,
-            data: Some(data),
-            posted_at: madsim_net::time::now(),
-            deadline: None,
-            stats: Arc::clone(&self.stats),
-            tracer: Arc::clone(&self.tracer),
-        })
-    }
-}
-
-/// A long block waiting for the receiver's clear-to-send. When the CTS
-/// shows up, the transfer is anchored at `max(posted_at, cts_arrival)`:
-/// the LANai DMA ran while the host computed, so a poller that notices the
-/// CTS late still gets the overlapped timeline — this is the whole point
-/// of the nonblocking path.
-struct RendezvousSend {
-    bip: Bip,
-    long_tag: u64,
-    dst: NodeId,
-    data: Option<Bytes>,
-    posted_at: VTime,
-    deadline: Option<Instant>,
-    stats: Arc<Stats>,
-    tracer: Arc<Tracer>,
-}
-
-impl TmPending for RendezvousSend {
-    fn kind(&self) -> PendingKind {
-        PendingKind::Rendezvous
-    }
-
-    fn try_advance(&mut self) -> MadResult<TmStep> {
-        // Link check first: a CTS that made it across before the link was
-        // cut must not release a payload into the dead link.
-        link_deadline(self.bip.adapter(), self.dst, &mut self.deadline)
-            .map_err(MadError::from_link(self.dst, &self.stats, &self.tracer))?;
-        if let Some(cts) = self.bip.try_take_cts(self.dst, self.long_tag) {
-            let data = self.data.take().expect("rendezvous block already shipped");
-            let start = self.posted_at.max(cts);
-            let local_done = self
-                .bip
-                .send_long_from(self.dst, self.long_tag, data, start);
-            let host_post = self.bip.adapter().calib().bip_long.host();
-            return Ok(TmStep::Done(local_done + host_post));
-        }
-        Ok(TmStep::Pending)
+        self.path.post(dst, (Some(data), madsim_net::time::now()))
     }
 }

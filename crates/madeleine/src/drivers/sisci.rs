@@ -449,6 +449,7 @@ impl TransmissionModule for SisciStreamTm {
         self.send_buffer_group(dst, &[data])
     }
 
+    /// Native gather: blocks stream back-to-back into the PIO ring.
     fn send_buffer_group(&self, dst: NodeId, bufs: &[&[u8]]) -> MadResult<()> {
         let total: usize = bufs.iter().map(|b| b.len()).sum();
         if total == 0 {
@@ -462,11 +463,6 @@ impl TransmissionModule for SisciStreamTm {
         self.link(dst)
             .send_group(self.geom, bufs)
             .map_err(MadError::from_link(dst, &self.stats, &self.tracer))
-    }
-
-    fn send_gather(&self, dst: NodeId, bufs: &[&[u8]]) -> MadResult<()> {
-        // Native gather: blocks stream back-to-back into the PIO ring.
-        self.send_buffer_group(dst, bufs)
     }
 
     fn receive_buffer(&self, src: NodeId, dst: &mut [u8]) -> MadResult<()> {

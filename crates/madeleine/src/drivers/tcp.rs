@@ -139,6 +139,8 @@ impl TransmissionModule for TcpTm {
         Ok(())
     }
 
+    /// Native gather: the blocks go to the kernel in one writev-style call,
+    /// straight from where they lie — no coalescing staging copy.
     fn send_buffer_group(&self, dst: NodeId, bufs: &[&[u8]]) -> MadResult<()> {
         if bufs.is_empty() {
             return Ok(());
@@ -149,12 +151,6 @@ impl TransmissionModule for TcpTm {
             .map_err(MadError::from_link(dst, &self.stats, &self.tracer))?;
         self.note_retransmits(dst, n);
         Ok(())
-    }
-
-    fn send_gather(&self, dst: NodeId, bufs: &[&[u8]]) -> MadResult<()> {
-        // Native gather: the blocks go to the kernel in one writev-style
-        // call, straight from where they lie — no coalescing staging copy.
-        self.send_buffer_group(dst, bufs)
     }
 
     fn receive_buffer(&self, src: NodeId, dst: &mut [u8]) -> MadResult<()> {

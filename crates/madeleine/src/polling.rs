@@ -33,9 +33,10 @@
 //! park ends at the arrival. A probe that is a progress-engine tick can
 //! also succeed with no arrival at all — another thread retired the op —
 //! so its parks recheck after 20 µs, doubling up to 500 µs. The library's
-//! waits that spin whatever the channel's policy (a blocking send on its
-//! peer, the `begin_packing` fence, a fault-armed stripe reassembly) are
-//! `PollPolicy::Spin` waits on the same count.
+//! waits that spin whatever the channel's policy (a packed striped block,
+//! the `begin_packing` fence, a fault-armed stripe reassembly) are
+//! `PollPolicy::Spin` waits on the same count; a blocking TM send polls
+//! the mailbox's grant (`tm::wait_out`).
 
 use madsim_net::eventcount::EventCount;
 use madsim_net::time::{self, VDuration};

@@ -27,7 +27,7 @@
 //! zero-copy slice of the posted block) and its own virtual clock,
 //! installed around that rail's TM calls, so the rails' long-message
 //! protocols overlap in virtual time. Frames leave in the order the
-//! receiver consumes them (`StripeSend::held`). Blocking `pack` spins the
+//! receiver consumes them (`StripeSend::held`). A packed block spins the
 //! machine to completion; a posted op parks it between progress ticks
 //! (`OpState::StripePartial`), so the CTSs arrive while the caller computes.
 //!
@@ -51,7 +51,7 @@ use crate::pmm::Pmm;
 use crate::polling::PollPolicy;
 use crate::pool::BufPool;
 use crate::stats::Stats;
-use crate::tm::{TmId, TmPending, TmSend, TmStep};
+use crate::tm::{TmId, TmPending, TmSend};
 use crate::trace::{TraceEvent, Tracer};
 use crate::wire::{self, STRIPE_CLASS_LEN, STRIPE_HEADER_LEN};
 use bytes::Bytes;
@@ -469,10 +469,9 @@ impl StripeSend {
                     .select(STRIPE_CLASS_LEN, SendMode::Cheaper, RecvMode::Express)
             };
             let step = match lane.parked.take() {
-                Some(mut cont) => match cont.try_advance()? {
-                    TmStep::Done(at) => TmSend::Done(at),
-                    TmStep::Pending => TmSend::Pending(cont),
-                },
+                Some(mut cont) => cont
+                    .try_advance()?
+                    .map_or(TmSend::Pending(cont), TmSend::Done),
                 None => {
                     let frame = if header_out {
                         self.data.slice(off..off + len)

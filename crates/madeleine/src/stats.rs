@@ -86,8 +86,9 @@ pub struct Stats {
     pool_hits: AtomicU64,
     /// Buffer-pool checkouts that had to allocate.
     pool_misses: AtomicU64,
-    /// Scatter/gather flushes: buffer groups handed to a TM in one
-    /// `send_gather` call instead of being coalesced with a memcpy.
+    /// Scatter/gather flushes: buffer groups handed in one
+    /// `send_buffer_group` call to a TM with native gather
+    /// (`TmCaps::gather`) instead of being coalesced with a memcpy.
     gathers: AtomicU64,
     /// Buffers handed to transmission modules.
     buffers_sent: AtomicU64,

@@ -6,12 +6,15 @@
 //!
 //! | paper | here |
 //! |---|---|
-//! | `send_buffer` | [`TransmissionModule::send_buffer`] / [`send_static_buffer`](TransmissionModule::send_static_buffer) |
+//! | `send_buffer` | [`TransmissionModule::post_send`] / [`post_static_buffer`](TransmissionModule::post_static_buffer) |
 //! | `send_buffer_group` | [`TransmissionModule::send_buffer_group`] |
 //! | `receive_buffer` | [`TransmissionModule::receive_buffer`] / [`receive_static_buffer`](TransmissionModule::receive_static_buffer) |
 //! | `receive_sub_buffer_group` | [`TransmissionModule::receive_sub_buffer_group`] |
 //! | `obtain_static_buffer` | [`TransmissionModule::obtain_static_buffer`] |
 //! | `release_static_buffer` | [`TransmissionModule::release_static_buffer`] |
+//!
+//! A single buffer leaves through the post calls, packed or posted; a
+//! blocking send is the post plus [`wait_out`].
 //!
 //! (The static-buffer send/receive entry points are split from the dynamic
 //! ones because Rust's ownership makes the hand-off explicit; the paper's C
@@ -22,42 +25,31 @@
 //! usable.
 
 use crate::error::MadResult;
+use crate::polling::PollPolicy;
 use crate::pool::PooledBuf;
+use crate::progress::OpState;
 use bytes::Bytes;
+use madsim_net::mailbox::SPIN_LIMIT;
 use madsim_net::time::{self, VTime};
+use madsim_net::world::Adapter;
 use madsim_net::NodeId;
 
 /// Index of a TM within its protocol module.
 pub type TmId = u8;
 
-/// Why a posted block cannot ship yet (mirrors the op states of
-/// [`crate::progress`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PendingKind {
-    /// Waiting for a flow-control credit from the receiver.
-    Credit,
-    /// Waiting for the receiver's rendezvous clear-to-send.
-    Rendezvous,
-}
-
-/// One poll of a pending TM send.
-pub enum TmStep {
-    /// The peer event has not arrived yet.
-    Pending,
-    /// The block shipped; local send-side work completes at this instant.
-    Done(VTime),
-}
-
-/// The resumable continuation of a [`TransmissionModule::post_send`] (or
-/// [`post_static_buffer`](TransmissionModule::post_static_buffer)) that
-/// could not complete inside the call. Whoever posted polls it; it must
-/// never block. Dropping it unshipped releases what it holds.
+/// The continuation of a post that has to wait for the peer. Whoever
+/// posted polls it; a poll never blocks. Dropping it unshipped releases
+/// what it holds.
 pub trait TmPending: Send {
-    fn kind(&self) -> PendingKind;
+    /// What it waits for: [`OpState::CreditWait`] or `RendezvousWait`.
+    fn state(&self) -> OpState;
 
-    /// Check for the peer event and, if it arrived, ship the block. Errors
-    /// are terminal (dead peer, expired bounded wait on a faulty fabric).
-    fn try_advance(&mut self) -> MadResult<TmStep>;
+    /// The adapter the peer event arrives on.
+    fn adapter(&self) -> &Adapter;
+
+    /// Ship the block if the peer event arrived: `Some(at)`, local work
+    /// done at `at`. Errors are terminal (dead peer, expired link bound).
+    fn try_advance(&mut self) -> MadResult<Option<VTime>>;
 }
 
 /// Outcome of [`TransmissionModule::post_send`].
@@ -67,6 +59,27 @@ pub enum TmSend {
     Done(VTime),
     /// The TM needs a peer event first; poll the continuation.
     Pending(Box<dyn TmPending>),
+}
+
+/// Wait a post out in place, the thread's clock moved to the instant its
+/// block completed at (returned). A continuation is polled up to the
+/// mailbox's grant, then parked on its node's arrivals count, rechecking
+/// on a tick only on a fault-armed world (where its link deadline fires).
+pub fn wait_out(sent: TmSend) -> MadResult<VTime> {
+    let at = match sent {
+        TmSend::Done(at) => at,
+        TmSend::Pending(mut cont) => {
+            let adapter = cont.adapter().clone();
+            let grant = PollPolicy::Adaptive {
+                spin_rounds: SPIN_LIMIT,
+                interrupt_latency_us: 0.0,
+            };
+            let probe = || cont.try_advance().transpose();
+            grant.wait(adapter.arrivals(), adapter.faulty(), probe)?
+        }
+    };
+    time::advance_to(at);
+    Ok(at)
 }
 
 /// Capabilities a TM advertises to the buffer-management layer.
@@ -216,15 +229,18 @@ pub trait TransmissionModule: Send + Sync {
 
     fn caps(&self) -> TmCaps;
 
-    /// Transmit one dynamic (user-memory) buffer to `dst`.
+    /// Transmit one dynamic (user-memory) buffer to `dst`: the blocking
+    /// twin of [`post_send`](Self::post_send).
     ///
     /// On a fault-free fabric this never fails; on a fault-armed one it
     /// surfaces retransmission exhaustion, credit timeouts, and dead peers
     /// as [`crate::error::MadError`]s instead of hanging or panicking.
     fn send_buffer(&self, dst: NodeId, data: &[u8]) -> MadResult<()>;
 
-    /// Transmit a group of dynamic buffers as one logical unit. TMs with
-    /// native gather override this; the default is sequential sends.
+    /// Transmit a group of dynamic buffers as one unit, read where they lie
+    /// (an aggregated commit or a batch frame). TMs with native gather (TCP
+    /// writev, SISCI back-to-back PIO) override it and advertise
+    /// [`TmCaps::gather`]; the default is sequential sends.
     fn send_buffer_group(&self, dst: NodeId, bufs: &[&[u8]]) -> MadResult<()> {
         for b in bufs {
             self.send_buffer(dst, b)?;
@@ -232,19 +248,8 @@ pub trait TransmissionModule: Send + Sync {
         Ok(())
     }
 
-    /// Scatter/gather flush: transmit a buffer group straight from the
-    /// caller's blocks, with no coalescing memcpy on the generic layer.
-    /// The Aggregate BMM flushes through this entry point. TMs with native
-    /// vectored transmission (TCP writev, SISCI back-to-back PIO) override
-    /// it; the default forwards to [`send_buffer_group`](Self::send_buffer_group),
-    /// which is itself copy-free (sequential per-block sends) unless a TM
-    /// overrides *that* with something that stages.
-    fn send_gather(&self, dst: NodeId, bufs: &[&[u8]]) -> MadResult<()> {
-        self.send_buffer_group(dst, bufs)
-    }
-
-    /// Transmit a filled static buffer previously obtained from this TM.
-    /// The buffer returns to the TM's pool.
+    /// Transmit a filled static buffer obtained from this TM (the blocking
+    /// twin of [`post_static_buffer`](Self::post_static_buffer)).
     fn send_static_buffer(&self, _dst: NodeId, _buf: StaticBuf) -> MadResult<()> {
         panic!("{}: static buffers not supported", self.name());
     }
@@ -306,15 +311,14 @@ pub trait TransmissionModule: Send + Sync {
         false
     }
 
-    /// Nonblocking transmit of one owned block: either the block ships
-    /// inside the call, or the TM hands back a resumable continuation for
-    /// the progress engine to poll ([`TmSend::Pending`]).
+    /// Transmit one owned block, the call every single-buffer send makes:
+    /// it ships inside the call, or the TM hands back a continuation
+    /// ([`TmSend::Pending`]).
     ///
-    /// Default: delegate to the blocking [`send_buffer`](Self::send_buffer)
-    /// — correct for every TM whose send path completes locally without
-    /// waiting on a peer event (PIO stores, stream writes, preposted
-    /// descriptors). TMs with a genuine peer dependency (BIP's credit
-    /// scheme and long-message rendezvous) override it.
+    /// Default: the blocking [`send_buffer`](Self::send_buffer) — correct
+    /// for every TM whose send path completes locally without waiting on a
+    /// peer event. BIP's credit scheme and rendezvous override it, building
+    /// a continuation only when the peer event is not in yet.
     fn post_send(&self, dst: NodeId, data: Bytes) -> MadResult<TmSend> {
         self.send_buffer(dst, &data)?;
         Ok(TmSend::Done(time::now()))

@@ -76,22 +76,16 @@ impl TransmissionModule for MockTm {
     }
 
     fn send_buffer_group(&self, _dst: NodeId, bufs: &[&[u8]]) -> MadResult<()> {
-        self.ops
-            .lock()
-            .push(Op::SendGroup(bufs.iter().map(|b| b.to_vec()).collect()));
-        Ok(())
-    }
-
-    fn send_gather(&self, dst: NodeId, bufs: &[&[u8]]) -> MadResult<()> {
-        if self.gather {
-            self.ops
-                .lock()
-                .push(Op::SendGather(bufs.iter().map(|b| b.to_vec()).collect()));
-            Ok(())
+        // One group either way; the mock records whether it advertised a
+        // native gather for it.
+        let bufs = bufs.iter().map(|b| b.to_vec()).collect();
+        let op = if self.gather {
+            Op::SendGather(bufs)
         } else {
-            // A TM without native gather relies on the trait default.
-            self.send_buffer_group(dst, bufs)
-        }
+            Op::SendGroup(bufs)
+        };
+        self.ops.lock().push(op);
+        Ok(())
     }
 
     fn send_static_buffer(&self, _dst: NodeId, buf: StaticBuf) -> MadResult<()> {
@@ -236,8 +230,8 @@ fn aggregate_flush_counts_native_gathers_only() {
         assert_eq!(stats.borrowed_bytes(), 6, "both blocks read in place");
         assert_eq!(stats.copied_bytes(), 0);
 
-        // Same traffic on a TM without native gather: the default
-        // entry point degrades to a buffer group and counts no gather.
+        // Same traffic on a TM without native gather: the same buffer
+        // group call, and no gather counted.
         let tm = MockTm::with_gather(false, usize::MAX, false);
         let stats = Stats::new();
         let mut bmm = SendBmm::new(

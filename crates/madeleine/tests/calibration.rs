@@ -223,6 +223,96 @@ fn exact_single_flow_instants() {
     assert_eq!(dma, 8284837, "SISCI DMA 256 KiB");
 }
 
+/// One block of a packed message: its length and mode pair.
+type BlockSpec = (usize, SendMode, RecvMode);
+
+/// Sender's and receiver's clocks (ns) once a packed BIP message of
+/// `blocks` is out and unpacked. `lockstep`: the receiver unpacks the block
+/// whose receipt returns the k-th batch of credits only once the sender
+/// has parked k times, out of credits, or has finished — so each return
+/// reaches a sender already waiting for it. (One that lands, in real time,
+/// while the sender still ships would move its clock run to run.)
+fn packed_bip_ns(blocks: &[BlockSpec], lockstep: bool) -> (u64, u64) {
+    use madsim_net::eventcount::EventCount;
+    use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+    use std::sync::{Arc, OnceLock};
+    let mut b = WorldBuilder::new(2);
+    b.network("myr0", NetKind::Myrinet, &[0, 1]);
+    let world = b.build();
+    let config = Config::one("ch", "myr0", Protocol::Bip);
+    let blocks = blocks.to_vec();
+    /// What the receiver watches of the sender.
+    #[derive(Default)]
+    struct Sender {
+        /// Its arrivals count, and the count's parks before the message.
+        arrivals: OnceLock<(Arc<EventCount>, u64)>,
+        /// The message is out.
+        done: AtomicBool,
+    }
+    let sender = Arc::new(Sender::default());
+    let times = world.run(move |env| {
+        let mad = Madeleine::init(&env, &config);
+        let ch = mad.channel("ch");
+        let mut data: Vec<Vec<u8>> = blocks.iter().map(|b| vec![0xA5u8; b.0]).collect();
+        if env.id() == 0 {
+            let arrivals = Arc::clone(env.arrivals());
+            let parks = arrivals.stats().parks;
+            assert!(sender.arrivals.set((arrivals, parks)).is_ok(), "one sender");
+            let mut msg = ch.begin_packing(1);
+            for (d, &(_, smode, rmode)) in data.iter().zip(&blocks) {
+                msg.pack(d, smode, rmode);
+            }
+            msg.end_packing();
+            sender.done.store(true, SeqCst);
+        } else {
+            let mut msg = ch.begin_unpacking();
+            for (i, (d, &(_, smode, rmode))) in data.iter_mut().zip(&blocks).enumerate() {
+                // The header was the first short buffer received; every
+                // fourth one returns a batch of credits.
+                let batch = (i as u64 + 2) / 4;
+                let parked =
+                    |(arrivals, at): &(Arc<EventCount>, u64)| arrivals.stats().parks - at >= batch;
+                let released =
+                    || sender.done.load(SeqCst) || sender.arrivals.get().is_some_and(parked);
+                while lockstep && !released() {
+                    std::thread::yield_now();
+                }
+                msg.unpack(d, smode, rmode);
+            }
+            msg.end_unpacking();
+        }
+        time::now().as_nanos()
+    });
+    (times[0], times[1])
+}
+
+/// Packed BIP messages whose send waits on the receiver, both clocks
+/// pinned to the ns: (a) 64 EXPRESS 64 B blocks, which drain the 8-slot
+/// short ring and wait for credits (received in lockstep, see
+/// `packed_bip_ns`); (b) two 4 KiB blocks back to back, two rendezvous in
+/// one BMM; (c) a 4 KiB block then a 40 B `send_SAFER` one, whose TM switch
+/// commits behind the rendezvous.
+#[test]
+fn exact_packed_bip_wait_instants() {
+    use SendMode::{Cheaper, Safer};
+    let express = vec![(64, Cheaper, RecvMode::Express); 64];
+    let long = (4096, Cheaper, RecvMode::Cheaper);
+    let safer = (40, Safer, RecvMode::Cheaper);
+    let shapes = [
+        ("(a) credit waits", &express[..], true, (122365, 127210)),
+        ("(b) two rendezvous", &[long, long], false, (253885, 257685)),
+        (
+            "(c) switch behind a rendezvous",
+            &[long, safer],
+            false,
+            (129637, 134165),
+        ),
+    ];
+    for (what, blocks, lockstep, want) in shapes {
+        assert_eq!(packed_bip_ns(blocks, lockstep), want, "{what}");
+    }
+}
+
 /// Print the full sweep for eyeballing (runs with `--nocapture`).
 #[test]
 fn print_fig4_fig5_sweep() {

@@ -11,7 +11,7 @@
 //! where the next publication is due within a few re-checks, a park puts a
 //! futex round-trip (paid by both sides) on the per-item path; a waiter
 //! with no such evidence passes 0 and parks at once, and one that must
-//! never park (a spinning receiver, a blocking send) passes `u32::MAX`.
+//! never park (a spinning receiver, a packed striped block) passes `u32::MAX`.
 //! The poll phase yields the CPU every [`YIELD_EVERY`]th probe, and a park
 //! once before it sleeps, so with more runnable threads than cores the
 //! publisher gets to run; each yielding probe also looks for a world

@@ -64,7 +64,7 @@ const RING_CAP: usize = 64;
 /// a message storm the next item lands within a few re-checks, and parking
 /// would put a futex round-trip *plus* a notify-all of every sleeper on the
 /// per-item path; a genuinely idle receiver still parks.
-const SPIN_LIMIT: u32 = 64;
+pub const SPIN_LIMIT: u32 = 64;
 
 /// Fibonacci multiplicative hash of a shard key → shard index.
 fn shard_index(key: u64) -> usize {

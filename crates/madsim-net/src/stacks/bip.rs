@@ -152,41 +152,28 @@ impl Bip {
         (f.src, f.payload)
     }
 
-    /// Send a long message. Blocks (in virtual and real time) until the
-    /// receiver has posted the matching [`recv_long`](Self::recv_long) —
-    /// the rendezvous the paper describes — and then until the LANai has
-    /// drained the message from host memory (`bip_send` is synchronous for
-    /// long messages: the user buffer is reusable on return, so the call
-    /// cannot complete before the NIC has read it all).
+    /// Send a long message. Blocks until the receiver has posted the
+    /// matching [`recv_long`](Self::recv_long) — the paper's rendezvous —
+    /// and the LANai has drained the message from host memory (`bip_send`
+    /// is synchronous for long messages).
     ///
     /// # Panics
-    /// Panics if the fault-armed link fails (see
-    /// [`try_send_long`](Self::try_send_long)).
+    /// Panics if the fault-armed link fails: `dst` is dead, or it never
+    /// posts its receive within the link's bound (BIP has no retransmission).
     pub fn send_long(&self, dst: NodeId, tag: u64, data: Bytes) {
-        if let Err(e) = self.try_send_long(dst, tag, data) {
-            panic!("BIP long send to node {dst} failed: {e}");
-        }
-    }
-
-    /// Fallible [`send_long`](Self::send_long). On a fault-armed world the
-    /// wait for the receiver's clear-to-send is the link's bounded one:
-    /// `Err(PeerDead)` if `dst` is crashed or cut off, `Err(Timeout)` if
-    /// it never posted its receive. BIP has no retransmission — a
-    /// rendezvous that cannot complete marks the channel down at the layer
-    /// above.
-    pub fn try_send_long(&self, dst: NodeId, tag: u64, data: Bytes) -> Result<(), LinkError> {
-        if !self.adapter.reachable_to(dst) {
-            return Err(LinkError::PeerDead);
-        }
         let inbox = self.adapter.inbox();
-        let cts = link_wait(&self.adapter, dst, LINK_BOUND, |t| {
-            inbox.recv_from_timeout(dst, KIND_CTS, |f| f.tag == tag, t)
-        })?;
+        let cts = if self.adapter.reachable_to(dst) {
+            link_wait(&self.adapter, dst, LINK_BOUND, |t| {
+                inbox.recv_from_timeout(dst, KIND_CTS, |f| f.tag == tag, t)
+            })
+        } else {
+            Err(LinkError::PeerDead)
+        };
+        let cts = cts.unwrap_or_else(|e| panic!("BIP long send to node {dst} failed: {e}"));
         time::advance_to(cts.arrival);
         let local_done = self.send_long_from(dst, tag, data, time::now());
         time::advance_to(local_done);
         time::advance(self.adapter.calib().bip_long.host());
-        Ok(())
     }
 
     /// Non-blocking check for a pending clear-to-send from `dst` for `tag`;

@@ -28,16 +28,22 @@ python3 benchmark/run.py --self-test
 
 # Small-message budget stage: the two count gates on a posted 64 B message
 # over batched TCP — allocations per post and per receive (counting
-# allocator), engine steps per post — and the identity of a posted message
+# allocator), engine steps per post — the identity of a posted message
 # with a packed one (same buffers, commits and instants on all five
-# protocols), run by name, so a regression of any names itself even when
-# the suite above is filtered.
+# protocols), and the ns-pinned clocks of packed BIP messages whose send
+# waits in place (credit waits, two rendezvous, a switch behind one), run
+# by name, so a regression of any names itself even when the suite above
+# is filtered.
 for gate in alloc_budget posted_batch stripe_op; do
     cargo test -q -p madeleine --test "$gate" || {
         echo "verify: FAIL — small-message budget: --test $gate" >&2
         exit 1
     }
 done
+cargo test -q -p madeleine --test calibration -- --exact exact_packed_bip_wait_instants || {
+    echo "verify: FAIL — virtual time drifted: calibration::exact_packed_bip_wait_instants" >&2
+    exit 1
+}
 
 # Bulk pipeline stage: the SISCI dual-buffering pipeline's receiver clocks
 # pinned to the nanosecond, and a peer's death inside a block — run by
@@ -121,10 +127,24 @@ done
 # One-emitter lint: a message reaches its TMs through the BMMs the send
 # cursor opens or through the stripe engine, posted or packed alike — a TM
 # post call anywhere else (channel.rs above all) is a second emitter
-# growing back beside them.
+# growing back beside them. And one ship flavour: those emitters hand a
+# single buffer over through the post calls only, so a blocking
+# `send_buffer(`/`send_static_buffer(` call in them — outside
+# bmm::send_group, the group send — is the blocking flavour growing back,
+# as is the stack's fallible blocking rendezvous, `try_send_long`.
 if grep -rlE 'post_send\(|post_static_buffer\(' crates/madeleine/src |
     grep -vE '/(bmm|rail|tm)\.rs$|/drivers/'; then
     echo "verify: FAIL — TM post call outside bmm.rs / rail.rs / tm.rs / drivers/ (listed above)" >&2
+    exit 1
+fi
+blocking_hits=$(awk '/^#\[cfg\(test\)\]/ { nextfile }
+        /^pub\(crate\) fn send_group\(/ { group = 1 }
+        group && /^}/ { group = 0; next }
+        !group && /\.(send_buffer|send_static_buffer)\(/ { print FILENAME ":" FNR ": " $0 }' \
+    crates/madeleine/src/bmm.rs crates/madeleine/src/channel.rs crates/madeleine/src/rail.rs)
+if [ -n "$blocking_hits" ] || grep -rn 'try_send_long' crates/; then
+    echo "$blocking_hits" >&2
+    echo "verify: FAIL — a blocking TM send outside bmm::send_group, or try_send_long (listed above)" >&2
     exit 1
 fi
 
