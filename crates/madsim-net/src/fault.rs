@@ -18,10 +18,10 @@
 //! [`Adapter::send_raw_control`](crate::world::Adapter::send_raw_control).
 //!
 //! Decisions are keyed on `(seed, network index, src, dst, frame counter)`
-//! through a splitmix64-style mixer. The network *index* (declaration
-//! order, [`NetworkId`](crate::world::NetworkId)) is used rather than the
-//! process-unique network uid precisely so two identically-built worlds in
-//! one process draw identical fault schedules.
+//! through a splitmix64-style mixer. A network is known by its *index*
+//! (declaration order, [`NetworkId`](crate::world::NetworkId)), the only
+//! identity a network has, so two identically-built worlds in one process
+//! draw identical fault schedules.
 //!
 //! Multirail networks (several adapters per node on one network, see
 //! [`WorldBuilder::network_with_rails`](crate::world::WorldBuilder::network_with_rails))

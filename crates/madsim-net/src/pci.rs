@@ -18,10 +18,12 @@
 //!   reproduces Fig. 11's 29–36.5 MB/s band.
 //!
 //! The bus is a reservation timeline: a transfer asked to start at `t` is
-//! placed in the earliest gap at or after `t` that holds it whole (see
-//! [`crate::resource`]) and occupies the bus for its duration (inflated for
-//! PIO if the bus was busy or a DMA engine active when it asked). An idle
-//! bus adds nothing, so the single-network figures (4, 5) are unaffected.
+//! placed in the earliest gap at or after `t` that the transfers booked
+//! before it left whole, so of two contending transfers the one booked
+//! first is served first (see [`crate::resource`]). It occupies the bus
+//! for its duration (inflated for PIO if the bus was busy or a DMA engine
+//! active when it asked). An idle bus adds nothing, so the single-network
+//! figures (4, 5) are unaffected.
 
 use crate::resource::ResourceTimeline;
 use crate::time::{VDuration, VTime};

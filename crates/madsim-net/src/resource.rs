@@ -7,12 +7,16 @@
 //! time.
 //!
 //! Reservations are placed in the *earliest free gap* at or after the asked
-//! instant, not appended behind a watermark. This makes the virtual outcome
-//! independent of the real-time order in which racing threads book: two rail
-//! threads with independent virtual clocks get the same bus placement no
-//! matter which one's `reserve` call wins the lock, because a later call
-//! asking for an earlier virtual instant backfills the gap the earlier call
-//! left open.
+//! instant, not appended behind a watermark: a later call asking for an
+//! earlier virtual instant backfills a gap an earlier call left open.
+//!
+//! Placement still depends on booking order wherever two requests contend
+//! for the same time: the one booked first wins it. Booking `(0 µs, 100)`
+//! then `(50, 100)` places `[0,100] [100,200]`; the reverse order places
+//! `[50,150] [150,250]`. So placement is order-independent only when
+//! requests are booked in asked-start order; a request that contends with
+//! no other may be booked at any point. Racing threads (two rails sharing
+//! a bus) get one placement only if something fixes that order.
 
 use crate::time::{VDuration, VTime};
 use parking_lot::Mutex;
@@ -61,8 +65,8 @@ impl ResourceTimeline {
     ///
     /// The reservation is placed in the earliest gap at or after `start`
     /// wide enough to hold `dur`; if every gap is too narrow it queues
-    /// after the last existing reservation. Placement depends only on the
-    /// virtual arguments, never on the real-time order of racing callers.
+    /// after the last existing reservation. Of two contending requests the
+    /// one booked first is served first (see the module docs).
     pub fn reserve(&self, start: VTime, dur: VDuration) -> Reservation {
         let mut spans = self.inner.lock();
         if dur == VDuration::ZERO {
@@ -177,7 +181,9 @@ mod tests {
     #[test]
     fn booking_order_does_not_change_placement() {
         // The same three requests in two different real-time orders must
-        // produce the same set of busy spans.
+        // produce the same set of busy spans. Covers the orders that keep
+        // the contending (0, 100) and (10, 50) in asked-start order and
+        // move only (300, 100), which contends with neither.
         let place = |order: &[(u64, u64)]| {
             let r = ResourceTimeline::new("bus");
             let mut spans: Vec<(VTime, VTime)> = order

@@ -25,7 +25,9 @@
 //! published value — one atomic load, as on the real hardware — for as many
 //! probes as its caller grants it, then parks on the owning node's arrivals
 //! count, which every flag write into any of the node's segments notifies.
-//! `connect` parks on the segment registry's own count until the owner has
+//! Segments are a property of the SCI network (paper §5.2.1): each
+//! network's directory lives in the world that built it, and `connect`
+//! parks on that directory's own creation count until the owner has
 //! created the segment.
 //!
 //! Costs: the `sci_pio`, `sci_flag`, `sci_copy` and `sci_dma` rows of the
@@ -44,7 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-type SegKey = (u64, NodeId, u32);
+type SegKey = (NodeId, u32);
 
 /// One flag word of a segment. Slots chain in first-use order (a protocol
 /// uses a handful of offsets), so finding one takes no lock.
@@ -117,18 +119,13 @@ impl SegInner {
     }
 }
 
-struct Registry {
+/// An SCI network's segment directory: every segment exported on it, by
+/// `(owner, segment id)`, and a count every creation notifies. The world
+/// owns one per network (see [`Adapter`]).
+#[derive(Default)]
+pub(crate) struct Segments {
     map: Mutex<HashMap<SegKey, Arc<SegInner>>>,
-    /// Notified by every segment creation.
     created: EventCount,
-}
-
-fn registry() -> &'static Registry {
-    static REG: OnceLock<Registry> = OnceLock::new();
-    REG.get_or_init(|| Registry {
-        map: Mutex::new(HashMap::new()),
-        created: EventCount::default(),
-    })
 }
 
 /// A node's handle on the SISCI interface of an SCI adapter.
@@ -163,7 +160,7 @@ impl Sisci {
     /// # Panics
     /// Panics if a segment with the same id already exists on this node.
     pub fn create_segment(&self, seg_id: u32, size: usize) -> LocalSegment {
-        let key: SegKey = (self.adapter.uid(), self.node(), seg_id);
+        let key: SegKey = (self.node(), seg_id);
         let inner = Arc::new(SegInner {
             mem: Mutex::new(vec![0u8; size]),
             flags: OnceLock::new(),
@@ -171,8 +168,8 @@ impl Sisci {
             owner_bus: self.adapter.pci().clone(),
             size,
         });
-        let reg = registry();
-        let mut map = reg.map.lock();
+        let dir = self.adapter.segments();
+        let mut map = dir.map.lock();
         assert!(
             !map.contains_key(&key),
             "segment {seg_id} already exists on node {}",
@@ -180,7 +177,7 @@ impl Sisci {
         );
         map.insert(key, Arc::clone(&inner));
         drop(map);
-        reg.created.notify();
+        dir.created.notify();
         LocalSegment {
             key,
             inner,
@@ -197,11 +194,9 @@ impl Sisci {
             "node {owner} is not on SCI network {:?}",
             self.adapter.name()
         );
-        let key: SegKey = (self.adapter.uid(), owner, seg_id);
-        let reg = registry();
-        let created = reg
-            .created
-            .wait_timeout(0, None, || reg.map.lock().get(&key).cloned());
+        let dir = self.adapter.segments();
+        let segment = || dir.map.lock().get(&(owner, seg_id)).cloned();
+        let created = dir.created.wait_timeout(0, None, segment);
         let inner = created.expect("a wait without a timeout only succeeds");
         RemoteSegment {
             inner,
@@ -301,7 +296,7 @@ impl LocalSegment {
 
 impl Drop for LocalSegment {
     fn drop(&mut self) {
-        registry().map.lock().remove(&self.key);
+        self.adapter.segments().map.lock().remove(&self.key);
     }
 }
 

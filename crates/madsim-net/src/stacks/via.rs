@@ -20,26 +20,21 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicIsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 const KIND_VIA: u16 = 20;
 
-/// Descriptor-count registry shared by both ends of each VI, so the sender
-/// can observe the receiver's posted descriptors (in hardware this is the
-/// flow-control state the NICs negotiate).
-type ViKey = (u64, NodeId, NodeId, u64);
+/// A VIA SAN's descriptor counts, one per VI end `(owner, peer, tag)`,
+/// shared by both ends of each VI so the sender can observe the receiver's
+/// posted descriptors (in hardware this is the flow-control state the NICs
+/// negotiate). The world owns one per network (see [`Adapter`]).
+#[derive(Default)]
+pub(crate) struct ViCells(Mutex<HashMap<(NodeId, NodeId, u64), Arc<AtomicIsize>>>);
 
-fn descriptors() -> &'static Mutex<HashMap<ViKey, Arc<AtomicIsize>>> {
-    static REG: OnceLock<Mutex<HashMap<ViKey, Arc<AtomicIsize>>>> = OnceLock::new();
-    REG.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn descriptor_cell(uid: u64, owner: NodeId, peer: NodeId, tag: u64) -> Arc<AtomicIsize> {
-    let mut map = descriptors().lock();
-    Arc::clone(
-        map.entry((uid, owner, peer, tag))
-            .or_insert_with(|| Arc::new(AtomicIsize::new(0))),
-    )
+impl ViCells {
+    fn cell(&self, owner: NodeId, peer: NodeId, tag: u64) -> Arc<AtomicIsize> {
+        Arc::clone(self.0.lock().entry((owner, peer, tag)).or_default())
+    }
 }
 
 /// A node's handle on the VIA provider of a SAN adapter.
@@ -74,15 +69,15 @@ impl Via {
             "node {peer} is not on SAN {:?}",
             self.adapter.name()
         );
-        let me = self.node();
+        let (me, cells) = (self.node(), self.adapter.vi_cells());
         Vi {
             adapter: self.adapter.clone(),
             peer,
             tag,
             // Our posted receive descriptors (owned by this end).
-            my_descs: descriptor_cell(self.adapter.uid(), me, peer, tag),
+            my_descs: cells.cell(me, peer, tag),
             // The peer's posted receive descriptors (observed when sending).
-            peer_descs: descriptor_cell(self.adapter.uid(), peer, me, tag),
+            peer_descs: cells.cell(peer, me, tag),
             posted_caps: VecDeque::new(),
         }
     }

@@ -5,6 +5,14 @@
 //! simulated NIC. Clusters-of-clusters configurations are expressed
 //! naturally: a gateway node is simply a member of two networks (paper §6).
 //!
+//! [`WorldBuilder::build`] builds everything the world owns once: per
+//! network its members and mailboxes, the SISCI segment directory and the
+//! VIA descriptor counts; per node its arrivals count and PCI bus; the
+//! calibration table and the fault state. [`World`], [`NodeEnv`] and
+//! [`Adapter`] are handles on it, so cloning an adapter is one reference
+//! count, nothing a world owns outlives its last handle, and no state is
+//! shared between worlds.
+//!
 //! When a world runs, each node is a real OS thread: node *i* of every
 //! world a thread runs is the same OS thread, worker *i* of that thread's
 //! *crew* (see [`World::run`]). The crew is started once, so a run costs
@@ -17,16 +25,15 @@ use crate::fault::{FaultPlan, FaultState};
 use crate::frame::{Frame, NodeId};
 use crate::mailbox::Mailbox;
 use crate::pci::PciBus;
+use crate::stacks::sisci::Segments;
+use crate::stacks::via::ViCells;
 use crate::time::{self, AbortFlag, ClockHandle, VDuration, VTime, NO_NODE};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, Thread};
-
-/// World topology entry: one network's name, fabric kind, and members.
-pub type TopologyEntry = (Arc<str>, NetKind, Arc<[NodeId]>);
 
 /// Hardware family of a network. Protocol stacks assert they are
 /// instantiated on a compatible fabric.
@@ -47,7 +54,7 @@ pub enum NetKind {
 pub struct NetworkId(pub usize);
 
 struct NetworkSpec {
-    name: Arc<str>,
+    name: String,
     kind: NetKind,
     members: Vec<NodeId>,
     /// Adapters per member node (multirail). 1 for ordinary networks.
@@ -134,12 +141,12 @@ impl WorldBuilder {
             assert!(m < self.n_nodes, "member {m} out of range in {name:?}");
         }
         assert!(
-            self.networks.iter().all(|n| &*n.name != name),
+            self.networks.iter().all(|n| n.name != name),
             "duplicate network name {name:?}"
         );
         let id = NetworkId(self.networks.len());
         self.networks.push(NetworkSpec {
-            name: Arc::from(name),
+            name: name.to_owned(),
             kind,
             members: members.to_vec(),
             rails,
@@ -152,111 +159,104 @@ impl WorldBuilder {
         // One inbound mailbox per (network, member node), notifying the
         // member's arrivals count.
         let mut networks = Vec::with_capacity(self.networks.len());
-        for spec in &self.networks {
+        for spec in self.networks {
             let inbox = |m: NodeId| (m, Mailbox::notifying(Arc::clone(&arrivals[m])));
-            let mailboxes: Arc<HashMap<NodeId, Mailbox<Frame>>> =
-                Arc::new(spec.members.iter().map(|&m| inbox(m)).collect());
-            networks.push(BuiltNetwork {
-                uid: NEXT_NET_UID.fetch_add(1, Ordering::Relaxed),
-                name: Arc::clone(&spec.name),
-                kind: spec.kind,
-                members: Arc::from(spec.members.as_slice()),
-                rails: spec.rails,
+            let mailboxes = spec.members.iter().map(|&m| inbox(m)).collect();
+            networks.push(Network {
+                spec,
                 mailboxes,
+                segments: Segments::default(),
+                vi_cells: ViCells::default(),
             });
         }
-        let buses = Arc::new(
-            (0..self.n_nodes)
-                .map(|_| PciBus::new(self.calib.pci))
-                .collect::<Vec<_>>(),
-        );
+        let buses = (0..self.n_nodes)
+            .map(|_| PciBus::new(self.calib.pci))
+            .collect();
         World {
-            n_nodes: self.n_nodes,
-            networks,
-            arrivals,
-            buses,
-            calib: Arc::new(self.calib),
-            faults: self.faults.as_ref().map(FaultPlan::build),
+            world: Arc::new(WorldShared {
+                networks,
+                arrivals,
+                buses,
+                calib: self.calib,
+                faults: self.faults.as_ref().map(FaultPlan::build),
+            }),
         }
     }
 }
 
-static NEXT_NET_UID: AtomicU64 = AtomicU64::new(1);
+/// One built network: its declaration and the state its members share.
+struct Network {
+    spec: NetworkSpec,
+    mailboxes: HashMap<NodeId, Mailbox<Frame>>,
+    /// The SISCI segments exported on it (an SCI network's only).
+    segments: Segments,
+    /// The VIA descriptor counts of its VIs (a VIA SAN's only).
+    vi_cells: ViCells,
+}
 
-struct BuiltNetwork {
-    /// Process-unique id, so per-network global registries (e.g. the SISCI
-    /// segment directory) never collide across worlds or tests.
-    uid: u64,
-    name: Arc<str>,
-    kind: NetKind,
-    members: Arc<[NodeId]>,
-    rails: usize,
-    mailboxes: Arc<HashMap<NodeId, Mailbox<Frame>>>,
+/// Everything one world owns, built once by [`WorldBuilder::build`]. The
+/// [`World`], every [`NodeEnv`] and every [`Adapter`] are handles on it.
+///
+/// It holds no handle on itself: what lives here (mailboxes, segments,
+/// descriptor counts) keeps only node ids and `Arc`s of leaf state, so
+/// the last handle dropped frees the world.
+struct WorldShared {
+    networks: Vec<Network>,
+    /// Per node, what every arrival at it notifies ([`NodeEnv::arrivals`]).
+    arrivals: Vec<Arc<EventCount>>,
+    /// Per node, its host bus.
+    buses: Vec<PciBus>,
+    calib: Calib,
+    faults: Option<Arc<FaultState>>,
+}
+
+impl WorldShared {
+    fn n_nodes(&self) -> usize {
+        self.arrivals.len()
+    }
 }
 
 /// A fully-built cluster (of clusters). See [`WorldBuilder`].
 pub struct World {
-    n_nodes: usize,
-    networks: Vec<BuiltNetwork>,
-    /// Per node, what every arrival at it notifies ([`NodeEnv::arrivals`]).
-    arrivals: Vec<Arc<EventCount>>,
-    buses: Arc<Vec<PciBus>>,
-    calib: Arc<Calib>,
-    faults: Option<Arc<FaultState>>,
+    world: Arc<WorldShared>,
 }
 
 impl World {
     pub fn n_nodes(&self) -> usize {
-        self.n_nodes
+        self.world.n_nodes()
     }
 
     /// The fault layer's runtime state, if a [`FaultPlan`] was attached:
     /// the deterministic fault log, totals, and the dynamic crash switch.
     pub fn faults(&self) -> Option<&Arc<FaultState>> {
-        self.faults.as_ref()
+        self.world.faults.as_ref()
     }
 
+    /// Node `node`'s environment, its adapter list still empty: the node's
+    /// worker fills it in ([`World::run`]), so the thread that drops the
+    /// list is the one that allocated it.
     fn env_for(&self, node: NodeId, run: Arc<Run>) -> NodeEnv {
-        let adapters = self
-            .networks
-            .iter()
-            .enumerate()
-            .filter(|(_, net)| net.members.contains(&node))
+        NodeEnv {
+            world: Arc::clone(&self.world),
+            node,
+            adapters: Vec::new(),
+            run,
+        }
+    }
+
+    /// The adapters node `node` owns, in network-declaration order.
+    fn adapters_of(&self, node: NodeId) -> Vec<Adapter> {
+        let nets = self.world.networks.iter().enumerate();
+        nets.filter(|(_, net)| net.spec.members.contains(&node))
             .flat_map(|(i, net)| {
-                (0..net.rails).map(move |rail| Adapter {
-                    uid: net.uid,
+                (0..net.spec.rails).map(move |rail| Adapter {
+                    world: Arc::clone(&self.world),
                     net: NetworkId(i),
                     rail,
-                    kind: net.kind,
-                    name: Arc::clone(&net.name),
                     node,
-                    peers: Arc::clone(&net.members),
-                    mailboxes: Arc::clone(&net.mailboxes),
-                    arrivals: Arc::clone(&self.arrivals[node]),
-                    pci: self.buses[node].clone(),
-                    all_buses: Arc::clone(&self.buses),
-                    calib: Arc::clone(&self.calib),
-                    faults: self.faults.clone(),
                 })
             })
-            .collect();
-        let topology = Arc::new(
-            self.networks
-                .iter()
-                .map(|n| (Arc::clone(&n.name), n.kind, Arc::clone(&n.members)))
-                .collect::<Vec<_>>(),
-        );
-        NodeEnv {
-            node,
-            n_nodes: self.n_nodes,
-            adapters,
-            arrivals: Arc::clone(&self.arrivals[node]),
-            pci: self.buses[node].clone(),
-            run,
-            topology,
-            calib: Arc::clone(&self.calib),
-            faults: self.faults.clone(),
-        }
+            .collect()
     }
 
     /// Run `f` once per node, each with a fresh virtual clock, and return
@@ -286,18 +286,23 @@ impl World {
         T: Send,
         F: Fn(NodeEnv) -> T + Send + Sync,
     {
+        let n_nodes = self.n_nodes();
         let run = Arc::new(Run {
             panicked: Arc::new(AtomicUsize::new(NO_NODE)),
             threads: Mutex::default(),
-            n_nodes: self.n_nodes,
+            n_nodes,
             arrived: AtomicUsize::new(0),
             barrier_moved: EventCount::default(),
         });
-        let mut outs: Vec<Option<thread::Result<T>>> = (0..self.n_nodes).map(|_| None).collect();
+        let mut outs: Vec<Option<thread::Result<T>>> = (0..n_nodes).map(|_| None).collect();
         let jobs = outs.iter_mut().enumerate().map(|(node, out)| {
             let env = self.env_for(node, Arc::clone(&run));
             let (f, run) = (&f, &run);
             Box::new(move || {
+                let env = NodeEnv {
+                    adapters: self.adapters_of(node),
+                    ..env
+                };
                 let prev = time::install_clock(ClockHandle::new());
                 let prev_abort = run.enlist();
                 let got = catch_unwind(AssertUnwindSafe(|| f(env)));
@@ -311,7 +316,7 @@ impl World {
         });
         CREW.with_borrow_mut(|crew| crew.dispatch(jobs.collect()));
         let first = run.panicked.load(Ordering::SeqCst);
-        let mut results = Vec::with_capacity(self.n_nodes);
+        let mut results = Vec::with_capacity(n_nodes);
         let mut panic = None;
         for (node, out) in outs.into_iter().enumerate() {
             match out.expect("dispatch returns once every job has run") {
@@ -498,19 +503,13 @@ impl Run {
     }
 }
 
-/// Per-node execution environment handed to the closure of [`World::run`].
+/// Per-node execution environment handed to the closure of [`World::run`]:
+/// a handle on the world, for one node of it.
 pub struct NodeEnv {
+    world: Arc<WorldShared>,
     node: NodeId,
-    n_nodes: usize,
     adapters: Vec<Adapter>,
-    arrivals: Arc<EventCount>,
-    pci: PciBus,
     run: Arc<Run>,
-    /// World topology: every network's (name, kind, members) — global
-    /// configuration knowledge every node legitimately has.
-    topology: Arc<Vec<TopologyEntry>>,
-    calib: Arc<Calib>,
-    faults: Option<Arc<FaultState>>,
 }
 
 impl NodeEnv {
@@ -520,11 +519,11 @@ impl NodeEnv {
 
     /// The world's fault layer, if one is installed.
     pub fn faults(&self) -> Option<&Arc<FaultState>> {
-        self.faults.as_ref()
+        self.world.faults.as_ref()
     }
 
     pub fn n_nodes(&self) -> usize {
-        self.n_nodes
+        self.world.n_nodes()
     }
 
     /// All adapters this node owns, in network-declaration order.
@@ -558,7 +557,7 @@ impl NodeEnv {
     /// use [`adapters_named`](Self::adapters_named). Release builds return
     /// rail 0.
     pub fn adapter_named(&self, name: &str) -> Option<&Adapter> {
-        let mut it = self.adapters.iter().filter(|a| &*a.name == name);
+        let mut it = self.adapters.iter().filter(|a| a.name() == name);
         let first = it.next();
         debug_assert!(
             it.next().is_none(),
@@ -578,41 +577,38 @@ impl NodeEnv {
     /// Every adapter this node owns on the network named `name`, in rail
     /// order. Empty when the node is not a member.
     pub fn adapters_named(&self, name: &str) -> Vec<&Adapter> {
-        self.adapters.iter().filter(|a| &*a.name == name).collect()
+        self.adapters.iter().filter(|a| a.name() == name).collect()
     }
 
     /// This node's host I/O bus.
     pub fn pci(&self) -> &PciBus {
-        &self.pci
+        &self.world.buses[self.node]
     }
 
     /// This node's arrivals count: every frame pushed into any of its
     /// inboxes and every flag written into any SISCI segment it owns
     /// notifies it, so a wait for "anything inbound" parks here.
     pub fn arrivals(&self) -> &Arc<EventCount> {
-        &self.arrivals
+        &self.world.arrivals[self.node]
     }
 
     /// The world's calibration table.
     pub fn calib(&self) -> &Calib {
-        &self.calib
+        &self.world.calib
     }
 
     /// Members of the named network, whether or not this node is one
     /// (topology is static configuration, not a secret).
     pub fn members_of(&self, network: &str) -> Option<Vec<NodeId>> {
-        self.topology
-            .iter()
-            .find(|(n, _, _)| &**n == network)
-            .map(|(_, _, m)| m.to_vec())
+        let mut nets = self.world.networks.iter();
+        nets.find(|n| n.spec.name == network)
+            .map(|n| n.spec.members.clone())
     }
 
     /// Names and kinds of every network in the world.
     pub fn networks(&self) -> Vec<(String, NetKind)> {
-        self.topology
-            .iter()
-            .map(|(n, k, _)| (n.to_string(), *k))
-            .collect()
+        let nets = self.world.networks.iter();
+        nets.map(|n| (n.spec.name.clone(), n.spec.kind)).collect()
     }
 
     /// Real-time barrier across *all* nodes of the world.
@@ -644,34 +640,37 @@ impl NodeEnv {
     }
 }
 
-/// A simulated NIC: this node's endpoint on one network.
+/// A simulated NIC: this node's endpoint on one network — a handle on the
+/// world, naming the network, the rail and the owning node.
 ///
 /// The adapter is *raw*: it moves frames and enforces membership, but all
 /// timing is charged by the protocol stack driving it (see
 /// [`crate::stacks`]), mirroring how BIP/SISCI/VIA own their NICs.
 #[derive(Clone)]
 pub struct Adapter {
-    uid: u64,
+    world: Arc<WorldShared>,
     net: NetworkId,
     /// Which of the owning node's NICs on this network this is (0-based).
     rail: usize,
-    kind: NetKind,
-    name: Arc<str>,
     node: NodeId,
-    peers: Arc<[NodeId]>,
-    mailboxes: Arc<HashMap<NodeId, Mailbox<Frame>>>,
-    /// The owning node's arrivals count (see [`NodeEnv::arrivals`]).
-    arrivals: Arc<EventCount>,
-    pci: PciBus,
-    all_buses: Arc<Vec<PciBus>>,
-    calib: Arc<Calib>,
-    faults: Option<Arc<FaultState>>,
 }
 
+// A clone is one reference count: the adapter stays a handle.
+const _: () = assert!(std::mem::size_of::<Adapter>() <= 32);
+
 impl Adapter {
-    /// Process-unique id of the underlying network.
-    pub fn uid(&self) -> u64 {
-        self.uid
+    fn wire(&self) -> &Network {
+        &self.world.networks[self.net.0]
+    }
+
+    /// The SISCI segments exported on this network.
+    pub(crate) fn segments(&self) -> &Segments {
+        &self.wire().segments
+    }
+
+    /// The descriptor counts of this network's VIA VIs.
+    pub(crate) fn vi_cells(&self) -> &ViCells {
+        &self.wire().vi_cells
     }
 
     pub fn network(&self) -> NetworkId {
@@ -690,8 +689,7 @@ impl Adapter {
     /// ([`FaultPlan::partition_rail_after`]). Fail-fast checks in the
     /// stacks use this so one dead rail does not condemn its siblings.
     pub fn reachable_to(&self, dst: NodeId) -> bool {
-        self.faults
-            .as_ref()
+        self.faults()
             .is_none_or(|f| f.reachable_on(self.net.0, self.rail, self.node, dst))
     }
 
@@ -700,8 +698,7 @@ impl Adapter {
     /// direction, so a receiver waiting on a frame must ask about the
     /// sender's direction, not its own.
     pub fn reachable_from(&self, src: NodeId) -> bool {
-        self.faults
-            .as_ref()
+        self.faults()
             .is_none_or(|f| f.reachable_on(self.net.0, self.rail, src, self.node))
     }
 
@@ -712,11 +709,11 @@ impl Adapter {
     }
 
     pub fn kind(&self) -> NetKind {
-        self.kind
+        self.wire().spec.kind
     }
 
     pub fn name(&self) -> &str {
-        &self.name
+        &self.wire().spec.name
     }
 
     /// The node owning this adapter.
@@ -726,17 +723,17 @@ impl Adapter {
 
     /// All members of this network (including this node).
     pub fn peers(&self) -> &[NodeId] {
-        &self.peers
+        &self.wire().spec.members
     }
 
     /// Host bus of the owning node.
     pub fn pci(&self) -> &PciBus {
-        &self.pci
+        &self.world.buses[self.node]
     }
 
     /// The owning node's arrivals count (see [`NodeEnv::arrivals`]).
     pub fn arrivals(&self) -> &Arc<EventCount> {
-        &self.arrivals
+        &self.world.arrivals[self.node]
     }
 
     /// Host bus of any node in the world. Simulation-level access: a
@@ -745,25 +742,25 @@ impl Adapter {
     /// the far side), which keeps contention visible to transfers the
     /// receiving node issues later.
     pub fn pci_of(&self, node: NodeId) -> &PciBus {
-        &self.all_buses[node]
+        &self.world.buses[node]
     }
 
     /// The world's calibration table: what the stack driving this adapter
     /// charges.
     pub fn calib(&self) -> &Calib {
-        &self.calib
+        &self.world.calib
     }
 
     /// Is a fault plan installed in this world? Stacks use this to arm
     /// their recovery machinery (acks, timeouts) only when faults are
     /// possible, keeping the reliable-fabric fast path untouched.
     pub fn faulty(&self) -> bool {
-        self.faults.is_some()
+        self.world.faults.is_some()
     }
 
     /// The world's fault layer, if one is installed.
     pub fn faults(&self) -> Option<&Arc<FaultState>> {
-        self.faults.as_ref()
+        self.world.faults.as_ref()
     }
 
     /// Deliver a frame to `dst`'s inbound mailbox on this network.
@@ -796,11 +793,8 @@ impl Adapter {
     }
 
     fn send_judged(&self, dst: NodeId, mut frame: Frame, control: bool) {
-        let mb = self
-            .mailboxes
-            .get(&dst)
-            .unwrap_or_else(|| panic!("node {dst} is not on network {:?}", self.name));
-        let Some(faults) = &self.faults else {
+        let mb = self.mailbox(dst);
+        let Some(faults) = self.faults() else {
             return mb.push(frame);
         };
         faults.carry((self.fault_key(), self.node, dst), control, |v| {
@@ -822,9 +816,7 @@ impl Adapter {
 
     /// This node's inbound mailbox on this network.
     pub fn inbox(&self) -> &Mailbox<Frame> {
-        self.mailboxes
-            .get(&self.node)
-            .expect("adapter owner is a member")
+        self.mailbox(self.node)
     }
 
     /// Another member's inbound mailbox (simulation-level introspection,
@@ -833,10 +825,12 @@ impl Adapter {
     /// # Panics
     /// Panics if `node` is not a member of this network.
     pub fn inbox_of(&self, node: NodeId) -> Mailbox<Frame> {
-        self.mailboxes
-            .get(&node)
-            .unwrap_or_else(|| panic!("node {node} is not on network {:?}", self.name))
-            .clone()
+        self.mailbox(node).clone()
+    }
+
+    fn mailbox(&self, node: NodeId) -> &Mailbox<Frame> {
+        let mailbox = self.wire().mailboxes.get(&node);
+        mailbox.unwrap_or_else(|| panic!("node {node} is not on network {:?}", self.name()))
     }
 }
 

@@ -73,12 +73,38 @@ if ! grep -q 'test result: ok. 3 passed' <<<"$crew_out"; then
     echo "verify: FAIL — world set-up: world::tests (reuse, panicked world, outer abort)" >&2
     exit 1
 fi
+# A world owns everything it builds: 200 finished worlds per protocol leave
+# no live heap bytes behind (a per-world entry in a process-global map or a
+# reference cycle through the world's handles would), counted the same way.
+teardown_out=$(cargo test -q -p madeleine --test world_teardown 2>&1) || true
+if ! grep -q 'test result: ok. 1 passed' <<<"$teardown_out"; then
+    echo "$teardown_out" >&2
+    echo "verify: FAIL — world set-up: --test world_teardown (a finished world left bytes behind)" >&2
+    exit 1
+fi
 # ... and that `unsafe` is the only one: every library crate forbids
 # unsafe code, madsim-net denies it and allows it once, on the crew's
 # dispatch.
 if [ "$(grep -rn 'allow(unsafe_code)' crates/*/src | wc -l)" != 1 ]; then
     grep -rn 'allow(unsafe_code)' crates/*/src >&2
     echo "verify: FAIL — unsafe code allowed other than on the crew's dispatch (listed above)" >&2
+    exit 1
+fi
+
+# One-owner lint: per-world state lives in the world that built it
+# (madsim_net::world's WorldShared), never in a process-global — a
+# `static` holding a lock, a once-cell, an atomic or a map in library code
+# before a file's test module is a registry growing back. Thread-locals
+# (the crew, the virtual clock and abort flag) are per thread, not global.
+static_hits=$(find crates/*/src -name '*.rs' | sort |
+    xargs awk '/^#\[cfg\(test\)\]/ { nextfile }
+               /thread_local! *\{/ { tls = 1 }
+               tls { if (/^ *\} *$/) tls = 0; next }
+               /^[[:space:]]*(pub(\([a-z]+\))? )?static [A-Za-z_0-9]+ *:/ &&
+               /(Mutex|RwLock|OnceLock|Atomic[A-Za-z0-9]*|HashMap)/ { print FILENAME ":" FNR ": " $0 }')
+if [ -n "$static_hits" ]; then
+    echo "$static_hits" >&2
+    echo "verify: FAIL — a process-global static holding state (listed above): put it in the world" >&2
     exit 1
 fi
 
