@@ -22,7 +22,6 @@
 use crate::generic_tm::{hop_recv, hop_send, recv_fragment_header};
 use crate::route::Route;
 use crate::vchannel::{route_of_chain, VirtualChannelSpec};
-use crate::wire::FragHeader;
 use madeleine::bmm::SendPolicy;
 use madeleine::config::Config;
 use madeleine::error::{MadError, MadResult};
@@ -31,6 +30,7 @@ use madeleine::pmm::Pmm;
 use madeleine::pool::{BufPool, PooledBuf};
 use madeleine::stats::Stats;
 use madeleine::tm::StaticBuf;
+use madeleine::wire::FragHeader;
 use madeleine::{CompletionQueue, Madeleine};
 use madsim_net::eventcount::EventCount;
 use madsim_net::time::{self, VDuration, VTime};

@@ -33,7 +33,6 @@
 //! discarded). With a single healthy route none of this machinery runs.
 
 use crate::route::Route;
-use crate::wire::{FragHeader, FRAG_HEADER_LEN};
 use madeleine::bmm::{RecvBmm, SendBmm, SendPolicy};
 use madeleine::channel::Channel;
 use madeleine::config::HostModel;
@@ -44,6 +43,7 @@ use madeleine::pool::{BufPool, PooledBuf};
 use madeleine::stats::Stats;
 use madeleine::tm::{TmCaps, TmId, TransmissionModule};
 use madeleine::trace::{TraceEvent, Tracer};
+use madeleine::wire::{FragHeader, FRAG_HEADER_LEN};
 use madsim_net::eventcount::EventCount;
 use madsim_net::time;
 use madsim_net::NodeId;

@@ -14,7 +14,8 @@
 //! * [`generic_tm::GenericTm`] — the Generic Transmission Module inserted
 //!   *between* the buffer-management layer and the real TMs: fragments
 //!   messages to the route MTU and makes them self-described
-//!   ([`wire::FragHeader`]) so stateless gateways can forward them;
+//!   ([`FragHeader`], laid out in [`madeleine::wire`]) so stateless
+//!   gateways can forward them;
 //! * [`gateway::Gateway`] — the two-thread, dual-buffered forwarding
 //!   pipeline with the §6.1 copy-avoidance matrix (receive into the
 //!   outgoing protocol's static buffers; forward straight out of arrival
@@ -27,9 +28,8 @@ pub mod gateway;
 pub mod generic_tm;
 pub mod route;
 pub mod vchannel;
-pub mod wire;
 
 pub use gateway::{Gateway, GatewayConfig, GW_RECV_OVERHEAD_US, GW_SEND_OVERHEAD_US};
+pub use madeleine::wire::{FragHeader, FRAG_HEADER_LEN};
 pub use route::Route;
 pub use vchannel::{VirtualChannel, VirtualChannelSpec, DEFAULT_MTU};
-pub use wire::{FragHeader, FRAG_HEADER_LEN};

@@ -21,6 +21,7 @@
 use crate::comm::Comm;
 use crate::p2p::P2p;
 use crate::request::{waitall, Request};
+use madeleine::wire::{Reader, Writer};
 
 /// Internal tag space (user tags must be non-negative, like in MPI).
 const TAG_BARRIER: i32 = -1;
@@ -60,6 +61,21 @@ impl ReduceOp {
             ReduceOp::Min => a.min(b),
         }
     }
+}
+
+/// An operand vector's wire form: its values back to back.
+fn operands_to_wire(v: &[f64]) -> Vec<u8> {
+    let mut w = Writer::new();
+    for &x in v {
+        w.put_f64(x);
+    }
+    w.into_vec()
+}
+
+/// The operands in `bytes`, as [`operands_to_wire`] wrote them.
+fn operands_from_wire(bytes: &[u8]) -> impl Iterator<Item = f64> + '_ {
+    let mut r = Reader::new(bytes);
+    std::iter::from_fn(move || r.get_f64().ok())
 }
 
 /// Block until every rank has entered (linear fan-in to rank 0, fan-out).
@@ -106,23 +122,20 @@ pub fn bcast(comm: &Comm, p2p: &P2p, root: usize, buf: &mut [u8]) {
 
 /// Element-wise reduction of `data` to `root`; returns the result there.
 pub fn reduce(comm: &Comm, p2p: &P2p, root: usize, op: ReduceOp, data: &[f64]) -> Option<Vec<f64>> {
-    let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
     if comm.rank() == root {
         let mut acc = data.to_vec();
-        let mut buf = vec![0u8; bytes.len()];
         for r in 0..comm.size() {
             if r == root {
                 continue;
             }
-            p2p.recv(comm, Some(r), Some(TAG_REDUCE), &mut buf);
-            for (i, chunk) in buf.chunks_exact(8).enumerate() {
-                let v = f64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-                acc[i] = op.apply(acc[i], v);
+            let theirs = p2p.recv_vec(comm, Some(r), Some(TAG_REDUCE));
+            for (a, v) in acc.iter_mut().zip(operands_from_wire(&theirs)) {
+                *a = op.apply(*a, v);
             }
         }
         Some(acc)
     } else {
-        p2p.send(comm, root, TAG_REDUCE, &bytes);
+        p2p.send(comm, root, TAG_REDUCE, &operands_to_wire(data));
         None
     }
 }
@@ -131,14 +144,11 @@ pub fn reduce(comm: &Comm, p2p: &P2p, root: usize, op: ReduceOp, data: &[f64]) -
 pub fn allreduce(comm: &Comm, p2p: &P2p, op: ReduceOp, data: &[f64]) -> Vec<f64> {
     let reduced = reduce(comm, p2p, 0, op, data);
     let mut bytes = match reduced {
-        Some(v) => v.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>(),
+        Some(v) => operands_to_wire(&v),
         None => vec![0u8; data.len() * 8],
     };
     bcast(comm, p2p, 0, &mut bytes);
-    bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-        .collect()
+    operands_from_wire(&bytes).collect()
 }
 
 /// Gather every rank's block at `root` (rank order).
@@ -150,10 +160,7 @@ pub fn gather(comm: &Comm, p2p: &P2p, root: usize, data: &[u8]) -> Option<Vec<Ve
             if r == root {
                 continue;
             }
-            let mut buf = vec![0u8; 1 << 22];
-            let st = p2p.recv(comm, Some(r), Some(TAG_GATHER), &mut buf);
-            buf.truncate(st.len);
-            *slot = buf;
+            *slot = p2p.recv_vec(comm, Some(r), Some(TAG_GATHER));
         }
         Some(out)
     } else {
@@ -177,18 +184,9 @@ pub fn alltoall(comm: &Comm, p2p: &P2p, blocks: &[Vec<u8>]) -> Vec<Vec<u8>> {
         if peer >= size {
             continue;
         }
-        let mut buf = vec![0u8; 1 << 22];
-        let st = p2p.sendrecv(
-            comm,
-            peer,
-            TAG_ALLTOALL,
-            &blocks[peer],
-            Some(peer),
-            Some(TAG_ALLTOALL),
-            &mut buf,
-        );
-        buf.truncate(st.len);
-        out[peer] = buf;
+        out[peer] = p2p.sendrecv(comm, peer, TAG_ALLTOALL, &blocks[peer], || {
+            p2p.recv_vec(comm, Some(peer), Some(TAG_ALLTOALL))
+        });
     }
     out
 }
@@ -206,10 +204,7 @@ pub fn scatter(comm: &Comm, p2p: &P2p, root: usize, blocks: Option<&[Vec<u8>]>) 
         }
         blocks[root].clone()
     } else {
-        let mut buf = vec![0u8; 1 << 22];
-        let st = p2p.recv(comm, Some(root), Some(TAG_SCATTER), &mut buf);
-        buf.truncate(st.len);
-        buf
+        p2p.recv_vec(comm, Some(root), Some(TAG_SCATTER))
     }
 }
 
@@ -229,18 +224,9 @@ pub fn allgather(comm: &Comm, p2p: &P2p, data: &[u8]) -> Vec<Vec<u8>> {
     for s in 0..size - 1 {
         let send_idx = (me + size - s) % size;
         let recv_idx = (me + size - s - 1) % size;
-        let mut buf = vec![0u8; 1 << 22];
-        let st = p2p.sendrecv(
-            comm,
-            right,
-            TAG_ALLGATHER,
-            &out[send_idx],
-            Some(left),
-            Some(TAG_ALLGATHER),
-            &mut buf,
-        );
-        buf.truncate(st.len);
-        out[recv_idx] = buf;
+        out[recv_idx] = p2p.sendrecv(comm, right, TAG_ALLGATHER, &out[send_idx], || {
+            p2p.recv_vec(comm, Some(left), Some(TAG_ALLGATHER))
+        });
     }
     out
 }
@@ -425,20 +411,17 @@ fn tree_reduce(
     let vme = (me_pos + n - root_pos) % n;
     let to_rank = |v: usize| ranks[(v + root_pos) % n];
     let mut acc = data.to_vec();
-    let mut buf = vec![0u8; data.len() * 8];
     let mut mask = 1usize;
     while mask < n {
         if vme & mask != 0 {
-            let bytes: Vec<u8> = acc.iter().flat_map(|v| v.to_le_bytes()).collect();
-            p2p.send(comm, to_rank(vme ^ mask), tag, &bytes);
+            p2p.send(comm, to_rank(vme ^ mask), tag, &operands_to_wire(&acc));
             return None;
         }
         let child = vme | mask;
         if child < n {
-            p2p.recv(comm, Some(to_rank(child)), Some(tag), &mut buf);
-            for (i, chunk) in buf.chunks_exact(8).enumerate() {
-                let v = f64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-                acc[i] = op.apply(acc[i], v);
+            let theirs = p2p.recv_vec(comm, Some(to_rank(child)), Some(tag));
+            for (a, v) in acc.iter_mut().zip(operands_from_wire(&theirs)) {
+                *a = op.apply(*a, v);
             }
         }
         mask <<= 1;
@@ -494,7 +477,7 @@ pub fn allreduce_hier(
             // set (fan-in to the root cluster's leader, bcast back out).
             let inter = tree_reduce(comm, p2p, &leaders, 0, TAG_HLEADER, op, &acc);
             let mut b = match inter {
-                Some(v) => v.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>(),
+                Some(v) => operands_to_wire(&v),
                 None => vec![0u8; data.len() * 8],
             };
             tree_bcast(comm, p2p, &leaders, 0, TAG_HLEADER, &mut b);
@@ -503,10 +486,7 @@ pub fn allreduce_hier(
         None => vec![0u8; data.len() * 8],
     };
     tree_bcast(comm, p2p, &members, leader_pos, TAG_HBCAST, &mut bytes);
-    bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-        .collect()
+    operands_from_wire(&bytes).collect()
 }
 
 /// Topology-aware gather: every cluster gathers at its leader, then each
@@ -537,19 +517,15 @@ pub fn gather_hier(
         if r == me {
             blocks.push(data.to_vec());
         } else {
-            let mut buf = vec![0u8; 1 << 22];
-            let st = p2p.recv(comm, Some(r), Some(TAG_HGATHER), &mut buf);
-            buf.truncate(st.len);
-            blocks.push(buf);
+            blocks.push(p2p.recv_vec(comm, Some(r), Some(TAG_HGATHER)));
         }
     }
     if me != root {
-        let mut packed = Vec::new();
+        let mut packed = Writer::new();
         for b in &blocks {
-            packed.extend_from_slice(&(b.len() as u32).to_le_bytes());
-            packed.extend_from_slice(b);
+            packed.put_bytes(b);
         }
-        p2p.send(comm, root, TAG_HLEADER, &packed);
+        p2p.send(comm, root, TAG_HLEADER, packed.as_slice());
         return None;
     }
     // Root: place the local cluster, then unpack one message per remote
@@ -562,17 +538,15 @@ pub fn gather_hier(
         if c == my_cluster {
             continue;
         }
-        let mut buf = vec![0u8; 1 << 22];
-        let st = p2p.recv(comm, Some(l), Some(TAG_HLEADER), &mut buf);
-        buf.truncate(st.len);
-        let mut at = 0usize;
+        let packed = p2p.recv_vec(comm, Some(l), Some(TAG_HLEADER));
+        let mut leader_msg = Reader::new(&packed);
         for &r in &topo.members_of(c) {
-            let len = u32::from_le_bytes(buf[at..at + 4].try_into().expect("4 bytes")) as usize;
-            at += 4;
-            out[r] = buf[at..at + len].to_vec();
-            at += len;
+            out[r] = leader_msg
+                .get_bytes()
+                .expect("one block per member")
+                .to_vec();
         }
-        assert_eq!(at, st.len, "leader message fully consumed");
+        assert!(leader_msg.is_empty(), "leader message fully consumed");
     }
     Some(out)
 }
@@ -583,16 +557,13 @@ pub fn scan(comm: &Comm, p2p: &P2p, op: ReduceOp, data: &[f64]) -> Vec<f64> {
     let me = comm.rank();
     let mut acc = data.to_vec();
     if me > 0 {
-        let mut buf = vec![0u8; data.len() * 8];
-        p2p.recv(comm, Some(me - 1), Some(TAG_SCAN), &mut buf);
-        for (i, chunk) in buf.chunks_exact(8).enumerate() {
-            let v = f64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-            acc[i] = op.apply(v, acc[i]);
+        let theirs = p2p.recv_vec(comm, Some(me - 1), Some(TAG_SCAN));
+        for (a, v) in acc.iter_mut().zip(operands_from_wire(&theirs)) {
+            *a = op.apply(v, *a);
         }
     }
     if me + 1 < comm.size() {
-        let bytes: Vec<u8> = acc.iter().flat_map(|v| v.to_le_bytes()).collect();
-        p2p.send(comm, me + 1, TAG_SCAN, &bytes);
+        p2p.send(comm, me + 1, TAG_SCAN, &operands_to_wire(&acc));
     }
     acc
 }

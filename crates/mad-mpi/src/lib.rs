@@ -5,7 +5,7 @@
 //! multi-adapter transfer selection. This crate reproduces that layering:
 //! a compact MPI subset (communicators, tagged blocking point-to-point with
 //! wildcards and an unexpected-message queue, and the usual collectives)
-//! whose *entire* transport is Madeleine messages — one 8-byte envelope
+//! whose *entire* transport is Madeleine messages — one 12-byte envelope
 //! packed `receive_EXPRESS` plus the payload packed `receive_CHEAPER`.
 //!
 //! ```no_run
@@ -46,6 +46,7 @@ pub use comm::Comm;
 pub use p2p::{Status, ANY_SOURCE, ANY_TAG};
 pub use request::{waitall, Request};
 
+use madeleine::wire::{Reader, Writer};
 use madeleine::Madeleine;
 use std::sync::Arc;
 
@@ -88,11 +89,11 @@ impl Mpi {
     /// nesting depth of 4 splits.
     pub fn split(&self, color: u32) -> Arc<Mpi> {
         // Agree on everyone's color.
-        let mine = color.to_le_bytes();
-        let all = collectives::allgather(&self.comm, &self.p2p, &mine);
+        let mut mine = Writer::new();
+        let all = collectives::allgather(&self.comm, &self.p2p, mine.put_u32(color).as_slice());
         let colors: Vec<u32> = all
             .iter()
-            .map(|b| u32::from_le_bytes(b[..4].try_into().expect("4 bytes")))
+            .map(|b| Reader::new(b).get_u32().expect("a rank's color"))
             .collect();
         let mut distinct: Vec<u32> = colors.clone();
         distinct.sort_unstable();
@@ -192,8 +193,9 @@ impl Mpi {
         recv_tag: Option<i32>,
         buf: &mut [u8],
     ) -> Status {
-        self.p2p
-            .sendrecv(&self.comm, dst_rank, send_tag, data, src, recv_tag, buf)
+        self.p2p.sendrecv(&self.comm, dst_rank, send_tag, data, || {
+            self.p2p.recv(&self.comm, src, recv_tag, buf)
+        })
     }
 
     /// Nonblocking probe for a matching message (MPI_Iprobe).

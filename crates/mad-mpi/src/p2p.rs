@@ -1,20 +1,25 @@
 //! Point-to-point messaging: the `ch_mad` device (paper §5.3.1).
 //!
-//! Every MPI message becomes one Madeleine message: an 8-byte envelope
-//! (tag + length) packed `(CHEAPER, EXPRESS)` — which coalesces with the
-//! library's own header into the protocol's small-message path — followed
-//! by the payload packed `(CHEAPER, CHEAPER)`, so the multi-protocol
-//! transfer-method selection of Madeleine II applies to MPI traffic
-//! unchanged: that is the whole point of the port.
+//! Every MPI message becomes one Madeleine message: a 12-byte envelope
+//! (context, tag, length: [`MpiEnvelope`]) packed `(CHEAPER, EXPRESS)` —
+//! which coalesces with the library's own header into the protocol's
+//! small-message path — followed by the payload packed `(CHEAPER,
+//! CHEAPER)`, so the multi-protocol transfer-method selection of
+//! Madeleine II applies to MPI traffic unchanged: that is the whole point
+//! of the port.
 //!
 //! Tag matching is MPICH-style: messages that arrive while a non-matching
 //! receive is outstanding are drained into an *unexpected queue* (one copy,
-//! as in real MPICH) and matched later.
+//! as in real MPICH) and matched later. A message longer than its receive
+//! buffer is truncated (`MPI_ERR_TRUNCATE`): the buffer gets its head, the
+//! rest is drained, and the status says so.
 
 use crate::comm::Comm;
 use bytes::Bytes;
-use madeleine::{OpId, RecvMode, SendMode};
+use madeleine::wire::MpiEnvelope;
+use madeleine::{IncomingMessage, OpId, RecvMode, SendMode};
 use madsim_net::time::{self, VDuration};
+use madsim_net::NodeId;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 
@@ -32,15 +37,62 @@ const MPI_OVERHEAD_US: f64 = 1.6;
 pub struct Status {
     pub source: usize,
     pub tag: i32,
+    /// Payload bytes delivered into the receive buffer (for a probe, the
+    /// message's length).
     pub len: usize,
+    /// The message was longer than the buffer (`MPI_ERR_TRUNCATE`).
+    pub truncated: bool,
 }
 
+/// A message drained off the wire into the queue: one no posted receive
+/// matched, or one a vector receive takes out whole.
 struct Unexpected {
     ctx: u16,
     /// Originating *node* (rank depends on the receiving communicator).
-    src_node: madsim_net::NodeId,
+    src_node: NodeId,
     tag: i32,
     data: Vec<u8>,
+}
+
+impl Unexpected {
+    /// Does a receive on `comm` with these selectors match this message?
+    fn matches(&self, comm: &Comm, src: Option<usize>, tag: Option<i32>) -> bool {
+        self.ctx == comm.ctx()
+            && src.is_none_or(|s| s < comm.size() && comm.node_of(s) == self.src_node)
+            && tag.is_none_or(|t| t == self.tag)
+    }
+
+    fn status(&self, comm: &Comm, (len, truncated): (usize, bool)) -> Status {
+        Status {
+            source: comm.rank_of(self.src_node),
+            tag: self.tag,
+            len,
+            truncated,
+        }
+    }
+}
+
+/// Copy the head of `data` that fits `buf`: the bytes delivered, and
+/// whether the rest was cut off.
+fn fill(buf: &mut [u8], data: &[u8]) -> (usize, bool) {
+    let n = data.len().min(buf.len());
+    buf[..n].copy_from_slice(&data[..n]);
+    (n, n < data.len())
+}
+
+/// Unpack a message's last block into `body` and end the message.
+fn finish<'a>(mut msg: IncomingMessage<'_, 'a>, body: &'a mut [u8]) {
+    if !body.is_empty() {
+        msg.unpack(body, SendMode::Cheaper, RecvMode::Cheaper);
+    }
+    msg.end_unpacking();
+}
+
+/// [`finish`] into a vector sized by the body.
+fn body_vec(msg: IncomingMessage<'_, '_>, len: usize) -> Vec<u8> {
+    let mut data = vec![0u8; len];
+    finish(msg, &mut data);
+    data
 }
 
 /// Point-to-point endpoint state of one communicator.
@@ -54,15 +106,21 @@ impl P2p {
         P2p::default()
     }
 
+    /// The envelope of both the blocking and the posted send.
+    fn envelope(comm: &Comm, tag: i32, data: &[u8]) -> [u8; MpiEnvelope::LEN] {
+        MpiEnvelope {
+            ctx: comm.ctx(),
+            tag,
+            len: data.len(),
+        }
+        .to_wire()
+    }
+
     /// Blocking standard-mode send.
     pub fn send(&self, comm: &Comm, dst_rank: usize, tag: i32, data: &[u8]) {
         time::advance(VDuration::from_micros_f64(MPI_OVERHEAD_US));
-        let ch = comm.channel();
-        let mut env = [0u8; 12];
-        env[0..2].copy_from_slice(&comm.ctx().to_le_bytes());
-        env[4..8].copy_from_slice(&tag.to_le_bytes());
-        env[8..12].copy_from_slice(&(data.len() as u32).to_le_bytes());
-        let mut msg = ch.begin_packing(comm.node_of(dst_rank));
+        let env = Self::envelope(comm, tag, data);
+        let mut msg = comm.channel().begin_packing(comm.node_of(dst_rank));
         msg.pack(&env, SendMode::Cheaper, RecvMode::Express);
         if !data.is_empty() {
             msg.pack(data, SendMode::Cheaper, RecvMode::Cheaper);
@@ -77,11 +135,7 @@ impl P2p {
     /// the same envelope + payload a blocking [`send`](Self::send) emits.
     pub(crate) fn post_send(&self, comm: &Comm, dst_rank: usize, tag: i32, data: &[u8]) -> OpId {
         time::advance(VDuration::from_micros_f64(MPI_OVERHEAD_US));
-        let ch = comm.channel();
-        let mut env = [0u8; 12];
-        env[0..2].copy_from_slice(&comm.ctx().to_le_bytes());
-        env[4..8].copy_from_slice(&tag.to_le_bytes());
-        env[8..12].copy_from_slice(&(data.len() as u32).to_le_bytes());
+        let env = Self::envelope(comm, tag, data);
         let mut blocks = vec![(
             Bytes::copy_from_slice(&env),
             SendMode::Cheaper,
@@ -94,14 +148,12 @@ impl P2p {
                 RecvMode::Cheaper,
             ));
         }
-        ch.post_message(comm.node_of(dst_rank), blocks)
+        comm.channel().post_message(comm.node_of(dst_rank), blocks)
     }
 
-    /// Blocking receive with optional source/tag wildcards. Returns the
-    /// matched status; the payload is written to `buf[..status.len]`.
-    ///
-    /// # Panics
-    /// Panics if the matched message exceeds `buf` (MPI truncation error).
+    /// Blocking receive with optional source/tag wildcards. The payload is
+    /// written to `buf[..status.len]`; a longer message is truncated to
+    /// `buf` (see [`Status::truncated`]).
     pub fn recv(
         &self,
         comm: &Comm,
@@ -110,20 +162,24 @@ impl P2p {
         buf: &mut [u8],
     ) -> Status {
         time::advance(VDuration::from_micros_f64(MPI_OVERHEAD_US));
-        // 1. Unexpected queue first (arrival order).
-        if let Some(st) = self.take_unexpected(comm, src, tag, buf) {
-            return st;
-        }
-        // 2. Drain the wire until a match shows up.
+        self.next_match(comm, src, tag, buf, true)
+            .expect("a blocking match waits for one")
+    }
+
+    /// Blocking receive into a vector sized by the matched message: every
+    /// arrival is queued, and the match moves out of the queue whole.
+    pub(crate) fn recv_vec(&self, comm: &Comm, src: Option<usize>, tag: Option<i32>) -> Vec<u8> {
+        time::advance(VDuration::from_micros_f64(MPI_OVERHEAD_US));
         loop {
-            if let Some(st) = self.pump_one(comm, src, tag, buf) {
-                return st;
+            if let Some(u) = self.dequeue(comm, src, tag) {
+                return u.data;
             }
+            self.pump_one(comm, Some(usize::MAX), None, &mut []);
         }
     }
 
     /// Read exactly one message off the channel (blocking); if it matches
-    /// the `(src, tag)` selectors it fills `buf` and returns its status,
+    /// the `(src, tag)` selectors it fills `buf` and its status is returned,
     /// otherwise it lands in the unexpected queue and `None` is returned.
     fn pump_one(
         &self,
@@ -132,74 +188,54 @@ impl P2p {
         tag: Option<i32>,
         buf: &mut [u8],
     ) -> Option<Status> {
-        let ch = comm.channel();
-        let mut msg = ch.begin_unpacking();
+        let mut msg = comm.channel().begin_unpacking();
         let src_node = msg.src();
-        let mut env = [0u8; 12];
-        msg.unpack_express(&mut env, SendMode::Cheaper);
-        let mctx = u16::from_le_bytes(env[0..2].try_into().expect("2 bytes"));
-        let mtag = i32::from_le_bytes(env[4..8].try_into().expect("4 bytes"));
-        let len = u32::from_le_bytes(env[8..12].try_into().expect("4 bytes")) as usize;
-        let matches = mctx == comm.ctx()
-            && src.is_none_or(|s| s < comm.size() && comm.node_of(s) == src_node)
-            && tag.is_none_or(|t| t == mtag);
-        if matches {
-            assert!(
-                len <= buf.len(),
-                "MPI truncation: message of {len} bytes into buffer of {}",
-                buf.len()
-            );
-            if len > 0 {
-                msg.unpack(&mut buf[..len], SendMode::Cheaper, RecvMode::Cheaper);
-            }
-            msg.end_unpacking();
-            return Some(Status {
-                source: comm.rank_of(src_node),
-                tag: mtag,
-                len,
-            });
+        let mut raw = [0u8; MpiEnvelope::LEN];
+        msg.unpack_express(&mut raw, SendMode::Cheaper);
+        let env = MpiEnvelope::from_wire(&raw).expect("an envelope-long unpack decodes");
+        let mut arrived = Unexpected {
+            ctx: env.ctx,
+            src_node,
+            tag: env.tag,
+            data: Vec::new(),
+        };
+        if arrived.matches(comm, src, tag) {
+            let delivered = if env.len <= buf.len() {
+                finish(msg, &mut buf[..env.len]);
+                (env.len, false)
+            } else {
+                fill(buf, &body_vec(msg, env.len))
+            };
+            return Some(arrived.status(comm, delivered));
         }
         // Unexpected (wrong source, tag, or communicator context): buffer
         // it — the MPICH copy.
-        let mut data = vec![0u8; len];
-        if len > 0 {
-            msg.unpack(&mut data, SendMode::Cheaper, RecvMode::Cheaper);
-        }
-        msg.end_unpacking();
-        self.unexpected.lock().push_back(Unexpected {
-            ctx: mctx,
-            src_node,
-            tag: mtag,
-            data,
-        });
+        arrived.data = body_vec(msg, env.len);
+        self.unexpected.lock().push_back(arrived);
         None
     }
 
-    /// Nonblocking match attempt: the unexpected queue first, then any
-    /// messages already announced on the wire. Returns `None` when a
-    /// matching message has not arrived yet.
-    pub(crate) fn try_match(
+    /// The unexpected queue first (arrival order), then messages off the
+    /// wire until one matches the `(src, tag)` selectors and fills `buf`:
+    /// a `block`ing match waits for them, a nonblocking one reads only
+    /// those already announced and returns `None` when none matched.
+    pub(crate) fn next_match(
         &self,
         comm: &Comm,
         src: Option<usize>,
         tag: Option<i32>,
         buf: &mut [u8],
+        block: bool,
     ) -> Option<Status> {
-        if let Some(st) = self.take_unexpected(comm, src, tag, buf) {
-            return Some(st);
+        if let Some(u) = self.dequeue(comm, src, tag) {
+            return Some(u.status(comm, fill(buf, &u.data)));
         }
-        while comm.channel().has_incoming() {
+        while block || comm.channel().has_incoming() {
             if let Some(st) = self.pump_one(comm, src, tag, buf) {
                 return Some(st);
             }
         }
         None
-    }
-
-    /// Block until some message is announced on the channel (without
-    /// consuming it); used by `wait`/`waitall` between match attempts.
-    pub(crate) fn block_for_traffic(&self, comm: &Comm) {
-        let _ = comm.channel().wait_incoming();
     }
 
     /// Nonblocking probe: is a message matching `(src, tag)` available?
@@ -209,16 +245,8 @@ impl P2p {
         loop {
             {
                 let q = self.unexpected.lock();
-                if let Some(u) = q.iter().find(|u| {
-                    u.ctx == comm.ctx()
-                        && src.is_none_or(|s| s < comm.size() && comm.node_of(s) == u.src_node)
-                        && tag.is_none_or(|t| t == u.tag)
-                }) {
-                    return Some(Status {
-                        source: comm.rank_of(u.src_node),
-                        tag: u.tag,
-                        len: u.data.len(),
-                    });
+                if let Some(u) = q.iter().find(|u| u.matches(comm, src, tag)) {
+                    return Some(u.status(comm, (u.data.len(), false)));
                 }
             }
             if !comm.channel().has_incoming() {
@@ -226,8 +254,7 @@ impl P2p {
             }
             // Something is announced: classify it. `pump_one` with
             // never-matching selectors routes it to the unexpected queue.
-            let mut sink = [0u8; 0];
-            let consumed = self.pump_one(comm, Some(usize::MAX), None, &mut sink);
+            let consumed = self.pump_one(comm, Some(usize::MAX), None, &mut []);
             debug_assert!(consumed.is_none(), "impossible selector matched");
         }
     }
@@ -238,61 +265,38 @@ impl P2p {
             if let Some(st) = self.iprobe(comm, src, tag) {
                 return st;
             }
-            self.block_for_traffic(comm);
+            // Wait for traffic to classify, without consuming it.
+            let _ = comm.channel().wait_incoming();
         }
     }
 
-    fn take_unexpected(
-        &self,
-        comm: &Comm,
-        src: Option<usize>,
-        tag: Option<i32>,
-        buf: &mut [u8],
-    ) -> Option<Status> {
+    /// Take the first queued message these selectors match.
+    fn dequeue(&self, comm: &Comm, src: Option<usize>, tag: Option<i32>) -> Option<Unexpected> {
         let mut q = self.unexpected.lock();
-        let pos = q.iter().position(|u| {
-            u.ctx == comm.ctx()
-                && src.is_none_or(|s| s < comm.size() && comm.node_of(s) == u.src_node)
-                && tag.is_none_or(|t| t == u.tag)
-        })?;
-        let u = q.remove(pos).expect("position just found");
-        assert!(
-            u.data.len() <= buf.len(),
-            "MPI truncation: message of {} bytes into buffer of {}",
-            u.data.len(),
-            buf.len()
-        );
-        buf[..u.data.len()].copy_from_slice(&u.data);
-        Some(Status {
-            source: comm.rank_of(u.src_node),
-            tag: u.tag,
-            len: u.data.len(),
-        })
+        let pos = q.iter().position(|u| u.matches(comm, src, tag))?;
+        q.remove(pos)
     }
 
-    /// Combined send+receive, deadlock-free for pairwise exchanges even
-    /// over rendezvous protocols (BIP's long path blocks the sender until
-    /// the receiver posts): the lower rank sends first, the higher rank
-    /// receives first.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sendrecv(
+    /// Combined send+receive: send `data` to `dst_rank` and run `recv`,
+    /// deadlock-free for pairwise exchanges even over rendezvous protocols
+    /// (BIP's long path blocks the sender until the receiver posts): the
+    /// lower rank sends first, the higher rank receives first.
+    pub fn sendrecv<R>(
         &self,
         comm: &Comm,
         dst_rank: usize,
-        send_tag: i32,
+        tag: i32,
         data: &[u8],
-        src: Option<usize>,
-        recv_tag: Option<i32>,
-        buf: &mut [u8],
-    ) -> Status {
+        recv: impl FnOnce() -> R,
+    ) -> R {
         assert_ne!(dst_rank, comm.rank(), "sendrecv with self");
         if comm.rank() < dst_rank {
-            self.send(comm, dst_rank, send_tag, data);
-            self.recv(comm, src, recv_tag, buf)
+            self.send(comm, dst_rank, tag, data);
+            recv()
         } else {
-            let st = self.recv(comm, src, recv_tag, buf);
-            self.send(comm, dst_rank, send_tag, data);
-            st
+            let got = recv();
+            self.send(comm, dst_rank, tag, data);
+            got
         }
     }
 }

@@ -126,6 +126,7 @@ impl<'a> Request<'a> {
                             source: *dst,
                             tag: *tag,
                             len: *len,
+                            truncated: false,
                         };
                         *done = Some(st);
                         Some(st)
@@ -142,7 +143,7 @@ impl<'a> Request<'a> {
                 if done.is_some() {
                     return *done;
                 }
-                let st = p2p.try_match(comm, *src, *tag, buf);
+                let st = p2p.next_match(comm, *src, *tag, buf, false);
                 *done = st;
                 st
             }

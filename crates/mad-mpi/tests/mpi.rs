@@ -513,3 +513,62 @@ fn blocking_waits_ship_an_isend_payload_on_a_batched_channel() {
         std::panic::resume_unwind(panic);
     }
 }
+
+/// A message longer than its receive buffer is truncated, as MPI's
+/// `MPI_ERR_TRUNCATE`: the buffer gets the head, the status says so, and
+/// the rest of the body is drained so the next message arrives intact —
+/// off the wire, out of the unexpected queue and through `wait` alike.
+#[test]
+fn a_short_receive_buffer_truncates_and_the_stream_survives() {
+    let long: Vec<u8> = (0..100).collect();
+    with_mpi(2, Protocol::Sisci, |mpi| {
+        if mpi.rank() == 0 {
+            for tag in 1..=5 {
+                let body = if tag % 2 == 1 { &long[..] } else { &long[..10] };
+                mpi.send(1, tag, body);
+            }
+            return;
+        }
+        let (mut small, mut big) = ([0u8; 50], [0u8; 64]);
+        // Tag 1 is queued unexpected on the way to tag 2.
+        let st = mpi.recv(Some(0), Some(2), &mut big);
+        assert_eq!((st.len, st.truncated), (10, false));
+        assert_eq!(&big[..10], &long[..10]);
+        let truncated = |st: mad_mpi::Status, tag| {
+            assert_eq!((st.tag, st.len, st.truncated), (tag, 50, true));
+        };
+        truncated(mpi.recv(Some(0), Some(1), &mut small), 1);
+        assert_eq!(small, long[..50]);
+        small.fill(0);
+        truncated(mpi.recv(Some(0), Some(3), &mut small), 3);
+        assert_eq!(small, long[..50]);
+        small.fill(0);
+        // Tag 4 is queued unexpected on the way to tag 5.
+        truncated(mpi.wait(mpi.irecv(Some(0), Some(5), &mut small)), 5);
+        assert_eq!(small, long[..50]);
+        let st = mpi.recv(Some(0), Some(4), &mut big);
+        assert_eq!((st.len, st.truncated), (10, false));
+        assert_eq!(&big[..10], &long[..10]);
+    });
+}
+
+/// Collectives size each received block by its message: blocks above the
+/// 4 MiB the receive buffers were once fixed at arrive whole.
+#[test]
+fn gather_and_allgather_carry_blocks_above_4_mib() {
+    const BLOCK: usize = 5 << 20;
+    with_mpi(3, Protocol::Sisci, |mpi| {
+        let data = vec![mpi.rank() as u8 + 1; BLOCK];
+        let check = |blocks: &[Vec<u8>]| {
+            assert_eq!(blocks.len(), 3);
+            for (r, block) in blocks.iter().enumerate() {
+                assert_eq!(block.len(), BLOCK, "rank {r} block length");
+                assert!(block.iter().all(|&b| b == r as u8 + 1));
+            }
+        };
+        if let Some(all) = mpi.gather(0, &data) {
+            check(&all);
+        }
+        check(&mpi.allgather(&data));
+    });
+}

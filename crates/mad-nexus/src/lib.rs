@@ -23,6 +23,7 @@
 #![forbid(unsafe_code)]
 
 use bytes::Bytes;
+use madeleine::wire::RsrEnvelope;
 use madeleine::{Channel, RecvMode, SendMode};
 use madsim_net::time::{self, VDuration};
 use madsim_net::NodeId;
@@ -82,9 +83,11 @@ impl Nexus {
     /// Issue a remote service request: `handler` runs on `dst` with `data`.
     pub fn send_rsr(&self, dst: NodeId, handler: u32, data: &[u8]) {
         time::advance(VDuration::from_micros_f64(NEXUS_SEND_OVERHEAD_US));
-        let mut env = [0u8; 8];
-        env[0..4].copy_from_slice(&handler.to_le_bytes());
-        env[4..8].copy_from_slice(&(data.len() as u32).to_le_bytes());
+        let env = RsrEnvelope {
+            handler,
+            len: data.len(),
+        }
+        .to_wire();
         let mut msg = self.chan.begin_packing(dst);
         msg.pack(&env, SendMode::Cheaper, RecvMode::Express);
         if !data.is_empty() {
@@ -97,10 +100,10 @@ impl Nexus {
     pub fn recv_rsr(&self) -> Rsr {
         let mut msg = self.chan.begin_unpacking();
         let src = msg.src();
-        let mut env = [0u8; 8];
-        msg.unpack_express(&mut env, SendMode::Cheaper);
-        let handler = u32::from_le_bytes(env[0..4].try_into().expect("4 bytes"));
-        let len = u32::from_le_bytes(env[4..8].try_into().expect("4 bytes")) as usize;
+        let mut raw = [0u8; RsrEnvelope::LEN];
+        msg.unpack_express(&mut raw, SendMode::Cheaper);
+        let RsrEnvelope { handler, len } =
+            RsrEnvelope::from_wire(&raw).expect("an envelope-long unpack decodes");
         let mut data = vec![0u8; len];
         if len > 0 {
             msg.unpack(&mut data, SendMode::Cheaper, RecvMode::Cheaper);
@@ -229,84 +232,10 @@ impl Nexus {
     }
 }
 
-/// Nexus-style typed buffer marshaling (`nexus_put_*` / `nexus_get_*`).
-#[derive(Default)]
-pub struct PutBuffer {
-    bytes: Vec<u8>,
-}
-
-impl PutBuffer {
-    pub fn new() -> Self {
-        PutBuffer::default()
-    }
-
-    pub fn put_u32(&mut self, v: u32) -> &mut Self {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    pub fn put_f64(&mut self, v: f64) -> &mut Self {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    pub fn put_bytes(&mut self, v: &[u8]) -> &mut Self {
-        self.put_u32(v.len() as u32);
-        self.bytes.extend_from_slice(v);
-        self
-    }
-
-    pub fn put_str(&mut self, v: &str) -> &mut Self {
-        self.put_bytes(v.as_bytes())
-    }
-
-    pub fn as_slice(&self) -> &[u8] {
-        &self.bytes
-    }
-}
-
-/// Reader for [`PutBuffer`]-marshaled data.
-pub struct GetBuffer<'a> {
-    bytes: &'a [u8],
-    off: usize,
-}
-
-impl<'a> GetBuffer<'a> {
-    pub fn new(bytes: &'a [u8]) -> Self {
-        GetBuffer { bytes, off: 0 }
-    }
-
-    pub fn get_u32(&mut self) -> u32 {
-        let v = u32::from_le_bytes(
-            self.bytes[self.off..self.off + 4]
-                .try_into()
-                .expect("4 bytes"),
-        );
-        self.off += 4;
-        v
-    }
-
-    pub fn get_f64(&mut self) -> f64 {
-        let v = f64::from_le_bytes(
-            self.bytes[self.off..self.off + 8]
-                .try_into()
-                .expect("8 bytes"),
-        );
-        self.off += 8;
-        v
-    }
-
-    pub fn get_bytes(&mut self) -> &'a [u8] {
-        let n = self.get_u32() as usize;
-        let v = &self.bytes[self.off..self.off + n];
-        self.off += n;
-        v
-    }
-
-    pub fn get_str(&mut self) -> &'a str {
-        std::str::from_utf8(self.get_bytes()).expect("utf8 string")
-    }
-}
+/// Nexus-style typed buffer marshaling (`nexus_put_*` / `nexus_get_*`),
+/// in the library's one wire codec: reads are checked, so a truncated
+/// buffer or a non-UTF-8 string is a `CorruptStream` error.
+pub use madeleine::wire::{Reader as GetBuffer, Writer as PutBuffer};
 
 #[cfg(test)]
 mod tests {
@@ -320,9 +249,35 @@ mod tests {
             .put_str("nexus")
             .put_bytes(&[1, 2, 3]);
         let mut g = GetBuffer::new(b.as_slice());
-        assert_eq!(g.get_u32(), 7);
-        assert_eq!(g.get_f64(), 2.5);
-        assert_eq!(g.get_str(), "nexus");
-        assert_eq!(g.get_bytes(), &[1, 2, 3]);
+        assert_eq!(g.get_u32().unwrap(), 7);
+        assert_eq!(g.get_f64().unwrap(), 2.5);
+        assert_eq!(g.get_str().unwrap(), "nexus");
+        assert_eq!(g.get_bytes().unwrap(), &[1, 2, 3]);
+        assert!(g.is_empty());
+    }
+
+    #[test]
+    fn get_buffer_reports_truncation_and_bad_utf8_as_corruption() {
+        use madeleine::MadError;
+        let mut b = PutBuffer::new();
+        b.put_u32(7).put_f64(2.5).put_str("nexus");
+        let whole = b.as_slice();
+        for cut in 0..whole.len() {
+            let mut g = GetBuffer::new(&whole[..cut]);
+            let got = g
+                .get_u32()
+                .and_then(|_| g.get_f64())
+                .and_then(|_| g.get_str().map(drop));
+            assert!(
+                matches!(got, Err(MadError::CorruptStream(_))),
+                "{cut}-byte prefix gave {got:?}"
+            );
+        }
+        let mut bad = PutBuffer::new();
+        bad.put_bytes(&[0x6E, 0xFF, 0x78]);
+        match GetBuffer::new(bad.as_slice()).get_str() {
+            Err(MadError::CorruptStream(what)) => assert!(what.contains("UTF-8"), "{what}"),
+            other => panic!("expected CorruptStream, got {other:?}"),
+        }
     }
 }

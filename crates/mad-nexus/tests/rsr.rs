@@ -83,9 +83,9 @@ fn marshaled_rpc_with_dynamic_array() {
         } else {
             nx.register(7, |_, rsr| {
                 let mut g = GetBuffer::new(&rsr.data);
-                assert_eq!(g.get_str(), "vector_scale");
-                assert_eq!(g.get_f64(), 2.5);
-                let arr = g.get_bytes();
+                assert_eq!(g.get_str().unwrap(), "vector_scale");
+                assert_eq!(g.get_f64().unwrap(), 2.5);
+                let arr = g.get_bytes().unwrap();
                 assert_eq!(arr.len(), 10_000);
                 assert_eq!(arr[9_999], (9_999u32 % 250) as u8);
             });

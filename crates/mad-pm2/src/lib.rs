@@ -15,12 +15,10 @@
 //! back into A) cannot deadlock, which is the LRPC scheduling property PM2
 //! gets from its thread library.
 //!
-//! Wire format per message, packed through the ordinary Madeleine
-//! machinery (`receive_EXPRESS` envelope + `receive_CHEAPER` payload):
-//!
-//! ```text
-//! [ kind u8 | pad [u8;3] | service u32 | req_id u64 | len u32 ] [ payload ]
-//! ```
+//! Each message is packed through the ordinary Madeleine machinery: a
+//! 20-byte [`LrpcEnvelope`] `receive_EXPRESS` (kind, service, request id,
+//! payload length; laid out in [`madeleine::wire`]), then the payload
+//! `receive_CHEAPER`.
 
 //! On channels configured with wire-level batching
 //! (`ChannelSpec::with_batching`) the PM2 envelope still travels
@@ -34,6 +32,7 @@
 
 use bytes::Bytes;
 use madeleine::error::{MadError, MadResult};
+use madeleine::wire::LrpcEnvelope;
 use madeleine::{Channel, RecvMode, SendMode};
 use madsim_net::time::{self, VDuration};
 use madsim_net::NodeId;
@@ -48,7 +47,6 @@ pub const PM2_CALL_OVERHEAD_US: f64 = 3.0;
 
 const KIND_REQUEST: u8 = 1;
 const KIND_REPLY: u8 = 2;
-const ENVELOPE_LEN: usize = 20;
 
 /// A service: takes the caller's node id and the argument bytes, returns
 /// the reply bytes.
@@ -129,23 +127,21 @@ impl Pm2 {
     pub fn try_pump_one(&self) -> MadResult<bool> {
         let mut msg = self.chan.begin_unpacking();
         let src = msg.src();
-        let mut env = [0u8; ENVELOPE_LEN];
-        msg.unpack_express(&mut env, SendMode::Cheaper);
-        let kind = env[0];
-        let service = u32::from_le_bytes(env[4..8].try_into().expect("4 bytes"));
-        let req_id = u64::from_le_bytes(env[8..16].try_into().expect("8 bytes"));
-        let len = u32::from_le_bytes(env[16..20].try_into().expect("4 bytes")) as usize;
-        let mut payload = vec![0u8; len];
-        if len > 0 {
+        let mut raw = [0u8; LrpcEnvelope::LEN];
+        msg.unpack_express(&mut raw, SendMode::Cheaper);
+        let env = LrpcEnvelope::from_wire(&raw)?;
+        let mut payload = vec![0u8; env.len];
+        if env.len > 0 {
             msg.unpack(&mut payload, SendMode::Cheaper, RecvMode::Cheaper);
         }
         msg.end_unpacking();
         time::advance(VDuration::from_micros_f64(PM2_CALL_OVERHEAD_US));
         let payload = Bytes::from(payload);
 
-        match kind & 0x7F {
+        match env.kind & 0x7F {
             KIND_REQUEST => {
-                let fire_and_forget = kind & 0x80 != 0;
+                let fire_and_forget = env.kind & 0x80 != 0;
+                let service = env.service;
                 let svc = self
                     .services
                     .lock()
@@ -154,12 +150,12 @@ impl Pm2 {
                     .unwrap_or_else(|| panic!("no service registered for id {service}"));
                 let reply = svc(self, src, payload);
                 if !fire_and_forget {
-                    self.emit(src, KIND_REPLY, service, req_id, &reply);
+                    self.emit(src, KIND_REPLY, service, env.req_id, &reply);
                 }
                 Ok(true)
             }
             KIND_REPLY => {
-                self.parked_replies.lock().insert(req_id, payload);
+                self.parked_replies.lock().insert(env.req_id, payload);
                 Ok(false)
             }
             other => Err(MadError::corrupt(format!(
@@ -192,11 +188,13 @@ impl Pm2 {
     }
 
     fn emit(&self, dst: NodeId, kind: u8, service: u32, req_id: u64, payload: &[u8]) {
-        let mut env = [0u8; ENVELOPE_LEN];
-        env[0] = kind;
-        env[4..8].copy_from_slice(&service.to_le_bytes());
-        env[8..16].copy_from_slice(&req_id.to_le_bytes());
-        env[16..20].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        let env = LrpcEnvelope {
+            kind,
+            service,
+            req_id,
+            len: payload.len(),
+        }
+        .to_wire();
         let mut msg = self.chan.begin_packing(dst);
         msg.pack(&env, SendMode::Cheaper, RecvMode::Express);
         if !payload.is_empty() {

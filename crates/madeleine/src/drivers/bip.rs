@@ -22,6 +22,7 @@ use crate::progress::OpState;
 use crate::stats::Stats;
 use crate::tm::{wait_out, StaticBuf, TmCaps, TmId, TmPending, TmSend, TransmissionModule};
 use crate::trace::Tracer;
+use crate::wire;
 use bytes::Bytes;
 use madsim_net::stacks::bip::{Bip, BIP_SHORT_MAX, BIP_SHORT_RING};
 use madsim_net::stacks::link_deadline;
@@ -120,16 +121,6 @@ impl Pmm for BipPmm {
     }
 }
 
-/// Parse a credit-return packet, surfacing truncation as stream damage
-/// instead of panicking.
-fn credit_value(pkt: &[u8]) -> MadResult<usize> {
-    let bytes: [u8; 4] = pkt
-        .get(..4)
-        .and_then(|s| s.try_into().ok())
-        .ok_or_else(|| MadError::corrupt("BIP credit packet shorter than 4 bytes"))?;
-    Ok(u32::from_le_bytes(bytes) as usize)
-}
-
 /// What the short TM and its credit-wait continuation share: the stack,
 /// the data and credit tags, one credit window per peer, and where link
 /// failures are counted.
@@ -155,7 +146,7 @@ impl ShortPath {
     /// credit toward it if one is left.
     fn try_take_credit(&self, peer: NodeId) -> MadResult<bool> {
         while let Some(pkt) = self.bip.poll_short_from(peer, self.credit_tag) {
-            let n = credit_value(&pkt)?;
+            let n = wire::decode_credit(&pkt)?;
             self.with_window(peer, |w| w.refund(n));
         }
         Ok(self.with_window(peer, CreditWindow::take))
@@ -249,8 +240,7 @@ impl TransmissionModule for BipShortTm {
             .map_err(MadError::from_link(src, &p.stats, &p.tracer))?;
         // One receive-ring slot consumed: return a batch of credits when due.
         if let Some(n) = p.with_window(src, CreditWindow::consume) {
-            p.bip
-                .send_short(src, p.credit_tag, &(n as u32).to_le_bytes());
+            p.bip.send_short(src, p.credit_tag, &wire::encode_credit(n));
         }
         Ok(StaticBuf::shared(data, 0))
     }

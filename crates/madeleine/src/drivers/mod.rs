@@ -65,8 +65,9 @@ pub fn build_pmm(
 /// ring, VIA's preposted descriptors — which the stack itself would let a
 /// sender overrun. A sender spends a credit per send and stops at zero;
 /// the receiver counts what it consumes and returns credits in batches.
-/// Each driver keeps one per peer under its own lock, and its own window,
-/// batch and credit-packet format.
+/// Each driver keeps one per peer under its own lock, with its own window
+/// and batch; both return credits in the one layout of
+/// [`wire::encode_credit`](crate::wire::encode_credit).
 pub(crate) struct CreditWindow {
     /// Credits a sender starts with, and at most holds.
     window: usize,

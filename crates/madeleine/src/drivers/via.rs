@@ -20,6 +20,7 @@ use crate::pool::BufPool;
 use crate::stats::Stats;
 use crate::tm::{StaticBuf, TmCaps, TmId, TransmissionModule};
 use crate::trace::Tracer;
+use crate::wire;
 use madsim_net::stacks::via::{Vi, Via};
 use madsim_net::world::Adapter;
 use madsim_net::NodeId;
@@ -43,15 +44,6 @@ const CREDIT_WINDOW: usize = 8;
 
 const SUB_DATA: u64 = 0;
 const SUB_CREDIT: u64 = 1;
-
-/// Decode a credit-return packet (8-byte LE count).
-fn credit_value(pkt: &[u8]) -> MadResult<usize> {
-    let bytes: [u8; 8] = pkt
-        .get(..8)
-        .and_then(|s| s.try_into().ok())
-        .ok_or_else(|| MadError::corrupt("VIA credit packet shorter than 8 bytes"))?;
-    Ok(u64::from_le_bytes(bytes) as usize)
-}
 
 fn tag(channel_id: u32, sub: u64) -> u64 {
     ((channel_id as u64) << 8) | sub
@@ -86,7 +78,7 @@ pub fn build(
             data.post_recv(VIA_BUF);
         }
         for _ in 0..CREDIT_WINDOW {
-            credit.post_recv(8);
+            credit.post_recv(wire::CREDIT_LEN);
         }
         vis.insert(
             peer,
@@ -186,14 +178,14 @@ impl TransmissionModule for ViaTm {
         self.with_peer(dst, |p| {
             // Refresh the window from any queued credit returns.
             while let Some(pkt) = p.credit.poll_recv() {
-                p.window.refund(credit_value(&pkt)?);
-                p.credit.post_recv(8);
+                p.window.refund(wire::decode_credit(&pkt)?);
+                p.credit.post_recv(wire::CREDIT_LEN);
             }
             while !p.window.take() {
                 // Window closed: block for a credit return.
                 let pkt = p.credit.try_recv().map_err(&lift)?;
-                p.window.refund(credit_value(&pkt)?);
-                p.credit.post_recv(8);
+                p.window.refund(wire::decode_credit(&pkt)?);
+                p.credit.post_recv(wire::CREDIT_LEN);
             }
             p.data.send(buf.filled());
             Ok(())
@@ -213,7 +205,7 @@ impl TransmissionModule for ViaTm {
             let data = p.data.try_recv().map_err(lift)?;
             p.data.post_recv(VIA_BUF);
             if let Some(n) = p.window.consume() {
-                p.credit.send(&(n as u64).to_le_bytes());
+                p.credit.send(&wire::encode_credit(n));
             }
             Ok(StaticBuf::shared(data, 0))
         })

@@ -85,7 +85,6 @@ pub mod session;
 pub mod stats;
 pub mod tm;
 pub mod trace;
-pub mod typed;
 pub mod wire;
 
 pub use batch::{BatchPolicy, FlushReason};

@@ -1,11 +1,15 @@
-//! The **wire codec**: the one module that defines every on-wire header.
+//! The **wire codec**: the one module that defines every byte layout
+//! above the simulated hardware.
 //!
 //! Madeleine messages are not self-described (paper §6.1): the receiver's
 //! unpack sequence supplies the structure, and only what a receiver cannot
 //! know travels as a header. There is exactly one layout per header — no
-//! versions, no negotiation — and each opens with a prologue byte
-//! (`0xC0 | kind << 2 | 1`) that names it, so traffic of the wrong kind
-//! fails loudly as [`MadError::CorruptStream`] instead of misparsing.
+//! versions, no negotiation. The library's own headers (kinds 0-3) open
+//! with a prologue byte (`0xC0 | kind << 2 | 1`) that names them, so
+//! traffic of the wrong kind fails loudly as [`MadError::CorruptStream`]
+//! instead of misparsing. The rest are delimited by the channel: driver
+//! control packets, and the EXPRESS envelopes the layers above a channel
+//! open every message with (MPI §5.3.1, Nexus and PM2 §5.3.2).
 //!
 //! ```text
 //! kind  prologue  header               layout
@@ -17,6 +21,12 @@
 //!                                      [payloads, concatenated]
 //! 3     0xCD      gateway fragment     [0xCD][src u8][dst u8][len u24][offset u32]
 //!                 (10 B)
+//! -     -         credit return (4 B)  [count u32]             (BIP, VIA)
+//! -     -         stripe ack (8 B)     [offset u64]
+//! -     -         MPI envelope (12 B)  [ctx u16][pad u16][tag i32][len u32]
+//! -     -         RSR envelope (8 B)   [handler u32][len u32]  (Nexus)
+//! -     -         LRPC envelope (20 B) [kind u8][pad u8 x3][service u32][req_id u64][len u32]
+//! -     -         marshaled data       u32, u64, f64; bytes and str as [len u32][bytes]
 //! ```
 //!
 //! Fixed-width fields are little-endian; varints are LEB128-style (7 value
@@ -143,9 +153,22 @@ fn read_u32_varint(buf: &[u8], pos: &mut usize, what: &str) -> MadResult<u32> {
     u32::try_from(read_varint(buf, pos)?).or_else(|_| corrupt(format!("{what} overflows u32")))
 }
 
-/// Read the little-endian `u32` at `off`; the caller has checked the length.
-fn get_u32(buf: &[u8], off: usize) -> u32 {
-    u32::from_le_bytes(buf[off..off + 4].try_into().expect("4 bytes"))
+/// The `N` bytes at `at` of a fixed layout whose length is checked.
+fn field<const N: usize>(b: &[u8], at: usize) -> [u8; N] {
+    b[at..at + N].try_into().expect("length checked")
+}
+
+/// A body length as its `u32` field; panics at 4 GiB or more.
+fn len_field(len: usize) -> [u8; 4] {
+    u32::try_from(len).expect("bodies < 4 GiB").to_le_bytes()
+}
+
+/// `b` holds exactly a `len`-byte `what`, or it is corrupt.
+fn exact_len(b: &[u8], len: usize, what: &str) -> MadResult<()> {
+    if b.len() == len {
+        return Ok(());
+    }
+    corrupt(format!("{what} of {} bytes, not {len}", b.len()))
 }
 
 /// A header encoded on the stack: every wire header fits 24 bytes.
@@ -240,9 +263,8 @@ pub(crate) struct StripeHeader {
 pub(crate) fn encode_stripe_header(rail: usize, off: usize, len: usize) -> HeaderBytes {
     let mut h = HeaderBytes::new(PROLOGUE_STRIPE);
     h.push(u8::try_from(rail).expect("rail ids < 256"));
-    let le = |v: usize| u32::try_from(v).expect("blocks < 4 GiB").to_le_bytes();
-    h.extend(&le(off));
-    h.extend(&le(len));
+    h.extend(&len_field(off));
+    h.extend(&len_field(len));
     h
 }
 
@@ -253,8 +275,8 @@ pub(crate) fn decode_stripe_header(bytes: &[u8]) -> MadResult<StripeHeader> {
     }
     Ok(StripeHeader {
         rail: bytes[1] as usize,
-        off: get_u32(bytes, 2) as usize,
-        len: get_u32(bytes, 6) as usize,
+        off: u32::from_le_bytes(field(bytes, 2)) as usize,
+        len: u32::from_le_bytes(field(bytes, 6)) as usize,
     })
 }
 
@@ -428,11 +450,16 @@ impl BatchCursor {
 // Gateway fragment header.
 // ---------------------------------------------------------------------
 
-/// Per-fragment self-description (paper §6.1): what a stateless gateway
-/// needs to forward — where the fragment is going, where it came from,
-/// how long it is, and its byte offset within its block (the offset is
-/// what lets a receiver tell a restarted block from the stale tail of an
-/// aborted failover attempt).
+/// Per-fragment self-description (paper §6.1). Within a homogeneous
+/// session a receiver's unpack sequence describes a message; a gateway has
+/// none of that knowledge, so every fragment that may cross one carries
+/// what the gateway needs to forward it — where it is going, where it came
+/// from, how long it is. Gateways are stateless and cannot predict fields
+/// the way channel receivers do, so the layout is fixed-length and the
+/// same on every hop. The fragment's byte offset within its block is
+/// redundant on a reliable fabric (fragments arrive in order); under
+/// failover it is what lets a receiver tell a restarted block (offset 0)
+/// from the stale tail of an aborted attempt, and discard the latter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FragHeader {
     /// Originating end node.
@@ -479,7 +506,7 @@ impl FragHeader {
             src: b[1] as NodeId,
             dst: b[2] as NodeId,
             len: u32::from_le_bytes([b[3], b[4], b[5], 0]) as usize,
-            offset: get_u32(b, 6) as usize,
+            offset: u32::from_le_bytes(field(b, 6)) as usize,
         })
     }
 
@@ -491,6 +518,187 @@ impl FragHeader {
     /// [`from_wire`](Self::from_wire), for the frozen `benchmark/` probes.
     pub fn try_decode(_: WireVersion, b: &[u8]) -> MadResult<Self> {
         Self::from_wire(b)
+    }
+}
+
+// ---------------------------------------------------------------------
+// Layouts the channel delimits: credit returns and client envelopes.
+// ---------------------------------------------------------------------
+
+pub(crate) const CREDIT_LEN: usize = 4;
+
+/// Encode a return of `n` credits (`drivers::CreditWindow`: windows are
+/// a few dozen buffers, so `n` fits the field).
+pub(crate) fn encode_credit(n: usize) -> [u8; CREDIT_LEN] {
+    (n as u32).to_le_bytes()
+}
+
+pub(crate) fn decode_credit(pkt: &[u8]) -> MadResult<usize> {
+    exact_len(pkt, CREDIT_LEN, "credit return")?;
+    Ok(u32::from_le_bytes(field(pkt, 0)) as usize)
+}
+
+/// Declare client envelopes: for each, the struct of its fields and the
+/// one `to_wire`/`from_wire` pair that puts each field, little-endian, at
+/// its byte offset, with the body length as a `u32`. Bytes no field
+/// covers are zero padding.
+macro_rules! envelopes {
+    ($($(#[$doc:meta])* $name:ident($size:literal B, len @ $len_at:literal) {
+        $($field:ident: $ty:ident @ $at:literal),* $(,)?
+    })*) => {$(
+        $(#[$doc])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub struct $name {
+            $(pub $field: $ty,)*
+            /// Body length.
+            pub len: usize,
+        }
+
+        impl $name {
+            /// On-wire length.
+            pub const LEN: usize = $size;
+
+            /// Panics if the body is 4 GiB or longer.
+            pub fn to_wire(&self) -> [u8; $size] {
+                let mut b = [0; $size];
+                $(b[$at..][..size_of::<$ty>()].copy_from_slice(&self.$field.to_le_bytes());)*
+                b[$len_at..][..4].copy_from_slice(&len_field(self.len));
+                b
+            }
+
+            /// Decode exactly [`LEN`](Self::LEN) bytes; any other length is
+            /// [`MadError::CorruptStream`].
+            pub fn from_wire(b: &[u8]) -> MadResult<Self> {
+                exact_len(b, $size, stringify!($name))?;
+                Ok($name {
+                    $($field: $ty::from_le_bytes(field(b, $at)),)*
+                    len: u32::from_le_bytes(field(b, $len_at)) as usize,
+                })
+            }
+        }
+    )*};
+}
+
+envelopes! {
+    /// The `ch_mad` device's envelope (§5.3.1): the communicator context,
+    /// the tag, and the body length.
+    MpiEnvelope(12 B, len @ 8) { ctx: u16 @ 0, tag: i32 @ 4 }
+
+    /// A Nexus remote service request's envelope (§5.3.2): the handler to
+    /// run and the body length.
+    RsrEnvelope(8 B, len @ 4) { handler: u32 @ 0 }
+
+    /// A PM2 lightweight RPC's envelope: the message kind (the caller's to
+    /// interpret, so an unknown one still decodes), the service, the
+    /// request id a reply answers, and the body length.
+    LrpcEnvelope(20 B, len @ 16) { kind: u8 @ 0, service: u32 @ 4, req_id: u64 @ 8 }
+}
+
+// ---------------------------------------------------------------------
+// Marshaled data.
+// ---------------------------------------------------------------------
+
+/// Writer of marshaled data (Nexus's `nexus_put_*`): little-endian
+/// scalars, and byte strings behind their `u32` length.
+#[derive(Clone, Debug, Default)]
+pub struct Writer {
+    bytes: Vec<u8>,
+}
+
+impl Writer {
+    pub fn new() -> Self {
+        Writer::default()
+    }
+
+    pub fn put_u32(&mut self, v: u32) -> &mut Self {
+        self.bytes.extend_from_slice(&v.to_le_bytes());
+        self
+    }
+
+    pub fn put_u64(&mut self, v: u64) -> &mut Self {
+        self.bytes.extend_from_slice(&v.to_le_bytes());
+        self
+    }
+
+    pub fn put_f64(&mut self, v: f64) -> &mut Self {
+        self.bytes.extend_from_slice(&v.to_le_bytes());
+        self
+    }
+
+    /// Panics if `v` is 4 GiB or longer.
+    pub fn put_bytes(&mut self, v: &[u8]) -> &mut Self {
+        self.bytes.extend_from_slice(&len_field(v.len()));
+        self.bytes.extend_from_slice(v);
+        self
+    }
+
+    pub fn put_str(&mut self, v: &str) -> &mut Self {
+        self.put_bytes(v.as_bytes())
+    }
+
+    pub fn as_slice(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    pub fn into_vec(self) -> Vec<u8> {
+        self.bytes
+    }
+}
+
+/// Checked reader of [`Writer`]-marshaled data (Nexus's `nexus_get_*`):
+/// a read past the end, or a string that is not UTF-8, is
+/// [`MadError::CorruptStream`].
+#[derive(Clone, Debug)]
+pub struct Reader<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Reader<'a> {
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Reader { bytes, at: 0 }
+    }
+
+    /// Whether every byte has been read.
+    pub fn is_empty(&self) -> bool {
+        self.at == self.bytes.len()
+    }
+
+    fn take(&mut self, n: usize) -> MadResult<&'a [u8]> {
+        let (at, len) = (self.at, self.bytes.len());
+        let v = self.bytes.get(at..at.saturating_add(n)).ok_or_else(|| {
+            MadError::corrupt(format!(
+                "marshaled data: {n}-byte read at offset {at} of {len}"
+            ))
+        })?;
+        self.at += n;
+        Ok(v)
+    }
+
+    fn array<const N: usize>(&mut self) -> MadResult<[u8; N]> {
+        self.take(N).map(|b| field(b, 0))
+    }
+
+    pub fn get_u32(&mut self) -> MadResult<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    pub fn get_u64(&mut self) -> MadResult<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    pub fn get_f64(&mut self) -> MadResult<f64> {
+        self.array().map(f64::from_le_bytes)
+    }
+
+    pub fn get_bytes(&mut self) -> MadResult<&'a [u8]> {
+        let n = self.get_u32()? as usize;
+        self.take(n)
+    }
+
+    pub fn get_str(&mut self) -> MadResult<&'a str> {
+        std::str::from_utf8(self.get_bytes()?)
+            .or_else(|e| corrupt(format!("marshaled string is not UTF-8: {e}")))
     }
 }
 
@@ -603,6 +811,24 @@ mod tests {
             assert!(carried < bytes.len());
         }
         let _ = decode_stripe_ack(bytes);
+        let _ = decode_credit(bytes);
+        let _ = MpiEnvelope::from_wire(bytes);
+        let _ = RsrEnvelope::from_wire(bytes);
+        let _ = LrpcEnvelope::from_wire(bytes);
+        // Every read consumes at least 4 bytes, so this ends.
+        let mut r = Reader::new(bytes);
+        for read in (0..5).cycle() {
+            let ok = match read {
+                0 => r.get_u32().is_ok(),
+                1 => r.get_bytes().is_ok(),
+                2 => r.get_u64().is_ok(),
+                3 => r.get_str().is_ok(),
+                _ => r.get_f64().is_ok(),
+            };
+            if !ok {
+                break;
+            }
+        }
     }
 
     /// A valid frame (table + `fill` payload bytes) for `packets`.
@@ -684,6 +910,51 @@ mod tests {
         );
     }
 
+    /// Each fixed layout, byte for byte as the layers above hand-rolled it
+    /// before this module held it.
+    #[test]
+    fn fixed_layouts_match_their_golden_bytes() {
+        let mpi = MpiEnvelope {
+            ctx: 0x0102,
+            tag: -2,
+            len: 0x0A0B_0C0D,
+        };
+        let golden = [2, 1, 0, 0, 0xFE, 0xFF, 0xFF, 0xFF, 0x0D, 0x0C, 0x0B, 0x0A];
+        assert_eq!(mpi.to_wire(), golden);
+        let rsr = RsrEnvelope {
+            handler: 0x1122_3344,
+            len: 5,
+        };
+        assert_eq!(rsr.to_wire(), [0x44, 0x33, 0x22, 0x11, 5, 0, 0, 0]);
+        let lrpc = LrpcEnvelope {
+            kind: 0x81,
+            service: 7,
+            req_id: 0x0102_0304_0506_0708,
+            len: 0x100,
+        };
+        let golden = [
+            0x81, 0, 0, 0, 7, 0, 0, 0, 8, 7, 6, 5, 4, 3, 2, 1, 0, 1, 0, 0,
+        ];
+        assert_eq!(lrpc.to_wire(), golden);
+        assert_eq!(encode_credit(8), [8, 0, 0, 0]);
+        let mut w = Writer::new();
+        w.put_u32(1).put_u64(2).put_f64(1.0).put_str("hi");
+        let golden = [
+            1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xF0, 0x3F, 2, 0, 0, 0, b'h',
+            b'i',
+        ];
+        assert_eq!(w.as_slice(), golden);
+        // A wrong length is corruption, never a panic or a misread.
+        for short in [&golden[..11], &golden[..0]] {
+            assert!(matches!(
+                MpiEnvelope::from_wire(short),
+                Err(MadError::CorruptStream(_))
+            ));
+        }
+        assert!(LrpcEnvelope::from_wire(&[0; 21]).is_err());
+        assert!(decode_credit(&[8, 0, 0, 0, 0, 0, 0, 0]).is_err());
+    }
+
     #[test]
     fn decoders_are_total_and_valid_encodings_roundtrip() {
         for seed in [1u64, 2, 3] {
@@ -742,6 +1013,46 @@ mod tests {
                 let ack = encode_stripe_ack(want.off);
                 assert_eq!(decode_stripe_ack(&ack), Some(want.off as u64));
 
+                let credits = rng.next() as u32 as usize;
+                let credit = encode_credit(credits);
+                assert_eq!(decode_credit(&credit).unwrap(), credits);
+                let mpi = MpiEnvelope {
+                    ctx: rng.next() as u16,
+                    tag: rng.next() as i32,
+                    len: rng.next() as u32 as usize,
+                };
+                let mpi_bytes = mpi.to_wire();
+                assert_eq!(MpiEnvelope::from_wire(&mpi_bytes).unwrap(), mpi);
+                let rsr = RsrEnvelope {
+                    handler: rng.next() as u32,
+                    len: rng.next() as u32 as usize,
+                };
+                let rsr_bytes = rsr.to_wire();
+                assert_eq!(RsrEnvelope::from_wire(&rsr_bytes).unwrap(), rsr);
+                let lrpc = LrpcEnvelope {
+                    kind: rng.next() as u8,
+                    service: rng.next() as u32,
+                    req_id: rng.next(),
+                    len: rng.next() as u32 as usize,
+                };
+                let lrpc_bytes = lrpc.to_wire();
+                assert_eq!(LrpcEnvelope::from_wire(&lrpc_bytes).unwrap(), lrpc);
+
+                let (n32, n64, x) = (rng.next() as u32, rng.next(), f64::from_bits(rng.next()));
+                let blob: Vec<u8> = (0..rng.below(40)).map(|_| rng.next() as u8).collect();
+                let text = String::from_utf8_lossy(&blob).into_owned();
+                let mut w = Writer::new();
+                w.put_u32(n32).put_bytes(&blob).put_u64(n64).put_str(&text);
+                w.put_f64(x);
+                let marshaled = w.into_vec();
+                let mut r = Reader::new(&marshaled);
+                assert_eq!(r.get_u32().unwrap(), n32);
+                assert_eq!(r.get_bytes().unwrap(), &blob[..]);
+                assert_eq!(r.get_u64().unwrap(), n64);
+                assert_eq!(r.get_str().unwrap(), text);
+                assert_eq!(r.get_f64().unwrap().to_bits(), x.to_bits());
+                assert!(r.is_empty());
+
                 // Truncations and single-bit flips of each valid encoding,
                 // then plain noise: typed errors or values, never a panic.
                 for valid in [
@@ -751,6 +1062,11 @@ mod tests {
                     &frag_bytes[..],
                     &frame[..],
                     &ack[..],
+                    &credit[..],
+                    &mpi_bytes[..],
+                    &rsr_bytes[..],
+                    &lrpc_bytes[..],
+                    &marshaled[..],
                 ] {
                     decode_all(&valid[..rng.below(valid.len() as u64 + 1) as usize]);
                     let mut flipped = valid.to_vec();

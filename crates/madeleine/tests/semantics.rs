@@ -483,72 +483,6 @@ fn trace_tm_sequences_are_symmetric() {
     assert_eq!(seqs[0], seqs[1], "send/recv TM sequences must agree");
 }
 
-/// The typed helpers round-trip and compose with raw packs.
-#[test]
-fn typed_helpers_roundtrip() {
-    let (world, config) = sci_pair();
-    world.run(move |env| {
-        let mad = Madeleine::init(&env, &config);
-        let ch = mad.channel("ch");
-        if env.id() == 0 {
-            let body: Vec<u8> = (0..9000).map(|i| (i % 251) as u8).collect();
-            let mut msg = ch.begin_packing(1);
-            msg.pack_u32(0xDEAD_BEEF, RecvMode::Express);
-            msg.pack_f64(1.5, RecvMode::Express);
-            msg.pack_str("hello-madeleine");
-            msg.pack_sized_bytes(&body);
-            msg.end_packing();
-        } else {
-            let mut msg = ch.begin_unpacking();
-            assert_eq!(msg.unpack_u32(), 0xDEAD_BEEF);
-            assert_eq!(msg.unpack_f64(), 1.5);
-            assert_eq!(msg.unpack_string(), "hello-madeleine");
-            let body = msg.unpack_sized_bytes();
-            msg.end_unpacking();
-            assert_eq!(body.len(), 9000);
-            assert!(body.iter().enumerate().all(|(i, &b)| b == (i % 251) as u8));
-        }
-    });
-}
-
-/// Typed helpers work over every protocol driver.
-#[test]
-fn typed_helpers_on_all_protocols() {
-    for protocol in [
-        Protocol::Sisci,
-        Protocol::Bip,
-        Protocol::Tcp,
-        Protocol::Via,
-        Protocol::Sbp,
-    ] {
-        let mut b = WorldBuilder::new(2);
-        let (net, kind) = match protocol {
-            Protocol::Tcp | Protocol::Sbp => ("eth0", NetKind::Ethernet),
-            Protocol::Bip => ("myr0", NetKind::Myrinet),
-            Protocol::Sisci => ("sci0", NetKind::Sci),
-            Protocol::Via => ("san0", NetKind::ViaSan),
-        };
-        b.network(net, kind, &[0, 1]);
-        let world = b.build();
-        let config = Config::one("ch", net, protocol);
-        world.run(move |env| {
-            let mad = Madeleine::init(&env, &config);
-            let ch = mad.channel("ch");
-            if env.id() == 0 {
-                let mut msg = ch.begin_packing(1);
-                msg.pack_str("proto-check");
-                msg.pack_u32(12345, RecvMode::Express);
-                msg.end_packing();
-            } else {
-                let mut msg = ch.begin_unpacking();
-                assert_eq!(msg.unpack_string(), "proto-check");
-                assert_eq!(msg.unpack_u32(), 12345);
-                msg.end_unpacking();
-            }
-        });
-    }
-}
-
 /// `try_begin_unpacking` is a faithful non-blocking variant.
 #[test]
 fn try_begin_unpacking_does_not_block() {

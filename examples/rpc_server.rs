@@ -9,7 +9,7 @@
 //! Run: `cargo run -p mad-examples --example rpc_server`
 
 use mad_nexus::{GetBuffer, Nexus, PutBuffer};
-use madeleine::{Config, Madeleine, Protocol};
+use madeleine::{Config, MadResult, Madeleine, Protocol};
 use madsim_net::time;
 use madsim_net::{NetKind, WorldBuilder};
 use parking_lot::Mutex;
@@ -43,8 +43,10 @@ fn client(nx: &Arc<Nexus>, nodes: usize) {
     let results: Arc<Mutex<Vec<f64>>> = Arc::new(Mutex::new(Vec::new()));
     let r2 = Arc::clone(&results);
     nx.register(H_REPLY, move |_, rsr| {
-        let mut g = GetBuffer::new(&rsr.data);
-        r2.lock().push(g.get_f64());
+        let dot = GetBuffer::new(&rsr.data)
+            .get_f64()
+            .expect("a reply holds one f64");
+        r2.lock().push(dot);
     });
 
     // Issue one dot-product request per server, with different vector sizes.
@@ -84,11 +86,11 @@ fn client(nx: &Arc<Nexus>, nodes: usize) {
 
 fn server(nx: &Arc<Nexus>) {
     nx.register(H_DOT, |nx, rsr| {
-        let mut g = GetBuffer::new(&rsr.data);
-        let n = g.get_u32() as usize;
-        let xs: Vec<f64> = (0..n).map(|_| g.get_f64()).collect();
-        let ys: Vec<f64> = (0..n).map(|_| g.get_f64()).collect();
-        let dot: f64 = xs.iter().zip(&ys).map(|(a, b)| a * b).sum();
+        let dot = match dot_product(&rsr.data) {
+            Ok(dot) => dot,
+            // A malformed request is the sender's bug: drop it, say so.
+            Err(e) => return eprintln!("[server] request from node {}: {e}", rsr.src),
+        };
         let mut reply = PutBuffer::new();
         reply.put_f64(dot);
         nx.send_rsr(rsr.src, H_REPLY, reply.as_slice());
@@ -101,4 +103,18 @@ fn server(nx: &Arc<Nexus>) {
             break;
         }
     }
+}
+
+/// Decode a dot-product request (`n`, then `n` xs and `n` ys) and
+/// evaluate it.
+fn dot_product(request: &[u8]) -> MadResult<f64> {
+    let mut g = GetBuffer::new(request);
+    let n = g.get_u32()? as usize;
+    let xs = (0..n)
+        .map(|_| g.get_f64())
+        .collect::<MadResult<Vec<f64>>>()?;
+    let ys = (0..n)
+        .map(|_| g.get_f64())
+        .collect::<MadResult<Vec<f64>>>()?;
+    Ok(xs.iter().zip(&ys).map(|(a, b)| a * b).sum())
 }

@@ -123,19 +123,24 @@ for f in crates/madsim-net/src/mailbox.rs \
     fi
 done
 
-# Wire-codec lint: every header that crosses a wire is encoded by
-# crates/madeleine/src/wire.rs — a raw `to_le_bytes(` creeping back into
-# the header-emitting files means someone is hand-rolling a layout the
-# codec no longer controls.
-for f in crates/madeleine/src/channel.rs \
-         crates/madeleine/src/rail.rs \
-         crates/madeleine/src/batch.rs \
-         crates/mad-gateway/src/*.rs; do
-    if grep -q 'to_le_bytes(' "$f"; then
-        echo "verify: FAIL — raw to_le_bytes() header write in $f (use madeleine::wire)" >&2
-        exit 1
-    fi
-done
+# Wire-codec lint: every byte layout above the simulated hardware —
+# headers, credit returns, client envelopes, marshaled data — is written
+# and read by crates/madeleine/src/wire.rs. A raw `to_le_bytes(` or
+# `from_le_bytes(` on a non-comment line of library code (before a file's
+# first `#[cfg(test)]`) anywhere else is a layout the codec no longer
+# controls. The simulated stacks under crates/madsim-net/src model the
+# hardware's own bytes (SISCI segment stores, ARQ sequence words) and are
+# exempt.
+codec_hits=$(find crates/*/src -name '*.rs' ! -path crates/madeleine/src/wire.rs \
+        ! -path 'crates/madsim-net/src/*' -print0 |
+    xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile }
+                  /^[[:space:]]*\/\// { next }
+                  /(to|from)_le_bytes\(/ { print FILENAME ":" FNR ": " $0 }')
+if [ -n "$codec_hits" ]; then
+    echo "$codec_hits" >&2
+    echo "verify: FAIL — raw byte-order call outside madeleine::wire (listed above)" >&2
+    exit 1
+fi
 
 # Data-path lint: a send is a state machine polled on the calling thread
 # (striping included — `rail::StripeSend`), never a helper thread per

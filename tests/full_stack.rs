@@ -79,7 +79,7 @@ fn nexus_rpc_across_clusters() {
             req.put_str("square").put_f64(12.0);
             nx.register(2, |_, rsr| {
                 let mut g = GetBuffer::new(&rsr.data);
-                assert_eq!(g.get_f64(), 144.0);
+                assert_eq!(g.get_f64().unwrap(), 144.0);
             });
             nx.send_rsr(4, 1, req.as_slice());
             nx.handle_one();
@@ -88,8 +88,8 @@ fn nexus_rpc_across_clusters() {
             let nx = Nexus::new(Arc::clone(vc.channel()));
             nx.register(1, |nx, rsr| {
                 let mut g = GetBuffer::new(&rsr.data);
-                assert_eq!(g.get_str(), "square");
-                let x = g.get_f64();
+                assert_eq!(g.get_str().unwrap(), "square");
+                let x = g.get_f64().unwrap();
                 let mut reply = PutBuffer::new();
                 reply.put_f64(x * x);
                 nx.send_rsr(rsr.src, 2, reply.as_slice());
@@ -449,8 +449,8 @@ fn all_layers_coexist_in_one_session() {
             let nx = Nexus::new(Arc::clone(vc.expect("endpoint").channel()));
             nx.register(1, |_, rsr| {
                 let mut g = GetBuffer::new(&rsr.data);
-                assert_eq!(g.get_u32(), 7);
-                assert_eq!(g.get_str(), "cross-cluster");
+                assert_eq!(g.get_u32().unwrap(), 7);
+                assert_eq!(g.get_str().unwrap(), "cross-cluster");
             });
             nx.handle_one();
         }

@@ -413,10 +413,11 @@ fn nexus_marshaling_roundtrips() {
         let mut get = GetBuffer::new(put.as_slice());
         for it in &items {
             match it {
-                Item::U32(v) => assert_eq!(get.get_u32(), *v),
-                Item::F64(v) => assert_eq!(get.get_f64().to_bits(), v.to_bits()),
-                Item::Bytes(v) => assert_eq!(get.get_bytes(), v.as_slice()),
+                Item::U32(v) => assert_eq!(get.get_u32().unwrap(), *v),
+                Item::F64(v) => assert_eq!(get.get_f64().unwrap().to_bits(), v.to_bits()),
+                Item::Bytes(v) => assert_eq!(get.get_bytes().unwrap(), v.as_slice()),
             }
         }
+        assert!(get.is_empty());
     });
 }
