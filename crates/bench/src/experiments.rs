@@ -7,7 +7,7 @@
 
 use crate::json_struct;
 use crate::table::Series;
-use mad_gateway::{Gateway, GatewayConfig, VirtualChannel, VirtualChannelSpec};
+use mad_gateway::{Gateway, VirtualChannel, VirtualChannelSpec};
 use mad_mpi::Mpi;
 use mad_nexus::Nexus;
 use madeleine::{ChannelSpec, Config, Madeleine, Protocol, RecvMode, SendMode};
@@ -254,17 +254,6 @@ pub enum ForwardDir {
 /// One-way time (µs) of a single inter-cluster message of `msg` bytes with
 /// route MTU `packet` (the paper's §6.2 ping, measured at the receiver).
 pub fn forwarding_oneway_us(dir: ForwardDir, packet: usize, msg: usize) -> f64 {
-    forwarding_oneway_us_with(dir, packet, msg, GatewayConfig::default())
-}
-
-/// [`forwarding_oneway_us`] with explicit gateway tunables (used by the
-/// bandwidth-control test).
-pub fn forwarding_oneway_us_with(
-    dir: ForwardDir,
-    packet: usize,
-    msg: usize,
-    gwcfg: GatewayConfig,
-) -> f64 {
     let mut b = WorldBuilder::new(3);
     b.network("sci0", NetKind::Sci, &[0, 1]);
     b.network("myr0", NetKind::Myrinet, &[1, 2]);
@@ -278,7 +267,7 @@ pub fn forwarding_oneway_us_with(
     let times = world.run(move |env| {
         let mad = Madeleine::init(&env, &config);
         let spec = VirtualChannelSpec::new("vc", &["sci", "myr"], packet);
-        let gw = Gateway::spawn_with(&env, &mad, &config, &spec, gwcfg);
+        let gw = Gateway::spawn(&env, &mad, &config, &spec);
         let vc = VirtualChannel::open(&env, &mad, &config, &spec);
         let mut out = 0.0;
         if env.id() == from {

@@ -158,25 +158,3 @@ fn aggregation_beats_k_messages() {
         }
     }
 }
-
-/// Gateway bandwidth control: a binding admission limit caps throughput at
-/// (about) the limit — the regulation mechanism works even though, in this
-/// bus model, regulation alone does not recover Fig. 11's lost bandwidth.
-#[test]
-fn bandwidth_control_regulates() {
-    use mad_gateway::GatewayConfig;
-    let msg = 262144;
-    let t = experiments::forwarding_oneway_us_with(
-        ForwardDir::MyrinetToSci,
-        16384,
-        msg,
-        GatewayConfig {
-            inbound_limit_mibps: Some(8.0),
-        },
-    );
-    let bw = bw_of(t, msg);
-    assert!(
-        (6.0..9.5).contains(&bw),
-        "8 MiB/s admission limit produced {bw:.1} MiB/s"
-    );
-}

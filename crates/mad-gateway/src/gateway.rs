@@ -48,41 +48,6 @@ pub const GW_SEND_OVERHEAD_US: f64 = 35.0;
 /// Pipeline buffers per direction (the paper's dual buffering).
 const PIPELINE_DEPTH: usize = 2;
 
-/// Tunables of a node's forwarders — the **bandwidth control** mechanism
-/// the paper's conclusion calls for: "the sharing of the gateway internal
-/// system bus bandwidth appears to be a central issue: some sophisticated
-/// bandwidth control mechanism is needed to regulate the incoming
-/// communication flow on gateways."
-#[derive(Clone, Copy, Debug, Default)]
-pub struct GatewayConfig {
-    /// Cap the inbound payload rate per direction (MiB/s). Pacing the
-    /// receive side frees host-bus arbitration slots for the outgoing
-    /// transfers — EXPERIMENTS.md records the measured effect.
-    pub inbound_limit_mibps: Option<f64>,
-}
-
-/// Virtual-time token bucket regulating the inbound flow of one pipeline
-/// direction.
-struct RateLimiter {
-    bytes_per_us: f64,
-    next_allowed: VTime,
-}
-
-impl RateLimiter {
-    fn new(mibps: f64) -> Self {
-        RateLimiter {
-            bytes_per_us: mibps * 1.048576,
-            next_allowed: VTime::ZERO,
-        }
-    }
-
-    /// Block (in virtual time) until `len` more payload bytes may enter.
-    fn admit(&mut self, len: usize) {
-        let now = time::advance_to(self.next_allowed);
-        self.next_allowed = now + VDuration::from_micros_f64(len as f64 / self.bytes_per_us);
-    }
-}
-
 enum GwPayload {
     /// Pooled staging memory (dynamic→dynamic): with dual buffering the
     /// direction's pool converges on `PIPELINE_DEPTH` warm slabs that just
@@ -113,25 +78,13 @@ pub struct Gateway {
 impl Gateway {
     /// Spawn the forwarding pipelines this node owes to `spec` (one
     /// two-thread pipeline per direction per adjacency it gateways, on the
-    /// primary route **and on every alternate**), with the default
-    /// configuration. Returns `None` on nodes gatewaying no route of the
-    /// spec.
+    /// primary route **and on every alternate**). Returns `None` on nodes
+    /// gatewaying no route of the spec.
     pub fn spawn(
         env: &NodeEnv,
         mad: &Madeleine,
         config: &Config,
         spec: &VirtualChannelSpec,
-    ) -> Option<Gateway> {
-        Self::spawn_with(env, mad, config, spec, GatewayConfig::default())
-    }
-
-    /// [`spawn`](Self::spawn) with explicit forwarder tunables.
-    pub fn spawn_with(
-        env: &NodeEnv,
-        mad: &Madeleine,
-        config: &Config,
-        spec: &VirtualChannelSpec,
-        gwcfg: GatewayConfig,
     ) -> Option<Gateway> {
         let me = env.id();
         let stop = Arc::new(AtomicBool::new(false));
@@ -154,7 +107,6 @@ impl Gateway {
                         Arc::clone(&route),
                         in_pmm,
                         out_pmm,
-                        gwcfg,
                         Arc::clone(&stats),
                         Arc::clone(&stop),
                     ));
@@ -192,7 +144,6 @@ fn spawn_direction(
     route: Arc<Route>,
     in_pmm: Arc<dyn Pmm>,
     out_pmm: Arc<dyn Pmm>,
-    gwcfg: GatewayConfig,
     stats: Arc<Stats>,
     stop: Arc<AtomicBool>,
 ) -> Vec<JoinHandle<()>> {
@@ -217,7 +168,6 @@ fn spawn_direction(
         let stop = Arc::clone(&stop);
         let filled = Arc::clone(&filled);
         let free = Arc::clone(&free);
-        let mut limiter = gwcfg.inbound_limit_mibps.map(RateLimiter::new);
         let pool = BufPool::new(Arc::clone(&stats));
         let arrivals = Arc::clone(env.arrivals());
         env.spawn_thread(move || {
@@ -251,11 +201,6 @@ fn spawn_direction(
                         continue;
                     }
                 };
-                // Bandwidth control: admit the payload at the regulated
-                // rate before pulling it across the bus.
-                if let Some(l) = limiter.as_mut() {
-                    l.admit(hdr.len);
-                }
                 // A fragment addressed to this gateway or off the route has
                 // no next leg: its payload is still received, so the stream
                 // stays in step, and then dropped like a failed one.

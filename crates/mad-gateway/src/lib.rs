@@ -29,7 +29,7 @@ pub mod generic_tm;
 pub mod route;
 pub mod vchannel;
 
-pub use gateway::{Gateway, GatewayConfig, GW_RECV_OVERHEAD_US, GW_SEND_OVERHEAD_US};
+pub use gateway::{Gateway, GW_RECV_OVERHEAD_US, GW_SEND_OVERHEAD_US};
 pub use madeleine::wire::{FragHeader, FRAG_HEADER_LEN};
 pub use route::Route;
 pub use vchannel::{VirtualChannel, VirtualChannelSpec, DEFAULT_MTU};

@@ -49,15 +49,6 @@ impl Route {
         Route { hops, gateways }
     }
 
-    pub fn n_hops(&self) -> usize {
-        self.hops.len()
-    }
-
-    /// Members of hop `i`.
-    pub fn hop_members(&self, i: usize) -> &[NodeId] {
-        &self.hops[i]
-    }
-
     /// The gateway joining hops `i` and `i+1`.
     pub fn gateway(&self, i: usize) -> NodeId {
         self.gateways[i]

@@ -149,7 +149,7 @@ impl ShortPath {
             let n = wire::decode_credit(&pkt)?;
             self.with_window(peer, |w| w.refund(n));
         }
-        Ok(self.with_window(peer, CreditWindow::take))
+        Ok(self.with_window(peer, |w| w.take(1)))
     }
 }
 
@@ -239,7 +239,7 @@ impl TransmissionModule for BipShortTm {
             .try_recv_short_from(src, p.data_tag)
             .map_err(MadError::from_link(src, &p.stats, &p.tracer))?;
         // One receive-ring slot consumed: return a batch of credits when due.
-        if let Some(n) = p.with_window(src, CreditWindow::consume) {
+        if let Some(n) = p.with_window(src, |w| w.consume(1)) {
             p.bip.send_short(src, p.credit_tag, &wire::encode_credit(n));
         }
         Ok(StaticBuf::shared(data, 0))

@@ -62,20 +62,22 @@ pub fn build_pmm(
 }
 
 /// Flow control over one peer's bounded receive window — BIP's short
-/// ring, VIA's preposted descriptors — which the stack itself would let a
-/// sender overrun. A sender spends a credit per send and stops at zero;
-/// the receiver counts what it consumes and returns credits in batches.
-/// Each driver keeps one per peer under its own lock, with its own window
-/// and batch; both return credits in the one layout of
-/// [`wire::encode_credit`](crate::wire::encode_credit).
+/// ring and VIA's preposted descriptors, counted in buffers, and SISCI's
+/// stream rings, counted in bytes — which the stack itself would let a
+/// sender overrun. A sender spends credits per send and stops when too
+/// few are left; the receiver counts what it consumes and returns credits
+/// in batches. Each driver keeps one per peer (SISCI: per stream) under
+/// its own lock, with its own window and batch. BIP and VIA return credits
+/// in the one layout of [`wire::encode_credit`](crate::wire::encode_credit);
+/// SISCI publishes its consumed position in a flag word instead.
 pub(crate) struct CreditWindow {
     /// Credits a sender starts with, and at most holds.
     window: usize,
-    /// Credits returned at once, after this many buffers consumed.
+    /// Credits returned at once, after this many consumed.
     batch: usize,
-    /// Sends toward the peer still allowed.
+    /// Credits toward the peer still unspent.
     credits: usize,
-    /// Buffers consumed from the peer since the last credit return.
+    /// Credits consumed from the peer since the last return.
     consumed: usize,
 }
 
@@ -89,13 +91,18 @@ impl CreditWindow {
         }
     }
 
-    /// Spend one credit, if one is left.
-    pub(crate) fn take(&mut self) -> bool {
-        let Some(left) = self.credits.checked_sub(1) else {
+    /// Spend `n` credits, if that many are left.
+    pub(crate) fn take(&mut self, n: usize) -> bool {
+        let Some(left) = self.credits.checked_sub(n) else {
             return false;
         };
         self.credits = left;
         true
+    }
+
+    /// Credits spent and not yet returned by the peer.
+    pub(crate) fn outstanding(&self) -> usize {
+        self.window - self.credits
     }
 
     /// Take back `n` credits the peer returned.
@@ -103,10 +110,11 @@ impl CreditWindow {
         self.credits = self.credits.saturating_add(n).min(self.window);
     }
 
-    /// Count one buffer consumed from the peer: `Some(n)` when that
-    /// completes a batch and `n` credits are to be returned.
-    pub(crate) fn consume(&mut self) -> Option<usize> {
-        self.consumed += 1;
+    /// Count `n` credits consumed from the peer: `Some(k)` when that
+    /// completes a batch and the `k` counted since the last return are to
+    /// be returned.
+    pub(crate) fn consume(&mut self, n: usize) -> Option<usize> {
+        self.consumed += n;
         (self.consumed >= self.batch).then(|| std::mem::take(&mut self.consumed))
     }
 }

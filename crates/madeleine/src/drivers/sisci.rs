@@ -19,7 +19,11 @@
 //! Each TM drives a **byte-stream ring** per direction: the sender PIOs
 //! chunks into ring positions `stream_pos % ring` and publishes a flag
 //! carrying the total bytes written; the receiver copies out at its own
-//! position and publishes consumed-byte acks. Framing is entirely
+//! position and publishes consumed-byte acks. The ring is a
+//! [`CreditWindow`] counting bytes, as BIP's and VIA's windows count
+//! buffers. Positions and flags are 32-bit counters that wrap: rings are
+//! powers of two, so `pos % ring` runs on across the wrap, and a reader
+//! never lags its writer by more than one ring. Framing is entirely
 //! positional — Madeleine messages are not self-described, and the stream
 //! never needs padding or alignment between commits, so small blocks from
 //! consecutive packs (including the internal message header) coalesce into
@@ -31,6 +35,7 @@
 //! their reader polls locally — remote SCI reads are prohibitively slow).
 
 use crate::bmm::SendPolicy;
+use crate::drivers::CreditWindow;
 use crate::error::{MadError, MadResult};
 use crate::flags::{RecvMode, SendMode};
 use crate::pmm::Pmm;
@@ -58,6 +63,10 @@ const DATA_RING: usize = 4 * CHUNK_SIZE;
 /// DMA ring: one 16 kB chunk, stop-and-wait (the engine is slow anyway).
 const DMA_CHUNK: usize = 16384;
 const DMA_RING: usize = DMA_CHUNK;
+// A 32-bit stream position wraps onto the same ring offset.
+const _: () = assert!(
+    SHORT_RING.is_power_of_two() && DATA_RING.is_power_of_two() && DMA_RING.is_power_of_two()
+);
 
 /// Fixed cost of arming the dual-buffering pipeline for a bulk transfer.
 const DUALBUF_SETUP_US: f64 = 20.0;
@@ -87,20 +96,20 @@ fn seg_id(channel_id: u32, from: NodeId) -> u32 {
 
 /// Sender-side position of one stream.
 struct SendStream {
-    /// Total bytes written to the stream since session start.
+    /// Total bytes written to the stream since session start (mod 2^32).
     pos: u32,
-    /// Highest consumed-bytes ack observed.
-    acked: u32,
+    /// Ring bytes the receiver has freed and the sender not yet filled.
+    window: CreditWindow,
 }
 
 /// Receiver-side position of one stream.
 struct RecvStream {
-    /// Total bytes consumed.
+    /// Total bytes consumed (mod 2^32).
     pos: u32,
     /// Highest written-bytes flag observed.
     known: u32,
-    /// Last consumed position acknowledged to the sender.
-    acked: u32,
+    /// Bytes consumed since the last ack.
+    window: CreditWindow,
 }
 
 type Links = Arc<HashMap<NodeId, Arc<PeerLink>>>;
@@ -121,13 +130,21 @@ struct StreamPair {
 }
 
 impl StreamPair {
-    fn new() -> Self {
+    fn new(geom: StreamGeom) -> Self {
+        // Acks are batched (each is a remote PIO write), and the batch is
+        // sized so a sender needing `chunk` bytes of ring space can never
+        // be starved by a withheld ack: `batch <= ring - chunk + 1`.
+        let batch = (geom.ring - geom.chunk + 1).min(geom.ring / 4).max(1);
+        let window = || CreditWindow::new(geom.ring, batch);
         StreamPair {
-            send: Mutex::new(SendStream { pos: 0, acked: 0 }),
+            send: Mutex::new(SendStream {
+                pos: 0,
+                window: window(),
+            }),
             recv: Mutex::new(RecvStream {
                 pos: 0,
                 known: 0,
-                acked: 0,
+                window: window(),
             }),
         }
     }
@@ -177,17 +194,6 @@ const DMA_GEOM: StreamGeom = StreamGeom {
     dma: true,
 };
 
-/// Largest ack the receiver may withhold without ever starving a sender
-/// that needs room for one full chunk: `batch <= ring - chunk + 1`.
-fn ack_batch(geom: StreamGeom) -> u32 {
-    ((geom.ring - geom.chunk + 1).min(geom.ring / 4).max(1)) as u32
-}
-
-fn checked_add(pos: u32, n: usize, what: &str) -> u32 {
-    pos.checked_add(n as u32)
-        .unwrap_or_else(|| panic!("SISCI {what} stream exceeded 4 GiB (u32 flag wrap)"))
-}
-
 impl PeerLink {
     /// Wait until the peer's flag at `off` reaches `val`, polling it
     /// `polls` times before parking. Unbounded on a clean world; the link's
@@ -202,19 +208,22 @@ impl PeerLink {
     fn send_group(&self, geom: StreamGeom, bufs: &[&[u8]]) -> Result<(), LinkError> {
         let mut st = self.streams[geom.index].send.lock();
         let write_chunk = |st: &mut SendStream, chunk: &[u8]| -> Result<(), LinkError> {
-            let end = checked_add(st.pos, chunk.len(), "send");
+            let end = st.pos.wrapping_add(chunk.len() as u32);
             // Flow control: the chunk's last byte must fit in the ring
             // window beyond the receiver's consumed position.
-            if end > st.acked.saturating_add(geom.ring as u32) {
-                let need = end - geom.ring as u32;
-                st.acked = self.wait_flag(geom.ack_off, need, STREAM_POLLS)?;
+            if !st.window.take(chunk.len()) {
+                let acked = st.pos.wrapping_sub(st.window.outstanding() as u32);
+                let need = end.wrapping_sub(geom.ring as u32);
+                let seen = self.wait_flag(geom.ack_off, need, STREAM_POLLS)?;
+                st.window.refund(seen.wrapping_sub(acked) as usize);
+                assert!(st.window.take(chunk.len()), "an ack frees the chunk's span");
             }
             // Streams are byte-granular, so a chunk may straddle the ring
             // wrap: split it into at most two writes.
             let mut written = 0usize;
             let mut vis = VTime::ZERO;
             while written < chunk.len() {
-                let ring_off = (st.pos as usize + written) % geom.ring;
+                let ring_off = st.pos.wrapping_add(written as u32) as usize % geom.ring;
                 let span = (geom.ring - ring_off).min(chunk.len() - written);
                 let off = geom.data_off + ring_off;
                 let part = &chunk[written..written + span];
@@ -272,22 +281,18 @@ impl PeerLink {
             if st.known == st.pos {
                 // Bytes of this block already read: the sender is streaming.
                 let polls = if filled > 0 { STREAM_POLLS } else { 0 };
-                st.known = self.wait_flag(geom.flag_off, st.pos + 1, polls)?;
+                st.known = self.wait_flag(geom.flag_off, st.pos.wrapping_add(1), polls)?;
             }
-            let avail = (st.known - st.pos) as usize;
-            let ring_left = geom.ring - (st.pos as usize % geom.ring);
-            let take = avail.min(ring_left).min(dst.len() - filled);
-            let off = geom.data_off + (st.pos as usize % geom.ring);
+            let avail = st.known.wrapping_sub(st.pos) as usize;
+            let ring_off = st.pos as usize % geom.ring;
+            let take = avail.min(geom.ring - ring_off).min(dst.len() - filled);
+            let off = geom.data_off + ring_off;
             self.local.read(off, &mut dst[filled..filled + take]);
-            st.pos = checked_add(st.pos, take, "recv");
+            st.pos = st.pos.wrapping_add(take as u32);
             filled += take;
-            // Acknowledge consumption so the sender's ring frees up.
-            // Acks are batched (each is a remote PIO write): the batch is
-            // sized so a sender needing `chunk` bytes of ring space can
-            // never be starved by a withheld ack.
-            let batch = ack_batch(geom);
-            if st.pos - st.acked >= batch {
-                st.acked = st.pos;
+            // Acknowledge a batch of consumption so the sender's ring
+            // frees up.
+            if st.window.consume(take).is_some() {
                 self.remote.write_flag(geom.ack_off, st.pos, VTime::ZERO);
             }
         }
@@ -297,7 +302,8 @@ impl PeerLink {
     /// Is unconsumed data pending on this stream? (No clock effects.)
     fn probe(&self, geom: StreamGeom) -> bool {
         let st = self.streams[geom.index].recv.lock();
-        self.local.probe_flag_ge(geom.flag_off, st.pos + 1)
+        self.local
+            .probe_flag_ge(geom.flag_off, st.pos.wrapping_add(1))
     }
 }
 
@@ -323,7 +329,7 @@ fn connect_links(sisci: &Sisci, adapter: &Adapter, channel_id: u32) -> Links {
         let link = PeerLink {
             local,
             remote,
-            streams: [StreamPair::new(), StreamPair::new(), StreamPair::new()],
+            streams: [SHORT_GEOM, DATA_GEOM, DMA_GEOM].map(StreamPair::new),
             peer: p,
         };
         (p, Arc::new(link))

@@ -181,7 +181,7 @@ impl TransmissionModule for ViaTm {
                 p.window.refund(wire::decode_credit(&pkt)?);
                 p.credit.post_recv(wire::CREDIT_LEN);
             }
-            while !p.window.take() {
+            while !p.window.take(1) {
                 // Window closed: block for a credit return.
                 let pkt = p.credit.try_recv().map_err(&lift)?;
                 p.window.refund(wire::decode_credit(&pkt)?);
@@ -204,7 +204,7 @@ impl TransmissionModule for ViaTm {
         self.with_peer(src, |p| {
             let data = p.data.try_recv().map_err(lift)?;
             p.data.post_recv(VIA_BUF);
-            if let Some(n) = p.window.consume() {
+            if let Some(n) = p.window.consume(1) {
                 p.credit.send(&wire::encode_credit(n));
             }
             Ok(StaticBuf::shared(data, 0))

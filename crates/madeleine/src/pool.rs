@@ -173,12 +173,6 @@ impl PooledBuf {
         &mut self.mem.as_mut().expect("pooled buffer present")[len..cap]
     }
 
-    /// Mutable view of the filled prefix.
-    pub fn filled_mut(&mut self) -> &mut [u8] {
-        let len = self.len;
-        &mut self.mem.as_mut().expect("pooled buffer present")[..len]
-    }
-
     /// Declare `n` more bytes filled (after writing them via `spare_mut`).
     pub fn advance(&mut self, n: usize) {
         assert!(self.len + n <= self.cap, "PooledBuf::advance past capacity");

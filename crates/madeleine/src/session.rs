@@ -174,9 +174,4 @@ impl Madeleine {
     pub fn try_channel(&self, name: &str) -> Option<&Arc<Channel>> {
         self.channels.get(name)
     }
-
-    /// Names of the channels this node participates in.
-    pub fn channel_names(&self) -> Vec<&str> {
-        self.channels.keys().map(|s| s.as_str()).collect()
-    }
 }

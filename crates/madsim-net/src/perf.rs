@@ -105,11 +105,6 @@ impl PerfCurve {
         let (x1, y1) = (self.anchors[n - 1].0 as f64, self.anchors[n - 1].1);
         (x1 - x0) / (y1 - y0) / MIB_PER_S_IN_BYTES_PER_US
     }
-
-    /// Smallest anchored size (the latency floor applies below it).
-    pub fn min_size(&self) -> usize {
-        self.anchors[0].0
-    }
 }
 
 #[cfg(test)]

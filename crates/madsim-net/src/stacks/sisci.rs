@@ -48,31 +48,48 @@ use std::time::Duration;
 
 type SegKey = (NodeId, u32);
 
+/// Marks [`FlagSlot::published`] as written; the low 32 bits hold the value.
+const WRITTEN: u64 = 1 << 32;
+
+/// `a` is at or past `b` on the 32-bit serial line a flag counts on (RFC
+/// 1982): flags are monotone counters that may wrap, and a waiter never
+/// lags the value it waits on by 2^31 or more.
+fn reached(a: u32, b: u32) -> bool {
+    a.wrapping_sub(b) < 1 << 31
+}
+
 /// One flag word of a segment. Slots chain in first-use order (a protocol
 /// uses a handful of offsets), so finding one takes no lock.
 #[derive(Default)]
 struct FlagSlot {
     off: usize,
-    /// Highest value written, plus one (0: never written) — what a poll
-    /// loads. Stored (Release) after the write is in `history`, so a waiter
-    /// that loads it (Acquire) finds the entry there.
+    /// `WRITTEN | v` for the furthest value `v` written (0: never written)
+    /// — what a poll loads. Stored (Release) after the write is in
+    /// `history`, so a waiter that loads it (Acquire) finds the entry there.
     published: AtomicU64,
-    /// Unconsumed writes, ascending by value: `(value, virtual arrival)`.
+    /// Unconsumed writes, ascending (serially) by value: `(value, virtual
+    /// arrival)`.
     history: Mutex<VecDeque<(u32, VTime)>>,
     next: OnceLock<Box<FlagSlot>>,
 }
 
 impl FlagSlot {
+    /// Has a value at or past `val` been published?
+    fn reaches(&self, val: u32) -> bool {
+        let p = self.published.load(Ordering::Acquire);
+        p != 0 && reached(p as u32, val)
+    }
+
     /// Consume the earliest write with value `>= val`: advance the local
     /// clock to its arrival and prune the history below it (flags are
     /// monotone counters in every protocol built on top). Locks only once
     /// the published value says the write is there.
     fn take(&self, val: u32) -> Option<(u32, VTime)> {
-        if self.published.load(Ordering::Acquire) <= val as u64 {
+        if !self.reaches(val) {
             return None;
         }
         let mut history = self.history.lock();
-        let at = history.partition_point(|&(v, _)| v < val);
+        let at = history.partition_point(|&(v, _)| !reached(v, val));
         let hit = *history.get(at)?;
         history.drain(..at);
         drop(history);
@@ -229,8 +246,8 @@ impl LocalSegment {
     }
 
     /// Block until the flag word at `off` has been written with a value
-    /// `>= val`; advances the local clock to the write's arrival and returns
-    /// that instant. Parks at once.
+    /// `>= val` (compared as wrapping 32-bit counters); advances the local
+    /// clock to the write's arrival and returns that instant. Parks at once.
     pub fn wait_flag_ge(&self, off: usize, val: u32) -> VTime {
         let hit = self.wait_flag_ge_val(off, val, 0, None);
         hit.expect("a wait without a timeout only succeeds").1
@@ -276,7 +293,7 @@ impl LocalSegment {
     /// Pure probe (one load): is the flag at `off` already `>= val`? Consumes
     /// nothing, does not advance the clock (incoming-message polling).
     pub fn probe_flag_ge(&self, off: usize, val: u32) -> bool {
-        self.inner.flag(off).published.load(Ordering::Acquire) > val as u64
+        self.inner.flag(off).reaches(val)
     }
 
     /// Non-blocking flag poll; advances the clock and consumes history on
@@ -350,13 +367,16 @@ impl RemoteSegment {
         let flag = self.inner.flag(off);
         {
             let mut history = flag.history.lock();
-            let at = history.partition_point(|&(v, _)| v < val);
+            let at = history.partition_point(|&(v, _)| !reached(v, val));
             match history.get_mut(at) {
                 Some(same) if same.0 == val => same.1 = arrival,
                 _ => history.insert(at, (val, arrival)),
             }
         }
-        flag.published.fetch_max(val as u64 + 1, Ordering::Release);
+        let furthest = |p: u64| (p == 0 || !reached(p as u32, val)).then_some(WRITTEN | val as u64);
+        let _ = flag
+            .published
+            .fetch_update(Ordering::Release, Ordering::Relaxed, furthest);
         self.inner.arrivals.notify();
         arrival
     }
