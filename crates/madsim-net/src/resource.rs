@@ -78,8 +78,8 @@ impl ResourceTimeline {
         // push the candidate start past every busy span that does; stop at
         // the first gap that fits. The skip is a slice walk because that
         // compiles to a 14-byte loop, which at its 16-byte alignment never
-        // straddles a cache line; the indexed loop it replaces did in one
-        // build layout of four, and ran `rpc_mix` ~30 % slower there
+        // straddles a cache line; a 21-byte indexed loop does in one build
+        // layout of four, and runs `rpc_mix` ~30 % slower there
         // (EXPERIMENTS.md).
         let mut rest = &spans[..];
         while let [(_, end), tail @ ..] = rest {
