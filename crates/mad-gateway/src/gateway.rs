@@ -19,7 +19,7 @@
 //! * both static → the one unavoidable copy;
 //! * both dynamic → through a reusable staging buffer, no extra copies.
 
-use crate::generic_tm::{hop_recv, hop_send, recv_fragment_header};
+use crate::generic_tm::{hop_recv, recv_fragment_header, send_fragment, stage};
 use crate::route::Route;
 use crate::vchannel::{route_of_chain, VirtualChannelSpec};
 use madeleine::bmm::SendPolicy;
@@ -29,7 +29,7 @@ use madeleine::flags::{RecvMode, SendMode};
 use madeleine::pmm::Pmm;
 use madeleine::pool::{BufPool, PooledBuf};
 use madeleine::stats::Stats;
-use madeleine::tm::StaticBuf;
+use madeleine::tm::{self, StaticBuf};
 use madeleine::wire::FragHeader;
 use madeleine::{CompletionQueue, Madeleine};
 use madsim_net::eventcount::EventCount;
@@ -238,40 +238,15 @@ fn spawn_direction(
             {
                 time::advance_to(ready);
                 let (_hop, next) = route.next_leg(me, hdr.dst);
-                let forwarded: MadResult<()> = (|| {
-                    hop_send(
-                        &out_pmm,
-                        next,
-                        &hdr.to_wire(),
-                        RecvMode::Express,
-                        host,
-                        &stats,
-                    )?;
-                    match payload {
-                        GwPayload::Dyn(v) => {
-                            if !v.is_empty() {
-                                hop_send(&out_pmm, next, &v, RecvMode::Cheaper, host, &stats)?;
-                            }
-                        }
-                        GwPayload::OutStatic(buf) => {
-                            let id =
-                                out_pmm.select(buf.len(), SendMode::Cheaper, RecvMode::Cheaper);
-                            out_pmm.tm(id).send_static_buffer(next, buf)?;
-                            stats.record_buffer_sent();
-                        }
-                        GwPayload::InStatic(buf) => {
-                            hop_send(
-                                &out_pmm,
-                                next,
-                                buf.filled(),
-                                RecvMode::Cheaper,
-                                host,
-                                &stats,
-                            )?;
-                        }
+                let forwarded = match payload {
+                    GwPayload::Dyn(v) => send_fragment(&out_pmm, next, &hdr, &v, host, &stats),
+                    GwPayload::InStatic(buf) => {
+                        send_fragment(&out_pmm, next, &hdr, buf.filled(), host, &stats)
                     }
-                    Ok(())
-                })();
+                    GwPayload::OutStatic(buf) => {
+                        send_static_fragment(&out_pmm, next, &hdr, buf, host, &stats)
+                    }
+                };
                 if forwarded.is_err() {
                     // The outgoing hop is dead. Drop the fragment — the
                     // end nodes' offset-checked reassembly discards the
@@ -285,6 +260,24 @@ fn spawn_direction(
     };
 
     vec![recv_handle, send_handle]
+}
+
+/// Send a fragment whose payload already sits in a static buffer of the
+/// outgoing TM: the header alone through [`send_fragment`], then the
+/// buffer itself, posted and waited out in place.
+fn send_static_fragment(
+    out_pmm: &Arc<dyn Pmm>,
+    next: madsim_net::NodeId,
+    hdr: &FragHeader,
+    buf: StaticBuf,
+    host: madeleine::config::HostModel,
+    stats: &Arc<Stats>,
+) -> MadResult<()> {
+    send_fragment(out_pmm, next, hdr, &[], host, stats)?;
+    let id = out_pmm.select(buf.len(), SendMode::Cheaper, RecvMode::Cheaper);
+    tm::wait_out(out_pmm.tm(id).post_static_buffer(next, buf)?)?;
+    stats.record_buffer_sent();
+    Ok(())
 }
 
 /// Receive one fragment payload using the §6.1 copy-avoidance matrix.
@@ -330,24 +323,13 @@ fn receive_payload(
         }
         Ok(GwPayload::InStatic(buf))
     } else {
-        let mut v = pool.checkout(hdr.len);
-        hop_recv(
-            in_pmm,
-            neighbor,
-            &mut v.spare_mut()[..hdr.len],
-            RecvMode::Cheaper,
-            host,
-            stats,
-        )?;
-        v.advance(hdr.len);
-        Ok(GwPayload::Dyn(v))
+        stage(in_pmm, neighbor, hdr.len, pool, host, stats).map(GwPayload::Dyn)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generic_tm::send_fragment;
     use crate::vchannel::VirtualChannel;
     use madeleine::Protocol;
     use madsim_net::{NetKind, WorldBuilder};

@@ -54,7 +54,7 @@ use std::sync::Arc;
 
 /// Send one logical buffer through a hop channel's real TMs, honouring the
 /// hop's own TM selection and buffer policy, waited out in place.
-pub(crate) fn hop_send(
+fn hop_send(
     pmm: &Arc<dyn Pmm>,
     next: NodeId,
     data: &[u8],
@@ -113,13 +113,33 @@ pub(crate) fn recv_fragment_header(
     FragHeader::from_wire(&hdr)
 }
 
-/// One route of a virtual channel, with its hop protocol modules and
-/// health flag.
+/// Receive a `len`-byte fragment payload from `from` into pooled staging
+/// memory.
+pub(crate) fn stage(
+    pmm: &Arc<dyn Pmm>,
+    from: NodeId,
+    len: usize,
+    pool: &BufPool,
+    host: HostModel,
+    stats: &Arc<Stats>,
+) -> MadResult<PooledBuf> {
+    let mut buf = pool.checkout(len);
+    if len > 0 {
+        let spare = &mut buf.spare_mut()[..len];
+        hop_recv(pmm, from, spare, RecvMode::Cheaper, host, stats)?;
+        buf.advance(len);
+    }
+    Ok(buf)
+}
+
+/// One route of a virtual channel as an end node sees it: the node's one
+/// hop channel on it, and the route's health flag.
 pub(crate) struct RouteState {
     route: Arc<Route>,
-    /// `hops[i]` is hop *i*'s channel, present for the hops this node
-    /// belongs to.
-    hops: Vec<Option<Arc<Channel>>>,
+    /// The channel of this end node's only hop on the route: fragments
+    /// leave on it and are read from its rail-0 PMM, however many rails
+    /// it has.
+    hop: Arc<Channel>,
     /// Set once a send on this route fails; the route is never retried.
     down: AtomicBool,
     /// Header of a fragment whose payload transfer was initiated early
@@ -129,10 +149,10 @@ pub(crate) struct RouteState {
 }
 
 impl RouteState {
-    pub(crate) fn new(route: Arc<Route>, hops: Vec<Option<Arc<Channel>>>) -> Self {
+    pub(crate) fn new(route: Arc<Route>, hop: Arc<Channel>) -> Self {
         RouteState {
             route,
-            hops,
+            hop,
             down: AtomicBool::new(false),
             prefetched: Mutex::new(None),
         }
@@ -151,28 +171,10 @@ impl RouteState {
         !self.route.hops_of(a).is_empty() && !self.route.hops_of(b).is_empty()
     }
 
-    /// This node's single hop on the route (endpoints only).
-    fn my_hop(&self, me: NodeId) -> usize {
-        let hops = self.route.hops_of(me);
-        assert_eq!(
-            hops.len(),
-            1,
-            "virtual-channel endpoints must not be gateways (node {me})"
-        );
-        hops[0]
-    }
-
-    fn hop(&self, hop: usize) -> &Channel {
-        self.hops[hop]
-            .as_deref()
-            .expect("node holds the channels of its own hops")
-    }
-
-    /// Block until this endpoint's hop announces a fragment on its rail-0
-    /// PMM — where fragments are read from, however many rails the hop
-    /// has — through the hop channel's own poll policy.
-    fn wait_announced(&self, me: NodeId) -> NodeId {
-        let hop = self.hop(self.my_hop(me));
+    /// Block until the hop announces a fragment, through the hop channel's
+    /// own poll policy.
+    fn wait_announced(&self) -> NodeId {
+        let hop = &self.hop;
         hop.poll_policy()
             .wait(hop.arrivals(), false, || hop.pmm().poll_incoming())
     }
@@ -183,6 +185,10 @@ struct Pending {
     offset: usize,
     payload: PooledBuf,
 }
+
+/// A fragment whose header is read: its route, the neighbor it came from
+/// on that route's hop, and the header.
+type Frag = (usize, NodeId, FragHeader);
 
 /// The Generic TM of one end node on one virtual channel.
 pub struct GenericTm {
@@ -230,127 +236,42 @@ impl GenericTm {
         }
     }
 
-    /// Routes this endpoint can currently receive on.
-    fn live_recv_routes(&self) -> impl Iterator<Item = (usize, &RouteState)> {
-        self.routes
-            .iter()
-            .enumerate()
-            .filter(|(_, rs)| !rs.is_down() && !rs.route.hops_of(self.me).is_empty())
-    }
-
-    /// A receive-side route failed while ingesting: take it out of the
-    /// poll set so the remaining routes keep the channel alive.
+    /// A receive-side route failed: take it out of the poll set so the
+    /// remaining routes keep the channel alive.
     fn recv_route_failed(&self, ri: usize) {
         self.routes[ri].mark_down();
         self.tracer.record(TraceEvent::RouteDown { route: ri });
     }
 
-    /// Pull the next fragment off the wire (blocking) and queue it; returns
-    /// its originating node, or `None` if the ingest failed and the route
-    /// was dropped.
-    fn ingest_one(&self, ri: usize) -> Option<NodeId> {
-        match self.try_ingest_one(ri) {
-            Ok(src) => Some(src),
-            Err(_) => {
-                self.recv_route_failed(ri);
-                None
-            }
-        }
-    }
-
-    fn try_ingest_one(&self, ri: usize) -> MadResult<NodeId> {
-        let rs = &self.routes[ri];
-        let hop = rs.my_hop(self.me);
-        let pmm = rs.hop(hop).pmm();
-        let (neighbor, h) = match rs.prefetched.lock().take() {
-            Some(x) => x,
-            None => {
-                let neighbor = rs.wait_announced(self.me);
-                let h = recv_fragment_header(pmm, neighbor, self.host, &self.stats)?;
-                (neighbor, h)
-            }
-        };
-        assert_eq!(
-            h.dst, self.me,
-            "end node {} received a fragment addressed to {} — broken route?",
-            self.me, h.dst
-        );
-        let mut payload = self.pool.checkout(h.len);
-        if h.len > 0 {
-            hop_recv(
-                pmm,
-                neighbor,
-                &mut payload.spare_mut()[..h.len],
-                RecvMode::Cheaper,
-                self.host,
-                &self.stats,
-            )?;
-            payload.advance(h.len);
-        }
-        let frag = Pending {
-            offset: h.offset,
-            payload,
-        };
-        self.pending
-            .lock()
-            .entry(h.src)
-            .or_default()
-            .push_back(frag);
-        // Look ahead: if another fragment is already announced, read its
-        // header now and fire the payload TM's handshake so the transfer
-        // (a background NIC operation) overlaps our caller's copy-out.
-        self.try_prefetch_next(ri)?;
-        Ok(h.src)
-    }
-
-    fn try_prefetch_next(&self, ri: usize) -> MadResult<()> {
-        let rs = &self.routes[ri];
-        let mut slot = rs.prefetched.lock();
-        if slot.is_some() {
-            return Ok(());
-        }
-        let hop = rs.my_hop(self.me);
-        let pmm = rs.hop(hop).pmm();
-        if let Some(neighbor) = pmm.poll_incoming() {
-            let h = recv_fragment_header(pmm, neighbor, self.host, &self.stats)?;
-            if h.len > 0 {
-                let id = pmm.select(h.len, SendMode::Cheaper, RecvMode::Cheaper);
-                pmm.tm(id).prefetch(neighbor);
-            }
-            *slot = Some((neighbor, h));
-        }
-        Ok(())
-    }
-
     /// Some node with a queued or announced fragment, if any (never
     /// consumes wire data for already-queued fragments — peeks the pending
-    /// queue first, then the live routes' hop PMMs).
+    /// queue first, then the live routes).
     pub(crate) fn poll_announced(&self) -> Option<NodeId> {
         if let Some((&src, _)) = self.pending.lock().iter().find(|(_, q)| !q.is_empty()) {
             return Some(src);
         }
-        let candidates: Vec<usize> = self.live_recv_routes().map(|(ri, _)| ri).collect();
-        for ri in candidates {
-            let rs = &self.routes[ri];
-            if rs.prefetched.lock().is_some() {
-                return self.ingest_one(ri);
-            }
-            // Something is on the wire: we do not know the *final* source
-            // until its header is read, so ingest it now (blocking is fine:
-            // the fragment is already announced by the hop PMM).
-            let hop = rs.my_hop(self.me);
-            if rs.hop(hop).pmm().poll_incoming().is_some() {
-                return self.ingest_one(ri);
-            }
+        // We do not know the *final* source of an announced fragment until
+        // its header is read, so take it in now (its payload is on its way).
+        let (ri, from, h) = self.next_fragment(false).ok()??;
+        if self.stage_frag(ri, from, &h, true).is_err() {
+            self.recv_route_failed(ri);
+            return None;
         }
-        None
+        // Look ahead: if another fragment is already announced, read its
+        // header now (which fires the payload TM's handshake) so the
+        // transfer, a background NIC operation, overlaps our caller's
+        // copy-out.
+        if let Ok(Some((ri, from, next))) = self.next_fragment(false) {
+            *self.routes[ri].prefetched.lock() = Some((from, next));
+        }
+        Some(h.src)
     }
 
     /// Fragment one block and stream it down `rs`, tagging each fragment
     /// with its offset so the receiver can validate reassembly.
     fn send_block_on(&self, rs: &RouteState, dst: NodeId, data: &[u8]) -> MadResult<()> {
-        let (hop, next) = rs.route.next_leg(self.me, dst);
-        let pmm = rs.hop(hop).pmm();
+        let (_, next) = rs.route.next_leg(self.me, dst);
+        let pmm = rs.hop.pmm();
         let mut offset = 0usize;
         for chunk in data.chunks(self.mtu.max(1)) {
             let header = FragHeader {
@@ -365,53 +286,123 @@ impl GenericTm {
         Ok(())
     }
 
-    /// Block until some live receive route announces a fragment; reads its
-    /// header (and fires the payload prefetch). Errors drop the failing
-    /// route; `ChannelDown` is returned once no live route remains.
-    fn next_fragment(&self) -> MadResult<(usize, NodeId, FragHeader)> {
+    /// The next fragment on a live receive route: the one a route's look-
+    /// ahead read, else one a route's hop announces, whose header is read
+    /// here (see [`read_header`](Self::read_header)). With `wait`, block
+    /// until one comes; without, `Ok(None)` when none is there. A route
+    /// whose read fails is dropped; `ChannelDown` once none is left.
+    fn next_fragment(&self, wait: bool) -> MadResult<Option<Frag>> {
         loop {
-            let candidates: Vec<usize> = self.live_recv_routes().map(|(ri, _)| ri).collect();
-            // A fragment this route prefetched, or one announced on its hop.
+            let live: Vec<usize> = (0..self.routes.len())
+                .filter(|&ri| !self.routes[ri].is_down())
+                .collect();
+            // A fragment this route looked ahead at, or one its hop announces.
             let announced = |ri: usize| {
                 let rs = &self.routes[ri];
                 match rs.prefetched.lock().take() {
-                    Some((neighbor, h)) => Some((ri, neighbor, Some(h))),
-                    None => Some((ri, rs.hop(rs.my_hop(self.me)).pmm().poll_incoming()?, None)),
+                    Some((from, h)) => Some((ri, from, Some(h))),
+                    None => Some((ri, rs.hop.pmm().poll_incoming()?, None)),
                 }
             };
-            let (ri, neighbor, prefetched) = match candidates[..] {
+            let hit = match live[..] {
                 [] => return Err(MadError::ChannelDown),
+                _ if !wait => live.iter().find_map(|&ri| announced(ri)),
                 // Single healthy route: block in the hop channel's own wait
                 // (the zero-fault fast path, identical to a plain channel).
-                [ri] => announced(ri)
-                    .unwrap_or_else(|| (ri, self.routes[ri].wait_announced(self.me), None)),
-                // Several: poll them, parking on the node's arrivals.
-                _ => {
-                    let poll = || candidates.iter().find_map(|&ri| announced(ri));
-                    let hit = self.arrivals.wait_timeout(0, None, poll);
-                    hit.expect("a wait without a timeout only succeeds")
+                [ri] => {
+                    announced(ri).or_else(|| Some((ri, self.routes[ri].wait_announced(), None)))
                 }
+                // Several: poll them, parking on the node's arrivals (a wait
+                // without a timeout only returns a hit).
+                _ => self
+                    .arrivals
+                    .wait_timeout(0, None, || live.iter().find_map(|&ri| announced(ri))),
             };
-            if let Some(h) = prefetched {
-                return Ok((ri, neighbor, h));
-            }
-            let pmm = self.routes[ri].hop(self.routes[ri].my_hop(self.me)).pmm();
-            match recv_fragment_header(pmm, neighbor, self.host, &self.stats) {
-                Ok(h) => {
-                    if h.len > 0 {
-                        let id = pmm.select(h.len, SendMode::Cheaper, RecvMode::Cheaper);
-                        pmm.tm(id).prefetch(neighbor);
-                    }
-                    return Ok((ri, neighbor, h));
-                }
-                Err(MadError::CorruptStream(what)) => {
-                    // The stream cannot be resynchronized: not a route
+            let Some((ri, from, held)) = hit else {
+                return Ok(None);
+            };
+            match held.map_or_else(|| self.read_header(ri, from), |h| Ok(Some(h))) {
+                Ok(Some(h)) => return Ok(Some((ri, from, h))),
+                // Misaddressed, drained and counted: read on.
+                Ok(None) => {}
+                Err(e) => {
+                    self.recv_route_failed(ri);
+                    // A corrupt stream cannot be resynchronized: not a route
                     // fault but a wiring error — surface it.
-                    return Err(MadError::CorruptStream(what));
+                    if let MadError::CorruptStream(_) = e {
+                        return Err(e);
+                    }
                 }
-                Err(_) => self.recv_route_failed(ri),
             }
         }
+    }
+
+    /// Read the header of the fragment `from` announced on route `ri`, and
+    /// fire its payload TM's handshake (see
+    /// [`TransmissionModule::prefetch`]) so the transfer runs while the
+    /// caller works. A fragment addressed to another node — a broken route —
+    /// is drained, so the hop's stream stays in step, counted, and skipped:
+    /// `Ok(None)`.
+    fn read_header(&self, ri: usize, from: NodeId) -> MadResult<Option<FragHeader>> {
+        let pmm = self.routes[ri].hop.pmm();
+        let h = recv_fragment_header(pmm, from, self.host, &self.stats)?;
+        if h.len > 0 {
+            let id = pmm.select(h.len, SendMode::Cheaper, RecvMode::Cheaper);
+            pmm.tm(id).prefetch(from);
+        }
+        if h.dst == self.me {
+            return Ok(Some(h));
+        }
+        self.stage_frag(ri, from, &h, false)?;
+        self.discard(h.src);
+        Ok(None)
+    }
+
+    /// [`stage`] fragment `h`'s payload off route `ri` and, with `queue`,
+    /// queue it under its source; without, drop it (a drain).
+    fn stage_frag(&self, ri: usize, from: NodeId, h: &FragHeader, queue: bool) -> MadResult<()> {
+        let pmm = self.routes[ri].hop.pmm();
+        let payload = stage(pmm, from, h.len, &self.pool, self.host, &self.stats)?;
+        if queue {
+            let frag = Pending {
+                offset: h.offset,
+                payload,
+            };
+            self.pending
+                .lock()
+                .entry(h.src)
+                .or_default()
+                .push_back(frag);
+        }
+        Ok(())
+    }
+
+    /// The offset rule: may a `len`-byte fragment of `src`'s block at
+    /// `offset` be taken in at `filled` of the block's `cap` bytes? Offset 0
+    /// against a partial block means the sender restarted it on another
+    /// route: the partial progress is discarded and the fragment taken. Any
+    /// other offset but `filled` is a stale tail of an aborted attempt, and
+    /// is discarded. A fragment that would overrun the block is a corrupt
+    /// stream.
+    fn accept(
+        &self,
+        src: NodeId,
+        offset: usize,
+        len: usize,
+        filled: &mut usize,
+        cap: usize,
+    ) -> MadResult<bool> {
+        if offset == 0 && *filled > 0 {
+            self.discard(src);
+            *filled = 0;
+        } else if offset != *filled {
+            self.discard(src);
+            return Ok(false);
+        }
+        if *filled + len > cap {
+            return Err(MadError::corrupt("fragment overruns its receive block"));
+        }
+        Ok(true)
     }
 
     /// Count and trace a discarded fragment (or discarded partial
@@ -419,24 +410,6 @@ impl GenericTm {
     fn discard(&self, src: NodeId) {
         self.stats.record_frag_discarded();
         self.tracer.record(TraceEvent::FragmentDiscarded { src });
-    }
-
-    /// Drain a fragment payload nobody wants into scratch memory.
-    fn drain_payload(&self, ri: usize, neighbor: NodeId, len: usize) -> MadResult<()> {
-        if len == 0 {
-            return Ok(());
-        }
-        let rs = &self.routes[ri];
-        let pmm = rs.hop(rs.my_hop(self.me)).pmm();
-        let mut scratch = self.pool.checkout(len);
-        hop_recv(
-            pmm,
-            neighbor,
-            &mut scratch.spare_mut()[..len],
-            RecvMode::Cheaper,
-            self.host,
-            &self.stats,
-        )
     }
 }
 
@@ -502,103 +475,58 @@ impl TransmissionModule for GenericTm {
         Ok(())
     }
 
-    /// Reassemble `dst` from its fragments, receiving payloads **directly
-    /// into the destination** whenever the next wire fragment is ours.
+    /// Reassemble `dst` from its fragments, receiving a payload **directly
+    /// into the destination** whenever the next wire fragment is this
+    /// block's; another source's fragment is staged in pooled memory and
+    /// queued for its own block. Reading a header fires its payload TM's
+    /// handshake, but only [`poll_announced`](GenericTm::poll_announced)
+    /// reads a header ahead of the payload it takes in.
     ///
-    /// While the block is incomplete another fragment is *certain* to
-    /// come, so the next header is read (and the payload TM's handshake
-    /// fired — see [`TransmissionModule::prefetch`]) **before** the current
-    /// payload's wait finishes consuming the clock: the next transfer
-    /// overlaps this one, the paper's pipelining claim at the end nodes.
-    ///
-    /// A fragment is accepted only if its offset equals the bytes already
-    /// reassembled. Offset 0 against a partial block means the sender
-    /// restarted it on another route: the partial progress is discarded.
-    /// Anything else is a stale tail of an aborted attempt and is drained.
+    /// Every fragment goes through the offset rule
+    /// ([`accept`](GenericTm::accept)): one a block cannot take is drained
+    /// and dropped, and one that overruns the block fails the receive with
+    /// [`MadError::CorruptStream`].
     fn receive_buffer(&self, src: NodeId, dst: &mut [u8]) -> MadResult<()> {
         let mut filled = 0;
         while filled < dst.len() {
             // Buffered fragment first (preserves per-source order).
-            if let Some(p) = self
+            let queued = self
                 .pending
                 .lock()
                 .get_mut(&src)
-                .and_then(|q| q.pop_front())
-            {
-                if p.offset == 0 && filled > 0 {
-                    // The sender restarted this block: drop our progress.
-                    self.discard(src);
-                    filled = 0;
-                } else if p.offset != filled {
-                    self.discard(src);
-                    continue;
+                .and_then(|q| q.pop_front());
+            if let Some(Pending { offset, payload }) = queued {
+                let len = payload.len();
+                if self.accept(src, offset, len, &mut filled, dst.len())? {
+                    dst[filled..filled + len].copy_from_slice(&payload);
+                    time::advance(self.host.memcpy(len));
+                    self.stats.record_copy(len);
+                    filled += len;
                 }
-                let b = p.payload;
-                assert!(
-                    filled + b.len() <= dst.len(),
-                    "fragment overruns receive block: asymmetric traffic?"
-                );
-                dst[filled..filled + b.len()].copy_from_slice(&b);
-                time::advance(self.host.memcpy(b.len()));
-                self.stats.record_copy(b.len());
-                filled += b.len();
                 continue;
             }
             // Pull the next fragment off the wire. Blocking is safe: this
             // block is incomplete, so a fragment for it must still arrive.
-            let (ri, neighbor, h) = self.next_fragment()?;
-            assert_eq!(h.dst, self.me, "misrouted fragment");
-            if h.src == src {
-                if h.offset == 0 && filled > 0 {
-                    self.discard(src);
-                    filled = 0;
-                } else if h.offset != filled {
-                    self.discard(src);
-                    self.drain_payload(ri, neighbor, h.len)?;
-                    continue;
-                }
-                assert!(
-                    filled + h.len <= dst.len(),
-                    "fragment overruns receive block: asymmetric traffic?"
-                );
+            let f = self.next_fragment(true)?;
+            let (ri, from, h) = f.expect("a waiting read returns a fragment");
+            if h.src != src {
+                // Interleaved flow from another source: buffer it.
+                self.stage_frag(ri, from, &h, true)?;
+                continue;
+            }
+            let take = self.accept(src, h.offset, h.len, &mut filled, dst.len());
+            if let Ok(true) = take {
                 if h.len > 0 {
-                    let rs = &self.routes[ri];
-                    let pmm = rs.hop(rs.my_hop(self.me)).pmm();
-                    hop_recv(
-                        pmm,
-                        neighbor,
-                        &mut dst[filled..filled + h.len],
-                        RecvMode::Cheaper,
-                        self.host,
-                        &self.stats,
-                    )?;
+                    let pmm = self.routes[ri].hop.pmm();
+                    let into = &mut dst[filled..filled + h.len];
+                    hop_recv(pmm, from, into, RecvMode::Cheaper, self.host, &self.stats)?;
                 }
                 filled += h.len;
             } else {
-                // Interleaved flow from another source: buffer it.
-                let rs = &self.routes[ri];
-                let pmm = rs.hop(rs.my_hop(self.me)).pmm();
-                let mut payload = self.pool.checkout(h.len);
-                if h.len > 0 {
-                    hop_recv(
-                        pmm,
-                        neighbor,
-                        &mut payload.spare_mut()[..h.len],
-                        RecvMode::Cheaper,
-                        self.host,
-                        &self.stats,
-                    )?;
-                    payload.advance(h.len);
-                }
-                let frag = Pending {
-                    offset: h.offset,
-                    payload,
-                };
-                self.pending
-                    .lock()
-                    .entry(h.src)
-                    .or_default()
-                    .push_back(frag);
+                // A stale tail or an overrun: drain it so the stream stays
+                // in step.
+                self.stage_frag(ri, from, &h, false)?;
+                take?;
             }
         }
         Ok(())
@@ -640,5 +568,80 @@ impl Pmm for GenericPmm {
 
     fn poll_incoming(&self) -> Option<NodeId> {
         self.generic.poll_announced()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::vchannel::{VirtualChannel, VirtualChannelSpec};
+    use madeleine::{Config, Madeleine, Protocol};
+    use madsim_net::{NetKind, WorldBuilder};
+
+    /// Two Myrinet nodes joined by a one-hop virtual channel.
+    fn one_hop() -> (madsim_net::World, Config, VirtualChannelSpec) {
+        let mut b = WorldBuilder::new(2);
+        b.network("myr0", NetKind::Myrinet, &[0, 1]);
+        let config = Config::one("myr", "myr0", Protocol::Bip);
+        (
+            b.build(),
+            config,
+            VirtualChannelSpec::new("vc", &["myr"], 4096),
+        )
+    }
+
+    /// A fragment addressed to another node reaching an end node — a broken
+    /// route — is drained, counted once and dropped: the message sent after
+    /// it arrives whole.
+    #[test]
+    fn a_misaddressed_fragment_is_dropped_and_counted() {
+        let (world, config, spec) = one_hop();
+        let data: Vec<u8> = (0..10_000).map(|i| (i % 251) as u8).collect();
+        world.run(move |env| {
+            let mad = Madeleine::init(&env, &config);
+            let vc = VirtualChannel::open(&env, &mad, &config, &spec).expect("endpoint");
+            if env.id() == 0 {
+                let stray = FragHeader {
+                    src: 0,
+                    dst: 9,
+                    len: 2048,
+                    offset: 0,
+                };
+                let (pmm, host) = (mad.channel("myr").pmm(), env.calib().host);
+                send_fragment(pmm, 1, &stray, &[0xEE; 2048], host, &Stats::new())
+                    .expect("hop send");
+                let mut m = vc.begin_packing(1);
+                m.pack(&data, SendMode::Cheaper, RecvMode::Cheaper);
+                m.end_packing();
+            } else {
+                let mut got = vec![0u8; data.len()];
+                let mut m = vc.begin_unpacking();
+                m.unpack(&mut got, SendMode::Cheaper, RecvMode::Cheaper);
+                m.end_unpacking();
+                assert_eq!(got, data);
+                assert_eq!(vc.stats().frags_discarded(), 1);
+            }
+        });
+    }
+
+    /// A fragment longer than the block it lands in fails the receive with
+    /// `CorruptStream` instead of killing the node.
+    #[test]
+    fn an_overrunning_fragment_is_a_corrupt_stream() {
+        let (world, config, spec) = one_hop();
+        world.run(move |env| {
+            let mad = Madeleine::init(&env, &config);
+            let vc = VirtualChannel::open(&env, &mad, &config, &spec).expect("endpoint");
+            if env.id() == 0 {
+                let mut m = vc.begin_packing(1);
+                m.pack(&[7; 100], SendMode::Cheaper, RecvMode::Express);
+                m.end_packing();
+            } else {
+                let mut short = [0u8; 50];
+                let mut m = vc.begin_unpacking();
+                let got = m.try_unpack_express(&mut short, SendMode::Cheaper);
+                assert!(matches!(got, Err(MadError::CorruptStream(_))), "{got:?}");
+            }
+        });
     }
 }

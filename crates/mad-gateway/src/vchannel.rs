@@ -131,11 +131,12 @@ impl VirtualChannel {
             };
             // Skip alternates where this end node is absent or a gateway:
             // it could neither originate nor consume on them.
-            if r.hops_of(me).len() != 1 || !r.gateway_positions(me).is_empty() {
+            let mine = r.hops_of(me);
+            if mine.len() != 1 || !r.gateway_positions(me).is_empty() {
                 continue;
             }
-            let hops = chain.iter().map(|h| mad.try_channel(h).cloned());
-            routes.push(RouteState::new(r, hops.collect()));
+            let hop = Arc::clone(mad.channel(&chain[mine[0]]));
+            routes.push(RouteState::new(r, hop));
         }
         let stats = Stats::new();
         let host = env.calib().host;

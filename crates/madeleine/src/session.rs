@@ -169,9 +169,4 @@ impl Madeleine {
             )
         })
     }
-
-    /// Channel lookup that admits absence (for nodes outside the network).
-    pub fn try_channel(&self, name: &str) -> Option<&Arc<Channel>> {
-        self.channels.get(name)
-    }
 }

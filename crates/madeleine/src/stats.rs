@@ -68,15 +68,14 @@ pub struct Stats {
     /// out of static buffers, SAFER defensive copies). Wire transfers and
     /// NIC DMA are *not* copies, and neither are copies a protocol's own
     /// machinery performs below the TM interface — those land in
-    /// `tm_copies`/`tm_copied_bytes`.
+    /// `tm_copied_bytes`.
     copies: AtomicU64,
     /// Total bytes moved by those copies.
     copied_bytes: AtomicU64,
-    /// Copies performed *inside* transmission modules by protocol machinery
+    /// Bytes copied *inside* transmission modules by protocol machinery
     /// the generic layer cannot avoid (TCP's kernel-style socket copies, a
     /// static-buffer protocol unpacking an arriving frame). Kept separate so
     /// "CHEAPER ⇒ zero generic-layer copies" is assertable exactly.
-    tm_copies: AtomicU64,
     tm_copied_bytes: AtomicU64,
     /// Bytes handed to TMs *by reference* (CHEAPER/LATER blocks that
     /// traveled without a generic-layer copy). `borrowed_bytes /
@@ -150,7 +149,6 @@ impl Stats {
     /// machinery (socket copy, static-frame unpack). Not a generic-layer
     /// copy: the emission flags could not have avoided it.
     pub fn record_tm_copy(&self, bytes: usize) {
-        self.tm_copies.fetch_add(1, Ordering::Relaxed);
         self.tm_copied_bytes
             .fetch_add(bytes as u64, Ordering::Relaxed);
     }
@@ -330,10 +328,6 @@ impl Stats {
         self.copied_bytes.load(Ordering::Relaxed)
     }
 
-    pub fn tm_copies(&self) -> u64 {
-        self.tm_copies.load(Ordering::Relaxed)
-    }
-
     pub fn tm_copied_bytes(&self) -> u64 {
         self.tm_copied_bytes.load(Ordering::Relaxed)
     }
@@ -399,7 +393,6 @@ impl Stats {
         StatsSnapshot {
             copies: self.copies(),
             copied_bytes: self.copied_bytes(),
-            tm_copies: self.tm_copies(),
             tm_copied_bytes: self.tm_copied_bytes(),
             borrowed_bytes: self.borrowed_bytes(),
             pool_hits: self.pool_hits(),
@@ -430,7 +423,6 @@ impl Stats {
 pub struct StatsSnapshot {
     pub copies: u64,
     pub copied_bytes: u64,
-    pub tm_copies: u64,
     pub tm_copied_bytes: u64,
     pub borrowed_bytes: u64,
     pub pool_hits: u64,
@@ -460,7 +452,6 @@ impl StatsSnapshot {
         StatsSnapshot {
             copies: self.copies - earlier.copies,
             copied_bytes: self.copied_bytes - earlier.copied_bytes,
-            tm_copies: self.tm_copies - earlier.tm_copies,
             tm_copied_bytes: self.tm_copied_bytes - earlier.tm_copied_bytes,
             borrowed_bytes: self.borrowed_bytes - earlier.borrowed_bytes,
             pool_hits: self.pool_hits - earlier.pool_hits,
@@ -526,7 +517,6 @@ mod tests {
         s.record_tm_copy(9);
         assert_eq!(s.copies(), 1);
         assert_eq!(s.copied_bytes(), 100);
-        assert_eq!(s.tm_copies(), 2);
         assert_eq!(s.tm_copied_bytes(), 16);
     }
 

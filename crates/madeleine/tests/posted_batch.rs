@@ -7,6 +7,7 @@ use bytes::Bytes;
 use madeleine::progress::CQ_RING_CAP;
 use madeleine::{Channel, ChannelSpec, Config, MadError, Madeleine, OpId, OpState, Protocol};
 use madeleine::{RecvMode, SendMode};
+use madsim_net::time::{self, VDuration};
 use madsim_net::{FaultPlan, NetKind, World, WorldBuilder};
 
 const CHEAPER: (SendMode, RecvMode) = (SendMode::Cheaper, RecvMode::Cheaper);
@@ -114,6 +115,67 @@ fn completion_queue_memory_is_bounded_by_unconsumed_results() {
         } else {
             for seq in 0..2 * OPS {
                 assert_eq!(recv(ch, 8).1, payload(seq % OPS, 8));
+            }
+        }
+    });
+}
+
+/// Each flush reason is counted where it fires, on a channel batching 16
+/// packets, 4096 B or 20 µs: a burst of 64 posted 64 B messages — a
+/// header packet and a block each — fills eight frames (`Full`) and never
+/// waits out a deadline; an EXPRESS block ships
+/// its frame at once (`Express`); `Channel::flush` ships what is left
+/// (`Explicit`); and a progress tick after the clock passes a straggler's
+/// deadline ships it (`Deadline`).
+#[test]
+fn each_flush_reason_is_counted_where_it_fires() {
+    const EXPRESS: (SendMode, RecvMode) = (SendMode::Cheaper, RecvMode::Express);
+    let (world, config) = batched_tcp(2, None);
+    world.run(move |env| {
+        let mad = Madeleine::init(&env, &config);
+        let ch = mad.channel("ch");
+        if env.id() == 0 {
+            let stats = ch.stats();
+            let reasons = |since| {
+                let d = stats.snapshot().since(&since);
+                let (full, express) = (d.batch_flush_full, d.batch_flush_express);
+                (
+                    full,
+                    express,
+                    d.batch_flush_explicit,
+                    d.batch_flush_deadline,
+                )
+            };
+            let mut ids = Vec::new();
+            let at = stats.snapshot();
+            ids.extend((0..64).map(|seq| post(ch, 1, seq, LEN)));
+            assert_eq!(reasons(at), (8, 0, 0, 0), "the burst");
+            let at = stats.snapshot();
+            let block = (Bytes::from(payload(64, LEN)), EXPRESS.0, EXPRESS.1);
+            ids.push(ch.post_message(1, vec![block]));
+            assert_eq!(reasons(at), (0, 1, 0, 0), "an EXPRESS block");
+            let at = stats.snapshot();
+            ids.push(post(ch, 1, 65, LEN));
+            ch.flush().expect("flush ships the straggler");
+            assert_eq!(reasons(at), (0, 0, 1, 0), "Channel::flush");
+            let at = stats.snapshot();
+            ids.push(post(ch, 1, 66, LEN));
+            ch.progress();
+            assert_eq!(reasons(at), (0, 0, 0, 0), "a tick before the deadline");
+            time::advance(VDuration::from_micros(21));
+            ch.progress();
+            assert_eq!(reasons(at), (0, 0, 0, 1), "a tick past the deadline");
+            for id in ids {
+                ch.wait_op(id).expect("flushed op completes");
+            }
+        } else {
+            for seq in 0..67 {
+                let mode = if seq == 64 { EXPRESS } else { CHEAPER };
+                let mut got = vec![0u8; LEN];
+                let mut msg = ch.begin_unpacking();
+                msg.unpack(&mut got, mode.0, mode.1);
+                msg.end_unpacking();
+                assert_eq!(got, payload(seq, LEN), "message {seq}");
             }
         }
     });

@@ -12,7 +12,7 @@
 //! interleaving.
 //!
 //! ARQ acknowledgment frames are judged through a loss-exempt variant
-//! (duplication, jitter, stalls, crashes and partitions still apply): the
+//! (duplication, crashes and partitions still apply): the
 //! control channel is modeled reliable so that a stop-and-wait exchange
 //! always terminates — see
 //! [`Adapter::send_raw_control`](crate::world::Adapter::send_raw_control).
@@ -106,10 +106,6 @@ pub enum FaultEvent {
     Dropped,
     /// Frame delivered twice.
     Duplicated,
-    /// Frame delivered with extra arrival jitter (nanoseconds).
-    Delayed(u64),
-    /// Sender-side stall charged before delivery (nanoseconds).
-    Stalled(u64),
     /// Frame discarded because the (src, dst) pair is partitioned.
     Partitioned,
     /// Frame discarded because src or dst is crashed.
@@ -134,16 +130,12 @@ pub struct FaultRecord {
 /// Declarative fault schedule, attached at world-build time.
 ///
 /// All rates are probabilities in `[0, 1]` evaluated per frame with the
-/// seeded hash; `jitter_us` is the *maximum* extra delay (the actual delay
-/// is hash-uniform in `[0, jitter_us]`).
+/// seeded hash.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     seed: u64,
     drop_rate: f64,
     duplicate_rate: f64,
-    jitter_us: f64,
-    /// Fixed extra sender-side delay per frame for stalled nodes, in µs.
-    stalls: Vec<(NodeId, f64)>,
     /// Unordered pairs that cannot exchange frames.
     partitions: Vec<(NodeId, NodeId)>,
     /// Per-rail, counter-armed partitions (multirail failover testing).
@@ -173,21 +165,6 @@ impl FaultPlan {
     pub fn duplicate_rate(mut self, rate: f64) -> Self {
         assert!((0.0..=1.0).contains(&rate), "duplicate rate out of [0,1]");
         self.duplicate_rate = rate;
-        self
-    }
-
-    /// Add hash-uniform extra arrival delay in `[0, max_us]` to every frame.
-    pub fn jitter_us(mut self, max_us: f64) -> Self {
-        assert!(max_us >= 0.0, "negative jitter");
-        self.jitter_us = max_us;
-        self
-    }
-
-    /// Charge `extra_us` of sender-side delay on every frame `node` sends
-    /// (a wheezing adapter, not a dead one).
-    pub fn stall(mut self, node: NodeId, extra_us: f64) -> Self {
-        assert!(extra_us >= 0.0, "negative stall");
-        self.stalls.push((node, extra_us));
         self
     }
 
@@ -238,7 +215,6 @@ impl FaultPlan {
             crashed: Mutex::new(self.crashed.iter().copied().collect()),
             drops: AtomicU64::new(0),
             duplicates: AtomicU64::new(0),
-            delays: AtomicU64::new(0),
         })
     }
 }
@@ -254,7 +230,6 @@ pub struct FaultState {
     crashed: Mutex<HashSet<NodeId>>,
     drops: AtomicU64,
     duplicates: AtomicU64,
-    delays: AtomicU64,
 }
 
 /// The verdict for one frame, computed before delivery.
@@ -263,10 +238,6 @@ pub(crate) struct FaultVerdict {
     pub deliver: bool,
     /// Deliver a second copy too?
     pub duplicate: bool,
-    /// Extra arrival delay, nanoseconds.
-    pub delay_ns: u64,
-    /// Sender-side stall to charge, nanoseconds.
-    pub stall_ns: u64,
 }
 
 impl FaultState {
@@ -329,10 +300,6 @@ impl FaultState {
         self.duplicates.load(Ordering::Relaxed)
     }
 
-    pub fn delays(&self) -> u64 {
-        self.delays.load(Ordering::Relaxed)
-    }
-
     /// The fault log, sorted by `(net, src, dst, index)` so it is identical
     /// across runs with the same seed regardless of thread interleaving.
     pub fn log(&self) -> Vec<FaultRecord> {
@@ -359,8 +326,8 @@ impl FaultState {
     /// [`Adapter::send_raw`](crate::world::Adapter), one call per frame.
     ///
     /// `lossless` frames (acknowledgments/control) are exempt from the
-    /// seeded loss roll — crashes, partitions, stalls, duplication and
-    /// jitter still apply. Stop-and-wait acks are modeled loss-free so an
+    /// seeded loss roll — crashes, partitions and duplication still
+    /// apply. Stop-and-wait acks are modeled loss-free so an
     /// exchange's *final* ack cannot vanish and wedge the sender against a
     /// receiver that has already gone quiet; data-frame loss alone drives
     /// the retransmission machinery. See
@@ -389,13 +356,7 @@ impl FaultState {
         let mut v = FaultVerdict {
             deliver: true,
             duplicate: false,
-            delay_ns: 0,
-            stall_ns: 0,
         };
-        if let Some(&(_, us)) = self.plan.stalls.iter().find(|&&(n, _)| n == src) {
-            v.stall_ns = (us * 1_000.0) as u64;
-            self.record(net, src, dst, index, FaultEvent::Stalled(v.stall_ns));
-        }
         if self.is_crashed(src) || self.is_crashed(dst) {
             self.drops.fetch_add(1, Ordering::Relaxed);
             self.record(net, src, dst, index, FaultEvent::Crashed);
@@ -436,12 +397,6 @@ impl FaultState {
             self.duplicates.fetch_add(1, Ordering::Relaxed);
             self.record(net, src, dst, index, FaultEvent::Duplicated);
             v.duplicate = true;
-        }
-        if self.plan.jitter_us > 0.0 {
-            let frac = self.roll(net, src, dst, index, 3);
-            v.delay_ns = (frac * self.plan.jitter_us * 1_000.0) as u64;
-            self.delays.fetch_add(1, Ordering::Relaxed);
-            self.record(net, src, dst, index, FaultEvent::Delayed(v.delay_ns));
         }
         v
     }
@@ -519,10 +474,10 @@ mod tests {
         let st = FaultPlan::new(42).build();
         for _ in 0..100 {
             let v = st.judge(0, 0, 1);
-            assert!(v.deliver && !v.duplicate && v.delay_ns == 0 && v.stall_ns == 0);
+            assert!(v.deliver && !v.duplicate);
         }
         assert!(st.log().is_empty());
-        assert_eq!(st.drops() + st.duplicates() + st.delays(), 0);
+        assert_eq!(st.drops() + st.duplicates(), 0);
     }
 
     #[test]
@@ -573,14 +528,5 @@ mod tests {
         assert!(!st.judge(k, 4, 5).deliver);
         assert!(!st.judge(k, 5, 4).deliver);
         assert!(st.reachable_on(2, 0, 4, 5));
-    }
-
-    #[test]
-    fn stall_charges_sender() {
-        let st = FaultPlan::new(0).stall(3, 25.0).build();
-        let v = st.judge(0, 3, 1);
-        assert!(v.deliver);
-        assert_eq!(v.stall_ns, 25_000);
-        assert_eq!(st.judge(0, 1, 3).stall_ns, 0);
     }
 }

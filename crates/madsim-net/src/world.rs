@@ -27,7 +27,7 @@ use crate::mailbox::Mailbox;
 use crate::pci::PciBus;
 use crate::stacks::sisci::Segments;
 use crate::stacks::via::ViCells;
-use crate::time::{self, AbortFlag, ClockHandle, VDuration, VTime, NO_NODE};
+use crate::time::{self, AbortFlag, ClockHandle, NO_NODE};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -766,8 +766,8 @@ impl Adapter {
     /// Deliver a frame to `dst`'s inbound mailbox on this network.
     ///
     /// When a fault plan is installed, the frame first rolls against the
-    /// deterministic fault engine: it may be dropped, duplicated, delayed,
-    /// or stalled (see [`crate::fault`]).
+    /// deterministic fault engine: it may be dropped or duplicated (see
+    /// [`crate::fault`]).
     ///
     /// # Panics
     /// Panics if `dst` is not a member of this network — the simulated wire
@@ -778,8 +778,7 @@ impl Adapter {
 
     /// [`send_raw`](Self::send_raw) for acknowledgment/control frames the
     /// protocol models as reliably delivered: the seeded loss roll is
-    /// skipped (crashes, partitions, stalls, duplication and jitter still
-    /// apply).
+    /// skipped (crashes, partitions and duplication still apply).
     ///
     /// The stop-and-wait stacks send their acks through this so the
     /// *final* ack of an exchange cannot be lost against a receiver that
@@ -792,20 +791,14 @@ impl Adapter {
         self.send_judged(dst, frame, true);
     }
 
-    fn send_judged(&self, dst: NodeId, mut frame: Frame, control: bool) {
+    fn send_judged(&self, dst: NodeId, frame: Frame, control: bool) {
         let mb = self.mailbox(dst);
         let Some(faults) = self.faults() else {
             return mb.push(frame);
         };
         faults.carry((self.fault_key(), self.node, dst), control, |v| {
-            if v.stall_ns > 0 {
-                time::advance(VDuration::from_micros_f64(v.stall_ns as f64 / 1_000.0));
-            }
             if !v.deliver {
                 return;
-            }
-            if v.delay_ns > 0 {
-                frame.arrival = VTime::from_nanos(frame.arrival.as_nanos() + v.delay_ns);
             }
             if v.duplicate {
                 mb.push(frame.clone());

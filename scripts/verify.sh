@@ -61,11 +61,13 @@ cargo test -q -p madeleine --test calibration -- --exact exact_single_flow_insta
 # Gateway step stage: a forwarded 4 B message's receiver clock, pinned to
 # the nanosecond in both directions — the paper's ~50 us per gateway step
 # (GW_RECV_OVERHEAD_US + GW_SEND_OVERHEAD_US) is in it, so zeroing either
-# fails here. Counted, so a renamed test cannot filter itself out.
-gw_out=$(cargo test -q -p mad-gateway --test forwarding -- --exact forwarded_small_message_instants 2>&1) || true
-if ! grep -q 'test result: ok. 1 passed' <<<"$gw_out"; then
+# fails here — and a 3-fragment message's, which adds the pipeline and the
+# end node's reassembly. Counted, so a renamed test cannot filter itself out.
+gw_out=$(cargo test -q -p mad-gateway --test forwarding -- --exact \
+    forwarded_small_message_instants forwarded_multi_fragment_instant 2>&1) || true
+if ! grep -q 'test result: ok. 2 passed' <<<"$gw_out"; then
     echo "$gw_out" >&2
-    echo "verify: FAIL — virtual time drifted: forwarding::forwarded_small_message_instants" >&2
+    echo "verify: FAIL — virtual time drifted: forwarding::forwarded_{small_message_instants,multi_fragment_instant}" >&2
     exit 1
 fi
 
@@ -146,6 +148,20 @@ if [ -n "$dead_hits" ]; then
     echo "verify: FAIL — a pub fn nothing names (listed above): delete it" >&2
     exit 1
 fi
+# Likewise a counter: a pub field of StatsSnapshot that no file but
+# stats.rs names is written and never read.
+snap_fields=$(awk '/^pub struct StatsSnapshot/ { on = 1; next }
+                   on && /^}/ { exit }
+                   on && match($0, /^ *pub [a-z_0-9]+:/) {
+                       f = substr($0, RSTART, RLENGTH); sub(/^ *pub /, "", f)
+                       print substr(f, 1, length(f) - 1) }' crates/madeleine/src/stats.rs)
+for f in $snap_fields; do
+    if ! find crates tests examples benchmark/src -name '*.rs' \
+            ! -path crates/madeleine/src/stats.rs -print0 | xargs -0 grep -qw "$f"; then
+        echo "verify: FAIL — StatsSnapshot::$f is read nowhere outside stats.rs: delete it" >&2
+        exit 1
+    fi
+done
 
 # Lock-free hot-path lint: the sharded mailbox, the eventcount it and the
 # SISCI flags block on, progress engine, buffer pool, and stats counters
@@ -201,7 +217,9 @@ done
 # single buffer over through the post calls only, so a blocking
 # `send_buffer(`/`send_static_buffer(` call in them — outside
 # bmm::send_group, the group send — is the blocking flavour growing back,
-# as is the stack's fallible blocking rendezvous, `try_send_long`.
+# as is the stack's fallible blocking rendezvous, `try_send_long`. The
+# gateway forwards through the same post calls: no static-buffer send of
+# the blocking flavour is left in crates/mad-gateway/src.
 if grep -rlE 'post_send\(|post_static_buffer\(' crates/madeleine/src |
     grep -vE '/(bmm|rail|tm)\.rs$|/drivers/'; then
     echo "verify: FAIL — TM post call outside bmm.rs / rail.rs / tm.rs / drivers/ (listed above)" >&2
@@ -212,6 +230,7 @@ blocking_hits=$(awk '/^#\[cfg\(test\)\]/ { nextfile }
         group && /^}/ { group = 0; next }
         !group && /\.(send_buffer|send_static_buffer)\(/ { print FILENAME ":" FNR ": " $0 }' \
     crates/madeleine/src/bmm.rs crates/madeleine/src/channel.rs crates/madeleine/src/rail.rs)
+blocking_hits+=$(grep -rn '\.send_static_buffer(' crates/mad-gateway/src || true)
 if [ -n "$blocking_hits" ] || grep -rn 'try_send_long' crates/; then
     echo "$blocking_hits" >&2
     echo "verify: FAIL — a blocking TM send outside bmm::send_group, or try_send_long (listed above)" >&2
