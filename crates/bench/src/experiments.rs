@@ -36,7 +36,8 @@ pub fn sweep_sizes() -> Vec<usize> {
     ]
 }
 
-fn net_for(protocol: Protocol) -> (&'static str, NetKind) {
+/// The network name and fabric a protocol runs on.
+pub fn net_for(protocol: Protocol) -> (&'static str, NetKind) {
     match protocol {
         Protocol::Tcp | Protocol::Sbp => ("eth0", NetKind::Ethernet),
         Protocol::Bip => ("myr0", NetKind::Myrinet),

@@ -42,6 +42,7 @@ use crate::pmm::Pmm;
 use crate::stats::Stats;
 use crate::tm::{TmCaps, TmId, TransmissionModule};
 use crate::trace::Tracer;
+use madsim_net::eventcount::EVIDENCE_POLLS;
 use madsim_net::stacks::sisci::{LocalSegment, RemoteSegment, Sisci};
 use madsim_net::time::{self, VDuration, VTime};
 use madsim_net::world::Adapter;
@@ -70,12 +71,6 @@ const _: () = assert!(
 
 /// Fixed cost of arming the dual-buffering pipeline for a bulk transfer.
 const DUALBUF_SETUP_US: f64 = 20.0;
-
-/// Flag polls granted to a wait *inside* a transfer (the sender's for ring
-/// space, the receiver's for the rest of a block it has begun to read),
-/// where the peer is known to be streaming: about one park + wake-up long.
-/// A wait with no such evidence (a block's first flag) parks at once.
-const STREAM_POLLS: u32 = 400;
 
 // Segment layout offsets.
 const OFF_SHORT: usize = 0;
@@ -214,7 +209,11 @@ impl PeerLink {
             if !st.window.take(chunk.len()) {
                 let acked = st.pos.wrapping_sub(st.window.outstanding() as u32);
                 let need = end.wrapping_sub(geom.ring as u32);
-                let seen = self.wait_flag(geom.ack_off, need, STREAM_POLLS)?;
+                // Waits *inside* a transfer (here for ring space, below for
+                // the rest of a block begun) have the evidence grant: the
+                // peer is known to be streaming. A block's first flag has
+                // no such evidence and parks at once.
+                let seen = self.wait_flag(geom.ack_off, need, EVIDENCE_POLLS)?;
                 st.window.refund(seen.wrapping_sub(acked) as usize);
                 assert!(st.window.take(chunk.len()), "an ack frees the chunk's span");
             }
@@ -280,7 +279,7 @@ impl PeerLink {
         while filled < dst.len() {
             if st.known == st.pos {
                 // Bytes of this block already read: the sender is streaming.
-                let polls = if filled > 0 { STREAM_POLLS } else { 0 };
+                let polls = if filled > 0 { EVIDENCE_POLLS } else { 0 };
                 st.known = self.wait_flag(geom.flag_off, st.pos.wrapping_add(1), polls)?;
             }
             let avail = st.known.wrapping_sub(st.pos) as usize;
@@ -536,7 +535,7 @@ mod tests {
             link.local.flag_wait_stats()
         });
         for (node, cost) in seen.into_iter().enumerate() {
-            let granted = STREAM_POLLS as u64 * cost.waits;
+            let granted = EVIDENCE_POLLS as u64 * cost.waits;
             assert!(cost.polls <= granted, "node {node}: {cost:?}");
         }
     }
@@ -591,7 +590,7 @@ mod tests {
             if me == dies {
                 r.expect("the peer is alive");
                 let other = &all[1 - me].get().expect("set before the barrier")[&me];
-                while other.local.flag_wait_stats().polls < STREAM_POLLS as u64 {
+                while other.local.flag_wait_stats().polls < EVIDENCE_POLLS as u64 {
                     std::thread::yield_now();
                 }
                 env.faults().expect("fault-armed world").crash(me);

@@ -10,8 +10,10 @@
 //! Every wait is **poll, then park**, and the poll budget is the caller's:
 //! where the next publication is due within a few re-checks, a park puts a
 //! futex round-trip (paid by both sides) on the per-item path; a waiter
-//! with no such evidence passes 0 and parks at once, and one that must
-//! never park (a spinning receiver, a packed striped block) passes `u32::MAX`.
+//! with evidence that its publisher is running passes [`EVIDENCE_POLLS`],
+//! a waiter with no such evidence passes 0 and parks at once, and one that
+//! must never park (a spinning receiver, a packed striped block) passes
+//! `u32::MAX`.
 //! The poll phase yields the CPU every [`YIELD_EVERY`]th probe, and a park
 //! once before it sleeps, so with more runnable threads than cores the
 //! publisher gets to run; each yielding probe also looks for a world
@@ -33,6 +35,14 @@ use std::time::{Duration, Instant};
 
 /// One probe in this many gives up the CPU instead of pausing.
 const YIELD_EVERY: u64 = 8;
+
+/// The evidence grant: probes a wait may make when it has evidence that
+/// its publisher is running and about to publish — a peer streaming the
+/// rest of a transfer, or a set-up wait on peers dispatched at the same
+/// instant as the waiter (the world barrier, a SISCI segment connect).
+/// About one park + wake-up long, so a wait that does end up parking has
+/// spent at most what the park would have cost both sides.
+pub const EVIDENCE_POLLS: u32 = 400;
 
 /// Recover a poisoned guard: nothing guarded this way is left mid-mutation.
 pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {

@@ -19,7 +19,9 @@
 //!   disappointing ≤35 MB/s, which is why Madeleine II ships the DMA TM
 //!   disabled.
 //!
-//! Segments really exist (a shared byte buffer). A flag wait returns the
+//! Segments really exist (a shared byte buffer, grown to the furthest byte
+//! stored: a session's segments are sized for every transfer method, and a
+//! short world writes a few hundred bytes of one). A flag wait returns the
 //! virtual arrival time of the write that satisfied it, so receivers
 //! synchronize both real and virtual time. In real time it polls the flag's
 //! published value — one atomic load, as on the real hardware — for as many
@@ -27,13 +29,15 @@
 //! count, which every flag write into any of the node's segments notifies.
 //! Segments are a property of the SCI network (paper §5.2.1): each
 //! network's directory lives in the world that built it, and `connect`
-//! parks on that directory's own creation count until the owner has
-//! created the segment.
+//! waits on that directory's own creation count until the owner has
+//! created the segment. Flags are read only through their published value
+//! and write history, so a flag write checks its bounds but stores no
+//! bytes.
 //!
 //! Costs: the `sci_pio`, `sci_flag`, `sci_copy` and `sci_dma` rows of the
 //! world's [`crate::calib::Calib`].
 
-use crate::eventcount::{EventCount, WaitStats};
+use crate::eventcount::{EventCount, WaitStats, EVIDENCE_POLLS};
 use crate::fault::LinkError;
 use crate::frame::NodeId;
 use crate::pci::{BusDir, BusKind, PciBus};
@@ -99,6 +103,7 @@ impl FlagSlot {
 }
 
 struct SegInner {
+    /// The bytes stored so far; those past its end read as zeros.
     mem: Mutex<Vec<u8>>,
     flags: OnceLock<Box<FlagSlot>>,
     /// The owning node's arrivals count: notified by every flag write.
@@ -123,16 +128,25 @@ impl SegInner {
         }
     }
 
-    /// Store `data` at `off`; a store outside the segment is the caller's
-    /// bug, as it is a fault on the real mapping.
-    fn store(&self, what: &str, off: usize, data: &[u8]) {
+    /// An access of `len` bytes at `off` outside the segment is the
+    /// caller's bug, as it is a fault on the real mapping.
+    fn check(&self, what: &str, off: usize, len: usize) {
         assert!(
-            off.saturating_add(data.len()) <= self.size,
-            "{what} of {} bytes at {off} overruns segment of {}",
-            data.len(),
+            off.saturating_add(len) <= self.size,
+            "{what} of {len} bytes at {off} overruns segment of {}",
             self.size,
         );
-        self.mem.lock()[off..off + data.len()].copy_from_slice(data);
+    }
+
+    /// Store `data` at `off` (see [`check`](Self::check)).
+    fn store(&self, what: &str, off: usize, data: &[u8]) {
+        self.check(what, off, data.len());
+        let end = off + data.len();
+        let mut mem = self.mem.lock();
+        if mem.len() < end {
+            mem.resize(end, 0);
+        }
+        mem[off..end].copy_from_slice(data);
     }
 }
 
@@ -179,7 +193,7 @@ impl Sisci {
     pub fn create_segment(&self, seg_id: u32, size: usize) -> LocalSegment {
         let key: SegKey = (self.node(), seg_id);
         let inner = Arc::new(SegInner {
-            mem: Mutex::new(vec![0u8; size]),
+            mem: Mutex::default(),
             flags: OnceLock::new(),
             arrivals: Arc::clone(self.adapter.arrivals()),
             owner_bus: self.adapter.pci().clone(),
@@ -204,7 +218,9 @@ impl Sisci {
 
     /// Connect to a remote node's exported segment, blocking (in real time)
     /// until the owner has created it — mirroring SISCI's connect-retry
-    /// loop during session establishment.
+    /// loop during session establishment. Sessions open collectively, so
+    /// the owner was dispatched with us and is creating its segments: the
+    /// wait polls the evidence grant before it parks.
     pub fn connect(&self, owner: NodeId, seg_id: u32) -> RemoteSegment {
         assert!(
             self.adapter.peers().contains(&owner),
@@ -213,12 +229,18 @@ impl Sisci {
         );
         let dir = self.adapter.segments();
         let segment = || dir.map.lock().get(&(owner, seg_id)).cloned();
-        let created = dir.created.wait_timeout(0, None, segment);
+        let created = dir.created.wait_timeout(EVIDENCE_POLLS, None, segment);
         let inner = created.expect("a wait without a timeout only succeeds");
         RemoteSegment {
             inner,
             adapter: self.adapter.clone(),
         }
+    }
+
+    /// What the [`connect`](Self::connect) waits on this network's segment
+    /// directory cost so far, every node's together.
+    pub fn connect_stats(&self) -> WaitStats {
+        self.adapter.segments().created.stats()
     }
 }
 
@@ -239,8 +261,12 @@ impl LocalSegment {
     /// Copy `buf.len()` bytes out of the segment into user memory, charging
     /// the host-memcpy cost.
     pub fn read(&self, off: usize, buf: &mut [u8]) {
+        self.inner.check("read", off, buf.len());
         let mem = self.inner.mem.lock();
-        buf.copy_from_slice(&mem[off..off + buf.len()]);
+        let stored = mem.get(off..).unwrap_or_default();
+        let n = stored.len().min(buf.len());
+        buf[..n].copy_from_slice(&stored[..n]);
+        buf[n..].fill(0);
         drop(mem);
         time::advance(self.adapter.calib().sci_copy.cpu(buf.len()));
     }
@@ -363,7 +389,7 @@ impl RemoteSegment {
         let row = self.adapter.calib().sci_flag;
         let cpu_end = time::advance(row.host());
         let arrival = (cpu_end + row.lat()).max(not_before);
-        self.inner.store("flag write", off, &val.to_le_bytes());
+        self.inner.check("flag write", off, 4);
         let flag = self.inner.flag(off);
         {
             let mut history = flag.history.lock();
@@ -603,6 +629,31 @@ mod tests {
                 assert_eq!(seg.poll_flag_ge(0, 4), Some((7, at[2])));
                 assert_eq!(seg.poll_flag_ge(0, 8), None);
                 assert_eq!(seg.flag_wait_stats(), cost, "no wait since");
+            }
+        });
+    }
+
+    /// A segment's memory is what was stored into it: it grows to the
+    /// furthest byte written (a flag write stores none), and bytes never
+    /// written read as zeros.
+    #[test]
+    fn segment_memory_grows_to_the_furthest_byte_stored() {
+        let (w, net) = sci_pair();
+        w.run(|env| {
+            let sisci = Sisci::new(env.adapter_on(net).unwrap());
+            if env.id() == 0 {
+                let seg = sisci.create_segment(10, 64 << 10);
+                let own = sisci.connect(0, 10);
+                let stored = || seg.inner.mem.lock().len();
+                own.write_flag(60 << 10, 1, VTime::ZERO);
+                assert_eq!(stored(), 0, "a flag stores no bytes");
+                own.write(100, b"mad");
+                assert_eq!(stored(), 103);
+                let mut buf = [0xFFu8; 8];
+                seg.read(98, &mut buf);
+                assert_eq!(buf, *b"\0\0mad\0\0\0");
+                seg.read(4000, &mut buf);
+                assert_eq!((buf, stored()), ([0; 8], 103), "a read stores nothing");
             }
         });
     }

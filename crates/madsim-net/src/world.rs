@@ -19,8 +19,7 @@
 //! two hand-offs per node instead of a thread spawn and join.
 
 use crate::calib::Calib;
-use crate::eventcount::lock_unpoisoned;
-use crate::eventcount::EventCount;
+use crate::eventcount::{lock_unpoisoned, EventCount, WaitStats, EVIDENCE_POLLS};
 use crate::fault::{FaultPlan, FaultState};
 use crate::frame::{Frame, NodeId};
 use crate::mailbox::Mailbox;
@@ -468,6 +467,9 @@ struct Run {
 }
 
 impl Run {
+    /// Every node of the run was dispatched at the same instant, so the
+    /// last one is normally microseconds behind: the wait polls the
+    /// evidence grant before it parks.
     fn barrier_wait(&self) {
         let ticket = self.arrived.fetch_add(1, Ordering::SeqCst);
         // This round ends when every node has made as many calls as we have.
@@ -476,7 +478,8 @@ impl Run {
             return self.barrier_moved.notify();
         }
         let arrived = || (self.arrived.load(Ordering::SeqCst) >= full).then_some(());
-        self.barrier_moved.wait_timeout(0, None, arrived);
+        self.barrier_moved
+            .wait_timeout(EVIDENCE_POLLS, None, arrived);
     }
 
     /// Make the calling thread one of the run's: its waits end when a node
@@ -614,6 +617,12 @@ impl NodeEnv {
     /// Real-time barrier across *all* nodes of the world.
     pub fn barrier(&self) {
         self.run.barrier_wait();
+    }
+
+    /// What this run's [`barrier`](Self::barrier) waits cost so far, all
+    /// nodes together.
+    pub fn barrier_stats(&self) -> WaitStats {
+        self.run.barrier_moved.stats()
     }
 
     /// Spawn an auxiliary thread on this node (e.g. a gateway pipeline

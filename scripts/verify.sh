@@ -95,6 +95,18 @@ if ! grep -q 'test result: ok. 1 passed' <<<"$teardown_out"; then
     echo "verify: FAIL — world set-up: --test world_teardown (a finished world left bytes behind)" >&2
     exit 1
 fi
+# What a world's set-up allocates (build + init, per protocol) is pinned,
+# and a peer late to its init costs the early node the evidence grant its
+# set-up waits poll, not the peer's delay in CPU time: both run by name,
+# counted.
+for gate in setup_alloc setup_waits; do
+    setup_out=$(cargo test -q -p madeleine --test "$gate" 2>&1) || true
+    if ! grep -q 'test result: ok. 1 passed' <<<"$setup_out"; then
+        echo "$setup_out" >&2
+        echo "verify: FAIL — world set-up: --test $gate" >&2
+        exit 1
+    fi
+done
 # ... and that `unsafe` is the only one: every library crate forbids
 # unsafe code, madsim-net denies it and allows it once, on the crew's
 # dispatch.
@@ -368,6 +380,14 @@ bench collectives
 # storm at >= 1.3x the ops/sec of the single-lock baseline, and a posted
 # 64 B message costs <= 2 engine steps.
 bench hotpath
+
+# World-life stage: a short world's wall time phase by phase (build,
+# dispatch, init, first message, session drop, join, world drop) for each
+# protocol — the binary asserts that the world barrier and SISCI's segment
+# connect, whose peers are dispatched with them, park at most 0.25 times
+# per world (with a zero poll grant the barrier parks once per world).
+cargo run --release -q -p bench --bin world_life -- --out "$out/BENCH_world.json"
+test -s "$out/BENCH_world.json"
 
 # benchmark/ is frozen: a manifest edit anywhere that makes cargo rewrite
 # its lock (a library crate gaining or losing a dependency) shows up here.
